@@ -24,8 +24,8 @@
 //! edgebench-cli geo --requests 10000 --jobs 4
 //!                                     # multi-region diurnal serving with
 //!                                     # autoscaling, WAN spillover, carbon
-//! edgebench-cli geo --no-autoscale --engine heap --csv
-//!                                     # ... always-on fleet on the oracle engine
+//! edgebench-cli geo --no-autoscale --csv
+//!                                     # ... always-on fleet as byte-stable CSV
 //! edgebench-cli runtime --frames 300 --rate 60 --sentry
 //!                                     # zero-copy pipeline loopback, sentry mode
 //! edgebench-cli runtime --procs --ring-capacity 4 --drop-oldest
@@ -37,16 +37,19 @@
 //! only changes wall-clock time, never output. The `resilience` and `serve`
 //! commands are seed-deterministic: identical flags replay identical runs.
 //!
-//! Argument errors are typed ([`CliError`]): every malformed invocation
-//! prints what was wrong plus the command's usage line and exits non-zero.
+//! Each subcommand declares its flags once, as a table of [`Flag`] rows
+//! built from shared validators; one generic [`parse`] runs every table,
+//! and the usage line is rendered from the same rows. Argument errors are
+//! typed ([`CliError`]): every malformed invocation prints what was wrong
+//! plus the command's usage line and exits non-zero.
 
 use edgebench::experiments;
 use edgebench::runtime::{
     self, DropPolicy, ExecMode, RuntimeConfig, SentryConfig, SuperviseConfig,
 };
 use edgebench::serve::{
-    geo, BreakerConfig, EngineKind, Fleet, ReplicaSpec, RetryBudgetConfig, RoutePolicy,
-    ServeConfig, TraceFile, Traffic,
+    geo, BreakerConfig, Fleet, ReplicaSpec, RetryBudgetConfig, RoutePolicy, ServeConfig, TraceFile,
+    Traffic,
 };
 use edgebench_devices::faults::{
     ChaosPlan, FaultProfile, MemoryFaultModel, ResilientPipeline, RetryPolicy,
@@ -64,6 +67,7 @@ use std::env;
 use std::fmt;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// A typed CLI argument error. Rendering one tells the user what was
 /// wrong with which flag; the command wrapper appends its usage line and
@@ -123,34 +127,201 @@ impl CliError {
             expect,
         }
     }
-}
 
-/// The value following `args[i]`, or a [`CliError::MissingValue`].
-fn flag_value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, CliError> {
-    args.get(i + 1)
-        .map(String::as_str)
-        .ok_or_else(|| CliError::MissingValue {
-            flag: flag.to_string(),
-        })
-}
-
-fn parse_num<T: std::str::FromStr>(
-    s: &str,
-    flag: &str,
-    expect: &'static str,
-) -> Result<T, CliError> {
-    s.parse::<T>()
-        .map_err(|_| CliError::invalid(flag, s, expect))
-}
-
-/// A probability flag: a float in `[0, 1]`.
-fn parse_prob(s: &str, flag: &str) -> Result<f64, CliError> {
-    let p: f64 = parse_num(s, flag, "a probability in [0, 1]")?;
-    if (0.0..=1.0).contains(&p) {
-        Ok(p)
-    } else {
-        Err(CliError::invalid(flag, s, "a probability in [0, 1]"))
+    fn conflict(message: &str) -> CliError {
+        CliError::Conflict {
+            message: message.to_string(),
+        }
     }
+}
+
+/// What a flag expects, e.g. `a positive rate in req/s`. Validators and
+/// setters fail with it; [`parse`] adds the flag and the value to make a
+/// [`CliError::Invalid`].
+type Expect = &'static str;
+
+/// One row of a subcommand's flag table.
+struct Flag<R> {
+    /// The flag as typed, e.g. `--rate`.
+    name: &'static str,
+    /// The value placeholder shown in the usage line; empty for a switch.
+    value: &'static str,
+    /// Validates the value (`""` for a switch) and writes it into the run.
+    set: fn(&mut R, &str) -> Result<(), Expect>,
+}
+
+/// Declares one [`Flag`] row: `flag!(name, placeholder, |run, value| assignment)`.
+/// The assignment may use `?` on a validator.
+macro_rules! flag {
+    ($name:literal, $value:literal, |$r:ident, $v:tt| $body:expr) => {
+        Flag {
+            name: $name,
+            value: $value,
+            set: |$r, $v| {
+                $body;
+                Ok(())
+            },
+        }
+    };
+}
+
+/// A subcommand: its defaults, its flag table, and its cross-flag rules.
+trait Command: Sized + 'static {
+    /// The subcommand, e.g. `serve`.
+    const NAME: &'static str;
+    /// Every flag the subcommand accepts, in usage order.
+    const FLAGS: &'static [Flag<Self>];
+    /// The run with no flags given.
+    fn defaults() -> Self;
+    /// Checks the rules that span several flags, once every flag is set.
+    fn finish(self) -> Result<Self, CliError> {
+        Ok(self)
+    }
+}
+
+/// Parses `args` against `C`'s flag table, then applies its cross-flag
+/// rules.
+fn parse<C: Command>(args: &[String]) -> Result<C, CliError> {
+    let mut run = C::defaults();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(flag) = C::FLAGS.iter().find(|f| f.name == arg) else {
+            return Err(CliError::UnknownFlag {
+                command: C::NAME,
+                flag: arg.clone(),
+            });
+        };
+        let value = if flag.value.is_empty() {
+            ""
+        } else {
+            args.next()
+                .ok_or_else(|| CliError::MissingValue { flag: arg.clone() })?
+        };
+        (flag.set)(&mut run, value)
+            .map_err(|expect| CliError::invalid(flag.name, value, expect))?;
+    }
+    run.finish()
+}
+
+/// `C`'s usage line, rendered from its flag table.
+fn usage<C: Command>() -> String {
+    let flags: Vec<String> = C::FLAGS
+        .iter()
+        .map(|f| match f.value {
+            "" => format!("[{}]", f.name),
+            value => format!("[{} {value}]", f.name),
+        })
+        .collect();
+    format!("usage: edgebench-cli {} {}", C::NAME, flags.join(" "))
+}
+
+/// Parses `args` for `C`, or prints the error and the usage line.
+fn parse_or_usage<C: Command>(args: &[String]) -> Option<C> {
+    parse(args)
+        .map_err(|e| {
+            eprintln!("{e}");
+            eprintln!("{}", usage::<C>());
+        })
+        .ok()
+}
+
+fn num<T: FromStr>(v: &str, expect: Expect) -> Result<T, Expect> {
+    v.parse().map_err(|_| expect)
+}
+
+/// A strictly positive integer.
+fn pos_int<T: FromStr + Default + PartialEq>(v: &str, expect: Expect) -> Result<T, Expect> {
+    let n: T = num(v, expect)?;
+    if n == T::default() {
+        Err(expect)
+    } else {
+        Ok(n)
+    }
+}
+
+/// An integer no greater than `max`.
+fn up_to<T: FromStr + PartialOrd>(v: &str, max: T, expect: Expect) -> Result<T, Expect> {
+    let n: T = num(v, expect)?;
+    if n <= max {
+        Ok(n)
+    } else {
+        Err(expect)
+    }
+}
+
+/// A power of two (so never zero).
+fn pow2(v: &str, expect: Expect) -> Result<usize, Expect> {
+    let n: usize = num(v, expect)?;
+    if n.is_power_of_two() {
+        Ok(n)
+    } else {
+        Err(expect)
+    }
+}
+
+/// A finite float accepted by `ok`; NaN and the infinities never are.
+fn finite(v: &str, expect: Expect, ok: impl Fn(f64) -> bool) -> Result<f64, Expect> {
+    let x: f64 = num(v, expect)?;
+    if x.is_finite() && ok(x) {
+        Ok(x)
+    } else {
+        Err(expect)
+    }
+}
+
+fn pos_f64(v: &str, expect: Expect) -> Result<f64, Expect> {
+    finite(v, expect, |x| x > 0.0)
+}
+
+fn nonneg_f64(v: &str, expect: Expect) -> Result<f64, Expect> {
+    finite(v, expect, |x| x >= 0.0)
+}
+
+fn prob(v: &str) -> Result<f64, Expect> {
+    finite(v, "a probability in [0, 1]", |p| (0.0..=1.0).contains(&p))
+}
+
+fn seed(v: &str) -> Result<u64, Expect> {
+    num(v, "an integer seed")
+}
+
+fn model(v: &str) -> Result<Model, Expect> {
+    Model::from_name(v).ok_or("a known model (see `edgebench-cli summary`)")
+}
+
+fn device(v: &str) -> Result<Device, Expect> {
+    Device::from_name(v).ok_or("a known device")
+}
+
+fn device_list(v: &str) -> Result<Vec<Device>, Expect> {
+    v.split(',')
+        .map(Device::from_name)
+        .collect::<Option<_>>()
+        .ok_or("a comma-separated list of known devices")
+}
+
+fn path(v: &str) -> Result<PathBuf, Expect> {
+    if v.is_empty() {
+        Err("a file path")
+    } else {
+        Ok(PathBuf::from(v))
+    }
+}
+
+/// The value `v` names among `choices`.
+fn one_of<T: Copy>(v: &str, choices: &[(&str, T)], expect: Expect) -> Result<T, Expect> {
+    choices
+        .iter()
+        .find(|(name, _)| *name == v)
+        .map(|&(_, t)| t)
+        .ok_or(expect)
+}
+
+/// A traffic trace kind [`Traffic::from_flag`] knows.
+fn trace(v: &str) -> Result<String, Expect> {
+    Traffic::from_flag(v, 1.0, 0)
+        .map(|_| v.to_string())
+        .ok_or("one of steady, poisson, diurnal, burst")
 }
 
 fn with_model(name: Option<&str>, f: impl Fn(&edgebench_graph::Graph) -> String) -> ExitCode {
@@ -172,21 +343,25 @@ fn with_model(name: Option<&str>, f: impl Fn(&edgebench_graph::Graph) -> String)
 /// Extracts `--jobs N` / `--jobs=N` from `args` (any position), returning
 /// the worker count.
 fn take_jobs_flag(args: &mut Vec<String>) -> Result<usize, CliError> {
-    let mut jobs = 1usize;
+    let jobs =
+        |v: &str| num(v, "a non-negative integer").map_err(|e| CliError::invalid("--jobs", v, e));
+    let mut n = 1usize;
     let mut i = 0;
     while i < args.len() {
         if args[i] == "--jobs" {
-            let value = flag_value(args, i, "--jobs")?.to_string();
-            jobs = parse_num(&value, "--jobs", "a non-negative integer")?;
+            let value = args.get(i + 1).ok_or_else(|| CliError::MissingValue {
+                flag: "--jobs".to_string(),
+            })?;
+            n = jobs(value)?;
             args.drain(i..i + 2);
         } else if let Some(value) = args[i].strip_prefix("--jobs=") {
-            jobs = parse_num(value, "--jobs", "a non-negative integer")?;
+            n = jobs(value)?;
             args.remove(i);
         } else {
             i += 1;
         }
     }
-    Ok(jobs)
+    Ok(n)
 }
 
 /// Everything the `resilience` subcommand needs to run, parsed and
@@ -205,104 +380,43 @@ struct ResilienceRun {
     show_events: bool,
 }
 
-const RESILIENCE_USAGE: &str = "usage: edgebench-cli resilience [--model M] [--device D] \
-     [--stages N] [--frames N] [--seed S] [--dropout P] [--link-loss P] [--thermal] \
-     [--no-repartition] [--events]";
+impl Command for ResilienceRun {
+    const NAME: &'static str = "resilience";
+    const FLAGS: &'static [Flag<Self>] = &[
+        flag!("--model", "M", |r, v| r.model = model(v)?),
+        flag!("--device", "D", |r, v| r.device = device(v)?),
+        flag!("--stages", "N", |r, v| r.stages =
+            pos_int(v, "a positive pipeline depth")?),
+        flag!("--frames", "N", |r, v| r.frames = num(v, "a frame count")?),
+        flag!("--seed", "S", |r, v| r.seed = seed(v)?),
+        flag!("--dropout", "P", |r, v| r.dropout = prob(v)?),
+        flag!("--link-loss", "P", |r, v| r.link_loss = prob(v)?),
+        flag!("--thermal", "", |r, _| r.thermal = true),
+        flag!("--no-repartition", "", |r, _| r.policy =
+            r.policy.without_repartition()),
+        flag!("--events", "", |r, _| r.show_events = true),
+    ];
 
-fn parse_resilience(args: &[String]) -> Result<ResilienceRun, CliError> {
-    let mut run = ResilienceRun {
-        model: Model::MobileNetV2,
-        device: Device::RaspberryPi3,
-        stages: 4,
-        frames: 300,
-        seed: 42,
-        dropout: 0.0,
-        link_loss: 0.0,
-        thermal: false,
-        policy: RetryPolicy::default(),
-        show_events: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let consumed = match flag {
-            "--model" => {
-                let v = flag_value(args, i, flag)?;
-                run.model = Model::from_name(v).ok_or_else(|| {
-                    CliError::invalid(flag, v, "a known model (see `edgebench-cli summary`)")
-                })?;
-                2
-            }
-            "--device" => {
-                let v = flag_value(args, i, flag)?;
-                run.device = Device::from_name(v)
-                    .ok_or_else(|| CliError::invalid(flag, v, "a known device"))?;
-                2
-            }
-            "--stages" => {
-                run.stages = parse_num(
-                    flag_value(args, i, flag)?,
-                    flag,
-                    "a positive pipeline depth",
-                )?;
-                2
-            }
-            "--frames" => {
-                run.frames = parse_num(flag_value(args, i, flag)?, flag, "a frame count")?;
-                2
-            }
-            "--seed" => {
-                run.seed = parse_num(flag_value(args, i, flag)?, flag, "an integer seed")?;
-                2
-            }
-            "--dropout" => {
-                run.dropout = parse_prob(flag_value(args, i, flag)?, flag)?;
-                2
-            }
-            "--link-loss" => {
-                run.link_loss = parse_prob(flag_value(args, i, flag)?, flag)?;
-                2
-            }
-            "--thermal" => {
-                run.thermal = true;
-                1
-            }
-            "--no-repartition" => {
-                run.policy = run.policy.without_repartition();
-                1
-            }
-            "--events" => {
-                run.show_events = true;
-                1
-            }
-            other => {
-                return Err(CliError::UnknownFlag {
-                    command: "resilience",
-                    flag: other.to_string(),
-                })
-            }
-        };
-        i += consumed;
+    fn defaults() -> Self {
+        ResilienceRun {
+            model: Model::MobileNetV2,
+            device: Device::RaspberryPi3,
+            stages: 4,
+            frames: 300,
+            seed: 42,
+            dropout: 0.0,
+            link_loss: 0.0,
+            thermal: false,
+            policy: RetryPolicy::default(),
+            show_events: false,
+        }
     }
-    if run.stages == 0 {
-        return Err(CliError::invalid(
-            "--stages",
-            "0",
-            "a positive pipeline depth",
-        ));
-    }
-    Ok(run)
 }
 
 /// Runs one fault-injected pipeline simulation from parsed flags.
 fn run_resilience(args: &[String]) -> ExitCode {
-    let run = match parse_resilience(args) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{RESILIENCE_USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = parse_or_usage::<ResilienceRun>(args) else {
+        return ExitCode::FAILURE;
     };
     let lan = Link {
         uplink_mbps: 90.0,
@@ -386,105 +500,56 @@ struct InferRun {
     guards: bool,
 }
 
-const INFER_USAGE: &str = "usage: edgebench-cli infer [--model M] [--batch N] [--threads N] \
-     [--precision f32|f16|int8] [--iters N] [--seed S] [--sparsity P] [--kernel auto|scalar|simd] \
-     [--flip-rate P] [--flip-seed S] [--guards]";
+/// The most intra-op workers `infer --threads` accepts; `0` still means
+/// all cores.
+const MAX_THREADS: usize = 1024;
 
-fn parse_infer(args: &[String]) -> Result<InferRun, CliError> {
-    let mut run = InferRun {
-        model: Model::CifarNet,
-        batch: 1,
-        threads: 1,
-        precision: Precision::F32,
-        iters: 10,
-        seed: 42,
-        sparsity: 0.0,
-        kernel: KernelKind::Auto,
-        flip_rate: 0.0,
-        flip_seed: 0x5dc,
-        guards: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let consumed = match flag {
-            "--model" => {
-                let v = flag_value(args, i, flag)?;
-                run.model = Model::from_name(v).ok_or_else(|| {
-                    CliError::invalid(flag, v, "a known model (see `edgebench-cli summary`)")
-                })?;
-                2
-            }
-            "--batch" => {
-                let v = flag_value(args, i, flag)?;
-                run.batch = parse_num(v, flag, "a positive batch size")?;
-                if run.batch == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive batch size"));
-                }
-                2
-            }
-            "--threads" => {
-                run.threads = parse_num(
-                    flag_value(args, i, flag)?,
-                    flag,
-                    "an intra-op worker count (0 = all cores)",
-                )?;
-                2
-            }
-            "--precision" => {
-                let v = flag_value(args, i, flag)?;
-                run.precision = match v {
-                    "f32" => Precision::F32,
-                    "f16" => Precision::F16,
-                    "int8" => Precision::Int8,
-                    _ => return Err(CliError::invalid(flag, v, "one of f32, f16, int8")),
-                };
-                2
-            }
-            "--iters" => {
-                let v = flag_value(args, i, flag)?;
-                run.iters = parse_num(v, flag, "a positive iteration count")?;
-                if run.iters == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive iteration count"));
-                }
-                2
-            }
-            "--seed" => {
-                run.seed = parse_num(flag_value(args, i, flag)?, flag, "an integer seed")?;
-                2
-            }
-            "--sparsity" => {
-                run.sparsity = parse_prob(flag_value(args, i, flag)?, flag)? as f32;
-                2
-            }
-            "--kernel" => {
-                let v = flag_value(args, i, flag)?;
-                run.kernel = KernelKind::from_name(v)
-                    .ok_or_else(|| CliError::invalid(flag, v, "one of auto, scalar, simd"))?;
-                2
-            }
-            "--flip-rate" => {
-                run.flip_rate = parse_prob(flag_value(args, i, flag)?, flag)?;
-                2
-            }
-            "--flip-seed" => {
-                run.flip_seed = parse_num(flag_value(args, i, flag)?, flag, "an integer seed")?;
-                2
-            }
-            "--guards" => {
-                run.guards = true;
-                1
-            }
-            other => {
-                return Err(CliError::UnknownFlag {
-                    command: "infer",
-                    flag: other.to_string(),
-                })
-            }
-        };
-        i += consumed;
+impl Command for InferRun {
+    const NAME: &'static str = "infer";
+    const FLAGS: &'static [Flag<Self>] = &[
+        flag!("--model", "M", |r, v| r.model = model(v)?),
+        flag!("--batch", "N", |r, v| r.batch =
+            pos_int(v, "a positive batch size")?),
+        flag!("--threads", "N", |r, v| r.threads = up_to(
+            v,
+            MAX_THREADS,
+            "an intra-op worker count up to 1024 (0 = all cores)"
+        )?),
+        flag!("--precision", "f32|f16|int8", |r, v| r.precision = one_of(
+            v,
+            &[
+                ("f32", Precision::F32),
+                ("f16", Precision::F16),
+                ("int8", Precision::Int8)
+            ],
+            "one of f32, f16, int8"
+        )?),
+        flag!("--iters", "N", |r, v| r.iters =
+            pos_int(v, "a positive iteration count")?),
+        flag!("--seed", "S", |r, v| r.seed = seed(v)?),
+        flag!("--sparsity", "P", |r, v| r.sparsity = prob(v)? as f32),
+        flag!("--kernel", "auto|scalar|simd", |r, v| r.kernel =
+            KernelKind::from_name(v).ok_or("one of auto, scalar, simd")?),
+        flag!("--flip-rate", "P", |r, v| r.flip_rate = prob(v)?),
+        flag!("--flip-seed", "S", |r, v| r.flip_seed = seed(v)?),
+        flag!("--guards", "", |r, _| r.guards = true),
+    ];
+
+    fn defaults() -> Self {
+        InferRun {
+            model: Model::CifarNet,
+            batch: 1,
+            threads: 1,
+            precision: Precision::F32,
+            iters: 10,
+            seed: 42,
+            sparsity: 0.0,
+            kernel: KernelKind::Auto,
+            flip_rate: 0.0,
+            flip_seed: 0x5dc,
+            guards: false,
+        }
     }
-    Ok(run)
 }
 
 /// Runs real tensor inference on the CPU backend and reports throughput.
@@ -495,13 +560,8 @@ fn parse_infer(args: &[String]) -> Result<InferRun, CliError> {
 /// output byte, and so a corrupted run (`--flip-rate` > 0, no guards) has
 /// a clean baseline to diff against.
 fn run_infer(args: &[String]) -> ExitCode {
-    let run = match parse_infer(args) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{INFER_USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = parse_or_usage::<InferRun>(args) else {
+        return ExitCode::FAILURE;
     };
     let g = match run.model.build().with_batch(run.batch) {
         Ok(g) => g,
@@ -706,231 +766,99 @@ struct ServeRun {
     frames: usize,
     csv: bool,
     show_events: bool,
+    /// `--batch-delay-ms` was given (it conflicts with `--batch-max 1`).
+    delay_set: bool,
     cfg: ServeConfig,
 }
 
-const SERVE_USAGE: &str = "usage: edgebench-cli serve [--model M] [--devices D1,D2,..] \
-     [--replicas N] [--rate HZ] [--trace steady|poisson|diurnal|burst] [--slo-ms MS] \
-     [--batch-max N] [--batch-delay-ms MS] [--policy rr|jsq|lel] [--seed S] [--frames N] \
-     [--dropout P] [--thermal] [--power-scale X] [--no-admission] [--straggler P,FACTOR] \
-     [--loss P] [--hedge-ms MS] [--retry-budget TOKENS] [--breaker] [--ladder] [--sdc P] \
-     [--no-sdc-guards] [--engine calendar|heap] [--events] [--csv]";
+/// `--straggler P,FACTOR`: a probability and an inflation factor >= 1.
+fn straggler(v: &str) -> Result<(f64, f64), Expect> {
+    const EXPECT: Expect = "P,FACTOR (probability, inflation >= 1)";
+    let (p, factor) = v.split_once(',').ok_or(EXPECT)?;
+    Ok((prob(p)?, finite(factor, EXPECT, |f| f >= 1.0)?))
+}
 
-fn parse_serve(args: &[String]) -> Result<ServeRun, CliError> {
-    let mut run = ServeRun {
-        model: Model::MobileNetV2,
-        devices: vec![Device::RaspberryPi3, Device::JetsonNano, Device::JetsonTx2],
-        replicas: 1,
-        rate_hz: 30.0,
-        trace: "poisson".to_string(),
-        frames: 2000,
-        csv: false,
-        show_events: false,
-        cfg: ServeConfig::new(100.0),
-    };
-    let mut delay_set = false;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let consumed = match flag {
-            "--model" => {
-                let v = flag_value(args, i, flag)?;
-                run.model = Model::from_name(v).ok_or_else(|| {
-                    CliError::invalid(flag, v, "a known model (see `edgebench-cli summary`)")
-                })?;
-                2
-            }
-            "--devices" => {
-                let list = flag_value(args, i, flag)?;
-                let parsed: Option<Vec<Device>> = list.split(',').map(Device::from_name).collect();
-                match parsed {
-                    Some(d) if !d.is_empty() => run.devices = d,
-                    _ => {
-                        return Err(CliError::invalid(
-                            flag,
-                            list,
-                            "a comma-separated list of known devices",
-                        ))
-                    }
-                }
-                2
-            }
-            "--replicas" => {
-                let v = flag_value(args, i, flag)?;
-                run.replicas = parse_num(v, flag, "a positive replica count")?;
-                if run.replicas == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive replica count"));
-                }
-                2
-            }
-            "--rate" => {
-                let v = flag_value(args, i, flag)?;
-                run.rate_hz = parse_num(v, flag, "a positive rate in req/s")?;
-                if run.rate_hz <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive rate in req/s"));
-                }
-                2
-            }
-            "--trace" => {
-                run.trace = flag_value(args, i, flag)?.to_string();
-                2
-            }
-            "--slo-ms" => {
-                run.cfg.slo_ms = parse_num(
-                    flag_value(args, i, flag)?,
-                    flag,
-                    "a latency objective in ms",
-                )?;
-                2
-            }
-            "--batch-max" => {
-                run.cfg.batch_max =
-                    parse_num(flag_value(args, i, flag)?, flag, "a batch size limit")?;
-                2
-            }
-            "--batch-delay-ms" => {
-                run.cfg.batch_delay_ms =
-                    parse_num(flag_value(args, i, flag)?, flag, "a delay in ms")?;
-                delay_set = true;
-                2
-            }
-            "--policy" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.policy = RoutePolicy::from_name(v)
-                    .ok_or_else(|| CliError::invalid(flag, v, "one of rr, jsq, lel"))?;
-                2
-            }
-            "--seed" => {
-                run.cfg.seed = parse_num(flag_value(args, i, flag)?, flag, "an integer seed")?;
-                2
-            }
-            "--frames" => {
-                run.frames = parse_num(flag_value(args, i, flag)?, flag, "a request count")?;
-                2
-            }
-            "--dropout" => {
-                run.cfg.replica_dropout = parse_prob(flag_value(args, i, flag)?, flag)?;
-                2
-            }
-            "--power-scale" => {
-                run.cfg.power_scale =
-                    parse_num(flag_value(args, i, flag)?, flag, "a power multiplier")?;
-                2
-            }
-            "--straggler" => {
-                let v = flag_value(args, i, flag)?;
-                let expect = "P,FACTOR (probability, inflation >= 1)";
-                let (p_s, f_s) = v
-                    .split_once(',')
-                    .ok_or_else(|| CliError::invalid(flag, v, expect))?;
-                let p = parse_prob(p_s, flag)?;
-                let factor: f64 = parse_num(f_s, flag, expect)?;
-                if factor < 1.0 {
-                    return Err(CliError::invalid(flag, v, expect));
-                }
-                run.cfg = run.cfg.with_straggler(p, factor);
-                2
-            }
-            "--loss" => {
-                let p = parse_prob(flag_value(args, i, flag)?, flag)?;
-                run.cfg = run.cfg.with_loss(p);
-                2
-            }
-            "--hedge-ms" => {
-                let v = flag_value(args, i, flag)?;
-                let ms: f64 = parse_num(v, flag, "a non-negative slack in ms")?;
-                if ms < 0.0 {
-                    return Err(CliError::invalid(flag, v, "a non-negative slack in ms"));
-                }
-                run.cfg = run.cfg.with_hedge_ms(ms);
-                2
-            }
-            "--retry-budget" => {
-                let v = flag_value(args, i, flag)?;
-                let tokens: f64 = parse_num(v, flag, "a positive token count")?;
-                if tokens <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive token count"));
-                }
-                run.cfg = run.cfg.with_retry_budget(RetryBudgetConfig {
-                    initial_tokens: tokens,
-                    ..RetryBudgetConfig::default()
-                });
-                2
-            }
-            "--breaker" => {
-                run.cfg = run.cfg.with_breaker(BreakerConfig::default());
-                1
-            }
-            "--ladder" => {
-                run.cfg = run.cfg.with_ladder(true);
-                1
-            }
-            "--sdc" => {
-                let p = parse_prob(flag_value(args, i, flag)?, flag)?;
-                run.cfg = run.cfg.with_sdc(p);
-                2
-            }
-            "--no-sdc-guards" => {
-                run.cfg = run.cfg.with_sdc_guards(false);
-                1
-            }
-            "--engine" => {
-                let v = flag_value(args, i, flag)?;
-                let engine = EngineKind::from_name(v)
-                    .ok_or_else(|| CliError::invalid(flag, v, "one of calendar, heap"))?;
-                run.cfg = run.cfg.with_engine(engine);
-                2
-            }
-            "--thermal" => {
-                run.cfg.thermal = true;
-                1
-            }
-            "--no-admission" => {
-                run.cfg.admission = false;
-                1
-            }
-            "--events" => {
-                run.show_events = true;
-                1
-            }
-            "--csv" => {
-                run.csv = true;
-                1
-            }
-            other => {
-                return Err(CliError::UnknownFlag {
-                    command: "serve",
-                    flag: other.to_string(),
-                })
-            }
-        };
-        i += consumed;
+impl Command for ServeRun {
+    const NAME: &'static str = "serve";
+    const FLAGS: &'static [Flag<Self>] = &[
+        flag!("--model", "M", |r, v| r.model = model(v)?),
+        flag!("--devices", "D1,D2,..", |r, v| r.devices = device_list(v)?),
+        flag!("--replicas", "N", |r, v| r.replicas =
+            pos_int(v, "a positive replica count")?),
+        flag!("--rate", "HZ", |r, v| r.rate_hz =
+            pos_f64(v, "a positive rate in req/s")?),
+        flag!("--trace", "steady|poisson|diurnal|burst", |r, v| r.trace =
+            trace(v)?),
+        flag!("--slo-ms", "MS", |r, v| r.cfg.slo_ms =
+            pos_f64(v, "a latency objective in ms")?),
+        flag!("--batch-max", "N", |r, v| r.cfg.batch_max =
+            pos_int(v, "a batch size limit")?),
+        flag!("--batch-delay-ms", "MS", |r, v| {
+            r.cfg.batch_delay_ms = nonneg_f64(v, "a delay in ms")?;
+            r.delay_set = true
+        }),
+        flag!("--policy", "rr|jsq|lel", |r, v| r.cfg.policy =
+            RoutePolicy::from_name(v).ok_or("one of rr, jsq, lel")?),
+        flag!("--seed", "S", |r, v| r.cfg.seed = seed(v)?),
+        flag!("--frames", "N", |r, v| r.frames =
+            num(v, "a request count")?),
+        flag!("--dropout", "P", |r, v| r.cfg.replica_dropout = prob(v)?),
+        flag!("--thermal", "", |r, _| r.cfg.thermal = true),
+        flag!("--power-scale", "X", |r, v| r.cfg.power_scale =
+            pos_f64(v, "a power multiplier")?),
+        flag!("--no-admission", "", |r, _| r.cfg.admission = false),
+        flag!("--straggler", "P,FACTOR", |r, v| {
+            let (p, factor) = straggler(v)?;
+            r.cfg = r.cfg.with_straggler(p, factor)
+        }),
+        flag!("--loss", "P", |r, v| r.cfg = r.cfg.with_loss(prob(v)?)),
+        flag!("--hedge-ms", "MS", |r, v| r.cfg = r
+            .cfg
+            .with_hedge_ms(nonneg_f64(v, "a non-negative slack in ms")?)),
+        flag!("--retry-budget", "TOKENS", |r, v| r.cfg =
+            r.cfg.with_retry_budget(RetryBudgetConfig {
+                initial_tokens: pos_f64(v, "a positive token count")?,
+                ..RetryBudgetConfig::default()
+            })),
+        flag!("--breaker", "", |r, _| r.cfg =
+            r.cfg.with_breaker(BreakerConfig::default())),
+        flag!("--ladder", "", |r, _| r.cfg = r.cfg.with_ladder(true)),
+        flag!("--sdc", "P", |r, v| r.cfg = r.cfg.with_sdc(prob(v)?)),
+        flag!("--no-sdc-guards", "", |r, _| r.cfg =
+            r.cfg.with_sdc_guards(false)),
+        flag!("--events", "", |r, _| r.show_events = true),
+        flag!("--csv", "", |r, _| r.csv = true),
+    ];
+
+    fn defaults() -> Self {
+        ServeRun {
+            model: Model::MobileNetV2,
+            devices: vec![Device::RaspberryPi3, Device::JetsonNano, Device::JetsonTx2],
+            replicas: 1,
+            rate_hz: 30.0,
+            trace: "poisson".to_string(),
+            frames: 2000,
+            csv: false,
+            show_events: false,
+            delay_set: false,
+            cfg: ServeConfig::new(100.0),
+        }
     }
-    if delay_set && run.cfg.batch_max <= 1 {
-        return Err(CliError::Conflict {
-            message: "--batch-delay-ms has no effect with --batch-max 1 (batching is off)"
-                .to_string(),
-        });
+
+    fn finish(self) -> Result<Self, CliError> {
+        if self.delay_set && self.cfg.batch_max <= 1 {
+            return Err(CliError::conflict(
+                "--batch-delay-ms has no effect with --batch-max 1 (batching is off)",
+            ));
+        }
+        Ok(self)
     }
-    if Traffic::from_flag(&run.trace, run.rate_hz, run.cfg.seed).is_none() {
-        return Err(CliError::invalid(
-            "--trace",
-            &run.trace,
-            "one of steady, poisson, diurnal, burst",
-        ));
-    }
-    Ok(run)
 }
 
 /// Runs one fleet serving simulation from parsed flags.
 fn run_serve(args: &[String]) -> ExitCode {
-    let run = match parse_serve(args) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{SERVE_USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = parse_or_usage::<ServeRun>(args) else {
+        return ExitCode::FAILURE;
     };
     let traffic = Traffic::from_flag(&run.trace, run.rate_hz, run.cfg.seed)
         .expect("trace validated at parse time");
@@ -988,132 +916,51 @@ struct GeoRun {
     csv: bool,
 }
 
-const GEO_USAGE: &str = "usage: edgebench-cli geo [--model M] [--slo-ms MS] [--requests N] \
-     [--base-hz HZ] [--peak-hz HZ] [--period-s S] [--wan-rtt-ms MS] [--import N] \
-     [--batch-max N] [--no-autoscale] [--engine calendar|heap] [--seed S] [--csv]";
+impl Command for GeoRun {
+    const NAME: &'static str = "geo";
+    const FLAGS: &'static [Flag<Self>] = &[
+        flag!("--model", "M", |r, v| r.cfg.model = model(v)?),
+        flag!("--slo-ms", "MS", |r, v| r.cfg.slo_ms =
+            pos_f64(v, "a positive SLO in ms")?),
+        flag!("--requests", "N", |r, v| r.requests =
+            pos_int(v, "a positive request count")?),
+        flag!("--base-hz", "HZ", |r, v| r.cfg.base_hz =
+            pos_f64(v, "a positive rate in req/s")?),
+        flag!("--peak-hz", "HZ", |r, v| r.cfg.peak_hz =
+            pos_f64(v, "a positive rate in req/s")?),
+        flag!("--period-s", "S", |r, v| r.cfg.period_s =
+            pos_f64(v, "a positive period in seconds")?),
+        flag!("--wan-rtt-ms", "MS", |r, v| r.cfg.wan_rtt_ms =
+            nonneg_f64(v, "a non-negative RTT in ms")?),
+        flag!("--import", "N", |r, v| r.cfg.import_replicas =
+            num(v, "a spillover replica count")?),
+        flag!("--batch-max", "N", |r, v| r.cfg.batch_max =
+            pos_int(v, "a positive batch size")?),
+        flag!("--no-autoscale", "", |r, _| r.cfg.autoscale = None),
+        flag!("--seed", "S", |r, v| r.cfg.seed = num(v, "a u64 seed")?),
+        flag!("--csv", "", |r, _| r.csv = true),
+    ];
 
-fn parse_geo(args: &[String]) -> Result<GeoRun, CliError> {
-    let mut run = GeoRun {
-        cfg: geo::GeoConfig::new(100.0),
-        requests: 8000,
-        csv: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let consumed = match flag {
-            "--model" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.model = Model::from_name(v).ok_or_else(|| {
-                    CliError::invalid(flag, v, "a known model (see `edgebench-cli summary`)")
-                })?;
-                2
-            }
-            "--slo-ms" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.slo_ms = parse_num(v, flag, "a positive SLO in ms")?;
-                if run.cfg.slo_ms <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive SLO in ms"));
-                }
-                2
-            }
-            "--requests" => {
-                let v = flag_value(args, i, flag)?;
-                run.requests = parse_num(v, flag, "a positive request count")?;
-                if run.requests == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive request count"));
-                }
-                2
-            }
-            "--base-hz" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.base_hz = parse_num(v, flag, "a positive rate in req/s")?;
-                if run.cfg.base_hz <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive rate in req/s"));
-                }
-                2
-            }
-            "--peak-hz" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.peak_hz = parse_num(v, flag, "a positive rate in req/s")?;
-                if run.cfg.peak_hz <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive rate in req/s"));
-                }
-                2
-            }
-            "--period-s" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.period_s = parse_num(v, flag, "a positive period in seconds")?;
-                if run.cfg.period_s <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive period in seconds"));
-                }
-                2
-            }
-            "--wan-rtt-ms" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.wan_rtt_ms = parse_num(v, flag, "a non-negative RTT in ms")?;
-                if run.cfg.wan_rtt_ms < 0.0 {
-                    return Err(CliError::invalid(flag, v, "a non-negative RTT in ms"));
-                }
-                2
-            }
-            "--import" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.import_replicas = parse_num(v, flag, "a spillover replica count")?;
-                2
-            }
-            "--batch-max" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.batch_max = parse_num(v, flag, "a positive batch size")?;
-                if run.cfg.batch_max == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive batch size"));
-                }
-                2
-            }
-            "--no-autoscale" => {
-                run.cfg.autoscale = None;
-                1
-            }
-            "--engine" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.engine = EngineKind::from_name(v)
-                    .ok_or_else(|| CliError::invalid(flag, v, "one of calendar, heap"))?;
-                2
-            }
-            "--seed" => {
-                run.cfg.seed = parse_num(flag_value(args, i, flag)?, flag, "a u64 seed")?;
-                2
-            }
-            "--csv" => {
-                run.csv = true;
-                1
-            }
-            other => {
-                return Err(CliError::UnknownFlag {
-                    command: "geo",
-                    flag: other.to_string(),
-                })
-            }
-        };
-        i += consumed;
+    fn defaults() -> Self {
+        GeoRun {
+            cfg: geo::GeoConfig::new(100.0),
+            requests: 8000,
+            csv: false,
+        }
     }
-    if run.cfg.peak_hz < run.cfg.base_hz {
-        return Err(CliError::Conflict {
-            message: "--peak-hz must be at least --base-hz".to_string(),
-        });
+
+    fn finish(self) -> Result<Self, CliError> {
+        if self.cfg.peak_hz < self.cfg.base_hz {
+            return Err(CliError::conflict("--peak-hz must be at least --base-hz"));
+        }
+        Ok(self)
     }
-    Ok(run)
 }
 
 /// Runs the multi-region serving simulation from parsed flags.
 fn run_geo(args: &[String], jobs: usize) -> ExitCode {
-    let run = match parse_geo(args) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{GEO_USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = parse_or_usage::<GeoRun>(args) else {
+        return ExitCode::FAILURE;
     };
     let regions = geo::default_regions(run.cfg.period_s);
     let report = match geo::run_geo(&run.cfg, &regions, run.requests, jobs) {
@@ -1124,7 +971,7 @@ fn run_geo(args: &[String], jobs: usize) -> ExitCode {
         }
     };
     let title = format!(
-        "geo: {} | {} regions x {} reqs | {}..{} req/s over {} s | SLO {} ms | {} engine",
+        "geo: {} | {} regions x {} reqs | {}..{} req/s over {} s | SLO {} ms",
         run.cfg.model,
         regions.len(),
         run.requests,
@@ -1132,7 +979,6 @@ fn run_geo(args: &[String], jobs: usize) -> ExitCode {
         run.cfg.peak_hz,
         run.cfg.period_s,
         run.cfg.slo_ms,
-        run.cfg.engine.name(),
     );
     let rendered = report.to_report(title);
     if run.csv {
@@ -1167,327 +1013,175 @@ struct RuntimeRun {
     sink: bool,
     chaos_events: Option<usize>,
     chaos_seed: Option<u64>,
+    /// `--block` / `--drop-oldest` were given (they are exclusive).
+    block: bool,
+    drop_oldest: bool,
+    /// `--sentry` / `--supervise` were given; their knobs fill in
+    /// `cfg.sentry` / `cfg.supervise` and need the switch.
+    sentry: bool,
+    supervise: bool,
+    /// The explicit `--chaos` schedule, parsed once every flag is in.
+    chaos: Option<String>,
 }
 
-const RUNTIME_USAGE: &str = "usage: edgebench-cli runtime [--model M] [--device D] [--frames N] \
-     [--rate HZ] [--trace steady|poisson|diurnal|burst] [--hit-rate P] [--seed S] \
-     [--ring-capacity N] [--block | --drop-oldest] [--sentry] [--sentry-cooldown N] \
-     [--sentry-recall P] [--flip-rate P] [--capture-ns N] [--preprocess-ns N] \
-     [--exec model|real] [--pace] [--supervise] [--restart-budget N] [--heartbeat-ms N] \
-     [--chaos SPEC | --chaos-events N [--chaos-seed S]] [--procs] \
-     [--stage S --dir D [--sink]] [--out PATH] [--events-out PATH] \
-     [--trace-in PATH | --trace-out PATH] [--events]";
+impl Command for RuntimeRun {
+    const NAME: &'static str = "runtime";
+    const FLAGS: &'static [Flag<Self>] = &[
+        flag!("--model", "M", |r, v| r.cfg.model = model(v)?),
+        flag!("--device", "D", |r, v| r.cfg.device = device(v)?),
+        flag!("--frames", "N", |r, v| r.frames =
+            pos_int(v, "a positive frame count")?),
+        flag!("--rate", "HZ", |r, v| r.rate_hz =
+            pos_f64(v, "a positive rate in frames/s")?),
+        flag!("--trace", "steady|poisson|diurnal|burst", |r, v| r.trace =
+            trace(v)?),
+        flag!("--hit-rate", "P", |r, v| r.hit_rate = prob(v)?),
+        flag!("--seed", "S", |r, v| r.cfg.seed = seed(v)?),
+        flag!("--ring-capacity", "N", |r, v| r.cfg.ring_capacity =
+            pow2(v, "a power-of-two slot count >= 1")?),
+        flag!("--block", "", |r, _| r.block = true),
+        flag!("--drop-oldest", "", |r, _| r.drop_oldest = true),
+        flag!("--sentry", "", |r, _| r.sentry = true),
+        flag!("--sentry-cooldown", "N", |r, v| r
+            .cfg
+            .sentry
+            .get_or_insert_with(SentryConfig::default)
+            .cooldown =
+            pos_int(v, "a positive quiet-frame count")?),
+        flag!("--sentry-recall", "P", |r, v| r
+            .cfg
+            .sentry
+            .get_or_insert_with(SentryConfig::default)
+            .standby_recall =
+            prob(v)?),
+        flag!("--flip-rate", "P", |r, v| r.cfg.ipc_flip_rate = prob(v)?),
+        flag!("--capture-ns", "N", |r, v| r.cfg.capture_ns_per_elem =
+            num(v, "ns per payload element")?),
+        flag!("--preprocess-ns", "N", |r, v| r
+            .cfg
+            .preprocess_ns_per_elem =
+            num(v, "ns per payload element")?),
+        flag!("--exec", "model|real", |r, v| r.cfg.exec = one_of(
+            v,
+            &[("model", ExecMode::Model), ("real", ExecMode::Real)],
+            "one of model, real"
+        )?),
+        flag!("--pace", "", |r, _| r.cfg.pace = true),
+        flag!("--supervise", "", |r, _| r.supervise = true),
+        flag!("--restart-budget", "N", |r, v| r
+            .cfg
+            .supervise
+            .get_or_insert_with(SuperviseConfig::default)
+            .restart_budget =
+            up_to(v, 64, "a restart count (0..=64)")?),
+        flag!("--heartbeat-ms", "N", |r, v| r
+            .cfg
+            .supervise
+            .get_or_insert_with(SuperviseConfig::default)
+            .heartbeat_ms =
+            num(v, "a heartbeat period in ms (>= 10)")?),
+        flag!("--chaos", "SPEC", |r, v| r.chaos = Some(v.to_string())),
+        flag!("--chaos-events", "N", |r, v| r.chaos_events =
+            Some(pos_int(v, "a positive chaos event count")?)),
+        flag!("--chaos-seed", "S", |r, v| r.chaos_seed = Some(seed(v)?)),
+        flag!("--procs", "", |r, _| r.procs = true),
+        flag!("--stage", "S", |r, v| r.stage = Some(v.to_string())),
+        flag!("--dir", "D", |r, v| r.dir = Some(path(v)?)),
+        flag!("--sink", "", |r, _| r.sink = true),
+        flag!("--out", "PATH", |r, v| r.out = Some(path(v)?)),
+        flag!("--events-out", "PATH", |r, v| r.events_out = Some(path(v)?)),
+        flag!("--trace-in", "PATH", |r, v| r.trace_in = Some(path(v)?)),
+        flag!("--trace-out", "PATH", |r, v| r.trace_out = Some(path(v)?)),
+        flag!("--events", "", |r, _| r.show_events = true),
+    ];
 
-fn parse_runtime(args: &[String]) -> Result<RuntimeRun, CliError> {
-    let mut run = RuntimeRun {
-        cfg: RuntimeConfig::new(Model::MobileNetV2, Device::JetsonNano),
-        frames: 300,
-        rate_hz: 60.0,
-        trace: "poisson".to_string(),
-        hit_rate: 0.1,
-        procs: false,
-        stage: None,
-        dir: None,
-        out: None,
-        events_out: None,
-        trace_in: None,
-        trace_out: None,
-        show_events: false,
-        sink: false,
-        chaos_events: None,
-        chaos_seed: None,
-    };
-    let mut policy_flag: Option<&'static str> = None;
-    let mut sentry = false;
-    let mut cooldown: Option<u32> = None;
-    let mut recall: Option<f64> = None;
-    let mut supervise = false;
-    let mut restart_budget: Option<u32> = None;
-    let mut heartbeat_ms: Option<u64> = None;
-    let mut chaos_spec: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let consumed = match flag {
-            "--model" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.model = Model::from_name(v).ok_or_else(|| {
-                    CliError::invalid(flag, v, "a known model (see `edgebench-cli summary`)")
-                })?;
-                2
-            }
-            "--device" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.device = Device::from_name(v)
-                    .ok_or_else(|| CliError::invalid(flag, v, "a known device"))?;
-                2
-            }
-            "--frames" => {
-                let v = flag_value(args, i, flag)?;
-                run.frames = parse_num(v, flag, "a positive frame count")?;
-                if run.frames == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive frame count"));
-                }
-                2
-            }
-            "--rate" => {
-                let v = flag_value(args, i, flag)?;
-                run.rate_hz = parse_num(v, flag, "a positive rate in frames/s")?;
-                if run.rate_hz <= 0.0 {
-                    return Err(CliError::invalid(flag, v, "a positive rate in frames/s"));
-                }
-                2
-            }
-            "--trace" => {
-                run.trace = flag_value(args, i, flag)?.to_string();
-                2
-            }
-            "--hit-rate" => {
-                run.hit_rate = parse_prob(flag_value(args, i, flag)?, flag)?;
-                2
-            }
-            "--seed" => {
-                run.cfg.seed = parse_num(flag_value(args, i, flag)?, flag, "an integer seed")?;
-                2
-            }
-            "--ring-capacity" => {
-                let v = flag_value(args, i, flag)?;
-                let expect = "a power-of-two slot count >= 1";
-                run.cfg.ring_capacity = parse_num(v, flag, expect)?;
-                if run.cfg.ring_capacity == 0 || !run.cfg.ring_capacity.is_power_of_two() {
-                    return Err(CliError::invalid(flag, v, expect));
-                }
-                2
-            }
-            "--block" => {
-                if policy_flag == Some("--drop-oldest") {
-                    return Err(CliError::Conflict {
-                        message: "--block and --drop-oldest are mutually exclusive backpressure \
-                                  policies"
-                            .to_string(),
-                    });
-                }
-                policy_flag = Some("--block");
-                run.cfg.policy = DropPolicy::Block;
-                1
-            }
-            "--drop-oldest" => {
-                if policy_flag == Some("--block") {
-                    return Err(CliError::Conflict {
-                        message: "--block and --drop-oldest are mutually exclusive backpressure \
-                                  policies"
-                            .to_string(),
-                    });
-                }
-                policy_flag = Some("--drop-oldest");
-                run.cfg.policy = DropPolicy::DropOldest;
-                1
-            }
-            "--sentry" => {
-                sentry = true;
-                1
-            }
-            "--sentry-cooldown" => {
-                let v = flag_value(args, i, flag)?;
-                let n: u32 = parse_num(v, flag, "a positive quiet-frame count")?;
-                if n == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive quiet-frame count"));
-                }
-                cooldown = Some(n);
-                2
-            }
-            "--sentry-recall" => {
-                recall = Some(parse_prob(flag_value(args, i, flag)?, flag)?);
-                2
-            }
-            "--flip-rate" => {
-                run.cfg.ipc_flip_rate = parse_prob(flag_value(args, i, flag)?, flag)?;
-                2
-            }
-            "--capture-ns" => {
-                run.cfg.capture_ns_per_elem =
-                    parse_num(flag_value(args, i, flag)?, flag, "ns per payload element")?;
-                2
-            }
-            "--preprocess-ns" => {
-                run.cfg.preprocess_ns_per_elem =
-                    parse_num(flag_value(args, i, flag)?, flag, "ns per payload element")?;
-                2
-            }
-            "--exec" => {
-                let v = flag_value(args, i, flag)?;
-                run.cfg.exec = match v {
-                    "model" => ExecMode::Model,
-                    "real" => ExecMode::Real,
-                    _ => return Err(CliError::invalid(flag, v, "one of model, real")),
-                };
-                2
-            }
-            "--pace" => {
-                run.cfg.pace = true;
-                1
-            }
-            "--supervise" => {
-                supervise = true;
-                1
-            }
-            "--restart-budget" => {
-                let v = flag_value(args, i, flag)?;
-                restart_budget = Some(parse_num(v, flag, "a restart count (0..=64)")?);
-                2
-            }
-            "--heartbeat-ms" => {
-                let v = flag_value(args, i, flag)?;
-                let ms: u64 = parse_num(v, flag, "a heartbeat period in ms (>= 10)")?;
-                heartbeat_ms = Some(ms);
-                2
-            }
-            "--chaos" => {
-                chaos_spec = Some(flag_value(args, i, flag)?.to_string());
-                2
-            }
-            "--chaos-events" => {
-                let v = flag_value(args, i, flag)?;
-                let n: usize = parse_num(v, flag, "a positive chaos event count")?;
-                if n == 0 {
-                    return Err(CliError::invalid(flag, v, "a positive chaos event count"));
-                }
-                run.chaos_events = Some(n);
-                2
-            }
-            "--chaos-seed" => {
-                run.chaos_seed = Some(parse_num(
-                    flag_value(args, i, flag)?,
-                    flag,
-                    "an integer seed",
-                )?);
-                2
-            }
-            "--sink" => {
-                run.sink = true;
-                1
-            }
-            "--procs" => {
-                run.procs = true;
-                1
-            }
-            "--stage" => {
-                run.stage = Some(flag_value(args, i, flag)?.to_string());
-                2
-            }
-            "--dir" => {
-                run.dir = Some(PathBuf::from(flag_value(args, i, flag)?));
-                2
-            }
-            "--out" => {
-                run.out = Some(PathBuf::from(flag_value(args, i, flag)?));
-                2
-            }
-            "--events-out" => {
-                run.events_out = Some(PathBuf::from(flag_value(args, i, flag)?));
-                2
-            }
-            "--trace-in" => {
-                run.trace_in = Some(PathBuf::from(flag_value(args, i, flag)?));
-                2
-            }
-            "--trace-out" => {
-                run.trace_out = Some(PathBuf::from(flag_value(args, i, flag)?));
-                2
-            }
-            "--events" => {
-                run.show_events = true;
-                1
-            }
-            other => {
-                return Err(CliError::UnknownFlag {
-                    command: "runtime",
-                    flag: other.to_string(),
-                })
-            }
-        };
-        i += consumed;
-    }
-    if (cooldown.is_some() || recall.is_some()) && !sentry {
-        return Err(CliError::Conflict {
-            message: "--sentry-cooldown / --sentry-recall only make sense with --sentry"
-                .to_string(),
-        });
-    }
-    if sentry {
-        let mut sc = SentryConfig::default();
-        if let Some(n) = cooldown {
-            sc.cooldown = n;
+    fn defaults() -> Self {
+        RuntimeRun {
+            cfg: RuntimeConfig::new(Model::MobileNetV2, Device::JetsonNano),
+            frames: 300,
+            rate_hz: 60.0,
+            trace: "poisson".to_string(),
+            hit_rate: 0.1,
+            procs: false,
+            stage: None,
+            dir: None,
+            out: None,
+            events_out: None,
+            trace_in: None,
+            trace_out: None,
+            show_events: false,
+            sink: false,
+            chaos_events: None,
+            chaos_seed: None,
+            block: false,
+            drop_oldest: false,
+            sentry: false,
+            supervise: false,
+            chaos: None,
         }
-        if let Some(r) = recall {
-            sc.standby_recall = r;
+    }
+
+    fn finish(mut self) -> Result<Self, CliError> {
+        let rules = [
+            (
+                self.block && self.drop_oldest,
+                "--block and --drop-oldest are mutually exclusive backpressure policies",
+            ),
+            (
+                self.cfg.sentry.is_some() && !self.sentry,
+                "--sentry-cooldown / --sentry-recall only make sense with --sentry",
+            ),
+            (
+                self.cfg.supervise.is_some() && !self.supervise,
+                "--restart-budget / --heartbeat-ms only make sense with --supervise",
+            ),
+            (
+                self.chaos.is_some() && self.chaos_events.is_some(),
+                "--chaos gives an explicit schedule; --chaos-events generates one — pick one",
+            ),
+            (
+                self.chaos_seed.is_some() && self.chaos_events.is_none(),
+                "--chaos-seed only seeds a generated campaign (--chaos-events)",
+            ),
+            (
+                self.sink && self.stage.is_none(),
+                "--sink drains one child stage; it needs --stage",
+            ),
+            (
+                self.trace_in.is_some() && self.trace_out.is_some(),
+                "--trace-in replays a recorded trace; --trace-out records a fresh one — pick one",
+            ),
+            (
+                self.stage.is_some() && self.dir.is_none(),
+                "--stage needs --dir (the run directory the supervisor created)",
+            ),
+            (
+                self.stage.is_some() && self.procs,
+                "--stage runs one child stage; --procs is the supervisor — pick one",
+            ),
+        ];
+        if let Some((_, message)) = rules.iter().find(|(broken, _)| *broken) {
+            return Err(CliError::conflict(message));
         }
-        run.cfg.sentry = Some(sc);
-    }
-    if (restart_budget.is_some() || heartbeat_ms.is_some()) && !supervise {
-        return Err(CliError::Conflict {
-            message: "--restart-budget / --heartbeat-ms only make sense with --supervise"
-                .to_string(),
-        });
-    }
-    if supervise {
-        let mut sup = SuperviseConfig::default();
-        if let Some(b) = restart_budget {
-            sup = sup.with_restart_budget(b);
+        if self.drop_oldest {
+            self.cfg.policy = DropPolicy::DropOldest;
         }
-        if let Some(ms) = heartbeat_ms {
-            sup = sup.with_heartbeat_ms(ms);
+        if self.sentry {
+            self.cfg.sentry.get_or_insert_with(SentryConfig::default);
         }
-        run.cfg.supervise = Some(sup);
+        if self.supervise {
+            self.cfg
+                .supervise
+                .get_or_insert_with(SuperviseConfig::default);
+        }
+        if let Some(spec) = &self.chaos {
+            let plan = ChaosPlan::parse(spec).map_err(|e| CliError::Conflict {
+                message: format!("--chaos got '{spec}': {e}"),
+            })?;
+            self.cfg.chaos = Some(plan);
+        }
+        Ok(self)
     }
-    if chaos_spec.is_some() && run.chaos_events.is_some() {
-        return Err(CliError::Conflict {
-            message: "--chaos gives an explicit schedule; --chaos-events generates one — pick one"
-                .to_string(),
-        });
-    }
-    if run.chaos_seed.is_some() && run.chaos_events.is_none() {
-        return Err(CliError::Conflict {
-            message: "--chaos-seed only seeds a generated campaign (--chaos-events)".to_string(),
-        });
-    }
-    if let Some(spec) = &chaos_spec {
-        let plan = ChaosPlan::parse(spec).map_err(|e| CliError::Conflict {
-            message: format!("--chaos got '{spec}': {e}"),
-        })?;
-        run.cfg.chaos = Some(plan);
-    }
-    if run.sink && run.stage.is_none() {
-        return Err(CliError::Conflict {
-            message: "--sink drains one child stage; it needs --stage".to_string(),
-        });
-    }
-    if run.trace_in.is_some() && run.trace_out.is_some() {
-        return Err(CliError::Conflict {
-            message: "--trace-in replays a recorded trace; --trace-out records a fresh one — \
-                      pick one"
-                .to_string(),
-        });
-    }
-    if run.stage.is_some() && run.dir.is_none() {
-        return Err(CliError::Conflict {
-            message: "--stage needs --dir (the run directory the supervisor created)".to_string(),
-        });
-    }
-    if run.stage.is_some() && run.procs {
-        return Err(CliError::Conflict {
-            message: "--stage runs one child stage; --procs is the supervisor — pick one"
-                .to_string(),
-        });
-    }
-    if Traffic::from_flag(&run.trace, run.rate_hz, run.cfg.seed).is_none() {
-        return Err(CliError::invalid(
-            "--trace",
-            &run.trace,
-            "one of steady, poisson, diurnal, burst",
-        ));
-    }
-    Ok(run)
 }
 
 /// Loads or generates the runtime trace for parsed flags.
@@ -1504,13 +1198,8 @@ fn runtime_trace(run: &RuntimeRun) -> Result<TraceFile, String> {
 /// (`--stage`), the multi-process supervisor (`--procs`), or the in-process
 /// thread loopback (default).
 fn run_runtime(args: &[String]) -> ExitCode {
-    let mut run = match parse_runtime(args) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{RUNTIME_USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let Some(mut run) = parse_or_usage::<RuntimeRun>(args) else {
+        return ExitCode::FAILURE;
     };
     if let (Some(stage), Some(dir)) = (&run.stage, &run.dir) {
         return match runtime::run_stage(
@@ -1675,6 +1364,38 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn parse_resilience(args: &[String]) -> Result<ResilienceRun, CliError> {
+        parse(args)
+    }
+
+    fn parse_infer(args: &[String]) -> Result<InferRun, CliError> {
+        parse(args)
+    }
+
+    fn parse_serve(args: &[String]) -> Result<ServeRun, CliError> {
+        parse(args)
+    }
+
+    fn parse_geo(args: &[String]) -> Result<GeoRun, CliError> {
+        parse(args)
+    }
+
+    fn parse_runtime(args: &[String]) -> Result<RuntimeRun, CliError> {
+        parse(args)
+    }
+
+    /// Parses `args` as subcommand `command`, keeping only the outcome.
+    fn parse_command(command: &str, args: &[String]) -> Result<(), CliError> {
+        match command {
+            "resilience" => parse_resilience(args).map(drop),
+            "infer" => parse_infer(args).map(drop),
+            "serve" => parse_serve(args).map(drop),
+            "geo" => parse_geo(args).map(drop),
+            "runtime" => parse_runtime(args).map(drop),
+            other => panic!("no subcommand {other}"),
+        }
+    }
+
     #[test]
     fn missing_value_is_typed() {
         let err = parse_serve(&argv("--rate")).unwrap_err();
@@ -1727,24 +1448,11 @@ mod tests {
     }
 
     #[test]
-    fn serve_engine_flag_selects_the_oracle_heap() {
-        let run = parse_serve(&argv("--engine heap")).unwrap();
-        assert_eq!(run.cfg.engine, EngineKind::BinaryHeap);
-        assert_eq!(
-            parse_serve(&argv("")).unwrap().cfg.engine,
-            EngineKind::Calendar,
-            "calendar is the default engine"
-        );
-        let err = parse_serve(&argv("--engine bogus")).unwrap_err();
-        assert!(err.to_string().contains("one of calendar, heap"), "{err}");
-    }
-
-    #[test]
     fn geo_flags_parse_into_the_config() {
         let run = parse_geo(&argv(
             "--model resnet-18 --slo-ms 150 --requests 500 --base-hz 10 --peak-hz 90 \
              --period-s 45 --wan-rtt-ms 120 --import 2 --batch-max 4 --no-autoscale \
-             --engine heap --seed 9 --csv",
+             --seed 9 --csv",
         ))
         .unwrap();
         assert_eq!(run.cfg.model, Model::ResNet18);
@@ -1757,7 +1465,6 @@ mod tests {
         assert_eq!(run.cfg.import_replicas, 2);
         assert_eq!(run.cfg.batch_max, 4);
         assert_eq!(run.cfg.autoscale, None);
-        assert_eq!(run.cfg.engine, EngineKind::BinaryHeap);
         assert_eq!(run.cfg.seed, 9);
         assert!(run.csv);
     }
@@ -2069,5 +1776,156 @@ mod tests {
         assert_eq!(take_jobs_flag(&mut args), Ok(0));
         let mut args = argv("run --jobs");
         assert!(take_jobs_flag(&mut args).is_err());
+    }
+
+    #[test]
+    fn infer_threads_has_a_ceiling() {
+        assert_eq!(parse_infer(&argv("--threads 0")).unwrap().threads, 0);
+        assert_eq!(
+            parse_infer(&argv("--threads 1024")).unwrap().threads,
+            MAX_THREADS
+        );
+        let err = parse_infer(&argv("--threads 1025")).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Invalid { flag, .. } if flag == "--threads"),
+            "{err:?}"
+        );
+    }
+
+    /// Values every subcommand used to accept and then ran on: NaN and
+    /// infinite rates, negative or NaN SLOs, a zero batch cap, and a
+    /// thread count that aborts on allocation.
+    #[test]
+    fn validation_holes_are_typed_invalid_errors() {
+        for (command, line, flag) in [
+            ("serve", "--rate nan", "--rate"),
+            ("serve", "--rate inf", "--rate"),
+            ("serve", "--slo-ms -5", "--slo-ms"),
+            ("serve", "--slo-ms nan", "--slo-ms"),
+            ("serve", "--batch-max 0", "--batch-max"),
+            ("geo", "--base-hz nan", "--base-hz"),
+            ("runtime", "--rate nan", "--rate"),
+            ("infer", "--threads 99999999999", "--threads"),
+        ] {
+            let err = parse_command(command, &argv(line)).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Invalid { flag: f, .. } if f == flag),
+                "{command} {line}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn usage_is_rendered_from_the_flag_table() {
+        let serve = usage::<ServeRun>();
+        assert!(serve.starts_with("usage: edgebench-cli serve [--model M]"));
+        assert!(serve.contains(" [--rate HZ] "), "{serve}");
+        assert!(serve.ends_with(" [--events] [--csv]"), "{serve}");
+        assert!(!serve.contains("--engine"), "{serve}");
+        let runtime = usage::<RuntimeRun>();
+        for flag in RuntimeRun::FLAGS {
+            assert!(runtime.contains(&format!("[{}", flag.name)), "{runtime}");
+        }
+    }
+
+    /// Seeded token mutations of the valid invocations above (drop,
+    /// duplicate, swap, truncate, replace a token with a hostile value,
+    /// splice a character into a token): every parse returns `Ok` or a
+    /// typed [`CliError`] and never panics.
+    #[test]
+    fn cli_fuzz_never_panics() {
+        const CORPUS: [(&str, &str); 12] = [
+            (
+                "resilience",
+                "--dropout 0.002 --frames 300 --thermal --no-repartition",
+            ),
+            (
+                "resilience",
+                "--seed 7 --link-loss 0.02 --events --stages 3",
+            ),
+            (
+                "infer",
+                "--model mobilenet-v2 --batch 8 --threads 4 --precision int8 --iters 3 \
+                 --seed 7 --sparsity 0.5 --kernel scalar",
+            ),
+            ("infer", "--flip-rate 1e-6 --flip-seed 9 --guards"),
+            (
+                "serve",
+                "--straggler 0.05,6 --loss 0.02 --hedge-ms 2 --retry-budget 10 --breaker \
+                 --ladder --events",
+            ),
+            (
+                "serve",
+                "--batch-max 4 --batch-delay-ms 5 --sdc 0.1 --no-sdc-guards",
+            ),
+            (
+                "geo",
+                "--model resnet-18 --slo-ms 150 --requests 500 --base-hz 10 --peak-hz 90 \
+                 --period-s 45 --wan-rtt-ms 120 --import 2 --batch-max 4 --no-autoscale \
+                 --seed 9 --csv",
+            ),
+            (
+                "runtime",
+                "--model mobilenet-v2 --device jetson-nano --frames 120 --rate 45 \
+                 --hit-rate 0.2 --seed 9 --ring-capacity 16 --drop-oldest --sentry \
+                 --sentry-cooldown 4 --sentry-recall 0.9 --flip-rate 1e-6 --exec real --pace",
+            ),
+            (
+                "runtime",
+                "--supervise --restart-budget 5 --heartbeat-ms 120",
+            ),
+            ("runtime", "--supervise --chaos kill@1:37,hang@2:90"),
+            ("runtime", "--supervise --chaos-events 6 --chaos-seed 9"),
+            ("runtime", "--stage inference --dir /tmp/x --sink"),
+        ];
+        const HOSTILE: [&str; 5] = [
+            "nan",
+            "-1",
+            "",
+            "1e400",
+            "1234567890123456789012345678901234567890",
+        ];
+        const SPLICE: [char; 8] = ['@', ':', ',', '-', '.', 'x', '9', 'é'];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n.max(1) as u64) as usize
+        };
+        let mut accepted = 0;
+        for _ in 0..2000 {
+            let (command, line) = CORPUS[below(CORPUS.len())];
+            let mut args = argv(line);
+            for _ in 0..=below(3) {
+                let len = args.len();
+                match below(6) {
+                    0 if len > 0 => {
+                        args.remove(below(len));
+                    }
+                    1 if len > 0 => {
+                        let i = below(len);
+                        args.insert(i, args[i].clone());
+                    }
+                    2 if len > 0 => args.swap(below(len), below(len)),
+                    3 => args.truncate(below(len + 1)),
+                    4 if len > 0 => args[below(len)] = HOSTILE[below(HOSTILE.len())].to_string(),
+                    5 if len > 0 => {
+                        let token = &mut args[below(len)];
+                        let at = token
+                            .char_indices()
+                            .map(|(i, _)| i)
+                            .nth(below(token.chars().count() + 1))
+                            .unwrap_or(token.len());
+                        token.insert(at, SPLICE[below(SPLICE.len())]);
+                    }
+                    _ => {}
+                }
+            }
+            accepted += usize::from(parse_command(command, &args).is_ok());
+        }
+        // The mutations must leave some invocations valid, or the loop
+        // would only ever exercise the first rejection.
+        assert!(accepted > 100, "only {accepted} of 2000 mutants parsed");
     }
 }

@@ -39,7 +39,9 @@ use std::collections::BinaryHeap;
 /// Both engines produce byte-identical reports and event logs; the
 /// binary heap is retained as the from-scratch oracle the calendar
 /// queue is continuously verified against (and as the baseline for the
-/// events/sec benches).
+/// events/sec benches). Only tests and benches pick the oracle, through
+/// [`super::ServeConfig::with_engine`]; the CLI always runs the calendar
+/// queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Bucketed time wheel with overflow heap — the default.
@@ -49,20 +51,11 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Stable CLI/report name (`calendar` / `heap`).
+    /// Stable name (`calendar` / `heap`) for test and bench messages.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Calendar => "calendar",
             EngineKind::BinaryHeap => "heap",
-        }
-    }
-
-    /// Parses an engine from its [`EngineKind::name`].
-    pub fn from_name(name: &str) -> Option<EngineKind> {
-        match name {
-            "calendar" => Some(EngineKind::Calendar),
-            "heap" | "binary-heap" => Some(EngineKind::BinaryHeap),
-            _ => None,
         }
     }
 }
@@ -419,17 +412,5 @@ mod tests {
         assert_eq!(q.pop().unwrap().seq, 2);
         assert_eq!(q.pop().unwrap().seq, 1);
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn engine_names_round_trip() {
-        for k in [EngineKind::Calendar, EngineKind::BinaryHeap] {
-            assert_eq!(EngineKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(
-            EngineKind::from_name("binary-heap"),
-            Some(EngineKind::BinaryHeap)
-        );
-        assert_eq!(EngineKind::from_name("wheel"), None);
     }
 }

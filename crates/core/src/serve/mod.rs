@@ -308,7 +308,8 @@ pub struct ServeConfig {
     /// Default: off (every replica always active).
     pub autoscale: Option<AutoscaleConfig>,
     /// Event-queue engine: the calendar queue (default) or the
-    /// `BinaryHeap` oracle it is proven byte-identical against.
+    /// `BinaryHeap` oracle it is proven byte-identical against, which
+    /// only tests and benches select.
     pub engine: EngineKind,
     /// Base seed for traffic and fault streams.
     pub seed: u64,
@@ -798,7 +799,7 @@ impl Fleet {
     /// # Errors
     ///
     /// [`ServeError::Workload`] when any rate is not strictly positive
-    /// or `n` is zero.
+    /// and finite, or `n` is zero.
     pub fn qps_scan(
         &self,
         rates: &[f64],
@@ -809,7 +810,7 @@ impl Fleet {
         if n == 0 {
             return Err(ServeError::Workload(WorkloadError::NoRequests));
         }
-        if let Some(&bad) = rates.iter().find(|r| **r <= 0.0) {
+        if let Some(&bad) = rates.iter().find(|r| !(**r > 0.0 && r.is_finite())) {
             return Err(ServeError::Workload(WorkloadError::NonPositiveRate {
                 rate_hz: bad,
             }));

@@ -1528,6 +1528,12 @@ mod tests {
             );
         }
         assert!(serial.max_sustainable_qps().is_some());
+        for bad in [0.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                fleet.qps_scan(&[40.0, bad], 800, &cfg, 1).is_err(),
+                "rate {bad}"
+            );
+        }
     }
 
     #[test]

@@ -81,10 +81,10 @@ impl Arrivals {
     /// # Errors
     ///
     /// [`WorkloadError::NonPositiveRate`] when the configured rate is not
-    /// strictly positive.
+    /// strictly positive and finite (NaN and infinity included).
     pub fn timestamps(&self, n: usize) -> Result<Vec<f64>, WorkloadError> {
         let rate_hz = self.rate_hz();
-        if rate_hz <= 0.0 {
+        if !(rate_hz > 0.0 && rate_hz.is_finite()) {
             return Err(WorkloadError::NonPositiveRate { rate_hz });
         }
         Ok(match *self {
@@ -335,6 +335,21 @@ mod tests {
             .timestamps(5),
             Err(WorkloadError::NonPositiveRate { rate_hz: -2.0 })
         );
+        // NaN and infinite rates would collapse every arrival onto t = 0.
+        for rate_hz in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for arrivals in [
+                Arrivals::Periodic { rate_hz },
+                Arrivals::Poisson { rate_hz, seed: 1 },
+            ] {
+                assert!(
+                    matches!(
+                        arrivals.timestamps(5),
+                        Err(WorkloadError::NonPositiveRate { .. })
+                    ),
+                    "{arrivals:?}"
+                );
+            }
+        }
         // Errors render a human-readable message.
         let msg = Arrivals::Periodic { rate_hz: 0.0 }
             .timestamps(5)

@@ -56,6 +56,14 @@ cargo test -q --offline -p edgebench --test engine_oracle \
     simultaneous_arrivals_tie_break_fifo_deterministically
 cargo test -q --offline -p edgebench --test engine_oracle \
     geo_tier_is_jobs_invariant_on_both_engines
+# The CLI contracts, named explicitly: seeded argv mutations of every
+# subcommand must parse to Ok or a typed CliError (never a panic), and
+# the NaN / infinite / zero values the per-command parsers once accepted
+# must be typed Invalid errors naming their flag.
+cargo test -q --offline -p edgebench --bin edgebench-cli \
+    cli_fuzz_never_panics
+cargo test -q --offline -p edgebench --bin edgebench-cli \
+    validation_holes_are_typed_invalid_errors
 cargo clippy --workspace --all-targets --offline -- -D warnings
 # Benches must keep compiling even though tier-1 never runs them.
 cargo bench --no-run --offline --workspace
