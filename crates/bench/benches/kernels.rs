@@ -202,6 +202,74 @@ fn bench_fused_conv(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_prepacked(c: &mut Criterion) {
+    use edgebench_tensor::gemm::{self, Epilogue, GemmScratch, PackedPanels};
+    use edgebench_tensor::simd::{MR, NR};
+    // The weight-bound shapes that motivate packing weights at prepare
+    // time, on the executor's prepacked path: AlexNet fc6 (18432 → 4096,
+    // 302 MB of weights) at batch 1 (the full-depth stream kernel) and
+    // batch 4, and VGG-S-32's conv2d_10 (a 512 × 4608 weight matrix over
+    // 2×2 = 4 output pixels). Throughput is weight bytes, so the rate
+    // reads as the bandwidth the weights stream at; one intra-op thread.
+    let synthetic = |rows: usize, k: usize, width: usize| {
+        let mut i = 0u32;
+        PackedPanels::try_generate(rows, k, width, |panel_rows| {
+            for v in panel_rows {
+                i = i.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                *v = (i >> 8) as f32 / (1u32 << 24) as f32 - 0.5;
+            }
+        })
+        .expect("bench weights fit in memory")
+    };
+    let mut g = c.benchmark_group("prepacked");
+    g.sample_size(10);
+    let (f, units) = (18432usize, 4096usize);
+    let w = synthetic(units, f, NR);
+    g.throughput(Throughput::Bytes((units * f * 4) as u64));
+    for batch in [1usize, 4] {
+        let x = Tensor::random([batch, f], 1);
+        let mut out = Tensor::zeros([batch, units]);
+        let mut scratch = GemmScratch::default();
+        g.bench_function(format!("dense/{batch}x{f}x{units}"), |b| {
+            b.iter(|| {
+                gemm::dense_packed_into(
+                    &x,
+                    &w,
+                    None,
+                    ActivationKind::Linear,
+                    1,
+                    &mut out,
+                    &mut scratch,
+                );
+                black_box(out.data()[0])
+            })
+        });
+    }
+    drop(w);
+    let w = synthetic(512, 512 * 9, MR);
+    let x = Tensor::random([1, 512, 2, 2], 3);
+    let mut out = Tensor::zeros([1, 512, 2, 2]);
+    let mut scratch = GemmScratch::default();
+    g.throughput(Throughput::Bytes((512 * 4608 * 4) as u64));
+    g.bench_function("conv/512x4608x4", |b| {
+        b.iter(|| {
+            gemm::conv2d_packed_into(
+                &x,
+                &w,
+                (3, 3),
+                (1, 1),
+                (1, 1),
+                &Epilogue::default(),
+                1,
+                &mut out,
+                &mut scratch,
+            );
+            black_box(out.data()[0])
+        })
+    });
+    g.finish();
+}
+
 fn bench_guards(c: &mut Criterion) {
     use edgebench_models::Model;
     use edgebench_tensor::{Executor, GuardConfig, GuardedExecutor};
@@ -245,6 +313,7 @@ fn bench_guards(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gemm,
+    bench_prepacked,
     bench_fused_conv,
     bench_guards,
     bench_conv2d,

@@ -570,8 +570,21 @@ fn run_infer(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let input_id = g.input_ids()[0];
-    let x = Tensor::random(g.node(input_id).output_shape().clone(), run.seed ^ 1);
+    let input = g.node(g.input_ids()[0]);
+    let x = match Tensor::try_random(input.output_shape().clone(), run.seed ^ 1) {
+        Ok(x) => x,
+        Err(_) => {
+            let e = ExecError::OutOfMemory {
+                node: input.name().to_string(),
+                bytes: input
+                    .output_shape()
+                    .num_elements()
+                    .saturating_mul(std::mem::size_of::<f32>()),
+            };
+            eprintln!("cannot build the input: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let exec = Executor::new(&g)
         .with_seed(run.seed)
         .with_precision(run.precision)

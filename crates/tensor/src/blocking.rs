@@ -140,6 +140,29 @@ impl Blocking {
     pub fn auto(dims: (usize, usize, usize)) -> Blocking {
         Blocking::choose(dims, &cache_info())
     }
+
+    /// [`Blocking::choose`] for a GEMM whose A operand was packed at full
+    /// depth ahead of time (an im2col convolution's weights). Such an A
+    /// is streamed straight from its panels and needs no L2-resident
+    /// `MC×KC` copy, so when the whole packed B (`k×n`, the im2col
+    /// matrix) fits in half of L2, `KC` and `NC` span the whole problem:
+    /// each A micro-panel is then read once, front to back, and the
+    /// intra-op workers start once per call instead of once per `KC`
+    /// slice. Larger B blocks keep the [`Blocking::choose`] split.
+    pub fn choose_prepacked_a(dims: (usize, usize, usize), cache: &CacheInfo) -> Blocking {
+        let (_, k, n) = dims;
+        let blk = Blocking::choose(dims, cache);
+        let whole_b = k.max(1) * n.max(1).next_multiple_of(NR) * std::mem::size_of::<f32>();
+        if whole_b <= cache.l2 / 2 {
+            Blocking {
+                kc: k.max(1),
+                nc: n.max(1).next_multiple_of(NR),
+                ..blk
+            }
+        } else {
+            blk
+        }
+    }
 }
 
 #[cfg(test)]
@@ -189,6 +212,25 @@ mod tests {
         let b = Blocking::auto((64, 576, 256));
         assert_eq!(a, b);
         assert_eq!(cache_info(), cache_info());
+    }
+
+    #[test]
+    fn prepacked_a_spans_the_depth_only_when_b_fits_half_of_l2() {
+        let cache = CacheInfo {
+            l1d: 48 * 1024,
+            l2: 2 * 1024 * 1024,
+            l3: 300 * 1024 * 1024,
+        };
+        // VGG-S-32 conv2d_10: a 4608×4 im2col matrix, one 295 KB panel.
+        let small = Blocking::choose_prepacked_a((512, 4608, 4), &cache);
+        assert_eq!((small.kc, small.nc), (4608, NR));
+        assert_eq!(small.mc, Blocking::choose((512, 4608, 4), &cache).mc);
+        // A 576×3136 im2col matrix is 7 MB: the cache-derived split stays.
+        let big = (64, 576, 3136);
+        assert_eq!(
+            Blocking::choose_prepacked_a(big, &cache),
+            Blocking::choose(big, &cache)
+        );
     }
 
     #[test]

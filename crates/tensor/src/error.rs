@@ -25,6 +25,15 @@ pub enum ExecError {
         /// What was inconsistent about the plan.
         detail: String,
     },
+    /// A buffer the executor needs (packed weights, the activation arena,
+    /// an input tensor) could not be allocated. Returned instead of
+    /// aborting, so an oversized batch is a typed error.
+    OutOfMemory {
+        /// Name of the node (or input) the buffer was for.
+        node: String,
+        /// Bytes requested.
+        bytes: usize,
+    },
     /// An integrity guard flagged this inference as corrupted (activation
     /// outside its calibrated envelope, or a non-finite value) and recovery
     /// did not produce a clean result.
@@ -45,6 +54,9 @@ impl fmt::Display for ExecError {
             ExecError::NoInput => write!(f, "graph has no input node"),
             ExecError::InternalPlanMismatch { node, detail } => {
                 write!(f, "internal plan mismatch at node {node}: {detail}")
+            }
+            ExecError::OutOfMemory { node, bytes } => {
+                write!(f, "cannot allocate {bytes} bytes for node {node}")
             }
             ExecError::Corrupted { node, reason } => {
                 write!(f, "corrupted inference at node {node}: {reason}")
@@ -82,6 +94,14 @@ mod tests {
         assert_eq!(
             c.to_string(),
             "corrupted inference at node dense1: non-finite"
+        );
+        let o = ExecError::OutOfMemory {
+            node: "input".into(),
+            bytes: 1 << 40,
+        };
+        assert_eq!(
+            o.to_string(),
+            "cannot allocate 1099511627776 bytes for node input"
         );
     }
 }

@@ -1,14 +1,16 @@
 //! The graph interpreter: runs an [`edgebench_graph::Graph`] numerically
 //! with deterministic synthetic weights.
 
-use crate::gemm::{self, ConvAlgo, Epilogue, GemmScratch};
+use crate::gemm::{self, ConvAlgo, Epilogue, GemmScratch, PackedPanels};
 use crate::kernels;
-use crate::pool;
-use crate::quant::fake_quantize_tensor;
-use crate::simd::KernelKind;
+use crate::quant::fake_quantize_slice;
+use crate::simd::{KernelKind, MR, NR};
 use crate::{ExecError, Tensor};
 use edgebench_graph::{ActivationKind, Graph, Node, Op, TensorShape};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::collections::TryReserveError;
 use std::sync::Mutex;
 
 /// Numeric precision the executor simulates.
@@ -71,22 +73,25 @@ impl WeightStore {
     /// zeroed set is deterministic and the achieved sparsity never
     /// overshoots the request (a threshold sweep would zero *every* element
     /// tying the cut-off value).
-    fn prune(&self, t: &mut Tensor) {
+    fn prune(&self, t: &mut Tensor) -> Result<(), TryReserveError> {
         if self.sparsity <= 0.0 || t.is_empty() {
-            return;
+            return Ok(());
         }
         let data = t.data_mut();
         let k = ((data.len() as f32) * self.sparsity) as usize;
         if k == 0 {
-            return;
+            return Ok(());
         }
-        let mut order: Vec<usize> = (0..data.len()).collect();
+        let mut order = Vec::new();
+        order.try_reserve_exact(data.len())?;
+        order.extend(0..data.len());
         order.select_nth_unstable_by(k - 1, |&a, &b| {
             data[a].abs().total_cmp(&data[b].abs()).then(a.cmp(&b))
         });
         for &i in &order[..k] {
             data[i] = 0.0;
         }
+        Ok(())
     }
 
     fn key_seed(&self, key: &str) -> u64 {
@@ -99,16 +104,69 @@ impl WeightStore {
         h
     }
 
+    /// The weights for `key` in natural row-major order, He-scaled: value
+    /// `i` is `(u_i − 0.5) · scale` with `u_i` the key's `i`-th uniform
+    /// draw — [`Tensor::random`]'s values, scaled in the same expression
+    /// so no second pass touches them.
+    fn weight_values(&self, key: &str, fan_in: usize) -> impl Iterator<Item = f32> {
+        let mut rng = StdRng::seed_from_u64(self.key_seed(key));
+        let scale = (24.0 / fan_in.max(1) as f32).sqrt();
+        std::iter::repeat_with(move || (rng.gen::<f32>() - 0.5) * scale)
+    }
+
     /// A weight tensor for `key`, scaled to variance `2 / fan_in`
     /// (He initialization) so deep nets keep stable activation magnitudes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor cannot be allocated.
     pub fn weight(&self, key: &str, shape: Vec<usize>, fan_in: usize) -> Tensor {
-        let mut t = Tensor::random(shape, self.key_seed(key));
-        let scale = (24.0 / fan_in.max(1) as f32).sqrt();
-        for v in t.data_mut() {
-            *v *= scale;
+        self.try_weight(key, shape, fan_in)
+            .unwrap_or_else(|e| panic!("weight {key}: {e}"))
+    }
+
+    /// [`WeightStore::weight`], returning the allocator's error instead of
+    /// aborting.
+    fn try_weight(
+        &self,
+        key: &str,
+        shape: Vec<usize>,
+        fan_in: usize,
+    ) -> Result<Tensor, TryReserveError> {
+        let shape = TensorShape::from(shape);
+        let mut data = Vec::new();
+        data.try_reserve_exact(shape.num_elements())?;
+        data.extend(self.weight_values(key, fan_in).take(shape.num_elements()));
+        let mut t = Tensor::from_vec(shape, data);
+        self.prune(&mut t)?;
+        Ok(t)
+    }
+
+    /// The `[rows×k]` weight matrix for `key` (the natural layout of
+    /// [`WeightStore::weight`] flattened to two dimensions), generated
+    /// straight into `width`-row GEMM panels. Pruning ranks the whole
+    /// matrix, so a pruned store generates and prunes it in natural order
+    /// first and interleaves the result; the natural copy is dropped.
+    fn packed_weight(
+        &self,
+        key: &str,
+        (rows, k): (usize, usize),
+        fan_in: usize,
+        width: usize,
+    ) -> Result<PackedPanels, TryReserveError> {
+        if self.sparsity > 0.0 {
+            let t = self.try_weight(key, vec![rows, k], fan_in)?;
+            let mut panels = t.data().chunks(width * k);
+            return PackedPanels::try_generate(rows, k, width, |panel_rows| {
+                panel_rows.copy_from_slice(panels.next().expect("one chunk per panel"));
+            });
         }
-        self.prune(&mut t);
-        t
+        let mut values = self.weight_values(key, fan_in);
+        PackedPanels::try_generate(rows, k, width, |panel_rows| {
+            for (slot, v) in panel_rows.iter_mut().zip(&mut values) {
+                *slot = v;
+            }
+        })
     }
 
     /// A bias vector for `key` with small values.
@@ -224,9 +282,65 @@ impl First<'_> {
     }
 }
 
+/// A node's cached weights, in the layout its kernel reads.
+#[derive(Debug, Clone)]
+enum Weights {
+    /// Natural layout: direct, depthwise and 3-D convolutions, dense
+    /// layers on the direct loop, and the im2col convolutions of a pruned
+    /// store (the zero-skipping GEMM reads natural rows).
+    Natural(Tensor),
+    /// Packed once into the GEMM's full-depth panels: `MR`-row A panels
+    /// for im2col convolutions, `NR`-row B panels for dense layers.
+    Packed(PackedPanels),
+}
+
+impl Weights {
+    /// The stored buffer (panel padding included) — what checksums cover.
+    fn data(&self) -> &[f32] {
+        match self {
+            Weights::Natural(t) => t.data(),
+            Weights::Packed(p) => p.data(),
+        }
+    }
+
+    fn data_mut(&mut self) -> &mut [f32] {
+        match self {
+            Weights::Natural(t) => t.data_mut(),
+            Weights::Packed(p) => p.data_mut(),
+        }
+    }
+
+    /// Logical weight count: the natural tensor's, padding excluded.
+    fn logical_len(&self) -> usize {
+        match self {
+            Weights::Natural(t) => t.len(),
+            Weights::Packed(p) => p.logical_len(),
+        }
+    }
+
+    /// Buffer slot of logical (natural row-major) element `e`.
+    fn physical(&self, e: usize) -> usize {
+        match self {
+            Weights::Natural(_) => e,
+            Weights::Packed(p) => p.physical(e),
+        }
+    }
+
+    /// The natural tensor, for the kernels that read no panels.
+    fn natural(&self, node: &Node) -> Result<&Tensor, ExecError> {
+        match self {
+            Weights::Natural(t) => Ok(t),
+            Weights::Packed(_) => Err(ExecError::InternalPlanMismatch {
+                node: node.name().to_string(),
+                detail: "packed weights on a kernel that reads natural ones".into(),
+            }),
+        }
+    }
+}
+
 /// Materialized learned parameters for one node: what [`WeightStore`]
 /// derives from the node name, generated once and reusable across
-/// inferences. Weight tensors are stored already lowered to the executor's
+/// inferences. Weights are stored already lowered to the executor's
 /// [`Precision`] (biases stay `f32`, exactly as the on-the-fly path
 /// applies them).
 #[derive(Debug, Clone)]
@@ -234,15 +348,80 @@ enum NodeParams {
     /// The node has no learned parameters (pooling, activation, …).
     None,
     /// Conv2d / DepthwiseConv2d / Conv3d / Dense weights and bias.
-    Linear { w: Tensor, b: Option<Vec<f32>> },
+    Linear { w: Weights, b: Option<Vec<f32>> },
     /// Standalone batch-norm scale and shift.
     Bn { gamma: Vec<f32>, beta: Vec<f32> },
     /// Fused conv + optional folded batch-norm.
     Fused {
-        w: Tensor,
+        w: Weights,
         b: Option<Vec<f32>>,
         bn: Option<(Vec<f32>, Vec<f32>)>,
     },
+}
+
+impl NodeParams {
+    fn weights(&self) -> Option<&Weights> {
+        match self {
+            NodeParams::Linear { w, .. } | NodeParams::Fused { w, .. } => Some(w),
+            NodeParams::None | NodeParams::Bn { .. } => None,
+        }
+    }
+
+    fn weights_mut(&mut self) -> Option<&mut Weights> {
+        match self {
+            NodeParams::Linear { w, .. } | NodeParams::Fused { w, .. } => Some(w),
+            NodeParams::None | NodeParams::Bn { .. } => None,
+        }
+    }
+
+    /// The parts after the weights, in canonical order: bias, then
+    /// batch-norm gamma and beta.
+    fn vectors(&self) -> Vec<&[f32]> {
+        match self {
+            NodeParams::None => Vec::new(),
+            NodeParams::Linear { b, .. } => b.iter().map(Vec::as_slice).collect(),
+            NodeParams::Bn { gamma, beta } => vec![gamma, beta],
+            NodeParams::Fused { b, bn, .. } => {
+                let mut v: Vec<&[f32]> = b.iter().map(Vec::as_slice).collect();
+                if let Some((g, s)) = bn {
+                    v.push(g);
+                    v.push(s);
+                }
+                v
+            }
+        }
+    }
+
+    fn vectors_mut(&mut self) -> Vec<&mut [f32]> {
+        match self {
+            NodeParams::None => Vec::new(),
+            NodeParams::Linear { b, .. } => b.iter_mut().map(Vec::as_mut_slice).collect(),
+            NodeParams::Bn { gamma, beta } => vec![gamma, beta],
+            NodeParams::Fused { b, bn, .. } => {
+                let mut v: Vec<&mut [f32]> = b.iter_mut().map(Vec::as_mut_slice).collect();
+                if let Some((g, s)) = bn {
+                    v.push(g);
+                    v.push(s);
+                }
+                v
+            }
+        }
+    }
+
+    /// Logical parameter words: weights (padding excluded), bias, gamma,
+    /// beta.
+    fn logical_len(&self) -> usize {
+        self.weights().map_or(0, Weights::logical_len)
+            + self.vectors().iter().map(|v| v.len()).sum::<usize>()
+    }
+
+    /// FNV-1a checksum over every stored parameter word, weights first
+    /// (padding included, so any flip in the buffer shows).
+    fn checksum(&self) -> u64 {
+        let mut parts: Vec<&[f32]> = self.weights().map(Weights::data).into_iter().collect();
+        parts.extend(self.vectors());
+        crate::integrity::checksum_parts(&parts)
+    }
 }
 
 /// Executes a graph with synthetic weights at a chosen [`Precision`].
@@ -323,15 +502,58 @@ impl<'g> Executor<'g> {
     }
 
     fn lower(&self, mut t: Tensor) -> Tensor {
+        self.lower_slice(t.data_mut());
+        t
+    }
+
+    /// Rounds values through the run precision in place. Zero maps to
+    /// zero at every precision and the int8 grid always spans zero, so
+    /// lowering a packed panel buffer, padding and all, gives exactly the
+    /// panels of the lowered natural tensor.
+    fn lower_slice(&self, xs: &mut [f32]) {
         match self.precision {
-            Precision::F32 => t,
-            Precision::F16 => {
-                crate::f16::round_slice_f16(t.data_mut());
-                t
-            }
+            Precision::F32 => {}
+            Precision::F16 => crate::f16::round_slice_f16(xs),
             Precision::Int8 => {
-                fake_quantize_tensor(&mut t);
-                t
+                fake_quantize_slice(xs);
+            }
+        }
+    }
+
+    /// The weights of `node`, natural-shaped `shape`, in the layout its
+    /// kernel reads, lowered to the run precision. `panels` names the GEMM
+    /// operand width (`MR` for an im2col conv, `NR` for a dense layer) when
+    /// the kernel reads prepacked panels.
+    fn weights_for(
+        &self,
+        node: &Node,
+        shape: Vec<usize>,
+        fan_in: usize,
+        panels: Option<usize>,
+    ) -> Result<Weights, ExecError> {
+        let elems: usize = shape.iter().product();
+        let oom = |bytes: usize| ExecError::OutOfMemory {
+            node: node.name().to_string(),
+            bytes,
+        };
+        let elem = std::mem::size_of::<f32>();
+        match panels {
+            Some(width) => {
+                let rows = shape[0];
+                let k = elems / rows.max(1);
+                let mut p = self
+                    .weights
+                    .packed_weight(node.name(), (rows, k), fan_in, width)
+                    .map_err(|_| oom(rows.div_ceil(width).saturating_mul(width * k * elem)))?;
+                self.lower_slice(p.data_mut());
+                Ok(Weights::Packed(p))
+            }
+            None => {
+                let t = self
+                    .weights
+                    .try_weight(node.name(), shape, fan_in)
+                    .map_err(|_| oom(elems.saturating_mul(elem)))?;
+                Ok(Weights::Natural(self.lower(t)))
             }
         }
     }
@@ -364,10 +586,11 @@ impl<'g> Executor<'g> {
     /// key-and-shape convention, shared by the plain and fused paths.
     fn conv_params(
         &self,
-        name: &str,
+        node: &Node,
         conv: &Op,
         in_c: usize,
-    ) -> Result<(Tensor, Option<Vec<f32>>), ExecError> {
+    ) -> Result<(Weights, Option<Vec<f32>>), ExecError> {
+        let name = node.name();
         match conv {
             Op::Conv2d {
                 out_channels,
@@ -377,11 +600,17 @@ impl<'g> Executor<'g> {
                 ..
             } => {
                 let fan_in = (in_c / groups) * kernel.0 * kernel.1;
-                let w = self.lower(self.weights.weight(
-                    name,
+                let out_elems = node.output_shape().num_elements();
+                // A pruned store runs im2col convs on the zero-skipping
+                // GEMM, which reads the natural weight rows.
+                let packed = self.weights.sparsity <= 0.0
+                    && gemm::select_conv_algo(out_elems, fan_in, *groups) == ConvAlgo::Im2colGemm;
+                let w = self.weights_for(
+                    node,
                     vec![*out_channels, in_c / groups, kernel.0, kernel.1],
                     fan_in,
-                ));
+                    packed.then_some(MR),
+                )?;
                 Ok((w, bias.then(|| self.weights.bias(name, *out_channels))))
             }
             Op::DepthwiseConv2d {
@@ -392,11 +621,7 @@ impl<'g> Executor<'g> {
             } => {
                 let out_c = in_c * multiplier;
                 let fan_in = kernel.0 * kernel.1;
-                let w = self.lower(self.weights.weight(
-                    name,
-                    vec![out_c, 1, kernel.0, kernel.1],
-                    fan_in,
-                ));
+                let w = self.weights_for(node, vec![out_c, 1, kernel.0, kernel.1], fan_in, None)?;
                 Ok((w, bias.then(|| self.weights.bias(name, out_c))))
             }
             other => Err(ExecError::InternalPlanMismatch {
@@ -412,7 +637,7 @@ impl<'g> Executor<'g> {
     fn materialize(&self, node: &Node) -> Result<NodeParams, ExecError> {
         Ok(match node.op() {
             op @ (Op::Conv2d { .. } | Op::DepthwiseConv2d { .. }) => {
-                let (w, b) = self.conv_params(node.name(), op, self.static_in_channels(node))?;
+                let (w, b) = self.conv_params(node, op, self.static_in_channels(node))?;
                 NodeParams::Linear { w, b }
             }
             Op::Conv3d {
@@ -423,18 +648,21 @@ impl<'g> Executor<'g> {
             } => {
                 let in_c = self.static_in_channels(node);
                 let fan_in = in_c * kernel.0 * kernel.1 * kernel.2;
-                let w = self.lower(self.weights.weight(
-                    node.name(),
+                let w = self.weights_for(
+                    node,
                     vec![*out_channels, in_c, kernel.0, kernel.1, kernel.2],
                     fan_in,
-                ));
+                    None,
+                )?;
                 let b = bias.then(|| self.weights.bias(node.name(), *out_channels));
                 NodeParams::Linear { w, b }
             }
             Op::Dense { units, bias } | Op::FusedDenseAct { units, bias, .. } => {
                 let &producer = node.inputs().first().expect("dense has an input");
-                let f = self.graph.node(producer).output_shape().dim(1);
-                let w = self.lower(self.weights.weight(node.name(), vec![*units, f], f));
+                let in_shape = self.graph.node(producer).output_shape();
+                let (n, f) = (in_shape.dim(0), in_shape.dim(1));
+                let gemm = gemm::dense_uses_gemm(n, f, *units);
+                let w = self.weights_for(node, vec![*units, f], f, gemm.then_some(NR))?;
                 let b = bias.then(|| self.weights.bias(node.name(), *units));
                 NodeParams::Linear { w, b }
             }
@@ -444,7 +672,7 @@ impl<'g> Executor<'g> {
                 NodeParams::Bn { gamma, beta }
             }
             Op::FusedConvBnAct { conv, bn, .. } => {
-                let (w, b) = self.conv_params(node.name(), conv, self.static_in_channels(node))?;
+                let (w, b) = self.conv_params(node, conv, self.static_in_channels(node))?;
                 let bn = bn.then(|| {
                     let c = node.output_shape().channels();
                     self.weights.bn_params(&format!("bn:{}", node.name()), c)
@@ -466,12 +694,39 @@ impl<'g> Executor<'g> {
         node: &Node,
         conv: &Op,
         x: &Tensor,
-        w: &Tensor,
+        w: &Weights,
         b: Option<&[f32]>,
         bn: Option<(&[f32], &[f32])>,
         act: ActivationKind,
         arena: &mut Arena,
     ) -> Result<Tensor, ExecError> {
+        let epilogue = Epilogue { bias: b, bn, act };
+        let w = match (conv, w) {
+            (
+                Op::Conv2d {
+                    kernel,
+                    stride,
+                    padding,
+                    ..
+                },
+                Weights::Packed(p),
+            ) => {
+                let mut out = arena.take(node.output_shape());
+                gemm::conv2d_packed_into(
+                    x,
+                    p,
+                    *kernel,
+                    *stride,
+                    *padding,
+                    &epilogue,
+                    self.threads,
+                    &mut out,
+                    &mut arena.gemm,
+                );
+                return Ok(out);
+            }
+            (_, w) => w.natural(node)?,
+        };
         let mut out = arena.take(node.output_shape());
         match conv {
             Op::Conv2d {
@@ -483,7 +738,6 @@ impl<'g> Executor<'g> {
             } => {
                 let fan_in = (x.shape().channels() / groups) * kernel.0 * kernel.1;
                 if gemm::select_conv_algo(out.len(), fan_in, *groups) == ConvAlgo::Im2colGemm {
-                    let epilogue = Epilogue { bias: b, bn, act };
                     gemm::conv2d_gemm_into(
                         x,
                         w,
@@ -579,31 +833,26 @@ impl<'g> Executor<'g> {
                     stride, padding, ..
                 },
                 NodeParams::Linear { w, b },
-            ) => kernels::conv3d(first.tensor(), w, b.as_deref(), *stride, *padding),
-            (Op::Dense { .. }, NodeParams::Linear { w, b }) => {
+            ) => kernels::conv3d(
+                first.tensor(),
+                w.natural(node)?,
+                b.as_deref(),
+                *stride,
+                *padding,
+            ),
+            (op @ (Op::Dense { .. } | Op::FusedDenseAct { .. }), NodeParams::Linear { w, b }) => {
+                let act = match op {
+                    Op::FusedDenseAct { act, .. } => *act,
+                    _ => ActivationKind::Linear,
+                };
+                let (x, bias, threads) = (first.tensor(), b.as_deref(), self.threads);
                 let mut out = arena.take(node.output_shape());
-                gemm::dense_act_into(
-                    first.tensor(),
-                    w,
-                    b.as_deref(),
-                    ActivationKind::Linear,
-                    self.threads,
-                    &mut out,
-                    &mut arena.gemm,
-                );
-                out
-            }
-            (Op::FusedDenseAct { act, .. }, NodeParams::Linear { w, b }) => {
-                let mut out = arena.take(node.output_shape());
-                gemm::dense_act_into(
-                    first.tensor(),
-                    w,
-                    b.as_deref(),
-                    *act,
-                    self.threads,
-                    &mut out,
-                    &mut arena.gemm,
-                );
+                match w {
+                    Weights::Packed(p) => {
+                        gemm::dense_packed_into(x, p, bias, act, threads, &mut out, &mut arena.gemm)
+                    }
+                    Weights::Natural(t) => gemm::dense_direct_into(x, t, bias, act, &mut out),
+                }
                 out
             }
             (
@@ -849,7 +1098,10 @@ impl<'g> Executor<'g> {
     /// Parameters are keyed by node name exactly as the on-the-fly path
     /// keys them, so outputs are bit-for-bit identical to [`Executor::run`]
     /// at every precision and sparsity — only the per-inference PRNG and
-    /// pruning work disappears.
+    /// pruning work disappears. GEMM weights (im2col convolutions, dense
+    /// layers off the direct loop) are generated straight into the panel
+    /// layout the micro-kernel reads ([`gemm::PackedPanels`]), so no run
+    /// repacks them and no natural-layout copy is kept.
     ///
     /// Alongside the parameters, `prepare` records a baseline FNV-style
     /// checksum of every node's cached `f32` bit patterns — the reference
@@ -858,7 +1110,10 @@ impl<'g> Executor<'g> {
     /// # Errors
     ///
     /// Returns [`ExecError::InternalPlanMismatch`] if the graph contains a
-    /// malformed fused node (e.g. `FusedConvBnAct` wrapping a non-conv op).
+    /// malformed fused node (e.g. `FusedConvBnAct` wrapping a non-conv op),
+    /// and [`ExecError::OutOfMemory`] naming the node when its weights,
+    /// its arena buffer or its GEMM scratch cannot be allocated (a graph
+    /// rebatched beyond memory, say).
     pub fn prepare(self) -> Result<PreparedExecutor<'g>, ExecError> {
         let params: Vec<NodeParams> = self
             .graph
@@ -866,7 +1121,7 @@ impl<'g> Executor<'g> {
             .iter()
             .map(|n| self.materialize(n))
             .collect::<Result<_, _>>()?;
-        let checksums = params.iter().map(param_checksum).collect();
+        let checksums = params.iter().map(NodeParams::checksum).collect();
         // Pre-size the arena from the graph's static shapes: one buffer per
         // node output (an upper bound on the live set) plus GEMM packing and
         // im2col scratch for the largest convolution, so steady-state
@@ -875,10 +1130,19 @@ impl<'g> Executor<'g> {
         // and fixes the blocking every later reserve/call sees.
         crate::blocking::cache_info();
         let mut arena = self.new_arena();
-        let workers = pool::effective_threads(self.threads);
+        let elem = std::mem::size_of::<f32>();
         for node in self.graph.nodes() {
+            let oom = |elems: usize| ExecError::OutOfMemory {
+                node: node.name().to_string(),
+                bytes: elems.saturating_mul(elem),
+            };
             let out_shape = node.output_shape();
-            arena.free.push(vec![0.0; out_shape.num_elements()]);
+            // Capacity only: `Arena::take` sizes the buffer on first use,
+            // so untouched pages are never committed here.
+            let mut buf = Vec::new();
+            buf.try_reserve_exact(out_shape.num_elements())
+                .map_err(|_| oom(out_shape.num_elements()))?;
+            arena.free.push(buf);
             let conv = match node.op() {
                 c @ Op::Conv2d { .. } => Some(c),
                 Op::FusedConvBnAct { conv, .. } => Some(conv.as_ref()),
@@ -893,7 +1157,8 @@ impl<'g> Executor<'g> {
                     let cols = out_shape.height() * out_shape.width();
                     arena
                         .gemm
-                        .reserve((m, fan_in, cols), fan_in * cols, workers);
+                        .reserve((m, fan_in, cols), fan_in * cols)
+                        .map_err(oom)?;
                 }
             }
         }
@@ -904,62 +1169,6 @@ impl<'g> Executor<'g> {
             arena: Mutex::new(arena),
         })
     }
-}
-
-/// The canonical flattening of a node's cached parameters into `f32`
-/// slices: weights first, then bias, then batch-norm gamma and beta. The
-/// checksum, the element addressing used by fault injection, and repair
-/// all share this order.
-fn param_parts(p: &NodeParams) -> Vec<&[f32]> {
-    match p {
-        NodeParams::None => Vec::new(),
-        NodeParams::Linear { w, b } => {
-            let mut v = vec![w.data()];
-            v.extend(b.as_deref());
-            v
-        }
-        NodeParams::Bn { gamma, beta } => vec![gamma, beta],
-        NodeParams::Fused { w, b, bn } => {
-            let mut v = vec![w.data()];
-            v.extend(b.as_deref());
-            if let Some((g, s)) = bn {
-                v.push(g);
-                v.push(s);
-            }
-            v
-        }
-    }
-}
-
-/// Mutable view of the same canonical flattening, for fault injection.
-fn param_parts_mut(p: &mut NodeParams) -> Vec<&mut [f32]> {
-    match p {
-        NodeParams::None => Vec::new(),
-        NodeParams::Linear { w, b } => {
-            let mut v = vec![w.data_mut()];
-            if let Some(b) = b {
-                v.push(b.as_mut_slice());
-            }
-            v
-        }
-        NodeParams::Bn { gamma, beta } => vec![gamma, beta],
-        NodeParams::Fused { w, b, bn } => {
-            let mut v = vec![w.data_mut()];
-            if let Some(b) = b {
-                v.push(b.as_mut_slice());
-            }
-            if let Some((g, s)) = bn {
-                v.push(g);
-                v.push(s);
-            }
-            v
-        }
-    }
-}
-
-/// FNV-1a baseline checksum over a node's cached parameter bit patterns.
-fn param_checksum(p: &NodeParams) -> u64 {
-    crate::integrity::checksum_parts(&param_parts(p))
 }
 
 /// An [`Executor`] with all synthetic parameters materialized up front.
@@ -1065,13 +1274,13 @@ impl PreparedExecutor<'_> {
         self.exec.graph.nodes()[idx].name()
     }
 
-    /// Number of cached `f32` parameter words node `idx` holds, in the
-    /// canonical order weights → bias → bn-gamma → bn-beta. Zero for
-    /// parameterless nodes.
+    /// Number of logical `f32` parameter words node `idx` holds, in the
+    /// canonical order weights → bias → bn-gamma → bn-beta. Weights count
+    /// as their natural tensor does: the padding of packed GEMM panels is
+    /// excluded, so the count (and every element index below it) does not
+    /// depend on the layout. Zero for parameterless nodes.
     pub fn param_elems(&self, idx: usize) -> usize {
-        self.params
-            .get(idx)
-            .map_or(0, |p| param_parts(p).iter().map(|s| s.len()).sum())
+        self.params.get(idx).map_or(0, NodeParams::logical_len)
     }
 
     /// The prepare-time baseline checksum of each node's parameters.
@@ -1087,28 +1296,26 @@ impl PreparedExecutor<'_> {
             .iter()
             .zip(&self.checksums)
             .enumerate()
-            .filter(|(_, (p, &h))| param_checksum(p) != h)
+            .filter(|(_, (p, &h))| p.checksum() != h)
             .map(|(i, _)| i)
             .collect()
     }
 
     /// Re-materializes node `idx`'s parameters from the pristine weight
     /// store (weights are a pure function of seed and node name, so this
-    /// restores the exact prepare-time bits, including pruning and
-    /// precision lowering). Returns the number of bytes rewritten.
+    /// restores the exact prepare-time bits, including pruning, precision
+    /// lowering and panel layout). Returns the number of logical parameter
+    /// bytes rewritten (`4 · param_elems(idx)`, panel padding excluded).
     ///
     /// # Errors
     ///
     /// Same as [`Executor::prepare`] (cannot occur for a plan that
-    /// prepared successfully).
+    /// prepared successfully, short of memory exhaustion).
     pub fn repair_node(&mut self, idx: usize) -> Result<usize, ExecError> {
         let node = &self.exec.graph.nodes()[idx];
         let fresh = self.exec.materialize(node)?;
-        let bytes = param_parts(&fresh)
-            .iter()
-            .map(|s| std::mem::size_of_val(*s))
-            .sum();
-        debug_assert_eq!(param_checksum(&fresh), self.checksums[idx]);
+        debug_assert_eq!(fresh.checksum(), self.checksums[idx]);
+        let bytes = fresh.logical_len() * std::mem::size_of::<f32>();
         self.params[idx] = fresh;
         Ok(bytes)
     }
@@ -1124,11 +1331,19 @@ impl PreparedExecutor<'_> {
         if bit >= 32 {
             return false;
         }
+        let flip = |v: &mut f32| *v = f32::from_bits(v.to_bits() ^ (1u32 << bit));
         let mut remaining = element;
-        for part in param_parts_mut(p) {
+        if let Some(w) = p.weights_mut() {
+            if remaining < w.logical_len() {
+                let slot = w.physical(remaining);
+                flip(&mut w.data_mut()[slot]);
+                return true;
+            }
+            remaining -= w.logical_len();
+        }
+        for part in p.vectors_mut() {
             if remaining < part.len() {
-                let v = &mut part[remaining];
-                *v = f32::from_bits(v.to_bits() ^ (1u32 << bit));
+                flip(&mut part[remaining]);
                 return true;
             }
             remaining -= part.len();
@@ -1136,19 +1351,15 @@ impl PreparedExecutor<'_> {
         false
     }
 
-    /// Total bytes held by the materialized weight cache.
+    /// Total bytes held by the materialized weight cache, panel padding
+    /// included.
     pub fn cached_param_bytes(&self) -> usize {
-        let elem = std::mem::size_of::<f32>();
         self.params
             .iter()
-            .map(|p| match p {
-                NodeParams::None => 0,
-                NodeParams::Linear { w, b } => (w.len() + b.as_ref().map_or(0, Vec::len)) * elem,
-                NodeParams::Bn { gamma, beta } => (gamma.len() + beta.len()) * elem,
-                NodeParams::Fused { w, b, bn } => {
-                    let bn_len = bn.as_ref().map_or(0, |(g, s)| g.len() + s.len());
-                    (w.len() + b.as_ref().map_or(0, Vec::len) + bn_len) * elem
-                }
+            .map(|p| {
+                let w = p.weights().map_or(0, |w| w.data().len());
+                let v: usize = p.vectors().iter().map(|v| v.len()).sum();
+                (w + v) * std::mem::size_of::<f32>()
             })
             .sum()
     }
@@ -1259,7 +1470,7 @@ mod tests {
         // threshold, so a `<= threshold` sweep would zero all of them.
         let mut t = Tensor::from_vec([8], vec![0.5, -0.5, 0.5, -0.5, 0.5, 0.5, -0.5, 0.5]);
         let ws = WeightStore::new(0).with_sparsity(0.5);
-        ws.prune(&mut t);
+        ws.prune(&mut t).unwrap();
         let zeros = t.data().iter().filter(|v| **v == 0.0).count();
         assert_eq!(zeros, 4, "exactly half, not all: {:?}", t.data());
         // Ties break by index, lowest first.
@@ -1383,6 +1594,32 @@ mod tests {
     }
 
     #[test]
+    fn pruned_dense_weights_are_packed_without_a_natural_copy() {
+        // A GEMM-sized dense layer of a pruned store: its cache holds the
+        // padded panels (1000 units → 63 NR panels) and the bias, nothing
+        // else, and it runs exactly as the pruned natural weights do.
+        let mut b = GraphBuilder::new("pruned");
+        let x = b.input([1, 8, 12, 12]);
+        let f = b.flatten(x).unwrap();
+        let d = b.dense(f, 1000).unwrap();
+        let g = b.build(d).unwrap();
+        let exec = Executor::new(&g).with_seed(4).with_weight_sparsity(0.5);
+        let name = g.node(d).name();
+        let w = exec.weights().weight(name, vec![1000, 1152], 1152);
+        let bias = exec.weights().bias(name, 1000);
+        let input = Tensor::random([1, 8, 12, 12], 6);
+        let mut flat = input.clone();
+        flat.reshape([1, 1152]);
+        let want = kernels::dense(&flat, &w, Some(&bias));
+        let prepared = exec.prepare().unwrap();
+        assert_eq!(
+            prepared.cached_param_bytes(),
+            (1000usize.next_multiple_of(NR) * 1152 + 1000) * 4
+        );
+        assert_eq!(prepared.run(&input).unwrap(), want);
+    }
+
+    #[test]
     fn prepared_executor_matches_on_fused_graphs() {
         // Exercises the FusedConvBnAct cache path (conv + folded BN + act).
         let mut b = GraphBuilder::new("fused");
@@ -1427,6 +1664,23 @@ mod tests {
         assert_eq!(out_a, out_b);
         assert_eq!(stats_a, stats_b);
         assert!(prepared.cached_param_bytes() > 0);
+    }
+
+    #[test]
+    fn prepare_reports_an_unallocatable_batch_as_a_typed_error() {
+        let g = edgebench_models::Model::CifarNet
+            .build()
+            .with_batch(100_000_000_000)
+            .unwrap();
+        let err = Executor::new(&g).prepare().unwrap_err();
+        let input = g.node(g.input_ids()[0]).name().to_string();
+        assert_eq!(
+            err,
+            ExecError::OutOfMemory {
+                node: input,
+                bytes: 100_000_000_000 * 3 * 32 * 32 * 4,
+            }
+        );
     }
 
     #[test]

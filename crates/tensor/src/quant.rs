@@ -41,9 +41,14 @@ impl QuantParams {
 
     /// Derives parameters from the observed range of a tensor.
     pub fn observe(t: &Tensor) -> Self {
+        QuantParams::observe_slice(t.data())
+    }
+
+    /// Derives parameters from the observed range of a slice.
+    pub fn observe_slice(xs: &[f32]) -> Self {
         let mut min = f32::INFINITY;
         let mut max = f32::NEG_INFINITY;
-        for &v in t.data() {
+        for &v in xs {
             min = min.min(v);
             max = max.max(v);
         }
@@ -128,8 +133,16 @@ pub fn quantize_tensor(t: &Tensor) -> (Vec<i8>, QuantParams) {
 /// Rounds every element of a tensor through its own 8-bit grid in place and
 /// returns the parameters used.
 pub fn fake_quantize_tensor(t: &mut Tensor) -> QuantParams {
-    let p = QuantParams::observe(t);
-    for v in t.data_mut() {
+    fake_quantize_slice(t.data_mut())
+}
+
+/// [`fake_quantize_tensor`] over a raw slice. The grid always contains
+/// zero ([`QuantParams::from_range`]) and `0.0` maps to itself, so zero
+/// padding around the values — a packed weight panel's — changes neither
+/// the parameters nor the padding.
+pub fn fake_quantize_slice(xs: &mut [f32]) -> QuantParams {
+    let p = QuantParams::observe_slice(xs);
+    for v in xs {
         *v = p.fake_quant(*v);
     }
     p

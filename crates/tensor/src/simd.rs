@@ -15,6 +15,11 @@
 //! * **`Scalar`** — the original PR-5 scalar loop, kept verbatim as the
 //!   ground-truth fallback and the `--kernel scalar` A/B baseline.
 //!
+//! The small-batch dense path has a *stream* kernel: one full-depth
+//! prepacked B panel against at most `MR` input rows read in place, FMAs
+//! issued for the valid rows only. The AVX-512 tier runs it from
+//! registers; every other tier shares one portable loop.
+//!
 //! # Bitwise equivalence
 //!
 //! All three kernels perform, per output element, the **same sequence of
@@ -201,6 +206,108 @@ pub(crate) fn run(kernel: Microkernel, apan: &[f32], bpan: &[f32], kc: usize, ac
 
 /// The `MR×NR` accumulator tile the micro-kernels update in place.
 pub(crate) type Acc = [[f32; NR]; MR];
+
+/// Streams one full-depth `k×NR` B panel against the first `m ≤ MR` rows
+/// of a row-major A (row `i`, depth `kk` at `a[i·lda + kk]`), continuing
+/// the accumulation in `acc`'s first `m` rows — the small-batch path of
+/// a dense layer whose weights were packed at prepare time.
+///
+/// A is read in place (a batch-1 activation is one short sequential
+/// stream), only the `m` valid rows issue FMAs, and the panel is walked
+/// once front to back, so a weight-bound layer reads its weights at
+/// memory speed. Per element the reduction is the same ascending-`k`
+/// fused multiply-add chain as [`run`]'s, so the two paths agree bit for
+/// bit.
+#[inline]
+pub(crate) fn stream(
+    kernel: Microkernel,
+    (a, lda): (&[f32], usize),
+    m: usize,
+    bpan: &[f32],
+    k: usize,
+    acc: &mut Acc,
+) {
+    assert!(m <= MR && bpan.len() >= k * NR, "stream panel shape");
+    assert!(m == 0 || a.len() >= (m - 1) * lda + k, "stream A shape");
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `run` — the variant implies runtime-detected
+        // features, and the asserts above bound every pointer read.
+        Microkernel::Avx512 => unsafe { stream_avx512((a, lda), m, bpan, k, acc) },
+        // The scalar loop's inner statement runs over the NR independent
+        // lanes of one tile row, so it autovectorizes to the build's
+        // vector width; one portable stream kernel serves the other tiers.
+        _ => stream_scalar((a, lda), m, bpan, k, acc),
+    }
+}
+
+fn stream_scalar((a, lda): (&[f32], usize), m: usize, bpan: &[f32], k: usize, acc: &mut Acc) {
+    for (kk, bv) in bpan.chunks_exact(NR).take(k).enumerate() {
+        for (i, row) in acc.iter_mut().enumerate().take(m) {
+            let ai = a[i * lda + kk];
+            for (slot, &bj) in row.iter_mut().zip(bv) {
+                *slot = ai.mul_add(bj, *slot);
+            }
+        }
+    }
+}
+
+/// AVX-512 stream: one `zmm` accumulator per valid row, held in
+/// registers across the whole panel depth — one B load per `k` step and
+/// `m` embedded-broadcast FMAs. The portable loop keeps its rows in `acc`
+/// and reaches about 70% of this kernel's weight bandwidth at batch 1 on
+/// AlexNet fc6 (see DESIGN.md).
+///
+/// # Safety
+///
+/// The host must support AVX-512F; [`stream`] bounds the reads.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn stream_avx512(
+    (a, lda): (&[f32], usize),
+    m: usize,
+    bpan: &[f32],
+    k: usize,
+    acc: &mut Acc,
+) {
+    let (ap, bp) = (a.as_ptr(), bpan.as_ptr());
+    match m {
+        0 => {}
+        1 => stream_avx512_rows::<1>(ap, lda, bp, k, acc),
+        2 => stream_avx512_rows::<2>(ap, lda, bp, k, acc),
+        3 => stream_avx512_rows::<3>(ap, lda, bp, k, acc),
+        4 => stream_avx512_rows::<4>(ap, lda, bp, k, acc),
+        5 => stream_avx512_rows::<5>(ap, lda, bp, k, acc),
+        6 => stream_avx512_rows::<6>(ap, lda, bp, k, acc),
+        7 => stream_avx512_rows::<7>(ap, lda, bp, k, acc),
+        _ => stream_avx512_rows::<MR>(ap, lda, bp, k, acc),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn stream_avx512_rows<const R: usize>(
+    ap: *const f32,
+    lda: usize,
+    bp: *const f32,
+    k: usize,
+    acc: &mut Acc,
+) {
+    use core::arch::x86_64::*;
+    let mut c = [_mm512_setzero_ps(); R];
+    for (row, acc) in c.iter_mut().zip(acc.iter()) {
+        *row = _mm512_loadu_ps(acc.as_ptr());
+    }
+    for kk in 0..k {
+        let b = _mm512_loadu_ps(bp.add(kk * NR));
+        for (i, row) in c.iter_mut().enumerate() {
+            *row = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(i * lda + kk)), b, *row);
+        }
+    }
+    for (row, acc) in c.iter().zip(acc.iter_mut()) {
+        _mm512_storeu_ps(acc.as_mut_ptr(), *row);
+    }
+}
 
 /// The PR-5 scalar kernel, verbatim: ground truth for the SIMD paths.
 fn microkernel_scalar(apan: &[f32], bpan: &[f32], kc: usize, acc: &mut Acc) {
@@ -393,6 +500,42 @@ mod tests {
                 microkernel_scalar(&a, &b, kc, &mut s);
                 run(kernel, &a, &b, kc, &mut v);
                 assert_eq!(s, v, "{kernel:?} kc={kc}");
+            }
+        }
+    }
+
+    #[test]
+    fn stream_is_bitwise_identical_to_the_micro_kernel_for_every_row_count() {
+        // The stream path reads A rows in place and FMAs only the valid
+        // rows; the micro-kernel reads an MR-row packed panel. Every row
+        // count, ragged depths and a row stride wider than the depth must
+        // give identical bits.
+        let mut kernels = vec![Microkernel::Scalar, Microkernel::Wide];
+        if simd_available() {
+            kernels.push(Microkernel::Avx2);
+        }
+        if avx512_available() {
+            kernels.push(Microkernel::Avx512);
+        }
+        for k in [1usize, 3, 17, 513, 1100] {
+            let lda = k + 5;
+            for m in 0..=MR {
+                let a = Tensor::random([MR * lda], 7 * k as u64 + m as u64);
+                let (_, b, acc0) = panels(k, 31 + k as u64);
+                let mut apan = vec![0.0f32; k * MR];
+                for i in 0..m {
+                    for kk in 0..k {
+                        apan[kk * MR + i] = a.data()[i * lda + kk];
+                    }
+                }
+                let mut want = acc0;
+                microkernel_scalar(&apan, &b, k, &mut want);
+                for &kernel in &kernels {
+                    let mut got = acc0;
+                    stream(kernel, (a.data(), lda), m, &b, k, &mut got);
+                    assert_eq!(got[..m], want[..m], "{kernel:?} m={m} k={k}");
+                    assert_eq!(got[m..], acc0[m..], "{kernel:?} m={m} k={k}: rows past m");
+                }
             }
         }
     }

@@ -3,6 +3,7 @@
 use edgebench_graph::TensorShape;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::TryReserveError;
 use std::fmt;
 
 /// A dense, row-major, `f32` tensor.
@@ -46,13 +47,30 @@ impl Tensor {
     ///
     /// Used for synthetic weights and inputs; the same `seed` always yields
     /// the same tensor, making executions reproducible.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer cannot be allocated (see
+    /// [`Tensor::try_random`]).
     pub fn random(shape: impl Into<TensorShape>, seed: u64) -> Self {
+        Tensor::try_random(shape, seed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Tensor::random`] that returns the allocator's error instead of
+    /// aborting when the buffer cannot be allocated (an input at an
+    /// oversized batch, say).
+    ///
+    /// # Errors
+    ///
+    /// The [`TryReserveError`] of the failed reservation.
+    pub fn try_random(shape: impl Into<TensorShape>, seed: u64) -> Result<Self, TryReserveError> {
         let shape = shape.into();
+        let n = shape.num_elements();
+        let mut data = Vec::new();
+        data.try_reserve_exact(n)?;
         let mut rng = StdRng::seed_from_u64(seed);
-        let data = (0..shape.num_elements())
-            .map(|_| rng.gen::<f32>() - 0.5)
-            .collect();
-        Tensor { shape, data }
+        data.extend((0..n).map(|_| rng.gen::<f32>() - 0.5));
+        Ok(Tensor { shape, data })
     }
 
     /// The tensor's shape.
@@ -175,6 +193,15 @@ mod tests {
     #[should_panic(expected = "does not match shape")]
     fn from_vec_validates_length() {
         let _ = Tensor::from_vec([2, 2], vec![1.0; 5]);
+    }
+
+    #[test]
+    fn try_random_matches_random_and_types_allocation_failure() {
+        assert_eq!(
+            Tensor::try_random([2, 3, 5], 9).unwrap(),
+            Tensor::random([2, 3, 5], 9)
+        );
+        assert!(Tensor::try_random([100_000_000_000usize, 3, 32, 32], 1).is_err());
     }
 
     #[test]

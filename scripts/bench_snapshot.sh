@@ -10,7 +10,7 @@
 # File schema (bench-trajectory-v1):
 #   {
 #     "schema": "bench-trajectory-v1",
-#     "current": {"commit": "<short-sha>", "benchmarks": {"name": ns, ...}},
+#     "current": {"commit": "<short-sha>[+]", "benchmarks": {"name": ns, ...}},
 #     "history": [ {"commit": ..., "benchmarks": {...}}, ... ]   # oldest first
 #   }
 # A legacy flat {"name": ns} file is absorbed as the first history entry.
@@ -103,7 +103,15 @@ count="$(grep -c '":' "$flat")" || {
     exit 1
 }
 
+# Label the entry with the commit that lands the numbers. A snapshot is
+# normally taken on a tree whose changes are not committed yet (it is
+# committed together with the code it measures), so a tree with changes to
+# tracked files other than the snapshot file is labelled "<HEAD>+": the
+# change on top of HEAD, not HEAD itself.
 commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [ -n "$(git status --porcelain --untracked-files=no -- . ":(exclude)$out" 2>/dev/null)" ]; then
+    commit="${commit}+"
+fi
 
 # Merge the fresh flat snapshot into the trajectory file: the previous
 # "current" entry (or a legacy flat file) rolls into history, and deltas

@@ -15,6 +15,14 @@ cargo test -q --offline --test numerical_equivalence \
     execution_is_byte_identical_across_intra_op_threads
 cargo test -q --offline --test numerical_equivalence \
     simd_and_scalar_kernels_are_bitwise_identical
+# Weights packed once at prepare time: prepacked conv and dense operands on
+# ragged shapes must equal the naive reference bit for bit on every kernel
+# tier, forced blocking (kc = 1 included) and 1, 2 and 8 threads, and the
+# SDC layer must address packed weights by their natural (logical) index.
+cargo test -q --offline -p edgebench-tensor \
+    prepacked_operands_are_bitwise_identical_to_reference
+cargo test -q --offline --test sdc \
+    packed_weight_flips_address_logical_elements
 # The SDC defense contracts, named explicitly: every single-bit weight
 # flip must be caught by the prepare-time checksums, and guard verdicts
 # must be byte-identical across thread counts, kernel tiers, and

@@ -160,3 +160,108 @@ fn refusals_are_typed_not_panics() {
         other => panic!("expected Corrupted, got {other}"),
     }
 }
+
+/// The SDC layer addresses weights logically — the natural row-major
+/// index, panel padding excluded — although GEMM weights are stored in
+/// packed panels. A packed im2col conv and a ragged dense layer (1000
+/// units, like AlexNet's fc8, so its last `NR` panel is half padding):
+/// flipping logical element `e` through `corrupt_param_bit` must give
+/// exactly the output of natural-layout weights with element `e`
+/// flipped, the checksum must name the node, and repair must restore the
+/// clean output and report logical bytes.
+#[test]
+fn packed_weight_flips_address_logical_elements() {
+    use edgebench_graph::GraphBuilder;
+    use edgebench_tensor::gemm::{self, Epilogue, GemmScratch};
+    use edgebench_tensor::kernels;
+
+    let mut b = GraphBuilder::new("ragged");
+    let x = b.input([1, 8, 12, 12]);
+    let c = b.conv2d(x, 16, (3, 3), (1, 1), (1, 1)).unwrap();
+    let f = b.flatten(c).unwrap();
+    let d = b.dense(f, 1000).unwrap();
+    let g = b.build(d).unwrap();
+    let input = Tensor::random([1, 8, 12, 12], 3);
+
+    // Natural-layout parameters, straight from the weight store.
+    let store = Executor::new(&g).with_seed(9);
+    let ws = store.weights();
+    let (conv, dense) = (g.node(c).name(), g.node(d).name());
+    let natural = [
+        [
+            ws.weight(conv, vec![16, 8, 3, 3], 72).data().to_vec(),
+            ws.bias(conv, 16),
+        ]
+        .concat(),
+        [
+            ws.weight(dense, vec![1000, 2304], 2304).data().to_vec(),
+            ws.bias(dense, 1000),
+        ]
+        .concat(),
+    ];
+    let reference = |params: &[Vec<f32>; 2]| {
+        let (cw, cb) = params[0].split_at(16 * 72);
+        let (dw, db) = params[1].split_at(1000 * 2304);
+        let mut h = Tensor::zeros([1, 16, 12, 12]);
+        let epi = Epilogue {
+            bias: Some(cb),
+            ..Epilogue::default()
+        };
+        let cw = Tensor::from_vec([16, 8, 3, 3], cw.to_vec());
+        let mut scratch = GemmScratch::default();
+        gemm::conv2d_gemm_into(
+            &input,
+            &cw,
+            (1, 1),
+            (1, 1),
+            &epi,
+            false,
+            1,
+            &mut h,
+            &mut scratch,
+        );
+        h.reshape([1, 16 * 144]);
+        let dw = Tensor::from_vec([1000, 2304], dw.to_vec());
+        kernels::dense(&h, &dw, Some(db))
+    };
+
+    let mut exec = store.prepare().unwrap();
+    let clean = exec.run(&input).unwrap();
+    assert_eq!(
+        reference(&natural),
+        clean,
+        "natural layout reproduces the packed run"
+    );
+    // Per layer: the first weight, one in a later panel (for the dense
+    // layer, row 995 of the ragged last panel, rows 992..1000), the last
+    // weight, and a bias element.
+    let probes = [
+        (0usize, c.index(), [0, 9 * 72 + 5, 16 * 72 - 1, 16 * 72 + 7]),
+        (
+            1,
+            d.index(),
+            [0, 995 * 2304 + 17, 1000 * 2304 - 1, 1000 * 2304 + 999],
+        ),
+    ];
+    for (layer, node, elements) in probes {
+        assert_eq!(exec.param_elems(node), natural[layer].len());
+        for e in elements {
+            for bit in [3u8, 22] {
+                assert!(exec.corrupt_param_bit(node, e, bit));
+                let mut flipped = natural.clone();
+                let v = &mut flipped[layer][e];
+                *v = f32::from_bits(v.to_bits() ^ (1 << bit));
+                assert_eq!(
+                    exec.run(&input).unwrap(),
+                    reference(&flipped),
+                    "layer {layer} element {e} bit {bit}"
+                );
+                assert_eq!(exec.verify_params(), vec![node]);
+                let bytes = exec.repair_node(node).unwrap();
+                assert_eq!(bytes, 4 * natural[layer].len(), "logical bytes");
+                assert!(exec.verify_params().is_empty());
+                assert_eq!(exec.run(&input).unwrap(), clean);
+            }
+        }
+    }
+}
