@@ -1019,7 +1019,6 @@ struct RuntimeRun {
     stage: Option<String>,
     dir: Option<PathBuf>,
     out: Option<PathBuf>,
-    events_out: Option<PathBuf>,
     trace_in: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     show_events: bool,
@@ -1102,7 +1101,6 @@ impl Command for RuntimeRun {
         flag!("--dir", "D", |r, v| r.dir = Some(path(v)?)),
         flag!("--sink", "", |r, _| r.sink = true),
         flag!("--out", "PATH", |r, v| r.out = Some(path(v)?)),
-        flag!("--events-out", "PATH", |r, v| r.events_out = Some(path(v)?)),
         flag!("--trace-in", "PATH", |r, v| r.trace_in = Some(path(v)?)),
         flag!("--trace-out", "PATH", |r, v| r.trace_out = Some(path(v)?)),
         flag!("--events", "", |r, _| r.show_events = true),
@@ -1119,7 +1117,6 @@ impl Command for RuntimeRun {
             stage: None,
             dir: None,
             out: None,
-            events_out: None,
             trace_in: None,
             trace_out: None,
             show_events: false,
@@ -1215,14 +1212,7 @@ fn run_runtime(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     };
     if let (Some(stage), Some(dir)) = (&run.stage, &run.dir) {
-        return match runtime::run_stage(
-            stage,
-            dir,
-            &run.cfg,
-            run.sink,
-            run.out.as_deref(),
-            run.events_out.as_deref(),
-        ) {
+        return match runtime::run_stage(stage, dir, &run.cfg, run.sink) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("stage {stage} failed: {e}");
@@ -1259,7 +1249,7 @@ fn run_runtime(args: &[String]) -> ExitCode {
             }
         };
     }
-    if run.procs {
+    let result = if run.procs {
         let bin = match env::current_exe() {
             Ok(b) => b,
             Err(e) => {
@@ -1267,24 +1257,11 @@ fn run_runtime(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        return match runtime::run_processes(&run.cfg, &trace, &bin) {
-            Ok(outcome) => {
-                print!("{}", outcome.report_csv);
-                if run.show_events {
-                    print!("{}", outcome.events_csv);
-                }
-                if !outcome.degraded.is_empty() {
-                    eprintln!("degraded stages: {}", outcome.degraded.join(", "));
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("runtime failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    match runtime::run_replay(&run.cfg, &trace) {
+        runtime::run_processes(&run.cfg, &trace, &bin)
+    } else {
+        runtime::run_replay(&run.cfg, &trace)
+    };
+    match result {
         Ok(report) => {
             if let Some(path) = &run.out {
                 if let Err(e) = std::fs::write(path, report.to_csv()) {
@@ -1296,6 +1273,9 @@ fn run_runtime(args: &[String]) -> ExitCode {
             }
             if run.show_events {
                 print!("{}", report.event_log().to_csv());
+            }
+            if !report.degraded.is_empty() {
+                eprintln!("degraded stages: {}", report.degraded.join(", "));
             }
             ExitCode::SUCCESS
         }

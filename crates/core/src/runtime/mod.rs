@@ -40,7 +40,7 @@ use edgebench_models::Model;
 use crate::serve::{Fleet, ReplicaSpec, TraceFile};
 use ring::RingBuffer;
 use shm::SharedMap;
-use stage::{Ctl, StageExit, DETECTION_ELEMS, STAGE_NAMES};
+use stage::{Ctl, Pipeline, StageExit, DETECTION_ELEMS, STAGE_NAMES};
 
 pub use report::{RuntimeEvent, RuntimeEventKind, RuntimeReport, StageReport};
 pub use ring::DropPolicy;
@@ -428,8 +428,7 @@ fn create_objects(
 /// 4 stages × 64-restart budget.
 const RECOVERY_LOG_CAP: usize = 260;
 
-fn attach_objects(dir: &Path, payloads_only: bool) -> Result<RunObjects, RuntimeError> {
-    let _ = payloads_only;
+fn attach_objects(dir: &Path) -> Result<RunObjects, RuntimeError> {
     let mut rings = Vec::with_capacity(3);
     for name in RING_FILES {
         rings.push(RingBuffer::attach(SharedMap::open(&dir.join(name))?)?);
@@ -439,22 +438,20 @@ fn attach_objects(dir: &Path, payloads_only: bool) -> Result<RunObjects, Runtime
     Ok(RunObjects { rings, ctl })
 }
 
+/// Builds the report from the control block and rings. Both layouts call
+/// it once every stage has exited, with the stages that ended degraded.
 fn assemble_report(
     mode: &'static str,
     cfg: &RuntimeConfig,
-    ctl: &Ctl,
-    rings: &[RingBuffer; 3],
-    degraded: &[String],
+    objs: &RunObjects,
+    degraded: [bool; 4],
 ) -> RuntimeReport {
+    let (ctl, rings) = (&objs.ctl, &objs.rings);
     // Fold any leftover in-flight frames (a stage that died after the rest
     // of the pipeline finished, or an unsupervised fail-stop) as lost, so
     // the conservation invariant holds at assembly time.
     for s in 0..4 {
-        if let Some(fid) = ctl.inflight(s) {
-            ctl.add_lost(s, 1);
-            ctl.push_event(ctl.clock_ns(s), fid, stage::EV_LOST_BASE + s as u32);
-            ctl.set_inflight(s, 0);
-        }
+        ctl.lose_inflight(s);
     }
     let (escalations, standdowns, missed) = ctl.sentry_counts();
     let (standby_frames, full_frames) = ctl.served_counts();
@@ -521,7 +518,12 @@ fn assemble_report(
         lost: (0..4).map(|s| ctl.lost(s)).sum(),
         duplicates: ctl.duplicates(),
         recovery_ms,
-        degraded: degraded.to_vec(),
+        degraded: STAGE_NAMES
+            .iter()
+            .zip(degraded)
+            .filter(|&(_, d)| d)
+            .map(|(name, _)| name.to_string())
+            .collect(),
         stages,
         events,
         output_digest: ctl.digest(),
@@ -547,154 +549,69 @@ pub fn run_replay(cfg: &RuntimeConfig, trace: &TraceFile) -> Result<RuntimeRepor
     let objs = create_objects(&dir, cfg, &costs, trace.points.len())?;
     stage::clear_local_stop();
 
-    let (rings, ctl) = (&objs.rings, &objs.ctl);
-    let mut degraded_flags = [false; 4];
-    if let Some(sup) = cfg.supervise {
-        let monitor_stop = AtomicBool::new(false);
-        degraded_flags = std::thread::scope(|s| {
-            let h_cap = s.spawn(|| {
-                let _close = stage::CloseOnDrop {
-                    ring: &rings[0],
-                    ctl,
-                };
-                supervise::supervise_thread_stage(
-                    &sup,
-                    cfg.seed,
-                    ctl,
-                    0,
-                    || stage::run_capture(cfg, &costs, ctl, trace, &rings[0], false),
-                    || stage::run_capture_sink(ctl, trace),
-                )
-            });
-            let h_pre = s.spawn(|| {
-                let _close = stage::CloseOnDrop {
-                    ring: &rings[1],
-                    ctl,
-                };
-                supervise::supervise_thread_stage(
-                    &sup,
-                    cfg.seed,
-                    ctl,
-                    1,
-                    || stage::run_preprocess(cfg, &costs, ctl, &rings[0], &rings[1], false),
-                    || stage::run_consumer_sink(1, ctl, &rings[0]),
-                )
-            });
-            let h_inf = s.spawn(|| {
-                let _close = stage::CloseOnDrop {
-                    ring: &rings[2],
-                    ctl,
-                };
-                supervise::supervise_thread_stage(
-                    &sup,
-                    cfg.seed,
-                    ctl,
-                    2,
-                    || stage::run_inference(cfg, &costs, ctl, &rings[1], &rings[2], false),
-                    || stage::run_consumer_sink(2, ctl, &rings[1]),
-                )
-            });
-            let h_gw = s.spawn(|| {
-                supervise::supervise_thread_stage(
-                    &sup,
-                    cfg.seed,
-                    ctl,
-                    3,
-                    || stage::run_gateway(cfg, ctl, &rings[2], false),
-                    || stage::run_consumer_sink(3, ctl, &rings[2]),
-                )
-            });
-            let h_mon = s.spawn(|| supervise::run_hang_monitor(ctl, &sup, &monitor_stop));
-            let flags = [
-                h_cap.join().unwrap_or(true),
-                h_pre.join().unwrap_or(true),
-                h_inf.join().unwrap_or(true),
-                h_gw.join().unwrap_or(true),
-            ];
-            monitor_stop.store(true, Ordering::Release);
-            let _ = h_mon.join();
-            flags
-        });
-    } else {
-        std::thread::scope(|s| {
-            let h_cap = s.spawn(|| {
-                let _close = stage::CloseOnDrop {
-                    ring: &rings[0],
-                    ctl,
-                };
-                stage::run_capture(cfg, &costs, ctl, trace, &rings[0], false)
-            });
-            let h_pre = s.spawn(|| {
-                let _close = stage::CloseOnDrop {
-                    ring: &rings[1],
-                    ctl,
-                };
-                stage::run_preprocess(cfg, &costs, ctl, &rings[0], &rings[1], false)
-            });
-            let h_inf = s.spawn(|| {
-                let _close = stage::CloseOnDrop {
-                    ring: &rings[2],
-                    ctl,
-                };
-                stage::run_inference(cfg, &costs, ctl, &rings[1], &rings[2], false)
-            });
-            let h_gw = s.spawn(|| stage::run_gateway(cfg, ctl, &rings[2], false));
-            // A panicking stage raises the stop flag and closes its ring
-            // via the guard; here we just classify each exit — a panic or
-            // abnormal exit degrades that stage instead of aborting.
-            for (i, h) in [h_cap, h_pre, h_inf, h_gw].into_iter().enumerate() {
-                match h.join() {
-                    Ok(StageExit::Done) | Ok(StageExit::Stopped) => {}
-                    Ok(_) | Err(_) => {
-                        degraded_flags[i] = true;
-                        ctl.request_stop();
+    let ctl = &objs.ctl;
+    let pipe = &Pipeline {
+        cfg,
+        costs: &costs,
+        ctl,
+        rings: &objs.rings,
+        trace,
+        proc_mode: false,
+    };
+    let monitor_stop = &AtomicBool::new(false);
+    let degraded = std::thread::scope(|s| {
+        let stages = [0, 1, 2, 3].map(|i| {
+            s.spawn(move || {
+                pipe.with_stage(i, |body, sink| match &cfg.supervise {
+                    Some(sup) => {
+                        supervise::supervise_thread_stage(sup, cfg.seed, ctl, i, body, sink)
                     }
-                }
-            }
+                    // Fail-stop: a stage that ends any other way than
+                    // drained or stopped raises the stop flag so the
+                    // survivors drain out.
+                    None => {
+                        let failed = !matches!(body(), StageExit::Done | StageExit::Stopped);
+                        if failed {
+                            ctl.request_stop();
+                        }
+                        failed
+                    }
+                })
+            })
         });
-    }
-
-    let degraded: Vec<String> = STAGE_NAMES
-        .iter()
-        .zip(degraded_flags)
-        .filter(|&(_, d)| d)
-        .map(|(name, _)| name.to_string())
-        .collect();
-    let report = assemble_report("threads", cfg, ctl, rings, &degraded);
-    for ring in rings {
-        ring.map().unlink();
-    }
-    ctl.map().unlink();
-    Ok(report)
-}
-
-/// Outcome of a multi-process run.
-#[derive(Debug, Clone)]
-pub struct ProcsOutcome {
-    /// The gateway's report CSV (same shape as [`RuntimeReport::to_csv`]).
-    pub report_csv: String,
-    /// The gateway's event-log CSV.
-    pub events_csv: String,
-    /// Stages that exited without finishing naturally (SIGTERM/crash).
-    pub degraded: Vec<String>,
+        let monitor = cfg
+            .supervise
+            .as_ref()
+            .map(|sup| s.spawn(move || supervise::run_hang_monitor(ctl, sup, monitor_stop)));
+        // A panic that escapes a stage degrades it instead of aborting.
+        let degraded = stages.map(|h| h.join().unwrap_or(true));
+        monitor_stop.store(true, Ordering::Release);
+        if let Some(monitor) = monitor {
+            let _ = monitor.join();
+        }
+        degraded
+    });
+    Ok(assemble_report("threads", cfg, &objs, degraded))
 }
 
 /// Spawn each stage as its own OS process (children of `bin`, the
 /// `edgebench-cli` binary) over shared ring files, supervise them, and
-/// collect the gateway's report. If a middle stage dies — e.g. SIGTERM —
-/// the supervisor raises the shared stop flag: upstream stages stop
-/// blocking and drain out, the gateway reports the partial run, and every
-/// shared file is removed.
+/// assemble the report from the control block once every child has
+/// exited — the same report [`run_replay`] returns, with mode `procs`. If
+/// a middle stage dies — e.g. SIGTERM — the supervisor raises the shared
+/// stop flag: upstream stages stop blocking and drain out, the report
+/// covers the partial run, and every shared file is removed.
 ///
 /// # Errors
 ///
-/// [`RuntimeError`] on setup failure, or [`RuntimeError::Stage`] when the
-/// gateway dies before writing a report.
+/// [`RuntimeError`] on setup failure or when a child cannot be spawned. A
+/// stage that dies, the gateway included, is listed in
+/// [`RuntimeReport::degraded`] instead.
 pub fn run_processes(
     cfg: &RuntimeConfig,
     trace: &TraceFile,
     bin: &Path,
-) -> Result<ProcsOutcome, RuntimeError> {
+) -> Result<RuntimeReport, RuntimeError> {
     run_processes_with_kill(cfg, trace, bin, None)
 }
 
@@ -710,16 +627,13 @@ pub struct StageKill {
 
 /// Spawn one `runtime --stage <name>` child over the shared files in
 /// `dir`; `sink` spawns the drain-and-account body used after a stage's
-/// restart budget is exhausted. The gateway child additionally gets the
-/// report/event output paths.
+/// restart budget is exhausted.
 pub(crate) fn spawn_stage_child(
     bin: &Path,
     dir: &Path,
     cfg: &RuntimeConfig,
     stage: usize,
     sink: bool,
-    report_path: &Path,
-    events_path: &Path,
 ) -> Result<std::process::Child, RuntimeError> {
     let name = STAGE_NAMES[stage];
     let mut cmd = std::process::Command::new(bin);
@@ -732,12 +646,6 @@ pub(crate) fn spawn_stage_child(
     if sink {
         cmd.arg("--sink");
     }
-    if stage == 3 {
-        cmd.arg("--out")
-            .arg(report_path)
-            .arg("--events-out")
-            .arg(events_path);
-    }
     cmd.stdout(std::process::Stdio::null())
         .spawn()
         .map_err(|e| RuntimeError::Stage {
@@ -749,7 +657,7 @@ pub(crate) fn spawn_stage_child(
 /// [`run_processes`] with an optional mid-run SIGTERM of one stage — the
 /// graceful-degradation scenario: the victim drains out via its signal
 /// handler, the supervisor detects the unfinished stage, raises the shared
-/// stop flag, and the survivors drain and report the partial run.
+/// stop flag, and the survivors drain; the report covers the partial run.
 ///
 /// # Errors
 ///
@@ -759,7 +667,7 @@ pub fn run_processes_with_kill(
     trace: &TraceFile,
     bin: &Path,
     kill_plan: Option<StageKill>,
-) -> Result<ProcsOutcome, RuntimeError> {
+) -> Result<RuntimeReport, RuntimeError> {
     cfg.validate()?;
     let costs = StageCosts::build(cfg)?;
     let (dir, _guard) = make_run_dir(cfg)?;
@@ -769,46 +677,37 @@ pub fn run_processes_with_kill(
         .map_err(|e| RuntimeError::Trace {
             reason: e.to_string(),
         })?;
-    let report_path = dir.join("report.csv");
-    let events_path = dir.join("events.csv");
+    let degraded = match (cfg.supervise, kill_plan) {
+        (Some(sup), None) => supervise::run_supervised_processes(&sup, cfg, bin, &dir, &objs.ctl)?,
+        _ => run_fail_stop_processes(cfg, bin, &dir, &objs, kill_plan)?,
+    };
+    Ok(assemble_report("procs", cfg, &objs, degraded))
+}
 
-    if let (Some(sup), None) = (cfg.supervise, kill_plan) {
-        let degraded = supervise::run_supervised_processes(
-            &sup,
-            cfg,
-            bin,
-            &dir,
-            &objs.ctl,
-            &report_path,
-            &events_path,
-        )?;
-        let report_csv =
-            std::fs::read_to_string(&report_path).map_err(|_| RuntimeError::Stage {
-                stage: "gateway".to_string(),
-                reason: "no report written (gateway died before assembling it)".to_string(),
-            })?;
-        let events_csv = std::fs::read_to_string(&events_path).unwrap_or_default();
-        return Ok(ProcsOutcome {
-            report_csv,
-            events_csv,
-            degraded,
-        });
-    }
-
+/// The process layout without restarts: spawn the four children, SIGTERM
+/// the `kill_plan` victim on cue, and wait for every child. A failed exit
+/// degrades its stage, raises the stop flag and closes the stage's output
+/// ring so the survivors drain out. Returns which stages ended degraded.
+fn run_fail_stop_processes(
+    cfg: &RuntimeConfig,
+    bin: &Path,
+    dir: &Path,
+    objs: &RunObjects,
+    kill_plan: Option<StageKill>,
+) -> Result<[bool; 4], RuntimeError> {
     let mut children = Vec::new();
     for i in 0..STAGE_NAMES.len() {
-        let child = spawn_stage_child(bin, &dir, cfg, i, false, &report_path, &events_path)?;
-        children.push((i, child, None::<std::process::ExitStatus>));
+        children.push((spawn_stage_child(bin, dir, cfg, i, false)?, None));
     }
 
-    let mut degraded = Vec::new();
+    let mut degraded = [false; 4];
     let mut kill_pending = kill_plan;
     let hard_deadline = Instant::now() + Duration::from_secs(300);
     loop {
         if let Some(k) = kill_pending {
             if let Some(idx) = STAGE_NAMES.iter().position(|n| *n == k.stage) {
                 if objs.ctl.processed(idx) >= k.after_processed {
-                    shm::send_signal(children[idx].1.id(), shm::SIGTERM);
+                    shm::send_signal(children[idx].0.id(), shm::SIGTERM);
                     kill_pending = None;
                 }
             } else {
@@ -816,21 +715,21 @@ pub fn run_processes_with_kill(
             }
         }
         let mut all_done = true;
-        for (i, child, status) in children.iter_mut() {
+        for (i, (child, status)) in children.iter_mut().enumerate() {
             if status.is_some() {
                 continue;
             }
             match child.try_wait() {
                 Ok(Some(st)) => {
                     *status = Some(st);
-                    if !st.success() || !objs.ctl.done(*i) {
-                        degraded.push(STAGE_NAMES[*i].to_string());
+                    if !supervise::exited_clean(&objs.ctl, i, st, false) {
+                        degraded[i] = true;
                         objs.ctl.request_stop();
                         // A stage that died abruptly (chaos kill, abort)
                         // never closed its output ring — close it here so
                         // its consumer drains out instead of waiting.
-                        if *i < 3 {
-                            objs.rings[*i].close();
+                        if i < 3 {
+                            objs.rings[i].close();
                         }
                     }
                 }
@@ -845,7 +744,7 @@ pub fn run_processes_with_kill(
         }
         if Instant::now() > hard_deadline {
             objs.ctl.request_stop();
-            for (_, child, status) in children.iter_mut() {
+            for (child, status) in children.iter_mut() {
                 if status.is_none() {
                     let _ = child.kill();
                     let _ = child.wait();
@@ -855,17 +754,7 @@ pub fn run_processes_with_kill(
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-
-    let report_csv = std::fs::read_to_string(&report_path).map_err(|_| RuntimeError::Stage {
-        stage: "gateway".to_string(),
-        reason: "no report written (gateway died before assembling it)".to_string(),
-    })?;
-    let events_csv = std::fs::read_to_string(&events_path).unwrap_or_default();
-    Ok(ProcsOutcome {
-        report_csv,
-        events_csv,
-        degraded,
-    })
+    Ok(degraded)
 }
 
 fn child_flags(cfg: &RuntimeConfig) -> Vec<String> {
@@ -929,10 +818,10 @@ extern "C" fn on_sigterm(_sig: std::ffi::c_int) {
 /// Entry point for an `edgebench-cli runtime --stage <name>` child process:
 /// attach the shared objects under `dir`, install a SIGTERM handler that
 /// drains gracefully, and run the named stage (or, with `sink`, its
-/// drain-and-account body for a budget-exhausted stage). The gateway stage
-/// assembles the report and writes it (and the event log) to the given
-/// paths. A chaos-killed stage exits abruptly without closing its rings so
-/// the supervisor's replacement can reattach.
+/// drain-and-account body for a budget-exhausted stage). The stage
+/// accounts everything in the shared control block, from which the parent
+/// assembles the report. A chaos-killed stage exits abruptly without
+/// closing its rings so the supervisor's replacement can reattach.
 ///
 /// # Errors
 ///
@@ -943,81 +832,33 @@ pub fn run_stage(
     dir: &Path,
     cfg: &RuntimeConfig,
     sink: bool,
-    out: Option<&Path>,
-    events_out: Option<&Path>,
 ) -> Result<(), RuntimeError> {
+    let s = STAGE_NAMES
+        .iter()
+        .position(|n| *n == name)
+        .ok_or_else(|| RuntimeError::Stage {
+            stage: name.to_string(),
+            reason: "unknown stage (expected capture|preprocess|inference|gateway)".to_string(),
+        })?;
     unsafe {
         signal(shm::SIGTERM, on_sigterm);
     }
     let costs = StageCosts::build(cfg)?;
-    let objs = attach_objects(dir, false)?;
-    let (rings, ctl) = (&objs.rings, &objs.ctl);
-    match name {
-        "capture" => {
-            let trace =
-                TraceFile::read_from(&dir.join(TRACE_FILE)).map_err(|e| RuntimeError::Trace {
-                    reason: e.to_string(),
-                })?;
-            let _close = stage::CloseOnDrop {
-                ring: &rings[0],
-                ctl,
-            };
-            let exit = if sink {
-                stage::run_capture_sink(ctl, &trace)
-            } else {
-                stage::run_capture(cfg, &costs, ctl, &trace, &rings[0], true)
-            };
-            supervise::finish_child(name, exit)
-        }
-        "preprocess" => {
-            let _close = stage::CloseOnDrop {
-                ring: &rings[1],
-                ctl,
-            };
-            let exit = if sink {
-                stage::run_consumer_sink(1, ctl, &rings[0])
-            } else {
-                stage::run_preprocess(cfg, &costs, ctl, &rings[0], &rings[1], true)
-            };
-            supervise::finish_child(name, exit)
-        }
-        "inference" => {
-            let _close = stage::CloseOnDrop {
-                ring: &rings[2],
-                ctl,
-            };
-            let exit = if sink {
-                stage::run_consumer_sink(2, ctl, &rings[1])
-            } else {
-                stage::run_inference(cfg, &costs, ctl, &rings[1], &rings[2], true)
-            };
-            supervise::finish_child(name, exit)
-        }
-        "gateway" => {
-            let exit = if sink {
-                stage::run_consumer_sink(3, ctl, &rings[2])
-            } else {
-                stage::run_gateway(cfg, ctl, &rings[2], true)
-            };
-            supervise::finish_child(name, exit)?;
-            let report = assemble_report("procs", cfg, ctl, rings, &[]);
-            if let Some(path) = out {
-                std::fs::write(path, report.to_csv()).map_err(|e| RuntimeError::Io {
-                    reason: format!("write {}: {e}", path.display()),
-                })?;
-            }
-            if let Some(path) = events_out {
-                std::fs::write(path, report.event_log().to_csv()).map_err(|e| {
-                    RuntimeError::Io {
-                        reason: format!("write {}: {e}", path.display()),
-                    }
-                })?;
-            }
-            Ok(())
-        }
-        other => Err(RuntimeError::Stage {
-            stage: other.to_string(),
-            reason: "unknown stage (expected capture|preprocess|inference|gateway)".to_string(),
-        }),
-    }
+    let objs = attach_objects(dir)?;
+    let trace = TraceFile::read_from(&dir.join(TRACE_FILE)).map_err(|e| RuntimeError::Trace {
+        reason: e.to_string(),
+    })?;
+    let pipe = Pipeline {
+        cfg,
+        costs: &costs,
+        ctl: &objs.ctl,
+        rings: &objs.rings,
+        trace: &trace,
+        proc_mode: true,
+    };
+    // The exit is translated while the ring guard is held: a chaos death
+    // exits the process from inside, leaving the ring open.
+    pipe.with_stage(s, |body, drain| {
+        supervise::finish_child(name, if sink { drain() } else { body() })
+    })
 }

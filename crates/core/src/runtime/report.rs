@@ -73,7 +73,8 @@ pub struct StageReport {
     pub lost: u64,
 }
 
-/// The full report of one runtime run, assembled by the gateway stage.
+/// The full report of one runtime run, assembled from the shared control
+/// block once every stage has exited — in either layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeReport {
     /// `threads` (in-process replay) or `procs` (multi-process).
@@ -121,8 +122,9 @@ pub struct RuntimeReport {
     /// Virtual recovery penalties (detection + backoff) per restart, ms.
     pub recovery_ms: Samples,
     /// Stages that ended degraded (budget exhausted / unsupervised
-    /// failure). Not part of the CSV: in process mode the gateway child
-    /// assembles the CSV without the parent's degraded view.
+    /// failure), in pipeline order. A stage that stopped because the stop
+    /// flag was raised ended cleanly and is not listed. Not part of the
+    /// CSV; the CLI prints it on stderr.
     pub degraded: Vec<String>,
     /// Per-stage accounting, pipeline order.
     pub stages: Vec<StageReport>,

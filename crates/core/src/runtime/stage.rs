@@ -59,7 +59,7 @@ pub(crate) const STAGE_NAMES: [&str; 4] = ["capture", "preprocess", "inference",
 pub(crate) const CHAOS_KILL_EXIT: i32 = 86;
 
 /// Process-local stop flag, set by the SIGTERM handler installed in
-/// `stage_main`. Always false in thread mode.
+/// `run_stage`. Always false in thread mode.
 static LOCAL_STOP: AtomicBool = AtomicBool::new(false);
 
 /// Raise the process-local stop flag (SIGTERM handler body).
@@ -190,6 +190,7 @@ impl Ctl {
         unsafe { &*self.map.base().add(off).cast::<AtomicU32>() }
     }
 
+    #[cfg(test)]
     pub(crate) fn map(&self) -> &SharedMap {
         &self.map
     }
@@ -370,6 +371,16 @@ impl Ctl {
 
     pub(crate) fn lost(&self, stage: usize) -> u64 {
         self.u64_at(328 + stage * 8).load(Ordering::Acquire)
+    }
+
+    /// The frame in flight at `stage`, if any, is lost at the stage's
+    /// clock: one more lost frame, a `lost@stage` event, a cleared slot.
+    pub(crate) fn lose_inflight(&self, stage: usize) {
+        if let Some(fid) = self.inflight(stage) {
+            self.add_lost(stage, 1);
+            self.push_event(self.clock_ns(stage), fid, EV_LOST_BASE + stage as u32);
+            self.set_inflight(stage, 0);
+        }
     }
 
     /// Restart-request generation counter (thread mode): the monitor bumps
@@ -1193,6 +1204,56 @@ pub(crate) fn run_consumer_sink(stage: usize, ctl: &Ctl, input: &RingBuffer) -> 
         }
     }
     StageExit::Stopped
+}
+
+// ---------------------------------------------------------------------------
+// Stage table
+// ---------------------------------------------------------------------------
+
+/// One run's shared objects, seen from the stages. Threads and child
+/// processes both reach a stage through [`Pipeline::with_stage`].
+pub(crate) struct Pipeline<'a> {
+    pub cfg: &'a RuntimeConfig,
+    pub costs: &'a StageCosts,
+    pub ctl: &'a Ctl,
+    pub rings: &'a [RingBuffer; 3],
+    pub trace: &'a TraceFile,
+    /// The stages run as child processes: chaos deaths skip unwinding.
+    pub proc_mode: bool,
+}
+
+impl Pipeline<'_> {
+    /// Runs `f` with stage `s`'s body and its sink — the drain-and-account
+    /// body that replaces a stage whose restart budget is spent — while
+    /// holding the guard that closes the stage's output ring (the gateway
+    /// has none) once `f` returns or unwinds. `f` decides how the stage
+    /// runs: once, under the thread supervisor, or as a child's exit.
+    pub(crate) fn with_stage<R>(
+        &self,
+        s: usize,
+        f: impl FnOnce(&dyn Fn() -> StageExit, &dyn Fn() -> StageExit) -> R,
+    ) -> R {
+        let Pipeline {
+            cfg,
+            costs,
+            ctl,
+            rings,
+            trace,
+            proc_mode,
+        } = *self;
+        let body = || match s {
+            0 => run_capture(cfg, costs, ctl, trace, &rings[0], proc_mode),
+            1 => run_preprocess(cfg, costs, ctl, &rings[0], &rings[1], proc_mode),
+            2 => run_inference(cfg, costs, ctl, &rings[1], &rings[2], proc_mode),
+            _ => run_gateway(cfg, ctl, &rings[2], proc_mode),
+        };
+        let sink = || match s {
+            0 => run_capture_sink(ctl, trace),
+            _ => run_consumer_sink(s, ctl, &rings[s - 1]),
+        };
+        let _close = rings.get(s).map(|ring| CloseOnDrop { ring, ctl });
+        f(&body, &sink)
+    }
 }
 
 #[cfg(test)]

@@ -29,13 +29,14 @@
 
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
+use std::process::ExitStatus;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use edgebench_devices::faults::rng::FaultRng;
 
 use super::shm::{send_signal, SIGKILL};
-use super::stage::{Ctl, StageExit, CHAOS_KILL_EXIT, EV_LOST_BASE, EV_RESTART_BASE, STAGE_NAMES};
+use super::stage::{Ctl, StageExit, CHAOS_KILL_EXIT, EV_RESTART_BASE};
 use super::{RuntimeConfig, RuntimeError};
 
 /// Stream tag for restart-backoff jitter draws.
@@ -132,14 +133,9 @@ pub(crate) fn on_restart(
     attempt: u32,
     kind: CrashKind,
 ) {
-    let t0 = ctl.clock_ns(stage);
-    if let Some(fid) = ctl.inflight(stage) {
-        ctl.add_lost(stage, 1);
-        ctl.push_event(t0, fid, EV_LOST_BASE + stage as u32);
-        ctl.set_inflight(stage, 0);
-    }
+    ctl.lose_inflight(stage);
     let penalty = sup.penalty_ns(seed, stage, attempt, kind);
-    let t1 = t0 + penalty;
+    let t1 = ctl.clock_ns(stage) + penalty;
     ctl.set_clock_ns(stage, t1);
     ctl.push_event(t1, u64::from(attempt), EV_RESTART_BASE + stage as u32);
     ctl.add_restart(stage);
@@ -150,11 +146,7 @@ pub(crate) fn on_restart(
 /// penalty is charged (the stage is not coming back), and the caller
 /// degrades the stage to its sink body.
 pub(crate) fn give_up(ctl: &Ctl, stage: usize) {
-    if let Some(fid) = ctl.inflight(stage) {
-        ctl.add_lost(stage, 1);
-        ctl.push_event(ctl.clock_ns(stage), fid, EV_LOST_BASE + stage as u32);
-        ctl.set_inflight(stage, 0);
-    }
+    ctl.lose_inflight(stage);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,21 +158,17 @@ pub(crate) fn give_up(ctl: &Ctl, stage: usize) {
 /// on exhaustion. The caller holds the ring's close-guard *around* this
 /// call, so a restarted body reattaches to a still-open ring. Returns
 /// `true` when the stage ended degraded.
-pub(crate) fn supervise_thread_stage<B, S>(
+pub(crate) fn supervise_thread_stage(
     sup: &SuperviseConfig,
     seed: u64,
     ctl: &Ctl,
     stage: usize,
-    body: B,
-    sink: S,
-) -> bool
-where
-    B: Fn() -> StageExit,
-    S: FnOnce() -> StageExit,
-{
+    body: &dyn Fn() -> StageExit,
+    sink: &dyn Fn() -> StageExit,
+) -> bool {
     let mut attempt = 0u32;
     loop {
-        let kind = match std::panic::catch_unwind(AssertUnwindSafe(&body)) {
+        let kind = match std::panic::catch_unwind(AssertUnwindSafe(body)) {
             Ok(StageExit::Done) | Ok(StageExit::Stopped) => return false,
             Ok(StageExit::Hung) => CrashKind::Hang,
             Ok(StageExit::Killed) | Ok(StageExit::Failed(_)) | Err(_) => CrashKind::Crash,
@@ -248,19 +236,15 @@ impl ProcState {
 /// via `try_wait` (deaths) and the shared heartbeat counters (hangs). A
 /// failed stage is restarted — same command line, reattaching to the same
 /// shm files — within its budget, then degraded to a `--sink` child.
-/// Returns the stages that ended degraded.
+/// Returns which stages ended degraded, in pipeline order.
 pub(crate) fn run_supervised_processes(
     sup: &SuperviseConfig,
     cfg: &RuntimeConfig,
     bin: &Path,
     dir: &Path,
     ctl: &Ctl,
-    report_path: &Path,
-    events_path: &Path,
-) -> Result<Vec<String>, RuntimeError> {
-    let spawn = |stage: usize, sink: bool| {
-        super::spawn_stage_child(bin, dir, cfg, stage, sink, report_path, events_path)
-    };
+) -> Result<[bool; 4], RuntimeError> {
+    let spawn = |stage: usize, sink: bool| super::spawn_stage_child(bin, dir, cfg, stage, sink);
     let mut states = Vec::with_capacity(4);
     for stage in 0..4 {
         let mut st = ProcState {
@@ -288,9 +272,7 @@ pub(crate) fn run_supervised_processes(
             all_done = false;
             match st.child.try_wait() {
                 Ok(Some(status)) => {
-                    let clean =
-                        status.success() && (ctl.done(stage) || st.is_sink || ctl.stop_requested());
-                    if clean {
+                    if exited_clean(ctl, stage, status, st.is_sink) {
                         st.finished = true;
                         continue;
                     }
@@ -351,12 +333,14 @@ pub(crate) fn run_supervised_processes(
         std::thread::sleep(POLL);
     }
 
-    Ok(STAGE_NAMES
-        .iter()
-        .zip(&states)
-        .filter(|(_, st)| st.degraded)
-        .map(|(name, _)| name.to_string())
-        .collect())
+    Ok(std::array::from_fn(|stage| states[stage].degraded))
+}
+
+/// Whether a child's exit needs no restart: it succeeded after draining
+/// its input, after obeying a raised stop flag, or as a sink. Both process
+/// loops classify exits by this one rule.
+pub(crate) fn exited_clean(ctl: &Ctl, stage: usize, status: ExitStatus, sink: bool) -> bool {
+    status.success() && (ctl.done(stage) || sink || ctl.stop_requested())
 }
 
 /// Translate a child stage body's exit into the process exit protocol:
@@ -379,6 +363,7 @@ pub(crate) fn finish_child(stage: &str, exit: StageExit) -> Result<(), RuntimeEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::stage::EV_LOST_BASE;
 
     #[test]
     fn penalty_grows_geometrically_with_bounded_jitter() {

@@ -120,12 +120,12 @@ proptest! {
         };
         prop_assert_eq!(
             strip_mode(&threads.to_csv()),
-            strip_mode(&procs.report_csv),
+            strip_mode(&procs.to_csv()),
             "chaos accounting must not depend on the process layout"
         );
         prop_assert_eq!(
             threads.event_log().to_csv(),
-            procs.events_csv,
+            procs.event_log().to_csv(),
             "chaos event logs must not depend on the process layout"
         );
     }
@@ -218,4 +218,28 @@ fn unsupervised_kill_degrades_instead_of_aborting() {
     // Unsupervised shutdown is fail-stop, not conservation-complete: the
     // prefix completed before the kill is all we guarantee.
     assert!(r.completed < r.offered);
+}
+
+/// Without supervision a killed stage is the only degraded one, in either
+/// layout: a survivor that stopped because the stop flag was raised ended
+/// cleanly, and a killed gateway is a degraded stage, not a lost report.
+#[test]
+fn unsupervised_kill_degrades_the_same_stage_in_both_layouts() {
+    let t = trace(19);
+    for (stage, name) in ["capture", "preprocess", "inference", "gateway"]
+        .into_iter()
+        .enumerate()
+    {
+        let shm = shm_dir(&format!("unsup-kill-{stage}"));
+        let cfg = base_cfg(19)
+            .with_chaos(ChaosPlan::parse(&format!("kill@{stage}:15")).unwrap())
+            .with_shm_dir(shm.clone());
+
+        let threads = runtime::run_replay(&cfg, &t).expect("thread replay");
+        let procs = runtime::run_processes(&cfg, &t, cli_bin()).expect("procs run");
+        let _ = std::fs::remove_dir_all(&shm);
+
+        assert_eq!(threads.degraded, [name], "threads, kill@{stage}:15");
+        assert_eq!(procs.degraded, [name], "procs, kill@{stage}:15");
+    }
 }

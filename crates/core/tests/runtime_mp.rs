@@ -8,6 +8,7 @@
 //! stops, the shutdown drains, no shm files survive.
 
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use edgebench::runtime::{self, RuntimeConfig, SentryConfig, StageKill};
 use edgebench::serve::{TraceFile, Traffic};
@@ -42,7 +43,7 @@ fn procs_report_matches_thread_loopback() {
     let threads = runtime::run_replay(&cfg, &t).unwrap().to_csv();
     let procs = runtime::run_processes(&cfg, &t, cli_bin())
         .unwrap()
-        .report_csv;
+        .to_csv();
 
     let strip_mode = |csv: &str| {
         csv.lines()
@@ -71,9 +72,9 @@ fn procs_sentry_run_reports_events() {
 
     let out = runtime::run_processes(&cfg, &t, cli_bin()).unwrap();
     assert!(out.degraded.is_empty(), "degraded: {:?}", out.degraded);
-    assert!(out.report_csv.contains("sentry,1"));
-    assert!(out.events_csv.contains("sentry-escalate"));
-    assert!(!out.events_csv.contains("sentry-missed"));
+    assert!(out.to_csv().contains("sentry,1"));
+    assert!(out.event_log().to_csv().contains("sentry-escalate"));
+    assert!(!out.event_log().to_csv().contains("sentry-missed"));
     assert_no_leftovers(&shm);
 }
 
@@ -98,15 +99,15 @@ fn sigterm_of_middle_stage_degrades_gracefully() {
     )
     .unwrap();
 
-    assert!(
-        out.degraded.iter().any(|s| s == "preprocess"),
-        "the killed stage must be reported degraded: {:?}",
-        out.degraded
+    assert_eq!(
+        out.degraded,
+        ["preprocess"],
+        "the killed stage, and only it, must be reported degraded"
     );
     // The pipeline served a prefix and then drained: a report was still
     // written, some frames completed, but not the whole trace.
     let completed: u64 = out
-        .report_csv
+        .to_csv()
         .lines()
         .find_map(|l| l.strip_prefix("completed,"))
         .expect("report has a completed row")
@@ -116,4 +117,29 @@ fn sigterm_of_middle_stage_degrades_gracefully() {
     assert!(completed < 300, "SIGTERM had no effect: {completed}");
     // No orphaned shm segments after the degraded shutdown.
     assert_no_leftovers(&shm);
+}
+
+#[test]
+fn procs_out_flag_writes_the_report() {
+    let dir = shm_dir("cli-out");
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |layout: &[&str], out: &Path| {
+        let o = Command::new(cli_bin())
+            .args(["runtime", "--model", "cifarnet", "--device", "jetson-nano"])
+            .args(["--frames", "40", "--seed", "5", "--out"])
+            .arg(out)
+            .args(layout)
+            .output()
+            .expect("run edgebench-cli");
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert!(o.status.success(), "stderr: {stderr}");
+        assert!(o.stdout.is_empty(), "--out must keep the report off stdout");
+        std::fs::read_to_string(out).expect("--out wrote the report")
+    };
+    let threads = run(&[], &dir.join("threads.csv"));
+    let procs = run(&["--procs"], &dir.join("procs.csv"));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(procs.contains("mode,procs"), "{procs}");
+    assert_eq!(threads.replace("mode,threads", "mode,procs"), procs);
 }

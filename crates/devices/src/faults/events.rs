@@ -2,11 +2,11 @@
 //!
 //! Every lifecycle step of a fault — injected → detected → retried →
 //! repartitioned → recovered — is recorded as a [`FaultEvent`] with the
-//! simulated wall time and the frame being processed. The `Display`
-//! rendering is stable (fixed-precision floats, fixed field order), so two
-//! runs with the same seed serialize to byte-identical logs; the harness
-//! turns these into `edgebench_measure::trace::EventLog` rows for replay
-//! and CSV export.
+//! simulated wall time and the frame being processed. The harness turns
+//! these into `edgebench_measure::trace::EventLog` rows for replay and CSV
+//! export; the [`EventKind`] `Display` label is the CSV's event column,
+//! stable (fixed-precision floats, fixed field order), so two runs with the
+//! same seed serialize to byte-identical logs.
 
 use std::fmt;
 
@@ -146,34 +146,17 @@ pub struct FaultEvent {
     pub kind: EventKind,
 }
 
-impl fmt::Display for FaultEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{:>12.6}s f{:>4}] {}",
-            self.time_s, self.frame, self.kind
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn display_is_stable_and_fixed_precision() {
-        let e = FaultEvent {
-            time_s: 1.5,
-            frame: 3,
-            kind: EventKind::RetryScheduled {
-                attempt: 2,
-                backoff_s: 0.04,
-            },
+        let e = EventKind::RetryScheduled {
+            attempt: 2,
+            backoff_s: 0.04,
         };
-        assert_eq!(
-            e.to_string(),
-            "[    1.500000s f   3] retry attempt=2 backoff_s=0.040000"
-        );
+        assert_eq!(e.to_string(), "retry attempt=2 backoff_s=0.040000");
         let k = EventKind::Injected(FaultKind::DeviceDropout { device: 1 });
         assert_eq!(k.to_string(), "injected device-dropout dev=1");
         let r = EventKind::Repartitioned {

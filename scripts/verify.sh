@@ -41,6 +41,20 @@ cargo test -q --offline -p edgebench --test runtime \
     loopback_smoke_drains_in_order_and_cleans_up
 cargo test -q --offline -p edgebench --test runtime \
     replay_report_is_byte_identical_across_runs
+# The layout-identity contracts: four child processes must return the same
+# report and event log as the thread loopback (plain and under chaos),
+# `--procs --out` must write the report file, and an unsupervised kill must
+# degrade only the killed stage in both layouts.
+cargo test -q --offline -p edgebench --test runtime_mp \
+    procs_report_matches_thread_loopback
+cargo test -q --offline -p edgebench --test chaos \
+    procs_and_threads_agree_under_chaos
+cargo test -q --offline -p edgebench --test runtime_mp \
+    procs_out_flag_writes_the_report
+cargo test -q --offline -p edgebench --test runtime_mp \
+    sigterm_of_middle_stage_degrades_gracefully
+cargo test -q --offline -p edgebench --test chaos \
+    unsupervised_kill_degrades_the_same_stage_in_both_layouts
 # The supervision contracts, named explicitly: a curated chaos campaign
 # must recover every stage within its restart budget with at-most-once
 # accounting, and any generated campaign must conserve frames and replay
@@ -75,6 +89,11 @@ cargo test -q --offline -p edgebench --bin edgebench-cli \
 cargo clippy --workspace --all-targets --offline -- -D warnings
 # Benches must keep compiling even though tier-1 never runs them.
 cargo bench --no-run --offline --workspace
+# The end-to-end benchmark is a workspace of its own that calls the
+# library (the runtime included) by path: build it and run its unit tests
+# so an API change cannot break it unnoticed.
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline \
+    --manifest-path crates/bench/src/bin/e2e/Cargo.toml
 # The tracked benchmark trajectory must stay parseable (running the full
 # bench suite is too slow for tier-1; structure is checked instead).
 scripts/bench_snapshot.sh --check BENCH_kernels.json
