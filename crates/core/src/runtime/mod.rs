@@ -30,7 +30,6 @@ pub mod supervise;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 use edgebench_devices::faults::ChaosPlan;
 use edgebench_devices::Device;
@@ -40,7 +39,7 @@ use edgebench_models::Model;
 use crate::serve::{Fleet, ReplicaSpec, TraceFile};
 use ring::RingBuffer;
 use shm::SharedMap;
-use stage::{Ctl, Pipeline, StageExit, DETECTION_ELEMS, STAGE_NAMES};
+use stage::{CloseOnDrop, Ctl, Pipeline, DETECTION_ELEMS, STAGE_NAMES};
 
 pub use report::{RuntimeEvent, RuntimeEventKind, RuntimeReport, StageReport};
 pub use ring::DropPolicy;
@@ -157,8 +156,9 @@ pub struct RuntimeConfig {
     pub pace: bool,
     /// Base directory for shared files (default `/dev/shm` or tmp).
     pub shm_dir: Option<PathBuf>,
-    /// Self-healing supervision; `None` keeps the fail-stop behavior
-    /// (a dead stage degrades the run without recovery).
+    /// Self-healing supervision. `None` runs under the same supervisor at
+    /// restart budget 0 (fail-stop: a failed stage is replaced by a sink
+    /// at once); the report's `supervised` row echoes whether it was set.
     pub supervise: Option<SuperviseConfig>,
     /// Deterministic chaos schedule injected into the stages.
     pub chaos: Option<ChaosPlan>,
@@ -254,12 +254,21 @@ impl RuntimeConfig {
         self
     }
 
+    /// The supervision every run executes under: `supervise`, or the
+    /// default knobs at restart budget 0 when it is `None`.
+    pub(crate) fn supervision(&self) -> SuperviseConfig {
+        self.supervise
+            .unwrap_or_else(|| SuperviseConfig::default().with_restart_budget(0))
+    }
+
     /// Validates static invariants.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Config`] on a zero or non-power-of-two ring
-    /// capacity, or an out-of-range probability.
+    /// capacity, an out-of-range probability or supervision knob, or real
+    /// execution of a model whose input has more than the four dims a
+    /// frame header carries.
     pub fn validate(&self) -> Result<(), RuntimeError> {
         if self.ring_capacity == 0 || !self.ring_capacity.is_power_of_two() {
             return Err(RuntimeError::config(
@@ -277,26 +286,23 @@ impl RuntimeConfig {
                 return Err(RuntimeError::config("standby recall must be in [0, 1]"));
             }
         }
-        if let Some(sup) = &self.supervise {
-            if sup.heartbeat_ms < 10 {
-                return Err(RuntimeError::config("heartbeat window must be >= 10 ms"));
-            }
-            if sup.restart_budget > 64 {
-                return Err(RuntimeError::config("restart budget must be <= 64"));
-            }
-            if sup.backoff_factor < 1.0 {
-                return Err(RuntimeError::config("backoff factor must be >= 1"));
-            }
-            if !(0.0..1.0).contains(&sup.jitter_frac) {
-                return Err(RuntimeError::config("jitter fraction must be in [0, 1)"));
-            }
+        let sup = self.supervision();
+        if sup.heartbeat_ms < 10 {
+            return Err(RuntimeError::config("heartbeat window must be >= 10 ms"));
         }
-        if let Some(plan) = &self.chaos {
-            if plan.has_hangs() && self.supervise.is_none() {
-                return Err(RuntimeError::config(
-                    "chaos hang events need supervision (stall detection) to recover",
-                ));
-            }
+        if sup.restart_budget > 64 {
+            return Err(RuntimeError::config("restart budget must be <= 64"));
+        }
+        if sup.backoff_factor < 1.0 {
+            return Err(RuntimeError::config("backoff factor must be >= 1"));
+        }
+        if !(0.0..1.0).contains(&sup.jitter_frac) {
+            return Err(RuntimeError::config("jitter fraction must be in [0, 1)"));
+        }
+        if self.exec == ExecMode::Real && self.model.input_shape().dims().len() > 4 {
+            return Err(RuntimeError::config(
+                "real execution needs a model input of rank <= 4 (frame headers carry 4 dims)",
+            ));
         }
         Ok(())
     }
@@ -393,7 +399,7 @@ fn make_run_dir(cfg: &RuntimeConfig) -> Result<(PathBuf, DirGuard), RuntimeError
     Ok((dir, guard))
 }
 
-struct RunObjects {
+pub(crate) struct RunObjects {
     rings: [RingBuffer; 3],
     ctl: Ctl,
 }
@@ -413,7 +419,7 @@ fn create_objects(
     }
     // Latency ledger: one slot per frame id. Event region: worst case a few
     // events per frame plus restart/lost traffic bounded by the budget.
-    let budget = cfg.supervise.map_or(0, |s| s.restart_budget as usize);
+    let budget = cfg.supervision().restart_budget as usize;
     let ctl = Ctl::create(
         &dir.join(CTL_FILE),
         n_frames,
@@ -448,8 +454,8 @@ fn assemble_report(
 ) -> RuntimeReport {
     let (ctl, rings) = (&objs.ctl, &objs.rings);
     // Fold any leftover in-flight frames (a stage that died after the rest
-    // of the pipeline finished, or an unsupervised fail-stop) as lost, so
-    // the conservation invariant holds at assembly time.
+    // of the pipeline finished) as lost, so the conservation invariant
+    // holds at assembly time.
     for s in 0..4 {
         ctl.lose_inflight(s);
     }
@@ -534,9 +540,10 @@ fn assemble_report(
 /// rings — the loopback/replay mode. Deterministic: the report is a pure
 /// function of `(cfg, trace)`.
 ///
-/// With supervision enabled each stage runs under a restart wrapper plus a
-/// heartbeat monitor; without it a stage panic or chaos kill degrades the
-/// stage (stop flag raised, survivors drain) instead of aborting the run.
+/// Every stage runs under the restart supervisor plus a heartbeat monitor,
+/// at [`RuntimeConfig::supervise`]'s budget or at budget 0 when it is
+/// `None`: a stage panic, chaos kill or hang is restarted within budget
+/// and then replaced by a sink, never left to abort or wedge the run.
 ///
 /// # Errors
 ///
@@ -549,12 +556,13 @@ pub fn run_replay(cfg: &RuntimeConfig, trace: &TraceFile) -> Result<RuntimeRepor
     let objs = create_objects(&dir, cfg, &costs, trace.points.len())?;
     stage::clear_local_stop();
 
-    let ctl = &objs.ctl;
+    let sup = &cfg.supervision();
+    let (ctl, rings) = (&objs.ctl, &objs.rings);
     let pipe = &Pipeline {
         cfg,
         costs: &costs,
         ctl,
-        rings: &objs.rings,
+        rings,
         trace,
         proc_mode: false,
     };
@@ -562,33 +570,20 @@ pub fn run_replay(cfg: &RuntimeConfig, trace: &TraceFile) -> Result<RuntimeRepor
     let degraded = std::thread::scope(|s| {
         let stages = [0, 1, 2, 3].map(|i| {
             s.spawn(move || {
-                pipe.with_stage(i, |body, sink| match &cfg.supervise {
-                    Some(sup) => {
-                        supervise::supervise_thread_stage(sup, cfg.seed, ctl, i, body, sink)
-                    }
-                    // Fail-stop: a stage that ends any other way than
-                    // drained or stopped raises the stop flag so the
-                    // survivors drain out.
-                    None => {
-                        let failed = !matches!(body(), StageExit::Done | StageExit::Stopped);
-                        if failed {
-                            ctl.request_stop();
-                        }
-                        failed
-                    }
+                // The guard wraps the restart loop, so a restarted body
+                // reattaches to a still-open ring.
+                let _close = rings.get(i).map(|ring| CloseOnDrop { ring, ctl });
+                pipe.with_stage(i, |body, sink| {
+                    supervise::supervise_thread_stage(sup, cfg.seed, ctl, i, body, sink)
                 })
             })
         });
-        let monitor = cfg
-            .supervise
-            .as_ref()
-            .map(|sup| s.spawn(move || supervise::run_hang_monitor(ctl, sup, monitor_stop)));
+        let monitor = s.spawn(move || supervise::run_hang_monitor(ctl, sup, monitor_stop));
         // A panic that escapes a stage degrades it instead of aborting.
         let degraded = stages.map(|h| h.join().unwrap_or(true));
         monitor_stop.store(true, Ordering::Release);
-        if let Some(monitor) = monitor {
-            let _ = monitor.join();
-        }
+        monitor.thread().unpark();
+        let _ = monitor.join();
         degraded
     });
     Ok(assemble_report("threads", cfg, &objs, degraded))
@@ -597,15 +592,15 @@ pub fn run_replay(cfg: &RuntimeConfig, trace: &TraceFile) -> Result<RuntimeRepor
 /// Spawn each stage as its own OS process (children of `bin`, the
 /// `edgebench-cli` binary) over shared ring files, supervise them, and
 /// assemble the report from the control block once every child has
-/// exited — the same report [`run_replay`] returns, with mode `procs`. If
-/// a middle stage dies — e.g. SIGTERM — the supervisor raises the shared
-/// stop flag: upstream stages stop blocking and drain out, the report
-/// covers the partial run, and every shared file is removed.
+/// exited — the same report [`run_replay`] returns, with mode `procs`.
+/// One process loop supervises every run, at [`RuntimeConfig::supervise`]'s
+/// budget or at budget 0 when it is `None`: a child that dies, hangs or is
+/// SIGTERMed is restarted within budget, then replaced by a sink child.
 ///
 /// # Errors
 ///
 /// [`RuntimeError`] on setup failure or when a child cannot be spawned. A
-/// stage that dies, the gateway included, is listed in
+/// stage that ends degraded, the gateway included, is listed in
 /// [`RuntimeReport::degraded`] instead.
 pub fn run_processes(
     cfg: &RuntimeConfig,
@@ -654,10 +649,10 @@ pub(crate) fn spawn_stage_child(
         })
 }
 
-/// [`run_processes`] with an optional mid-run SIGTERM of one stage — the
-/// graceful-degradation scenario: the victim drains out via its signal
-/// handler, the supervisor detects the unfinished stage, raises the shared
-/// stop flag, and the survivors drain; the report covers the partial run.
+/// [`run_processes`] with an optional mid-run SIGTERM of one stage. The
+/// victim drains out via its signal handler and exits without finishing,
+/// so the supervisor treats it as a failed stage: restarted within budget,
+/// replaced by a sink at budget 0.
 ///
 /// # Errors
 ///
@@ -677,86 +672,12 @@ pub fn run_processes_with_kill(
         .map_err(|e| RuntimeError::Trace {
             reason: e.to_string(),
         })?;
-    let degraded = match (cfg.supervise, kill_plan) {
-        (Some(sup), None) => supervise::run_supervised_processes(&sup, cfg, bin, &dir, &objs.ctl)?,
-        _ => run_fail_stop_processes(cfg, bin, &dir, &objs, kill_plan)?,
-    };
+    let degraded = supervise::run_supervised_processes(cfg, bin, &dir, &objs, kill_plan)?;
     Ok(assemble_report("procs", cfg, &objs, degraded))
 }
 
-/// The process layout without restarts: spawn the four children, SIGTERM
-/// the `kill_plan` victim on cue, and wait for every child. A failed exit
-/// degrades its stage, raises the stop flag and closes the stage's output
-/// ring so the survivors drain out. Returns which stages ended degraded.
-fn run_fail_stop_processes(
-    cfg: &RuntimeConfig,
-    bin: &Path,
-    dir: &Path,
-    objs: &RunObjects,
-    kill_plan: Option<StageKill>,
-) -> Result<[bool; 4], RuntimeError> {
-    let mut children = Vec::new();
-    for i in 0..STAGE_NAMES.len() {
-        children.push((spawn_stage_child(bin, dir, cfg, i, false)?, None));
-    }
-
-    let mut degraded = [false; 4];
-    let mut kill_pending = kill_plan;
-    let hard_deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        if let Some(k) = kill_pending {
-            if let Some(idx) = STAGE_NAMES.iter().position(|n| *n == k.stage) {
-                if objs.ctl.processed(idx) >= k.after_processed {
-                    shm::send_signal(children[idx].0.id(), shm::SIGTERM);
-                    kill_pending = None;
-                }
-            } else {
-                kill_pending = None;
-            }
-        }
-        let mut all_done = true;
-        for (i, (child, status)) in children.iter_mut().enumerate() {
-            if status.is_some() {
-                continue;
-            }
-            match child.try_wait() {
-                Ok(Some(st)) => {
-                    *status = Some(st);
-                    if !supervise::exited_clean(&objs.ctl, i, st, false) {
-                        degraded[i] = true;
-                        objs.ctl.request_stop();
-                        // A stage that died abruptly (chaos kill, abort)
-                        // never closed its output ring — close it here so
-                        // its consumer drains out instead of waiting.
-                        if i < 3 {
-                            objs.rings[i].close();
-                        }
-                    }
-                }
-                Ok(None) => all_done = false,
-                Err(_) => {
-                    *status = Some(std::process::ExitStatus::default());
-                }
-            }
-        }
-        if all_done {
-            break;
-        }
-        if Instant::now() > hard_deadline {
-            objs.ctl.request_stop();
-            for (child, status) in children.iter_mut() {
-                if status.is_none() {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-            }
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    Ok(degraded)
-}
-
+/// The flags a child needs to rebuild the stage bodies' view of `cfg`.
+/// Supervision is the parent's job, so its knobs are not passed on.
 fn child_flags(cfg: &RuntimeConfig) -> Vec<String> {
     let mut flags = vec![
         "--model".to_string(),
@@ -791,13 +712,6 @@ fn child_flags(cfg: &RuntimeConfig) -> Vec<String> {
     if cfg.pace {
         flags.push("--pace".to_string());
     }
-    if let Some(sup) = &cfg.supervise {
-        flags.push("--supervise".to_string());
-        flags.push("--restart-budget".to_string());
-        flags.push(sup.restart_budget.to_string());
-        flags.push("--heartbeat-ms".to_string());
-        flags.push(sup.heartbeat_ms.to_string());
-    }
     if let Some(plan) = &cfg.chaos {
         if !plan.is_empty() {
             flags.push("--chaos".to_string());
@@ -820,8 +734,9 @@ extern "C" fn on_sigterm(_sig: std::ffi::c_int) {
 /// drains gracefully, and run the named stage (or, with `sink`, its
 /// drain-and-account body for a budget-exhausted stage). The stage
 /// accounts everything in the shared control block, from which the parent
-/// assembles the report. A chaos-killed stage exits abruptly without
-/// closing its rings so the supervisor's replacement can reattach.
+/// assembles the report. A child never closes its output ring: the parent
+/// closes it once it reaps the stage as finished for good, so a
+/// replacement can always reattach.
 ///
 /// # Errors
 ///
@@ -856,8 +771,6 @@ pub fn run_stage(
         trace: &trace,
         proc_mode: true,
     };
-    // The exit is translated while the ring guard is held: a chaos death
-    // exits the process from inside, leaving the ring open.
     pipe.with_stage(s, |body, drain| {
         supervise::finish_child(name, if sink { drain() } else { body() })
     })

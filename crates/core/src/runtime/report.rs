@@ -121,10 +121,9 @@ pub struct RuntimeReport {
     pub duplicates: u64,
     /// Virtual recovery penalties (detection + backoff) per restart, ms.
     pub recovery_ms: Samples,
-    /// Stages that ended degraded (budget exhausted / unsupervised
-    /// failure), in pipeline order. A stage that stopped because the stop
-    /// flag was raised ended cleanly and is not listed. Not part of the
-    /// CSV; the CLI prints it on stderr.
+    /// Stages that ended degraded — replaced by a sink once their restart
+    /// budget (0 without supervision) was spent — in pipeline order. Not
+    /// part of the CSV; the CLI prints it on stderr.
     pub degraded: Vec<String>,
     /// Per-stage accounting, pipeline order.
     pub stages: Vec<StageReport>,

@@ -78,7 +78,8 @@ pub(crate) fn clear_local_stop() {
 pub(crate) enum StageExit {
     /// Input fully drained (or whole trace pushed); `done` flag set.
     Done,
-    /// Interrupted by the shared stop flag or SIGTERM; partial but clean.
+    /// Interrupted by the shared stop flag or SIGTERM; partial. A child
+    /// that exits this way without `done` is a failed stage.
     Stopped,
     /// A typed stage failure (e.g. the prepared executor rejected a
     /// frame). The supervisor treats it as a crash.
@@ -571,9 +572,9 @@ impl Ctl {
 
 /// Closes a ring when dropped — even on panic, so a dead stage never leaves
 /// its downstream partner waiting forever. On panic it also raises the
-/// shared stop flag to unwind the rest of the pipeline. Supervised runs
-/// hold this guard *outside* the restart loop instead, so a restarted body
-/// reattaches to a still-open ring.
+/// shared stop flag to unwind the rest of the pipeline. The thread layout
+/// holds it around a stage's restart loop; a child process holds none, and
+/// its parent closes the ring once it reaps the stage as finished.
 pub(crate) struct CloseOnDrop<'a> {
     pub ring: &'a RingBuffer,
     pub ctl: &'a Ctl,
@@ -605,21 +606,10 @@ fn chaos_trigger(
 ) -> Option<StageExit> {
     let kind = cfg.chaos.as_ref()?.kind_at(stage as u8, fid)?;
     match kind {
-        ChaosKind::Kill => {
-            if cfg.supervise.is_none() {
-                // Fail-stop without a supervisor: unblock the rest of the
-                // pipeline before dying, like the process path does.
-                ctl.request_stop();
-            }
-            Some(StageExit::Killed)
-        }
+        ChaosKind::Kill => Some(StageExit::Killed),
         ChaosKind::Panic => {
-            if cfg.supervise.is_none() {
-                ctl.request_stop();
-            }
             if proc_mode {
-                // No unwinding: destructors must not close the rings the
-                // restarted stage will reattach to.
+                // A child dies abruptly, as a real crash would.
                 std::process::abort();
             }
             panic!("chaos: injected panic at {}:{fid}", STAGE_NAMES[stage]);
@@ -886,15 +876,24 @@ impl<'g> RungExec<'g> {
         Ok(RungExec { prepared })
     }
 
-    /// Run the prepared executor on one frame. A rejected frame is a typed
-    /// stage error — it feeds the degraded-stage report, never a panic.
-    fn run(&self, dims: [u32; 4], payload: &[f32]) -> Result<u64, RuntimeError> {
+    /// Run the prepared executor on one frame, beating the inference
+    /// heartbeat once per executed node: a frame that takes longer than
+    /// the stall window is still live, not hung. A rejected frame is a
+    /// typed stage error — it feeds the degraded-stage report, never a
+    /// panic.
+    fn run(&self, ctl: &Ctl, dims: [u32; 4], payload: &[f32]) -> Result<u64, RuntimeError> {
         let shape: Vec<usize> = dims.iter().map(|&d| (d as usize).max(1)).collect();
         let input = Tensor::from_vec(shape, payload.to_vec());
-        let out = self.prepared.run(&input).map_err(|e| RuntimeError::Stage {
-            stage: "inference".to_string(),
-            reason: format!("executor rejected frame: {e}"),
-        })?;
+        let (out, _) = self
+            .prepared
+            .run_observed(&input, &mut |_, _| {
+                ctl.beat(2);
+                Ok(())
+            })
+            .map_err(|e| RuntimeError::Stage {
+                stage: "inference".to_string(),
+                reason: format!("executor rejected frame: {e}"),
+            })?;
         Ok(checksum_f32(out.data()))
     }
 }
@@ -920,22 +919,12 @@ pub(crate) fn run_inference(
         graph = cfg.model.build();
         match RungExec::build(&graph, costs.full.dtype, cfg.seed) {
             Ok(e) => full_exec = Some(e),
-            Err(e) => {
-                if cfg.supervise.is_none() {
-                    ctl.request_stop();
-                }
-                return StageExit::Failed(e.to_string());
-            }
+            Err(e) => return StageExit::Failed(e.to_string()),
         }
         if let (Some(sb), true) = (&costs.standby, cfg.sentry.is_some()) {
             match RungExec::build(&graph, sb.dtype, cfg.seed) {
                 Ok(e) => standby_exec = Some(e),
-                Err(e) => {
-                    if cfg.supervise.is_none() {
-                        ctl.request_stop();
-                    }
-                    return StageExit::Failed(e.to_string());
-                }
+                Err(e) => return StageExit::Failed(e.to_string()),
             }
         }
     }
@@ -996,14 +985,9 @@ pub(crate) fn run_inference(
             svc += sb.svc_ns;
             ctl.add_energy_mj(sb.energy_mj);
             if let Some(e) = &standby_exec {
-                match e.run(buf.meta.dims, buf.payload()) {
+                match e.run(ctl, buf.meta.dims, buf.payload()) {
                     Ok(d) => ctl.xor_digest(d),
-                    Err(err) => {
-                        if cfg.supervise.is_none() {
-                            ctl.request_stop();
-                        }
-                        return StageExit::Failed(err.to_string());
-                    }
+                    Err(err) => return StageExit::Failed(err.to_string()),
                 }
             }
         }
@@ -1011,14 +995,9 @@ pub(crate) fn run_inference(
             svc += costs.full.svc_ns;
             ctl.add_energy_mj(costs.full.energy_mj);
             if let Some(e) = &full_exec {
-                match e.run(buf.meta.dims, buf.payload()) {
+                match e.run(ctl, buf.meta.dims, buf.payload()) {
                     Ok(d) => ctl.xor_digest(d),
-                    Err(err) => {
-                        if cfg.supervise.is_none() {
-                            ctl.request_stop();
-                        }
-                        return StageExit::Failed(err.to_string());
-                    }
+                    Err(err) => return StageExit::Failed(err.to_string()),
                 }
             }
         }
@@ -1224,10 +1203,9 @@ pub(crate) struct Pipeline<'a> {
 
 impl Pipeline<'_> {
     /// Runs `f` with stage `s`'s body and its sink — the drain-and-account
-    /// body that replaces a stage whose restart budget is spent — while
-    /// holding the guard that closes the stage's output ring (the gateway
-    /// has none) once `f` returns or unwinds. `f` decides how the stage
-    /// runs: once, under the thread supervisor, or as a child's exit.
+    /// body that replaces a stage whose restart budget is spent. `f`
+    /// decides how the stage runs: under the thread supervisor, or as a
+    /// child's exit.
     pub(crate) fn with_stage<R>(
         &self,
         s: usize,
@@ -1251,7 +1229,6 @@ impl Pipeline<'_> {
             0 => run_capture_sink(ctl, trace),
             _ => run_consumer_sink(s, ctl, &rings[s - 1]),
         };
-        let _close = rings.get(s).map(|ring| CloseOnDrop { ring, ctl });
         f(&body, &sink)
     }
 }

@@ -24,8 +24,10 @@
 //!    conservation invariant (`completed + dropped + corrupted + lost ==
 //!    offered`) holds even for a permanently dead stage.
 //!
-//! Setting the budget to 0 gives the fail-stop arm of chaos experiments:
-//! the first failure permanently degrades the stage.
+//! Budget 0 is fail-stop: the first failure permanently degrades the
+//! stage. It is also the default: a run without supervision configured
+//! executes under this same supervisor at budget 0, so every failure takes
+//! one deterministic path.
 
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
@@ -35,9 +37,9 @@ use std::time::{Duration, Instant};
 
 use edgebench_devices::faults::rng::FaultRng;
 
-use super::shm::{send_signal, SIGKILL};
-use super::stage::{Ctl, StageExit, CHAOS_KILL_EXIT, EV_RESTART_BASE};
-use super::{RuntimeConfig, RuntimeError};
+use super::shm::{send_signal, SIGKILL, SIGTERM};
+use super::stage::{Ctl, StageExit, CHAOS_KILL_EXIT, EV_RESTART_BASE, STAGE_NAMES};
+use super::{RunObjects, RuntimeConfig, RuntimeError, StageKill};
 
 /// Stream tag for restart-backoff jitter draws.
 const TAG_SUP: u64 = 0x7375_7076; // "supv"
@@ -188,11 +190,12 @@ pub(crate) fn supervise_thread_stage(
 /// a stage's restart-request generation when its counter stalls for the
 /// configured window — which releases a body parked in a chaos hang so the
 /// wrapper can classify and restart it. Bumps to live stages are inert.
+/// Parks between polls; the caller unparks it after raising `stop`.
 pub(crate) fn run_hang_monitor(ctl: &Ctl, sup: &SuperviseConfig, stop: &AtomicBool) {
     let window = Duration::from_millis(sup.heartbeat_ms);
     let mut last: [(u64, Instant); 4] = std::array::from_fn(|s| (ctl.heartbeat(s), Instant::now()));
     while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(POLL);
+        std::thread::park_timeout(POLL);
         for (s, seen) in last.iter_mut().enumerate() {
             if ctl.done(s) {
                 continue;
@@ -235,15 +238,22 @@ impl ProcState {
 /// Process-mode supervisor: spawn the four stage children, then watch them
 /// via `try_wait` (deaths) and the shared heartbeat counters (hangs). A
 /// failed stage is restarted — same command line, reattaching to the same
-/// shm files — within its budget, then degraded to a `--sink` child.
-/// Returns which stages ended degraded, in pipeline order.
+/// shm files — within its budget, then degraded to a `--sink` child. A
+/// stage's output ring is closed only once its child is reaped as finished
+/// for good. `kill` SIGTERMs one stage on cue (a test hook). Returns which
+/// stages ended degraded, in pipeline order.
 pub(crate) fn run_supervised_processes(
-    sup: &SuperviseConfig,
     cfg: &RuntimeConfig,
     bin: &Path,
     dir: &Path,
-    ctl: &Ctl,
+    objs: &RunObjects,
+    kill: Option<StageKill>,
 ) -> Result<[bool; 4], RuntimeError> {
+    let (sup, ctl) = (&cfg.supervision(), &objs.ctl);
+    let mut kill = kill.and_then(|k| {
+        let victim = STAGE_NAMES.iter().position(|n| *n == k.stage)?;
+        Some((victim, k.after_processed))
+    });
     let spawn = |stage: usize, sink: bool| super::spawn_stage_child(bin, dir, cfg, stage, sink);
     let mut states = Vec::with_capacity(4);
     for stage in 0..4 {
@@ -264,6 +274,12 @@ pub(crate) fn run_supervised_processes(
     let window = Duration::from_millis(sup.heartbeat_ms);
     let hard_deadline = Instant::now() + Duration::from_secs(300);
     loop {
+        if let Some((victim, after)) = kill {
+            if ctl.processed(victim) >= after {
+                send_signal(states[victim].child.id(), SIGTERM);
+                kill = None;
+            }
+        }
         let mut all_done = true;
         for (stage, st) in states.iter_mut().enumerate() {
             if st.finished {
@@ -274,6 +290,9 @@ pub(crate) fn run_supervised_processes(
                 Ok(Some(status)) => {
                     if exited_clean(ctl, stage, status, st.is_sink) {
                         st.finished = true;
+                        if let Some(ring) = objs.rings.get(stage) {
+                            ring.close();
+                        }
                         continue;
                     }
                     let kind = if st.hang_killed {
@@ -336,22 +355,20 @@ pub(crate) fn run_supervised_processes(
     Ok(std::array::from_fn(|stage| states[stage].degraded))
 }
 
-/// Whether a child's exit needs no restart: it succeeded after draining
-/// its input, after obeying a raised stop flag, or as a sink. Both process
-/// loops classify exits by this one rule.
+/// Whether a child's exit finishes its stage for good: it succeeded after
+/// draining its input, or as a sink. Any other exit — a crash, a hang
+/// kill, a typed failure, a SIGTERM — is a failure the one process loop
+/// restarts within budget.
 pub(crate) fn exited_clean(ctl: &Ctl, stage: usize, status: ExitStatus, sink: bool) -> bool {
-    status.success() && (ctl.done(stage) || sink || ctl.stop_requested())
+    status.success() && (ctl.done(stage) || sink)
 }
 
 /// Translate a child stage body's exit into the process exit protocol:
-/// chaos kills die abruptly (destructors skipped, rings left open for the
-/// replacement), typed failures become a nonzero exit the supervisor
-/// classifies as a crash.
+/// chaos kills die abruptly with [`CHAOS_KILL_EXIT`], typed failures become
+/// a nonzero exit the supervisor classifies as a crash.
 pub(crate) fn finish_child(stage: &str, exit: StageExit) -> Result<(), RuntimeError> {
     match exit {
         StageExit::Done | StageExit::Stopped => Ok(()),
-        // No unwinding and no destructors: the rings must stay open for
-        // the restarted instance to reattach.
         StageExit::Killed | StageExit::Hung => std::process::exit(CHAOS_KILL_EXIT),
         StageExit::Failed(reason) => Err(RuntimeError::Stage {
             stage: stage.to_string(),

@@ -5,11 +5,14 @@
 //! the gateway (at-most-once), every offered frame ends up in exactly one
 //! of completed / dropped / corrupted / lost (conservation), and the full
 //! report is byte-identical across reruns and across the thread vs
-//! process layouts. The named tests pin the ISSUE acceptance criteria:
-//! recovery within the restart budget, and unsupervised failures degrading
-//! instead of wedging the run.
+//! process layouts. The named tests pin recovery within the restart
+//! budget, and one failure policy: a run without supervision is a
+//! supervised run at budget 0, so its failures degrade a stage instead of
+//! wedging the run, and replay one report in both layouts.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use edgebench::runtime::{self, RuntimeConfig, RuntimeReport, SuperviseConfig};
 use edgebench::serve::{TraceFile, Traffic};
@@ -95,6 +98,13 @@ fn shm_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ebrt-chaos-{tag}-{}", std::process::id()))
 }
 
+fn strip_mode(csv: &str) -> String {
+    csv.lines()
+        .filter(|l| !l.starts_with("mode,"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
@@ -112,12 +122,6 @@ proptest! {
         let procs = runtime::run_processes(&cfg, &t, cli_bin()).expect("procs run");
         let _ = std::fs::remove_dir_all(&shm);
 
-        let strip_mode = |csv: &str| {
-            csv.lines()
-                .filter(|l| !l.starts_with("mode,"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
         prop_assert_eq!(
             strip_mode(&threads.to_csv()),
             strip_mode(&procs.to_csv()),
@@ -200,9 +204,9 @@ fn budget_exhaustion_degrades_and_still_conserves() {
     assert_conserved(&r);
 }
 
-/// Satellite 1: without supervision a chaos kill (a stand-in for any stage
-/// panic) must degrade the run — stop flag raised, stage reported — not
-/// abort the whole process or wedge the remaining stages.
+/// Without supervision a chaos kill (a stand-in for any stage panic) must
+/// degrade the run — the stage replaced by a sink, its frames accounted as
+/// lost — not abort the whole process or wedge the remaining stages.
 #[test]
 fn unsupervised_kill_degrades_instead_of_aborting() {
     let plan = ChaosPlan::parse("kill@2:15").unwrap();
@@ -215,9 +219,57 @@ fn unsupervised_kill_degrades_instead_of_aborting() {
         r.degraded
     );
     assert!(!r.supervised);
-    // Unsupervised shutdown is fail-stop, not conservation-complete: the
-    // prefix completed before the kill is all we guarantee.
     assert!(r.completed < r.offered);
+    assert_conserved(&r);
+}
+
+/// A hang needs no supervision configured: the budget-0 supervisor's stall
+/// detector puts the stage down and a sink drains the rest, with the same
+/// report in both layouts.
+#[test]
+fn unsupervised_hang_degrades_and_conserves() {
+    let shm = shm_dir("unsup-hang");
+    let cfg = base_cfg(23)
+        .with_chaos(ChaosPlan::parse("hang@2:10").unwrap())
+        .with_shm_dir(shm.clone());
+    let t = trace(23);
+
+    let threads = runtime::run_replay(&cfg, &t).expect("thread replay");
+    let procs = runtime::run_processes(&cfg, &t, cli_bin()).expect("procs run");
+    let _ = std::fs::remove_dir_all(&shm);
+
+    for r in [&threads, &procs] {
+        assert_eq!(r.degraded, ["inference"], "mode {}", r.mode);
+        assert_eq!(r.restarts, 0);
+        assert_conserved(r);
+    }
+    assert_eq!(strip_mode(&threads.to_csv()), strip_mode(&procs.to_csv()));
+}
+
+/// The unsupervised `kill@1:15` command replays one report, run after run
+/// and in both layouts: the killed stage's sink drains every later frame.
+#[test]
+fn unsupervised_kill_replays_one_report_in_both_layouts() {
+    let run = |layout: &[&str]| {
+        let o = Command::new(cli_bin())
+            .args(["runtime", "--model", "cifarnet", "--device", "jetson-nano"])
+            .args(["--frames", "60", "--rate", "60", "--chaos", "kill@1:15"])
+            .args(layout)
+            .output()
+            .expect("run edgebench-cli");
+        assert!(
+            o.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&o.stderr)
+        );
+        strip_mode(&String::from_utf8(o.stdout).expect("utf-8 report"))
+    };
+    let reports: BTreeSet<String> = (0..3).flat_map(|_| [run(&[]), run(&["--procs"])]).collect();
+    assert_eq!(reports.len(), 1, "distinct reports: {reports:#?}");
+    let report = reports.first().expect("one report");
+    for row in ["offered,60", "completed,15", "lost,45", "supervised,0"] {
+        assert!(report.lines().any(|l| l == row), "no {row} in {report}");
+    }
 }
 
 /// Without supervision a killed stage is the only degraded one, in either

@@ -5,7 +5,7 @@
 //! replay reports at a fixed seed, sentry-mode energy savings with no
 //! missed escalations, and deterministic IPC corruption detection.
 
-use edgebench::runtime::{self, DropPolicy, RuntimeConfig, SentryConfig};
+use edgebench::runtime::{self, DropPolicy, ExecMode, RuntimeConfig, RuntimeError, SentryConfig};
 use edgebench::serve::{ServeConfig, TraceFile, Traffic};
 use edgebench_devices::Device;
 use edgebench_models::Model;
@@ -206,4 +206,13 @@ fn config_validation_rejects_bad_settings() {
     // CifarNet/JetsonNano has a single-rung ladder: sentry is impossible.
     let bad_sentry = small_cfg().with_sentry(SentryConfig::default());
     assert!(runtime::run_replay(&bad_sentry, &t).is_err());
+    // C3D's 5-dim clip does not fit a frame header's 4 dims: real execution
+    // is a config error, modelled execution still runs.
+    let c3d = RuntimeConfig::new(Model::C3d, Device::JetsonNano);
+    let real = c3d.clone().with_exec(ExecMode::Real);
+    assert!(matches!(
+        runtime::run_replay(&real, &t),
+        Err(RuntimeError::Config { .. })
+    ));
+    assert!(runtime::run_replay(&c3d, &t).is_ok());
 }

@@ -2,15 +2,16 @@
 //! process (children of the real `edgebench-cli` binary) over mmap ring
 //! buffers, driven by [`edgebench::runtime::run_processes`].
 //!
-//! Covers the ISSUE acceptance criteria that need real processes: the
-//! procs report matches the thread loopback byte-for-byte (modulo the mode
-//! row), and SIGTERM of a middle stage degrades gracefully — upstream
-//! stops, the shutdown drains, no shm files survive.
+//! Covers what needs real processes: the procs report matches the thread
+//! loopback byte-for-byte (modulo the mode row), a SIGTERMed stage is a
+//! failed stage — restarted within budget, replaced by a sink at budget 0
+//! — and no shm files survive.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::time::{Duration, Instant};
 
-use edgebench::runtime::{self, RuntimeConfig, SentryConfig, StageKill};
+use edgebench::runtime::{self, ExecMode, RuntimeConfig, SentryConfig, StageKill, SuperviseConfig};
 use edgebench::serve::{TraceFile, Traffic};
 use edgebench_devices::Device;
 use edgebench_models::Model;
@@ -31,6 +32,13 @@ fn assert_no_leftovers(dir: &Path) {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+fn strip_mode(csv: &str) -> String {
+    csv.lines()
+        .filter(|l| !l.starts_with("mode,"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 #[test]
 fn procs_report_matches_thread_loopback() {
     let shm = shm_dir("match");
@@ -45,12 +53,6 @@ fn procs_report_matches_thread_loopback() {
         .unwrap()
         .to_csv();
 
-    let strip_mode = |csv: &str| {
-        csv.lines()
-            .filter(|l| !l.starts_with("mode,"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
     assert!(threads.contains("mode,threads"));
     assert!(procs.contains("mode,procs"));
     assert_eq!(
@@ -116,6 +118,76 @@ fn sigterm_of_middle_stage_degrades_gracefully() {
     assert!(completed >= 30, "drained prefix missing: {completed}");
     assert!(completed < 300, "SIGTERM had no effect: {completed}");
     // No orphaned shm segments after the degraded shutdown.
+    assert_no_leftovers(&shm);
+}
+
+#[test]
+fn sigterm_of_supervised_stage_restarts_and_conserves() {
+    let shm = shm_dir("sigterm-sup");
+    // The same paced run as above, now with a restart budget: the SIGTERMed
+    // stage restarts over its still-open rings, and the run finishes.
+    let cfg = RuntimeConfig::new(Model::CifarNet, Device::JetsonNano)
+        .with_seed(37)
+        .with_pace(true)
+        .with_supervise(SuperviseConfig::default().with_restart_budget(3))
+        .with_shm_dir(shm.clone());
+    let t = TraceFile::generate(&Traffic::poisson(150.0, 37), 300, 0.0, 37).unwrap();
+
+    let start = Instant::now();
+    let out = runtime::run_processes_with_kill(
+        &cfg,
+        &t,
+        cli_bin(),
+        Some(StageKill {
+            stage: "preprocess",
+            after_processed: 30,
+        }),
+    )
+    .unwrap();
+    let elapsed = start.elapsed();
+
+    assert!(
+        elapsed < Duration::from_secs(20),
+        "the restarted stage wedged the run for {elapsed:?}"
+    );
+    assert!(out.degraded.is_empty(), "degraded: {:?}", out.degraded);
+    assert_eq!(out.restarts, 1, "one SIGTERM, one restart");
+    assert_eq!(out.stages[1].restarts, 1, "the restart is preprocess's");
+    assert_eq!(out.offered, 300);
+    assert_eq!(
+        out.completed + out.dropped + out.corrupted + out.lost,
+        out.offered,
+        "conservation"
+    );
+    assert_eq!(out.duplicates, 0);
+    assert_no_leftovers(&shm);
+}
+
+#[test]
+fn supervised_real_exec_is_not_mistaken_for_a_hang() {
+    let shm = shm_dir("real-exec");
+    // A MobileNet-v2 frame outlasts the stall window by about 3x, and its
+    // slowest node stays about 3x inside it: ~1.8 s and ~0.13 s against
+    // 500 ms unoptimized, ~0.22 s and ~0.02 s against 60 ms optimized. The
+    // inference stage beats once per executed node, so its child is never
+    // killed as hung.
+    let heartbeat_ms = if cfg!(debug_assertions) { 500 } else { 60 };
+    let cfg = RuntimeConfig::new(Model::MobileNetV2, Device::JetsonNano)
+        .with_exec(ExecMode::Real)
+        .with_supervise(SuperviseConfig::default().with_heartbeat_ms(heartbeat_ms))
+        .with_shm_dir(shm.clone());
+    let t = TraceFile::generate(&Traffic::poisson(60.0, 3), 3, 0.1, 3).unwrap();
+
+    let threads = runtime::run_replay(&cfg, &t).unwrap();
+    let procs = runtime::run_processes(&cfg, &t, cli_bin()).unwrap();
+
+    assert_eq!(procs.restarts, 0, "a live frame was killed as a hang");
+    assert_eq!(procs.completed, 3);
+    assert_eq!(
+        strip_mode(&threads.to_csv()),
+        strip_mode(&procs.to_csv()),
+        "real execution must not depend on the process layout"
+    );
     assert_no_leftovers(&shm);
 }
 

@@ -143,12 +143,6 @@ impl ChaosPlan {
         self.events.is_empty()
     }
 
-    /// True if the plan contains any hang events (which require stall
-    /// detection to recover from).
-    pub fn has_hangs(&self) -> bool {
-        self.events.iter().any(|e| e.kind == ChaosKind::Hang)
-    }
-
     /// Number of events that take the stage down (kill, hang, or panic —
     /// everything except corruption).
     pub fn failure_count(&self) -> usize {
@@ -278,8 +272,7 @@ mod tests {
     #[test]
     fn failure_and_hang_queries_classify_kinds() {
         let plan = ChaosPlan::parse("kill@0:1,hang@1:2,corrupt@2:3,panic@3:4").unwrap();
-        assert!(plan.has_hangs());
         assert_eq!(plan.failure_count(), 3);
-        assert!(!ChaosPlan::parse("corrupt@1:1").unwrap().has_hangs());
+        assert_eq!(ChaosPlan::parse("corrupt@1:1").unwrap().failure_count(), 0);
     }
 }

@@ -55,6 +55,19 @@ cargo test -q --offline -p edgebench --test runtime_mp \
     sigterm_of_middle_stage_degrades_gracefully
 cargo test -q --offline -p edgebench --test chaos \
     unsupervised_kill_degrades_the_same_stage_in_both_layouts
+# One failure policy: a run without supervision is a supervised run at
+# restart budget 0, so the unsupervised kill@1:15 command replays one report
+# in both layouts and an unsupervised hang degrades and conserves. A
+# SIGTERMed supervised stage restarts over its still-open rings, and real
+# execution beats once per node, so a long frame is never killed as a hang.
+cargo test -q --offline -p edgebench --test chaos \
+    unsupervised_kill_replays_one_report_in_both_layouts
+cargo test -q --offline -p edgebench --test chaos \
+    unsupervised_hang_degrades_and_conserves
+cargo test -q --offline -p edgebench --test runtime_mp \
+    sigterm_of_supervised_stage_restarts_and_conserves
+cargo test -q --offline -p edgebench --test runtime_mp \
+    supervised_real_exec_is_not_mistaken_for_a_hang
 # The supervision contracts, named explicitly: a curated chaos campaign
 # must recover every stage within its restart budget with at-most-once
 # accounting, and any generated campaign must conserve frames and replay
