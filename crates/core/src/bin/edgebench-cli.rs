@@ -875,7 +875,7 @@ fn run_serve(args: &[String]) -> ExitCode {
     };
     let traffic = Traffic::from_flag(&run.trace, run.rate_hz, run.cfg.seed)
         .expect("trace validated at parse time");
-    let mut specs = Vec::new();
+    let mut per_device = Vec::new();
     for &device in &run.devices {
         let Some(spec) = ReplicaSpec::best_for(run.model, device) else {
             eprintln!(
@@ -885,8 +885,11 @@ fn run_serve(args: &[String]) -> ExitCode {
             );
             return ExitCode::FAILURE;
         };
-        specs.extend(std::iter::repeat_n(spec, run.replicas));
+        per_device.push(spec);
     }
+    let specs = per_device
+        .iter()
+        .flat_map(|&spec| std::iter::repeat_n(spec, run.replicas));
     let fleet = match Fleet::new(specs) {
         Ok(f) => f,
         Err(e) => {

@@ -17,7 +17,7 @@ use edgebench_models::{rnn, Model};
 
 /// Next-generation devices (paper footnotes ? and ◇ of Table III).
 #[derive(Debug, Clone, Copy)]
-pub struct ExtNextGen;
+pub(crate) struct ExtNextGen;
 
 impl Experiment for ExtNextGen {
     fn id(&self) -> &'static str {
@@ -77,7 +77,7 @@ impl Experiment for ExtNextGen {
 
 /// Edge vs cloud offloading across link qualities.
 #[derive(Debug, Clone, Copy)]
-pub struct ExtOffload;
+pub(crate) struct ExtOffload;
 
 impl Experiment for ExtOffload {
     fn id(&self) -> &'static str {
@@ -133,7 +133,7 @@ impl Experiment for ExtOffload {
 
 /// RNN/LSTM characterization (the paper's future work).
 #[derive(Debug, Clone, Copy)]
-pub struct ExtRnn;
+pub(crate) struct ExtRnn;
 
 impl Experiment for ExtRnn {
     fn id(&self) -> &'static str {

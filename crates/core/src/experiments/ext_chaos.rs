@@ -25,7 +25,7 @@ use edgebench_devices::Device;
 use edgebench_models::Model;
 
 /// `ext-chaos` — chaos campaign on the zero-copy pipeline.
-pub struct ExtChaos;
+pub(crate) struct ExtChaos;
 
 /// Trace seed: both arms replay identical arrivals.
 const SEED: u64 = 83;

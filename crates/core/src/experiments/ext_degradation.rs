@@ -19,7 +19,7 @@ use edgebench_devices::Device;
 use edgebench_models::Model;
 
 /// `ext-degradation` — resilience-arm comparison on a degraded fleet.
-pub struct ExtDegradation;
+pub(crate) struct ExtDegradation;
 
 /// p99 latency objective, milliseconds.
 const SLO_MS: f64 = 150.0;

@@ -20,7 +20,7 @@ use crate::report::Report;
 use crate::serve::geo::{default_regions, run_geo, GeoConfig, GeoReport, RegionSpec};
 
 /// `ext-geo` — multi-region serving with energy and carbon accounting.
-pub struct ExtGeo;
+pub(crate) struct ExtGeo;
 
 /// Requests per region: covers one full compressed day at the default
 /// 20→240 Hz swing (mean ≈ 130 Hz over a 60 s day).

@@ -18,7 +18,7 @@ use edgebench_models::Model;
 
 /// `ext-resilience` — throughput vs failure rate and recovery latency,
 /// with and without repartitioning.
-pub struct ExtResilience;
+pub(crate) struct ExtResilience;
 
 /// The collaborative-Pi LAN used throughout the distributed experiments.
 fn lan() -> Link {

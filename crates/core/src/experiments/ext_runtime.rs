@@ -25,7 +25,7 @@ use edgebench_devices::Device;
 use edgebench_models::Model;
 
 /// `ext-runtime-vs-sim` — simulator predictions vs runtime measurements.
-pub struct ExtRuntime;
+pub(crate) struct ExtRuntime;
 
 /// Trace seed shared by every arm: sim and runtime replay identical
 /// arrivals and identical ground-truth hit bits.

@@ -31,7 +31,7 @@ use edgebench_models::Model;
 use edgebench_tensor::{ExecError, Executor, GuardConfig, GuardedExecutor, Precision, Tensor};
 
 /// `ext-sdc` — bit-flip injection vs the integrity-guard defense.
-pub struct ExtSdc;
+pub(crate) struct ExtSdc;
 
 /// Weight seed shared by the pristine reference and the victim runs.
 const SEED: u64 = 7;

@@ -16,7 +16,7 @@ use edgebench_devices::Device;
 use edgebench_models::Model;
 
 /// `ext-serving` — max sustainable QPS per fleet × routing × batching arm.
-pub struct ExtServing;
+pub(crate) struct ExtServing;
 
 /// p99 latency objective, milliseconds.
 const SLO_MS: f64 = 100.0;

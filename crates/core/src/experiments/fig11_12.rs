@@ -43,7 +43,7 @@ fn energy_mj(device: Device, model: Model) -> Option<f64> {
 
 /// Fig 11: energy per inference (mJ, log scale in the paper).
 #[derive(Debug, Clone, Copy)]
-pub struct Fig11;
+pub(crate) struct Fig11;
 
 impl Experiment for Fig11 {
     fn id(&self) -> &'static str {
@@ -76,7 +76,7 @@ impl Experiment for Fig11 {
 
 /// Fig 12: inference time vs active power (both log in the paper).
 #[derive(Debug, Clone, Copy)]
-pub struct Fig12;
+pub(crate) struct Fig12;
 
 impl Experiment for Fig12 {
     fn id(&self) -> &'static str {

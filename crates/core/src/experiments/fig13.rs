@@ -31,7 +31,7 @@ fn paper_values(m: Model) -> (f64, f64) {
 
 /// Fig 13 experiment.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig13;
+pub(crate) struct Fig13;
 
 impl Experiment for Fig13 {
     fn id(&self) -> &'static str {

@@ -27,7 +27,7 @@ fn sustained_power_w(d: Device) -> f64 {
 
 /// Fig 14 experiment.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig14;
+pub(crate) struct Fig14;
 
 impl Experiment for Fig14 {
     fn id(&self) -> &'static str {
@@ -92,7 +92,7 @@ impl Experiment for Fig14 {
 
 /// Table VI experiment: cooling equipment and idle temperatures.
 #[derive(Debug, Clone, Copy)]
-pub struct Table6;
+pub(crate) struct Table6;
 
 impl Experiment for Table6 {
     fn id(&self) -> &'static str {

@@ -71,7 +71,7 @@ fn paper_ms(device: Device, model: Model) -> Option<f64> {
 
 /// Fig 2 experiment.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig2;
+pub(crate) struct Fig2;
 
 impl Experiment for Fig2 {
     fn id(&self) -> &'static str {

@@ -59,7 +59,7 @@ fn run_device(device: Device, title: &'static str, unit_scale: f64, unit: &str) 
 
 /// Fig 3: the Raspberry Pi (seconds per inference).
 #[derive(Debug, Clone, Copy)]
-pub struct Fig3;
+pub(crate) struct Fig3;
 
 impl Experiment for Fig3 {
     fn id(&self) -> &'static str {
@@ -84,7 +84,7 @@ impl Experiment for Fig3 {
 
 /// Fig 4: the Jetson TX2 (milliseconds per inference).
 #[derive(Debug, Clone, Copy)]
-pub struct Fig4;
+pub(crate) struct Fig4;
 
 impl Experiment for Fig4 {
     fn id(&self) -> &'static str {

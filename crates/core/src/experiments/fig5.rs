@@ -10,7 +10,7 @@ use edgebench_models::Model;
 
 /// Fig 5 experiment.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig5;
+pub(crate) struct Fig5;
 
 /// The paper profiles 30 inferences on the RPi and 1000 on the TX2 (§VI-B3).
 fn inferences_for(device: Device) -> usize {

@@ -15,7 +15,7 @@ const MODELS: [Model; 4] = [
 
 /// Fig 6 experiment.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig6;
+pub(crate) struct Fig6;
 
 impl Experiment for Fig6 {
     fn id(&self) -> &'static str {

@@ -25,7 +25,7 @@ pub(crate) fn paper_values(m: Model) -> Option<(f64, f64)> {
 
 /// Fig 7 experiment.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig7;
+pub(crate) struct Fig7;
 
 impl Experiment for Fig7 {
     fn id(&self) -> &'static str {

@@ -29,7 +29,7 @@ fn paper_values(m: Model) -> (f64, f64, f64) {
 
 /// Fig 8 experiment.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig8;
+pub(crate) struct Fig8;
 
 impl Experiment for Fig8 {
     fn id(&self) -> &'static str {

@@ -33,7 +33,7 @@ const DEVICES: [Device; 5] = [
 
 /// Fig 9: absolute latency.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig9;
+pub(crate) struct Fig9;
 
 impl Experiment for Fig9 {
     fn id(&self) -> &'static str {
@@ -62,7 +62,7 @@ impl Experiment for Fig9 {
 
 /// Fig 10: speedup of each platform over the Jetson TX2, with geomean.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig10;
+pub(crate) struct Fig10;
 
 impl Experiment for Fig10 {
     fn id(&self) -> &'static str {

@@ -7,7 +7,7 @@ use edgebench_models::Model;
 /// Table I: input size, GFLOP, parameters, FLOP/param — derived from the
 /// graph builders, next to the paper's printed values.
 #[derive(Debug, Clone, Copy)]
-pub struct Table1;
+pub(crate) struct Table1;
 
 impl Experiment for Table1 {
     fn id(&self) -> &'static str {
@@ -56,7 +56,7 @@ impl Experiment for Table1 {
 
 /// Fig 1: models sorted by FLOP/param (compute intensity).
 #[derive(Debug, Clone, Copy)]
-pub struct Fig1;
+pub(crate) struct Fig1;
 
 impl Experiment for Fig1 {
     fn id(&self) -> &'static str {

@@ -15,7 +15,7 @@ fn yn(v: bool) -> &'static str {
 
 /// Table II experiment.
 #[derive(Debug, Clone, Copy)]
-pub struct Table2;
+pub(crate) struct Table2;
 
 impl Experiment for Table2 {
     fn id(&self) -> &'static str {

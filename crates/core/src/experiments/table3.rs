@@ -9,7 +9,7 @@ use edgebench_measure::instruments::{meter_for, PowerMeter};
 
 /// Table III experiment.
 #[derive(Debug, Clone, Copy)]
-pub struct Table3;
+pub(crate) struct Table3;
 
 impl Experiment for Table3 {
     fn id(&self) -> &'static str {

@@ -9,7 +9,7 @@ use edgebench_models::Model;
 
 /// Table V experiment.
 #[derive(Debug, Clone, Copy)]
-pub struct Table5;
+pub(crate) struct Table5;
 
 impl Experiment for Table5 {
     fn id(&self) -> &'static str {

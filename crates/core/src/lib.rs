@@ -1,6 +1,6 @@
 //! # edgebench
 //!
-//! The experiment harness of the reproduction: one [`Experiment`] per table
+//! The experiment harness of the reproduction: one [`experiments::Experiment`] per table
 //! and figure of the paper's evaluation, each regenerating the same
 //! rows/series the paper reports (paper reference values are carried
 //! alongside model outputs wherever the paper prints them).
@@ -34,5 +34,4 @@ pub mod serve;
 pub mod sweep;
 pub mod workload;
 
-pub use experiments::Experiment;
 pub use report::Report;

@@ -27,7 +27,7 @@
 ///
 /// `0` means "ask the OS" ([`std::thread::available_parallelism`], falling
 /// back to 1 when unavailable); any other value is used as given.
-pub fn effective_jobs(requested: usize) -> usize {
+pub(crate) fn effective_jobs(requested: usize) -> usize {
     edgebench_tensor::pool::effective_threads(requested)
 }
 
@@ -40,7 +40,7 @@ pub fn effective_jobs(requested: usize) -> usize {
 /// of scheduling. Work is distributed dynamically (an atomic cursor), so
 /// uneven per-item cost still load-balances.
 ///
-/// `jobs == 0` resolves via [`effective_jobs`]; `jobs == 1` (or a single
+/// `jobs == 0` resolves via `effective_jobs`; `jobs == 1` (or a single
 /// input) runs inline on the caller's thread with no pool at all.
 ///
 /// # Panics

@@ -35,13 +35,9 @@ impl Report {
         }
     }
 
-    /// The report title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Column headers.
-    pub fn columns(&self) -> &[String] {
+    #[cfg(test)]
+    pub(crate) fn columns(&self) -> &[String] {
         &self.columns
     }
 
@@ -51,7 +47,8 @@ impl Report {
     }
 
     /// Free-form notes rendered under the table.
-    pub fn notes(&self) -> &[String] {
+    #[cfg(test)]
+    pub(crate) fn notes(&self) -> &[String] {
         &self.notes
     }
 
@@ -73,18 +70,18 @@ impl Report {
     }
 
     /// Appends a note line.
-    pub fn push_note(&mut self, note: impl Into<String>) {
+    pub(crate) fn push_note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
     }
 
     /// Finds a cell by row key (first column) and column header.
-    pub fn cell(&self, row_key: &str, column: &str) -> Option<&str> {
+    pub(crate) fn cell(&self, row_key: &str, column: &str) -> Option<&str> {
         let ci = self.columns.iter().position(|c| c == column)?;
         let row = self.rows.iter().find(|r| r[0] == row_key)?;
         row.get(ci).map(String::as_str)
     }
 
-    /// Parses a cell as `f64` (see [`Report::cell`]).
+    /// Parses a cell as `f64` (see `Report::cell`).
     pub fn cell_f64(&self, row_key: &str, column: &str) -> Option<f64> {
         self.cell(row_key, column)?.parse().ok()
     }
@@ -170,15 +167,7 @@ fn fmt_sig(v: f64) -> String {
 }
 
 /// Formats a latency in milliseconds with report-appropriate precision.
-pub fn fmt_ms(v: f64) -> String {
-    fmt_sig(v)
-}
-
-/// Formats an energy in millijoules with report-appropriate precision.
-///
-/// Same significant-digit policy as [`fmt_ms`]; a separate entry point so
-/// call sites say which unit they mean and the two can diverge later.
-pub fn fmt_mj(v: f64) -> String {
+pub(crate) fn fmt_ms(v: f64) -> String {
     fmt_sig(v)
 }
 
@@ -231,13 +220,5 @@ mod tests {
         assert_eq!(fmt_ms(1234.5), "1234");
         assert_eq!(fmt_ms(56.78), "56.8");
         assert_eq!(fmt_ms(2.345), "2.35");
-    }
-
-    #[test]
-    fn fmt_mj_scales_precision_like_fmt_ms() {
-        assert_eq!(fmt_mj(8200.0), "8200");
-        assert_eq!(fmt_mj(137.9), "138");
-        assert_eq!(fmt_mj(56.78), "56.8");
-        assert_eq!(fmt_mj(0.42), "0.42");
     }
 }

@@ -41,7 +41,8 @@ use ring::RingBuffer;
 use shm::SharedMap;
 use stage::{CloseOnDrop, Ctl, Pipeline, DETECTION_ELEMS, STAGE_NAMES};
 
-pub use report::{RuntimeEvent, RuntimeEventKind, RuntimeReport, StageReport};
+pub(crate) use report::{RuntimeEvent, StageReport};
+pub use report::{RuntimeEventKind, RuntimeReport};
 pub use ring::DropPolicy;
 pub use sentry::SentryConfig;
 pub use supervise::SuperviseConfig;
@@ -269,7 +270,7 @@ impl RuntimeConfig {
     /// capacity, an out-of-range probability or supervision knob, or real
     /// execution of a model whose input has more than the four dims a
     /// frame header carries.
-    pub fn validate(&self) -> Result<(), RuntimeError> {
+    pub(crate) fn validate(&self) -> Result<(), RuntimeError> {
         if self.ring_capacity == 0 || !self.ring_capacity.is_power_of_two() {
             return Err(RuntimeError::config(
                 "ring capacity must be a non-zero power of two",

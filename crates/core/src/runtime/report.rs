@@ -144,7 +144,7 @@ impl RuntimeReport {
     }
 
     /// Completed frames per second of virtual span.
-    pub fn goodput_qps(&self) -> f64 {
+    pub(crate) fn goodput_qps(&self) -> f64 {
         if self.span_s <= 0.0 {
             0.0
         } else {

@@ -43,14 +43,14 @@ const HEADER_BYTES: usize = 64;
 const SLOT_HEADER_BYTES: usize = 80;
 
 /// Bounded wait slice for futex parks; a lost wakeup costs at most this much.
-pub const RETRY_SLICE: Duration = Duration::from_millis(10);
+pub(crate) const RETRY_SLICE: Duration = Duration::from_millis(10);
 
 /// Frame flag: ground-truth "object present" bit from the trace.
-pub const FLAG_HIT: u32 = 1;
+pub(crate) const FLAG_HIT: u32 = 1;
 /// Frame flag: the sentry escalated this frame to the full model.
-pub const FLAG_ESCALATED: u32 = 2;
+pub(crate) const FLAG_ESCALATED: u32 = 2;
 /// Frame flag: frame was served by the standby rung only.
-pub const FLAG_STANDBY: u32 = 4;
+pub(crate) const FLAG_STANDBY: u32 = 4;
 
 /// Backpressure policy when a ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +63,7 @@ pub enum DropPolicy {
 
 impl DropPolicy {
     /// Stable flag-facing name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DropPolicy::Block => "block",
             DropPolicy::DropOldest => "drop-oldest",
@@ -275,13 +275,8 @@ impl RingBuffer {
         self.capacity as usize
     }
 
-    /// Payload elements per slot.
-    pub fn payload_elems(&self) -> usize {
-        self.payload_elems
-    }
-
     /// Frames evicted by drop-oldest so far.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped_word().load(Ordering::Acquire)
     }
 
@@ -352,7 +347,7 @@ impl RingBuffer {
     }
 
     /// Whether the producer has closed the ring.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.closed_word().load(Ordering::Acquire) == 1
     }
 
@@ -508,7 +503,8 @@ impl std::fmt::Debug for SlotGuard<'_> {
 
 impl SlotGuard<'_> {
     /// Sequence number this slot will publish as.
-    pub fn seq(&self) -> u64 {
+    #[cfg(test)]
+    fn seq(&self) -> u64 {
         self.seq
     }
 
@@ -516,7 +512,7 @@ impl SlotGuard<'_> {
     /// been through a full lap already. A blocking producer folds this into
     /// its virtual clock: the frame cannot have been written before the slot
     /// it reuses was vacated.
-    pub fn freed_stamp_ns(&self) -> Option<u64> {
+    pub(crate) fn freed_stamp_ns(&self) -> Option<u64> {
         if self.seq >= self.ring.capacity {
             Some(self.ring.stamp_word(self.seq).load(Ordering::Acquire))
         } else {

@@ -47,7 +47,7 @@ impl Default for SentryConfig {
 
 /// Controller state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SentryMode {
+pub(crate) enum SentryMode {
     /// Running the standby rung only.
     Standby,
     /// Running the full model; counts quiet frames toward stand-down.
@@ -56,7 +56,7 @@ pub enum SentryMode {
 
 /// What the inference stage should do with one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FramePlan {
+pub(crate) struct FramePlan {
     /// Run the standby (bottom) rung on this frame.
     pub run_standby: bool,
     /// Run the full (top) rung on this frame.
@@ -72,7 +72,7 @@ pub struct FramePlan {
 /// The sentry state machine. Deterministic: every decision is a pure
 /// function of `(seed, frame seq, ground-truth hit, prior state)`.
 #[derive(Debug, Clone)]
-pub struct Sentry {
+pub(crate) struct Sentry {
     cfg: SentryConfig,
     seed: u64,
     mode: SentryMode,
@@ -81,7 +81,8 @@ pub struct Sentry {
 
 impl Sentry {
     /// A controller starting in Standby.
-    pub fn new(cfg: SentryConfig, seed: u64) -> Sentry {
+    #[cfg(test)]
+    fn new(cfg: SentryConfig, seed: u64) -> Sentry {
         Sentry {
             cfg,
             seed,
@@ -93,8 +94,8 @@ impl Sentry {
     /// Rebuild a controller from persisted `(mode, quiet)` state — used by
     /// a restarted inference stage to resume the state machine exactly
     /// where the crashed instance left it. `(0, 0)` (a fresh control
-    /// block) is identical to [`Sentry::new`].
-    pub fn resume(cfg: SentryConfig, seed: u64, state: (u32, u32)) -> Sentry {
+    /// block) starts in Standby.
+    pub(crate) fn resume(cfg: SentryConfig, seed: u64, state: (u32, u32)) -> Sentry {
         Sentry {
             cfg,
             seed,
@@ -108,18 +109,19 @@ impl Sentry {
     }
 
     /// Current mode.
-    pub fn mode(&self) -> SentryMode {
+    #[cfg(test)]
+    fn mode(&self) -> SentryMode {
         self.mode
     }
 
     /// Persistable `(mode, quiet)` state; inverse of [`Sentry::resume`].
-    pub fn state(&self) -> (u32, u32) {
+    pub(crate) fn state(&self) -> (u32, u32) {
         (u32::from(self.mode == SentryMode::Alarmed), self.quiet)
     }
 
     /// Decide how to serve frame `seq` given its ground-truth hit bit, and
     /// advance the state machine.
-    pub fn plan(&mut self, seq: u64, hit: bool) -> FramePlan {
+    pub(crate) fn plan(&mut self, seq: u64, hit: bool) -> FramePlan {
         match self.mode {
             SentryMode::Standby => {
                 let detected = hit

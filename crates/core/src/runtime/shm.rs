@@ -119,17 +119,12 @@ impl SharedMap {
     }
 
     /// Length of the mapping in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// True when the mapping is empty (never the case for a live map).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Path of the backing file.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 
@@ -180,7 +175,7 @@ pub(crate) fn send_signal(_pid: u32, _sig: c_int) {}
 
 /// Pick the base directory for shared ring files: `/dev/shm` when it exists
 /// (Linux tmpfs), the system temp dir otherwise.
-pub fn shm_base_dir() -> PathBuf {
+pub(crate) fn shm_base_dir() -> PathBuf {
     let dev_shm = PathBuf::from("/dev/shm");
     if dev_shm.is_dir() {
         dev_shm
@@ -210,7 +205,7 @@ struct Timespec {
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
+pub(crate) fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
     let ts = Timespec {
         tv_sec: timeout.as_secs() as i64,
         tv_nsec: i64::from(timeout.subsec_nanos()),
@@ -231,7 +226,7 @@ pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-pub fn futex_wake(word: &AtomicU32) {
+pub(crate) fn futex_wake(word: &AtomicU32) {
     unsafe {
         syscall(SYS_FUTEX, word.as_ptr(), FUTEX_WAKE, c_int::MAX);
     }
@@ -244,7 +239,7 @@ pub fn futex_wake(word: &AtomicU32) {
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
-pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
+pub(crate) fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
     if word.load(std::sync::atomic::Ordering::Acquire) != expected {
         return;
     }
@@ -256,7 +251,7 @@ pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
-pub fn futex_wake(_word: &AtomicU32) {}
+pub(crate) fn futex_wake(_word: &AtomicU32) {}
 
 #[cfg(test)]
 mod tests {

@@ -150,12 +150,14 @@ impl CalendarQueue {
     }
 
     /// Total events queued (wheel plus overflow).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.wheel_len + self.overflow.len()
     }
 
     /// Whether the queue holds no events.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -257,7 +259,7 @@ impl CalendarQueue {
 /// The pluggable event queue: the calendar wheel or its binary-heap
 /// oracle, behind one push/pop interface.
 #[derive(Debug)]
-pub enum EventQueue {
+pub(crate) enum EventQueue {
     /// Bucketed time-wheel engine.
     Calendar(CalendarQueue),
     /// From-scratch `BinaryHeap` oracle.
@@ -266,7 +268,7 @@ pub enum EventQueue {
 
 impl EventQueue {
     /// Builds the queue for `kind`, sized for `n_events` over `span_ns`.
-    pub fn new(kind: EngineKind, span_ns: u64, n_events: usize) -> EventQueue {
+    pub(crate) fn new(kind: EngineKind, span_ns: u64, n_events: usize) -> EventQueue {
         match kind {
             EngineKind::Calendar => EventQueue::Calendar(CalendarQueue::new(span_ns, n_events)),
             EngineKind::BinaryHeap => EventQueue::Heap(BinaryHeap::new()),
@@ -274,7 +276,7 @@ impl EventQueue {
     }
 
     /// Inserts an event.
-    pub fn push(&mut self, ev: Event) {
+    pub(crate) fn push(&mut self, ev: Event) {
         match self {
             EventQueue::Calendar(q) => q.push(ev),
             EventQueue::Heap(h) => h.push(Reverse(ev)),
@@ -282,7 +284,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the `(time_ns, seq)`-minimum event.
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         match self {
             EventQueue::Calendar(q) => q.pop(),
             EventQueue::Heap(h) => h.pop().map(|Reverse(ev)| ev),
@@ -291,7 +293,7 @@ impl EventQueue {
 
     /// Pops the minimum event only if it fires strictly before
     /// `limit_ns` (see [`CalendarQueue::pop_if_before`]).
-    pub fn pop_if_before(&mut self, limit_ns: u64) -> Option<Event> {
+    pub(crate) fn pop_if_before(&mut self, limit_ns: u64) -> Option<Event> {
         match self {
             EventQueue::Calendar(q) => q.pop_if_before(limit_ns),
             EventQueue::Heap(h) => {

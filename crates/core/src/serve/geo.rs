@@ -195,22 +195,22 @@ pub struct RegionReport {
 
 impl RegionReport {
     /// Requests served somewhere (locally or in the cloud).
-    pub fn served(&self) -> usize {
+    pub(crate) fn served(&self) -> usize {
         self.report.completed + self.cloud_requests
     }
 
     /// Total energy attributable to the region, millijoules.
-    pub fn total_energy_mj(&self) -> f64 {
+    pub(crate) fn total_energy_mj(&self) -> f64 {
         self.report.energy_mj + self.cloud_energy_mj
     }
 
     /// Total operational carbon attributable to the region, mg CO₂.
-    pub fn total_carbon_mg(&self) -> f64 {
+    pub(crate) fn total_carbon_mg(&self) -> f64 {
         self.report.carbon_mg + self.cloud_carbon_mg
     }
 
     /// Mean energy per served request, millijoules.
-    pub fn energy_per_request_mj(&self) -> f64 {
+    pub(crate) fn energy_per_request_mj(&self) -> f64 {
         if self.served() > 0 {
             self.total_energy_mj() / self.served() as f64
         } else {
@@ -219,7 +219,7 @@ impl RegionReport {
     }
 
     /// Mean carbon per served request, milligrams CO₂.
-    pub fn carbon_per_request_mg(&self) -> f64 {
+    pub(crate) fn carbon_per_request_mg(&self) -> f64 {
         if self.served() > 0 {
             self.total_carbon_mg() / self.served() as f64
         } else {
@@ -237,12 +237,12 @@ pub struct GeoReport {
 
 impl GeoReport {
     /// Requests offered across all regions.
-    pub fn offered(&self) -> usize {
+    pub(crate) fn offered(&self) -> usize {
         self.regions.iter().map(|r| r.report.offered).sum()
     }
 
     /// Requests served across all regions (local + cloud).
-    pub fn served(&self) -> usize {
+    pub(crate) fn served(&self) -> usize {
         self.regions.iter().map(RegionReport::served).sum()
     }
 

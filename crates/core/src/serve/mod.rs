@@ -43,14 +43,15 @@ pub mod sim;
 pub mod traffic;
 
 pub use engine::EngineKind;
-pub use geo::{GeoConfig, GeoReport, RegionReport, RegionSpec};
-pub use report::{ReplicaReport, ServeReport};
+pub use geo::GeoConfig;
+pub use report::ServeReport;
+pub(crate) use resilience::ResilienceConfig;
 pub use resilience::{
-    BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, ResilienceConfig, RetryBudget,
-    RetryBudgetConfig, SdcConfig,
+    BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, RetryBudgetConfig, SdcConfig,
 };
-pub use sim::{QpsProbe, QpsScan};
-pub use traffic::{TraceError, TraceFile, TracePoint, Traffic};
+pub use sim::QpsProbe;
+pub(crate) use sim::QpsScan;
+pub use traffic::{TraceFile, TracePoint, Traffic};
 
 use crate::parallel;
 use crate::workload::WorkloadError;
@@ -65,7 +66,7 @@ use std::fmt;
 
 /// Largest batch size the per-replica service tables cover; configs may
 /// ask for any [`ServeConfig::batch_max`] up to this cap.
-pub const MAX_BATCH: usize = 32;
+pub(crate) const MAX_BATCH: usize = 32;
 
 /// The one milliseconds→nanoseconds conversion for the whole serve stack.
 ///
@@ -76,7 +77,7 @@ pub const MAX_BATCH: usize = 32;
 /// nearest nanosecond, maps NaN and negative durations to zero, and
 /// saturates at `u64::MAX` — so every call site agrees on the same clock
 /// arithmetic.
-pub fn ms_to_ns(ms: f64) -> u64 {
+pub(crate) fn ms_to_ns(ms: f64) -> u64 {
     to_ns(ms, 1e6)
 }
 
@@ -84,7 +85,7 @@ pub fn ms_to_ns(ms: f64) -> u64 {
 /// and saturation contract. Arrival traces are generated in fractional
 /// seconds; converting them with a bare `(t * 1e9) as u64` cast inherits
 /// every edge case `ms_to_ns` exists to fix.
-pub fn s_to_ns(s: f64) -> u64 {
+pub(crate) fn s_to_ns(s: f64) -> u64 {
     to_ns(s, 1e9)
 }
 
@@ -115,7 +116,7 @@ pub struct ReplicaSpec {
 
 impl ReplicaSpec {
     /// Stable report label, e.g. `jetson-nano/tensorrt`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!("{}/{}", self.device.name(), self.framework.name())
     }
 
@@ -231,7 +232,7 @@ pub struct CarbonProfile {
 
 impl CarbonProfile {
     /// A flat profile: the same intensity all day.
-    pub fn flat(g_per_kwh: f64) -> CarbonProfile {
+    pub(crate) fn flat(g_per_kwh: f64) -> CarbonProfile {
         CarbonProfile {
             hourly_g_per_kwh: [g_per_kwh; 24],
             day_s: 86_400.0,
@@ -239,20 +240,14 @@ impl CarbonProfile {
         }
     }
 
-    /// Returns the profile with the given simulated-day length.
-    pub fn with_day_s(mut self, day_s: f64) -> CarbonProfile {
-        self.day_s = day_s;
-        self
-    }
-
     /// Returns the profile with the given local-time phase, hours.
-    pub fn with_phase_h(mut self, phase_h: f64) -> CarbonProfile {
+    pub(crate) fn with_phase_h(mut self, phase_h: f64) -> CarbonProfile {
         self.phase_h = phase_h;
         self
     }
 
     /// Grid intensity at simulation time `t_s` seconds, gCO₂/kWh.
-    pub fn intensity_at(&self, t_s: f64) -> f64 {
+    pub(crate) fn intensity_at(&self, t_s: f64) -> f64 {
         let day = if self.day_s > 0.0 {
             self.day_s
         } else {
@@ -263,7 +258,7 @@ impl CarbonProfile {
     }
 
     /// Mean intensity over the day, gCO₂/kWh.
-    pub fn mean_g_per_kwh(&self) -> f64 {
+    pub(crate) fn mean_g_per_kwh(&self) -> f64 {
         self.hourly_g_per_kwh.iter().sum::<f64>() / 24.0
     }
 }
@@ -276,7 +271,7 @@ pub struct ServeConfig {
     /// Per-request latency objective, milliseconds (p99 target).
     pub slo_ms: f64,
     /// Dynamic batching: largest batch a replica fires (1 = batching
-    /// off). Capped at [`MAX_BATCH`] and at each replica's largest
+    /// off). Capped at `MAX_BATCH` and at each replica's largest
     /// feasible batch.
     pub batch_max: usize,
     /// Dynamic batching: longest a queued request may wait for its batch
@@ -352,12 +347,6 @@ impl ServeConfig {
     /// Returns the config with the given maximum batch size.
     pub fn with_batch_max(mut self, batch_max: usize) -> ServeConfig {
         self.batch_max = batch_max;
-        self
-    }
-
-    /// Returns the config with the given batch flush delay.
-    pub fn with_batch_delay_ms(mut self, delay_ms: f64) -> ServeConfig {
-        self.batch_delay_ms = delay_ms;
         self
     }
 
@@ -476,6 +465,11 @@ impl ServeConfig {
 pub enum ServeError {
     /// The fleet has no replicas.
     EmptyFleet,
+    /// A replica list this long does not fit in memory.
+    TooManyReplicas {
+        /// The replica count asked for (at least this many).
+        count: usize,
+    },
     /// A replica's batch-1 deployment is infeasible.
     Deploy {
         /// Index of the failing replica.
@@ -501,6 +495,9 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::EmptyFleet => write!(f, "fleet has no replicas"),
+            ServeError::TooManyReplicas { count } => {
+                write!(f, "cannot allocate a list of {count} replicas")
+            }
             ServeError::Deploy {
                 replica,
                 label,
@@ -526,7 +523,9 @@ impl Error for ServeError {
         match self {
             ServeError::Deploy { source, .. } => Some(source),
             ServeError::Workload(e) => Some(e),
-            ServeError::EmptyFleet | ServeError::NoDeployment { .. } => None,
+            ServeError::EmptyFleet
+            | ServeError::TooManyReplicas { .. }
+            | ServeError::NoDeployment { .. } => None,
         }
     }
 }
@@ -648,13 +647,13 @@ impl ReplicaModel {
     }
 
     /// The native-precision batch service table.
-    pub fn native(&self) -> &RungModel {
+    pub(crate) fn native(&self) -> &RungModel {
         &self.rungs[0]
     }
 
     /// Largest feasible batch size for this replica (identical at every
     /// rung by construction).
-    pub fn max_batch(&self) -> usize {
+    pub(crate) fn max_batch(&self) -> usize {
         self.native().svc_ns.len()
     }
 }
@@ -672,15 +671,28 @@ pub struct Fleet {
 
 impl Fleet {
     /// Builds a fleet from replica specs, precomputing each replica's
-    /// batch latency/energy table (batch sizes 1..=[`MAX_BATCH`], capped
+    /// batch latency/energy table (batch sizes 1..=`MAX_BATCH`, capped
     /// at the largest feasible batch).
     ///
     /// # Errors
     ///
     /// [`ServeError::EmptyFleet`] for an empty spec list;
+    /// [`ServeError::TooManyReplicas`] when the list does not fit in memory;
     /// [`ServeError::Deploy`] when a replica cannot deploy at batch 1.
     pub fn new(specs: impl IntoIterator<Item = ReplicaSpec>) -> Result<Fleet, ServeError> {
-        let specs: Vec<ReplicaSpec> = specs.into_iter().collect();
+        let mut rest = specs.into_iter();
+        let mut specs: Vec<ReplicaSpec> = Vec::new();
+        while let Some(spec) = rest.next() {
+            // Reserve what the iterator says is left, fallibly: a replica
+            // count from the command line can ask for terabytes.
+            if specs.len() == specs.capacity() {
+                let count = (specs.len() + 1).saturating_add(rest.size_hint().0);
+                specs
+                    .try_reserve(count - specs.len())
+                    .map_err(|_| ServeError::TooManyReplicas { count })?;
+            }
+            specs.push(spec);
+        }
         if specs.is_empty() {
             return Err(ServeError::EmptyFleet);
         }
@@ -695,7 +707,8 @@ impl Fleet {
 
     /// Returns the fleet with every replica on the given grid carbon
     /// profile (a single-region fleet).
-    pub fn with_carbon_profile(mut self, profile: CarbonProfile) -> Fleet {
+    #[cfg(test)]
+    pub(crate) fn with_carbon_profile(mut self, profile: CarbonProfile) -> Fleet {
         self.carbon = vec![Some(profile); self.replicas.len()];
         self
     }
@@ -706,7 +719,7 @@ impl Fleet {
     /// # Panics
     ///
     /// Panics when `replica` is out of range.
-    pub fn set_carbon_profile(&mut self, replica: usize, profile: CarbonProfile) {
+    pub(crate) fn set_carbon_profile(&mut self, replica: usize, profile: CarbonProfile) {
         self.carbon[replica] = Some(profile);
     }
 
@@ -727,11 +740,6 @@ impl Fleet {
     /// Whether the fleet is empty (never true for a built fleet).
     pub fn is_empty(&self) -> bool {
         self.replicas.is_empty()
-    }
-
-    /// The replica specs, in fleet order.
-    pub fn specs(&self) -> Vec<ReplicaSpec> {
-        self.replicas.iter().map(|r| r.spec).collect()
     }
 
     /// Replica `replica`'s degradation ladder: one
@@ -832,6 +840,43 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn huge_request_and_replica_counts_are_typed_errors() {
+        // No host holds usize::MAX / 8 arrival times or replica specs: each
+        // count must come back as a typed error naming it, never abort.
+        let huge = usize::MAX / 8;
+        let spec = ReplicaSpec {
+            model: Model::MobileNetV2,
+            framework: Framework::TensorRt,
+            device: Device::JetsonNano,
+        };
+        let fleet = Fleet::homogeneous(spec, 1).unwrap();
+        let cfg = ServeConfig::new(100.0);
+        for kind in ["poisson", "steady", "diurnal", "burst"] {
+            let traffic = Traffic::from_flag(kind, 30.0, 1).unwrap();
+            let err = fleet.serve(&traffic, huge, &cfg).unwrap_err();
+            assert_eq!(
+                err,
+                ServeError::Workload(WorkloadError::TooManyRequests { count: huge }),
+                "{kind}"
+            );
+        }
+        let geo = geo::run_geo(&GeoConfig::new(100.0), &geo::default_regions(60.0), huge, 1);
+        assert_eq!(
+            geo.unwrap_err(),
+            ServeError::Workload(WorkloadError::TooManyRequests { count: huge })
+        );
+        let err = Fleet::new(std::iter::repeat_n(spec, huge)).unwrap_err();
+        assert_eq!(err, ServeError::TooManyReplicas { count: huge });
+        // Several devices, as the CLI chains them: the first device's
+        // replicas alone overflow.
+        let chained = [spec, spec]
+            .into_iter()
+            .flat_map(|s| std::iter::repeat_n(s, huge));
+        let err = Fleet::new(chained).unwrap_err();
+        assert_eq!(err, ServeError::TooManyReplicas { count: huge });
+    }
 
     #[test]
     fn ms_to_ns_rounds_to_nearest() {

@@ -37,7 +37,7 @@ pub struct ReplicaReport {
 
 impl ReplicaReport {
     /// Mean served batch size (0 when no batch fired).
-    pub fn mean_batch(&self) -> f64 {
+    pub(crate) fn mean_batch(&self) -> f64 {
         if self.batches > 0 {
             self.completed as f64 / self.batches as f64
         } else {
@@ -46,7 +46,7 @@ impl ReplicaReport {
     }
 
     /// Stable status string: `ok`, `throttled`, or `DEAD`.
-    pub fn status(&self) -> &'static str {
+    pub(crate) fn status(&self) -> &'static str {
         if self.died {
             "DEAD"
         } else if self.throttled {
@@ -139,7 +139,7 @@ pub struct ServeReport {
 impl ServeReport {
     /// The `p`-th percentile of completed-request latency, milliseconds
     /// (0 when nothing completed).
-    pub fn percentile_ms(&self, p: f64) -> f64 {
+    pub(crate) fn percentile_ms(&self, p: f64) -> f64 {
         if self.latencies_ms.is_empty() {
             0.0
         } else {
@@ -153,7 +153,7 @@ impl ServeReport {
     }
 
     /// 95th-percentile latency, milliseconds.
-    pub fn p95_ms(&self) -> f64 {
+    pub(crate) fn p95_ms(&self) -> f64 {
         self.percentile_ms(95.0)
     }
 
@@ -207,19 +207,9 @@ impl ServeReport {
         }
     }
 
-    /// Fraction of completed requests that met the SLO (0 when nothing
-    /// completed).
-    pub fn slo_attainment(&self) -> f64 {
-        if self.completed > 0 {
-            self.within_slo as f64 / self.completed as f64
-        } else {
-            0.0
-        }
-    }
-
     /// Fraction of completed requests served at each ladder rung, in
     /// rung order (all mass at rung 0 when the ladder is off).
-    pub fn rung_shares(&self) -> Vec<f64> {
+    pub(crate) fn rung_shares(&self) -> Vec<f64> {
         if self.completed == 0 {
             return vec![0.0; self.served_per_rung.len()];
         }
@@ -231,7 +221,7 @@ impl ServeReport {
 
     /// Mean active energy per completed request, millijoules (0 when
     /// nothing completed).
-    pub fn energy_per_request_mj(&self) -> f64 {
+    pub(crate) fn energy_per_request_mj(&self) -> f64 {
         if self.completed > 0 {
             self.energy_mj / self.completed as f64
         } else {
@@ -241,7 +231,7 @@ impl ServeReport {
 
     /// Mean operational carbon per completed request, milligrams CO₂ (0
     /// when nothing completed or no carbon profile was attached).
-    pub fn carbon_per_request_mg(&self) -> f64 {
+    pub(crate) fn carbon_per_request_mg(&self) -> f64 {
         if self.completed > 0 {
             self.carbon_mg / self.completed as f64
         } else {
@@ -433,7 +423,6 @@ mod tests {
         assert_eq!(r.goodput_qps(), 0.0);
         assert_eq!(r.shed_rate(), 0.0);
         assert_eq!(r.hedge_rate(), 0.0);
-        assert_eq!(r.slo_attainment(), 0.0);
         assert_eq!(r.energy_per_request_mj(), 0.0);
         assert_eq!(r.carbon_per_request_mg(), 0.0);
         assert_eq!(r.rung_shares(), vec![0.0]);
@@ -498,6 +487,5 @@ mod tests {
         assert!(csv.contains("hedge_rate,0.1000\n"), "{csv}");
         assert!(csv.contains("served_rung0,0.7500\n"), "{csv}");
         assert!(csv.contains("served_rung1,0.2500\n"), "{csv}");
-        assert!((r.slo_attainment() - 0.75).abs() < 1e-12);
     }
 }

@@ -78,7 +78,7 @@ impl Default for SdcConfig {
 
 impl SdcConfig {
     /// Whether corruption can occur at all.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.corruption > 0.0
     }
 }
@@ -122,14 +122,14 @@ impl Default for RetryBudgetConfig {
 
 /// Live state of the retry token bucket.
 #[derive(Debug, Clone, Copy)]
-pub struct RetryBudget {
+pub(crate) struct RetryBudget {
     cfg: RetryBudgetConfig,
     tokens: f64,
 }
 
 impl RetryBudget {
     /// A fresh bucket holding `initial_tokens`.
-    pub fn new(cfg: RetryBudgetConfig) -> RetryBudget {
+    pub(crate) fn new(cfg: RetryBudgetConfig) -> RetryBudget {
         RetryBudget {
             cfg,
             tokens: cfg.initial_tokens,
@@ -137,18 +137,19 @@ impl RetryBudget {
     }
 
     /// Tokens currently available.
-    pub fn tokens(&self) -> f64 {
+    #[cfg(test)]
+    fn tokens(&self) -> f64 {
         self.tokens
     }
 
     /// Deposits the per-success earn (capped).
-    pub fn on_success(&mut self) {
+    pub(crate) fn on_success(&mut self) {
         self.tokens = (self.tokens + self.cfg.per_success).min(self.cfg.cap);
     }
 
     /// Withdraws one token if available; `false` means the budget is
     /// exhausted and the caller must shed instead of retrying.
-    pub fn try_take(&mut self) -> bool {
+    pub(crate) fn try_take(&mut self) -> bool {
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
             true
@@ -159,7 +160,7 @@ impl RetryBudget {
 
     /// Nominal (un-jittered) backoff before retry `attempt` (1-based),
     /// nanoseconds.
-    pub fn backoff_ns(&self, attempt: u32) -> u64 {
+    pub(crate) fn backoff_ns(&self, attempt: u32) -> u64 {
         let ms = self.cfg.backoff_base_ms
             * self
                 .cfg
@@ -262,12 +263,12 @@ impl CircuitBreaker {
     }
 
     /// Times the breaker tripped open.
-    pub fn trips(&self) -> u64 {
+    pub(crate) fn trips(&self) -> u64 {
         self.trips
     }
 
     /// Times the breaker recovered to Closed.
-    pub fn recoveries(&self) -> u64 {
+    pub(crate) fn recoveries(&self) -> u64 {
         self.recoveries
     }
 

@@ -1240,7 +1240,7 @@ impl QpsProbe {
     /// Summarizes one serve run at `rate_hz`. "Sustainable" means: some
     /// requests completed, p99 within the SLO, at most 1 % shed, and
     /// nothing lost.
-    pub fn from_report(rate_hz: f64, report: &ServeReport) -> QpsProbe {
+    pub(crate) fn from_report(rate_hz: f64, report: &ServeReport) -> QpsProbe {
         let p99_ms = report.p99_ms();
         QpsProbe {
             rate_hz,

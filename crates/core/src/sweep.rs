@@ -4,8 +4,6 @@
 //! (model × framework × device × batch) combination with one call.
 
 use crate::parallel;
-use crate::report::{fmt_mj, fmt_ms, Report};
-use edgebench_devices::faults::{run_single_device, stream_seed, FaultProfile};
 use edgebench_devices::Device;
 use edgebench_frameworks::deploy::{compile, DeployError};
 use edgebench_frameworks::Framework;
@@ -28,10 +26,6 @@ pub struct SweepRow {
     pub energy_mj: Option<f64>,
     /// Failure description for infeasible combinations.
     pub error: Option<String>,
-    /// Degradation description when a fault profile was active and the
-    /// sustained run did not stay clean (thermal shutdown, device loss,
-    /// dropped frames); `None` for clean or fault-free runs.
-    pub fault: Option<String>,
 }
 
 /// A cartesian sweep over models, frameworks, devices and batch sizes.
@@ -59,8 +53,6 @@ pub struct Sweep {
     devices: Vec<Device>,
     batches: Vec<usize>,
     jobs: usize,
-    fault: Option<FaultProfile>,
-    fault_frames: usize,
 }
 
 impl Default for Sweep {
@@ -78,8 +70,6 @@ impl Sweep {
             devices: Vec::new(),
             batches: vec![1],
             jobs: 1,
-            fault: None,
-            fault_frames: 500,
         }
     }
 
@@ -118,24 +108,6 @@ impl Sweep {
         self
     }
 
-    /// Attaches a fault profile: every feasible cell additionally runs a
-    /// sustained, fault-injected loop of [`Sweep::fault_frames`] frames.
-    /// Each cell derives its own seed from the profile's base seed and the
-    /// cell coordinates, so results never depend on evaluation order or
-    /// worker count. Cells that hit thermal shutdown or lose their device
-    /// produce structured degraded rows — never panics.
-    pub fn fault_profile(mut self, profile: FaultProfile) -> Self {
-        self.fault = Some(profile);
-        self
-    }
-
-    /// Sets how many sustained frames each fault-injected cell simulates
-    /// (default 500).
-    pub fn fault_frames(mut self, frames: usize) -> Self {
-        self.fault_frames = frames;
-        self
-    }
-
     /// The cartesian product of coordinates, in sweep order.
     fn cells(&self) -> Vec<(Model, Framework, Device, usize)> {
         let mut cells = Vec::with_capacity(
@@ -153,8 +125,7 @@ impl Sweep {
         cells
     }
 
-    /// Deploys and measures one grid cell; with a fault profile attached,
-    /// additionally simulates the sustained fault-injected loop.
+    /// Deploys and measures one grid cell.
     fn run_cell(
         &self,
         &(model, fw, device, batch): &(Model, Framework, Device, usize),
@@ -170,33 +141,10 @@ impl Sweep {
                     c.energy_mj()? / batch as f64,
                 ))
             });
-        let (mut latency_ms, energy_mj, error) = match outcome {
+        let (latency_ms, energy_mj, error) = match outcome {
             Ok((l, e)) => (Some(l), Some(e), None),
             Err(err) => (None, None, Some(err.to_string())),
         };
-        let mut fault = None;
-        if let (Some(profile), Some(l), Some(e)) = (self.fault, latency_ms, energy_mj) {
-            // Per-cell seed derived from the coordinates: independent of
-            // evaluation order and of which other cells are in the grid.
-            let cell_seed = stream_seed(
-                profile.seed,
-                &[model.name(), fw.name(), device.name(), &batch.to_string()],
-            );
-            let base_latency_s = l * batch as f64 / 1e3;
-            let active_power_w = sustained_power_w(device, e / l); // mJ/ms = W
-            let run = run_single_device(
-                device,
-                base_latency_s,
-                active_power_w,
-                self.fault_frames,
-                &profile.with_seed(cell_seed),
-            );
-            if run.frames_completed > 0 {
-                // Report the degraded (e.g. throttled) mean latency.
-                latency_ms = Some(run.mean_latency_s * 1e3 / batch as f64);
-            }
-            fault = run.status();
-        }
         SweepRow {
             model,
             framework: fw,
@@ -205,7 +153,6 @@ impl Sweep {
             latency_ms,
             energy_mj,
             error,
-            fault,
         }
     }
 
@@ -214,36 +161,6 @@ impl Sweep {
     /// count.
     pub fn run(&self) -> Vec<SweepRow> {
         parallel::run_indexed(&self.cells(), self.jobs, |_, cell| self.run_cell(cell))
-    }
-
-    /// Runs the sweep and renders it as a long-form [`Report`].
-    pub fn to_report(&self, title: impl Into<String>) -> Report {
-        let mut r = Report::new(
-            title,
-            [
-                "model",
-                "framework",
-                "device",
-                "batch",
-                "latency_ms",
-                "energy_mj",
-                "status",
-            ],
-        );
-        for row in self.run() {
-            r.push_row([
-                row.model.name().to_string(),
-                row.framework.name().to_string(),
-                row.device.name().to_string(),
-                row.batch.to_string(),
-                row.latency_ms
-                    .map(fmt_ms)
-                    .unwrap_or_else(|| "-".to_string()),
-                row.energy_mj.map(fmt_mj).unwrap_or_else(|| "-".to_string()),
-                row.error.or(row.fault).unwrap_or_else(|| "ok".to_string()),
-            ]);
-        }
-        r
     }
 }
 
@@ -328,90 +245,5 @@ mod tests {
             let parallel = sweep.clone().jobs(jobs).run();
             assert_eq!(serial, parallel, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn parallel_sweep_report_is_byte_identical_to_serial() {
-        let sweep = Sweep::new()
-            .models([Model::ResNet18, Model::CifarNet])
-            .frameworks([Framework::PyTorch, Framework::TfLite])
-            .devices([Device::RaspberryPi3, Device::JetsonNano])
-            .batches([1, 8]);
-        let serial = sweep.clone().jobs(1).to_report("sweep").to_table_string();
-        let parallel = sweep.clone().jobs(4).to_report("sweep").to_table_string();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn fault_sweep_is_deterministic_across_worker_counts() {
-        let sweep = Sweep::new()
-            .models([Model::ResNet18, Model::MobileNetV2, Model::CifarNet])
-            .frameworks([Framework::PyTorch, Framework::TfLite])
-            .devices([Device::RaspberryPi3, Device::JetsonNano])
-            .fault_profile(FaultProfile::flaky_fleet(42))
-            .fault_frames(300);
-        let serial = sweep.clone().jobs(1).run();
-        let report = sweep.clone().jobs(1).to_report("faulty").to_table_string();
-        for jobs in [2, 4] {
-            assert_eq!(serial, sweep.clone().jobs(jobs).run(), "jobs={jobs}");
-            assert_eq!(
-                report,
-                sweep
-                    .clone()
-                    .jobs(jobs)
-                    .to_report("faulty")
-                    .to_table_string(),
-                "jobs={jobs}"
-            );
-        }
-        // The flaky fleet must actually degrade something over this grid.
-        assert!(serial.iter().any(|r| r.fault.is_some()));
-    }
-
-    #[test]
-    fn mid_sweep_thermal_shutdown_is_a_degraded_row_not_a_panic() {
-        let rows = Sweep::new()
-            .models([Model::InceptionV4])
-            .frameworks([Framework::PyTorch])
-            .devices([Device::RaspberryPi3, Device::JetsonTx2])
-            .fault_profile(FaultProfile::none(7).with_thermal(true))
-            .fault_frames(2000)
-            .run();
-        assert_eq!(rows.len(), 2);
-        let rpi = &rows[0];
-        assert!(
-            rpi.fault
-                .as_deref()
-                .unwrap_or("")
-                .contains("thermal-shutdown"),
-            "rpi fault: {:?}",
-            rpi.fault
-        );
-        assert!(rpi.latency_ms.is_some(), "completed frames still reported");
-        // The fan-cooled TX2 survives the same workload.
-        assert!(rows[1].fault.is_none(), "tx2 fault: {:?}", rows[1].fault);
-    }
-
-    #[test]
-    fn fault_free_profile_leaves_rows_clean() {
-        let rows = Sweep::new()
-            .models([Model::ResNet18])
-            .frameworks([Framework::PyTorch])
-            .devices([Device::JetsonTx2])
-            .fault_profile(FaultProfile::none(1))
-            .run();
-        assert!(rows[0].fault.is_none());
-        assert!(rows[0].error.is_none());
-    }
-
-    #[test]
-    fn report_has_one_row_per_combination() {
-        let r = Sweep::new()
-            .models([Model::CifarNet])
-            .frameworks([Framework::TfLite, Framework::PyTorch])
-            .devices([Device::RaspberryPi3])
-            .to_report("sweep");
-        assert_eq!(r.rows().len(), 2);
-        assert!(r.rows().iter().all(|row| row.last().unwrap() == "ok"));
     }
 }

@@ -11,6 +11,7 @@
 //! schedule to child processes.
 
 use super::rng::FaultRng;
+use std::collections::HashSet;
 
 /// Stream tag for chaos schedule draws.
 const TAG_CHAOS: u64 = 0x6368_616f; // "chao"
@@ -35,7 +36,7 @@ pub enum ChaosKind {
 
 impl ChaosKind {
     /// Stable spec-string name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ChaosKind::Kill => "kill",
             ChaosKind::Hang => "hang",
@@ -78,7 +79,7 @@ impl ChaosPlan {
     /// Builds a plan from explicit events. Events are sorted by
     /// `(stage, frame)`; when two events collide on the same coordinate
     /// the first one listed wins.
-    pub fn new(events: impl IntoIterator<Item = ChaosEvent>) -> ChaosPlan {
+    pub(crate) fn new(events: impl IntoIterator<Item = ChaosEvent>) -> ChaosPlan {
         let mut all: Vec<ChaosEvent> = events.into_iter().collect();
         // Stable sort on the key keeps the first-listed event ahead of a
         // colliding later one, so dedup_by_key drops the right duplicate.
@@ -92,13 +93,14 @@ impl ChaosPlan {
     /// corrupt events only target consumer stages (1..=3) because the
     /// producer side already has [`super::ipc::LinkFaults`]. Collisions
     /// re-draw deterministically, so the plan normally reaches exactly
-    /// `n_events` events (fewer only if the space is exhausted).
+    /// `n_events` events (fewer only if the space is exhausted). A request
+    /// beyond the `4 × frames` distinct `(stage, frame)` slots is capped
+    /// there.
     pub fn generate(seed: u64, n_events: usize, frames: u64) -> ChaosPlan {
-        let mut events: Vec<ChaosEvent> = Vec::with_capacity(n_events);
-        if frames == 0 {
-            return ChaosPlan { events };
-        }
-        for i in 0..n_events as u64 {
+        let n = (n_events as u64).min(frames.saturating_mul(4));
+        let mut events: Vec<ChaosEvent> = Vec::with_capacity(n as usize);
+        let mut taken = HashSet::new();
+        for i in 0..n {
             for attempt in 0..16u64 {
                 let mut rng = FaultRng::for_stream(seed, &[TAG_CHAOS, i, attempt]);
                 let kind = match rng.next_f64() {
@@ -111,7 +113,7 @@ impl ChaosPlan {
                     _ => (rng.next_u64() % 4) as u8,
                 };
                 let frame = rng.next_u64() % frames;
-                if !events.iter().any(|e| e.stage == stage && e.frame == frame) {
+                if taken.insert((stage, frame)) {
                     events.push(ChaosEvent { stage, frame, kind });
                     break;
                 }
@@ -222,6 +224,14 @@ mod tests {
                 assert!(e.stage >= 1, "corrupt must target a consumer stage");
             }
         }
+    }
+
+    #[test]
+    fn generated_chaos_plan_is_capped_at_stage_frame_slots() {
+        // 4 stages × 60 frames = 240 distinct slots, however many are asked.
+        let plan = ChaosPlan::generate(7, usize::MAX, 60);
+        assert!(plan.len() <= 240, "{} events", plan.len());
+        assert!(plan.len() > 200, "{} events", plan.len());
     }
 
     #[test]

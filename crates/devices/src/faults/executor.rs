@@ -41,247 +41,6 @@ const TAG_JITTER: u64 = 6;
 /// below every device's thermal time constant (R·C ≳ 30 s).
 const THERMAL_DT_S: f64 = 0.5;
 
-/// Outcome of a fault-aware run (single device or whole pipeline).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RunOutcome {
-    /// All requested frames were attempted; the device survived.
-    Completed,
-    /// The device crossed `shutdown_c` and powered off.
-    ThermalShutdown {
-        /// Simulated time of the shutdown, seconds.
-        at_s: f64,
-    },
-    /// The device dropped out permanently (crash fault).
-    DeviceLost {
-        /// Frame being processed when the device died.
-        frame: usize,
-    },
-}
-
-/// Result of a sustained fault-aware run on a single device (used by the
-/// sweep harness: a cell that hits `shutdown_c` or a dead device yields a
-/// degraded row, never a panic).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SingleDeviceRun {
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Frames that produced a result.
-    pub frames_completed: usize,
-    /// Frames abandoned after exhausting retries.
-    pub frames_dropped: usize,
-    /// Mean per-frame latency over completed frames, seconds.
-    pub mean_latency_s: f64,
-    /// Whether thermal throttling ever engaged.
-    pub throttled: bool,
-    /// The replayable fault event log.
-    pub events: Vec<FaultEvent>,
-}
-
-impl SingleDeviceRun {
-    /// Short status label for report rows (`None` when the run was clean).
-    pub fn status(&self) -> Option<String> {
-        match self.outcome {
-            RunOutcome::Completed if self.frames_dropped > 0 => {
-                Some(format!("degraded: {} frames dropped", self.frames_dropped))
-            }
-            RunOutcome::Completed if self.throttled => Some("degraded: throttled".to_string()),
-            RunOutcome::Completed => None,
-            RunOutcome::ThermalShutdown { at_s } => Some(format!("thermal-shutdown at {at_s:.0}s")),
-            RunOutcome::DeviceLost { frame } => Some(format!("device-lost at frame {frame}")),
-        }
-    }
-}
-
-/// Runs `frames` back-to-back inferences on one device under `profile`,
-/// coupling in the thermal model when the profile asks for it.
-///
-/// `base_latency_s` is the full-clock per-inference latency and
-/// `active_power_w` the full-clock dissipation, exactly as in
-/// [`crate::thermal::sustained_inference`] — this is that loop with fault
-/// injection layered on top. Devices without a thermal model (HPC) simply
-/// skip the thermal coupling.
-pub fn run_single_device(
-    device: Device,
-    base_latency_s: f64,
-    active_power_w: f64,
-    frames: usize,
-    profile: &FaultProfile,
-) -> SingleDeviceRun {
-    let policy = RetryPolicy::default();
-    let mut sim = if profile.thermal {
-        ThermalSim::try_new(device)
-    } else {
-        None
-    };
-    let mut events = Vec::new();
-    let mut completed = 0usize;
-    let mut dropped = 0usize;
-    let mut latency_sum = 0.0f64;
-    let mut throttled = false;
-    let mut t = 0.0f64;
-    let mut outcome = RunOutcome::Completed;
-
-    'frames: for f in 0..frames {
-        // Permanent dropout: scripted kill first, then the seeded draw.
-        let scripted = matches!(profile.kill_device, Some((kf, _)) if f >= kf);
-        if scripted
-            || FaultRng::for_stream(profile.seed, &[TAG_DROPOUT, f as u64, 0])
-                .chance(profile.device_dropout)
-        {
-            let kind = FaultKind::DeviceDropout { device: 0 };
-            events.push(FaultEvent {
-                time_s: t,
-                frame: f,
-                kind: EventKind::Injected(kind),
-            });
-            t += policy.detect_timeout_s;
-            events.push(FaultEvent {
-                time_s: t,
-                frame: f,
-                kind: EventKind::Detected(kind),
-            });
-            events.push(FaultEvent {
-                time_s: t,
-                frame: f,
-                kind: EventKind::DeviceLost { device: 0 },
-            });
-            outcome = RunOutcome::DeviceLost { frame: f };
-            break 'frames;
-        }
-
-        let factor = sim.as_ref().map_or(1.0, ThermalSim::throttle_factor);
-        let mut latency = base_latency_s / factor;
-
-        // Straggler episode: slow, not wrong — no retry.
-        if FaultRng::for_stream(profile.seed, &[TAG_STRAGGLER, f as u64, 0])
-            .chance(profile.straggler)
-        {
-            events.push(FaultEvent {
-                time_s: t,
-                frame: f,
-                kind: EventKind::Injected(FaultKind::Straggler { stage: 0 }),
-            });
-            latency *= profile.straggler_factor;
-        }
-
-        // Transient compute faults: recompute with backoff, bounded.
-        let mut attempt = 0u32;
-        let fault_t = t;
-        loop {
-            let faulty =
-                FaultRng::for_stream(profile.seed, &[TAG_TRANSIENT, f as u64, 0, attempt as u64])
-                    .chance(profile.transient_compute);
-            t += latency;
-            if !faulty {
-                if attempt > 0 {
-                    events.push(FaultEvent {
-                        time_s: t,
-                        frame: f,
-                        kind: EventKind::Recovered {
-                            after_s: t - fault_t,
-                        },
-                    });
-                }
-                completed += 1;
-                latency_sum += t - fault_t;
-                break;
-            }
-            let kind = FaultKind::TransientCompute { stage: 0 };
-            events.push(FaultEvent {
-                time_s: t,
-                frame: f,
-                kind: EventKind::Injected(kind),
-            });
-            events.push(FaultEvent {
-                time_s: t,
-                frame: f,
-                kind: EventKind::Detected(kind),
-            });
-            attempt += 1;
-            if attempt > policy.max_retries {
-                events.push(FaultEvent {
-                    time_s: t,
-                    frame: f,
-                    kind: EventKind::FrameDropped,
-                });
-                dropped += 1;
-                break;
-            }
-            let backoff = policy.backoff_s(attempt)
-                * FaultRng::for_stream(profile.seed, &[TAG_JITTER, f as u64, 0, attempt as u64])
-                    .jitter(policy.jitter_frac);
-            events.push(FaultEvent {
-                time_s: t,
-                frame: f,
-                kind: EventKind::RetryScheduled {
-                    attempt,
-                    backoff_s: backoff,
-                },
-            });
-            t += backoff;
-        }
-
-        // Thermal coupling: dissipate at derated clocks for the frame.
-        if let Some(s) = sim.as_mut() {
-            while s.time_s() < t {
-                let dt = (t - s.time_s()).min(THERMAL_DT_S);
-                for ev in s.step(active_power_w * s.throttle_factor(), dt) {
-                    match ev {
-                        ThermalEvent::ThrottleOn(at, _) => {
-                            throttled = true;
-                            let kind = FaultKind::ThermalThrottle { device: 0 };
-                            events.push(FaultEvent {
-                                time_s: at,
-                                frame: f,
-                                kind: EventKind::Injected(kind),
-                            });
-                            events.push(FaultEvent {
-                                time_s: at,
-                                frame: f,
-                                kind: EventKind::Detected(kind),
-                            });
-                        }
-                        ThermalEvent::Shutdown(at, _) => {
-                            let kind = FaultKind::ThermalShutdown { device: 0 };
-                            events.push(FaultEvent {
-                                time_s: at,
-                                frame: f,
-                                kind: EventKind::Injected(kind),
-                            });
-                            events.push(FaultEvent {
-                                time_s: at,
-                                frame: f,
-                                kind: EventKind::Detected(kind),
-                            });
-                            events.push(FaultEvent {
-                                time_s: at,
-                                frame: f,
-                                kind: EventKind::DeviceLost { device: 0 },
-                            });
-                            outcome = RunOutcome::ThermalShutdown { at_s: at };
-                            break 'frames;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
-
-    SingleDeviceRun {
-        outcome,
-        frames_completed: completed,
-        frames_dropped: dropped,
-        mean_latency_s: if completed > 0 {
-            latency_sum / completed as f64
-        } else {
-            0.0
-        },
-        throttled,
-        events,
-    }
-}
-
 /// Summary of a resilient pipeline run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceReport {
@@ -335,11 +94,6 @@ impl ResilienceReport {
         } else {
             self.recoveries.iter().sum::<f64>() / self.recoveries.len() as f64
         }
-    }
-
-    /// Worst fault-to-recovery latency, seconds.
-    pub fn max_recovery_s(&self) -> f64 {
-        self.recoveries.iter().fold(0.0f64, |a, &b| a.max(b))
     }
 }
 
@@ -991,52 +745,5 @@ mod tests {
             "rate {}",
             rep.completion_rate()
         );
-    }
-
-    #[test]
-    fn single_device_thermal_shutdown_is_reported_not_panicked() {
-        // InceptionV4-class load on the bare RPi3 crosses shutdown_c.
-        let run = run_single_device(
-            Device::RaspberryPi3,
-            2.0,
-            3.5,
-            100_000,
-            &FaultProfile::none(5).with_thermal(true),
-        );
-        assert!(matches!(run.outcome, RunOutcome::ThermalShutdown { at_s } if at_s > 0.0));
-        assert!(run.frames_completed > 0);
-        assert!(run.status().unwrap().starts_with("thermal-shutdown"));
-        assert!(run
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::DeviceLost { .. })));
-    }
-
-    #[test]
-    fn single_device_clean_run_has_no_events() {
-        let run = run_single_device(
-            Device::JetsonTx2,
-            0.05,
-            9.65,
-            500,
-            &FaultProfile::none(5).with_thermal(true),
-        );
-        assert_eq!(run.outcome, RunOutcome::Completed);
-        assert_eq!(run.frames_completed, 500);
-        assert!(run.status().is_none());
-        assert!((run.mean_latency_s - 0.05).abs() < 1e-9);
-    }
-
-    #[test]
-    fn single_device_scripted_kill_is_a_device_lost_outcome() {
-        let run = run_single_device(
-            Device::RaspberryPi3,
-            0.2,
-            2.0,
-            100,
-            &FaultProfile::none(5).with_kill_device(10, 0),
-        );
-        assert_eq!(run.outcome, RunOutcome::DeviceLost { frame: 10 });
-        assert_eq!(run.frames_completed, 10);
     }
 }

@@ -14,14 +14,15 @@
 use super::memory::MemoryFaultModel;
 
 /// Stream tag separating IPC-link draws from other fault streams.
-pub const TAG_IPC: u64 = 0x6970_636c; // "ipcl"
+pub(crate) const TAG_IPC: u64 = 0x6970_636c; // "ipcl"
 
 /// Well-known link ids for the runtime pipeline's three rings.
 pub const LINK_CAPTURE: u64 = 1;
 /// Link between preprocess and inference.
 pub const LINK_PREPROCESS: u64 = 2;
 /// Link between inference and gateway.
-pub const LINK_INFERENCE: u64 = 3;
+#[cfg(test)]
+const LINK_INFERENCE: u64 = 3;
 
 /// Deterministic per-link frame corruption model.
 #[derive(Debug, Clone)]
@@ -39,7 +40,7 @@ impl LinkFaults {
     }
 
     /// Whether any flips can ever be drawn.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.model.is_active()
     }
 

@@ -17,10 +17,10 @@
 use super::rng::FaultRng;
 
 /// Stream tag for memory-fault draws (ASCII "memf").
-pub const TAG_MEMORY: u64 = 0x6d65_6d66;
+pub(crate) const TAG_MEMORY: u64 = 0x6d65_6d66;
 
 /// Bits per `f32` word — flips address `[0, 32)`.
-pub const BITS_PER_WORD: u8 = 32;
+pub(crate) const BITS_PER_WORD: u8 = 32;
 
 /// A single bit flip inside a region of `f32` words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -59,7 +59,8 @@ impl MemoryFaultModel {
     }
 
     /// A disabled model (zero rate) — the control arm.
-    pub fn none(seed: u64) -> MemoryFaultModel {
+    #[cfg(test)]
+    fn none(seed: u64) -> MemoryFaultModel {
         MemoryFaultModel {
             seed,
             flip_rate: 0.0,
@@ -67,7 +68,7 @@ impl MemoryFaultModel {
     }
 
     /// Whether any flips can ever fire.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.flip_rate > 0.0
     }
 
@@ -98,7 +99,8 @@ impl MemoryFaultModel {
 
     /// Expected flip count for a region of `bytes` bytes over one
     /// exposure interval (the Poisson mean the draws are centred on).
-    pub fn expected_flips(&self, bytes: u64) -> f64 {
+    #[cfg(test)]
+    fn expected_flips(&self, bytes: u64) -> f64 {
         self.flip_rate * bytes as f64
     }
 }

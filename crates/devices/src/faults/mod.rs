@@ -16,13 +16,12 @@
 //! * [`executor`] — [`ResilientPipeline`], a sustained multi-frame
 //!   simulator over [`crate::distributed::PipelinePlan`] with per-link
 //!   timeouts, bounded exponential backoff, and Musical-Chair-style
-//!   repartitioning onto surviving devices; plus
-//!   [`run_single_device`] for fault-aware single-device sweeps.
+//!   repartitioning onto surviving devices.
 //! * [`service`] — [`ServiceFaults`], per-(replica, batch) stragglers and
 //!   request loss for the serving fleet's resilience layer.
 //! * [`memory`] — [`MemoryFaultModel`], deterministic DRAM bit-flip
 //!   draws over weight/activation regions for the SDC defense layer.
-//! * [`ipc`] — [`LinkFaults`], per-(link, frame) bit flips on the
+//! * [`ipc`] — [`ipc::LinkFaults`], per-(link, frame) bit flips on the
 //!   runtime's shared-memory frame path, injected post-checksum so the
 //!   consumer's integrity verification must catch them.
 //! * [`chaos`] — [`ChaosPlan`], deterministic kill/hang/panic/corrupt
@@ -40,13 +39,10 @@ pub mod memory;
 pub mod rng;
 pub mod service;
 
-pub use chaos::{ChaosEvent, ChaosKind, ChaosPlan};
+pub use chaos::{ChaosKind, ChaosPlan};
 pub use events::{EventKind, FaultEvent, FaultKind};
-pub use executor::{
-    run_single_device, ResilienceReport, ResilientPipeline, RunOutcome, SingleDeviceRun,
-};
-pub use ipc::LinkFaults;
-pub use memory::{BitFlip, MemoryFaultModel};
+pub use executor::ResilientPipeline;
+pub use memory::MemoryFaultModel;
 pub use rng::{stream_seed, FaultRng};
 pub use service::ServiceFaults;
 
@@ -109,7 +105,8 @@ impl FaultProfile {
 
     /// A flaky fleet in the field: occasional permanent dropout plus
     /// stragglers and transient compute faults.
-    pub fn flaky_fleet(seed: u64) -> FaultProfile {
+    #[cfg(test)]
+    fn flaky_fleet(seed: u64) -> FaultProfile {
         FaultProfile {
             device_dropout: 0.001,
             link_loss: 0.01,
@@ -117,12 +114,6 @@ impl FaultProfile {
             transient_compute: 0.005,
             ..FaultProfile::none(seed)
         }
-    }
-
-    /// Returns the profile with a different base seed.
-    pub fn with_seed(mut self, seed: u64) -> FaultProfile {
-        self.seed = seed;
-        self
     }
 
     /// Returns the profile with the given per-frame device-dropout rate.
@@ -147,17 +138,6 @@ impl FaultProfile {
     pub fn with_kill_device(mut self, frame: usize, device: usize) -> FaultProfile {
         self.kill_device = Some((frame, device));
         self
-    }
-
-    /// Whether any fault source is active.
-    pub fn is_active(&self) -> bool {
-        self.device_dropout > 0.0
-            || self.link_loss > 0.0
-            || self.link_degraded > 0.0
-            || self.straggler > 0.0
-            || self.transient_compute > 0.0
-            || self.thermal
-            || self.kill_device.is_some()
     }
 }
 
@@ -196,7 +176,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Nominal (un-jittered) backoff before retry `attempt` (1-based).
-    pub fn backoff_s(&self, attempt: u32) -> f64 {
+    pub(crate) fn backoff_s(&self, attempt: u32) -> f64 {
         self.backoff_base_s * self.backoff_factor.powi(attempt.saturating_sub(1) as i32)
     }
 
@@ -217,13 +197,5 @@ mod tests {
         assert!((p.backoff_s(1) - 0.02).abs() < 1e-12);
         assert!((p.backoff_s(2) - 0.04).abs() < 1e-12);
         assert!((p.backoff_s(3) - 0.08).abs() < 1e-12);
-    }
-
-    #[test]
-    fn profile_activity_flags() {
-        assert!(!FaultProfile::none(1).is_active());
-        assert!(FaultProfile::lossy_network(1).is_active());
-        assert!(FaultProfile::none(1).with_thermal(true).is_active());
-        assert!(FaultProfile::none(1).with_kill_device(3, 0).is_active());
     }
 }

@@ -44,7 +44,7 @@ impl Default for ServiceFaults {
 
 impl ServiceFaults {
     /// No service faults (inflation 1.0, nothing lost).
-    pub fn none() -> ServiceFaults {
+    pub(crate) fn none() -> ServiceFaults {
         ServiceFaults {
             straggler: 0.0,
             straggler_factor: 4.0,

@@ -54,19 +54,19 @@ impl Link {
     }
 
     /// Time to move `bytes` up the link, seconds.
-    pub fn upload_s(&self, bytes: u64) -> f64 {
+    pub(crate) fn upload_s(&self, bytes: u64) -> f64 {
         bytes as f64 * 8.0 / (self.uplink_mbps * 1e6)
     }
 
     /// Time to move `bytes` down the link, seconds.
-    pub fn download_s(&self, bytes: u64) -> f64 {
+    pub(crate) fn download_s(&self, bytes: u64) -> f64 {
         bytes as f64 * 8.0 / (self.downlink_mbps * 1e6)
     }
 }
 
 /// Latency breakdown of a fully offloaded inference.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OffloadLatency {
+pub(crate) struct OffloadLatency {
     /// Input upload time, seconds.
     pub upload_s: f64,
     /// Server inference time, seconds.
@@ -79,7 +79,7 @@ pub struct OffloadLatency {
 
 impl OffloadLatency {
     /// End-to-end seconds.
-    pub fn total_s(&self) -> f64 {
+    pub(crate) fn total_s(&self) -> f64 {
         self.upload_s + self.server_s + self.download_s + self.rtt_s
     }
 }
@@ -95,7 +95,7 @@ impl OffloadLatency {
 ///   upload payload to price (previously this was silently billed as zero
 ///   bytes, making offload look free for malformed graphs).
 /// * Any [`PerfError`] from timing the graph on the server.
-pub fn offload_latency(
+pub(crate) fn offload_latency(
     graph: &Graph,
     link: Link,
     server: Device,

@@ -102,10 +102,6 @@ pub struct RooflineModel {
     scale_compute: f64,
     /// Multiplier on attainable bandwidth.
     scale_memory: f64,
-    /// Multiplier on per-op dispatch overhead (interpreter cost).
-    scale_dispatch: f64,
-    /// Extra fixed per-inference overhead, seconds (session entry etc.).
-    extra_fixed_s: f64,
     /// Memory allocation policy used for pressure/OOM decisions.
     policy: MemoryPolicy,
     /// Batch size (1 = the paper's single-batch regime).
@@ -119,15 +115,13 @@ impl RooflineModel {
             spec: device.spec(),
             scale_compute: 1.0,
             scale_memory: 1.0,
-            scale_dispatch: 1.0,
-            extra_fixed_s: 0.0,
             policy: MemoryPolicy::DynamicGraph,
             batch: 1,
         }
     }
 
     /// The device spec this model wraps.
-    pub fn spec(&self) -> &'static DeviceSpec {
+    pub(crate) fn spec(&self) -> &'static DeviceSpec {
         self.spec
     }
 
@@ -140,18 +134,6 @@ impl RooflineModel {
     /// Scales attainable memory bandwidth.
     pub fn with_memory_scale(mut self, s: f64) -> Self {
         self.scale_memory = s;
-        self
-    }
-
-    /// Scales per-operator dispatch overhead.
-    pub fn with_dispatch_scale(mut self, s: f64) -> Self {
-        self.scale_dispatch = s;
-        self
-    }
-
-    /// Adds a fixed per-inference cost in seconds.
-    pub fn with_fixed_overhead(mut self, s: f64) -> Self {
-        self.extra_fixed_s = s;
         self
     }
 
@@ -218,7 +200,7 @@ impl RooflineModel {
     }
 
     /// Attained bandwidth in GB/s.
-    pub fn attained_gbs(&self) -> f64 {
+    pub(crate) fn attained_gbs(&self) -> f64 {
         self.spec.mem_bandwidth_gbs * self.spec.mem_eff * self.scale_memory
     }
 
@@ -235,41 +217,6 @@ impl RooflineModel {
         let act_bytes = (cost.input_bytes + cost.output_bytes) as f64 * b;
         let memory = (act_bytes + cost.weight_bytes as f64) / (self.attained_gbs() * 1e9);
         Ok((compute, memory))
-    }
-
-    /// Samples the classic roofline curve: attainable GMAC/s as a function
-    /// of arithmetic intensity (MAC/byte), `points` samples log-spaced over
-    /// `[0.1, 1000]` MAC/byte. The knee sits at
-    /// `attained_compute / attained_bandwidth`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PerfError::UnsupportedPrecision`].
-    pub fn roofline_curve(
-        &self,
-        dtype: DType,
-        points: usize,
-    ) -> Result<Vec<(f64, f64)>, PerfError> {
-        let peak = self.attained_gmacs(dtype)?;
-        let bw = self.attained_gbs();
-        let mut out = Vec::with_capacity(points);
-        for i in 0..points {
-            let t = i as f64 / (points.max(2) - 1) as f64;
-            let intensity = 10f64.powf(-1.0 + 4.0 * t); // 0.1 .. 1000
-            let attainable = (bw * intensity).min(peak);
-            out.push((intensity, attainable));
-        }
-        Ok(out)
-    }
-
-    /// The arithmetic intensity (MAC/byte) below which this device is
-    /// memory-bound — the roofline knee.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PerfError::UnsupportedPrecision`].
-    pub fn knee_intensity(&self, dtype: DType) -> Result<f64, PerfError> {
-        Ok(self.attained_gmacs(dtype)? / self.attained_gbs())
     }
 
     /// Memory-pressure slowdown for a given footprint ratio.
@@ -348,7 +295,7 @@ impl RooflineModel {
             compute_s += c;
             memory_s += t - c;
             *by_op_s.entry(node.op().name()).or_insert(0.0) += t;
-            dispatch_s += self.spec.dispatch_overhead_s * self.scale_dispatch;
+            dispatch_s += self.spec.dispatch_overhead_s;
         }
         // Static arenas either fit or fail; only dynamic allocation pages.
         let pressure = match self.policy {
@@ -356,8 +303,7 @@ impl RooflineModel {
             MemoryPolicy::DynamicGraph => Self::pressure_factor(ratio),
         };
         let roofline = compute_s + memory_s;
-        let total_s =
-            roofline * pressure + dispatch_s + self.spec.io_overhead_s + self.extra_fixed_s;
+        let total_s = roofline * pressure + dispatch_s + self.spec.io_overhead_s;
         Ok(Timing {
             compute_s,
             memory_s,
@@ -489,36 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn roofline_curve_has_the_expected_shape() {
-        let m = RooflineModel::for_device(Device::JetsonTx2);
-        let curve = m.roofline_curve(DType::F32, 50).unwrap();
-        assert_eq!(curve.len(), 50);
-        // Monotone non-decreasing, saturating at attained peak.
-        assert!(curve.windows(2).all(|w| w[1].1 >= w[0].1));
-        let peak = m.attained_gmacs(DType::F32).unwrap();
-        assert!((curve.last().unwrap().1 - peak).abs() < 1e-9);
-        // The knee separates the two regimes.
-        let knee = m.knee_intensity(DType::F32).unwrap();
-        for &(x, y) in &curve {
-            if x < knee * 0.5 {
-                assert!(y < peak, "memory-bound point at {x} already saturated");
-            }
-        }
-    }
-
-    #[test]
-    fn gpu_knees_sit_at_higher_intensity_than_cpu_edge() {
-        // HPC GPUs need far more reuse per byte to saturate than the RPi.
-        let rpi = RooflineModel::for_device(Device::RaspberryPi3)
-            .knee_intensity(DType::F32)
-            .unwrap();
-        let gtx = RooflineModel::for_device(Device::GtxTitanX)
-            .knee_intensity(DType::F32)
-            .unwrap();
-        assert!(gtx > rpi, "gtx {gtx} vs rpi {rpi}");
-    }
-
-    #[test]
     fn pressure_factor_is_monotonic() {
         let mut prev = 0.0;
         for i in 0..40 {
@@ -536,10 +452,9 @@ mod tests {
         let base = RooflineModel::for_device(Device::JetsonTx2).graph_time_s(&g);
         let slowed = RooflineModel::for_device(Device::JetsonTx2)
             .with_compute_scale(0.5)
-            .with_dispatch_scale(4.0)
-            .with_fixed_overhead(0.05)
+            .with_memory_scale(0.5)
             .graph_time_s(&g);
-        assert!(slowed > base + 0.05);
+        assert!(slowed > base);
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl PowerModel {
     }
 
     /// Energy for one inference of the given latency, joules.
-    pub fn energy_per_inference_j(&self, inference_s: f64) -> f64 {
+    pub(crate) fn energy_per_inference_j(&self, inference_s: f64) -> f64 {
         self.active_w * inference_s
     }
 

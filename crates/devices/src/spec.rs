@@ -114,7 +114,7 @@ pub struct DeviceSpec {
 impl Device {
     /// The paper's ten platforms *plus* the two footnote follow-on devices
     /// (Raspberry Pi 4B, NCS2) modelled as extensions.
-    pub fn extended() -> &'static [Device] {
+    pub(crate) fn extended() -> &'static [Device] {
         use Device::*;
         &[
             RaspberryPi3,
@@ -163,7 +163,8 @@ impl Device {
     }
 
     /// The HPC platforms compared against Jetson TX2 in Figs 9–10.
-    pub fn hpc_set() -> &'static [Device] {
+    #[cfg(test)]
+    fn hpc_set() -> &'static [Device] {
         use Device::*;
         &[XeonCpu, GtxTitanX, TitanXp, Rtx2080]
     }

@@ -41,7 +41,7 @@ pub struct ThermalSpec {
 }
 
 /// Ambient temperature assumed by the calibration, °C.
-pub const AMBIENT_C: f64 = 25.0;
+pub(crate) const AMBIENT_C: f64 = 25.0;
 
 impl ThermalSpec {
     /// The thermal parameters for an edge device.
@@ -53,7 +53,7 @@ impl ThermalSpec {
     /// # Panics
     ///
     /// Panics for HPC platforms, which the paper's thermal study excludes.
-    /// Use [`ThermalSpec::try_for_device`] to handle those gracefully.
+    /// Use `ThermalSpec::try_for_device` to handle those gracefully.
     pub fn for_device(device: Device) -> ThermalSpec {
         Self::try_for_device(device)
             .unwrap_or_else(|| panic!("no thermal model for HPC platform {device}"))
@@ -61,7 +61,7 @@ impl ThermalSpec {
 
     /// The thermal parameters for a device, or `None` for HPC platforms
     /// (which the paper's thermal study excludes).
-    pub fn try_for_device(device: Device) -> Option<ThermalSpec> {
+    pub(crate) fn try_for_device(device: Device) -> Option<ThermalSpec> {
         match device {
             // (43.3 - 25) / 1.33 W = 13.76 °C/W: bare SoC, no sink.
             Device::RaspberryPi3 => Some(ThermalSpec {
@@ -200,7 +200,7 @@ pub enum ThermalEvent {
 }
 
 /// One `(time_s, junction_temp_c)` sample of a simulation.
-pub type ThermalSample = (f64, f64);
+pub(crate) type ThermalSample = (f64, f64);
 
 /// Result of a sustained-load thermal simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -267,7 +267,7 @@ impl ThermalSim {
     }
 
     /// Simulated time elapsed since construction, seconds.
-    pub fn time_s(&self) -> f64 {
+    pub(crate) fn time_s(&self) -> f64 {
         self.time_s
     }
 
@@ -377,7 +377,7 @@ impl ThermalSim {
 }
 
 /// One sample of a sustained inference loop: `(time_s, latency_s)`.
-pub type LatencySample = (f64, f64);
+pub(crate) type LatencySample = (f64, f64);
 
 /// Result of running back-to-back inference under the thermal model:
 /// latency over time as throttling kicks in.
@@ -393,12 +393,12 @@ pub struct SustainedRun {
 
 impl SustainedRun {
     /// Latency of the first inference (cold device).
-    pub fn cold_latency_s(&self) -> f64 {
+    pub(crate) fn cold_latency_s(&self) -> f64 {
         self.samples.first().map(|&(_, l)| l).unwrap_or(0.0)
     }
 
     /// Worst per-inference latency observed (throttle oscillation peaks).
-    pub fn hot_latency_s(&self) -> f64 {
+    pub(crate) fn hot_latency_s(&self) -> f64 {
         self.samples.iter().map(|&(_, l)| l).fold(0.0, f64::max)
     }
 

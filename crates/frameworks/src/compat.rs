@@ -88,7 +88,7 @@ impl Compat {
 ///
 /// Accelerators require their dedicated toolkits; the dedicated toolkits
 /// target nothing else; general frameworks run on CPU/GPU platforms.
-pub fn framework_targets_device(fw: Framework, device: Device) -> bool {
+pub(crate) fn framework_targets_device(fw: Framework, device: Device) -> bool {
     use Device::*;
     match fw {
         Framework::Ncsdk => matches!(device, MovidiusNcs | Ncs2),
@@ -103,9 +103,7 @@ pub fn framework_targets_device(fw: Framework, device: Device) -> bool {
 }
 
 /// Ops the EdgeTPU compiler can lower (quantized TFLite operator subset).
-/// Exposed for the segment-mapping model in
-/// [`crate::edgetpu_compiler`].
-pub fn edgetpu_op_check(op: &Op) -> Result<(), String> {
+pub(crate) fn edgetpu_op_check(op: &Op) -> Result<(), String> {
     match op {
         Op::Conv3d { .. } | Op::Pool3d { .. } => Err(format!("{op} has no EdgeTPU lowering")),
         Op::Lrn { .. } => Err("lrn is not supported by the edgetpu compiler".to_string()),

@@ -63,7 +63,6 @@ impl From<GraphError> for DeployError {
 pub struct CompiledModel {
     framework: Framework,
     device: Device,
-    model: Option<Model>,
     graph: Graph,
     profile: ExecProfile,
     policy: MemoryPolicy,
@@ -85,7 +84,7 @@ pub fn compile(fw: Framework, model: Model, device: Device) -> Result<CompiledMo
         return Err(DeployError::Incompatible(b));
     }
     let graph = model.build();
-    compile_graph_with_compat(fw, graph, device, Some(model), verdict)
+    compile_graph_with_compat(fw, graph, device, verdict)
 }
 
 /// Compiles an arbitrary graph (no Table V model-specific rules applied).
@@ -102,14 +101,13 @@ pub fn compile_graph(
     if !compat::framework_targets_device(fw, device) {
         return Err(DeployError::Incompatible(compat::Barrier::WrongDevice));
     }
-    compile_graph_with_compat(fw, graph, device, None, Compat::Supported)
+    compile_graph_with_compat(fw, graph, device, Compat::Supported)
 }
 
 fn compile_graph_with_compat(
     fw: Framework,
     graph: Graph,
     device: Device,
-    model: Option<Model>,
     verdict: Compat,
 ) -> Result<CompiledModel, DeployError> {
     let profile = ExecProfile::for_pair(fw, device)
@@ -131,7 +129,6 @@ fn compile_graph_with_compat(
     Ok(CompiledModel {
         framework: fw,
         device,
-        model,
         graph: g,
         profile,
         policy,
@@ -142,18 +139,13 @@ fn compile_graph_with_compat(
 
 impl CompiledModel {
     /// The framework this model was compiled with.
-    pub fn framework(&self) -> Framework {
+    pub(crate) fn framework(&self) -> Framework {
         self.framework
     }
 
     /// The target device.
-    pub fn device(&self) -> Device {
+    pub(crate) fn device(&self) -> Device {
         self.device
-    }
-
-    /// The zoo model, when compiled from one.
-    pub fn model(&self) -> Option<Model> {
-        self.model
     }
 
     /// The transformed (deployed) graph.
@@ -162,7 +154,7 @@ impl CompiledModel {
     }
 
     /// The execution profile in use.
-    pub fn profile(&self) -> &ExecProfile {
+    pub(crate) fn profile(&self) -> &ExecProfile {
         &self.profile
     }
 
@@ -290,36 +282,6 @@ impl CompiledModel {
         }
     }
 
-    /// Per-layer latency attribution in milliseconds (roofline time plus
-    /// this layer's dispatch share), in topological order — what a layer
-    /// profiler reports.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledModel::timing`].
-    pub fn per_layer_ms(&self) -> Result<Vec<(String, f64)>, DeployError> {
-        let rl = self.roofline();
-        let dtype = self.graph.dtype();
-        let dispatch = self.device.spec().dispatch_overhead_s * self.profile.dispatch_scale * 1e3;
-        // Memory-pressure slowdown applies to kernel time layer by layer,
-        // so the per-layer sum stays consistent with `timing()`.
-        let pressure = self.timing()?.pressure_factor;
-        let mut out = Vec::new();
-        for node in self.graph.nodes() {
-            if matches!(node.op(), Op::Input { .. }) {
-                continue;
-            }
-            let cost = edgebench_graph::stats::node_cost(&self.graph, node.id());
-            let (mut c, m) = rl.node_time_s(&cost, dtype)?;
-            c *= self.op_penalty(node.op());
-            out.push((
-                node.name().to_string(),
-                c.max(m) * pressure * 1e3 + dispatch,
-            ));
-        }
-        Ok(out)
-    }
-
     /// Predicted latency in milliseconds.
     ///
     /// # Errors
@@ -337,27 +299,6 @@ impl CompiledModel {
     pub fn energy_mj(&self) -> Result<f64, DeployError> {
         let t = self.timing()?;
         Ok(PowerModel::for_device(self.device).energy_per_inference_mj(t.total_s))
-    }
-
-    /// One-time setup cost (library load + graph build / engine build).
-    pub fn setup_s(&self) -> f64 {
-        self.profile.library_load_s + self.profile.graph_setup_s
-    }
-
-    /// Mean per-inference time when `n` inferences amortize the setup —
-    /// what a profiler sees over a short run (paper §V, Fig 5).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledModel::timing`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn amortized_s(&self, n: usize) -> Result<f64, DeployError> {
-        assert!(n > 0, "need at least one inference");
-        let per = self.timing()?.total_s;
-        Ok((self.setup_s() + n as f64 * per) / n as f64)
     }
 }
 
@@ -501,56 +442,12 @@ mod tests {
     }
 
     #[test]
-    fn amortization_approaches_steady_state() {
-        let c = compile(Framework::TensorFlow, Model::ResNet18, Device::JetsonTx2).unwrap();
-        let steady = c.timing().unwrap().total_s;
-        let short = c.amortized_s(10).unwrap();
-        let long = c.amortized_s(100_000).unwrap();
-        assert!(short > long);
-        assert!((long - steady) / steady < 0.01);
-    }
-
-    #[test]
     fn energy_tracks_latency_times_power() {
         let c = compile(Framework::PyTorch, Model::ResNet18, Device::JetsonTx2).unwrap();
         let t = c.timing().unwrap().total_s;
         let e = c.energy_mj().unwrap();
         let expected = Device::JetsonTx2.spec().avg_power_w * t * 1e3;
         assert!((e - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn per_layer_times_sum_to_the_kernel_share_of_total() {
-        // Both an unpressured and a paging (dynamic-fallback) deployment.
-        for (fw, m, d) in [
-            (Framework::PyTorch, Model::ResNet18, Device::JetsonTx2),
-            (Framework::PyTorch, Model::Vgg16, Device::RaspberryPi3),
-        ] {
-            let c = compile(fw, m, d).unwrap();
-            let layers = c.per_layer_ms().unwrap();
-            assert_eq!(layers.len(), c.graph().len() - 1); // all but input
-            let sum: f64 = layers.iter().map(|(_, ms)| ms).sum();
-            let t = c.timing().unwrap();
-            let kernel_ms = ((t.compute_s + t.memory_s) * t.pressure_factor + t.dispatch_s) * 1e3;
-            assert!(
-                (sum - kernel_ms).abs() / kernel_ms < 0.01,
-                "{m} on {d}: {sum} vs {kernel_ms}"
-            );
-        }
-    }
-
-    #[test]
-    fn stem_conv_dominates_resnet_early_layers() {
-        let c = compile(Framework::PyTorch, Model::ResNet18, Device::RaspberryPi3).unwrap();
-        let layers = c.per_layer_ms().unwrap();
-        // The 7x7 stem conv is among the most expensive layers.
-        let stem = layers.iter().find(|(n, _)| n.contains("conv2d")).unwrap().1;
-        let median = {
-            let mut v: Vec<f64> = layers.iter().map(|(_, ms)| *ms).collect();
-            v.sort_by(f64::total_cmp);
-            v[v.len() / 2]
-        };
-        assert!(stem > 5.0 * median, "stem {stem} vs median {median}");
     }
 
     #[test]

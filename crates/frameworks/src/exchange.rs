@@ -4,7 +4,7 @@
 //! this issue").
 //!
 //! The format is a line-oriented text serialization of the IR: one node per
-//! line, fully round-trippable. On top of it, [`op_supported`] encodes each
+//! line, fully round-trippable. On top of it, `op_supported` encodes each
 //! framework's *operator coverage*, so importing a model into a framework
 //! either succeeds or fails with the first unsupported operator — the
 //! mechanism behind the paper's Table II "compatibility with others" row.
@@ -481,7 +481,7 @@ pub fn import_graph(text: &str) -> Result<Graph, ExchangeError> {
 
 /// Whether `fw` can represent `op` — the operator-coverage half of the
 /// paper's framework-compatibility observations.
-pub fn op_supported(fw: Framework, op: &Op) -> bool {
+pub(crate) fn op_supported(fw: Framework, op: &Op) -> bool {
     match op {
         // 3-D convolution: absent from DarkNet, NCSDK (the paper's C3D
         // failure) and the FPGA stacks.

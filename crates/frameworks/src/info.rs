@@ -81,11 +81,6 @@ impl Framework {
         self.info().name
     }
 
-    /// Parses a framework from its [`Framework::name`].
-    pub fn from_name(name: &str) -> Option<Framework> {
-        Framework::all().iter().copied().find(|f| f.name() == name)
-    }
-
     /// The Table II row for this framework.
     pub fn info(self) -> &'static FrameworkInfo {
         match self {
@@ -289,14 +284,6 @@ impl OptimizationSupport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_roundtrip() {
-        for &f in Framework::all() {
-            assert_eq!(Framework::from_name(f.name()), Some(f));
-        }
-        assert_eq!(Framework::from_name("mxnet"), None);
-    }
 
     #[test]
     fn table2_key_facts_hold() {

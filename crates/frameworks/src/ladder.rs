@@ -1,33 +1,16 @@
-//! Graceful-degradation ladders: ordered cheaper-precision variants of a
-//! deployment.
+//! Graceful-degradation ladders: the cheaper precisions a deployment can
+//! step down to, and what each step costs in accuracy.
 //!
 //! A serving fleet under SLO pressure can *degrade* instead of shedding:
 //! re-lower the same deployed graph to a narrower precision (fp32 → fp16
 //! → int8, the framework quantization passes) and serve the burst at a
-//! lower accuracy proxy. This module constructs that ladder: rung 0 is
-//! the framework's native deployment, and each subsequent rung is a
-//! strictly cheaper (batch-1 latency) re-lowering. Devices without a fast
-//! low-precision path (the RPi's NEON f32-only stacks) naturally produce
-//! short or empty ladders — exactly the paper's per-device unevenness.
+//! lower accuracy proxy. The serving fleet builds its ladder from these
+//! rungs, keeping a rung only when it is strictly cheaper than the one
+//! above it. Devices without a fast low-precision path (the RPi's NEON
+//! f32-only stacks) naturally produce short or empty ladders — exactly
+//! the paper's per-device unevenness.
 
-use crate::deploy::{compile, CompiledModel, DeployError};
-use crate::info::Framework;
-use edgebench_devices::Device;
 use edgebench_graph::DType;
-use edgebench_models::Model;
-
-/// One rung of a degradation ladder.
-#[derive(Debug, Clone)]
-pub struct PrecisionVariant {
-    /// Precision this rung serves at.
-    pub dtype: DType,
-    /// Accuracy proxy in `[0, 1]` (1.0 = full-precision fidelity).
-    pub fidelity: f64,
-    /// Predicted batch-1 latency, milliseconds.
-    pub latency_ms: f64,
-    /// The re-lowered deployment.
-    pub compiled: CompiledModel,
-}
 
 /// Accuracy proxy per precision: fp16 is near-lossless, int8
 /// post-training quantization costs on the order of a point of top-1
@@ -49,103 +32,13 @@ pub fn cheaper_dtypes(dtype: DType) -> &'static [DType] {
     }
 }
 
-/// Builds the degradation ladder for `(framework, model, device)`: the
-/// native deployment followed by every strictly cheaper narrower-precision
-/// re-lowering. A candidate rung is kept only when it deploys *and* its
-/// batch-1 latency is strictly below the previous rung's, so the returned
-/// ladder is strictly decreasing in cost by construction.
-///
-/// # Errors
-///
-/// [`DeployError`] when even the native deployment is infeasible.
-pub fn precision_ladder(
-    fw: Framework,
-    model: Model,
-    device: Device,
-) -> Result<Vec<PrecisionVariant>, DeployError> {
-    let native = compile(fw, model, device)?;
-    let native_dtype = native.graph().dtype();
-    let native_ms = native.latency_ms()?;
-    let mut ladder = vec![PrecisionVariant {
-        dtype: native_dtype,
-        fidelity: fidelity_proxy(native_dtype),
-        latency_ms: native_ms,
-        compiled: native.clone(),
-    }];
-    for &dtype in cheaper_dtypes(native_dtype) {
-        let compiled = native.clone().with_precision(dtype);
-        let Ok(latency_ms) = compiled.latency_ms() else {
-            continue; // no execution path at this precision
-        };
-        let prev_ms = ladder.last().expect("rung 0 present").latency_ms;
-        if latency_ms < prev_ms {
-            ladder.push(PrecisionVariant {
-                dtype,
-                fidelity: fidelity_proxy(dtype),
-                latency_ms,
-                compiled,
-            });
-        }
-    }
-    Ok(ladder)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn ladders_are_strictly_decreasing_in_latency() {
-        for (fw, model, device) in [
-            (Framework::PyTorch, Model::ResNet50, Device::JetsonTx2),
-            (Framework::TensorRt, Model::ResNet50, Device::JetsonNano),
-            (Framework::TfLite, Model::MobileNetV2, Device::RaspberryPi3),
-            (Framework::TensorFlow, Model::ResNet18, Device::RaspberryPi3),
-        ] {
-            let ladder = precision_ladder(fw, model, device).unwrap();
-            assert!(!ladder.is_empty());
-            for w in ladder.windows(2) {
-                assert!(
-                    w[1].latency_ms < w[0].latency_ms,
-                    "{fw} {model} {device}: {} !< {}",
-                    w[1].latency_ms,
-                    w[0].latency_ms
-                );
-                assert!(w[1].fidelity < w[0].fidelity, "fidelity must cost");
-            }
-        }
-    }
-
-    #[test]
-    fn tx2_pytorch_ladder_reaches_int8_and_nearly_halves_resnet50() {
-        let ladder =
-            precision_ladder(Framework::PyTorch, Model::ResNet50, Device::JetsonTx2).unwrap();
-        assert!(ladder.len() >= 2, "tx2 has an f16 path");
-        assert_eq!(ladder[0].dtype, DType::F32);
-        assert_eq!(ladder[1].dtype, DType::F16);
-        let speedup = ladder[0].latency_ms / ladder[1].latency_ms;
-        assert!(speedup > 1.3, "f16 speedup {speedup}");
-    }
-
-    #[test]
-    fn native_int8_deployments_have_no_lower_rung() {
-        // TFLite already deploys at INT8; there is nothing narrower.
-        let ladder =
-            precision_ladder(Framework::TfLite, Model::MobileNetV2, Device::RaspberryPi3).unwrap();
-        assert_eq!(ladder.len(), 1);
-        assert_eq!(ladder[0].dtype, DType::I8);
-    }
-
-    #[test]
     fn fidelity_proxy_is_monotone_in_width() {
         assert!(fidelity_proxy(DType::F32) > fidelity_proxy(DType::F16));
         assert!(fidelity_proxy(DType::F16) > fidelity_proxy(DType::I8));
-    }
-
-    #[test]
-    fn infeasible_native_deployment_propagates_the_error() {
-        assert!(
-            precision_ladder(Framework::TensorFlow, Model::Vgg16, Device::RaspberryPi3).is_err()
-        );
     }
 }

@@ -11,7 +11,7 @@
 //! against a device (reproducing the paper's Table V compatibility matrix
 //! in [`compat`]), and produces a [`deploy::CompiledModel`] whose latency,
 //! energy and software-stack breakdown come from the calibrated execution
-//! profiles in [`profile`].
+//! profiles in `profile`.
 //!
 //! ## Example
 //!
@@ -33,12 +33,11 @@
 
 pub mod compat;
 pub mod deploy;
-pub mod edgetpu_compiler;
 pub mod exchange;
 mod info;
 pub mod ladder;
 pub mod passes;
-pub mod profile;
+mod profile;
 pub mod stack;
 
 pub use info::{Framework, FrameworkInfo, OptimizationSupport};

@@ -5,12 +5,9 @@
 //!   activation` chains into a single [`Op::FusedConvBnAct`], eliminating
 //!   two dispatches and two activation-map round trips per chain. This is
 //!   the fusion TFLite / TensorRT / NCSDK apply (paper §III-B).
-//! * [`fuse_dense_act`] — kernel fusion for classifier heads: collapses
-//!   `dense → activation` pairs into a single [`Op::FusedDenseAct`] applied
-//!   at store time by the backend's fused dense kernel.
 //! * [`freeze`] — graph freezing: removes inference-time no-ops (dropout),
 //!   as TFLite's converter does when it freezes a TensorFlow graph.
-//! * [`quantize`] / [`to_half`] — precision lowering (INT8 / FP16).
+//! * [`quantize`] — precision lowering to INT8.
 //! * [`pruning_speedup`] — the compute reduction a framework that exploits
 //!   pruned weights achieves at a given sparsity.
 
@@ -126,48 +123,6 @@ pub fn fuse_conv_bn_act(g: &Graph) -> Result<Graph, GraphError> {
     rebuild(g, &keep, &forward, &replacement)
 }
 
-/// Fuses `dense → activation` pairs into single [`Op::FusedDenseAct`]
-/// operators, letting the backend apply the activation at store time inside
-/// the dense kernel instead of in a separate pass over the output.
-///
-/// Like [`fuse_conv_bn_act`], fusion only happens when the dense output has
-/// exactly one consumer, and the fused node keeps the dense layer's *name*
-/// so the synthetic `WeightStore` assigns identical weights before and after
-/// — the tensor backend's fused kernel is bit-identical to the unfused pair.
-///
-/// # Errors
-///
-/// Propagates graph-reconstruction errors (none for valid inputs).
-pub fn fuse_dense_act(g: &Graph) -> Result<Graph, GraphError> {
-    let consumers = g.consumers();
-    let n = g.len();
-    let mut keep = vec![true; n];
-    let mut forward: Vec<usize> = (0..n).collect();
-    let mut replacement: Vec<Option<Op>> = vec![None; n];
-    for node in g.nodes() {
-        let i = node.id().index();
-        let (units, bias) = match node.op() {
-            Op::Dense { units, bias } => (*units, *bias),
-            _ => continue,
-        };
-        if consumers[i].len() != 1 {
-            continue;
-        }
-        let j = consumers[i][0].index();
-        let Op::Activation { kind } = g.nodes()[j].op() else {
-            continue;
-        };
-        keep[j] = false;
-        forward[j] = i;
-        replacement[i] = Some(Op::FusedDenseAct {
-            units,
-            bias,
-            act: *kind,
-        });
-    }
-    rebuild(g, &keep, &forward, &replacement)
-}
-
 /// Freezes the graph for deployment: removes dropout no-ops.
 ///
 /// # Errors
@@ -191,41 +146,9 @@ pub fn freeze(g: &Graph) -> Result<Graph, GraphError> {
     rebuild(g, &keep, &forward, &replacement)
 }
 
-/// Dead-code elimination: removes nodes not reachable (backwards) from the
-/// graph output — e.g. auxiliary training heads or probe branches left in
-/// an exported model, which deployment compilers strip.
-///
-/// # Errors
-///
-/// Propagates graph-reconstruction errors (none for valid inputs).
-pub fn eliminate_dead_nodes(g: &Graph) -> Result<Graph, GraphError> {
-    let n = g.len();
-    let mut live = vec![false; n];
-    let mut stack = vec![g.output().index()];
-    while let Some(i) = stack.pop() {
-        if live[i] {
-            continue;
-        }
-        live[i] = true;
-        for inp in g.nodes()[i].inputs() {
-            stack.push(inp.index());
-        }
-    }
-    // rebuild() resolves dropped nodes through `forward`, but dead nodes
-    // have no live consumers by construction, so identity forwarding works.
-    let forward: Vec<usize> = (0..n).collect();
-    let replacement = vec![None; n];
-    rebuild(g, &live, &forward, &replacement)
-}
-
 /// Lowers the graph to INT8 (post-training quantization).
 pub fn quantize(g: &Graph) -> Graph {
     g.with_dtype(edgebench_graph::DType::I8)
-}
-
-/// Lowers the graph to FP16.
-pub fn to_half(g: &Graph) -> Graph {
-    g.with_dtype(edgebench_graph::DType::F16)
 }
 
 /// Compute-time reduction factor from pruned (sparse) weights.
@@ -334,59 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_act_fusion_collapses_pair() {
-        let mut b = GraphBuilder::new("head");
-        let x = b.input([1, 32]);
-        let d = b.dense(x, 16).unwrap();
-        let r = b.activation(d, ActivationKind::Relu).unwrap();
-        let out = b.dense(r, 10).unwrap();
-        let g = b.build(out).unwrap();
-        let f = fuse_dense_act(&g).unwrap();
-        assert_eq!(f.len(), g.len() - 1);
-        let fused = f
-            .nodes()
-            .iter()
-            .find(|n| matches!(n.op(), Op::FusedDenseAct { .. }))
-            .expect("fused node exists");
-        if let Op::FusedDenseAct { units, bias, act } = fused.op() {
-            assert_eq!(*units, 16);
-            assert!(*bias);
-            assert_eq!(*act, ActivationKind::Relu);
-        }
-        assert_eq!(f.output_shape(), g.output_shape());
-    }
-
-    #[test]
-    fn dense_act_fusion_is_bit_identical() {
-        use edgebench_tensor::{Executor, Tensor};
-        let mut b = GraphBuilder::new("head");
-        let x = b.input([2, 24]);
-        let d = b.dense(x, 12).unwrap();
-        let a = b.activation(d, ActivationKind::Sigmoid).unwrap();
-        let out = b.dense(a, 5).unwrap();
-        let g = b.build(out).unwrap();
-        let f = fuse_dense_act(&g).unwrap();
-        let xt = Tensor::random([2, 24], 9);
-        let yg = Executor::new(&g).with_seed(7).run(&xt).unwrap();
-        let yf = Executor::new(&f).with_seed(7).run(&xt).unwrap();
-        assert_eq!(yg, yf, "fused dense kernel must be bit-identical");
-    }
-
-    #[test]
-    fn dense_act_fusion_does_not_break_taps() {
-        // The dense output feeds both an activation and a residual add:
-        // fusing would change what the add sees, so nothing may fuse.
-        let mut b = GraphBuilder::new("tap");
-        let x = b.input([1, 8]);
-        let d = b.dense(x, 8).unwrap();
-        let a = b.activation(d, ActivationKind::Relu).unwrap();
-        let s = b.add(a, d).unwrap();
-        let g = b.build(s).unwrap();
-        let f = fuse_dense_act(&g).unwrap();
-        assert_eq!(f.len(), g.len());
-    }
-
-    #[test]
     fn freeze_removes_dropout() {
         let g = Model::Vgg16.build();
         let f = freeze(&g).unwrap();
@@ -412,49 +282,9 @@ mod tests {
     }
 
     #[test]
-    fn dce_removes_unreachable_branches() {
-        let mut b = GraphBuilder::new("dead");
-        let x = b.input([1, 3, 8, 8]);
-        let live = b.conv2d(x, 4, (3, 3), (1, 1), (1, 1)).unwrap();
-        // A dead auxiliary branch nobody consumes.
-        let dead = b.conv2d(x, 16, (3, 3), (1, 1), (1, 1)).unwrap();
-        let _dead2 = b.activation(dead, ActivationKind::Relu).unwrap();
-        let f = b.flatten(live).unwrap();
-        let out = b.dense(f, 10).unwrap();
-        let g = b.build(out).unwrap();
-        let clean = eliminate_dead_nodes(&g).unwrap();
-        assert_eq!(clean.len(), g.len() - 2);
-        assert_eq!(clean.output_shape(), g.output_shape());
-        assert!(clean.stats().flops < g.stats().flops);
-    }
-
-    #[test]
-    fn dce_is_identity_on_fully_live_graphs() {
-        for m in [Model::ResNet18, Model::MobileNetV2] {
-            let g = m.build();
-            let clean = eliminate_dead_nodes(&g).unwrap();
-            assert_eq!(clean.len(), g.len(), "{m}");
-            assert_eq!(clean.stats().flops, g.stats().flops, "{m}");
-        }
-    }
-
-    #[test]
-    fn dce_after_dce_is_stable() {
-        let mut b = GraphBuilder::new("dead");
-        let x = b.input([1, 4]);
-        let _dead = b.dense(x, 8).unwrap();
-        let out = b.dense(x, 2).unwrap();
-        let g = b.build(out).unwrap();
-        let once = eliminate_dead_nodes(&g).unwrap();
-        let twice = eliminate_dead_nodes(&once).unwrap();
-        assert_eq!(once, twice);
-    }
-
-    #[test]
-    fn quantize_and_half_retag_dtype() {
+    fn quantize_retags_dtype() {
         let g = Model::CifarNet.build();
         assert_eq!(quantize(&g).dtype(), edgebench_graph::DType::I8);
-        assert_eq!(to_half(&g).dtype(), edgebench_graph::DType::F16);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use edgebench_graph::{DType, MemoryPolicy};
 
 /// How a framework executes on a particular device.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExecProfile {
+pub(crate) struct ExecProfile {
     /// Multiplier on attainable compute (kernel quality; 1 = device-tuned).
     pub compute_scale: f64,
     /// Multiplier on attainable bandwidth.
@@ -73,7 +73,7 @@ impl ExecProfile {
 
     /// The calibrated profile for `fw` running on `device`, or `None` if the
     /// framework does not target the device.
-    pub fn for_pair(fw: Framework, device: Device) -> Option<ExecProfile> {
+    pub(crate) fn for_pair(fw: Framework, device: Device) -> Option<ExecProfile> {
         if !crate::compat::framework_targets_device(fw, device) {
             return None;
         }

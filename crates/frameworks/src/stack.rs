@@ -32,7 +32,7 @@ pub struct StackProfile {
 
 impl StackProfile {
     /// Total profiled seconds.
-    pub fn total_s(&self) -> f64 {
+    pub(crate) fn total_s(&self) -> f64 {
         self.slices.iter().map(|s| s.seconds).sum()
     }
 

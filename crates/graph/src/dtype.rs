@@ -46,11 +46,6 @@ impl DType {
             DType::F32 => "f32",
         }
     }
-
-    /// Whether this type is a floating-point type.
-    pub fn is_float(self) -> bool {
-        matches!(self, DType::F16 | DType::F32)
-    }
 }
 
 impl fmt::Display for DType {
@@ -83,12 +78,5 @@ mod tests {
     #[test]
     fn default_is_f32() {
         assert_eq!(DType::default(), DType::F32);
-    }
-
-    #[test]
-    fn float_classification() {
-        assert!(DType::F32.is_float());
-        assert!(DType::F16.is_float());
-        assert!(!DType::I8.is_float());
     }
 }

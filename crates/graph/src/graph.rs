@@ -377,7 +377,8 @@ impl GraphBuilder {
     ///
     /// Returns an error if `groups` does not divide the channel counts or the
     /// kernel does not fit.
-    pub fn conv2d_grouped(
+    #[cfg(test)]
+    pub(crate) fn conv2d_grouped(
         &mut self,
         x: NodeId,
         out_channels: usize,
@@ -592,16 +593,6 @@ impl GraphBuilder {
     /// Returns an error if the input id is unknown.
     pub fn softmax(&mut self, x: NodeId) -> Result<NodeId, GraphError> {
         self.push_auto(Op::Softmax, vec![x])
-    }
-
-    /// Number of nodes added so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether no nodes have been added yet.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Finalizes the graph with `output` as the designated output node.

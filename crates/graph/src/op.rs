@@ -238,7 +238,7 @@ impl Op {
     }
 
     /// Number of data inputs this operator requires, or `None` if variadic.
-    pub fn arity(&self) -> Option<usize> {
+    pub(crate) fn arity(&self) -> Option<usize> {
         match self {
             Op::Input { .. } => Some(0),
             Op::Add | Op::Mul => Some(2),
@@ -248,7 +248,7 @@ impl Op {
     }
 
     /// Whether this operator carries learnable parameters.
-    pub fn has_params(&self) -> bool {
+    pub(crate) fn has_params(&self) -> bool {
         matches!(
             self,
             Op::Conv2d { .. }
@@ -268,7 +268,7 @@ impl Op {
     /// Returns [`GraphError::ShapeMismatch`] when the inputs are incompatible
     /// with the operator (wrong rank, non-dividing groups, mismatched `Add`
     /// operands, windows that do not fit, …).
-    pub fn infer_shape(&self, inputs: &[TensorShape]) -> Result<TensorShape, GraphError> {
+    pub(crate) fn infer_shape(&self, inputs: &[TensorShape]) -> Result<TensorShape, GraphError> {
         let one = |what: &str| -> Result<&TensorShape, GraphError> {
             inputs.first().ok_or_else(|| GraphError::ShapeMismatch {
                 op: self.name(),

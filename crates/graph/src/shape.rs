@@ -106,15 +106,6 @@ impl TensorShape {
         self.dims[2]
     }
 
-    /// Returns the shape with the batch dimension replaced by `n`.
-    pub fn with_batch(&self, n: usize) -> TensorShape {
-        let mut dims = self.dims.clone();
-        if !dims.is_empty() {
-            dims[0] = n;
-        }
-        TensorShape { dims }
-    }
-
     /// Output spatial extent of a strided, padded sliding window:
     /// `floor((input + 2*pad - kernel) / stride) + 1`.
     ///
@@ -193,12 +184,6 @@ mod tests {
         assert_eq!(TensorShape::conv_out_extent(2, 5, 1, 0), None);
         // Zero stride is invalid.
         assert_eq!(TensorShape::conv_out_extent(8, 3, 0, 0), None);
-    }
-
-    #[test]
-    fn with_batch_replaces_only_dim0() {
-        let s = TensorShape::new([1, 3, 4, 4]).with_batch(8);
-        assert_eq!(s.dims(), &[8, 3, 4, 4]);
     }
 
     #[test]

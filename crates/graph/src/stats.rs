@@ -56,15 +56,6 @@ impl NodeCost {
     pub fn total_bytes(&self) -> u64 {
         self.input_bytes + self.output_bytes + self.weight_bytes
     }
-
-    /// Arithmetic intensity in FLOP per byte moved.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        if self.total_bytes() == 0 {
-            0.0
-        } else {
-            self.flops as f64 / self.total_bytes() as f64
-        }
-    }
 }
 
 /// Whole-graph cost summary (the row format of the paper's Table I).
@@ -97,14 +88,6 @@ impl GraphStats {
             self.flops as f64 / self.params as f64
         }
     }
-
-    /// Estimated runtime memory footprint in bytes under an allocation policy.
-    pub fn memory_footprint(&self, policy: MemoryPolicy) -> u64 {
-        match policy {
-            MemoryPolicy::StaticGraph => self.weight_bytes + self.activation_bytes_total,
-            MemoryPolicy::DynamicGraph => self.weight_bytes + self.peak_activation_bytes,
-        }
-    }
 }
 
 fn pair(p: (usize, usize)) -> u64 {
@@ -116,7 +99,7 @@ fn triple(p: (usize, usize, usize)) -> u64 {
 }
 
 /// Computes the learnable-parameter count of `op` given its input shapes.
-pub fn op_params(op: &Op, inputs: &[TensorShape], output: &TensorShape) -> u64 {
+pub(crate) fn op_params(op: &Op, inputs: &[TensorShape], output: &TensorShape) -> u64 {
     match op {
         Op::Conv2d {
             out_channels,
@@ -167,7 +150,7 @@ pub fn op_params(op: &Op, inputs: &[TensorShape], output: &TensorShape) -> u64 {
 }
 
 /// Computes the FLOP count (MAC convention) of `op` for one inference.
-pub fn op_flops(op: &Op, inputs: &[TensorShape], output: &TensorShape) -> u64 {
+pub(crate) fn op_flops(op: &Op, inputs: &[TensorShape], output: &TensorShape) -> u64 {
     let out_elems = output.num_elements() as u64;
     match op {
         Op::Conv2d { kernel, groups, .. } => {
@@ -231,7 +214,7 @@ pub fn node_cost(graph: &Graph, id: NodeId) -> NodeCost {
 }
 
 /// Peak live activation bytes under dynamic (free-after-last-use) allocation.
-pub fn peak_activation_bytes(graph: &Graph) -> u64 {
+pub(crate) fn peak_activation_bytes(graph: &Graph) -> u64 {
     let elem = graph.dtype().size_bytes() as u64;
     let n = graph.len();
     // last_use[i] = index of the last node consuming node i's output.
@@ -400,10 +383,6 @@ mod tests {
         let g = b.build(x).unwrap();
         let s = g.stats();
         assert!(s.peak_activation_bytes < s.activation_bytes_total / 3);
-        assert!(
-            s.memory_footprint(MemoryPolicy::DynamicGraph)
-                < s.memory_footprint(MemoryPolicy::StaticGraph)
-        );
     }
 
     #[test]

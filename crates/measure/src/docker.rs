@@ -31,7 +31,7 @@ const DOCKER_KERNEL_TAX: f64 = 1.015;
 
 impl Virtualization {
     /// Adjusts a bare-metal timing for this environment.
-    pub fn apply(self, t: &Timing) -> Timing {
+    pub(crate) fn apply(self, t: &Timing) -> Timing {
         match self {
             Virtualization::BareMetal => t.clone(),
             Virtualization::Docker => {
@@ -75,7 +75,8 @@ impl Virtualization {
 /// # Errors
 ///
 /// Propagates timing-model errors.
-pub fn docker_slowdown(compiled: &CompiledModel) -> Result<f64, DeployError> {
+#[cfg(test)]
+fn docker_slowdown(compiled: &CompiledModel) -> Result<f64, DeployError> {
     let bare = Virtualization::BareMetal.latency_s(compiled)?;
     let dock = Virtualization::Docker.latency_s(compiled)?;
     Ok(dock / bare - 1.0)

@@ -22,13 +22,13 @@ pub trait PowerMeter {
 /// Power readings combine both error terms on a nominal 5.1 V USB rail
 /// (digit resolution: 1 mV / 0.1 mA).
 #[derive(Debug)]
-pub struct UsbMultimeter {
+pub(crate) struct UsbMultimeter {
     rng: StdRng,
 }
 
 impl UsbMultimeter {
     /// Creates a meter with a deterministic noise seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         UsbMultimeter {
             rng: StdRng::seed_from_u64(seed),
         }
@@ -55,13 +55,13 @@ impl PowerMeter for UsbMultimeter {
 
 /// The outlet power analyzer: ±0.005 W accuracy, 1 Hz.
 #[derive(Debug)]
-pub struct PowerAnalyzer {
+pub(crate) struct PowerAnalyzer {
     rng: StdRng,
 }
 
 impl PowerAnalyzer {
     /// Creates an analyzer with a deterministic noise seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         PowerAnalyzer {
             rng: StdRng::seed_from_u64(seed),
         }
@@ -97,7 +97,7 @@ pub fn meter_for(device: Device, seed: u64) -> Box<dyn PowerMeter> {
 /// `inference_s` sets the duty cycle granularity; for inference shorter
 /// than the 1 Hz sampling period the meter simply sees the active level,
 /// matching how the paper measures "average power while executing DNNs".
-pub fn record_inference_trace(
+pub(crate) fn record_inference_trace(
     device: Device,
     inference_s: f64,
     duration_s: f64,

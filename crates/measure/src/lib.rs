@@ -3,10 +3,10 @@
 //! Simulated measurement instruments, replacing the physical equipment of
 //! the paper's §V (Experimental Setups):
 //!
-//! * [`instruments::UsbMultimeter`] — the UM25C USB power meter used for
+//! * `instruments::UsbMultimeter` — the UM25C USB power meter used for
 //!   USB-powered devices: 1 Hz sampling, ±(0.05 % + 2 digits) voltage and
 //!   ±(0.1 % + 4 digits) current accuracy.
-//! * [`instruments::PowerAnalyzer`] — the outlet power analyzer: ±0.005 W.
+//! * `instruments::PowerAnalyzer` — the outlet power analyzer: ±0.005 W.
 //! * [`thermal_camera::ThermalCamera`] — the Flir One: reads the heatsink
 //!   *surface*, 5–10 °C below the junction.
 //! * [`docker::Virtualization`] — the Docker wrapper of §VI-D: overhead
@@ -23,10 +23,9 @@
 
 pub mod docker;
 pub mod instruments;
-pub mod protocol;
 pub mod stats;
 pub mod thermal_camera;
 pub mod trace;
 
-pub use stats::{percentile_sorted, Samples};
+pub use stats::Samples;
 pub use trace::{EventLog, PowerTrace, ServeEvent, ServeEventKind};

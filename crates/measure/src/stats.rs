@@ -1,12 +1,9 @@
 //! Shared order statistics: the one nearest-rank percentile implementation
-//! used by every latency/power summary in the workspace.
+//! used by every latency summary in the workspace.
 //!
-//! Before this module, `PowerTrace::percentile_w` and the queueing
-//! simulator's `QueueStats::percentile_s` each carried their own copy of
-//! the nearest-rank rule; the serving simulator would have added a third.
-//! [`percentile_sorted`] is now the single source of truth, and
-//! [`Samples`] wraps a sorted sample set with the derived statistics a
-//! report needs (percentiles, mean, extrema).
+//! `percentile_sorted` is the single source of truth for the
+//! nearest-rank rule, and [`Samples`] wraps a sorted sample set with the
+//! derived statistics a report needs (percentiles and mean).
 
 /// The `p`-th nearest-rank percentile of an already-sorted slice
 /// (`p` in `0..=100`).
@@ -18,7 +15,7 @@
 /// # Panics
 ///
 /// Panics if `sorted` is empty or `p` is outside `0..=100`.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
     assert!(!sorted.is_empty(), "no samples");
     let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
@@ -62,7 +59,7 @@ impl Samples {
     /// # Panics
     ///
     /// Panics if the set is empty or `p` is out of range (see
-    /// [`percentile_sorted`]).
+    /// `percentile_sorted`).
     pub fn percentile(&self, p: f64) -> f64 {
         percentile_sorted(&self.sorted, p)
     }
@@ -74,16 +71,6 @@ impl Samples {
         } else {
             self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
         }
-    }
-
-    /// Smallest sample (0 for an empty set).
-    pub fn min(&self) -> f64 {
-        self.sorted.first().copied().unwrap_or(0.0)
-    }
-
-    /// Largest sample (0 for an empty set).
-    pub fn max(&self) -> f64 {
-        self.sorted.last().copied().unwrap_or(0.0)
     }
 }
 
@@ -118,8 +105,6 @@ mod tests {
         assert_eq!(s.sorted(), &[1.0, 2.0, 3.0]);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 3.0);
         assert!((s.mean() - 2.0).abs() < 1e-12);
         assert_eq!(s.percentile(50.0), 2.0);
     }
@@ -129,8 +114,6 @@ mod tests {
         let s = Samples::default();
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
     }
 
     #[test]

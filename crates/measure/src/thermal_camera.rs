@@ -6,7 +6,7 @@
 //! below the junction. The [`edgebench_devices::thermal::ThermalSpec`]
 //! carries each device's offset; the camera adds ±0.5 °C sensor noise.
 
-use edgebench_devices::thermal::{ThermalSim, ThermalTrace};
+use edgebench_devices::thermal::ThermalSim;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,16 +28,6 @@ impl ThermalCamera {
     pub fn read_c(&mut self, sim: &ThermalSim) -> f64 {
         sim.camera_temp_c() + self.rng.gen_range(-0.5..=0.5)
     }
-
-    /// Converts a junction-temperature trace into the surface-temperature
-    /// series the camera would have recorded.
-    pub fn image_trace(&mut self, trace: &ThermalTrace, offset_c: f64) -> Vec<(f64, f64)> {
-        trace
-            .samples
-            .iter()
-            .map(|&(t, junction)| (t, junction - offset_c + self.rng.gen_range(-0.5..=0.5)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -54,15 +44,5 @@ mod tests {
             let delta = sim.temp_c() - r;
             assert!((4.0..=11.0).contains(&delta), "delta {delta}");
         }
-    }
-
-    #[test]
-    fn imaged_trace_preserves_shape() {
-        let trace = ThermalSim::new(Device::JetsonNano).run_sustained(4.58, 600.0, 1.0);
-        let mut cam = ThermalCamera::new(2);
-        let img = cam.image_trace(&trace, 8.0);
-        assert_eq!(img.len(), trace.samples.len());
-        // Monotone warming trend survives the noise.
-        assert!(img.last().unwrap().1 > img.first().unwrap().1 + 5.0);
     }
 }

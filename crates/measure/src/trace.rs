@@ -11,7 +11,7 @@ pub struct PowerTrace {
 
 impl PowerTrace {
     /// Creates an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PowerTrace::default()
     }
 
@@ -20,7 +20,8 @@ impl PowerTrace {
     /// # Panics
     ///
     /// Panics if timestamps are not non-decreasing.
-    pub fn from_samples(samples: Vec<(f64, f64)>) -> Self {
+    #[cfg(test)]
+    fn from_samples(samples: Vec<(f64, f64)>) -> Self {
         assert!(
             samples.windows(2).all(|w| w[0].0 <= w[1].0),
             "samples must be time-ordered"
@@ -33,30 +34,15 @@ impl PowerTrace {
     /// # Panics
     ///
     /// Panics if `time_s` precedes the last sample.
-    pub fn push(&mut self, time_s: f64, power_w: f64) {
+    pub(crate) fn push(&mut self, time_s: f64, power_w: f64) {
         if let Some(&(last, _)) = self.samples.last() {
             assert!(time_s >= last, "samples must be time-ordered");
         }
         self.samples.push((time_s, power_w));
     }
 
-    /// The raw samples.
-    pub fn samples(&self) -> &[(f64, f64)] {
-        &self.samples
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Trace duration in seconds (0 for fewer than two samples).
-    pub fn duration_s(&self) -> f64 {
+    pub(crate) fn duration_s(&self) -> f64 {
         match (self.samples.first(), self.samples.last()) {
             (Some(a), Some(b)) => b.0 - a.0,
             _ => 0.0,
@@ -64,7 +50,7 @@ impl PowerTrace {
     }
 
     /// Trapezoidal energy integral in joules.
-    pub fn energy_j(&self) -> f64 {
+    pub(crate) fn energy_j(&self) -> f64 {
         self.samples
             .windows(2)
             .map(|w| 0.5 * (w[0].1 + w[1].1) * (w[1].0 - w[0].0))
@@ -72,7 +58,7 @@ impl PowerTrace {
     }
 
     /// Mean power in watts (0 for an empty trace).
-    pub fn mean_power_w(&self) -> f64 {
+    pub(crate) fn mean_power_w(&self) -> f64 {
         let d = self.duration_s();
         if d > 0.0 {
             self.energy_j() / d
@@ -81,48 +67,6 @@ impl PowerTrace {
         } else {
             0.0
         }
-    }
-
-    /// Maximum sampled power (0 for an empty trace).
-    pub fn peak_power_w(&self) -> f64 {
-        self.samples.iter().map(|&(_, p)| p).fold(0.0, f64::max)
-    }
-
-    /// Sample standard deviation of the power readings (0 for < 2 samples).
-    pub fn std_dev_w(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.samples.iter().map(|&(_, p)| p).sum::<f64>() / n as f64;
-        let var = self
-            .samples
-            .iter()
-            .map(|&(_, p)| (p - mean) * (p - mean))
-            .sum::<f64>()
-            / (n - 1) as f64;
-        var.sqrt()
-    }
-
-    /// The `p`-th percentile of sampled power (`p` in 0..=100).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty or `p` is out of range.
-    pub fn percentile_w(&self, p: f64) -> f64 {
-        assert!(!self.samples.is_empty(), "empty trace");
-        let mut vals: Vec<f64> = self.samples.iter().map(|&(_, v)| v).collect();
-        vals.sort_by(f64::total_cmp);
-        crate::stats::percentile_sorted(&vals, p)
-    }
-
-    /// Renders as two-column CSV (`time_s,power_w`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_s,power_w\n");
-        for &(t, p) in &self.samples {
-            out.push_str(&format!("{t},{p}\n"));
-        }
-        out
     }
 }
 
@@ -255,11 +199,6 @@ impl fmt::Display for ServeEventKind {
 }
 
 impl EventLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        EventLog::default()
-    }
-
     /// Converts a serving-resilience event stream into a measurement log,
     /// stably sorted by microsecond timestamp (ties keep emission order,
     /// so e.g. a `hedge-win` never precedes its `hedge`).
@@ -302,18 +241,9 @@ impl EventLog {
     }
 
     /// The entries, time-ordered.
-    pub fn entries(&self) -> &[EventEntry] {
+    #[cfg(test)]
+    fn entries(&self) -> &[EventEntry] {
         &self.entries
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Renders as three-column CSV (`time_s,frame,event`) with fixed
@@ -367,31 +297,6 @@ mod tests {
         let t = PowerTrace::new();
         assert_eq!(t.energy_j(), 0.0);
         assert_eq!(t.mean_power_w(), 0.0);
-        assert_eq!(t.peak_power_w(), 0.0);
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn stats_behave_on_known_data() {
-        let t = PowerTrace::from_samples(vec![(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)]);
-        assert!((t.std_dev_w() - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert_eq!(t.percentile_w(0.0), 1.0);
-        assert_eq!(t.percentile_w(100.0), 4.0);
-        assert_eq!(t.percentile_w(50.0), 3.0); // nearest-rank rounding
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let t = PowerTrace::from_samples(vec![(0.0, 1.5), (1.0, 2.5)]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("time_s,power_w\n"));
-        assert_eq!(csv.lines().count(), 3);
-    }
-
-    #[test]
-    fn peak_power_finds_max() {
-        let t = PowerTrace::from_samples(vec![(0.0, 1.0), (1.0, 5.0), (2.0, 3.0)]);
-        assert_eq!(t.peak_power_w(), 5.0);
     }
 
     fn lan() -> Link {
@@ -427,7 +332,6 @@ mod tests {
             .run(60)
             .unwrap();
         let log = EventLog::from_fault_events(&rep.events);
-        assert!(!log.is_empty());
         let times: Vec<u64> = log.entries().iter().map(|e| e.time_us).collect();
         let mut sorted = times.clone();
         sorted.sort_unstable();
@@ -513,8 +417,6 @@ mod tests {
     #[test]
     fn empty_event_log_renders_header_only() {
         let log = EventLog::from_fault_events(&[]);
-        assert!(log.is_empty());
-        assert_eq!(log.len(), 0);
         assert_eq!(log.to_csv(), "time_s,frame,event\n");
     }
 }

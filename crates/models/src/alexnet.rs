@@ -16,7 +16,7 @@ use edgebench_graph::{ActivationKind, Graph, GraphBuilder, GraphError, Op};
 /// # Errors
 ///
 /// Propagates internal builder errors (none in practice).
-pub fn alexnet() -> Result<Graph, GraphError> {
+pub(crate) fn alexnet() -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new("alexnet");
     let x = b.input([1, 3, 224, 224]);
     let c1 = conv_act(
@@ -86,7 +86,7 @@ pub fn alexnet() -> Result<Graph, GraphError> {
 /// # Errors
 ///
 /// Propagates internal builder errors (none in practice).
-pub fn cifarnet() -> Result<Graph, GraphError> {
+pub(crate) fn cifarnet() -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new("cifarnet");
     let x = b.input([1, 3, 32, 32]);
     let c1 = conv_act(&mut b, x, 64, (5, 5), (1, 1), (0, 0), ActivationKind::Relu)?;

@@ -32,7 +32,7 @@ fn pool3(
 /// # Errors
 ///
 /// Propagates internal builder errors (none in practice).
-pub fn c3d() -> Result<Graph, GraphError> {
+pub(crate) fn c3d() -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new("c3d");
     let x = b.input([1, 3, 12, 112, 112]);
     let c1 = conv3(&mut b, x, 64)?;

@@ -10,7 +10,7 @@ use edgebench_graph::{ActivationKind, GraphBuilder, GraphError, NodeId, PoolKind
 /// # Errors
 ///
 /// Propagates shape errors from the underlying convolution.
-pub fn conv_bn_act(
+pub(crate) fn conv_bn_act(
     b: &mut GraphBuilder,
     x: NodeId,
     out_channels: usize,
@@ -33,7 +33,7 @@ pub fn conv_bn_act(
 /// # Errors
 ///
 /// Propagates shape errors from the underlying convolution.
-pub fn cbr(
+pub(crate) fn cbr(
     b: &mut GraphBuilder,
     x: NodeId,
     out_channels: usize,
@@ -57,7 +57,7 @@ pub fn cbr(
 /// # Errors
 ///
 /// Propagates shape errors from the underlying convolution.
-pub fn conv_act(
+pub(crate) fn conv_act(
     b: &mut GraphBuilder,
     x: NodeId,
     out_channels: usize,
@@ -77,7 +77,7 @@ pub fn conv_act(
 /// # Errors
 ///
 /// Propagates shape errors from the underlying convolutions.
-pub fn separable_conv(
+pub(crate) fn separable_conv(
     b: &mut GraphBuilder,
     x: NodeId,
     out_channels: usize,
@@ -101,7 +101,7 @@ pub fn separable_conv(
 /// # Errors
 ///
 /// Propagates shape errors from the dense layer.
-pub fn classifier_head(
+pub(crate) fn classifier_head(
     b: &mut GraphBuilder,
     x: NodeId,
     classes: usize,
@@ -117,7 +117,7 @@ pub fn classifier_head(
 /// # Errors
 ///
 /// Propagates shape errors from the pool window.
-pub fn max_pool(
+pub(crate) fn max_pool(
     b: &mut GraphBuilder,
     x: NodeId,
     kernel: (usize, usize),

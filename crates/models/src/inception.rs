@@ -107,7 +107,7 @@ fn inception_c(b: &mut GraphBuilder, x: NodeId) -> Result<NodeId, GraphError> {
 /// # Errors
 ///
 /// Propagates internal builder errors (none in practice).
-pub fn inception_v4() -> Result<Graph, GraphError> {
+pub(crate) fn inception_v4() -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new("inception-v4");
     let x = b.input([1, 3, 299, 299]);
     let mut h = stem(&mut b, x)?;

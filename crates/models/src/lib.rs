@@ -34,9 +34,8 @@
 
 mod alexnet;
 mod c3d;
-pub mod common;
+mod common;
 mod inception;
-pub mod mobile_extras;
 mod mobilenet;
 mod resnet;
 pub mod rnn;
@@ -47,8 +46,6 @@ mod yolo;
 
 use edgebench_graph::{Graph, TensorShape};
 use std::fmt;
-
-pub use mobilenet::mobilenet_v1;
 
 /// A reference row of the paper's Table I, used to check reproduction
 /// fidelity in tests and EXPERIMENTS.md.
@@ -197,7 +194,7 @@ impl Model {
     ///
     /// Returns a [`edgebench_graph::GraphError`] if an internal builder is
     /// inconsistent (should not happen for shipped models).
-    pub fn try_build(self) -> Result<Graph, edgebench_graph::GraphError> {
+    pub(crate) fn try_build(self) -> Result<Graph, edgebench_graph::GraphError> {
         match self {
             Model::ResNet18 => resnet::resnet(18),
             Model::ResNet50 => resnet::resnet(50),

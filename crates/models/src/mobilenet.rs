@@ -33,7 +33,7 @@ fn inverted_residual(
 /// # Errors
 ///
 /// Propagates internal builder errors (none in practice).
-pub fn mobilenet_v2() -> Result<Graph, GraphError> {
+pub(crate) fn mobilenet_v2() -> Result<Graph, GraphError> {
     // (expansion t, channels c, repeats n, first stride s) — Table 2 of the
     // MobileNet-v2 paper.
     const CFG: [(usize, usize, usize, usize); 7] = [
@@ -76,7 +76,7 @@ pub fn mobilenet_v2() -> Result<Graph, GraphError> {
 /// # Errors
 ///
 /// Propagates internal builder errors (none in practice).
-pub fn mobilenet_v1_trunk(
+pub(crate) fn mobilenet_v1_trunk(
     b: &mut GraphBuilder,
     input: NodeId,
 ) -> Result<(NodeId, NodeId), GraphError> {
@@ -107,19 +107,6 @@ pub fn mobilenet_v1_trunk(
     Ok((conv11, h))
 }
 
-/// Builds the MobileNet-v1 classifier at 224×224.
-///
-/// # Errors
-///
-/// Propagates internal builder errors (none in practice).
-pub fn mobilenet_v1() -> Result<Graph, GraphError> {
-    let mut b = GraphBuilder::new("mobilenet-v1");
-    let x = b.input([1, 3, 224, 224]);
-    let (_c11, c13) = mobilenet_v1_trunk(&mut b, x)?;
-    let out = classifier_head(&mut b, c13, 1000)?;
-    b.build(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,21 +121,6 @@ mod tests {
         );
         assert!(
             (s.flops as f64 / 1e9 - 0.32).abs() < 0.05,
-            "flops {}",
-            s.flops
-        );
-    }
-
-    #[test]
-    fn mobilenet_v1_matches_reference() {
-        let s = mobilenet_v1().unwrap().stats();
-        assert!(
-            (s.params as f64 / 1e6 - 4.2).abs() < 0.3,
-            "params {}",
-            s.params
-        );
-        assert!(
-            (s.flops as f64 / 1e9 - 0.57).abs() < 0.06,
             "flops {}",
             s.flops
         );

@@ -80,7 +80,7 @@ fn bottleneck_block(
 /// # Panics
 ///
 /// Panics if `depth` is not 18, 50 or 101.
-pub fn resnet(depth: usize) -> Result<Graph, GraphError> {
+pub(crate) fn resnet(depth: usize) -> Result<Graph, GraphError> {
     let (bottleneck, blocks): (bool, [usize; 4]) = match depth {
         18 => (false, [2, 2, 2, 2]),
         50 => (true, [3, 4, 6, 3]),

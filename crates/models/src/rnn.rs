@@ -54,7 +54,7 @@ fn gate(
 /// # Errors
 ///
 /// Propagates shape errors from the gate constructions.
-pub fn lstm_cell(
+pub(crate) fn lstm_cell(
     b: &mut GraphBuilder,
     x: NodeId,
     h_prev: NodeId,
@@ -80,7 +80,7 @@ pub fn lstm_cell(
 /// # Errors
 ///
 /// Propagates shape errors from the gate constructions.
-pub fn gru_cell(
+pub(crate) fn gru_cell(
     b: &mut GraphBuilder,
     x: NodeId,
     h_prev: NodeId,

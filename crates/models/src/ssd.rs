@@ -34,7 +34,7 @@ fn predictor(
 /// # Errors
 ///
 /// Propagates internal builder errors (none in practice).
-pub fn ssd_mobilenet_v1() -> Result<Graph, GraphError> {
+pub(crate) fn ssd_mobilenet_v1() -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new("ssd-mobilenet-v1");
     let x = b.input([1, 3, 300, 300]);
     let (c11, c13) = mobilenet_v1_trunk(&mut b, x)?;

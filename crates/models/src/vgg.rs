@@ -37,7 +37,7 @@ fn fc_head(b: &mut GraphBuilder, x: NodeId) -> Result<NodeId, GraphError> {
 /// # Panics
 ///
 /// Panics if `depth` is not 16 or 19.
-pub fn vgg(depth: usize) -> Result<Graph, GraphError> {
+pub(crate) fn vgg(depth: usize) -> Result<Graph, GraphError> {
     let convs_per_block: [usize; 5] = match depth {
         16 => [2, 2, 3, 3, 3],
         19 => [2, 2, 4, 4, 4],
@@ -65,7 +65,7 @@ pub fn vgg(depth: usize) -> Result<Graph, GraphError> {
 /// # Errors
 ///
 /// Propagates internal builder errors for unsupported sizes.
-pub fn vgg_s(input: usize) -> Result<Graph, GraphError> {
+pub(crate) fn vgg_s(input: usize) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new(format!("vgg-s-{input}"));
     let x = b.input([1, 3, input, input]);
     let c1 = conv_act(&mut b, x, 96, (7, 7), (2, 2), (0, 0), ActivationKind::Relu)?;

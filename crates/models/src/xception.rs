@@ -51,7 +51,7 @@ fn middle_module(b: &mut GraphBuilder, x: NodeId) -> Result<NodeId, GraphError> 
 /// # Errors
 ///
 /// Propagates internal builder errors (none in practice).
-pub fn xception() -> Result<Graph, GraphError> {
+pub(crate) fn xception() -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new("xception");
     let x = b.input([1, 3, 224, 224]);
     // Entry flow stem.

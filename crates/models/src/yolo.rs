@@ -55,7 +55,7 @@ fn neck(b: &mut GraphBuilder, x: NodeId, c: usize) -> Result<NodeId, GraphError>
 /// # Errors
 ///
 /// Propagates internal builder errors (none in practice).
-pub fn yolov3() -> Result<Graph, GraphError> {
+pub(crate) fn yolov3() -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new("yolov3");
     let x = b.input([1, 3, 320, 320]);
     // Darknet-53 backbone.
@@ -116,7 +116,7 @@ pub fn yolov3() -> Result<Graph, GraphError> {
 /// # Errors
 ///
 /// Propagates internal builder errors (none in practice).
-pub fn tiny_yolo() -> Result<Graph, GraphError> {
+pub(crate) fn tiny_yolo() -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new("tinyyolo");
     let x = b.input([1, 3, 416, 416]);
     let mut h = cbl(&mut b, x, 16, 3, 1)?;

@@ -37,7 +37,7 @@ pub struct CacheInfo {
 /// Conservative defaults when detection fails: the smallest caches on the
 /// paper's device fleet (Raspberry Pi 3: 32 KiB L1d, 512 KiB shared L2,
 /// no L3 — modelled as L3 = L2 so the NC bound degenerates gracefully).
-pub const FALLBACK: CacheInfo = CacheInfo {
+pub(crate) const FALLBACK: CacheInfo = CacheInfo {
     l1d: 32 * 1024,
     l2: 512 * 1024,
     l3: 512 * 1024,
@@ -106,7 +106,7 @@ fn round_down(v: usize, unit: usize, hi: usize) -> usize {
 
 /// GEMM panel sizes for one `[m×k]·[k×n]` problem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Blocking {
+pub(crate) struct Blocking {
     /// Rows of `C` per packed A panel (L2-resident; also the parallel
     /// work-distribution unit).
     pub mc: usize,
@@ -121,7 +121,7 @@ impl Blocking {
     /// cache hierarchy. Pure arithmetic — deterministic for a fixed
     /// `CacheInfo` — and clamped to the problem so tiny GEMMs do not
     /// reserve huge buffers.
-    pub fn choose((m, k, n): (usize, usize, usize), cache: &CacheInfo) -> Blocking {
+    pub(crate) fn choose((m, k, n): (usize, usize, usize), cache: &CacheInfo) -> Blocking {
         let elem = std::mem::size_of::<f32>();
         // KC: one KC×NR B panel plus one MR×KC A micro-panel at half L1d
         // (the other half holds the C tile and incoming streams).
@@ -137,7 +137,7 @@ impl Blocking {
     }
 
     /// [`Blocking::choose`] against the host machine (detected once).
-    pub fn auto(dims: (usize, usize, usize)) -> Blocking {
+    pub(crate) fn auto(dims: (usize, usize, usize)) -> Blocking {
         Blocking::choose(dims, &cache_info())
     }
 
@@ -149,7 +149,7 @@ impl Blocking {
     /// each A micro-panel is then read once, front to back, and the
     /// intra-op workers start once per call instead of once per `KC`
     /// slice. Larger B blocks keep the [`Blocking::choose`] split.
-    pub fn choose_prepacked_a(dims: (usize, usize, usize), cache: &CacheInfo) -> Blocking {
+    pub(crate) fn choose_prepacked_a(dims: (usize, usize, usize), cache: &CacheInfo) -> Blocking {
         let (_, k, n) = dims;
         let blk = Blocking::choose(dims, cache);
         let whole_b = k.max(1) * n.max(1).next_multiple_of(NR) * std::mem::size_of::<f32>();

@@ -47,7 +47,7 @@ pub struct WeightStore {
 
 impl WeightStore {
     /// Creates a store with the given master seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         WeightStore {
             seed,
             sparsity: 0.0,
@@ -62,7 +62,7 @@ impl WeightStore {
     /// # Panics
     ///
     /// Panics if `sparsity` is not in `[0, 1)`.
-    pub fn with_sparsity(mut self, sparsity: f32) -> Self {
+    pub(crate) fn with_sparsity(mut self, sparsity: f32) -> Self {
         assert!((0.0..1.0).contains(&sparsity), "sparsity must be in [0, 1)");
         self.sparsity = sparsity;
         self
@@ -176,7 +176,7 @@ impl WeightStore {
     }
 
     /// Batch-norm scale (`gamma ≈ 1`) and shift (`beta ≈ 0`) for `key`.
-    pub fn bn_params(&self, key: &str, channels: usize) -> (Vec<f32>, Vec<f32>) {
+    pub(crate) fn bn_params(&self, key: &str, channels: usize) -> (Vec<f32>, Vec<f32>) {
         let g = Tensor::random([channels], self.key_seed(key).wrapping_add(2));
         let b = Tensor::random([channels], self.key_seed(key).wrapping_add(3));
         (
@@ -1270,7 +1270,7 @@ impl PreparedExecutor<'_> {
     }
 
     /// Name of node `idx` in the underlying graph.
-    pub fn node_name(&self, idx: usize) -> &str {
+    pub(crate) fn node_name(&self, idx: usize) -> &str {
         self.exec.graph.nodes()[idx].name()
     }
 
@@ -1281,11 +1281,6 @@ impl PreparedExecutor<'_> {
     /// depend on the layout. Zero for parameterless nodes.
     pub fn param_elems(&self, idx: usize) -> usize {
         self.params.get(idx).map_or(0, NodeParams::logical_len)
-    }
-
-    /// The prepare-time baseline checksum of each node's parameters.
-    pub fn param_checksums(&self) -> &[u64] {
-        &self.checksums
     }
 
     /// Recomputes every node's parameter checksum and returns the indices
@@ -1353,7 +1348,8 @@ impl PreparedExecutor<'_> {
 
     /// Total bytes held by the materialized weight cache, panel padding
     /// included.
-    pub fn cached_param_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn cached_param_bytes(&self) -> usize {
         self.params
             .iter()
             .map(|p| {
@@ -1652,6 +1648,43 @@ mod tests {
             .run(&x)
             .unwrap();
         assert_eq!(cached, fresh);
+    }
+
+    #[test]
+    fn fused_dense_act_is_bit_identical_to_dense_then_activation() {
+        // Both graphs name their dense layers alike, so they draw the same
+        // synthetic weights; the fused kernel applies the activation at
+        // store time and must not change a bit.
+        let build = |fused: bool| {
+            let mut b = GraphBuilder::new("head");
+            let x = b.input([2, 24]);
+            let act = ActivationKind::Sigmoid;
+            let h = if fused {
+                let op = Op::FusedDenseAct {
+                    units: 12,
+                    bias: true,
+                    act,
+                };
+                b.push("fc1", op, vec![x]).unwrap()
+            } else {
+                let op = Op::Dense {
+                    units: 12,
+                    bias: true,
+                };
+                let d = b.push("fc1", op, vec![x]).unwrap();
+                b.activation(d, act).unwrap()
+            };
+            let op = Op::Dense {
+                units: 5,
+                bias: true,
+            };
+            let out = b.push("fc2", op, vec![h]).unwrap();
+            b.build(out).unwrap()
+        };
+        let x = Tensor::random([2, 24], 9);
+        let unfused = Executor::new(&build(false)).with_seed(7).run(&x).unwrap();
+        let fused = Executor::new(&build(true)).with_seed(7).run(&x).unwrap();
+        assert_eq!(unfused, fused, "fused dense kernel must be bit-identical");
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub fn round_f16(x: f32) -> f32 {
 }
 
 /// Converts an `f32` to binary16 bits (round-to-nearest-even).
-pub fn f32_to_f16(x: f32) -> u16 {
+pub(crate) fn f32_to_f16(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
     let exp = ((bits >> 23) & 0xff) as i32;
@@ -70,7 +70,7 @@ pub fn f32_to_f16(x: f32) -> u16 {
 }
 
 /// Converts binary16 bits to an `f32`.
-pub fn f16_to_f32(h: u16) -> f32 {
+pub(crate) fn f16_to_f32(h: u16) -> f32 {
     let sign = ((h & 0x8000) as u32) << 16;
     let exp = ((h >> 10) & 0x1f) as u32;
     let mant = (h & 0x3ff) as u32;

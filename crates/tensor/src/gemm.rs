@@ -68,7 +68,7 @@ const SPARSE_MC: usize = 64;
 
 /// How a convolution should be realized at a given shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConvAlgo {
+pub(crate) enum ConvAlgo {
     /// Nested-loop direct convolution (tiny or grouped layers).
     Direct,
     /// im2col + packed GEMM (everything else).
@@ -82,12 +82,12 @@ pub enum ConvAlgo {
 /// ~2× of each other with direct ahead, while by 14.5 MMAC
 /// (32×28² → 64, k3) GEMM is ~30× faster — the packing and im2col setup
 /// cost stops amortizing around 64 KMAC.
-pub const DIRECT_CONV_MAX_MACS: usize = 1 << 16;
+pub(crate) const DIRECT_CONV_MAX_MACS: usize = 1 << 16;
 
 /// Per-shape convolution algorithm selection, used by the executor.
 /// `out_elems` is the output tensor's element count, `fan_in` the MACs per
 /// output element (`in_c/groups · kh · kw`).
-pub fn select_conv_algo(out_elems: usize, fan_in: usize, groups: usize) -> ConvAlgo {
+pub(crate) fn select_conv_algo(out_elems: usize, fan_in: usize, groups: usize) -> ConvAlgo {
     if groups != 1 {
         // No grouped im2col lowering — grouped/depthwise layers are small
         // per-group GEMMs where packing overhead dominates anyway.
@@ -103,12 +103,12 @@ pub fn select_conv_algo(out_elems: usize, fan_in: usize, groups: usize) -> ConvA
 /// Dense layers below this many multiply-accumulates run a direct dot
 /// product over their natural weights: packing would cost more than the
 /// micro-kernel saves.
-pub const DIRECT_DENSE_MAX_MACS: usize = 1 << 15;
+pub(crate) const DIRECT_DENSE_MAX_MACS: usize = 1 << 15;
 
 /// Whether an `[n×features]·[features×units]` dense layer runs on the
 /// packed GEMM (`true`) or the direct loop, used by the executor to decide
 /// which weights to pack at prepare time.
-pub fn dense_uses_gemm(n: usize, features: usize, units: usize) -> bool {
+pub(crate) fn dense_uses_gemm(n: usize, features: usize, units: usize) -> bool {
     n.saturating_mul(features).saturating_mul(units) >= DIRECT_DENSE_MAX_MACS
 }
 
@@ -318,18 +318,6 @@ impl GemmScratch {
     /// Re-resolves the micro-kernel from a [`KernelKind`] request.
     pub fn set_kernel(&mut self, kind: KernelKind) {
         self.kernel = simd::resolve(kind);
-    }
-
-    /// The micro-kernel this scratch dispatches to.
-    pub fn kernel(&self) -> Microkernel {
-        self.kernel
-    }
-
-    /// Overrides the cache-autotuned blocking (tests and benches; `None`
-    /// restores autotuning). Any blocking produces byte-identical output —
-    /// only the cache behaviour changes.
-    pub fn set_blocking(&mut self, blocking: Option<Blocking>) {
-        self.blocking = blocking;
     }
 
     /// Grows the B-block and im2col buffers to what a convolution lowered
@@ -696,7 +684,7 @@ pub fn matmul_into(
 /// `0.0 · x` term removes an exact `±0.0` addend, so for finite data the
 /// result is byte-identical to the dense path (see tests) — only the work
 /// drops with sparsity.
-pub fn matmul_sparse_into(
+pub(crate) fn matmul_sparse_into(
     a: &[f32],
     b: &[f32],
     (m, k, n): (usize, usize, usize),
@@ -1107,7 +1095,7 @@ pub fn conv2d_gemm(
 /// # Panics
 ///
 /// Panics if shapes are inconsistent or `out` has the wrong size.
-pub fn dense_act_into(
+pub(crate) fn dense_act_into(
     x: &Tensor,
     weight: &Tensor,
     bias: Option<&[f32]>,
@@ -1130,11 +1118,11 @@ pub fn dense_act_into(
     }
 }
 
-/// The direct path of [`dense_act_into`]: one ascending-feature dot
+/// The direct path of `dense_act_into`: one ascending-feature dot
 /// product per output over the natural `[units×f]` weights — the same
 /// fused multiply-add chain as the GEMM's, so either path gives the same
 /// bits. The executor runs it for the dense layers it keeps natural.
-pub(crate) fn dense_direct_into(
+pub fn dense_direct_into(
     x: &Tensor,
     weight: &Tensor,
     bias: Option<&[f32]>,
@@ -1163,7 +1151,7 @@ pub(crate) fn dense_direct_into(
     }
 }
 
-/// [`dense_act_into`] over weights already packed into `NR`-row panels of
+/// `dense_act_into` over weights already packed into `NR`-row panels of
 /// the natural `[units×f]` matrix (the B operand `Wᵀ`) — the executor's
 /// path, with the packing done once at prepare time. Batches of at most
 /// `MR` rows stream each panel once over its full depth.

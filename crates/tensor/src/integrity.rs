@@ -53,7 +53,7 @@ pub fn checksum_f32(words: &[f32]) -> u64 {
 
 /// Chains [`checksum_f32`] across several slices (a node's weights, bias
 /// and batch-norm parts) into one digest.
-pub fn checksum_parts(parts: &[&[f32]]) -> u64 {
+pub(crate) fn checksum_parts(parts: &[&[f32]]) -> u64 {
     parts.iter().fold(FNV_OFFSET, |h, p| fold_f32(h, p))
 }
 
@@ -94,7 +94,7 @@ fn fold_f32(h: u64, words: &[f32]) -> u64 {
 
 /// A node's clean activation range, recorded during calibration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// Smallest value seen in clean runs.
     pub lo: f32,
     /// Largest value seen in clean runs.
@@ -105,7 +105,7 @@ impl Envelope {
     /// The envelope widened by `slack` times its span on each side (with
     /// a small absolute floor so degenerate constant activations still
     /// get a tolerance band).
-    pub fn widened(self, slack: f32) -> Envelope {
+    pub(crate) fn widened(self, slack: f32) -> Envelope {
         let span = (self.hi - self.lo).max(1e-3);
         Envelope {
             lo: self.lo - slack * span,
@@ -119,15 +119,16 @@ impl Envelope {
     }
 }
 
+/// Fraction of each calibrated envelope's span added as tolerance on both
+/// sides before a value counts as out-of-range.
+const ENVELOPE_SLACK: f32 = 0.5;
+
 /// Detection knobs of the [`GuardedExecutor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardConfig {
     /// Verify weight checksums (and repair mismatches) every `cadence`
     /// inferences; `1` scrubs before every run, `0` never scrubs.
     pub cadence: u64,
-    /// Fraction of each calibrated envelope's span added as tolerance on
-    /// both sides before a value counts as out-of-range.
-    pub slack: f32,
     /// Retry a tripped inference once (after a forced scrub) before
     /// reporting it corrupted.
     pub retry: bool,
@@ -142,7 +143,6 @@ impl Default for GuardConfig {
             // for roughly one extra percent. The envelope guards run
             // every inference regardless and are effectively free.
             cadence: 4,
-            slack: 0.5,
             retry: true,
         }
     }
@@ -155,14 +155,9 @@ impl GuardConfig {
         self
     }
 
-    /// Returns the config with the given envelope slack.
-    pub fn with_slack(mut self, slack: f32) -> GuardConfig {
-        self.slack = slack;
-        self
-    }
-
     /// Returns the config with retry-on-trip switched on or off.
-    pub fn with_retry(mut self, retry: bool) -> GuardConfig {
+    #[cfg(test)]
+    fn with_retry(mut self, retry: bool) -> GuardConfig {
         self.retry = retry;
         self
     }
@@ -313,11 +308,6 @@ impl<'g> GuardedExecutor<'g> {
         Ok(())
     }
 
-    /// Whether [`calibrate`](Self::calibrate) has produced envelopes.
-    pub fn calibrated(&self) -> bool {
-        self.envelopes.iter().any(Option::is_some)
-    }
-
     /// Runs one guarded inference: scrub on cadence, execute with
     /// activation guards, retry once after a forced scrub if a guard
     /// trips.
@@ -386,7 +376,7 @@ impl<'g> GuardedExecutor<'g> {
     /// # Errors
     ///
     /// Same as [`PreparedExecutor::repair_node`].
-    pub fn scrub(&mut self) -> Result<usize, ExecError> {
+    pub(crate) fn scrub(&mut self) -> Result<usize, ExecError> {
         self.stats.scrubs += 1;
         let corrupted = self.inner.verify_params();
         for &idx in &corrupted {
@@ -408,11 +398,10 @@ impl<'g> GuardedExecutor<'g> {
     ) -> Result<Tensor, ExecError> {
         let inner = &self.inner;
         let envelopes = &self.envelopes;
-        let slack = self.cfg.slack;
         let mut tripped: Option<(usize, GuardTrip)> = None;
         let res = inner.run_observed(input, &mut |idx, t| {
             inject(attempt, idx, t);
-            if let Some(trip) = check_node(envelopes, slack, idx, t) {
+            if let Some(trip) = check_node(envelopes, idx, t) {
                 tripped = Some((idx, trip));
                 return Err(ExecError::Corrupted {
                     node: inner.node_name(idx).to_string(),
@@ -455,11 +444,6 @@ impl<'g> GuardedExecutor<'g> {
     /// Shared view of the wrapped prepared executor.
     pub fn inner(&self) -> &PreparedExecutor<'g> {
         &self.inner
-    }
-
-    /// Unwraps the defense layer, returning the prepared executor.
-    pub fn into_inner(self) -> PreparedExecutor<'g> {
-        self.inner
     }
 }
 
@@ -557,18 +541,13 @@ fn min_max(data: &[f32]) -> (f32, f32) {
     (lo, hi)
 }
 
-fn check_node(
-    envelopes: &[Option<Envelope>],
-    slack: f32,
-    idx: usize,
-    t: &Tensor,
-) -> Option<GuardTrip> {
+fn check_node(envelopes: &[Option<Envelope>], idx: usize, t: &Tensor) -> Option<GuardTrip> {
     let (lo, hi, nonfinite) = scan(t.data());
     if nonfinite {
         return Some(GuardTrip::NonFinite);
     }
     if let Some(env) = envelopes.get(idx).copied().flatten() {
-        let w = env.widened(slack);
+        let w = env.widened(ENVELOPE_SLACK);
         if lo < w.lo || hi > w.hi {
             return Some(GuardTrip::OutOfEnvelope);
         }
@@ -644,7 +623,6 @@ mod tests {
         let prepared = Executor::new(&g).with_seed(5).prepare().unwrap();
         let mut guarded = GuardedExecutor::new(prepared, GuardConfig::default().with_cadence(1));
         guarded.calibrate(&[&x]).unwrap();
-        assert!(guarded.calibrated());
         for _ in 0..3 {
             assert_eq!(guarded.run(&x).unwrap(), clean);
         }

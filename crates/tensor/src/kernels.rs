@@ -42,7 +42,7 @@ pub fn conv2d(
 /// # Panics
 ///
 /// Panics if shapes are inconsistent or `out` has the wrong size.
-pub fn conv2d_into(
+pub(crate) fn conv2d_into(
     x: &Tensor,
     weight: &Tensor,
     bias: Option<&[f32]>,
@@ -128,7 +128,7 @@ pub fn depthwise_conv2d(
 /// # Panics
 ///
 /// Panics if shapes are inconsistent or `out` has the wrong size.
-pub fn depthwise_conv2d_into(
+pub(crate) fn depthwise_conv2d_into(
     x: &Tensor,
     weight: &Tensor,
     bias: Option<&[f32]>,
@@ -261,7 +261,7 @@ pub fn dense(x: &Tensor, weight: &Tensor, bias: Option<&[f32]>) -> Tensor {
 /// # Panics
 ///
 /// Panics if shapes are inconsistent or `out` has the wrong size.
-pub fn dense_act_into(
+pub(crate) fn dense_act_into(
     x: &Tensor,
     weight: &Tensor,
     bias: Option<&[f32]>,
@@ -301,7 +301,7 @@ pub fn pool2d(
 /// # Panics
 ///
 /// Panics if shapes are inconsistent or `out` has the wrong size.
-pub fn pool2d_into(
+pub(crate) fn pool2d_into(
     x: &Tensor,
     kind: PoolKind,
     kernel: (usize, usize),
@@ -398,7 +398,7 @@ pub fn pool2d_into(
 }
 
 /// 3-D max/avg pooling (no padding).
-pub fn pool3d(
+pub(crate) fn pool3d(
     x: &Tensor,
     kind: PoolKind,
     kernel: (usize, usize, usize),
@@ -486,7 +486,7 @@ pub fn batch_norm_inplace(x: &mut Tensor, gamma: &[f32], beta: &[f32]) {
 /// epilogue of the direct (non-GEMM) fused convolution path. Applies the
 /// same element-wise formulas in the same order as [`batch_norm`] followed
 /// by [`activation`], so results are bit-identical to the unfused pair.
-pub fn bn_act_inplace(x: &mut Tensor, bn: Option<(&[f32], &[f32])>, act: ActivationKind) {
+pub(crate) fn bn_act_inplace(x: &mut Tensor, bn: Option<(&[f32], &[f32])>, act: ActivationKind) {
     if let Some((gamma, beta)) = bn {
         batch_norm_inplace(x, gamma, beta);
     }
@@ -497,15 +497,17 @@ pub fn bn_act_inplace(x: &mut Tensor, bn: Option<(&[f32], &[f32])>, act: Activat
 
 /// Local response normalization across channels (AlexNet formulation with
 /// k=2, alpha=1e-4, beta=0.75).
-pub fn lrn(x: &Tensor, size: usize) -> Tensor {
+#[cfg(test)]
+fn lrn(x: &Tensor, size: usize) -> Tensor {
     let (n, c, ih, iw) = dims4(x.shape());
     let mut out = Tensor::zeros([n, c, ih, iw]);
     lrn_into(x, size, &mut out);
     out
 }
 
-/// [`lrn`] into a caller-provided output tensor (every element is
-/// overwritten).
+/// Local response normalization across channels (AlexNet formulation with
+/// k=2, alpha=1e-4, beta=0.75) into a caller-provided output tensor (every
+/// element is overwritten).
 ///
 /// The channel-window sum of squares accumulates directly in the output
 /// plane, one contiguous channel plane at a time in ascending channel
@@ -517,7 +519,7 @@ pub fn lrn(x: &Tensor, size: usize) -> Tensor {
 /// # Panics
 ///
 /// Panics if `out` has the wrong size.
-pub fn lrn_into(x: &Tensor, size: usize, out: &mut Tensor) {
+pub(crate) fn lrn_into(x: &Tensor, size: usize, out: &mut Tensor) {
     let (n, c, ih, iw) = dims4(x.shape());
     let (k, alpha) = (2.0f32, 1e-4f32);
     assert_eq!(out.len(), x.len(), "lrn output size mismatch");
@@ -551,7 +553,7 @@ pub fn lrn_into(x: &Tensor, size: usize, out: &mut Tensor) {
 /// activation formulas, shared by every fused and standalone path so they
 /// stay bit-identical.
 #[inline]
-pub fn apply_activation(v: f32, kind: ActivationKind) -> f32 {
+pub(crate) fn apply_activation(v: f32, kind: ActivationKind) -> f32 {
     match kind {
         ActivationKind::Relu => v.max(0.0),
         ActivationKind::Relu6 => v.clamp(0.0, 6.0),
@@ -576,21 +578,10 @@ pub fn activation(x: &Tensor, kind: ActivationKind) -> Tensor {
 }
 
 /// [`activation`] mutating the tensor in place.
-pub fn activation_inplace(x: &mut Tensor, kind: ActivationKind) {
+pub(crate) fn activation_inplace(x: &mut Tensor, kind: ActivationKind) {
     for v in x.data_mut() {
         *v = apply_activation(*v, kind);
     }
-}
-
-/// Element-wise addition of equal-shaped tensors.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
-    let mut out = a.clone();
-    add_assign(&mut out, b);
-    out
 }
 
 /// `a += b` in place.
@@ -598,7 +589,7 @@ pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
 /// # Panics
 ///
 /// Panics if the shapes differ.
-pub fn add_assign(a: &mut Tensor, b: &Tensor) {
+pub(crate) fn add_assign(a: &mut Tensor, b: &Tensor) {
     assert_eq!(a.shape(), b.shape(), "add shape mismatch");
     for (o, &v) in a.data_mut().iter_mut().zip(b.data()) {
         *o += v;
@@ -610,7 +601,8 @@ pub fn add_assign(a: &mut Tensor, b: &Tensor) {
 /// # Panics
 ///
 /// Panics if the shapes differ.
-pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
+#[cfg(test)]
+fn mul(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = a.clone();
     mul_assign(&mut out, b);
     out
@@ -621,7 +613,7 @@ pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
 /// # Panics
 ///
 /// Panics if the shapes differ.
-pub fn mul_assign(a: &mut Tensor, b: &Tensor) {
+pub(crate) fn mul_assign(a: &mut Tensor, b: &Tensor) {
     assert_eq!(a.shape(), b.shape(), "mul shape mismatch");
     for (o, &v) in a.data_mut().iter_mut().zip(b.data()) {
         *o *= v;
@@ -633,7 +625,8 @@ pub fn mul_assign(a: &mut Tensor, b: &Tensor) {
 /// # Panics
 ///
 /// Panics if inputs disagree on batch or trailing dims.
-pub fn concat(inputs: &[&Tensor]) -> Tensor {
+#[cfg(test)]
+fn concat(inputs: &[&Tensor]) -> Tensor {
     assert!(!inputs.is_empty(), "concat of zero tensors");
     let first = inputs[0].shape();
     let total_c: usize = inputs.iter().map(|t| t.shape().channels()).sum();
@@ -644,13 +637,14 @@ pub fn concat(inputs: &[&Tensor]) -> Tensor {
     out
 }
 
-/// [`concat()`] into a caller-provided output tensor (every element is
-/// overwritten — the inputs jointly cover the whole channel axis).
+/// Channel-axis concatenation into a caller-provided output tensor (every
+/// element is overwritten — the inputs jointly cover the whole channel
+/// axis).
 ///
 /// # Panics
 ///
 /// Panics if inputs disagree on batch/trailing dims or `out` is missized.
-pub fn concat_into(inputs: &[&Tensor], out: &mut Tensor) {
+pub(crate) fn concat_into(inputs: &[&Tensor], out: &mut Tensor) {
     assert!(!inputs.is_empty(), "concat of zero tensors");
     let first = inputs[0].shape();
     let n = first.batch();
@@ -681,7 +675,7 @@ pub fn concat_into(inputs: &[&Tensor], out: &mut Tensor) {
 /// # Panics
 ///
 /// Panics if the range is out of bounds.
-pub fn slice2(x: &Tensor, start: usize, len: usize) -> Tensor {
+pub(crate) fn slice2(x: &Tensor, start: usize, len: usize) -> Tensor {
     let (n, f) = (x.shape().dim(0), x.shape().dim(1));
     assert!(
         start + len <= f,
@@ -697,7 +691,7 @@ pub fn slice2(x: &Tensor, start: usize, len: usize) -> Tensor {
 }
 
 /// Nearest-neighbour upsampling by an integer factor.
-pub fn upsample(x: &Tensor, factor: usize) -> Tensor {
+pub(crate) fn upsample(x: &Tensor, factor: usize) -> Tensor {
     let (n, c, ih, iw) = dims4(x.shape());
     let (oh, ow) = (ih * factor, iw * factor);
     let mut out = Tensor::zeros([n, c, oh, ow]);
@@ -724,7 +718,7 @@ pub fn softmax(x: &Tensor) -> Tensor {
 }
 
 /// [`softmax`] mutating the tensor in place.
-pub fn softmax_inplace(x: &mut Tensor) {
+pub(crate) fn softmax_inplace(x: &mut Tensor) {
     let last = *x.shape().dims().last().expect("softmax on rank >= 1");
     let rows = x.len() / last;
     let od = x.data_mut();

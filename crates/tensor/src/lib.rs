@@ -51,9 +51,7 @@ mod tensor;
 
 pub use error::ExecError;
 pub use executor::{Executor, Precision, PreparedExecutor, RunStats, WeightStore};
-pub use integrity::{
-    GuardConfig, GuardStats, GuardTrip, GuardedExecutor, IntegrityEvent, IntegrityEventKind,
-};
+pub use integrity::{GuardConfig, GuardStats, GuardedExecutor};
 pub use quant::QuantParams;
 pub use simd::{KernelKind, Microkernel};
 pub use tensor::Tensor;

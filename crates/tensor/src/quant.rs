@@ -45,7 +45,7 @@ impl QuantParams {
     }
 
     /// Derives parameters from the observed range of a slice.
-    pub fn observe_slice(xs: &[f32]) -> Self {
+    pub(crate) fn observe_slice(xs: &[f32]) -> Self {
         let mut min = f32::INFINITY;
         let mut max = f32::NEG_INFINITY;
         for &v in xs {
@@ -64,7 +64,7 @@ impl QuantParams {
     }
 
     /// The integer value representing real zero.
-    pub fn zero_point(&self) -> i32 {
+    pub(crate) fn zero_point(&self) -> i32 {
         self.zero_point
     }
 
@@ -80,54 +80,9 @@ impl QuantParams {
     }
 
     /// Rounds a value through the quantized grid (fake quantization).
-    pub fn fake_quant(&self, x: f32) -> f32 {
+    pub(crate) fn fake_quant(&self, x: f32) -> f32 {
         self.dequantize(self.quantize(x))
     }
-}
-
-/// Per-output-channel quantization of a conv/dense weight tensor (axis 0),
-/// the scheme TFLite uses for weights: one scale per filter keeps wide
-/// filters from being crushed by narrow ones.
-///
-/// Returns the fake-quantized tensor and the per-channel parameters.
-pub fn fake_quantize_per_channel(t: &Tensor) -> (Tensor, Vec<QuantParams>) {
-    let c = t.shape().dim(0).max(1);
-    let per = t.len() / c;
-    let mut out = t.clone();
-    let mut params = Vec::with_capacity(c);
-    for ch in 0..c {
-        let slice = &t.data()[ch * per..(ch + 1) * per];
-        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-        for &v in slice {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let p = if lo.is_finite() && hi.is_finite() {
-            QuantParams::from_range(lo, hi)
-        } else {
-            QuantParams::from_range(0.0, 1.0)
-        };
-        for v in &mut out.data_mut()[ch * per..(ch + 1) * per] {
-            *v = p.fake_quant(*v);
-        }
-        params.push(p);
-    }
-    (out, params)
-}
-
-/// Mean absolute error of per-channel 8-bit rounding of `t` (axis 0).
-pub fn per_channel_error(t: &Tensor) -> f32 {
-    let (q, _) = fake_quantize_per_channel(t);
-    if t.is_empty() {
-        return 0.0;
-    }
-    t.mean_abs_diff(&q)
-}
-
-/// Quantizes a tensor to `i8` values plus its parameters.
-pub fn quantize_tensor(t: &Tensor) -> (Vec<i8>, QuantParams) {
-    let p = QuantParams::observe(t);
-    (t.data().iter().map(|&v| p.quantize(v)).collect(), p)
 }
 
 /// Rounds every element of a tensor through its own 8-bit grid in place and
@@ -140,22 +95,12 @@ pub fn fake_quantize_tensor(t: &mut Tensor) -> QuantParams {
 /// zero ([`QuantParams::from_range`]) and `0.0` maps to itself, so zero
 /// padding around the values — a packed weight panel's — changes neither
 /// the parameters nor the padding.
-pub fn fake_quantize_slice(xs: &mut [f32]) -> QuantParams {
+pub(crate) fn fake_quantize_slice(xs: &mut [f32]) -> QuantParams {
     let p = QuantParams::observe_slice(xs);
     for v in xs {
         *v = p.fake_quant(*v);
     }
     p
-}
-
-/// Mean absolute quantization error introduced by 8-bit rounding of `t`.
-pub fn quantization_error(t: &Tensor) -> f32 {
-    let p = QuantParams::observe(t);
-    if t.is_empty() {
-        return 0.0;
-    }
-    let sum: f32 = t.data().iter().map(|&v| (v - p.fake_quant(v)).abs()).sum();
-    sum / t.len() as f32
 }
 
 #[cfg(test)]
@@ -194,64 +139,6 @@ mod tests {
         for &v in t.data() {
             assert!((v - p.fake_quant(v)).abs() <= p.scale());
         }
-    }
-
-    #[test]
-    fn quantization_error_shrinks_with_range() {
-        let narrow = Tensor::from_vec([3], vec![-0.1, 0.0, 0.1]);
-        let wide = Tensor::from_vec([3], vec![-10.0, 0.013, 10.0]);
-        assert!(quantization_error(&narrow) < quantization_error(&wide));
-    }
-
-    #[test]
-    fn per_channel_beats_per_tensor_on_imbalanced_filters() {
-        // Channel 0 is wide (+-8), channel 1 narrow (+-0.01): one shared
-        // scale destroys channel 1; per-channel keeps both.
-        let mut data = Vec::new();
-        for i in 0..64 {
-            data.push((i as f32 / 63.0 - 0.5) * 16.0);
-        }
-        for i in 0..64 {
-            data.push((i as f32 / 63.0 - 0.5) * 0.02);
-        }
-        let t = Tensor::from_vec([2, 64], data);
-        // Whole-tensor MAE improves (the wide channel dominates it)...
-        let per_tensor = quantization_error(&t);
-        let per_chan = per_channel_error(&t);
-        assert!(
-            per_chan < per_tensor,
-            "per-channel {per_chan} vs per-tensor {per_tensor}"
-        );
-        // ...but the narrow filter is where per-channel really wins: under a
-        // shared scale its error is the shared step; per-channel shrinks it
-        // by orders of magnitude.
-        let shared = QuantParams::observe(&t);
-        let (q, _) = fake_quantize_per_channel(&t);
-        let narrow = &t.data()[64..];
-        let narrow_shared: f32 = narrow
-            .iter()
-            .map(|&v| (v - shared.fake_quant(v)).abs())
-            .sum::<f32>()
-            / 64.0;
-        let narrow_pc: f32 = narrow
-            .iter()
-            .zip(&q.data()[64..])
-            .map(|(&a, &b)| (a - b).abs())
-            .sum::<f32>()
-            / 64.0;
-        assert!(
-            narrow_pc < narrow_shared / 50.0,
-            "narrow-channel: per-channel {narrow_pc} vs shared {narrow_shared}"
-        );
-    }
-
-    #[test]
-    fn per_channel_params_match_channel_count() {
-        let t = Tensor::random([8, 3, 3, 3], 1);
-        let (q, params) = fake_quantize_per_channel(&t);
-        assert_eq!(params.len(), 8);
-        assert_eq!(q.shape(), t.shape());
-        assert!(t.mean_abs_diff(&q) < params.iter().map(|p| p.scale()).fold(0.0, f32::max));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   supports it. Two 8-lane `ymm` accumulators per row, rows processed in
 //!   bands of four so the working set (8 accumulators + 2 B vectors + 1
 //!   broadcast) stays inside the 16 architectural `ymm` registers.
-//! * **`Wide`** — a portable-SIMD-style shim ([`F32x8`]): fixed 8-lane
+//! * **`Wide`** — a portable-SIMD-style shim (`F32x8`): fixed 8-lane
 //!   `[f32; 8]` arithmetic the autovectorizer lowers to whatever the
 //!   target ISA offers. Compiles on every architecture; the non-x86 and
 //!   no-AVX2 SIMD path.
@@ -67,7 +67,7 @@ impl KernelKind {
 pub enum Microkernel {
     /// Scalar `f32::mul_add` loops.
     Scalar,
-    /// Portable 8-lane shim ([`F32x8`]).
+    /// Portable 8-lane shim (`F32x8`).
     Wide,
     /// AVX2/FMA intrinsics (x86-64 only, runtime-detected).
     Avx2,
@@ -138,12 +138,12 @@ pub fn resolve(kind: KernelKind) -> Microkernel {
 /// exactly the scalar kernel's; the layout merely hands the
 /// autovectorizer eight independent lanes per operation.
 #[derive(Debug, Clone, Copy)]
-pub struct F32x8([f32; 8]);
+pub(crate) struct F32x8([f32; 8]);
 
 impl F32x8 {
     /// Broadcasts one value to all lanes.
     #[inline(always)]
-    pub fn splat(v: f32) -> F32x8 {
+    pub(crate) fn splat(v: f32) -> F32x8 {
         F32x8([v; 8])
     }
 
@@ -153,7 +153,7 @@ impl F32x8 {
     ///
     /// Panics if `s` has fewer than eight elements.
     #[inline(always)]
-    pub fn load(s: &[f32]) -> F32x8 {
+    pub(crate) fn load(s: &[f32]) -> F32x8 {
         F32x8(s[..8].try_into().expect("8 lanes"))
     }
 
@@ -163,14 +163,14 @@ impl F32x8 {
     ///
     /// Panics if `out` has fewer than eight elements.
     #[inline(always)]
-    pub fn store(self, out: &mut [f32]) {
+    pub(crate) fn store(self, out: &mut [f32]) {
         out[..8].copy_from_slice(&self.0);
     }
 
     /// Lane-wise fused multiply-add: `a * b + self`, one rounding per
     /// lane — the vector twin of `f32::mul_add`.
     #[inline(always)]
-    pub fn fma(self, a: F32x8, b: F32x8) -> F32x8 {
+    pub(crate) fn fma(self, a: F32x8, b: F32x8) -> F32x8 {
         let mut out = [0.0f32; 8];
         for ((o, &x), (&y, &acc)) in out.iter_mut().zip(&a.0).zip(b.0.iter().zip(&self.0)) {
             *o = x.mul_add(y, acc);

@@ -89,7 +89,7 @@ impl Tensor {
     }
 
     /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
+    pub(crate) fn into_vec(self) -> Vec<f32> {
         self.data
     }
 
@@ -119,11 +119,6 @@ impl Tensor {
         self.shape = shape;
     }
 
-    /// Maximum absolute element (0 for an empty tensor).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
-    }
-
     /// Mean absolute difference to another tensor of the same shape.
     ///
     /// # Panics
@@ -141,20 +136,6 @@ impl Tensor {
             .map(|(a, b)| (a - b).abs())
             .sum();
         sum / self.data.len() as f32
-    }
-
-    /// Linear offset of `[n, c, h, w]` in an `NCHW` tensor.
-    #[inline]
-    pub fn idx4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
-        let d = self.shape.dims();
-        ((n * d[1] + c) * d[2] + h) * d[3] + w
-    }
-
-    /// Linear offset of `[n, c, dd, h, w]` in an `NCDHW` tensor.
-    #[inline]
-    pub fn idx5(&self, n: usize, c: usize, dd: usize, h: usize, w: usize) -> usize {
-        let d = self.shape.dims();
-        (((n * d[1] + c) * d[2] + dd) * d[3] + h) * d[4] + w
     }
 }
 
@@ -202,15 +183,6 @@ mod tests {
             Tensor::random([2, 3, 5], 9)
         );
         assert!(Tensor::try_random([100_000_000_000usize, 3, 32, 32], 1).is_err());
-    }
-
-    #[test]
-    fn idx4_is_row_major() {
-        let t = Tensor::zeros([1, 2, 3, 4]);
-        assert_eq!(t.idx4(0, 0, 0, 0), 0);
-        assert_eq!(t.idx4(0, 0, 0, 3), 3);
-        assert_eq!(t.idx4(0, 0, 1, 0), 4);
-        assert_eq!(t.idx4(0, 1, 0, 0), 12);
     }
 
     #[test]

@@ -99,6 +99,27 @@ cargo test -q --offline -p edgebench --bin edgebench-cli \
     cli_fuzz_never_panics
 cargo test -q --offline -p edgebench --bin edgebench-cli \
     validation_holes_are_typed_invalid_errors
+# Malformed input and counts no allocator can meet, named explicitly: a
+# crafted trace file (a point count that wraps the length check, arrival
+# times that decrease, 2k seeded byte mutations) is a typed Malformed
+# error, a generated chaos plan is capped at its 4 x frames (stage, frame)
+# slots, and request or replica counts no host can hold are typed errors,
+# never an allocation abort.
+cargo test -q --offline -p edgebench --lib \
+    trace_decoder_rejects_wrapped_lengths_and_decreasing_times
+cargo test -q --offline -p edgebench --lib \
+    trace_decoder_never_panics_on_mutated_bytes
+cargo test -q --offline -p edgebench-devices --lib \
+    generated_chaos_plan_is_capped_at_stage_frame_slots
+cargo test -q --offline -p edgebench --lib \
+    huge_request_and_replica_counts_are_typed_errors
+# Every library item is only as visible as its users need, so rustc's
+# dead_code lint sees all of them and clippy -D warnings below is the
+# dead-code guard. An allowance would switch that guard off.
+if grep -rnE '(allow|expect)\([^)]*\bdead_code\b' crates/*/src src; then
+    echo "verify: FAIL — dead_code allowance in library source" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 # Benches must keep compiling even though tier-1 never runs them.
 cargo bench --no-run --offline --workspace
