@@ -36,6 +36,34 @@ fn bench_depthwise(c: &mut Criterion) {
     c.bench_function("depthwise_64x16x16", |b| {
         b.iter(|| black_box(kernels::depthwise_conv2d(&x, &w, None, (1, 1), (1, 1), 1)))
     });
+    // The executor's depthwise path on the forced-scalar reference and on
+    // the SIMD tier, at two MobileNet-v2 layers (3×3, padding 1): a
+    // stride-1 block layer and the stride-2 layer that halves 112×112.
+    // Each runs as a one-node graph on a prepared executor, one thread.
+    use edgebench_graph::GraphBuilder;
+    use edgebench_tensor::{Executor, KernelKind};
+    let mut g = c.benchmark_group("depthwise");
+    for (ch, hw, stride) in [(144usize, 56usize, 1usize), (96, 112, 2)] {
+        let mut b = GraphBuilder::new("depthwise");
+        let input = b.input([1, ch, hw, hw]);
+        let dw = b
+            .depthwise(input, (3, 3), (stride, stride), (1, 1))
+            .unwrap();
+        let graph = b.build(dw).unwrap();
+        let x = Tensor::random([1, ch, hw, hw], 1);
+        let out_hw = hw / stride;
+        g.throughput(Throughput::Elements((ch * out_hw * out_hw * 9) as u64));
+        for (label, kind) in [("scalar", KernelKind::Scalar), ("simd", KernelKind::Simd)] {
+            let exec = Executor::new(&graph)
+                .with_kernel(kind)
+                .prepare()
+                .expect("prepare");
+            g.bench_function(format!("{label}/{ch}x{hw}x{hw}s{stride}"), |bch| {
+                bch.iter(|| black_box(exec.run(&x).unwrap()))
+            });
+        }
+    }
+    g.finish();
 }
 
 fn bench_conv3d(c: &mut Criterion) {

@@ -166,11 +166,12 @@ fn sigterm_of_supervised_stage_restarts_and_conserves() {
 #[test]
 fn supervised_real_exec_is_not_mistaken_for_a_hang() {
     let shm = shm_dir("real-exec");
-    // A MobileNet-v2 frame outlasts the stall window by about 3x, and its
-    // slowest node stays about 3x inside it: ~1.8 s and ~0.13 s against
-    // 500 ms unoptimized, ~0.22 s and ~0.02 s against 60 ms optimized. The
-    // inference stage beats once per executed node, so its child is never
-    // killed as hung.
+    // A MobileNet-v2 f16 frame outlasts the stall window by about 3x, and
+    // its slowest node stays about 5x inside it: ~1.6 s and ~0.10 s (a
+    // 1x1 convolution) against 500 ms unoptimized, ~0.17 s and ~0.011 s (a
+    // convolution or an activation, binary16 rounding included) against
+    // 60 ms optimized. The inference stage beats once per executed node,
+    // so its child is never killed as hung.
     let heartbeat_ms = if cfg!(debug_assertions) { 500 } else { 60 };
     let cfg = RuntimeConfig::new(Model::MobileNetV2, Device::JetsonNano)
         .with_exec(ExecMode::Real)

@@ -4,7 +4,7 @@
 use crate::gemm::{self, ConvAlgo, Epilogue, GemmScratch, PackedPanels};
 use crate::kernels;
 use crate::quant::fake_quantize_slice;
-use crate::simd::{KernelKind, MR, NR};
+use crate::simd::{self, KernelKind, MR, NR};
 use crate::{ExecError, Tensor};
 use edgebench_graph::{ActivationKind, Graph, Node, Op, TensorShape};
 use rand::rngs::StdRng;
@@ -214,6 +214,8 @@ struct Arena {
     free: Vec<Vec<f32>>,
     /// GEMM packing + im2col scratch.
     gemm: GemmScratch,
+    /// The depthwise kernel's column-mask table, rebuilt per call.
+    taps: Vec<simd::TapMask>,
     /// Per-node activation slots, recycled between runs.
     slots: Vec<Option<Tensor>>,
     /// Per-node last-consumer indices, recycled between runs.
@@ -480,10 +482,11 @@ impl<'g> Executor<'g> {
         self
     }
 
-    /// Selects the GEMM micro-kernel (the CLI's `--kernel` A/B switch).
-    /// The request is resolved against the host once, when an arena is
-    /// created — and, like threads and blocking, it is a pure performance
-    /// knob: every kernel produces byte-identical output.
+    /// Selects the kernel tier of the GEMM micro-kernel and of depthwise
+    /// convolution (the CLI's `--kernel` A/B switch). The request is
+    /// resolved against the host once, when an arena is created — and,
+    /// like threads and blocking, it is a pure performance knob: every
+    /// tier produces byte-identical output.
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
         self
@@ -760,7 +763,17 @@ impl<'g> Executor<'g> {
                 padding,
                 ..
             } => {
-                kernels::depthwise_conv2d_into(x, w, b, *stride, *padding, *multiplier, &mut out);
+                simd::depthwise(
+                    arena.gemm.kernel(),
+                    x,
+                    w,
+                    b,
+                    *stride,
+                    *padding,
+                    *multiplier,
+                    &mut out,
+                    &mut arena.taps,
+                );
                 kernels::bn_act_inplace(&mut out, bn, act);
             }
             other => {

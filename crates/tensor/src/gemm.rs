@@ -320,6 +320,12 @@ impl GemmScratch {
         self.kernel = simd::resolve(kind);
     }
 
+    /// The resolved micro-kernel tier, which the executor's depthwise
+    /// path runs on too.
+    pub(crate) fn kernel(&self) -> Microkernel {
+        self.kernel
+    }
+
     /// Grows the B-block and im2col buffers to what a convolution lowered
     /// to an `[m×k]·[k×n]` GEMM over an im2col matrix of `im2col_len`
     /// floats needs, so later runs allocate nothing. Called from

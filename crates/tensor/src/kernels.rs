@@ -1,11 +1,14 @@
 //! The CNN kernel set: direct (reference) implementations of every operator
 //! in the IR.
 //!
-//! These are clarity-first reference kernels: correctness is established by
-//! hand-computed cases and property tests, and Criterion micro-benches in
-//! `edgebench-bench` measure them. Device *performance* modelling does not
-//! use these timings — it uses the analytical roofline in
-//! `edgebench-devices` — so simplicity here is a feature.
+//! These are the kernels the executor runs for pooling, batch-norm, LRN,
+//! activations, direct convolution and the rest, and the reference the
+//! faster tiers are held to: `--kernel scalar` runs
+//! `depthwise_conv2d_into`, and the SIMD depthwise tier in
+//! [`crate::simd`] must match it bit for bit. Their wall time is what the
+//! end-to-end benchmark's per-layer trace reports on the host; device
+//! *performance* modelling uses the analytical roofline in
+//! `edgebench-devices` instead.
 
 use crate::Tensor;
 use edgebench_graph::{ActivationKind, PoolKind, TensorShape};

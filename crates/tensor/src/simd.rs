@@ -1,35 +1,41 @@
-//! Runtime-dispatched register micro-kernels for the packed GEMM.
+//! Runtime-dispatched SIMD kernels: the packed GEMM's register
+//! micro-kernel, its small-batch stream kernel and depthwise convolution.
 //!
-//! Three implementations of the same contract, selected once per executor
-//! (never per call site) behind [`resolve`]:
+//! One [`Microkernel`] tier is resolved per executor (never per call site)
+//! behind [`resolve`], and every kernel here runs on it:
 //!
-//! * **`Avx2`** — explicit AVX2/FMA intrinsics, `#[target_feature]`-gated
-//!   and reached only after `is_x86_feature_detected!` confirms the host
-//!   supports it. Two 8-lane `ymm` accumulators per row, rows processed in
-//!   bands of four so the working set (8 accumulators + 2 B vectors + 1
-//!   broadcast) stays inside the 16 architectural `ymm` registers.
+//! * **`Avx512`** — AVX-512F intrinsics, reached only after
+//!   `is_x86_feature_detected!` confirms the host supports them. The GEMM
+//!   tile row is one 16-lane `zmm` accumulator; the stream kernel holds
+//!   its rows in registers; depthwise holds 16 output columns per `zmm`.
+//! * **`Avx2`** — AVX2/FMA intrinsics for the GEMM micro-kernel: two
+//!   8-lane `ymm` accumulators per row, rows in bands of four so the
+//!   working set stays inside the 16 architectural `ymm` registers.
 //! * **`Wide`** — a portable-SIMD-style shim (`F32x8`): fixed 8-lane
 //!   `[f32; 8]` arithmetic the autovectorizer lowers to whatever the
-//!   target ISA offers. Compiles on every architecture; the non-x86 and
-//!   no-AVX2 SIMD path.
-//! * **`Scalar`** — the original PR-5 scalar loop, kept verbatim as the
-//!   ground-truth fallback and the `--kernel scalar` A/B baseline.
+//!   target ISA offers. Compiles on every architecture.
+//! * **`Scalar`** — the reference loops, kept verbatim as the ground
+//!   truth and the `--kernel scalar` A/B baseline.
 //!
-//! The small-batch dense path has a *stream* kernel: one full-depth
-//! prepacked B panel against at most `MR` input rows read in place, FMAs
-//! issued for the valid rows only. The AVX-512 tier runs it from
-//! registers; every other tier shares one portable loop.
+//! Below AVX-512, the stream kernel and depthwise each share one portable
+//! loop across `Avx2`, `Wide` and non-x86 builds.
 //!
 //! # Bitwise equivalence
 //!
-//! All three kernels perform, per output element, the **same sequence of
-//! fused multiply-adds in strictly ascending `k`**. Vectorization spreads
-//! *independent output elements* across lanes — it never reassociates a
-//! reduction — and both `_mm256_fmadd_ps` and `f32::mul_add` are IEEE-754
-//! fused operations with a single rounding. The three kernels are
-//! therefore bit-identical on every input, which the unit tests here and
-//! the workspace `numerical_equivalence` suite assert on raw panels and
-//! whole models respectively.
+//! Every tier performs, per output element, the same sequence of rounded
+//! operations as the reference; vectorization spreads *independent output
+//! elements* across lanes and never reassociates a reduction. The GEMM
+//! kernels issue fused multiply-adds in strictly ascending `k` —
+//! `_mm256/_mm512_fmadd_ps` and `f32::mul_add` round once alike. Depthwise
+//! repeats `kernels::depthwise_conv2d_into`'s unfused `acc += x * w` per
+//! in-range tap in ascending `(ky, kx)`, and the AVX-512 tier skips an
+//! out-of-range tap with masked loads and a masked add instead of adding a
+//! zero-padded term. The tiers are therefore bit-identical on every input,
+//! which the unit tests here and the workspace `numerical_equivalence`
+//! suite assert on raw kernels and whole models respectively.
+
+use crate::{kernels, Tensor};
+use edgebench_graph::TensorShape;
 
 /// Micro-kernel tile rows (register-blocked rows of `C`).
 pub const MR: usize = 8;
@@ -65,15 +71,17 @@ impl KernelKind {
 /// A concrete, runtime-resolved micro-kernel implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Microkernel {
-    /// Scalar `f32::mul_add` loops.
+    /// The scalar reference loops.
     Scalar,
-    /// Portable 8-lane shim (`F32x8`).
+    /// Portable 8-lane shim (`F32x8`); depthwise runs the portable loop.
     Wide,
-    /// AVX2/FMA intrinsics (x86-64 only, runtime-detected).
+    /// AVX2/FMA intrinsics (x86-64 only, runtime-detected); depthwise runs
+    /// the portable loop.
     Avx2,
     /// AVX-512F intrinsics: the whole `NR`-wide tile row is one `zmm`
     /// accumulator and the A broadcast folds into the FMA as an
-    /// embedded-broadcast operand (x86-64 only, runtime-detected).
+    /// embedded-broadcast operand; depthwise holds 16 output columns per
+    /// `zmm` (x86-64 only, runtime-detected).
     Avx512,
 }
 
@@ -455,10 +463,291 @@ unsafe fn microkernel_avx512(apan: &[f32], bpan: &[f32], kc: usize, acc: &mut Ac
     }
 }
 
+/// Depthwise 2-D convolution on `kernel`'s tier: the executor's path for
+/// `Op::DepthwiseConv2d`, alone and inside `FusedConvBnAct`. Arguments and
+/// panics are those of [`kernels::depthwise_conv2d_into`], which is the
+/// `Scalar` tier; `masks` is a reusable buffer for the AVX-512 tier's
+/// column masks.
+///
+/// Every tier repeats the reference's arithmetic per output element: start
+/// from the bias (`+0.0` without one), then add each in-range tap in
+/// ascending `(ky, kx)` as a rounded `x * w` followed by a rounded add —
+/// no FMA, since the reference's `acc += x * w` is not contracted.
+/// Out-of-range taps are skipped, never zero-padded: a weight flipped to
+/// ±Inf or NaN would turn a padded `0 · w` into NaN where the reference
+/// stays finite.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn depthwise(
+    kernel: Microkernel,
+    x: &Tensor,
+    weight: &Tensor,
+    bias: Option<&[f32]>,
+    stride: (usize, usize),
+    padding: (usize, usize),
+    multiplier: usize,
+    out: &mut Tensor,
+    masks: &mut Vec<TapMask>,
+) {
+    if kernel == Microkernel::Scalar {
+        kernels::depthwise_conv2d_into(x, weight, bias, stride, padding, multiplier, out);
+        return;
+    }
+    let g = DwGeom::new(x, weight, stride, padding, multiplier);
+    let planes = g.n * g.in_c * multiplier;
+    assert_eq!(out.len(), planes * g.oh * g.ow, "depthwise output mismatch");
+    let (x, w, out) = (x.data(), weight.data(), out.data_mut());
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the variant implies runtime-detected AVX-512F (as in
+        // `run`). `DwGeom::plane` bounds-checks each plane's input and
+        // weights, the kernel addresses only in-range rows of them, and
+        // the masks just built for `g` keep every load inside its row; a
+        // store covers only its block's live output columns.
+        Microkernel::Avx512 if stride.1 <= 2 => unsafe {
+            g.fill_masks(masks);
+            if stride.1 == 1 {
+                depthwise_avx512::<1>(&g, x, w, bias, out, masks)
+            } else {
+                depthwise_avx512::<2>(&g, x, w, bias, out, masks)
+            }
+        },
+        _ => depthwise_portable(&g, x, w, bias, out),
+    }
+}
+
+/// The geometry of one depthwise call, shared by every tier.
+#[derive(Debug, Clone, Copy)]
+struct DwGeom {
+    n: usize,
+    in_c: usize,
+    multiplier: usize,
+    ih: usize,
+    iw: usize,
+    kh: usize,
+    kw: usize,
+    oh: usize,
+    ow: usize,
+    stride: (usize, usize),
+    padding: (usize, usize),
+}
+
+impl DwGeom {
+    fn new(
+        x: &Tensor,
+        weight: &Tensor,
+        stride: (usize, usize),
+        padding: (usize, usize),
+        multiplier: usize,
+    ) -> DwGeom {
+        let d = x.shape().dims();
+        assert_eq!(d.len(), 4, "expected rank-4 tensor, got {}", x.shape());
+        let wd = weight.shape().dims();
+        let (ih, iw, kh, kw) = (d[2], d[3], wd[2], wd[3]);
+        let extent = TensorShape::conv_out_extent;
+        DwGeom {
+            n: d[0],
+            in_c: d[1],
+            multiplier,
+            ih,
+            iw,
+            kh,
+            kw,
+            oh: extent(ih, kh, stride.0, padding.0).expect("kernel fits"),
+            ow: extent(iw, kw, stride.1, padding.1).expect("kernel fits"),
+            stride,
+            padding,
+        }
+    }
+
+    /// Input plane, weights and bias of output plane `plane` (`b·out_c + oc`).
+    fn plane<'a>(
+        &self,
+        plane: usize,
+        x: &'a [f32],
+        w: &'a [f32],
+        bias: Option<&[f32]>,
+    ) -> (&'a [f32], &'a [f32], f32) {
+        let out_c = self.in_c * self.multiplier;
+        let (b, oc) = (plane / out_c, plane % out_c);
+        let (hw, taps) = (self.ih * self.iw, self.kh * self.kw);
+        let xp = (b * self.in_c + oc / self.multiplier) * hw;
+        let b0 = bias.map_or(0.0, |bv| bv[oc]);
+        (&x[xp..xp + hw], &w[oc * taps..(oc + 1) * taps], b0)
+    }
+
+    /// The in-range kernel rows of output row `oy`; kernel row `ky` reads
+    /// input row `oy·sh + ky − ph`.
+    fn rows(&self, oy: usize) -> std::ops::Range<usize> {
+        let (top, ph) = (oy * self.stride.0, self.padding.0);
+        let hi = (self.ih + ph).saturating_sub(top).min(self.kh);
+        let lo = ph.saturating_sub(top).min(hi);
+        lo..hi
+    }
+
+    /// Output columns whose `kw` taps all fall inside the input row.
+    fn inner_cols(&self) -> std::ops::Range<usize> {
+        let (sw, pw) = (self.stride.1, self.padding.1);
+        let lo = pw.div_ceil(sw).min(self.ow);
+        let hi = match (self.iw + pw).checked_sub(self.kw) {
+            Some(last) => (last / sw + 1).min(self.ow),
+            None => 0,
+        };
+        lo..hi.max(lo)
+    }
+
+    /// Rebuilds `masks` as the AVX-512 tier's per-call table: one
+    /// [`TapMask`] per 16-column output block and kernel column, so no
+    /// channel plane recomputes them.
+    fn fill_masks(&self, masks: &mut Vec<TapMask>) {
+        let (sw, pw) = (self.stride.1, self.padding.1);
+        // Bit `i` set where input column `first + i` lies inside the row.
+        let in_row = |first: isize, lanes: usize| -> u32 {
+            (0..lanes).fold(0, |m, i| {
+                let c = first + i as isize;
+                m | (u32::from(c >= 0 && c < self.iw as isize) << i)
+            })
+        };
+        masks.clear();
+        for ox0 in (0..self.ow).step_by(16) {
+            let live = (self.ow - ox0).min(16);
+            for kx in 0..self.kw {
+                let first = (ox0 * sw + kx) as isize - pw as isize;
+                let lanes = in_row(first, 16 * sw);
+                masks.push(TapMask {
+                    add: (0..live).fold(0, |m, j| m | (((lanes >> (j * sw)) & 1) as u16) << j),
+                    lo: lanes as u16,
+                    hi: (lanes >> 16) as u16,
+                });
+            }
+        }
+    }
+}
+
+/// The AVX-512 depthwise tier's masks for one output block and kernel
+/// column: the lanes whose tap is in range (`add`), and the in-row lanes
+/// of the 16 (`lo`) and, at stride 2, the next 16 (`hi`) input columns the
+/// block's loads read.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TapMask {
+    add: u16,
+    lo: u16,
+    hi: u16,
+}
+
+/// The portable depthwise tier, shared by `Wide`, `Avx2`, every non-x86
+/// build and strides above 2. Each output row is a branch-free interior,
+/// accumulated tap by tap across its columns (the loop the compiler
+/// vectorizes), plus scalar border columns that skip out-of-range taps.
+fn depthwise_portable(g: &DwGeom, x: &[f32], w: &[f32], bias: Option<&[f32]>, out: &mut [f32]) {
+    let (sw, pw, kw) = (g.stride.1, g.padding.1, g.kw);
+    let inner = g.inner_cols();
+    for (plane, oplane) in out.chunks_exact_mut(g.oh * g.ow).enumerate() {
+        let (xp, wp, b0) = g.plane(plane, x, w, bias);
+        for (oy, orow) in oplane.chunks_exact_mut(g.ow).enumerate() {
+            let kys = g.rows(oy);
+            let xrow = |ky: usize| {
+                let iy = oy * g.stride.0 + ky - g.padding.0;
+                &xp[iy * g.iw..(iy + 1) * g.iw]
+            };
+            for ox in (0..inner.start).chain(inner.end..g.ow) {
+                let mut acc = b0;
+                for ky in kys.clone() {
+                    let (xr, wr) = (xrow(ky), &wp[ky * kw..(ky + 1) * kw]);
+                    for (kx, &wv) in wr.iter().enumerate() {
+                        let ix = ox * sw + kx;
+                        if ix >= pw && ix - pw < g.iw {
+                            acc += xr[ix - pw] * wv;
+                        }
+                    }
+                }
+                orow[ox] = acc;
+            }
+            if inner.is_empty() {
+                continue;
+            }
+            let o = &mut orow[inner.clone()];
+            o.fill(b0);
+            for ky in kys {
+                let (xr, wr) = (xrow(ky), &wp[ky * kw..(ky + 1) * kw]);
+                for (kx, &wv) in wr.iter().enumerate() {
+                    let xs = &xr[inner.start * sw - pw + kx..];
+                    // `step_by` keeps the loop scalar: at stride 1 the plain
+                    // zip ran a 144×56×56 layer about 4× faster.
+                    if sw == 1 {
+                        for (a, &v) in o.iter_mut().zip(xs) {
+                            *a += v * wv;
+                        }
+                    } else {
+                        for (a, &v) in o.iter_mut().zip(xs.iter().step_by(sw)) {
+                            *a += v * wv;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The AVX-512 depthwise tier at column stride `S` (1 or 2): 16 output
+/// columns per `zmm`, every tap a masked load, a multiply by the broadcast
+/// weight and a masked add, so a lane whose tap is out of range keeps its
+/// accumulator untouched.
+///
+/// # Safety
+///
+/// The host must support AVX-512F, `S` must be `g.stride.1`, the slices
+/// must hold `g`'s planes, and `masks` must come from [`DwGeom::fill_masks`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn depthwise_avx512<const S: usize>(
+    g: &DwGeom,
+    x: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    masks: &[TapMask],
+) {
+    use core::arch::x86_64::*;
+    // Lane j of a stride-2 block reads element 2j of its two loads.
+    let evens = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+    let pw = g.padding.1 as isize;
+    for (plane, oplane) in out.chunks_exact_mut(g.oh * g.ow).enumerate() {
+        let (xp, wp, b0) = g.plane(plane, x, w, bias);
+        let b0 = _mm512_set1_ps(b0);
+        for (oy, orow) in oplane.chunks_exact_mut(g.ow).enumerate() {
+            let top = (oy * g.stride.0) as isize - g.padding.0 as isize;
+            let kys = g.rows(oy);
+            for (blk, taps) in masks.chunks_exact(g.kw).enumerate() {
+                let ox0 = blk * 16;
+                let mut acc = b0;
+                for ky in kys.clone() {
+                    let xr = xp.as_ptr().offset((top + ky as isize) * g.iw as isize);
+                    let wr = wp.as_ptr().add(ky * g.kw);
+                    for (kx, t) in taps.iter().enumerate() {
+                        // May point before or past the row: only the
+                        // in-row lanes of `t` are read.
+                        let p = xr.wrapping_offset((ox0 * S + kx) as isize - pw);
+                        let v = if S == 1 {
+                            _mm512_maskz_loadu_ps(t.lo, p)
+                        } else {
+                            let lo = _mm512_maskz_loadu_ps(t.lo, p);
+                            let hi = _mm512_maskz_loadu_ps(t.hi, p.wrapping_add(16));
+                            _mm512_permutex2var_ps(lo, evens, hi)
+                        };
+                        let prod = _mm512_mul_ps(v, _mm512_set1_ps(*wr.add(kx)));
+                        acc = _mm512_mask_add_ps(acc, t.add, acc, prod);
+                    }
+                }
+                let live = (g.ow - ox0).min(16);
+                _mm512_mask_storeu_ps(orow.as_mut_ptr().add(ox0), ((1u32 << live) - 1) as u16, acc);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tensor;
 
     /// Random packed panels (including non-trivial accumulator seeds) for
     /// a given depth.
@@ -538,6 +827,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn depthwise_tiers_are_bitwise_identical_to_the_reference() {
+        // `Wide` runs the portable loop on every host, so it is covered on
+        // AVX-512 hosts too. Widths 1–65 give planes narrower than one
+        // vector, exact multiples of 16 and ragged tails. One plane in two
+        // carries a +Inf, −Inf or NaN weight at a corner tap: where that
+        // tap falls outside the input the reference skips it and stays
+        // finite, so a tier that zero-pads (0 · Inf = NaN) fails here.
+        let mut tiers = vec![Microkernel::Wide];
+        if avx512_available() {
+            tiers.push(Microkernel::Avx512);
+        }
+        let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut masks = Vec::new();
+        let mut case = 0usize;
+        for iw in 1..=65usize {
+            let ih = 3 + iw % 5;
+            for k in [1usize, 3, 5] {
+                for pad in (0..=k / 2).filter(|p| iw + 2 * p >= k && ih + 2 * p >= k) {
+                    for stride in [1usize, 2] {
+                        for mult in [1usize, 2] {
+                            for with_bias in [false, true] {
+                                case += 1;
+                                let out_c = 2 * mult;
+                                let x = Tensor::random([2, 2, ih, iw], case as u64);
+                                let mut w = Tensor::random([out_c, 1, k, k], !(case as u64));
+                                for oc in (1..out_c).step_by(2) {
+                                    let corner =
+                                        [0, k - 1, k * (k - 1), k * k - 1][(case + oc) % 4];
+                                    w.data_mut()[oc * k * k + corner] = poison[(case + oc) % 3];
+                                }
+                                let b = Tensor::random([out_c], 7 * case as u64);
+                                let bias = with_bias.then(|| b.data());
+                                let (st, pd) = ((stride, stride), (pad, pad));
+                                let oh = (ih + 2 * pad - k) / stride + 1;
+                                let ow = (iw + 2 * pad - k) / stride + 1;
+                                let mut want = Tensor::zeros([2, out_c, oh, ow]);
+                                kernels::depthwise_conv2d_into(
+                                    &x, &w, bias, st, pd, mult, &mut want,
+                                );
+                                for &tier in &tiers {
+                                    let mut got = Tensor::random([2, out_c, oh, ow], 3);
+                                    depthwise(
+                                        tier, &x, &w, bias, st, pd, mult, &mut got, &mut masks,
+                                    );
+                                    assert_eq!(
+                                        bits(&got),
+                                        bits(&want),
+                                        "{tier:?} iw={iw} ih={ih} k={k} pad={pad} stride={stride} \
+                                         mult={mult} bias={with_bias}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(case > 2800, "grid ran only {case} cases");
     }
 
     #[test]

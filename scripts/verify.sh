@@ -15,6 +15,14 @@ cargo test -q --offline --test numerical_equivalence \
     execution_is_byte_identical_across_intra_op_threads
 cargo test -q --offline --test numerical_equivalence \
     simd_and_scalar_kernels_are_bitwise_identical
+# Depthwise convolution runs on the same tier: the AVX-512 kernel and the
+# portable loop must equal the scalar reference bit for bit on a grid of
+# widths, kernels, strides, paddings, multipliers and biases, with ±Inf and
+# NaN weights at border taps, and on random layers through the executor.
+cargo test -q --offline -p edgebench-tensor \
+    depthwise_tiers_are_bitwise_identical_to_the_reference
+cargo test -q --offline --test numerical_equivalence \
+    simd_matches_scalar_bitwise_on_random_depthwise_geometry
 # Weights packed once at prepare time: prepacked conv and dense operands on
 # ragged shapes must equal the naive reference bit for bit on every kernel
 # tier, forced blocking (kc = 1 included) and 1, 2 and 8 threads, and the
@@ -131,6 +139,8 @@ CARGO_TARGET_DIR=.bench_build cargo test -q --offline \
 # The tracked benchmark trajectory must stay parseable (running the full
 # bench suite is too slow for tier-1; structure is checked instead).
 scripts/bench_snapshot.sh --check BENCH_kernels.json
+# The A/B pair runner builds and runs the benchmark for minutes: syntax only.
+bash -n scripts/ab.sh
 # Docs are part of the contract: broken intra-doc links fail the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 

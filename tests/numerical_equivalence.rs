@@ -3,7 +3,7 @@
 //! through the tensor substrate before and after each pass.
 
 use edgebench_frameworks::passes;
-use edgebench_graph::{ActivationKind, Graph, GraphBuilder, PoolKind};
+use edgebench_graph::{ActivationKind, Graph, GraphBuilder, Op, PoolKind};
 use edgebench_models::Model;
 use edgebench_tensor::{Executor, KernelKind, Microkernel, Precision, Tensor};
 use proptest::prelude::*;
@@ -339,6 +339,58 @@ proptest! {
             prop_assert_eq!(scalar.data(), simd.data(), "diverged at {} threads", threads);
         }
     }
+
+    #[test]
+    fn simd_matches_scalar_bitwise_on_random_depthwise_geometry(case in arb_depthwise_case()) {
+        // The depthwise tiers repeat the reference's mul-then-add per tap
+        // and skip out-of-range taps, so the SIMD kernel must match the
+        // scalar loop bit for bit — strides above 2 take the portable loop.
+        let (g, seed) = case;
+        let shape = g.node(g.input_ids()[0]).output_shape().dims().to_vec();
+        let x = Tensor::random(shape, seed);
+        let scalar = Executor::new(&g)
+            .with_seed(9)
+            .with_kernel(KernelKind::Scalar)
+            .with_intra_op_threads(1)
+            .run(&x)
+            .unwrap();
+        for threads in [1usize, 2, 8] {
+            let exec = Executor::new(&g)
+                .with_seed(9)
+                .with_kernel(KernelKind::Simd)
+                .with_intra_op_threads(threads);
+            let plain = exec.run(&x).unwrap();
+            prop_assert_eq!(scalar.data(), plain.data(), "diverged at {} threads", threads);
+            let prepared = exec.prepare().unwrap().run(&x).unwrap();
+            prop_assert_eq!(scalar.data(), prepared.data(), "prepared diverged at {} threads", threads);
+        }
+    }
+}
+
+/// Strategy: one depthwise layer with randomized geometry — batch,
+/// channels, multiplier 1 or 2, bias, ragged height and width, kernel,
+/// stride 1–3 and padding — as the whole graph, so every output element is
+/// compared.
+fn arb_depthwise_case() -> impl Strategy<Value = (Graph, u64)> {
+    let size = (1usize..=3, 1usize..=8, 1usize..=2, prop::bool::ANY); // batch, cin, multiplier, bias
+    let geom = (5usize..=40, 5usize..=40, 0usize..=2, 1usize..=3, 0usize..=2); // h, w, k sel, stride, pad
+    (size, geom, 0usize..1_000_000).prop_map(
+        |((batch, cin, multiplier, bias), (h, w, ksel, stride, pad), seed)| {
+            let k = [1usize, 3, 5][ksel];
+            let pad = pad.min(k / 2);
+            let mut b = GraphBuilder::new("depthwise-case");
+            let x = b.input([batch, cin, h, w]);
+            let op = Op::DepthwiseConv2d {
+                multiplier,
+                kernel: (k, k),
+                stride: (stride, stride),
+                padding: (pad, pad),
+                bias,
+            };
+            let d = b.push_auto(op, vec![x]).unwrap();
+            (b.build(d).unwrap(), seed as u64)
+        },
+    )
 }
 
 #[test]
@@ -347,35 +399,45 @@ fn fusion_is_bit_identical_across_stride_padding_activation() {
     // the same order as the standalone kernel chain, so fusion must be an
     // exact no-op numerically — for every stride/padding/activation combo,
     // not just the common 3x3/s1/ReLU case.
-    for &(k, stride, pad, act) in &[
+    for &(k, stride, pad, act, depthwise) in &[
         (
             3usize,
             (1usize, 1usize),
             (1usize, 1usize),
             ActivationKind::Relu,
+            false,
         ),
-        (3, (2, 2), (1, 1), ActivationKind::Relu6),
-        (1, (1, 1), (0, 0), ActivationKind::Leaky),
-        (3, (2, 2), (0, 0), ActivationKind::Tanh),
-        (3, (1, 1), (1, 1), ActivationKind::Sigmoid),
+        (3, (2, 2), (1, 1), ActivationKind::Relu6, false),
+        (1, (1, 1), (0, 0), ActivationKind::Leaky, false),
+        (3, (2, 2), (0, 0), ActivationKind::Tanh, false),
+        (3, (1, 1), (1, 1), ActivationKind::Sigmoid, false),
+        (3, (2, 2), (1, 1), ActivationKind::Relu6, true),
     ] {
         let mut b = GraphBuilder::new("combo");
         let x = b.input([2, 3, 16, 16]);
-        let c = b.conv2d_nobias(x, 24, (k, k), stride, pad).unwrap();
+        let c = if depthwise {
+            b.depthwise(x, (k, k), stride, pad)
+        } else {
+            b.conv2d_nobias(x, 24, (k, k), stride, pad)
+        }
+        .unwrap();
         let n = b.batch_norm(c).unwrap();
         let a = b.activation(n, act).unwrap();
         let f = b.flatten(a).unwrap();
         let d = b.dense(f, 10).unwrap();
         let g = b.build(d).unwrap();
         let fused = passes::fuse_conv_bn_act(&g).unwrap();
-        assert!(fused.len() < g.len(), "fusion fired for k{k} s{stride:?}");
+        assert!(
+            fused.len() < g.len(),
+            "fusion fired for k{k} s{stride:?} depthwise={depthwise}"
+        );
         let input = Tensor::random([2, 3, 16, 16], 31);
         let want = Executor::new(&g).with_seed(6).run(&input).unwrap();
         let got = Executor::new(&fused).with_seed(6).run(&input).unwrap();
         assert_eq!(
             want.data(),
             got.data(),
-            "fused combo k{k} stride{stride:?} pad{pad:?} {act} diverged"
+            "fused combo k{k} stride{stride:?} pad{pad:?} {act} depthwise={depthwise} diverged"
         );
     }
 }
