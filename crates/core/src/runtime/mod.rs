@@ -29,7 +29,8 @@ mod stage;
 pub mod supervise;
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 
 use edgebench_devices::faults::ChaosPlan;
 use edgebench_devices::Device;
@@ -391,7 +392,7 @@ fn make_run_dir(cfg: &RuntimeConfig) -> Result<(PathBuf, DirGuard), RuntimeError
         "ebrt-{}-{}-{}",
         std::process::id(),
         cfg.seed,
-        RUN_COUNTER.fetch_add(1, Ordering::Relaxed)
+        RUN_COUNTER.fetch_add(1, Relaxed)
     ));
     std::fs::create_dir_all(&dir).map_err(|e| RuntimeError::Io {
         reason: format!("create {}: {e}", dir.display()),
@@ -460,30 +461,12 @@ fn assemble_report(
     for s in 0..4 {
         ctl.lose_inflight(s);
     }
-    let (escalations, standdowns, missed) = ctl.sentry_counts();
-    let (standby_frames, full_frames) = ctl.served_counts();
     let events = ctl
         .events()
         .into_iter()
-        .map(|(t_ns, seq, code)| RuntimeEvent {
-            t_ns,
-            seq,
-            kind: match code {
-                stage::EV_ESCALATE => RuntimeEventKind::Escalate,
-                stage::EV_STANDDOWN => RuntimeEventKind::Standdown,
-                stage::EV_MISSED => RuntimeEventKind::MissedEscalation,
-                stage::EV_CORRUPT_PRE => RuntimeEventKind::Corrupted {
-                    stage: "preprocess",
-                },
-                stage::EV_CORRUPT_INF => RuntimeEventKind::Corrupted { stage: "inference" },
-                stage::EV_CORRUPT_GW => RuntimeEventKind::Corrupted { stage: "gateway" },
-                c if c >= stage::EV_RESTART_BASE => RuntimeEventKind::Restart {
-                    stage: STAGE_NAMES[(c - stage::EV_RESTART_BASE) as usize],
-                },
-                c => RuntimeEventKind::Lost {
-                    stage: STAGE_NAMES[(c - stage::EV_LOST_BASE) as usize],
-                },
-            },
+        .filter_map(|(t_ns, seq, code)| {
+            let kind = RuntimeEventKind::from_code(code)?;
+            Some(RuntimeEvent { t_ns, seq, kind })
         })
         .collect();
     let stages = STAGE_NAMES
@@ -491,10 +474,10 @@ fn assemble_report(
         .enumerate()
         .map(|(i, name)| StageReport {
             stage: name,
-            processed: ctl.processed(i),
-            busy_s: ctl.busy_ns(i) as f64 / 1e9,
-            restarts: ctl.restarts(i),
-            lost: ctl.lost(i),
+            processed: ctl.processed[i].load(Acquire),
+            busy_s: ctl.busy_ns[i].load(Acquire) as f64 / 1e9,
+            restarts: ctl.restarts[i].load(Acquire),
+            lost: ctl.lost[i].load(Acquire),
         })
         .collect();
     let recovery_ms = Samples::from_unsorted(
@@ -507,23 +490,23 @@ fn assemble_report(
         mode,
         policy: cfg.policy.name(),
         sentry: cfg.sentry.is_some(),
-        offered: ctl.offered(),
-        completed: ctl.completed(),
+        offered: ctl.offered.load(Acquire),
+        completed: ctl.completed.load(Acquire),
         dropped: rings.iter().map(|r| r.dropped()).sum(),
-        corrupted: ctl.corrupted(0) + ctl.corrupted(1) + ctl.corrupted(2),
-        escalations,
-        standdowns,
-        missed_escalations: missed,
-        standby_frames,
-        full_frames,
+        corrupted: ctl.corrupted.iter().map(|w| w.load(Acquire)).sum(),
+        escalations: ctl.escalations.load(Acquire),
+        standdowns: ctl.standdowns.load(Acquire),
+        missed_escalations: ctl.missed_escalations.load(Acquire),
+        standby_frames: ctl.standby_frames.load(Acquire),
+        full_frames: ctl.full_frames.load(Acquire),
         energy_mj: ctl.energy_mj(),
-        span_s: ctl.span_ns() as f64 / 1e9,
+        span_s: ctl.span_ns.load(Acquire) as f64 / 1e9,
         latencies_ms: Samples::from_unsorted(ctl.ledger_latencies_ms()),
-        order_violations: ctl.order_violations(),
+        order_violations: ctl.order_violations.load(Acquire),
         supervised: cfg.supervise.is_some(),
-        restarts: (0..4).map(|s| ctl.restarts(s)).sum(),
-        lost: (0..4).map(|s| ctl.lost(s)).sum(),
-        duplicates: ctl.duplicates(),
+        restarts: ctl.restarts.iter().map(|w| w.load(Acquire)).sum(),
+        lost: ctl.lost.iter().map(|w| w.load(Acquire)).sum(),
+        duplicates: ctl.duplicates.load(Acquire),
         recovery_ms,
         degraded: STAGE_NAMES
             .iter()
@@ -533,7 +516,7 @@ fn assemble_report(
             .collect(),
         stages,
         events,
-        output_digest: ctl.digest(),
+        output_digest: ctl.digest.load(Acquire),
     }
 }
 
@@ -582,7 +565,7 @@ pub fn run_replay(cfg: &RuntimeConfig, trace: &TraceFile) -> Result<RuntimeRepor
         let monitor = s.spawn(move || supervise::run_hang_monitor(ctl, sup, monitor_stop));
         // A panic that escapes a stage degrades it instead of aborting.
         let degraded = stages.map(|h| h.join().unwrap_or(true));
-        monitor_stop.store(true, Ordering::Release);
+        monitor_stop.store(true, Release);
         monitor.thread().unpark();
         let _ = monitor.join();
         degraded

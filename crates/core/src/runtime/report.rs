@@ -5,6 +5,8 @@
 use edgebench_measure::stats::Samples;
 use edgebench_measure::trace::{EventEntry, EventLog};
 
+use super::stage::STAGE_NAMES;
+
 /// A sentry / integrity event on the runtime timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeEvent {
@@ -43,6 +45,48 @@ pub enum RuntimeEventKind {
         /// Stage that was restarted.
         stage: &'static str,
     },
+}
+
+impl RuntimeEventKind {
+    /// Every kind the shared event log stores, at the index that is its
+    /// code. `Ctl::events` sorts by `(t_ns, seq, code)`, so this order
+    /// decides how same-instant events are listed.
+    const BY_CODE: [RuntimeEventKind; 14] = {
+        use RuntimeEventKind::*;
+        let [capture, preprocess, inference, gateway] = STAGE_NAMES;
+        [
+            Escalate,
+            Standdown,
+            MissedEscalation,
+            Corrupted { stage: preprocess },
+            Corrupted { stage: inference },
+            Corrupted { stage: gateway },
+            Lost { stage: capture },
+            Lost { stage: preprocess },
+            Lost { stage: inference },
+            Lost { stage: gateway },
+            Restart { stage: capture },
+            Restart { stage: preprocess },
+            Restart { stage: inference },
+            Restart { stage: gateway },
+        ]
+    };
+
+    /// The code the shared event log stores for this kind.
+    ///
+    /// # Panics
+    ///
+    /// On a kind the stages never record: corruption caught at capture, or
+    /// a stage name outside `STAGE_NAMES`.
+    pub(crate) fn code(self) -> u32 {
+        let code = Self::BY_CODE.iter().position(|k| *k == self);
+        code.expect("a kind the stages record") as u32
+    }
+
+    /// The kind a stored code stands for (`None` for a code no stage writes).
+    pub(crate) fn from_code(code: u32) -> Option<RuntimeEventKind> {
+        Self::BY_CODE.get(code as usize).copied()
+    }
 }
 
 impl std::fmt::Display for RuntimeEventKind {
@@ -327,6 +371,21 @@ mod tests {
         assert_eq!(lines[2], "0.002000,3,sentry-escalate");
         assert_eq!(lines[3], "0.003000,5,lost@inference");
         assert_eq!(lines[4], "0.004000,1,restart@inference");
+    }
+
+    #[test]
+    fn event_codes_round_trip_and_keep_their_numbers() {
+        for (code, kind) in RuntimeEventKind::BY_CODE.iter().enumerate() {
+            assert_eq!(kind.code(), code as u32);
+            assert_eq!(RuntimeEventKind::from_code(code as u32), Some(*kind));
+        }
+        assert_eq!(RuntimeEventKind::from_code(14), None);
+        // The numbers the event log has always stored: renumbering would
+        // reorder same-instant events.
+        assert_eq!(RuntimeEventKind::MissedEscalation.code(), 2);
+        assert_eq!(RuntimeEventKind::Corrupted { stage: "gateway" }.code(), 5);
+        assert_eq!(RuntimeEventKind::Lost { stage: "capture" }.code(), 6);
+        assert_eq!(RuntimeEventKind::Restart { stage: "gateway" }.code(), 13);
     }
 
     #[test]

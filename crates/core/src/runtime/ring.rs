@@ -1,46 +1,30 @@
 //! Zero-copy SPSC ring buffer over a shared memory mapping.
 //!
-//! Layout (all offsets 8-aligned, little-endian host):
-//!
-//! ```text
-//! +--------------------------------------------------------------+
-//! | header (64 B)                                                |
-//! |   magic u32 | version u32 | capacity u32 | slot_size u32     |
-//! |   payload_elems u32 | pad u32                                |
-//! |   head  AtomicU64   (next seq the producer will write)       |
-//! |   tail  AtomicU64   (next seq the consumer will read)        |
-//! |   dropped AtomicU64 (frames evicted by drop-oldest)          |
-//! |   closed AtomicU32 | data_futex AtomicU32 | space_futex u32  |
-//! +--------------------------------------------------------------+
-//! | stamps: [AtomicU64; capacity]   virtual free-times per slot  |
-//! +--------------------------------------------------------------+
-//! | slots:  [Slot; capacity]        each slot_size bytes         |
-//! |   commit AtomicU64 (0 = empty, seq+1 = committed)            |
-//! |   seq u64 | t_arrival_ns u64 | t_stage_ns u64                |
-//! |   dims [u32;4] | dtype u32 | flags u32 | payload_len u32|pad |
-//! |   checksum u64 | frame_id u64 | payload [f32; payload_elems] |
-//! +--------------------------------------------------------------+
-//! ```
+//! A ring is a `RingHeader` (geometry and protocol words), one free-time
+//! stamp per slot, then `capacity` slots, each a `SlotHeader` followed by
+//! `payload_elems` `f32`s. Those `#[repr(C)]` structs are the layout:
+//! `create` and `attach` check the geometry once, and every access views
+//! the map through `SharedMap::view`, the one checked cast.
 //!
 //! Frames travel as raw header fields plus an `f32` payload — nothing is
 //! serialized. Torn reads are possible only when drop-oldest eviction
 //! overruns a slot mid-copy; the consumer detects that with a seqlock-style
 //! re-check of the per-slot commit stamp and retries, so a torn frame is
-//! never surfaced. The `stamps` array carries the *virtual* time at which the
+//! never surfaced. The stamps carry the *virtual* time at which the
 //! consumer freed each slot, which is what lets a blocked producer account
 //! for backpressure deterministically in replay mode (see the module docs in
 //! [`crate::runtime`]).
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::cell::UnsafeCell;
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicU32, AtomicU64};
 use std::time::{Duration, Instant};
 
-use super::shm::{futex_wait, futex_wake, SharedMap};
+use super::shm::{futex_wait, futex_wake, mapped, Mapped, SharedMap};
 use super::RuntimeError;
 
 const MAGIC: u32 = 0x4542_5247; // "EBRG"
-const VERSION: u32 = 2;
-const HEADER_BYTES: usize = 64;
-const SLOT_HEADER_BYTES: usize = 80;
+const VERSION: u32 = 3;
 
 /// Bounded wait slice for futex parks; a lost wakeup costs at most this much.
 pub(crate) const RETRY_SLICE: Duration = Duration::from_millis(10);
@@ -71,29 +55,69 @@ impl DropPolicy {
     }
 }
 
-/// Fixed-layout frame header written alongside the payload.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FrameMeta {
-    /// Stable frame identity: the trace point index, assigned once by
-    /// capture and carried unchanged through every stage. Unlike the ring
-    /// `seq` (which compacts when frames are lost to a crashed stage), the
-    /// frame id survives restarts — it is what the gateway ledger and the
-    /// chaos schedule key on.
-    pub frame_id: u64,
-    /// Virtual arrival time of the frame at the capture stage (ns).
-    pub t_arrival_ns: u64,
-    /// Virtual time the producing stage finished with the frame (ns).
-    pub t_stage_ns: u64,
-    /// Tensor dims (NCHW, zero-padded).
-    pub dims: [u32; 4],
-    /// Element dtype tag (0 = f32).
-    pub dtype: u32,
-    /// Flag bits (`FLAG_*`).
-    pub flags: u32,
-    /// Number of valid payload elements.
-    pub payload_len: u32,
-    /// `tensor::integrity` checksum over the valid payload.
-    pub checksum: u64,
+mapped! {
+    impl AnyBits;
+
+    /// Fixed-layout frame header written alongside the payload.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct FrameMeta {
+        /// Stable frame identity: the trace point index, assigned once by
+        /// capture and carried unchanged through every stage. Unlike the ring
+        /// `seq` (which compacts when frames are lost to a crashed stage), the
+        /// frame id survives restarts — it is what the gateway ledger and the
+        /// chaos schedule key on.
+        pub frame_id: u64,
+        /// Virtual arrival time of the frame at the capture stage (ns).
+        pub t_arrival_ns: u64,
+        /// Virtual time the producing stage finished with the frame (ns).
+        pub t_stage_ns: u64,
+        /// Tensor dims (NCHW, zero-padded).
+        pub dims: [u32; 4],
+        /// Element dtype tag (0 = f32).
+        pub dtype: u32,
+        /// Flag bits (`FLAG_*`).
+        pub flags: u32,
+        /// Number of valid payload elements.
+        pub payload_len: u32,
+        /// `tensor::integrity` checksum over the valid payload.
+        pub checksum: u64,
+    }
+}
+
+mapped! {
+    impl Mapped;
+
+    /// The ring's first bytes. `create` writes the geometry, then publishes
+    /// the magic; the rest are the SPSC protocol words.
+    struct RingHeader {
+        magic: AtomicU32,
+        version: AtomicU32,
+        capacity: AtomicU32,
+        slot_size: AtomicU32,
+        payload_elems: AtomicU32,
+        /// Next seq the producer will write.
+        head: AtomicU64,
+        /// Next seq the consumer will read.
+        tail: AtomicU64,
+        /// Frames evicted by drop-oldest.
+        dropped: AtomicU64,
+        /// 1 once the producer closed the ring.
+        closed: AtomicU32,
+        /// Bumped on every commit and on close; the consumer parks on it.
+        data_futex: AtomicU32,
+        /// Bumped on every pop; a blocked producer parks on it.
+        space_futex: AtomicU32,
+    }
+
+    /// The head of every slot; the slot's payload follows it.
+    struct SlotHeader {
+        /// The seqlock word: 0 while empty or being written, seq + 1 once
+        /// committed.
+        commit: AtomicU64,
+        seq: AtomicU64,
+        /// Written by `commit` and read by `read_slot` with one copy each.
+        meta: UnsafeCell<FrameMeta>,
+    }
 }
 
 /// Consumer-side frame copy; reused across pops to avoid reallocation.
@@ -170,19 +194,26 @@ impl std::fmt::Debug for RingBuffer {
     }
 }
 
-fn align8(n: usize) -> usize {
-    (n + 7) & !7
-}
-
 impl RingBuffer {
     /// Bytes of shared memory needed for a ring of `capacity` slots carrying
-    /// `payload_elems` f32 elements each.
+    /// `payload_elems` f32 elements each, or `usize::MAX` (which no map can
+    /// hold) when that overflows.
     pub fn required_bytes(capacity: usize, payload_elems: usize) -> usize {
-        HEADER_BYTES + capacity * 8 + capacity * Self::slot_bytes(payload_elems)
+        // `slots_at` cannot overflow once the larger slots fit.
+        let slots = || capacity.checked_mul(Self::slot_bytes(payload_elems)?);
+        let bytes = slots().and_then(|slots| slots.checked_add(Self::slots_at(capacity)));
+        bytes.unwrap_or(usize::MAX)
     }
 
-    fn slot_bytes(payload_elems: usize) -> usize {
-        align8(SLOT_HEADER_BYTES + payload_elems * 4)
+    /// Where the slots start: after the header and one stamp per slot.
+    fn slots_at(capacity: usize) -> usize {
+        size_of::<RingHeader>() + capacity * size_of::<AtomicU64>()
+    }
+
+    fn slot_bytes(payload_elems: usize) -> Option<usize> {
+        let payload = payload_elems.checked_mul(size_of::<f32>())?;
+        let bytes = payload.checked_add(size_of::<SlotHeader>())?;
+        bytes.checked_next_multiple_of(align_of::<SlotHeader>())
     }
 
     /// Initialise a fresh ring inside `map` (which must be at least
@@ -207,57 +238,47 @@ impl RingBuffer {
         let ring = RingBuffer {
             map,
             capacity: capacity as u64,
-            slot_size: Self::slot_bytes(payload_elems),
+            slot_size: Self::slot_bytes(payload_elems).expect("the map holds the slots"),
             payload_elems,
         };
-        // Zero the control words explicitly (the file was truncated to zero,
-        // but be defensive about reuse) and publish the header last.
-        ring.head().store(0, Ordering::Relaxed);
-        ring.tail().store(0, Ordering::Relaxed);
-        ring.dropped_word().store(0, Ordering::Relaxed);
-        ring.closed_word().store(0, Ordering::Relaxed);
-        for i in 0..capacity {
-            ring.stamp_word(i as u64).store(0, Ordering::Relaxed);
-            ring.slot_commit(i as u64).store(0, Ordering::Relaxed);
+        // Zero the protocol words explicitly (the file was truncated to zero,
+        // but be defensive about reuse) and publish the header last: the
+        // Release store of the magic pairs with `attach`'s Acquire load.
+        let h = ring.header();
+        for word in [&h.head, &h.tail, &h.dropped] {
+            word.store(0, Relaxed);
         }
-        unsafe {
-            let base = ring.map.base().cast::<u32>();
-            base.add(2).write(capacity as u32);
-            base.add(3).write(ring.slot_size as u32);
-            base.add(4).write(payload_elems as u32);
-            base.add(1).write(VERSION);
-            std::sync::atomic::fence(Ordering::Release);
-            base.write(MAGIC);
+        h.closed.store(0, Relaxed);
+        for seq in 0..ring.capacity {
+            ring.stamp(seq).store(0, Relaxed);
+            ring.slot(seq).0.commit.store(0, Relaxed);
         }
+        h.capacity.store(capacity as u32, Relaxed);
+        h.slot_size.store(ring.slot_size as u32, Relaxed);
+        h.payload_elems.store(payload_elems as u32, Relaxed);
+        h.version.store(VERSION, Relaxed);
+        h.magic.store(MAGIC, Release);
         Ok(ring)
     }
 
     /// Attach to a ring previously initialised by [`RingBuffer::create`] in
     /// another process, validating magic, version, and geometry.
     pub fn attach(map: SharedMap) -> Result<RingBuffer, RuntimeError> {
-        if map.len() < HEADER_BYTES {
+        let Some([h]) = map.view::<RingHeader>(0, 1) else {
             return Err(RuntimeError::shm(map.path(), "map shorter than header"));
-        }
-        let (magic, version, capacity, slot_size, payload_elems) = unsafe {
-            let base = map.base().cast::<u32>();
-            std::sync::atomic::fence(Ordering::Acquire);
-            (
-                base.read(),
-                base.add(1).read(),
-                base.add(2).read() as usize,
-                base.add(3).read() as usize,
-                base.add(4).read() as usize,
-            )
         };
-        if magic != MAGIC {
+        if h.magic.load(Acquire) != MAGIC {
             return Err(RuntimeError::shm(map.path(), "bad ring magic"));
         }
-        if version != VERSION {
+        if h.version.load(Relaxed) != VERSION {
             return Err(RuntimeError::shm(map.path(), "ring version mismatch"));
         }
+        let capacity = h.capacity.load(Relaxed) as usize;
+        let slot_size = h.slot_size.load(Relaxed) as usize;
+        let payload_elems = h.payload_elems.load(Relaxed) as usize;
         if capacity == 0
             || !capacity.is_power_of_two()
-            || slot_size != Self::slot_bytes(payload_elems)
+            || Some(slot_size) != Self::slot_bytes(payload_elems)
             || map.len() < Self::required_bytes(capacity, payload_elems)
         {
             return Err(RuntimeError::shm(map.path(), "inconsistent ring geometry"));
@@ -277,7 +298,7 @@ impl RingBuffer {
 
     /// Frames evicted by drop-oldest so far.
     pub(crate) fn dropped(&self) -> u64 {
-        self.dropped_word().load(Ordering::Acquire)
+        self.header().dropped.load(Acquire)
     }
 
     /// The underlying mapping (for path/unlink access).
@@ -285,54 +306,29 @@ impl RingBuffer {
         &self.map
     }
 
-    // ---- raw field access -------------------------------------------------
+    // ---- layout -----------------------------------------------------------
 
-    fn atomic_u64(&self, byte_off: usize) -> &AtomicU64 {
-        debug_assert!(byte_off.is_multiple_of(8) && byte_off + 8 <= self.map.len());
-        unsafe { &*self.map.base().add(byte_off).cast::<AtomicU64>() }
-    }
-
-    fn atomic_u32(&self, byte_off: usize) -> &AtomicU32 {
-        debug_assert!(byte_off.is_multiple_of(4) && byte_off + 4 <= self.map.len());
-        unsafe { &*self.map.base().add(byte_off).cast::<AtomicU32>() }
+    /// `len` values of `T` at `offset`, which `create` or `attach` checked
+    /// lie inside the map.
+    fn view<T: Mapped>(&self, offset: usize, len: usize) -> &[T] {
+        let view = self.map.view(offset, len);
+        view.expect("create and attach checked the geometry")
     }
 
-    fn head(&self) -> &AtomicU64 {
-        self.atomic_u64(24)
-    }
-    fn tail(&self) -> &AtomicU64 {
-        self.atomic_u64(32)
-    }
-    fn dropped_word(&self) -> &AtomicU64 {
-        self.atomic_u64(40)
-    }
-    fn closed_word(&self) -> &AtomicU32 {
-        self.atomic_u32(48)
-    }
-    fn data_futex(&self) -> &AtomicU32 {
-        self.atomic_u32(52)
-    }
-    fn space_futex(&self) -> &AtomicU32 {
-        self.atomic_u32(56)
+    fn header(&self) -> &RingHeader {
+        &self.view(0, 1)[0]
     }
 
-    fn stamp_word(&self, seq: u64) -> &AtomicU64 {
-        let idx = (seq % self.capacity) as usize;
-        self.atomic_u64(HEADER_BYTES + idx * 8)
+    /// The free-time stamp of the slot `seq` lands in.
+    fn stamp(&self, seq: u64) -> &AtomicU64 {
+        &self.view(size_of::<RingHeader>(), self.capacity())[(seq % self.capacity) as usize]
     }
 
-    fn slot_off(&self, seq: u64) -> usize {
-        let idx = (seq % self.capacity) as usize;
-        HEADER_BYTES + self.capacity as usize * 8 + idx * self.slot_size
-    }
-
-    fn slot_commit(&self, seq: u64) -> &AtomicU64 {
-        self.atomic_u64(self.slot_off(seq))
-    }
-
-    /// Raw pointer to a slot's header area past the commit word.
-    fn slot_ptr(&self, seq: u64) -> *mut u8 {
-        unsafe { self.map.base().add(self.slot_off(seq)) }
+    /// The header and payload of the slot `seq` lands in.
+    fn slot(&self, seq: u64) -> (&SlotHeader, &[UnsafeCell<f32>]) {
+        let at = Self::slots_at(self.capacity()) + (seq % self.capacity) as usize * self.slot_size;
+        let payload = self.view(at + size_of::<SlotHeader>(), self.payload_elems);
+        (&self.view(at, 1)[0], payload)
     }
 
     // ---- lifecycle --------------------------------------------------------
@@ -341,14 +337,15 @@ impl RingBuffer {
     /// [`Pop::Drained`]. Counters written by the producer before `close`
     /// are visible to a consumer that observed the closed flag.
     pub fn close(&self) {
-        self.closed_word().store(1, Ordering::Release);
-        self.data_futex().fetch_add(1, Ordering::Release);
-        futex_wake(self.data_futex());
+        let h = self.header();
+        h.closed.store(1, Release);
+        h.data_futex.fetch_add(1, Release);
+        futex_wake(&h.data_futex);
     }
 
     /// Whether the producer has closed the ring.
     pub(crate) fn is_closed(&self) -> bool {
-        self.closed_word().load(Ordering::Acquire) == 1
+        self.header().closed.load(Acquire) == 1
     }
 
     // ---- producer ---------------------------------------------------------
@@ -358,9 +355,10 @@ impl RingBuffer {
     /// [`DropPolicy::DropOldest`] it evicts the oldest frame instead and
     /// never times out.
     pub fn reserve(&self, policy: DropPolicy, deadline: Instant) -> Reserve<'_> {
+        let h = self.header();
         loop {
-            let head = self.head().load(Ordering::Relaxed);
-            let tail = self.tail().load(Ordering::Acquire);
+            let head = h.head.load(Relaxed);
+            let tail = h.tail.load(Acquire);
             if head.wrapping_sub(tail) < self.capacity {
                 return Reserve::Slot(SlotGuard {
                     ring: self,
@@ -371,23 +369,22 @@ impl RingBuffer {
                 DropPolicy::DropOldest => {
                     // Race the consumer for the oldest slot; whoever wins the
                     // CAS owns it. Losing just means space appeared.
-                    if self
-                        .tail()
-                        .compare_exchange(tail, tail + 1, Ordering::AcqRel, Ordering::Relaxed)
+                    if h.tail
+                        .compare_exchange(tail, tail + 1, AcqRel, Relaxed)
                         .is_ok()
                     {
-                        self.dropped_word().fetch_add(1, Ordering::AcqRel);
+                        h.dropped.fetch_add(1, AcqRel);
                     }
                 }
                 DropPolicy::Block => {
-                    let seen = self.space_futex().load(Ordering::Acquire);
-                    if self.tail().load(Ordering::Acquire) != tail {
+                    let seen = h.space_futex.load(Acquire);
+                    if h.tail.load(Acquire) != tail {
                         continue; // space freed between loads
                     }
                     if Instant::now() >= deadline {
                         return Reserve::TimedOut;
                     }
-                    futex_wait(self.space_futex(), seen, RETRY_SLICE);
+                    futex_wait(&h.space_futex, seen, RETRY_SLICE);
                 }
             }
         }
@@ -406,26 +403,27 @@ impl RingBuffer {
         deadline: Instant,
         mut stamp_fn: impl FnMut(&FrameBuf) -> u64,
     ) -> Pop {
+        let h = self.header();
         loop {
-            let tail = self.tail().load(Ordering::Acquire);
-            let head = self.head().load(Ordering::Acquire);
+            let tail = h.tail.load(Acquire);
+            let head = h.head.load(Acquire);
             if tail == head {
-                if self.is_closed() && self.head().load(Ordering::Acquire) == tail {
+                if self.is_closed() && h.head.load(Acquire) == tail {
                     return Pop::Drained;
                 }
-                let seen = self.data_futex().load(Ordering::Acquire);
-                if self.head().load(Ordering::Acquire) != tail || self.is_closed() {
+                let seen = h.data_futex.load(Acquire);
+                if h.head.load(Acquire) != tail || self.is_closed() {
                     continue;
                 }
                 if Instant::now() >= deadline {
                     return Pop::TimedOut;
                 }
-                futex_wait(self.data_futex(), seen, RETRY_SLICE);
+                futex_wait(&h.data_futex, seen, RETRY_SLICE);
                 continue;
             }
 
-            let commit = self.slot_commit(tail).load(Ordering::Acquire);
-            if commit != tail + 1 {
+            let (slot, payload) = self.slot(tail);
+            if slot.commit.load(Acquire) != tail + 1 {
                 // Either the producer has not finished this slot yet (head
                 // advanced but commit pending is impossible — head is stored
                 // after commit) or drop-oldest already moved tail past us.
@@ -436,53 +434,50 @@ impl RingBuffer {
                 continue;
             }
 
-            self.read_slot(tail, buf);
+            read_slot(slot, payload, buf);
 
             // Seqlock re-check: if drop-oldest lapped the ring and the
             // producer rewrote this slot mid-copy, the commit word changed.
-            if self.slot_commit(tail).load(Ordering::Acquire) != tail + 1 {
+            if slot.commit.load(Acquire) != tail + 1 {
                 continue;
             }
 
             let stamp = stamp_fn(buf);
-            self.stamp_word(tail).store(stamp, Ordering::Release);
+            self.stamp(tail).store(stamp, Release);
 
-            if self
-                .tail()
-                .compare_exchange(tail, tail + 1, Ordering::AcqRel, Ordering::Relaxed)
+            if h.tail
+                .compare_exchange(tail, tail + 1, AcqRel, Relaxed)
                 .is_ok()
             {
-                self.space_futex().fetch_add(1, Ordering::Release);
-                futex_wake(self.space_futex());
+                h.space_futex.fetch_add(1, Release);
+                futex_wake(&h.space_futex);
                 return Pop::Popped;
             }
             // Lost the slot to a drop-oldest eviction; try the next one.
         }
     }
+}
 
-    fn read_slot(&self, seq: u64, buf: &mut FrameBuf) {
-        let p = self.slot_ptr(seq);
-        unsafe {
-            buf.seq = p.add(8).cast::<u64>().read_volatile();
-            buf.meta.t_arrival_ns = p.add(16).cast::<u64>().read_volatile();
-            buf.meta.t_stage_ns = p.add(24).cast::<u64>().read_volatile();
-            let dims = p.add(32).cast::<u32>();
-            for (i, d) in buf.meta.dims.iter_mut().enumerate() {
-                *d = dims.add(i).read_volatile();
-            }
-            buf.meta.dtype = p.add(48).cast::<u32>().read_volatile();
-            buf.meta.flags = p.add(52).cast::<u32>().read_volatile();
-            buf.meta.payload_len = p.add(56).cast::<u32>().read_volatile();
-            buf.meta.checksum = p.add(64).cast::<u64>().read_volatile();
-            buf.meta.frame_id = p.add(72).cast::<u64>().read_volatile();
-            let len = (buf.meta.payload_len as usize).min(self.payload_elems);
-            buf.meta.payload_len = len as u32;
-            std::ptr::copy_nonoverlapping(
-                p.add(SLOT_HEADER_BYTES).cast::<f32>(),
-                buf.payload.as_mut_ptr(),
-                len,
-            );
-        }
+/// Copy a committed slot's frame into `buf`.
+fn read_slot(slot: &SlotHeader, payload: &[UnsafeCell<f32>], buf: &mut FrameBuf) {
+    // `seq` and the copies below are ordered by `commit`: the producer
+    // stores it with Release after them, `pop_into` loads it with Acquire
+    // before.
+    buf.seq = slot.seq.load(Relaxed);
+    // SAFETY: the header and the payload lie in the mapping, any bytes are
+    // a valid `FrameMeta` and `f32`s, and `len` is at most the payload's
+    // length in the mapping and the buffer's (a buffer sized for another
+    // ring gets a cut copy, not an overrun). A drop-oldest producer may
+    // rewrite the slot mid-copy; `pop_into`'s commit re-check discards
+    // such a copy.
+    unsafe {
+        buf.meta = slot.meta.get().read_volatile();
+        let len = (buf.meta.payload_len as usize)
+            .min(payload.len())
+            .min(buf.payload.len());
+        buf.meta.payload_len = len as u32;
+        let src = UnsafeCell::raw_get(payload.as_ptr());
+        std::ptr::copy_nonoverlapping(src, buf.payload.as_mut_ptr(), len);
     }
 }
 
@@ -513,11 +508,7 @@ impl SlotGuard<'_> {
     /// its virtual clock: the frame cannot have been written before the slot
     /// it reuses was vacated.
     pub(crate) fn freed_stamp_ns(&self) -> Option<u64> {
-        if self.seq >= self.ring.capacity {
-            Some(self.ring.stamp_word(self.seq).load(Ordering::Acquire))
-        } else {
-            None
-        }
+        (self.seq >= self.ring.capacity).then(|| self.ring.stamp(self.seq).load(Acquire))
     }
 
     /// Mutable view of the slot payload for zero-copy filling.
@@ -526,43 +517,29 @@ impl SlotGuard<'_> {
     /// racing a drop-oldest eviction may observe a torn payload, which the
     /// seqlock commit re-check discards.
     pub fn payload_mut(&mut self) -> &mut [f32] {
-        unsafe {
-            // Invalidate the slot before mutation so the consumer skips it.
-            self.ring.slot_commit(self.seq).store(0, Ordering::Release);
-            std::slice::from_raw_parts_mut(
-                self.ring
-                    .slot_ptr(self.seq)
-                    .add(SLOT_HEADER_BYTES)
-                    .cast::<f32>(),
-                self.ring.payload_elems,
-            )
-        }
+        let (slot, payload) = self.ring.slot(self.seq);
+        // Invalidate the slot before mutation so the consumer skips it.
+        slot.commit.store(0, Release);
+        let first = UnsafeCell::raw_get(payload.as_ptr());
+        // SAFETY: the payload lies in the mapping and any bytes are valid
+        // `f32`s; the single producer holds the only guard of this slot, and
+        // `&mut self` lends out one slice at a time.
+        unsafe { std::slice::from_raw_parts_mut(first, payload.len()) }
     }
 
     /// Publish the frame: write the header, stamp the commit word, advance
     /// head, and wake the consumer.
     pub fn commit(self, meta: &FrameMeta) {
-        let p = self.ring.slot_ptr(self.seq);
-        unsafe {
-            p.add(8).cast::<u64>().write_volatile(self.seq);
-            p.add(16).cast::<u64>().write_volatile(meta.t_arrival_ns);
-            p.add(24).cast::<u64>().write_volatile(meta.t_stage_ns);
-            let dims = p.add(32).cast::<u32>();
-            for (i, d) in meta.dims.iter().enumerate() {
-                dims.add(i).write_volatile(*d);
-            }
-            p.add(48).cast::<u32>().write_volatile(meta.dtype);
-            p.add(52).cast::<u32>().write_volatile(meta.flags);
-            p.add(56).cast::<u32>().write_volatile(meta.payload_len);
-            p.add(64).cast::<u64>().write_volatile(meta.checksum);
-            p.add(72).cast::<u64>().write_volatile(meta.frame_id);
-        }
-        self.ring
-            .slot_commit(self.seq)
-            .store(self.seq + 1, Ordering::Release);
-        self.ring.head().store(self.seq + 1, Ordering::Release);
-        self.ring.data_futex().fetch_add(1, Ordering::Release);
-        futex_wake(self.ring.data_futex());
+        let slot = self.ring.slot(self.seq).0;
+        slot.seq.store(self.seq, Relaxed);
+        // SAFETY: as in `payload_mut`: this guard's producer is the slot's
+        // only writer, and a torn read is discarded by the commit re-check.
+        unsafe { slot.meta.get().write_volatile(*meta) };
+        slot.commit.store(self.seq + 1, Release);
+        let h = self.ring.header();
+        h.head.store(self.seq + 1, Release);
+        h.data_futex.fetch_add(1, Release);
+        futex_wake(&h.data_futex);
     }
 }
 
@@ -621,6 +598,24 @@ mod tests {
             assert!(buf.checksum_ok());
             assert_eq!(buf.meta.t_arrival_ns, i * 10);
         }
+    }
+
+    #[test]
+    fn pop_into_a_buffer_for_a_smaller_ring_cuts_the_payload() {
+        let (big, small) = (temp_ring(4, 16, "cut-big"), temp_ring(4, 4, "cut-small"));
+        big.map().unlink();
+        small.map().unlink();
+        let Reserve::Slot(mut slot) = big.reserve(DropPolicy::Block, Instant::now()) else {
+            panic!("an empty ring has space");
+        };
+        slot.payload_mut().fill(1.0);
+        slot.commit(&FrameMeta {
+            payload_len: 16,
+            ..FrameMeta::default()
+        });
+        let mut buf = FrameBuf::for_ring(&small);
+        assert_eq!(big.pop_into(&mut buf, Instant::now(), |_| 0), Pop::Popped);
+        assert_eq!(buf.payload(), &[1.0; 4]);
     }
 
     #[test]
@@ -704,11 +699,59 @@ mod tests {
     }
 
     #[test]
-    fn attach_rejects_garbage() {
-        let path = std::env::temp_dir().join(format!("ebring-garbage-{}", std::process::id()));
+    fn a_ring_no_map_can_hold_is_an_error() {
+        assert_eq!(RingBuffer::required_bytes(1 << 62, 4), usize::MAX);
+        assert_eq!(RingBuffer::required_bytes(4, usize::MAX), usize::MAX);
+        // The slots fit in usize; the slots and the stamps do not.
+        assert_eq!(RingBuffer::required_bytes(1 << 56, 42), usize::MAX);
+        let path = std::env::temp_dir().join(format!("ebring-huge-{}", std::process::id()));
         let map = SharedMap::create(&path, 4096).unwrap();
         map.unlink();
-        assert!(RingBuffer::attach(map).is_err());
+        assert!(RingBuffer::create(map, 1 << 62, 4).is_err());
+    }
+
+    /// Every header `attach` must refuse: each is a typed `Shm` error with
+    /// its own reason, so the checks cannot silently go missing.
+    #[test]
+    fn attach_rejects_garbage() {
+        let path = std::env::temp_dir().join(format!("ebring-garbage-{}", std::process::id()));
+        let expect_err =
+            |what: &str, want: &str| match RingBuffer::attach(SharedMap::open(&path).unwrap()) {
+                Err(RuntimeError::Shm { reason, .. }) => assert_eq!(reason, want, "{what}"),
+                other => panic!("{what}: expected a Shm error, got {other:?}"),
+            };
+        drop(SharedMap::create(&path, 16).unwrap());
+        expect_err("map shorter than the header", "map shorter than header");
+        drop(SharedMap::create(&path, 4096).unwrap());
+        expect_err("all-zero map", "bad ring magic");
+
+        // What is corrupted, the reason attach must give, the corruption.
+        type Case = (&'static str, &'static str, fn(&RingHeader));
+        let geometry = "inconsistent ring geometry";
+        let cases: [Case; 6] = [
+            ("bad magic", "bad ring magic", |h| {
+                h.magic.store(!MAGIC, Relaxed)
+            }),
+            ("wrong version", "ring version mismatch", |h| {
+                h.version.store(VERSION - 1, Relaxed)
+            }),
+            ("capacity 0", geometry, |h| h.capacity.store(0, Relaxed)),
+            ("capacity 3", geometry, |h| h.capacity.store(3, Relaxed)),
+            ("slot size disagrees with payload_elems", geometry, |h| {
+                h.slot_size.fetch_add(8, Relaxed);
+            }),
+            ("map shorter than the geometry", geometry, |h| {
+                h.capacity.store(8, Relaxed)
+            }),
+        ];
+        for (what, want, corrupt) in cases {
+            let map = SharedMap::create(&path, RingBuffer::required_bytes(4, 4)).unwrap();
+            let ring = RingBuffer::create(map, 4, 4).unwrap();
+            assert!(RingBuffer::attach(SharedMap::open(&path).unwrap()).is_ok());
+            corrupt(ring.header());
+            expect_err(what, want);
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

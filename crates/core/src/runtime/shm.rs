@@ -8,11 +8,16 @@
 //! available. All waits are *bounded* — a lost wakeup costs one retry slice,
 //! never a hang — which is what makes the bounded-retry reads of the ring
 //! safe on top of a best-effort wake protocol.
+//!
+//! Every shared object declares its layout once, as `mapped!` structs of
+//! integers and integer atomics, and reaches its bytes through one checked
+//! cast, `SharedMap::view`.
 
+use std::cell::UnsafeCell;
 use std::ffi::{c_int, c_long, c_void};
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicU32;
+use std::sync::atomic::{AtomicU32, AtomicU64};
 use std::time::Duration;
 
 use super::RuntimeError;
@@ -128,9 +133,20 @@ impl SharedMap {
         &self.path
     }
 
-    /// Base pointer of the mapping.
-    pub(crate) fn base(&self) -> *mut u8 {
-        self.ptr
+    /// `len` values of `T` starting `offset` bytes into the map, or `None`
+    /// when they overrun the map or `offset` is misaligned for `T`. This is
+    /// the one typed cast of a mapping.
+    pub(crate) fn view<T: Mapped>(&self, offset: usize, len: usize) -> Option<&[T]> {
+        let end = len.checked_mul(size_of::<T>())?.checked_add(offset)?;
+        let first = self.ptr.wrapping_add(offset).cast::<T>();
+        if end > self.len || !first.is_aligned() {
+            return None;
+        }
+        // SAFETY: the values lie inside the mapping, which lives as long as
+        // `self`, and are aligned (both checked above); `T: Mapped` makes any
+        // bytes a valid `T`. The slice is shared: writes go through atomics
+        // or `UnsafeCell`.
+        Some(unsafe { std::slice::from_raw_parts(first, len) })
     }
 
     /// Remove the backing file. The mapping itself stays valid until drop
@@ -140,6 +156,68 @@ impl SharedMap {
         let _ = std::fs::remove_file(&self.path);
     }
 }
+
+/// A type every bit pattern is a valid value of.
+///
+/// # Safety
+///
+/// Implement it only for integers, floats, and arrays and `#[repr(C)]`
+/// structs of such types; declare those structs with [`mapped!`], which
+/// checks their fields.
+pub(crate) unsafe trait AnyBits {}
+
+// SAFETY: every bit pattern is a valid integer or float.
+unsafe impl AnyBits for u32 {}
+unsafe impl AnyBits for u64 {}
+unsafe impl AnyBits for f32 {}
+// SAFETY: an array holds nothing but its elements.
+unsafe impl<T: AnyBits, const N: usize> AnyBits for [T; N] {}
+
+/// A type that [`SharedMap::view`] may cast mapped bytes to: any bit
+/// pattern is a valid value, and every byte sits in an atomic or an
+/// `UnsafeCell`, since other processes write the mapping while this one
+/// holds the view.
+///
+/// # Safety
+///
+/// Implement it only for integer atomics, cells of [`AnyBits`] types, and
+/// arrays and `#[repr(C)]` structs of `Mapped` types; declare those
+/// structs with [`mapped!`], which checks their fields.
+pub(crate) unsafe trait Mapped {}
+
+// SAFETY: every bit pattern is a valid integer atomic, and a cell of an
+// `AnyBits` type holds any bits behind interior mutability.
+unsafe impl Mapped for AtomicU32 {}
+unsafe impl Mapped for AtomicU64 {}
+unsafe impl<T: AnyBits> Mapped for UnsafeCell<T> {}
+// SAFETY: an array holds nothing but its elements.
+unsafe impl<T: Mapped, const N: usize> Mapped for [T; N] {}
+
+/// Declares `#[repr(C)]` structs and implements the named marker,
+/// [`AnyBits`] or [`Mapped`], for each: the `where` clause stops the build
+/// unless every field type implements it too.
+macro_rules! mapped {
+    (impl $marker:ident; $(
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_attr:meta])* $field_vis:vis $field:ident: $ty:ty,)*
+        }
+    )*) => {$(
+        $(#[$attr])*
+        #[repr(C)]
+        $vis struct $name {
+            $($(#[$field_attr])* $field_vis $field: $ty,)*
+        }
+
+        // SAFETY: a `repr(C)` struct holds nothing but its fields, which all
+        // implement the marker (the bounds).
+        unsafe impl $crate::runtime::shm::$marker for $name
+        where
+            $($ty: $crate::runtime::shm::$marker,)*
+        {}
+    )*};
+}
+pub(crate) use mapped;
 
 impl Drop for SharedMap {
     fn drop(&mut self) {
@@ -264,17 +342,36 @@ mod tests {
         let path = std::env::temp_dir().join(format!("ebshm-test-{}", std::process::id()));
         let map = SharedMap::create(&path, 4096).unwrap();
         assert_eq!(map.len(), 4096);
-        let word = unsafe { &*map.base().cast::<AtomicU32>() };
+        let word = &map.view::<AtomicU32>(0, 1).unwrap()[0];
         word.store(0xBEEF, Ordering::Release);
 
         let other = SharedMap::open(&path).unwrap();
-        let word2 = unsafe { &*other.base().cast::<AtomicU32>() };
+        let word2 = &other.view::<AtomicU32>(0, 1).unwrap()[0];
         assert_eq!(word2.load(Ordering::Acquire), 0xBEEF);
         word2.store(0xCAFE, Ordering::Release);
         assert_eq!(word.load(Ordering::Acquire), 0xCAFE);
 
         map.unlink();
         assert!(!path.exists());
+    }
+
+    #[test]
+    fn view_checks_bounds_and_alignment() {
+        let path = std::env::temp_dir().join(format!("ebshm-view-{}", std::process::id()));
+        let map = SharedMap::create(&path, 64).unwrap();
+        map.unlink();
+        assert_eq!(map.view::<AtomicU64>(0, 8).map(<[_]>::len), Some(8));
+        assert_eq!(map.view::<AtomicU64>(64, 0).map(<[_]>::len), Some(0));
+        assert!(map.view::<AtomicU64>(8, 8).is_none(), "overruns the map");
+        assert!(map.view::<AtomicU64>(4, 1).is_none(), "misaligned");
+        assert!(
+            map.view::<AtomicU64>(8, usize::MAX).is_none(),
+            "size overflows"
+        );
+        assert!(
+            map.view::<AtomicU64>(usize::MAX, 1).is_none(),
+            "end overflows"
+        );
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! is what gives the pipeline its at-most-once delivery guarantee.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
 use std::time::{Duration, Instant};
 
 use edgebench_devices::faults::chaos::ChaosKind;
@@ -33,12 +34,12 @@ use edgebench_tensor::integrity::checksum_f32;
 use edgebench_tensor::{Executor, Precision, PreparedExecutor, Tensor};
 
 use super::ring::{
-    DropPolicy, FrameBuf, FrameMeta, Pop, Reserve, RingBuffer, FLAG_ESCALATED, FLAG_HIT,
+    DropPolicy, FrameBuf, FrameMeta, Pop, Reserve, RingBuffer, SlotGuard, FLAG_ESCALATED, FLAG_HIT,
     FLAG_STANDBY, RETRY_SLICE,
 };
 use super::sentry::Sentry;
-use super::shm::SharedMap;
-use super::{ExecMode, RuntimeConfig, RuntimeError, StageCosts};
+use super::shm::{mapped, Mapped, SharedMap};
+use super::{ExecMode, RuntimeConfig, RuntimeError, RuntimeEventKind, StageCosts};
 use crate::serve::TraceFile;
 
 /// Stream tag for deterministic frame payload synthesis.
@@ -64,12 +65,12 @@ static LOCAL_STOP: AtomicBool = AtomicBool::new(false);
 
 /// Raise the process-local stop flag (SIGTERM handler body).
 pub(crate) fn raise_local_stop() {
-    LOCAL_STOP.store(true, Ordering::Release);
+    LOCAL_STOP.store(true, Release);
 }
 
 /// Reset the local stop flag (tests that reuse the process).
 pub(crate) fn clear_local_stop() {
-    LOCAL_STOP.store(false, Ordering::Release);
+    LOCAL_STOP.store(false, Release);
 }
 
 /// How a stage body finished. The supervisor (thread-mode wrapper or the
@@ -96,29 +97,113 @@ pub(crate) enum StageExit {
 // ---------------------------------------------------------------------------
 
 const CTL_MAGIC: u32 = 0x4542_4354; // "EBCT"
-const CTL_VERSION: u32 = 2;
-const CTL_HEADER_BYTES: usize = 512;
-const EVENT_BYTES: usize = 24;
-const RECOV_BYTES: usize = 16;
+const CTL_VERSION: u32 = 3;
 
-/// Event codes stored in the shared event region.
-pub(crate) const EV_ESCALATE: u32 = 0;
-pub(crate) const EV_STANDDOWN: u32 = 1;
-pub(crate) const EV_MISSED: u32 = 2;
-pub(crate) const EV_CORRUPT_PRE: u32 = 3;
-pub(crate) const EV_CORRUPT_INF: u32 = 4;
-pub(crate) const EV_CORRUPT_GW: u32 = 5;
-/// `EV_LOST_BASE + stage`: a frame was lost in-flight at that stage.
-pub(crate) const EV_LOST_BASE: u32 = 6;
-/// `EV_RESTART_BASE + stage`: the supervisor restarted that stage.
-pub(crate) const EV_RESTART_BASE: u32 = 10;
+mapped! {
+    impl Mapped;
 
-/// The shared control block: stop flag, per-stage counters and persisted
-/// stage state (clocks, heartbeats, in-flight frames, restart bookkeeping),
-/// the gateway's per-frame latency ledger, a recovery-latency log, and a
-/// bounded event region. One per run directory, mapped by every stage.
+    /// The control block's header: the stop flag, the counters, the
+    /// per-stage words (indexed in [`STAGE_NAMES`] order) and the persisted
+    /// stage state. The latency ledger, the recovery log and the event log
+    /// follow it, in that order, sized by the three caps.
+    pub(crate) struct CtlHeader {
+        magic: AtomicU32,
+        version: AtomicU32,
+        /// Raised (1) to stop every stage: see [`Ctl::stop_requested`].
+        pub(crate) stop: AtomicU32,
+        /// The persisted sentry state machine: its mode and quiet frames.
+        pub(crate) sentry_mode: AtomicU32,
+        pub(crate) sentry_quiet: AtomicU32,
+        /// 1 once the stage finished naturally (input fully drained, or for
+        /// capture: whole trace pushed). A stage interrupted by stop or
+        /// SIGTERM never sets it — the supervisor uses that to detect a
+        /// degraded pipeline.
+        pub(crate) done: [AtomicU32; 4],
+        /// Restart-request generation (thread mode): the monitor bumps it to
+        /// release a hung stage body; `chaos_hang` parks until the value
+        /// moves past what it saw on entry.
+        pub(crate) restart_req: [AtomicU32; 4],
+        ledger_cap: AtomicU64,
+        recov_cap: AtomicU64,
+        events_cap: AtomicU64,
+        /// Records ever pushed to the recovery and event logs; those past a
+        /// log's cap are dropped.
+        recov_len: AtomicU64,
+        events_len: AtomicU64,
+        /// Frames capture has offered so far.
+        pub(crate) offered: AtomicU64,
+        /// Frames the gateway accounted as served.
+        pub(crate) completed: AtomicU64,
+        /// Frame ids the gateway saw twice (the ledger CAS failed).
+        pub(crate) duplicates: AtomicU64,
+        /// Frames the gateway saw at or below the last id it saw.
+        pub(crate) order_violations: AtomicU64,
+        /// Corrupted frames caught by preprocess, inference and gateway.
+        pub(crate) corrupted: [AtomicU64; 3],
+        pub(crate) escalations: AtomicU64,
+        pub(crate) standdowns: AtomicU64,
+        pub(crate) missed_escalations: AtomicU64,
+        /// Frames served by the standby rung alone, and by the full model.
+        pub(crate) standby_frames: AtomicU64,
+        pub(crate) full_frames: AtomicU64,
+        /// Inference energy in mJ, as `f64` bits: see [`Ctl::add_energy_mj`].
+        energy_mj_bits: AtomicU64,
+        /// XOR of the output checksums: restart-safe, being order-independent
+        /// and incremental.
+        pub(crate) digest: AtomicU64,
+        /// The latest stage time of a served frame: the run's virtual span.
+        pub(crate) span_ns: AtomicU64,
+        /// Next trace index the capture stage will attempt — persisted before
+        /// the attempt, so a restarted capture never re-emits a frame.
+        pub(crate) cap_next_idx: AtomicU64,
+        /// Last frame id the gateway observed, plus 1 (0 before the first):
+        /// see [`Ctl::gw_last_id`].
+        gw_last_plus1: AtomicU64,
+        pub(crate) busy_ns: [AtomicU64; 4],
+        pub(crate) processed: [AtomicU64; 4],
+        /// Liveness counter, bumped at least once per loop iteration
+        /// (bounded-wait retries included), so a flat counter over a stall
+        /// window means the stage is hung, not blocked.
+        pub(crate) heartbeat: [AtomicU64; 4],
+        /// Persisted virtual clock: a restarted stage resumes from here,
+        /// after the supervisor adds its virtual recovery penalty.
+        pub(crate) clock_ns: [AtomicU64; 4],
+        /// In-flight frame id plus 1 (0 when none): see [`Ctl::inflight`].
+        inflight_plus1: [AtomicU64; 4],
+        pub(crate) restarts: [AtomicU64; 4],
+        pub(crate) lost: [AtomicU64; 4],
+    }
+
+    /// One recovery: which stage, which attempt, and the virtual penalty
+    /// charged (detection + backoff).
+    struct RecoveryRecord {
+        stage: AtomicU32,
+        attempt: AtomicU32,
+        penalty_ns: AtomicU64,
+    }
+
+    /// One runtime event: its virtual time, frame (or attempt) and
+    /// [`RuntimeEventKind::code`].
+    struct EventRecord {
+        t_ns: AtomicU64,
+        seq: AtomicU64,
+        code: AtomicU32,
+    }
+}
+
+/// The shared control block: a [`CtlHeader`] (which `Ctl` derefs to), then
+/// the gateway's per-frame latency ledger (one `AtomicU64` per frame id), a
+/// bounded log of [`RecoveryRecord`]s and a bounded log of
+/// [`EventRecord`]s. One per run directory, mapped by every stage.
+///
+/// [`Ctl::attach`] checks the magic and the version, and that the regions
+/// the header's caps describe fit in the file, sizing them with checked
+/// arithmetic. Every access then goes through [`SharedMap::view`], the one
+/// checked cast.
 pub(crate) struct Ctl {
     map: SharedMap,
+    /// `(offset, len)` of the ledger, the recovery log and the event log.
+    regions: [(usize, usize); 3],
 }
 
 impl std::fmt::Debug for Ctl {
@@ -129,9 +214,32 @@ impl std::fmt::Debug for Ctl {
     }
 }
 
+impl std::ops::Deref for Ctl {
+    type Target = CtlHeader;
+
+    fn deref(&self) -> &CtlHeader {
+        let header = self.map.view(0, 1);
+        &header.expect("create and attach checked the header")[0]
+    }
+}
+
 impl Ctl {
-    pub(crate) fn required_bytes(ledger_cap: usize, recov_cap: usize, events_cap: usize) -> usize {
-        CTL_HEADER_BYTES + ledger_cap * 8 + recov_cap * RECOV_BYTES + events_cap * EVENT_BYTES
+    /// The regions that follow the header for the given ledger, recovery
+    /// and event caps, as `(offset, len)`, and the block's size in bytes;
+    /// `None` when a size overflows.
+    fn layout(caps: [usize; 3]) -> Option<([(usize, usize); 3], usize)> {
+        let sizes = [
+            size_of::<AtomicU64>(),
+            size_of::<RecoveryRecord>(),
+            size_of::<EventRecord>(),
+        ];
+        let mut end = size_of::<CtlHeader>();
+        let mut regions = [(0, 0); 3];
+        for ((region, cap), size) in regions.iter_mut().zip(caps).zip(sizes) {
+            *region = (end, cap);
+            end = end.checked_add(cap.checked_mul(size)?)?;
+        }
+        Some((regions, end))
     }
 
     pub(crate) fn create(
@@ -140,55 +248,63 @@ impl Ctl {
         recov_cap: usize,
         events_cap: usize,
     ) -> Result<Ctl, RuntimeError> {
-        let map = SharedMap::create(
-            path,
-            Self::required_bytes(ledger_cap, recov_cap, events_cap),
-        )?;
-        let ctl = Ctl { map };
-        unsafe {
-            let base = ctl.map.base().cast::<u32>();
-            base.add(1).write(CTL_VERSION);
-            let u64s = ctl.map.base();
-            u64s.add(416).cast::<u64>().write(ledger_cap as u64);
-            u64s.add(448).cast::<u64>().write(recov_cap as u64);
-            u64s.add(192).cast::<u64>().write(events_cap as u64);
-            std::sync::atomic::fence(Ordering::Release);
-            base.write(CTL_MAGIC);
+        let caps = [ledger_cap, recov_cap, events_cap];
+        let (regions, len) =
+            Self::layout(caps).ok_or_else(|| RuntimeError::shm(path, "control block too large"))?;
+        let ctl = Ctl {
+            map: SharedMap::create(path, len)?,
+            regions,
+        };
+        // The Release store of the magic publishes the caps and the version
+        // to `attach`'s Acquire load.
+        for (word, cap) in [&ctl.ledger_cap, &ctl.recov_cap, &ctl.events_cap]
+            .into_iter()
+            .zip(caps)
+        {
+            word.store(cap as u64, Relaxed);
         }
+        ctl.version.store(CTL_VERSION, Relaxed);
+        ctl.magic.store(CTL_MAGIC, Release);
         Ok(ctl)
     }
 
+    /// Maps the control block at `path`, checking its magic and version and
+    /// that the regions its caps describe fit in the file.
     pub(crate) fn attach(path: &Path) -> Result<Ctl, RuntimeError> {
         let map = SharedMap::open(path)?;
-        if map.len() < CTL_HEADER_BYTES {
+        let Some([h]) = map.view::<CtlHeader>(0, 1) else {
             return Err(RuntimeError::shm(path, "control block too small"));
-        }
-        let (magic, version) = unsafe {
-            std::sync::atomic::fence(Ordering::Acquire);
-            let base = map.base().cast::<u32>();
-            (base.read(), base.add(1).read())
         };
-        if magic != CTL_MAGIC {
+        if h.magic.load(Acquire) != CTL_MAGIC {
             return Err(RuntimeError::shm(path, "bad control-block magic"));
         }
-        if version != CTL_VERSION {
+        if h.version.load(Relaxed) != CTL_VERSION {
             return Err(RuntimeError::shm(path, "control-block version mismatch"));
         }
-        let ctl = Ctl { map };
-        if ctl.map.len() < Self::required_bytes(ctl.ledger_cap(), ctl.recov_cap(), ctl.events_cap())
-        {
-            return Err(RuntimeError::shm(path, "control block truncated"));
+        let caps = [&h.ledger_cap, &h.recov_cap, &h.events_cap]
+            .map(|cap| usize::try_from(cap.load(Relaxed)).unwrap_or(usize::MAX));
+        match Self::layout(caps) {
+            Some((regions, len)) if len <= map.len() => Ok(Ctl { map, regions }),
+            _ => Err(RuntimeError::shm(path, "control block truncated")),
         }
-        Ok(ctl)
     }
 
-    fn u64_at(&self, off: usize) -> &AtomicU64 {
-        debug_assert!(off.is_multiple_of(8) && off + 8 <= self.map.len());
-        unsafe { &*self.map.base().add(off).cast::<AtomicU64>() }
+    fn region<T: Mapped>(&self, which: usize) -> &[T] {
+        let (offset, len) = self.regions[which];
+        let region = self.map.view(offset, len);
+        region.expect("create and attach checked the regions")
     }
 
-    fn u32_at(&self, off: usize) -> &AtomicU32 {
-        unsafe { &*self.map.base().add(off).cast::<AtomicU32>() }
+    fn ledger(&self) -> &[AtomicU64] {
+        self.region(0)
+    }
+
+    fn recovery_log(&self) -> &[RecoveryRecord] {
+        self.region(1)
+    }
+
+    fn event_log(&self) -> &[EventRecord] {
+        self.region(2)
     }
 
     #[cfg(test)]
@@ -196,66 +312,10 @@ impl Ctl {
         &self.map
     }
 
-    pub(crate) fn request_stop(&self) {
-        self.u32_at(8).store(1, Ordering::Release);
-    }
-
+    /// Whether a stop was requested, in the control block or by this
+    /// process's SIGTERM handler.
     pub(crate) fn stop_requested(&self) -> bool {
-        self.u32_at(8).load(Ordering::Acquire) == 1 || LOCAL_STOP.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn set_offered(&self, n: u64) {
-        self.u64_at(16).store(n, Ordering::Release);
-    }
-
-    pub(crate) fn offered(&self) -> u64 {
-        self.u64_at(16).load(Ordering::Acquire)
-    }
-
-    /// Corrupted-frame counters: 0 = preprocess, 1 = inference, 2 = gateway.
-    pub(crate) fn add_corrupted(&self, detector: usize) {
-        self.u64_at(24 + detector * 8)
-            .fetch_add(1, Ordering::AcqRel);
-    }
-
-    pub(crate) fn corrupted(&self, detector: usize) -> u64 {
-        self.u64_at(24 + detector * 8).load(Ordering::Acquire)
-    }
-
-    pub(crate) fn add_sentry(&self, escal: u64, standdown: u64, missed: u64) {
-        if escal > 0 {
-            self.u64_at(48).fetch_add(escal, Ordering::AcqRel);
-        }
-        if standdown > 0 {
-            self.u64_at(56).fetch_add(standdown, Ordering::AcqRel);
-        }
-        if missed > 0 {
-            self.u64_at(64).fetch_add(missed, Ordering::AcqRel);
-        }
-    }
-
-    pub(crate) fn sentry_counts(&self) -> (u64, u64, u64) {
-        (
-            self.u64_at(48).load(Ordering::Acquire),
-            self.u64_at(56).load(Ordering::Acquire),
-            self.u64_at(64).load(Ordering::Acquire),
-        )
-    }
-
-    pub(crate) fn add_served(&self, standby: u64, full: u64) {
-        if standby > 0 {
-            self.u64_at(72).fetch_add(standby, Ordering::AcqRel);
-        }
-        if full > 0 {
-            self.u64_at(80).fetch_add(full, Ordering::AcqRel);
-        }
-    }
-
-    pub(crate) fn served_counts(&self) -> (u64, u64) {
-        (
-            self.u64_at(72).load(Ordering::Acquire),
-            self.u64_at(80).load(Ordering::Acquire),
-        )
+        self.stop.load(Acquire) == 1 || LOCAL_STOP.load(Acquire)
     }
 
     /// Accumulate inference energy. Single-writer (the inference stage),
@@ -264,11 +324,11 @@ impl Ctl {
         if mj == 0.0 {
             return;
         }
-        let word = self.u64_at(88);
-        let mut cur = word.load(Ordering::Acquire);
+        let word = &self.energy_mj_bits;
+        let mut cur = word.load(Acquire);
         loop {
             let next = (f64::from_bits(cur) + mj).to_bits();
-            match word.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
+            match word.compare_exchange_weak(cur, next, AcqRel, Acquire) {
                 Ok(_) => return,
                 Err(seen) => cur = seen,
             }
@@ -276,295 +336,117 @@ impl Ctl {
     }
 
     pub(crate) fn energy_mj(&self) -> f64 {
-        f64::from_bits(self.u64_at(88).load(Ordering::Acquire))
+        f64::from_bits(self.energy_mj_bits.load(Acquire))
     }
 
-    /// Fold one output checksum into the digest (XOR is restart-safe:
-    /// order-independent and incremental).
-    pub(crate) fn xor_digest(&self, d: u64) {
-        self.u64_at(96).fetch_xor(d, Ordering::AcqRel);
-    }
-
-    pub(crate) fn digest(&self) -> u64 {
-        self.u64_at(96).load(Ordering::Acquire)
-    }
-
-    pub(crate) fn add_busy_ns(&self, stage: usize, ns: u64) {
-        self.u64_at(104 + stage * 8).fetch_add(ns, Ordering::AcqRel);
-    }
-
-    pub(crate) fn busy_ns(&self, stage: usize) -> u64 {
-        self.u64_at(104 + stage * 8).load(Ordering::Acquire)
-    }
-
-    pub(crate) fn add_processed(&self, stage: usize, n: u64) {
-        self.u64_at(136 + stage * 8).fetch_add(n, Ordering::AcqRel);
-    }
-
-    pub(crate) fn processed(&self, stage: usize) -> u64 {
-        self.u64_at(136 + stage * 8).load(Ordering::Acquire)
-    }
-
-    /// Mark a stage as having finished naturally (input fully drained, or
-    /// for capture: whole trace pushed). A stage interrupted by stop or
-    /// SIGTERM never sets this — the supervisor uses that to detect a
-    /// degraded pipeline.
-    pub(crate) fn set_done(&self, stage: usize) {
-        self.u32_at(168 + stage * 4).store(1, Ordering::Release);
-    }
-
-    pub(crate) fn done(&self, stage: usize) -> bool {
-        self.u32_at(168 + stage * 4).load(Ordering::Acquire) == 1
-    }
-
-    pub(crate) fn events_cap(&self) -> usize {
-        self.u64_at(192).load(Ordering::Acquire) as usize
-    }
-
-    // ---- supervision state (v2) ------------------------------------------
-
-    /// Bump the stage's liveness counter. Called at least once per loop
-    /// iteration (including bounded-wait retries), so a flat counter over a
-    /// stall window means the stage is hung, not blocked.
-    pub(crate) fn beat(&self, stage: usize) {
-        self.u64_at(200 + stage * 8).fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn heartbeat(&self, stage: usize) -> u64 {
-        self.u64_at(200 + stage * 8).load(Ordering::Acquire)
-    }
-
-    /// Persisted per-stage virtual clock: a restarted stage resumes from
-    /// here, after the supervisor adds its virtual recovery penalty.
-    pub(crate) fn clock_ns(&self, stage: usize) -> u64 {
-        self.u64_at(232 + stage * 8).load(Ordering::Acquire)
-    }
-
-    pub(crate) fn set_clock_ns(&self, stage: usize, ns: u64) {
-        self.u64_at(232 + stage * 8).store(ns, Ordering::Release);
-    }
-
-    /// In-flight marker: `frame_id + 1` while the stage holds a popped (or
-    /// about-to-be-captured) frame it has not yet fully accounted; 0
-    /// otherwise. A crash with the marker set loses exactly that frame.
-    pub(crate) fn set_inflight(&self, stage: usize, fid_plus_1: u64) {
-        self.u64_at(264 + stage * 8)
-            .store(fid_plus_1, Ordering::Release);
+    /// Marks `frame_id` in flight at `stage` while the stage holds a popped
+    /// (or about-to-be-captured) frame it has not yet fully accounted;
+    /// `None` clears it. A crash with a frame marked loses exactly that
+    /// frame.
+    pub(crate) fn set_inflight(&self, stage: usize, frame_id: Option<u64>) {
+        self.inflight_plus1[stage].store(frame_id.map_or(0, |fid| fid + 1), Release);
     }
 
     pub(crate) fn inflight(&self, stage: usize) -> Option<u64> {
-        self.u64_at(264 + stage * 8)
-            .load(Ordering::Acquire)
-            .checked_sub(1)
-    }
-
-    pub(crate) fn add_restart(&self, stage: usize) {
-        self.u64_at(296 + stage * 8).fetch_add(1, Ordering::AcqRel);
-    }
-
-    pub(crate) fn restarts(&self, stage: usize) -> u64 {
-        self.u64_at(296 + stage * 8).load(Ordering::Acquire)
-    }
-
-    pub(crate) fn add_lost(&self, stage: usize, n: u64) {
-        self.u64_at(328 + stage * 8).fetch_add(n, Ordering::AcqRel);
-    }
-
-    pub(crate) fn lost(&self, stage: usize) -> u64 {
-        self.u64_at(328 + stage * 8).load(Ordering::Acquire)
+        self.inflight_plus1[stage].load(Acquire).checked_sub(1)
     }
 
     /// The frame in flight at `stage`, if any, is lost at the stage's
     /// clock: one more lost frame, a `lost@stage` event, a cleared slot.
     pub(crate) fn lose_inflight(&self, stage: usize) {
         if let Some(fid) = self.inflight(stage) {
-            self.add_lost(stage, 1);
-            self.push_event(self.clock_ns(stage), fid, EV_LOST_BASE + stage as u32);
-            self.set_inflight(stage, 0);
+            self.lost[stage].fetch_add(1, AcqRel);
+            let lost = RuntimeEventKind::Lost {
+                stage: STAGE_NAMES[stage],
+            };
+            self.push_event(self.clock_ns[stage].load(Acquire), fid, lost);
+            self.set_inflight(stage, None);
         }
-    }
-
-    /// Restart-request generation counter (thread mode): the monitor bumps
-    /// it to release a hung stage body; `chaos_hang` parks until the value
-    /// moves past what it saw on entry.
-    pub(crate) fn restart_req(&self, stage: usize) -> u32 {
-        self.u32_at(360 + stage * 4).load(Ordering::Acquire)
-    }
-
-    pub(crate) fn bump_restart_req(&self, stage: usize) {
-        self.u32_at(360 + stage * 4).fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Persisted sentry state machine: `(mode, quiet frames)`.
-    pub(crate) fn sentry_state(&self) -> (u32, u32) {
-        (
-            self.u32_at(376).load(Ordering::Acquire),
-            self.u32_at(380).load(Ordering::Acquire),
-        )
-    }
-
-    pub(crate) fn set_sentry_state(&self, mode: u32, quiet: u32) {
-        self.u32_at(376).store(mode, Ordering::Release);
-        self.u32_at(380).store(quiet, Ordering::Release);
     }
 
     /// Last frame id the gateway observed (`None` before the first frame).
     pub(crate) fn gw_last_id(&self) -> Option<u64> {
-        self.u64_at(384).load(Ordering::Acquire).checked_sub(1)
+        self.gw_last_plus1.load(Acquire).checked_sub(1)
     }
 
     pub(crate) fn set_gw_last_id(&self, fid: u64) {
-        self.u64_at(384).store(fid + 1, Ordering::Release);
-    }
-
-    pub(crate) fn add_duplicate(&self) {
-        self.u64_at(392).fetch_add(1, Ordering::AcqRel);
-    }
-
-    pub(crate) fn duplicates(&self) -> u64 {
-        self.u64_at(392).load(Ordering::Acquire)
-    }
-
-    pub(crate) fn span_max(&self, ns: u64) {
-        self.u64_at(400).fetch_max(ns, Ordering::AcqRel);
-    }
-
-    pub(crate) fn span_ns(&self) -> u64 {
-        self.u64_at(400).load(Ordering::Acquire)
-    }
-
-    /// Next trace index the capture stage will attempt — persisted before
-    /// the attempt, so a restarted capture never re-emits a frame.
-    pub(crate) fn cap_next_idx(&self) -> u64 {
-        self.u64_at(408).load(Ordering::Acquire)
-    }
-
-    pub(crate) fn set_cap_next_idx(&self, idx: u64) {
-        self.u64_at(408).store(idx, Ordering::Release);
-    }
-
-    pub(crate) fn ledger_cap(&self) -> usize {
-        self.u64_at(416).load(Ordering::Acquire) as usize
-    }
-
-    pub(crate) fn add_completed(&self) {
-        self.u64_at(424).fetch_add(1, Ordering::AcqRel);
-    }
-
-    pub(crate) fn completed(&self) -> u64 {
-        self.u64_at(424).load(Ordering::Acquire)
-    }
-
-    pub(crate) fn add_order_violation(&self) {
-        self.u64_at(432).fetch_add(1, Ordering::AcqRel);
-    }
-
-    pub(crate) fn order_violations(&self) -> u64 {
-        self.u64_at(432).load(Ordering::Acquire)
-    }
-
-    pub(crate) fn recov_cap(&self) -> usize {
-        self.u64_at(448).load(Ordering::Acquire) as usize
+        self.gw_last_plus1.store(fid + 1, Release);
     }
 
     /// Record one recovery: which stage, which attempt, and the virtual
     /// penalty charged (detection + backoff).
     pub(crate) fn recov_push(&self, stage: usize, attempt: u32, penalty_ns: u64) {
-        let idx = self.u64_at(440).fetch_add(1, Ordering::AcqRel) as usize;
-        if idx >= self.recov_cap() {
+        let idx = self.recov_len.fetch_add(1, AcqRel) as usize;
+        let Some(rec) = self.recovery_log().get(idx) else {
             return; // bounded region; overflow dropped, not UB
-        }
-        let off = CTL_HEADER_BYTES + self.ledger_cap() * 8 + idx * RECOV_BYTES;
-        unsafe {
-            let p = self.map.base().add(off);
-            p.cast::<u32>().write_volatile(stage as u32);
-            p.add(4).cast::<u32>().write_volatile(attempt);
-            p.add(8).cast::<u64>().write_volatile(penalty_ns);
-        }
+        };
+        // Relaxed: the log is read once every stage has exited, and the
+        // join or the reaping of the writer orders these stores first.
+        rec.stage.store(stage as u32, Relaxed);
+        rec.attempt.store(attempt, Relaxed);
+        rec.penalty_ns.store(penalty_ns, Relaxed);
     }
 
     /// Decode the recovery log: `(stage, attempt, penalty_ns)` triples.
     pub(crate) fn recoveries(&self) -> Vec<(u32, u32, u64)> {
-        let n = (self.u64_at(440).load(Ordering::Acquire) as usize).min(self.recov_cap());
-        let base_off = CTL_HEADER_BYTES + self.ledger_cap() * 8;
-        let mut out = Vec::with_capacity(n);
-        for idx in 0..n {
-            let off = base_off + idx * RECOV_BYTES;
-            unsafe {
-                let p = self.map.base().add(off);
-                out.push((
-                    p.cast::<u32>().read_volatile(),
-                    p.add(4).cast::<u32>().read_volatile(),
-                    p.add(8).cast::<u64>().read_volatile(),
-                ));
-            }
-        }
+        let n = self.recov_len.load(Acquire) as usize;
+        let log = self.recovery_log().iter().take(n);
+        let mut out: Vec<_> = log
+            .map(|r| {
+                let stage = r.stage.load(Relaxed);
+                (stage, r.attempt.load(Relaxed), r.penalty_ns.load(Relaxed))
+            })
+            .collect();
         out.sort_unstable();
         out
-    }
-
-    fn ledger_word(&self, fid: u64) -> &AtomicU64 {
-        self.u64_at(CTL_HEADER_BYTES + fid as usize * 8)
     }
 
     /// Record frame `fid` as served with the given end-to-end latency.
     /// Returns false when the slot was already taken — a duplicate
     /// delivery, which at-most-once accounting must keep at zero.
     pub(crate) fn ledger_set(&self, fid: u64, latency_ns: u64) -> bool {
-        if fid as usize >= self.ledger_cap() {
-            return false;
-        }
-        self.ledger_word(fid)
-            .compare_exchange(0, latency_ns + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+        self.ledger().get(fid as usize).is_some_and(|slot| {
+            slot.compare_exchange(0, latency_ns + 1, AcqRel, Acquire)
+                .is_ok()
+        })
     }
 
     /// Served-frame latencies in ms, ordered by frame id.
     pub(crate) fn ledger_latencies_ms(&self) -> Vec<f64> {
-        (0..self.ledger_cap() as u64)
-            .filter_map(|fid| {
-                self.ledger_word(fid)
-                    .load(Ordering::Acquire)
-                    .checked_sub(1)
-                    .map(|ns| ns as f64 / 1e6)
+        self.ledger()
+            .iter()
+            .filter_map(|slot| {
+                let ns = slot.load(Acquire).checked_sub(1)?;
+                Some(ns as f64 / 1e6)
             })
             .collect()
     }
 
-    fn events_off(&self) -> usize {
-        CTL_HEADER_BYTES + self.ledger_cap() * 8 + self.recov_cap() * RECOV_BYTES
-    }
-
-    pub(crate) fn push_event(&self, t_ns: u64, seq: u64, code: u32) {
-        let idx = self.u64_at(184).fetch_add(1, Ordering::AcqRel) as usize;
-        if idx >= self.events_cap() {
+    pub(crate) fn push_event(&self, t_ns: u64, seq: u64, kind: RuntimeEventKind) {
+        let idx = self.events_len.fetch_add(1, AcqRel) as usize;
+        let Some(ev) = self.event_log().get(idx) else {
             return; // bounded region; overflow is dropped, not UB
-        }
-        let off = self.events_off() + idx * EVENT_BYTES;
-        unsafe {
-            let p = self.map.base().add(off);
-            p.cast::<u64>().write_volatile(t_ns);
-            p.add(8).cast::<u64>().write_volatile(seq);
-            p.add(16).cast::<u32>().write_volatile(code);
-        }
+        };
+        // Relaxed, as in `recov_push`.
+        ev.t_ns.store(t_ns, Relaxed);
+        ev.seq.store(seq, Relaxed);
+        ev.code.store(kind.code(), Relaxed);
     }
 
-    /// Decode the event region: `(t_ns, seq, code)` triples, sorted for a
+    /// Decode the event log: `(t_ns, seq, code)` triples, sorted for a
     /// deterministic order regardless of cross-stage write interleaving.
     pub(crate) fn events(&self) -> Vec<(u64, u64, u32)> {
-        let n = (self.u64_at(184).load(Ordering::Acquire) as usize).min(self.events_cap());
-        let mut out = Vec::with_capacity(n);
-        for idx in 0..n {
-            let off = self.events_off() + idx * EVENT_BYTES;
-            unsafe {
-                let p = self.map.base().add(off);
-                out.push((
-                    p.cast::<u64>().read_volatile(),
-                    p.add(8).cast::<u64>().read_volatile(),
-                    p.add(16).cast::<u32>().read_volatile(),
-                ));
-            }
-        }
+        let n = self.events_len.load(Acquire) as usize;
+        let log = self.event_log().iter().take(n);
+        let mut out: Vec<_> = log
+            .map(|e| {
+                (
+                    e.t_ns.load(Relaxed),
+                    e.seq.load(Relaxed),
+                    e.code.load(Relaxed),
+                )
+            })
+            .collect();
         out.sort_unstable();
         out
     }
@@ -583,7 +465,7 @@ pub(crate) struct CloseOnDrop<'a> {
 impl Drop for CloseOnDrop<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.ctl.request_stop();
+            self.ctl.stop.store(1, Release);
         }
         self.ring.close();
     }
@@ -623,10 +505,10 @@ fn chaos_trigger(
 /// the stall ends with a SIGKILL; in thread mode the monitor bumps the
 /// stage's restart-request generation and the body returns.
 fn chaos_hang(ctl: &Ctl, stage: usize, proc_mode: bool) -> StageExit {
-    let gen = ctl.restart_req(stage);
+    let gen = ctl.restart_req[stage].load(Acquire);
     loop {
         std::thread::sleep(Duration::from_millis(2));
-        if !proc_mode && ctl.restart_req(stage) != gen {
+        if !proc_mode && ctl.restart_req[stage].load(Acquire) != gen {
             return StageExit::Hung;
         }
     }
@@ -662,6 +544,35 @@ fn deadline() -> Instant {
     Instant::now() + RETRY_SLICE
 }
 
+/// Reserve a slot on `out`, beating `stage`'s heartbeat while the ring
+/// stays full. Returns the slot and, under [`DropPolicy::Block`], the
+/// virtual time its consumer freed it (0 when there is none to wait for);
+/// `None` once a stop is requested.
+fn reserve<'r>(
+    cfg: &RuntimeConfig,
+    ctl: &Ctl,
+    stage: usize,
+    out: &'r RingBuffer,
+) -> Option<(SlotGuard<'r>, u64)> {
+    loop {
+        match out.reserve(cfg.policy, deadline()) {
+            Reserve::Slot(slot) => {
+                let freed = match cfg.policy {
+                    DropPolicy::Block => slot.freed_stamp_ns().unwrap_or(0),
+                    DropPolicy::DropOldest => 0,
+                };
+                return Some((slot, freed));
+            }
+            Reserve::TimedOut => {
+                ctl.heartbeat[stage].fetch_add(1, Relaxed);
+                if ctl.stop_requested() {
+                    return None;
+                }
+            }
+        }
+    }
+}
+
 /// Capture: turn trace points into frames — deterministic synthetic pixels,
 /// checksum, ground-truth hit flag — and push them onto the capture ring.
 /// Resumes from the persisted next trace index after a restart.
@@ -676,13 +587,13 @@ pub(crate) fn run_capture(
     const STAGE: usize = 0;
     let faults = LinkFaults::new(cfg.seed, cfg.ipc_flip_rate);
     let svc = costs.elems as u64 * cfg.capture_ns_per_elem;
-    let mut clock = ctl.clock_ns(STAGE);
-    let start_idx = ctl.cap_next_idx() as usize;
+    let mut clock = ctl.clock_ns[STAGE].load(Acquire);
+    let start_idx = ctl.cap_next_idx.load(Acquire) as usize;
     let wall_t0 = Instant::now();
     let pace_base = trace.points.get(start_idx).map_or(0, |p| p.t_ns);
 
     for (idx, pt) in trace.points.iter().enumerate().skip(start_idx) {
-        ctl.beat(STAGE);
+        ctl.heartbeat[STAGE].fetch_add(1, Relaxed);
         if ctl.stop_requested() {
             return StageExit::Stopped;
         }
@@ -693,7 +604,7 @@ pub(crate) fn run_capture(
                 if now >= target {
                     break;
                 }
-                ctl.beat(STAGE);
+                ctl.heartbeat[STAGE].fetch_add(1, Relaxed);
                 if ctl.stop_requested() {
                     return StageExit::Stopped;
                 }
@@ -703,32 +614,19 @@ pub(crate) fn run_capture(
         let fid = idx as u64;
         // Progress is persisted *before* the frame is attempted: a crash
         // from here to commit loses exactly this frame, never repeats it.
-        ctl.set_cap_next_idx(fid + 1);
-        ctl.set_offered(fid + 1);
-        ctl.set_inflight(STAGE, fid + 1);
+        ctl.cap_next_idx.store(fid + 1, Release);
+        ctl.offered.store(fid + 1, Release);
+        ctl.set_inflight(STAGE, Some(fid));
         if let Some(exit) = chaos_trigger(cfg, ctl, STAGE, fid, proc_mode) {
             return exit;
         }
-        let mut slot = loop {
-            match out.reserve(cfg.policy, deadline()) {
-                Reserve::Slot(slot) => break slot,
-                Reserve::TimedOut => {
-                    ctl.beat(STAGE);
-                    if ctl.stop_requested() {
-                        return StageExit::Stopped;
-                    }
-                }
-            }
+        let Some((mut slot, freed)) = reserve(cfg, ctl, STAGE, out) else {
+            return StageExit::Stopped;
         };
         // Virtual timing: the frame is ready at its trace arrival; a blocked
         // producer additionally cannot write before the slot it reuses was
         // vacated (virtual backpressure).
-        let mut start = clock.max(pt.t_ns);
-        if cfg.policy == DropPolicy::Block {
-            if let Some(freed) = slot.freed_stamp_ns() {
-                start = start.max(freed);
-            }
-        }
+        let start = clock.max(pt.t_ns).max(freed);
         let done = start + svc;
         clock = done;
 
@@ -751,12 +649,12 @@ pub(crate) fn run_capture(
             payload_len: costs.elems as u32,
             checksum: sum,
         });
-        ctl.add_busy_ns(STAGE, svc);
-        ctl.add_processed(STAGE, 1);
-        ctl.set_inflight(STAGE, 0);
-        ctl.set_clock_ns(STAGE, clock);
+        ctl.busy_ns[STAGE].fetch_add(svc, AcqRel);
+        ctl.processed[STAGE].fetch_add(1, AcqRel);
+        ctl.set_inflight(STAGE, None);
+        ctl.clock_ns[STAGE].store(clock, Release);
     }
-    ctl.set_done(STAGE);
+    ctl.done[STAGE].store(1, Release);
     StageExit::Done
 }
 
@@ -773,11 +671,11 @@ pub(crate) fn run_preprocess(
     const STAGE: usize = 1;
     let faults = LinkFaults::new(cfg.seed, cfg.ipc_flip_rate);
     let svc = costs.elems as u64 * cfg.preprocess_ns_per_elem;
-    let mut clock = ctl.clock_ns(STAGE);
+    let mut clock = ctl.clock_ns[STAGE].load(Acquire);
     let mut buf = FrameBuf::for_ring(input);
 
     loop {
-        ctl.beat(STAGE);
+        ctl.heartbeat[STAGE].fetch_add(1, Relaxed);
         let clock_now = clock;
         match input.pop_into(&mut buf, deadline(), |b| clock_now.max(b.meta.t_stage_ns)) {
             Pop::Drained => break,
@@ -790,41 +688,26 @@ pub(crate) fn run_preprocess(
             Pop::Popped => {}
         }
         let fid = buf.meta.frame_id;
-        ctl.set_inflight(STAGE, fid + 1);
+        ctl.set_inflight(STAGE, Some(fid));
         if let Some(exit) = chaos_trigger(cfg, ctl, STAGE, fid, proc_mode) {
             return exit;
         }
         chaos_corrupt_if_scheduled(cfg, STAGE, &mut buf);
         let start = clock.max(buf.meta.t_stage_ns);
         if !buf.checksum_ok() {
-            ctl.add_corrupted(0);
-            ctl.push_event(start, fid, EV_CORRUPT_PRE);
-            ctl.set_inflight(STAGE, 0);
+            ctl.corrupted[0].fetch_add(1, AcqRel);
+            let stage = STAGE_NAMES[STAGE];
+            ctl.push_event(start, fid, RuntimeEventKind::Corrupted { stage });
+            ctl.set_inflight(STAGE, None);
             continue;
         }
         let done = start + svc;
         clock = done;
 
-        let reserved = loop {
-            match out.reserve(cfg.policy, deadline()) {
-                Reserve::Slot(slot) => break Some(slot),
-                Reserve::TimedOut => {
-                    ctl.beat(STAGE);
-                    if ctl.stop_requested() {
-                        break None;
-                    }
-                }
-            }
-        };
-        let Some(mut slot) = reserved else {
+        let Some((mut slot, freed)) = reserve(cfg, ctl, STAGE, out) else {
             return StageExit::Stopped;
         };
-        let mut t_out = done;
-        if cfg.policy == DropPolicy::Block {
-            if let Some(freed) = slot.freed_stamp_ns() {
-                t_out = t_out.max(freed);
-            }
-        }
+        let t_out = done.max(freed);
         let n = buf.meta.payload_len as usize;
         let payload = slot.payload_mut();
         for (dst, src) in payload[..n].iter_mut().zip(buf.payload()) {
@@ -838,12 +721,12 @@ pub(crate) fn run_preprocess(
             checksum: sum,
             ..buf.meta
         });
-        ctl.add_busy_ns(STAGE, svc);
-        ctl.add_processed(STAGE, 1);
-        ctl.set_inflight(STAGE, 0);
-        ctl.set_clock_ns(STAGE, clock);
+        ctl.busy_ns[STAGE].fetch_add(svc, AcqRel);
+        ctl.processed[STAGE].fetch_add(1, AcqRel);
+        ctl.set_inflight(STAGE, None);
+        ctl.clock_ns[STAGE].store(clock, Release);
     }
-    ctl.set_done(STAGE);
+    ctl.done[STAGE].store(1, Release);
     StageExit::Done
 }
 
@@ -887,7 +770,7 @@ impl<'g> RungExec<'g> {
         let (out, _) = self
             .prepared
             .run_observed(&input, &mut |_, _| {
-                ctl.beat(2);
+                ctl.heartbeat[2].fetch_add(1, Relaxed);
                 Ok(())
             })
             .map_err(|e| RuntimeError::Stage {
@@ -929,14 +812,18 @@ pub(crate) fn run_inference(
         }
     }
 
+    let sentry_state = (
+        ctl.sentry_mode.load(Acquire),
+        ctl.sentry_quiet.load(Acquire),
+    );
     let mut sentry = cfg
         .sentry
-        .map(|sc| Sentry::resume(sc, cfg.seed, ctl.sentry_state()));
-    let mut clock = ctl.clock_ns(STAGE);
+        .map(|sc| Sentry::resume(sc, cfg.seed, sentry_state));
+    let mut clock = ctl.clock_ns[STAGE].load(Acquire);
     let mut buf = FrameBuf::for_ring(input);
 
     loop {
-        ctl.beat(STAGE);
+        ctl.heartbeat[STAGE].fetch_add(1, Relaxed);
         let clock_now = clock;
         match input.pop_into(&mut buf, deadline(), |b| clock_now.max(b.meta.t_stage_ns)) {
             Pop::Drained => break,
@@ -949,16 +836,17 @@ pub(crate) fn run_inference(
             Pop::Popped => {}
         }
         let fid = buf.meta.frame_id;
-        ctl.set_inflight(STAGE, fid + 1);
+        ctl.set_inflight(STAGE, Some(fid));
         if let Some(exit) = chaos_trigger(cfg, ctl, STAGE, fid, proc_mode) {
             return exit;
         }
         chaos_corrupt_if_scheduled(cfg, STAGE, &mut buf);
         let start = clock.max(buf.meta.t_stage_ns);
         if !buf.checksum_ok() {
-            ctl.add_corrupted(1);
-            ctl.push_event(start, fid, EV_CORRUPT_INF);
-            ctl.set_inflight(STAGE, 0);
+            ctl.corrupted[1].fetch_add(1, AcqRel);
+            let stage = STAGE_NAMES[STAGE];
+            ctl.push_event(start, fid, RuntimeEventKind::Corrupted { stage });
+            ctl.set_inflight(STAGE, None);
             continue;
         }
         let hit = buf.meta.flags & FLAG_HIT != 0;
@@ -985,61 +873,51 @@ pub(crate) fn run_inference(
             svc += sb.svc_ns;
             ctl.add_energy_mj(sb.energy_mj);
             if let Some(e) = &standby_exec {
-                match e.run(ctl, buf.meta.dims, buf.payload()) {
-                    Ok(d) => ctl.xor_digest(d),
+                let digest = match e.run(ctl, buf.meta.dims, buf.payload()) {
+                    Ok(d) => d,
                     Err(err) => return StageExit::Failed(err.to_string()),
-                }
+                };
+                ctl.digest.fetch_xor(digest, AcqRel);
             }
         }
         if run_full {
             svc += costs.full.svc_ns;
             ctl.add_energy_mj(costs.full.energy_mj);
             if let Some(e) = &full_exec {
-                match e.run(ctl, buf.meta.dims, buf.payload()) {
-                    Ok(d) => ctl.xor_digest(d),
+                let digest = match e.run(ctl, buf.meta.dims, buf.payload()) {
+                    Ok(d) => d,
                     Err(err) => return StageExit::Failed(err.to_string()),
-                }
+                };
+                ctl.digest.fetch_xor(digest, AcqRel);
             }
         }
         let done = start + svc;
         clock = done;
 
-        ctl.add_sentry(
-            u64::from(escalated),
-            u64::from(stood_down),
-            u64::from(missed),
-        );
-        ctl.add_served(u64::from(run_standby && !run_full), u64::from(run_full));
-        if escalated {
-            ctl.push_event(done, fid, EV_ESCALATE);
+        if run_full {
+            ctl.full_frames.fetch_add(1, AcqRel);
+        } else if run_standby {
+            ctl.standby_frames.fetch_add(1, AcqRel);
         }
-        if stood_down {
-            ctl.push_event(done, fid, EV_STANDDOWN);
-        }
-        if missed {
-            ctl.push_event(done, fid, EV_MISSED);
+        for (happened, count, kind) in [
+            (escalated, &ctl.escalations, RuntimeEventKind::Escalate),
+            (stood_down, &ctl.standdowns, RuntimeEventKind::Standdown),
+            (
+                missed,
+                &ctl.missed_escalations,
+                RuntimeEventKind::MissedEscalation,
+            ),
+        ] {
+            if happened {
+                count.fetch_add(1, AcqRel);
+                ctl.push_event(done, fid, kind);
+            }
         }
 
-        let reserved = loop {
-            match out.reserve(cfg.policy, deadline()) {
-                Reserve::Slot(slot) => break Some(slot),
-                Reserve::TimedOut => {
-                    ctl.beat(STAGE);
-                    if ctl.stop_requested() {
-                        break None;
-                    }
-                }
-            }
-        };
-        let Some(mut slot) = reserved else {
+        let Some((mut slot, freed)) = reserve(cfg, ctl, STAGE, out) else {
             return StageExit::Stopped;
         };
-        let mut t_out = done;
-        if cfg.policy == DropPolicy::Block {
-            if let Some(freed) = slot.freed_stamp_ns() {
-                t_out = t_out.max(freed);
-            }
-        }
+        let t_out = done.max(freed);
         let payload = slot.payload_mut();
         payload[..DETECTION_ELEMS].fill(0.0);
         payload[0] = f32::from(u8::from(hit && run_full));
@@ -1061,16 +939,17 @@ pub(crate) fn run_inference(
             checksum: sum,
             ..buf.meta
         });
-        ctl.add_busy_ns(STAGE, svc);
-        ctl.add_processed(STAGE, 1);
-        ctl.set_inflight(STAGE, 0);
+        ctl.busy_ns[STAGE].fetch_add(svc, AcqRel);
+        ctl.processed[STAGE].fetch_add(1, AcqRel);
+        ctl.set_inflight(STAGE, None);
         if let Some(s) = sentry.as_ref() {
             let (mode, quiet) = s.state();
-            ctl.set_sentry_state(mode, quiet);
+            ctl.sentry_mode.store(mode, Release);
+            ctl.sentry_quiet.store(quiet, Release);
         }
-        ctl.set_clock_ns(STAGE, clock);
+        ctl.clock_ns[STAGE].store(clock, Release);
     }
-    ctl.set_done(STAGE);
+    ctl.done[STAGE].store(1, Release);
     StageExit::Done
 }
 
@@ -1086,10 +965,10 @@ pub(crate) fn run_gateway(
 ) -> StageExit {
     const STAGE: usize = 3;
     let mut buf = FrameBuf::for_ring(input);
-    let mut clock = ctl.clock_ns(STAGE);
+    let mut clock = ctl.clock_ns[STAGE].load(Acquire);
 
     loop {
-        ctl.beat(STAGE);
+        ctl.heartbeat[STAGE].fetch_add(1, Relaxed);
         let clock_now = clock;
         match input.pop_into(&mut buf, deadline(), |b| clock_now.max(b.meta.t_stage_ns)) {
             Pop::Drained => break,
@@ -1103,36 +982,39 @@ pub(crate) fn run_gateway(
             Pop::Popped => {}
         }
         let fid = buf.meta.frame_id;
-        ctl.set_inflight(STAGE, fid + 1);
+        ctl.set_inflight(STAGE, Some(fid));
         if let Some(exit) = chaos_trigger(cfg, ctl, STAGE, fid, proc_mode) {
             return exit;
         }
         chaos_corrupt_if_scheduled(cfg, STAGE, &mut buf);
         clock = clock.max(buf.meta.t_stage_ns);
-        if let Some(prev) = ctl.gw_last_id() {
-            if fid <= prev {
-                ctl.add_order_violation();
-            }
+        if ctl.gw_last_id().is_some_and(|prev| fid <= prev) {
+            ctl.order_violations.fetch_add(1, AcqRel);
         }
         ctl.set_gw_last_id(fid);
         if !buf.checksum_ok() {
-            ctl.add_corrupted(2);
-            ctl.push_event(buf.meta.t_stage_ns, fid, EV_CORRUPT_GW);
-            ctl.set_inflight(STAGE, 0);
-            ctl.set_clock_ns(STAGE, clock);
+            ctl.corrupted[2].fetch_add(1, AcqRel);
+            let stage = STAGE_NAMES[STAGE];
+            ctl.push_event(
+                buf.meta.t_stage_ns,
+                fid,
+                RuntimeEventKind::Corrupted { stage },
+            );
+            ctl.set_inflight(STAGE, None);
+            ctl.clock_ns[STAGE].store(clock, Release);
             continue;
         }
         if ctl.ledger_set(fid, buf.meta.t_stage_ns - buf.meta.t_arrival_ns) {
-            ctl.add_completed();
-            ctl.span_max(buf.meta.t_stage_ns);
-            ctl.add_processed(STAGE, 1);
+            ctl.completed.fetch_add(1, AcqRel);
+            ctl.span_ns.fetch_max(buf.meta.t_stage_ns, AcqRel);
+            ctl.processed[STAGE].fetch_add(1, AcqRel);
         } else {
-            ctl.add_duplicate();
+            ctl.duplicates.fetch_add(1, AcqRel);
         }
-        ctl.set_inflight(STAGE, 0);
-        ctl.set_clock_ns(STAGE, clock);
+        ctl.set_inflight(STAGE, None);
+        ctl.clock_ns[STAGE].store(clock, Release);
     }
-    ctl.set_done(STAGE);
+    ctl.done[STAGE].store(1, Release);
     StageExit::Done
 }
 
@@ -1145,14 +1027,17 @@ pub(crate) fn run_gateway(
 /// then let the wrapper close the ring and the survivors drain.
 pub(crate) fn run_capture_sink(ctl: &Ctl, trace: &TraceFile) -> StageExit {
     const STAGE: usize = 0;
-    let start_idx = ctl.cap_next_idx() as usize;
+    let start_idx = ctl.cap_next_idx.load(Acquire) as usize;
+    let lost = RuntimeEventKind::Lost {
+        stage: STAGE_NAMES[STAGE],
+    };
     for (idx, pt) in trace.points.iter().enumerate().skip(start_idx) {
-        ctl.beat(STAGE);
+        ctl.heartbeat[STAGE].fetch_add(1, Relaxed);
         let fid = idx as u64;
-        ctl.set_cap_next_idx(fid + 1);
-        ctl.set_offered(fid + 1);
-        ctl.add_lost(STAGE, 1);
-        ctl.push_event(pt.t_ns, fid, EV_LOST_BASE + STAGE as u32);
+        ctl.cap_next_idx.store(fid + 1, Release);
+        ctl.offered.store(fid + 1, Release);
+        ctl.lost[STAGE].fetch_add(1, AcqRel);
+        ctl.push_event(pt.t_ns, fid, lost);
     }
     StageExit::Stopped
 }
@@ -1162,8 +1047,11 @@ pub(crate) fn run_capture_sink(ctl: &Ctl, trace: &TraceFile) -> StageExit {
 /// stage — the drain-and-degrade path with exact bookkeeping.
 pub(crate) fn run_consumer_sink(stage: usize, ctl: &Ctl, input: &RingBuffer) -> StageExit {
     let mut buf = FrameBuf::for_ring(input);
+    let lost = RuntimeEventKind::Lost {
+        stage: STAGE_NAMES[stage],
+    };
     loop {
-        ctl.beat(stage);
+        ctl.heartbeat[stage].fetch_add(1, Relaxed);
         match input.pop_into(&mut buf, deadline(), |b| b.meta.t_stage_ns) {
             Pop::Drained => break,
             Pop::TimedOut => {
@@ -1173,12 +1061,8 @@ pub(crate) fn run_consumer_sink(stage: usize, ctl: &Ctl, input: &RingBuffer) -> 
                 continue;
             }
             Pop::Popped => {
-                ctl.add_lost(stage, 1);
-                ctl.push_event(
-                    buf.meta.t_stage_ns,
-                    buf.meta.frame_id,
-                    EV_LOST_BASE + stage as u32,
-                );
+                ctl.lost[stage].fetch_add(1, AcqRel);
+                ctl.push_event(buf.meta.t_stage_ns, buf.meta.frame_id, lost);
             }
         }
     }
@@ -1237,36 +1121,45 @@ impl Pipeline<'_> {
 mod tests {
     use super::*;
 
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("ebctl-{tag}-{}", std::process::id()))
+    }
+
     #[test]
     fn ctl_roundtrips_counters_and_events() {
-        let path = std::env::temp_dir().join(format!("ebctl-test-{}", std::process::id()));
+        let path = temp_path("test");
         let ctl = Ctl::create(&path, 16, 8, 8).unwrap();
-        ctl.set_offered(10);
-        ctl.add_corrupted(1);
-        ctl.add_sentry(2, 1, 0);
-        ctl.add_served(3, 4);
+        ctl.offered.store(10, Release);
+        ctl.corrupted[1].fetch_add(1, AcqRel);
+        ctl.escalations.fetch_add(2, AcqRel);
+        ctl.full_frames.fetch_add(4, AcqRel);
         ctl.add_energy_mj(12.5);
-        ctl.add_busy_ns(2, 777);
-        ctl.add_processed(2, 9);
-        ctl.push_event(5, 1, EV_ESCALATE);
-        ctl.push_event(3, 0, EV_CORRUPT_PRE);
-        ctl.set_done(2);
+        ctl.add_energy_mj(0.25);
+        ctl.busy_ns[2].fetch_add(777, AcqRel);
+        let corrupted = RuntimeEventKind::Corrupted {
+            stage: "preprocess",
+        };
+        ctl.push_event(5, 1, RuntimeEventKind::Escalate);
+        ctl.push_event(3, 0, corrupted);
+        ctl.done[2].store(1, Release);
 
         let other = Ctl::attach(&path).unwrap();
-        assert_eq!(other.offered(), 10);
-        assert_eq!(other.corrupted(1), 1);
-        assert_eq!(other.sentry_counts(), (2, 1, 0));
-        assert_eq!(other.served_counts(), (3, 4));
-        assert_eq!(other.energy_mj(), 12.5);
-        assert_eq!(other.busy_ns(2), 777);
-        assert_eq!(other.processed(2), 9);
-        assert!(other.done(2) && !other.done(0));
+        assert_eq!(other.offered.load(Acquire), 10);
+        assert_eq!(other.corrupted[1].load(Acquire), 1);
+        assert_eq!(other.escalations.load(Acquire), 2);
+        assert_eq!(other.full_frames.load(Acquire), 4);
+        assert_eq!(other.energy_mj(), 12.75);
+        assert_eq!(other.busy_ns[2].load(Acquire), 777);
+        assert_eq!(other.done.each_ref().map(|d| d.load(Acquire)), [0, 0, 1, 0]);
         assert_eq!(
             other.events(),
-            vec![(3, 0, EV_CORRUPT_PRE), (5, 1, EV_ESCALATE)]
+            vec![
+                (3, 0, corrupted.code()),
+                (5, 1, RuntimeEventKind::Escalate.code())
+            ]
         );
         assert!(!other.stop_requested());
-        ctl.request_stop();
+        ctl.stop.store(1, Release);
         assert!(other.stop_requested());
 
         ctl.map().unlink();
@@ -1275,11 +1168,10 @@ mod tests {
 
     #[test]
     fn ctl_event_region_is_bounded() {
-        let path = std::env::temp_dir().join(format!("ebctl-bound-{}", std::process::id()));
-        let ctl = Ctl::create(&path, 4, 2, 2).unwrap();
+        let ctl = Ctl::create(&temp_path("bound"), 4, 2, 2).unwrap();
         ctl.map().unlink();
         for i in 0..5 {
-            ctl.push_event(i, i, EV_MISSED);
+            ctl.push_event(i, i, RuntimeEventKind::MissedEscalation);
         }
         assert_eq!(ctl.events().len(), 2);
         for i in 0..5 {
@@ -1290,46 +1182,24 @@ mod tests {
 
     #[test]
     fn ctl_supervision_state_roundtrips() {
-        let path = std::env::temp_dir().join(format!("ebctl-sup-{}", std::process::id()));
-        let ctl = Ctl::create(&path, 8, 4, 4).unwrap();
+        let ctl = Ctl::create(&temp_path("sup"), 8, 4, 4).unwrap();
         ctl.map().unlink();
 
-        ctl.beat(1);
-        ctl.beat(1);
-        assert_eq!(ctl.heartbeat(1), 2);
-        assert_eq!(ctl.heartbeat(0), 0);
-
-        ctl.set_clock_ns(2, 9_000);
-        assert_eq!(ctl.clock_ns(2), 9_000);
-
         assert_eq!(ctl.inflight(1), None);
-        ctl.set_inflight(1, 42 + 1);
+        ctl.set_inflight(1, Some(0));
+        assert_eq!(ctl.inflight(1), Some(0));
+        ctl.set_inflight(1, Some(42));
         assert_eq!(ctl.inflight(1), Some(42));
-        ctl.set_inflight(1, 0);
+        ctl.set_inflight(1, None);
         assert_eq!(ctl.inflight(1), None);
-
-        ctl.add_restart(3);
-        ctl.add_lost(3, 2);
-        assert_eq!(ctl.restarts(3), 1);
-        assert_eq!(ctl.lost(3), 2);
-
-        assert_eq!(ctl.restart_req(2), 0);
-        ctl.bump_restart_req(2);
-        assert_eq!(ctl.restart_req(2), 1);
-
-        ctl.set_sentry_state(1, 5);
-        assert_eq!(ctl.sentry_state(), (1, 5));
 
         assert_eq!(ctl.gw_last_id(), None);
         ctl.set_gw_last_id(0);
         assert_eq!(ctl.gw_last_id(), Some(0));
 
-        ctl.set_cap_next_idx(7);
-        assert_eq!(ctl.cap_next_idx(), 7);
-
-        ctl.span_max(50);
-        ctl.span_max(20);
-        assert_eq!(ctl.span_ns(), 50);
+        ctl.span_ns.fetch_max(50, AcqRel);
+        ctl.span_ns.fetch_max(20, AcqRel);
+        assert_eq!(ctl.span_ns.load(Acquire), 50);
 
         ctl.recov_push(1, 1, 25_000);
         ctl.recov_push(0, 1, 5_000);
@@ -1338,8 +1208,7 @@ mod tests {
 
     #[test]
     fn ctl_ledger_detects_duplicates_and_orders_latencies() {
-        let path = std::env::temp_dir().join(format!("ebctl-ledger-{}", std::process::id()));
-        let ctl = Ctl::create(&path, 4, 2, 2).unwrap();
+        let ctl = Ctl::create(&temp_path("ledger"), 4, 2, 2).unwrap();
         ctl.map().unlink();
 
         assert!(ctl.ledger_set(2, 3_000_000));
@@ -1347,11 +1216,45 @@ mod tests {
         assert!(!ctl.ledger_set(2, 9_000_000), "second insert is a dup");
         assert!(!ctl.ledger_set(99, 1), "out-of-range fids are rejected");
         assert_eq!(ctl.ledger_latencies_ms(), vec![1.0, 3.0]);
-        ctl.add_completed();
-        ctl.add_completed();
-        assert_eq!(ctl.completed(), 2);
-        ctl.add_duplicate();
-        assert_eq!(ctl.duplicates(), 1);
+    }
+
+    /// Every header `Ctl::attach` cannot map is a typed `Shm` error, never
+    /// a panic or an out-of-bounds region.
+    #[test]
+    fn ctl_attach_rejects_malformed_headers() {
+        let expect_err = |path: &Path, what: &str, want: &str| match Ctl::attach(path) {
+            Err(RuntimeError::Shm { reason, .. }) => assert_eq!(reason, want, "{what}"),
+            other => panic!("{what}: expected a Shm error, got {other:?}"),
+        };
+        let short = temp_path("short");
+        drop(SharedMap::create(&short, 16).unwrap());
+        expect_err(&short, "shorter than the header", "control block too small");
+        std::fs::remove_file(&short).unwrap();
+
+        let path = temp_path("malformed");
+        let ctl = Ctl::create(&path, 16, 8, 8).unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(ctl.map().len() as u64 - 1).unwrap();
+        expect_err(&path, "regions cut short", "control block truncated");
+        file.set_len(ctl.map().len() as u64).unwrap();
+
+        for (what, cap) in [
+            ("ledger cap overflows", &ctl.ledger_cap),
+            ("recovery cap overflows", &ctl.recov_cap),
+            ("event cap overflows", &ctl.events_cap),
+        ] {
+            let good = cap.swap(1 << 61, Relaxed);
+            expect_err(&path, what, "control block truncated");
+            cap.store(good, Relaxed);
+        }
+        ctl.version.store(CTL_VERSION - 1, Relaxed);
+        expect_err(&path, "wrong version", "control-block version mismatch");
+        ctl.version.store(CTL_VERSION, Relaxed);
+        ctl.magic.store(!CTL_MAGIC, Relaxed);
+        expect_err(&path, "bad magic", "bad control-block magic");
+        ctl.magic.store(CTL_MAGIC, Release);
+        assert!(Ctl::attach(&path).is_ok(), "the repaired header attaches");
+        ctl.map().unlink();
     }
 
     #[test]

@@ -32,14 +32,15 @@
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::process::ExitStatus;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Release};
 use std::time::{Duration, Instant};
 
 use edgebench_devices::faults::rng::FaultRng;
 
 use super::shm::{send_signal, SIGKILL, SIGTERM};
-use super::stage::{Ctl, StageExit, CHAOS_KILL_EXIT, EV_RESTART_BASE, STAGE_NAMES};
-use super::{RunObjects, RuntimeConfig, RuntimeError, StageKill};
+use super::stage::{Ctl, StageExit, CHAOS_KILL_EXIT, STAGE_NAMES};
+use super::{RunObjects, RuntimeConfig, RuntimeError, RuntimeEventKind, StageKill};
 
 /// Stream tag for restart-backoff jitter draws.
 const TAG_SUP: u64 = 0x7375_7076; // "supv"
@@ -137,10 +138,13 @@ pub(crate) fn on_restart(
 ) {
     ctl.lose_inflight(stage);
     let penalty = sup.penalty_ns(seed, stage, attempt, kind);
-    let t1 = ctl.clock_ns(stage) + penalty;
-    ctl.set_clock_ns(stage, t1);
-    ctl.push_event(t1, u64::from(attempt), EV_RESTART_BASE + stage as u32);
-    ctl.add_restart(stage);
+    let t1 = ctl.clock_ns[stage].load(Acquire) + penalty;
+    ctl.clock_ns[stage].store(t1, Release);
+    let restart = RuntimeEventKind::Restart {
+        stage: STAGE_NAMES[stage],
+    };
+    ctl.push_event(t1, u64::from(attempt), restart);
+    ctl.restarts[stage].fetch_add(1, AcqRel);
     ctl.recov_push(stage, attempt, penalty);
 }
 
@@ -193,18 +197,19 @@ pub(crate) fn supervise_thread_stage(
 /// Parks between polls; the caller unparks it after raising `stop`.
 pub(crate) fn run_hang_monitor(ctl: &Ctl, sup: &SuperviseConfig, stop: &AtomicBool) {
     let window = Duration::from_millis(sup.heartbeat_ms);
-    let mut last: [(u64, Instant); 4] = std::array::from_fn(|s| (ctl.heartbeat(s), Instant::now()));
-    while !stop.load(Ordering::Acquire) {
+    let beat = |s: usize| ctl.heartbeat[s].load(Acquire);
+    let mut last: [(u64, Instant); 4] = std::array::from_fn(|s| (beat(s), Instant::now()));
+    while !stop.load(Acquire) {
         std::thread::park_timeout(POLL);
         for (s, seen) in last.iter_mut().enumerate() {
-            if ctl.done(s) {
+            if ctl.done[s].load(Acquire) == 1 {
                 continue;
             }
-            let hb = ctl.heartbeat(s);
+            let hb = beat(s);
             if hb != seen.0 {
                 *seen = (hb, Instant::now());
             } else if seen.1.elapsed() >= window {
-                ctl.bump_restart_req(s);
+                ctl.restart_req[s].fetch_add(1, AcqRel);
                 *seen = (hb, Instant::now());
             }
         }
@@ -230,7 +235,7 @@ struct ProcState {
 
 impl ProcState {
     fn reset_watch(&mut self, ctl: &Ctl, stage: usize) {
-        self.last_beat = (ctl.heartbeat(stage), Instant::now());
+        self.last_beat = (ctl.heartbeat[stage].load(Acquire), Instant::now());
         self.seen_beat = false;
     }
 }
@@ -275,7 +280,7 @@ pub(crate) fn run_supervised_processes(
     let hard_deadline = Instant::now() + Duration::from_secs(300);
     loop {
         if let Some((victim, after)) = kill {
-            if ctl.processed(victim) >= after {
+            if ctl.processed[victim].load(Acquire) >= after {
                 send_signal(states[victim].child.id(), SIGTERM);
                 kill = None;
             }
@@ -317,13 +322,14 @@ pub(crate) fn run_supervised_processes(
                     // Alive: check the heartbeat for a stall. A blocked
                     // stage still beats every bounded-wait slice, so a
                     // flat counter over the window means a real hang.
-                    let hb = ctl.heartbeat(stage);
+                    let hb = ctl.heartbeat[stage].load(Acquire);
                     if hb != st.last_beat.0 {
                         st.last_beat = (hb, Instant::now());
                         st.seen_beat = true;
                     } else {
                         let limit = if st.seen_beat { window } else { SPAWN_GRACE };
-                        if !ctl.done(stage) && st.last_beat.1.elapsed() >= limit {
+                        let done = ctl.done[stage].load(Acquire) == 1;
+                        if !done && st.last_beat.1.elapsed() >= limit {
                             st.hang_killed = true;
                             send_signal(st.child.id(), SIGKILL);
                             st.last_beat = (hb, Instant::now());
@@ -339,7 +345,7 @@ pub(crate) fn run_supervised_processes(
             break;
         }
         if Instant::now() > hard_deadline {
-            ctl.request_stop();
+            ctl.stop.store(1, Release);
             for st in states.iter_mut() {
                 if !st.finished {
                     let _ = st.child.kill();
@@ -360,7 +366,7 @@ pub(crate) fn run_supervised_processes(
 /// kill, a typed failure, a SIGTERM — is a failure the one process loop
 /// restarts within budget.
 pub(crate) fn exited_clean(ctl: &Ctl, stage: usize, status: ExitStatus, sink: bool) -> bool {
-    status.success() && (ctl.done(stage) || sink)
+    status.success() && (ctl.done[stage].load(Acquire) == 1 || sink)
 }
 
 /// Translate a child stage body's exit into the process exit protocol:
@@ -380,7 +386,6 @@ pub(crate) fn finish_child(stage: &str, exit: StageExit) -> Result<(), RuntimeEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::stage::EV_LOST_BASE;
 
     #[test]
     fn penalty_grows_geometrically_with_bounded_jitter() {
@@ -416,31 +421,38 @@ mod tests {
         ctl.map().unlink();
         let sup = SuperviseConfig::default();
 
-        ctl.set_clock_ns(1, 1_000);
-        ctl.set_inflight(1, 42 + 1);
+        let word = |w: &std::sync::atomic::AtomicU64| w.load(Acquire);
+        ctl.clock_ns[1].store(1_000, Release);
+        ctl.set_inflight(1, Some(42));
         on_restart(&ctl, &sup, 9, 1, 1, CrashKind::Crash);
-        assert_eq!(ctl.lost(1), 1);
+        assert_eq!(word(&ctl.lost[1]), 1);
         assert_eq!(ctl.inflight(1), None);
-        assert_eq!(ctl.restarts(1), 1);
-        assert!(ctl.clock_ns(1) > 1_000 + sup.kill_detect_ns);
+        assert_eq!(word(&ctl.restarts[1]), 1);
+        assert!(word(&ctl.clock_ns[1]) > 1_000 + sup.kill_detect_ns);
         let events = ctl.events();
-        assert!(events.contains(&(1_000, 42, EV_LOST_BASE + 1)));
+        let lost = RuntimeEventKind::Lost {
+            stage: "preprocess",
+        };
+        let restart = RuntimeEventKind::Restart {
+            stage: "preprocess",
+        };
+        assert!(events.contains(&(1_000, 42, lost.code())));
         assert!(events
             .iter()
-            .any(|&(_, a, c)| c == EV_RESTART_BASE + 1 && a == 1));
+            .any(|&(_, a, c)| c == restart.code() && a == 1));
         assert_eq!(ctl.recoveries().len(), 1);
 
         // A second restart with nothing in flight loses nothing more.
         on_restart(&ctl, &sup, 9, 1, 2, CrashKind::Hang);
-        assert_eq!(ctl.lost(1), 1);
-        assert_eq!(ctl.restarts(1), 2);
+        assert_eq!(word(&ctl.lost[1]), 1);
+        assert_eq!(word(&ctl.restarts[1]), 2);
 
         // Budget exhaustion accounts the in-flight frame without a penalty.
-        ctl.set_inflight(2, 7 + 1);
-        let before = ctl.clock_ns(2);
+        ctl.set_inflight(2, Some(7));
+        let before = word(&ctl.clock_ns[2]);
         give_up(&ctl, 2);
-        assert_eq!(ctl.lost(2), 1);
-        assert_eq!(ctl.clock_ns(2), before);
-        assert_eq!(ctl.restarts(2), 0);
+        assert_eq!(word(&ctl.lost[2]), 1);
+        assert_eq!(word(&ctl.clock_ns[2]), before);
+        assert_eq!(word(&ctl.restarts[2]), 0);
     }
 }

@@ -121,6 +121,19 @@ cargo test -q --offline -p edgebench-devices --lib \
     generated_chaos_plan_is_capped_at_stage_frame_slots
 cargo test -q --offline -p edgebench --lib \
     huge_request_and_replica_counts_are_typed_errors
+# A shared-memory header attach cannot map is a typed Shm error, never a
+# panic or an out-of-bounds view: for the control block a short file, a bad
+# magic or version, regions cut short, and each region cap whose size
+# overflows; for a ring a short map, a bad magic or version, a zero or
+# non-power-of-two capacity, a slot size that disagrees with the payload,
+# and a map shorter than its geometry. A ring too large for any map (a
+# `--ring-capacity` of 2^62) is a typed error too, not an out-of-bounds write.
+cargo test -q --offline -p edgebench --lib \
+    ctl_attach_rejects_malformed_headers
+cargo test -q --offline -p edgebench --lib \
+    runtime::ring::tests::attach_rejects_garbage
+cargo test -q --offline -p edgebench --lib \
+    a_ring_no_map_can_hold_is_an_error
 # Every library item is only as visible as its users need, so rustc's
 # dead_code lint sees all of them and clippy -D warnings below is the
 # dead-code guard. An allowance would switch that guard off.
