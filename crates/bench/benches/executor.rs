@@ -17,7 +17,11 @@ fn bench_inference(c: &mut Criterion) {
             ("f16", Precision::F16),
             ("int8", Precision::Int8),
         ] {
-            let exec = Executor::new(&graph).with_seed(1).with_precision(p);
+            let exec = Executor::new(&graph)
+                .with_seed(1)
+                .with_precision(p)
+                .prepare()
+                .expect("prepare");
             g.bench_with_input(
                 BenchmarkId::new(m.name(), label),
                 &(&exec, &x),
@@ -38,11 +42,17 @@ fn bench_fused_vs_unfused_execution(c: &mut Criterion) {
     let mut g = c.benchmark_group("fusion_exec");
     g.sample_size(20);
     g.bench_function("cifarnet_unfused", |b| {
-        let e = Executor::new(&graph).with_seed(1);
+        let e = Executor::new(&graph)
+            .with_seed(1)
+            .prepare()
+            .expect("prepare");
         b.iter(|| black_box(e.run(&x).unwrap()))
     });
     g.bench_function("cifarnet_fused", |b| {
-        let e = Executor::new(&fused).with_seed(1);
+        let e = Executor::new(&fused)
+            .with_seed(1)
+            .prepare()
+            .expect("prepare");
         b.iter(|| black_box(e.run(&x).unwrap()))
     });
     g.finish();

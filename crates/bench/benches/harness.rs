@@ -1,6 +1,6 @@
-//! Harness-level benches for the PR's two speedups: the materialized-weight
-//! executor cache (repeated inference without re-deriving weights per node)
-//! and the parallel sweep/experiment runner.
+//! Harness-level benches: repeated inference through a prepared executor,
+//! the one-shot cost of `prepare` itself, and the parallel
+//! sweep/experiment runner.
 //!
 //! Run with `cargo bench --offline -p edgebench-bench --bench harness`.
 
@@ -12,21 +12,14 @@ use edgebench_models::Model;
 use edgebench_tensor::{Executor, Precision, Tensor};
 use std::hint::black_box;
 
-/// Repeated inference on CifarNet: the on-the-fly executor regenerates and
-/// lowers every weight tensor per run; `PreparedExecutor` materializes them
-/// once at `prepare()` time, so the steady-state gap is the cache win.
+/// Repeated inference on CifarNet through `PreparedExecutor`, whose weights
+/// were materialized once at `prepare()` time.
 fn bench_weight_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("weight_cache");
     g.sample_size(20);
     for (label, p) in [("f32", Precision::F32), ("int8", Precision::Int8)] {
         let graph = Model::CifarNet.build();
         let x = Tensor::random([1, 3, 32, 32], 7);
-        let exec = Executor::new(&graph).with_seed(1).with_precision(p);
-        g.bench_with_input(
-            BenchmarkId::new("on_the_fly", label),
-            &(&exec, &x),
-            |b, (exec, x)| b.iter(|| black_box(exec.run(x).unwrap())),
-        );
         let prepared = Executor::new(&graph)
             .with_seed(1)
             .with_precision(p)
@@ -41,8 +34,8 @@ fn bench_weight_cache(c: &mut Criterion) {
     g.finish();
 }
 
-/// Amortized cost of `prepare()` itself: one materialization plus a run,
-/// against a plain run — the break-even point for one-shot callers.
+/// The one-shot cost of `prepare()` itself: one materialization plus a run
+/// (what `Executor::run` does).
 fn bench_prepare_overhead(c: &mut Criterion) {
     let graph = Model::CifarNet.build();
     let x = Tensor::random([1, 3, 32, 32], 7);
@@ -56,10 +49,6 @@ fn bench_prepare_overhead(c: &mut Criterion) {
                 .expect("prepare");
             black_box(prepared.run(&x).unwrap())
         })
-    });
-    g.bench_function("plain_run", |b| {
-        let exec = Executor::new(&graph).with_seed(1);
-        b.iter(|| black_box(exec.run(&x).unwrap()))
     });
     g.finish();
 }

@@ -16,13 +16,13 @@ pub enum ExecError {
     },
     /// The graph has no input node to feed.
     NoInput,
-    /// The execution plan paired a node with parameters (or a fused inner
-    /// op) it cannot execute — a malformed or corrupted plan. Degrades the
-    /// run instead of aborting the process.
-    InternalPlanMismatch {
+    /// The graph holds a node the executor cannot run: a second input
+    /// node, or a fused node around an op it cannot fuse. Found when the
+    /// plan is compiled, before anything runs.
+    UnsupportedGraph {
         /// Name of the offending node.
         node: String,
-        /// What was inconsistent about the plan.
+        /// What the executor cannot run.
         detail: String,
     },
     /// A buffer the executor needs (packed weights, the activation arena,
@@ -52,8 +52,8 @@ impl fmt::Display for ExecError {
                 write!(f, "input shape mismatch: expected {expected}, got {actual}")
             }
             ExecError::NoInput => write!(f, "graph has no input node"),
-            ExecError::InternalPlanMismatch { node, detail } => {
-                write!(f, "internal plan mismatch at node {node}: {detail}")
+            ExecError::UnsupportedGraph { node, detail } => {
+                write!(f, "unsupported graph at node {node}: {detail}")
             }
             ExecError::OutOfMemory { node, bytes } => {
                 write!(f, "cannot allocate {bytes} bytes for node {node}")
@@ -79,13 +79,13 @@ mod tests {
 
     #[test]
     fn display_is_stable() {
-        let e = ExecError::InternalPlanMismatch {
+        let e = ExecError::UnsupportedGraph {
             node: "conv0".into(),
             detail: "fused around non-conv op".into(),
         };
         assert_eq!(
             e.to_string(),
-            "internal plan mismatch at node conv0: fused around non-conv op"
+            "unsupported graph at node conv0: fused around non-conv op"
         );
         let c = ExecError::Corrupted {
             node: "dense1".into(),

@@ -1,15 +1,15 @@
-//! The graph interpreter: runs an [`edgebench_graph::Graph`] numerically
-//! with deterministic synthetic weights.
+//! The graph interpreter: compiles an [`edgebench_graph::Graph`] once into
+//! a plan of typed steps, with deterministic synthetic weights, and runs
+//! the plan.
 
 use crate::gemm::{self, ConvAlgo, Epilogue, GemmScratch, PackedPanels};
 use crate::kernels;
 use crate::quant::fake_quantize_slice;
 use crate::simd::{self, KernelKind, MR, NR};
 use crate::{ExecError, Tensor};
-use edgebench_graph::{ActivationKind, Graph, Node, Op, TensorShape};
+use edgebench_graph::{ActivationKind, Graph, Node, Op, PoolKind, TensorShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::borrow::Cow;
 use std::collections::TryReserveError;
 use std::sync::Mutex;
 
@@ -203,8 +203,8 @@ pub struct RunStats {
 type NodeObserver<'a> = dyn FnMut(usize, &mut Tensor) -> Result<(), ExecError> + 'a;
 
 /// Per-run scratch memory: retired activation buffers, GEMM packing
-/// buffers, and the interpreter's bookkeeping vectors, all reused across
-/// inferences so steady-state execution does no heap allocation.
+/// buffers, and the run's slot bookkeeping, all reused across inferences
+/// so a steady-state run allocates no activation buffer.
 ///
 /// Every kernel that writes into an arena tensor overwrites *all* of its
 /// elements, so recycled buffers never need zeroing.
@@ -218,10 +218,6 @@ struct Arena {
     taps: Vec<simd::TapMask>,
     /// Per-node activation slots, recycled between runs.
     slots: Vec<Option<Tensor>>,
-    /// Per-node last-consumer indices, recycled between runs.
-    last_use: Vec<usize>,
-    /// Per-node live byte counts for peak accounting, recycled between runs.
-    lives: Vec<usize>,
 }
 
 impl Arena {
@@ -253,187 +249,411 @@ impl Arena {
     }
 }
 
-/// A node's first input as the interpreter hands it to the dispatcher:
-/// either owned (the producing slot was stolen because this node is its
-/// last consumer, enabling in-place execution) or borrowed.
-enum First<'a> {
-    Owned(Tensor),
-    Borrowed(&'a Tensor),
-}
-
-impl First<'_> {
-    fn tensor(&self) -> &Tensor {
-        match self {
-            First::Owned(t) => t,
-            First::Borrowed(t) => t,
-        }
-    }
-
-    /// Converts into an owned tensor an in-place kernel may mutate; the
-    /// borrowed case copies into an arena buffer (the producer has other
-    /// consumers left).
-    fn into_tensor(self, arena: &mut Arena) -> Tensor {
-        match self {
-            First::Owned(t) => t,
-            First::Borrowed(t) => {
-                let mut fresh = arena.take(t.shape());
-                fresh.data_mut().copy_from_slice(t.data());
-                fresh
-            }
-        }
-    }
-}
-
-/// A node's cached weights, in the layout its kernel reads.
-#[derive(Debug, Clone)]
-enum Weights {
-    /// Natural layout: direct, depthwise and 3-D convolutions, dense
-    /// layers on the direct loop, and the im2col convolutions of a pruned
-    /// store (the zero-skipping GEMM reads natural rows).
-    Natural(Tensor),
-    /// Packed once into the GEMM's full-depth panels: `MR`-row A panels
-    /// for im2col convolutions, `NR`-row B panels for dense layers.
-    Packed(PackedPanels),
-}
-
-impl Weights {
-    /// The stored buffer (panel padding included) — what checksums cover.
-    fn data(&self) -> &[f32] {
-        match self {
-            Weights::Natural(t) => t.data(),
-            Weights::Packed(p) => p.data(),
-        }
-    }
-
-    fn data_mut(&mut self) -> &mut [f32] {
-        match self {
-            Weights::Natural(t) => t.data_mut(),
-            Weights::Packed(p) => p.data_mut(),
-        }
-    }
-
+/// A parameter buffer as the SDC layer addresses it: by logical (natural
+/// row-major) element, each mapped to its slot in the stored buffer. Only
+/// packed panels differ from their natural layout.
+trait Stored {
+    /// The stored buffer, panel padding included — what checksums cover.
+    fn buf(&self) -> &[f32];
+    fn buf_mut(&mut self) -> &mut [f32];
     /// Logical weight count: the natural tensor's, padding excluded.
     fn logical_len(&self) -> usize {
-        match self {
-            Weights::Natural(t) => t.len(),
-            Weights::Packed(p) => p.logical_len(),
-        }
+        self.buf().len()
     }
-
-    /// Buffer slot of logical (natural row-major) element `e`.
-    fn physical(&self, e: usize) -> usize {
-        match self {
-            Weights::Natural(_) => e,
-            Weights::Packed(p) => p.physical(e),
-        }
-    }
-
-    /// The natural tensor, for the kernels that read no panels.
-    fn natural(&self, node: &Node) -> Result<&Tensor, ExecError> {
-        match self {
-            Weights::Natural(t) => Ok(t),
-            Weights::Packed(_) => Err(ExecError::InternalPlanMismatch {
-                node: node.name().to_string(),
-                detail: "packed weights on a kernel that reads natural ones".into(),
-            }),
-        }
+    /// Buffer slot of logical element `e`.
+    fn slot(&self, e: usize) -> usize {
+        e
     }
 }
 
-/// Materialized learned parameters for one node: what [`WeightStore`]
-/// derives from the node name, generated once and reusable across
-/// inferences. Weights are stored already lowered to the executor's
-/// [`Precision`] (biases stay `f32`, exactly as the on-the-fly path
-/// applies them).
-#[derive(Debug, Clone)]
-enum NodeParams {
-    /// The node has no learned parameters (pooling, activation, …).
-    None,
-    /// Conv2d / DepthwiseConv2d / Conv3d / Dense weights and bias.
-    Linear { w: Weights, b: Option<Vec<f32>> },
-    /// Standalone batch-norm scale and shift.
-    Bn { gamma: Vec<f32>, beta: Vec<f32> },
-    /// Fused conv + optional folded batch-norm.
-    Fused {
-        w: Weights,
-        b: Option<Vec<f32>>,
-        bn: Option<(Vec<f32>, Vec<f32>)>,
-    },
+impl Stored for Tensor {
+    fn buf(&self) -> &[f32] {
+        self.data()
+    }
+    fn buf_mut(&mut self) -> &mut [f32] {
+        self.data_mut()
+    }
 }
 
-impl NodeParams {
-    fn weights(&self) -> Option<&Weights> {
-        match self {
-            NodeParams::Linear { w, .. } | NodeParams::Fused { w, .. } => Some(w),
-            NodeParams::None | NodeParams::Bn { .. } => None,
-        }
+impl Stored for Vec<f32> {
+    fn buf(&self) -> &[f32] {
+        self
     }
-
-    fn weights_mut(&mut self) -> Option<&mut Weights> {
-        match self {
-            NodeParams::Linear { w, .. } | NodeParams::Fused { w, .. } => Some(w),
-            NodeParams::None | NodeParams::Bn { .. } => None,
-        }
+    fn buf_mut(&mut self) -> &mut [f32] {
+        self
     }
+}
 
-    /// The parts after the weights, in canonical order: bias, then
-    /// batch-norm gamma and beta.
-    fn vectors(&self) -> Vec<&[f32]> {
-        match self {
-            NodeParams::None => Vec::new(),
-            NodeParams::Linear { b, .. } => b.iter().map(Vec::as_slice).collect(),
-            NodeParams::Bn { gamma, beta } => vec![gamma, beta],
-            NodeParams::Fused { b, bn, .. } => {
-                let mut v: Vec<&[f32]> = b.iter().map(Vec::as_slice).collect();
-                if let Some((g, s)) = bn {
-                    v.push(g);
-                    v.push(s);
-                }
-                v
-            }
-        }
+impl Stored for PackedPanels {
+    fn buf(&self) -> &[f32] {
+        self.data()
     }
-
-    fn vectors_mut(&mut self) -> Vec<&mut [f32]> {
-        match self {
-            NodeParams::None => Vec::new(),
-            NodeParams::Linear { b, .. } => b.iter_mut().map(Vec::as_mut_slice).collect(),
-            NodeParams::Bn { gamma, beta } => vec![gamma, beta],
-            NodeParams::Fused { b, bn, .. } => {
-                let mut v: Vec<&mut [f32]> = b.iter_mut().map(Vec::as_mut_slice).collect();
-                if let Some((g, s)) = bn {
-                    v.push(g);
-                    v.push(s);
-                }
-                v
-            }
-        }
+    fn buf_mut(&mut self) -> &mut [f32] {
+        self.data_mut()
     }
-
-    /// Logical parameter words: weights (padding excluded), bias, gamma,
-    /// beta.
     fn logical_len(&self) -> usize {
-        self.weights().map_or(0, Weights::logical_len)
-            + self.vectors().iter().map(|v| v.len()).sum::<usize>()
+        PackedPanels::logical_len(self)
+    }
+    fn slot(&self, e: usize) -> usize {
+        self.physical(e)
+    }
+}
+
+/// What a layer applies to its output in the same pass: bias, folded batch
+/// norm and activation (a dense layer folds no batch norm, and a 3-D
+/// convolution only its bias). Biases and batch-norm parameters stay `f32`
+/// at every precision.
+#[derive(Debug)]
+struct Tail {
+    b: Option<Vec<f32>>,
+    bn: Option<(Vec<f32>, Vec<f32>)>,
+    act: ActivationKind,
+}
+
+impl Tail {
+    fn epilogue(&self) -> Epilogue<'_> {
+        Epilogue {
+            bias: self.b.as_deref(),
+            bn: self.bn.as_ref().map(|(g, s)| (g.as_slice(), s.as_slice())),
+            act: self.act,
+        }
+    }
+
+    /// The weights `w`, then bias, gamma and beta: a layer's parameters in
+    /// the SDC layer's canonical order.
+    fn params<'a>(&'a self, w: &'a dyn Stored) -> Vec<&'a dyn Stored> {
+        let bn = self.bn.iter().flat_map(|(g, s)| [g, s]);
+        let vectors = self.b.iter().chain(bn).map(|v| v as &dyn Stored);
+        std::iter::once(w).chain(vectors).collect()
+    }
+
+    fn params_mut<'a>(&'a mut self, w: &'a mut dyn Stored) -> Vec<&'a mut dyn Stored> {
+        let bn = self.bn.iter_mut().flat_map(|(g, s)| [g, s]);
+        let vectors = self.b.iter_mut().chain(bn).map(|v| v as &mut dyn Stored);
+        std::iter::once(w).chain(vectors).collect()
+    }
+}
+
+/// A step's kernel, holding exactly the operands it reads. Weights are
+/// generated at prepare, lowered to the run precision, in the layout the
+/// kernel reads.
+#[derive(Debug)]
+enum Kernel {
+    /// im2col convolution over weights packed into `MR`-row GEMM panels.
+    ConvPacked {
+        w: PackedPanels,
+        kernel: (usize, usize),
+        stride: (usize, usize),
+        padding: (usize, usize),
+        tail: Tail,
+    },
+    /// im2col convolution of a pruned store: the zero-skipping GEMM reads
+    /// the natural weight rows (byte-identical to the packed GEMM).
+    ConvPruned {
+        w: Tensor,
+        stride: (usize, usize),
+        padding: (usize, usize),
+        tail: Tail,
+    },
+    /// Direct convolution, for small or grouped layers.
+    ConvDirect {
+        w: Tensor,
+        stride: (usize, usize),
+        padding: (usize, usize),
+        groups: usize,
+        tail: Tail,
+    },
+    /// Depthwise convolution on the arena's kernel tier.
+    Depthwise {
+        w: Tensor,
+        stride: (usize, usize),
+        padding: (usize, usize),
+        multiplier: usize,
+        tail: Tail,
+    },
+    Conv3d {
+        w: Tensor,
+        stride: (usize, usize, usize),
+        padding: (usize, usize, usize),
+        tail: Tail,
+    },
+    /// Dense layer over weights packed into `NR`-row GEMM panels.
+    DensePacked {
+        w: PackedPanels,
+        tail: Tail,
+    },
+    /// Dense layer too small to pack: one dot product per output.
+    DenseDirect {
+        w: Tensor,
+        tail: Tail,
+    },
+    Pool {
+        kind: PoolKind,
+        kernel: (usize, usize),
+        stride: (usize, usize),
+        padding: (usize, usize),
+    },
+    Pool3d {
+        kind: PoolKind,
+        kernel: (usize, usize, usize),
+        stride: (usize, usize, usize),
+    },
+    BatchNorm {
+        gamma: Vec<f32>,
+        beta: Vec<f32>,
+    },
+    Lrn {
+        size: usize,
+    },
+    Activation(ActivationKind),
+    Add,
+    Mul,
+    Concat,
+    Slice {
+        start: usize,
+        len: usize,
+    },
+    Upsample(usize),
+    Flatten,
+    Softmax,
+    Dropout,
+}
+
+impl Kernel {
+    /// Whether the kernel rewrites its first input's buffer into its
+    /// output instead of writing a fresh one.
+    fn rewrites_input(&self) -> bool {
+        matches!(
+            self,
+            Kernel::BatchNorm { .. }
+                | Kernel::Activation(_)
+                | Kernel::Add
+                | Kernel::Mul
+                | Kernel::Flatten
+                | Kernel::Softmax
+                | Kernel::Dropout
+        )
+    }
+
+    /// The learned parameters in the SDC layer's canonical order: the
+    /// weights, then bias, batch-norm gamma and beta.
+    fn params(&self) -> Vec<&dyn Stored> {
+        match self {
+            Kernel::ConvPacked { w, tail, .. } | Kernel::DensePacked { w, tail } => tail.params(w),
+            Kernel::ConvPruned { w, tail, .. }
+            | Kernel::ConvDirect { w, tail, .. }
+            | Kernel::Depthwise { w, tail, .. }
+            | Kernel::Conv3d { w, tail, .. }
+            | Kernel::DenseDirect { w, tail } => tail.params(w),
+            Kernel::BatchNorm { gamma, beta } => vec![gamma, beta],
+            _ => Vec::new(),
+        }
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut dyn Stored> {
+        match self {
+            Kernel::ConvPacked { w, tail, .. } | Kernel::DensePacked { w, tail } => {
+                tail.params_mut(w)
+            }
+            Kernel::ConvPruned { w, tail, .. }
+            | Kernel::ConvDirect { w, tail, .. }
+            | Kernel::Depthwise { w, tail, .. }
+            | Kernel::Conv3d { w, tail, .. }
+            | Kernel::DenseDirect { w, tail } => tail.params_mut(w),
+            Kernel::BatchNorm { gamma, beta } => vec![gamma, beta],
+            _ => Vec::new(),
+        }
+    }
+
+    /// Logical parameter words, panel padding excluded.
+    fn param_elems(&self) -> usize {
+        self.params().iter().map(|p| p.logical_len()).sum()
     }
 
     /// FNV-1a checksum over every stored parameter word, weights first
     /// (padding included, so any flip in the buffer shows).
     fn checksum(&self) -> u64 {
-        let mut parts: Vec<&[f32]> = self.weights().map(Weights::data).into_iter().collect();
-        parts.extend(self.vectors());
+        let parts: Vec<&[f32]> = self.params().iter().map(|p| p.buf()).collect();
         crate::integrity::checksum_parts(&parts)
     }
 }
 
-/// Executes a graph with synthetic weights at a chosen [`Precision`].
+/// Where a step's output buffer comes from, decided at prepare.
+#[derive(Debug, Clone, Copy)]
+enum Output {
+    /// A fresh arena buffer.
+    Fresh,
+    /// The first input's buffer, rewritten in place: this step is its last
+    /// reader and reads it through no other input.
+    Reuse,
+    /// An arena copy of the first input, rewritten in place: the input has
+    /// readers after this step.
+    Copy,
+}
+
+/// One node of the compiled plan: its kernel, and the slot bookkeeping
+/// fixed at prepare.
 #[derive(Debug)]
+struct Step<'g> {
+    /// The graph node. Its index names the slot the step writes and is
+    /// what observers and the SDC layer address; its inputs name the slots
+    /// the kernel reads.
+    node: &'g Node,
+    kernel: Kernel,
+    output: Output,
+    /// Slots whose last reader this step is, freed once it has run (its
+    /// own, when nothing reads it).
+    frees: Vec<usize>,
+    /// Activation bytes those slots hold, from the static shapes.
+    freed_bytes: usize,
+    /// Prepare-time checksum of the kernel's parameters — the pristine
+    /// reference integrity scrubs verify against.
+    checksum: u64,
+}
+
+impl Step<'_> {
+    /// The tensor of the step's `k`-th input.
+    fn input<'s>(&self, slots: &'s [Option<Tensor>], k: usize) -> &'s Tensor {
+        slots[self.node.inputs()[k].index()]
+            .as_ref()
+            .expect("steps run in graph order")
+    }
+
+    /// The step's output buffer, as its [`Output`] decision says.
+    fn output(&self, slots: &mut [Option<Tensor>], arena: &mut Arena) -> Tensor {
+        match self.output {
+            Output::Fresh => arena.take(self.node.output_shape()),
+            Output::Reuse => slots[self.node.inputs()[0].index()]
+                .take()
+                .expect("steps run in graph order"),
+            Output::Copy => {
+                let x = self.input(slots, 0);
+                let mut t = arena.take(x.shape());
+                t.data_mut().copy_from_slice(x.data());
+                t
+            }
+        }
+    }
+
+    /// Runs the kernel into `out`, the buffer [`Step::output`] gave.
+    fn apply(&self, slots: &[Option<Tensor>], out: &mut Tensor, arena: &mut Arena, threads: usize) {
+        let x = |k| self.input(slots, k);
+        match &self.kernel {
+            Kernel::ConvPacked {
+                w,
+                kernel,
+                stride,
+                padding,
+                tail,
+            } => gemm::conv2d_packed_into(
+                x(0),
+                w,
+                *kernel,
+                *stride,
+                *padding,
+                &tail.epilogue(),
+                threads,
+                out,
+                &mut arena.gemm,
+            ),
+            Kernel::ConvPruned {
+                w,
+                stride,
+                padding,
+                tail,
+            } => gemm::conv2d_gemm_into(
+                x(0),
+                w,
+                *stride,
+                *padding,
+                &tail.epilogue(),
+                true,
+                threads,
+                out,
+                &mut arena.gemm,
+            ),
+            Kernel::ConvDirect {
+                w,
+                stride,
+                padding,
+                groups,
+                tail,
+            } => {
+                let e = tail.epilogue();
+                kernels::conv2d_into(x(0), w, e.bias, *stride, *padding, *groups, out);
+                kernels::bn_act_inplace(out, e.bn, e.act);
+            }
+            Kernel::Depthwise {
+                w,
+                stride,
+                padding,
+                multiplier,
+                tail,
+            } => {
+                let (tier, e) = (arena.gemm.kernel(), tail.epilogue());
+                let (s, p, m) = (*stride, *padding, *multiplier);
+                simd::depthwise(tier, x(0), w, e.bias, s, p, m, out, &mut arena.taps);
+                kernels::bn_act_inplace(out, e.bn, e.act);
+            }
+            Kernel::Conv3d {
+                w,
+                stride,
+                padding,
+                tail,
+            } => kernels::conv3d_into(x(0), w, tail.b.as_deref(), *stride, *padding, out),
+            Kernel::DensePacked { w, tail } => {
+                let (b, act) = (tail.b.as_deref(), tail.act);
+                gemm::dense_packed_into(x(0), w, b, act, threads, out, &mut arena.gemm)
+            }
+            Kernel::DenseDirect { w, tail } => {
+                gemm::dense_direct_into(x(0), w, tail.b.as_deref(), tail.act, out)
+            }
+            Kernel::Pool {
+                kind,
+                kernel,
+                stride,
+                padding,
+            } => kernels::pool2d_into(x(0), *kind, *kernel, *stride, *padding, out),
+            Kernel::Pool3d {
+                kind,
+                kernel,
+                stride,
+            } => kernels::pool3d_into(x(0), *kind, *kernel, *stride, out),
+            Kernel::BatchNorm { gamma, beta } => kernels::batch_norm_inplace(out, gamma, beta),
+            Kernel::Lrn { size } => kernels::lrn_into(x(0), *size, out),
+            Kernel::Activation(kind) => kernels::activation_inplace(out, *kind),
+            Kernel::Add => kernels::add_assign(out, x(1)),
+            Kernel::Mul => kernels::mul_assign(out, x(1)),
+            Kernel::Concat => kernels::concat_into((0..self.node.inputs().len()).map(x), out),
+            Kernel::Slice { start, len } => kernels::slice2_into(x(0), *start, *len, out),
+            Kernel::Upsample(factor) => kernels::upsample_into(x(0), *factor, out),
+            Kernel::Flatten => {
+                let n = out.shape().batch();
+                let f = out.len() / n;
+                out.reshape([n, f]);
+            }
+            Kernel::Softmax => kernels::softmax_inplace(out),
+            Kernel::Dropout => {}
+        }
+    }
+}
+
+/// Executes a graph with synthetic weights at a chosen [`Precision`].
+#[derive(Debug, Clone)]
 pub struct Executor<'g> {
     graph: &'g Graph,
     weights: WeightStore,
     precision: Precision,
     threads: usize,
     kernel: KernelKind,
+}
+
+/// [`ExecError::OutOfMemory`] for a buffer of `bytes` that `node` needs.
+fn oom(node: &Node, bytes: usize) -> ExecError {
+    ExecError::OutOfMemory {
+        node: node.name().to_string(),
+        bytes,
+    }
 }
 
 impl<'g> Executor<'g> {
@@ -504,11 +724,6 @@ impl<'g> Executor<'g> {
         &self.weights
     }
 
-    fn lower(&self, mut t: Tensor) -> Tensor {
-        self.lower_slice(t.data_mut());
-        t
-    }
-
     /// Rounds values through the run precision in place. Zero maps to
     /// zero at every precision and the int8 grid always spans zero, so
     /// lowering a packed panel buffer, padding and all, gives exactly the
@@ -523,42 +738,35 @@ impl<'g> Executor<'g> {
         }
     }
 
-    /// The weights of `node`, natural-shaped `shape`, in the layout its
-    /// kernel reads, lowered to the run precision. `panels` names the GEMM
-    /// operand width (`MR` for an im2col conv, `NR` for a dense layer) when
-    /// the kernel reads prepacked panels.
-    fn weights_for(
+    /// The weights of `node` in their natural `shape`, lowered to the run
+    /// precision.
+    fn natural(&self, node: &Node, shape: Vec<usize>, fan_in: usize) -> Result<Tensor, ExecError> {
+        let bytes = shape.iter().product::<usize>().saturating_mul(4);
+        let mut t = self
+            .weights
+            .try_weight(node.name(), shape, fan_in)
+            .map_err(|_| oom(node, bytes))?;
+        self.lower_slice(t.data_mut());
+        Ok(t)
+    }
+
+    /// The `[rows×k]` weight matrix of `node`, generated straight into the
+    /// `width`-row GEMM panels its kernel reads (`MR` for an im2col
+    /// convolution, `NR` for a dense layer) and lowered to the run
+    /// precision.
+    fn packed(
         &self,
         node: &Node,
-        shape: Vec<usize>,
+        (rows, k): (usize, usize),
         fan_in: usize,
-        panels: Option<usize>,
-    ) -> Result<Weights, ExecError> {
-        let elems: usize = shape.iter().product();
-        let oom = |bytes: usize| ExecError::OutOfMemory {
-            node: node.name().to_string(),
-            bytes,
-        };
-        let elem = std::mem::size_of::<f32>();
-        match panels {
-            Some(width) => {
-                let rows = shape[0];
-                let k = elems / rows.max(1);
-                let mut p = self
-                    .weights
-                    .packed_weight(node.name(), (rows, k), fan_in, width)
-                    .map_err(|_| oom(rows.div_ceil(width).saturating_mul(width * k * elem)))?;
-                self.lower_slice(p.data_mut());
-                Ok(Weights::Packed(p))
-            }
-            None => {
-                let t = self
-                    .weights
-                    .try_weight(node.name(), shape, fan_in)
-                    .map_err(|_| oom(elems.saturating_mul(elem)))?;
-                Ok(Weights::Natural(self.lower(t)))
-            }
-        }
+        width: usize,
+    ) -> Result<PackedPanels, ExecError> {
+        let mut p = self
+            .weights
+            .packed_weight(node.name(), (rows, k), fan_in, width)
+            .map_err(|_| oom(node, rows.div_ceil(width).saturating_mul(width * k * 4)))?;
+        self.lower_slice(p.data_mut());
+        Ok(p)
     }
 
     /// The key under which batch-norm parameters for `node` are stored: the
@@ -573,9 +781,7 @@ impl<'g> Executor<'g> {
     }
 
     /// The input-channel count a node's first input carries, read from the
-    /// graph's static shapes so parameters can be materialized without a
-    /// runtime tensor. Identical to `inputs[0].shape().channels()` during
-    /// execution — the kernel outputs match the inferred shapes.
+    /// graph's static shapes (the kernel outputs match the inferred shapes).
     fn static_in_channels(&self, node: &Node) -> usize {
         let &producer = node
             .inputs()
@@ -584,376 +790,202 @@ impl<'g> Executor<'g> {
         self.graph.node(producer).output_shape().channels()
     }
 
-    /// Materializes the weight/bias pair for a conv-family op (`Conv2d`,
-    /// `DepthwiseConv2d`) under `name` — the single source of the weight
-    /// key-and-shape convention, shared by the plain and fused paths.
-    fn conv_params(
+    /// Compiles `node` into the kernel its op and static shapes select,
+    /// with every learned parameter it reads generated and lowered.
+    /// Parameters are keyed by node name, so compiling a node again gives
+    /// the same bits.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::UnsupportedGraph`] for a second input node or a fused
+    /// node around a non-convolution, and [`ExecError::OutOfMemory`] when
+    /// the weights cannot be allocated.
+    fn compile(&self, node: &Node) -> Result<Kernel, ExecError> {
+        let name = node.name();
+        Ok(match *node.op() {
+            Op::Input { .. } => {
+                return Err(ExecError::UnsupportedGraph {
+                    node: name.to_string(),
+                    detail: "a second input, but a run feeds one tensor".into(),
+                })
+            }
+            ref conv @ (Op::Conv2d { .. } | Op::DepthwiseConv2d { .. }) => {
+                self.conv(node, conv, None, ActivationKind::Linear)?
+            }
+            Op::FusedConvBnAct { ref conv, bn, act } => {
+                let c = node.output_shape().channels();
+                let bn = bn.then(|| self.weights.bn_params(&format!("bn:{name}"), c));
+                self.conv(node, conv, bn, act)?
+            }
+            Op::Conv3d {
+                out_channels,
+                kernel: (kd, kh, kw),
+                stride,
+                padding,
+                bias,
+            } => {
+                let in_c = self.static_in_channels(node);
+                let fan_in = in_c * kd * kh * kw;
+                let w = self.natural(node, vec![out_channels, in_c, kd, kh, kw], fan_in)?;
+                let b = bias.then(|| self.weights.bias(name, out_channels));
+                let tail = Tail {
+                    b,
+                    bn: None,
+                    act: ActivationKind::Linear,
+                };
+                Kernel::Conv3d {
+                    w,
+                    stride,
+                    padding,
+                    tail,
+                }
+            }
+            Op::Dense { units, bias } => self.dense(node, units, bias, ActivationKind::Linear)?,
+            Op::FusedDenseAct { units, bias, act } => self.dense(node, units, bias, act)?,
+            Op::Pool {
+                kind,
+                kernel,
+                stride,
+                padding,
+            } => Kernel::Pool {
+                kind,
+                kernel,
+                stride,
+                padding,
+            },
+            Op::Pool3d {
+                kind,
+                kernel,
+                stride,
+            } => Kernel::Pool3d {
+                kind,
+                kernel,
+                stride,
+            },
+            Op::BatchNorm => {
+                let c = self.static_in_channels(node);
+                let (gamma, beta) = self.weights.bn_params(&self.bn_key(node), c);
+                Kernel::BatchNorm { gamma, beta }
+            }
+            Op::Lrn { size } => Kernel::Lrn { size },
+            Op::Activation { kind } => Kernel::Activation(kind),
+            Op::Add => Kernel::Add,
+            Op::Mul => Kernel::Mul,
+            Op::Concat => Kernel::Concat,
+            Op::Slice { start, len } => Kernel::Slice { start, len },
+            Op::Upsample { factor } => Kernel::Upsample(factor),
+            Op::Flatten => Kernel::Flatten,
+            Op::Softmax => Kernel::Softmax,
+            Op::Dropout => Kernel::Dropout,
+        })
+    }
+
+    /// Compiles a conv-family op (`Conv2d` or `DepthwiseConv2d`, alone or
+    /// inside `FusedConvBnAct`) with its fused batch norm and activation:
+    /// the single source of the conv weight key-and-shape convention and
+    /// of the choice between its kernels.
+    fn conv(
         &self,
         node: &Node,
         conv: &Op,
-        in_c: usize,
-    ) -> Result<(Weights, Option<Vec<f32>>), ExecError> {
-        let name = node.name();
-        match conv {
+        bn: Option<(Vec<f32>, Vec<f32>)>,
+        act: ActivationKind,
+    ) -> Result<Kernel, ExecError> {
+        let (name, in_c) = (node.name(), self.static_in_channels(node));
+        match *conv {
             Op::Conv2d {
                 out_channels,
                 kernel,
+                stride,
+                padding,
                 groups,
                 bias,
-                ..
             } => {
+                let b = bias.then(|| self.weights.bias(name, out_channels));
+                let tail = Tail { b, bn, act };
                 let fan_in = (in_c / groups) * kernel.0 * kernel.1;
+                let shape = vec![out_channels, in_c / groups, kernel.0, kernel.1];
                 let out_elems = node.output_shape().num_elements();
-                // A pruned store runs im2col convs on the zero-skipping
-                // GEMM, which reads the natural weight rows.
-                let packed = self.weights.sparsity <= 0.0
-                    && gemm::select_conv_algo(out_elems, fan_in, *groups) == ConvAlgo::Im2colGemm;
-                let w = self.weights_for(
-                    node,
-                    vec![*out_channels, in_c / groups, kernel.0, kernel.1],
-                    fan_in,
-                    packed.then_some(MR),
-                )?;
-                Ok((w, bias.then(|| self.weights.bias(name, *out_channels))))
+                Ok(match gemm::select_conv_algo(out_elems, fan_in, groups) {
+                    ConvAlgo::Direct => Kernel::ConvDirect {
+                        w: self.natural(node, shape, fan_in)?,
+                        stride,
+                        padding,
+                        groups,
+                        tail,
+                    },
+                    // A pruned store runs im2col convolutions on the
+                    // zero-skipping GEMM, which reads the natural rows.
+                    ConvAlgo::Im2colGemm if self.weights.sparsity > 0.0 => Kernel::ConvPruned {
+                        w: self.natural(node, shape, fan_in)?,
+                        stride,
+                        padding,
+                        tail,
+                    },
+                    ConvAlgo::Im2colGemm => Kernel::ConvPacked {
+                        w: self.packed(node, (out_channels, fan_in), fan_in, MR)?,
+                        kernel,
+                        stride,
+                        padding,
+                        tail,
+                    },
+                })
             }
             Op::DepthwiseConv2d {
                 multiplier,
                 kernel,
+                stride,
+                padding,
                 bias,
-                ..
             } => {
                 let out_c = in_c * multiplier;
+                let b = bias.then(|| self.weights.bias(name, out_c));
                 let fan_in = kernel.0 * kernel.1;
-                let w = self.weights_for(node, vec![out_c, 1, kernel.0, kernel.1], fan_in, None)?;
-                Ok((w, bias.then(|| self.weights.bias(name, out_c))))
+                Ok(Kernel::Depthwise {
+                    w: self.natural(node, vec![out_c, 1, kernel.0, kernel.1], fan_in)?,
+                    stride,
+                    padding,
+                    multiplier,
+                    tail: Tail { b, bn, act },
+                })
             }
-            other => Err(ExecError::InternalPlanMismatch {
+            ref other => Err(ExecError::UnsupportedGraph {
                 node: name.to_string(),
                 detail: format!("FusedConvBnAct around non-conv op {other:?}"),
             }),
         }
     }
 
-    /// Generates every learned parameter `node` needs, keyed by node name
-    /// exactly as the per-inference path does — so materialized-once and
-    /// generated-every-run execution are bit-identical.
-    fn materialize(&self, node: &Node) -> Result<NodeParams, ExecError> {
-        Ok(match node.op() {
-            op @ (Op::Conv2d { .. } | Op::DepthwiseConv2d { .. }) => {
-                let (w, b) = self.conv_params(node, op, self.static_in_channels(node))?;
-                NodeParams::Linear { w, b }
-            }
-            Op::Conv3d {
-                out_channels,
-                kernel,
-                bias,
-                ..
-            } => {
-                let in_c = self.static_in_channels(node);
-                let fan_in = in_c * kernel.0 * kernel.1 * kernel.2;
-                let w = self.weights_for(
-                    node,
-                    vec![*out_channels, in_c, kernel.0, kernel.1, kernel.2],
-                    fan_in,
-                    None,
-                )?;
-                let b = bias.then(|| self.weights.bias(node.name(), *out_channels));
-                NodeParams::Linear { w, b }
-            }
-            Op::Dense { units, bias } | Op::FusedDenseAct { units, bias, .. } => {
-                let &producer = node.inputs().first().expect("dense has an input");
-                let in_shape = self.graph.node(producer).output_shape();
-                let (n, f) = (in_shape.dim(0), in_shape.dim(1));
-                let gemm = gemm::dense_uses_gemm(n, f, *units);
-                let w = self.weights_for(node, vec![*units, f], f, gemm.then_some(NR))?;
-                let b = bias.then(|| self.weights.bias(node.name(), *units));
-                NodeParams::Linear { w, b }
-            }
-            Op::BatchNorm => {
-                let c = self.static_in_channels(node);
-                let (gamma, beta) = self.weights.bn_params(&self.bn_key(node), c);
-                NodeParams::Bn { gamma, beta }
-            }
-            Op::FusedConvBnAct { conv, bn, .. } => {
-                let (w, b) = self.conv_params(node, conv, self.static_in_channels(node))?;
-                let bn = bn.then(|| {
-                    let c = node.output_shape().channels();
-                    self.weights.bn_params(&format!("bn:{}", node.name()), c)
-                });
-                NodeParams::Fused { w, b, bn }
-            }
-            _ => NodeParams::None,
+    /// Compiles a dense layer: packed panels when its shape runs on the
+    /// GEMM, natural rows for the direct loop.
+    fn dense(
+        &self,
+        node: &Node,
+        units: usize,
+        bias: bool,
+        act: ActivationKind,
+    ) -> Result<Kernel, ExecError> {
+        let &producer = node.inputs().first().expect("dense has an input");
+        let in_shape = self.graph.node(producer).output_shape();
+        let (n, f) = (in_shape.dim(0), in_shape.dim(1));
+        let b = bias.then(|| self.weights.bias(node.name(), units));
+        let tail = Tail { b, bn: None, act };
+        Ok(if gemm::dense_uses_gemm(n, f, units) {
+            let w = self.packed(node, (units, f), f, NR)?;
+            Kernel::DensePacked { w, tail }
+        } else {
+            let w = self.natural(node, vec![units, f], f)?;
+            Kernel::DenseDirect { w, tail }
         })
     }
 
-    /// Runs a conv-family op with already-materialized weights into an
-    /// arena buffer, with the bias/BN/activation epilogue fused in. Large
-    /// dense convolutions take the im2col+GEMM path (what real frameworks
-    /// do); small or grouped ones stay direct. Pruned weight stores select
-    /// the zero-skipping sparse GEMM (byte-identical results).
-    #[allow(clippy::too_many_arguments)]
-    fn conv_into(
-        &self,
-        node: &Node,
-        conv: &Op,
-        x: &Tensor,
-        w: &Weights,
-        b: Option<&[f32]>,
-        bn: Option<(&[f32], &[f32])>,
-        act: ActivationKind,
-        arena: &mut Arena,
-    ) -> Result<Tensor, ExecError> {
-        let epilogue = Epilogue { bias: b, bn, act };
-        let w = match (conv, w) {
-            (
-                Op::Conv2d {
-                    kernel,
-                    stride,
-                    padding,
-                    ..
-                },
-                Weights::Packed(p),
-            ) => {
-                let mut out = arena.take(node.output_shape());
-                gemm::conv2d_packed_into(
-                    x,
-                    p,
-                    *kernel,
-                    *stride,
-                    *padding,
-                    &epilogue,
-                    self.threads,
-                    &mut out,
-                    &mut arena.gemm,
-                );
-                return Ok(out);
-            }
-            (_, w) => w.natural(node)?,
-        };
-        let mut out = arena.take(node.output_shape());
-        match conv {
-            Op::Conv2d {
-                kernel,
-                stride,
-                padding,
-                groups,
-                ..
-            } => {
-                let fan_in = (x.shape().channels() / groups) * kernel.0 * kernel.1;
-                if gemm::select_conv_algo(out.len(), fan_in, *groups) == ConvAlgo::Im2colGemm {
-                    gemm::conv2d_gemm_into(
-                        x,
-                        w,
-                        *stride,
-                        *padding,
-                        &epilogue,
-                        self.weights.sparsity > 0.0,
-                        self.threads,
-                        &mut out,
-                        &mut arena.gemm,
-                    );
-                } else {
-                    kernels::conv2d_into(x, w, b, *stride, *padding, *groups, &mut out);
-                    kernels::bn_act_inplace(&mut out, bn, act);
-                }
-            }
-            Op::DepthwiseConv2d {
-                multiplier,
-                stride,
-                padding,
-                ..
-            } => {
-                simd::depthwise(
-                    arena.gemm.kernel(),
-                    x,
-                    w,
-                    b,
-                    *stride,
-                    *padding,
-                    *multiplier,
-                    &mut out,
-                    &mut arena.taps,
-                );
-                kernels::bn_act_inplace(&mut out, bn, act);
-            }
-            other => {
-                arena.recycle(out);
-                return Err(ExecError::InternalPlanMismatch {
-                    node: node.name().to_string(),
-                    detail: format!("FusedConvBnAct around non-conv op {other:?}"),
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    /// Whether `op` may consume its first input's buffer in place when
-    /// this node is that buffer's last consumer.
-    fn consumes_first(op: &Op) -> bool {
-        matches!(
-            op,
-            Op::Activation { .. }
-                | Op::BatchNorm
-                | Op::Softmax
-                | Op::Dropout
-                | Op::Flatten
-                | Op::Add
-                | Op::Mul
-        )
-    }
-
-    /// Applies `node` using `params`, lowering the result to the executor's
-    /// precision. Shared by the per-run generation path ([`Executor`]) and
-    /// the cached path ([`PreparedExecutor`]). `first` is the first input
-    /// (owned when in-place execution is possible), `rest` the remaining
-    /// inputs. Output buffers come from the arena.
-    fn apply_node(
-        &self,
-        node: &Node,
-        first: First<'_>,
-        rest: &[&Tensor],
-        params: &NodeParams,
-        arena: &mut Arena,
-    ) -> Result<Tensor, ExecError> {
-        let out = match (node.op(), params) {
-            (Op::Input { .. }, _) => unreachable!("inputs are seeded externally"),
-            (
-                op @ (Op::Conv2d { .. } | Op::DepthwiseConv2d { .. }),
-                NodeParams::Linear { w, b },
-            ) => self.conv_into(
-                node,
-                op,
-                first.tensor(),
-                w,
-                b.as_deref(),
-                None,
-                ActivationKind::Linear,
-                arena,
-            )?,
-            (Op::FusedConvBnAct { conv, act, .. }, NodeParams::Fused { w, b, bn }) => self
-                .conv_into(
-                    node,
-                    conv,
-                    first.tensor(),
-                    w,
-                    b.as_deref(),
-                    bn.as_ref().map(|(g, s)| (g.as_slice(), s.as_slice())),
-                    *act,
-                    arena,
-                )?,
-            (
-                Op::Conv3d {
-                    stride, padding, ..
-                },
-                NodeParams::Linear { w, b },
-            ) => kernels::conv3d(
-                first.tensor(),
-                w.natural(node)?,
-                b.as_deref(),
-                *stride,
-                *padding,
-            ),
-            (op @ (Op::Dense { .. } | Op::FusedDenseAct { .. }), NodeParams::Linear { w, b }) => {
-                let act = match op {
-                    Op::FusedDenseAct { act, .. } => *act,
-                    _ => ActivationKind::Linear,
-                };
-                let (x, bias, threads) = (first.tensor(), b.as_deref(), self.threads);
-                let mut out = arena.take(node.output_shape());
-                match w {
-                    Weights::Packed(p) => {
-                        gemm::dense_packed_into(x, p, bias, act, threads, &mut out, &mut arena.gemm)
-                    }
-                    Weights::Natural(t) => gemm::dense_direct_into(x, t, bias, act, &mut out),
-                }
-                out
-            }
-            (
-                Op::Pool {
-                    kind,
-                    kernel,
-                    stride,
-                    padding,
-                },
-                _,
-            ) => {
-                let mut out = arena.take(node.output_shape());
-                kernels::pool2d_into(first.tensor(), *kind, *kernel, *stride, *padding, &mut out);
-                out
-            }
-            (
-                Op::Pool3d {
-                    kind,
-                    kernel,
-                    stride,
-                },
-                _,
-            ) => kernels::pool3d(first.tensor(), *kind, *kernel, *stride),
-            (Op::BatchNorm, NodeParams::Bn { gamma, beta }) => {
-                let mut t = first.into_tensor(arena);
-                kernels::batch_norm_inplace(&mut t, gamma, beta);
-                t
-            }
-            (Op::Lrn { size }, _) => {
-                let mut out = arena.take(node.output_shape());
-                kernels::lrn_into(first.tensor(), *size, &mut out);
-                out
-            }
-            (Op::Activation { kind }, _) => {
-                let mut t = first.into_tensor(arena);
-                kernels::activation_inplace(&mut t, *kind);
-                t
-            }
-            (Op::Add, _) => {
-                let mut t = first.into_tensor(arena);
-                kernels::add_assign(&mut t, rest[0]);
-                t
-            }
-            (Op::Mul, _) => {
-                let mut t = first.into_tensor(arena);
-                kernels::mul_assign(&mut t, rest[0]);
-                t
-            }
-            (Op::Slice { start, len }, _) => kernels::slice2(first.tensor(), *start, *len),
-            (Op::Concat, _) => {
-                let refs: Vec<&Tensor> = std::iter::once(first.tensor())
-                    .chain(rest.iter().copied())
-                    .collect();
-                let mut out = arena.take(node.output_shape());
-                kernels::concat_into(&refs, &mut out);
-                out
-            }
-            (Op::Upsample { factor }, _) => kernels::upsample(first.tensor(), *factor),
-            (Op::Flatten, _) => {
-                let mut t = first.into_tensor(arena);
-                let n = t.shape().batch();
-                let f = t.len() / n;
-                t.reshape([n, f]);
-                t
-            }
-            (Op::Softmax, _) => {
-                let mut t = first.into_tensor(arena);
-                kernels::softmax_inplace(&mut t);
-                t
-            }
-            (Op::Dropout, _) => first.into_tensor(arena),
-            (op, params) => {
-                return Err(ExecError::InternalPlanMismatch {
-                    node: node.name().to_string(),
-                    detail: format!("node {op:?} paired with mismatched params {params:?}"),
-                })
-            }
-        };
-        Ok(self.lower(out))
-    }
-
-    /// Runs one inference, returning the graph output.
+    /// Runs one inference, returning the graph output: [`Executor::prepare`]
+    /// then [`PreparedExecutor::run`].
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::InputShapeMismatch`] if `input` does not match
-    /// the graph's input shape, or [`ExecError::NoInput`] for a graph with
-    /// no input node.
+    /// Those of [`Executor::prepare`], then [`ExecError::InputShapeMismatch`]
+    /// if `input` does not match the graph's input shape.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ExecError> {
         self.run_with_stats(input).map(|(t, _)| t)
     }
@@ -968,229 +1000,125 @@ impl<'g> Executor<'g> {
     ///
     /// Same as [`Executor::run`].
     pub fn run_with_stats(&self, input: &Tensor) -> Result<(Tensor, RunStats), ExecError> {
-        let mut arena = self.new_arena();
-        self.run_loop(
-            input,
-            &mut arena,
-            |node| self.materialize(node).map(Cow::Owned),
-            None,
-        )
+        self.clone().prepare()?.run_with_stats(input)
     }
 
-    /// The interpreter loop shared by [`Executor`] (weights regenerated per
-    /// node visit) and [`PreparedExecutor`] (weights served from the cache):
-    /// topological execution with free-after-last-use buffer recycling.
-    ///
-    /// Peak-live accounting tracks *logical* liveness — a tensor's bytes
-    /// count from the node that produces it until its last consumer runs,
-    /// even when an in-place op physically reuses the buffer — so the
-    /// measured peak exactly matches the IR's analytical
-    /// `peak_activation_bytes` regardless of how aggressively buffers are
-    /// recycled.
-    /// `observer` (when present) is invoked once per executed node, after
-    /// the node's output has been lowered to the run precision and before
-    /// downstream consumers see it — the hook integrity guards use to
-    /// inspect activations and fault campaigns use to corrupt them. An
-    /// observer error aborts the run.
-    fn run_loop<'p>(
-        &self,
-        input: &Tensor,
-        arena: &mut Arena,
-        params_of: impl Fn(&Node) -> Result<Cow<'p, NodeParams>, ExecError>,
-        mut observer: Option<&mut NodeObserver<'_>>,
-    ) -> Result<(Tensor, RunStats), ExecError> {
-        let input_ids = self.graph.input_ids();
-        let &input_id = input_ids.first().ok_or(ExecError::NoInput)?;
-        let expected = self.graph.node(input_id).output_shape();
-        if expected != input.shape() {
-            return Err(ExecError::InputShapeMismatch {
-                expected: expected.to_string(),
-                actual: input.shape().to_string(),
-            });
-        }
-
-        // last_use for free-after-last-consumer memory behaviour. The
-        // bookkeeping vectors live in the arena between runs.
-        let n = self.graph.len();
-        let out_idx = self.graph.output().index();
-        let mut last_use = std::mem::take(&mut arena.last_use);
-        last_use.clear();
-        last_use.extend(0..n);
-        for node in self.graph.nodes() {
-            for &inp in node.inputs() {
-                last_use[inp.index()] = last_use[inp.index()].max(node.id().index());
-            }
-        }
-        last_use[out_idx] = n - 1;
-
-        let mut slots = std::mem::take(&mut arena.slots);
-        slots.clear();
-        slots.resize_with(n, || None);
-        let mut lives = std::mem::take(&mut arena.lives);
-        lives.clear();
-        lives.resize(n, 0);
-
-        let elem = std::mem::size_of::<f32>();
-        let in_idx = input_id.index();
-        let mut seeded = arena.take(input.shape());
-        seeded.data_mut().copy_from_slice(input.data());
-        let seeded = self.lower(seeded);
-        lives[in_idx] = seeded.len() * elem;
-        let mut live_total = lives[in_idx];
-        let mut stats = RunStats {
-            peak_live_bytes: live_total,
-            ops_executed: 0,
-        };
-        slots[in_idx] = Some(seeded);
-
-        for node in self.graph.nodes() {
-            let idx = node.id().index();
-            if matches!(node.op(), Op::Input { .. }) {
-                continue;
-            }
-            let ins = node.inputs();
-            let i0 = ins[0].index();
-            // The first input may be consumed in place when this node is
-            // its sole remaining consumer.
-            let movable = Self::consumes_first(node.op())
-                && last_use[i0] == idx
-                && ins[1..].iter().all(|j| j.index() != i0);
-            let params = params_of(node)?;
-            let mut out = if movable {
-                let t = slots[i0].take().expect("topological order");
-                let rest: Vec<&Tensor> = ins[1..]
-                    .iter()
-                    .map(|j| slots[j.index()].as_ref().expect("topological order"))
-                    .collect();
-                self.apply_node(node, First::Owned(t), &rest, &params, arena)?
-            } else {
-                let rest: Vec<&Tensor> = ins[1..]
-                    .iter()
-                    .map(|j| slots[j.index()].as_ref().expect("topological order"))
-                    .collect();
-                let first = First::Borrowed(slots[i0].as_ref().expect("topological order"));
-                self.apply_node(node, first, &rest, &params, arena)?
-            };
-            if let Some(obs) = observer.as_deref_mut() {
-                obs(idx, &mut out)?;
-            }
-            let out = out;
-            stats.ops_executed += 1;
-            lives[idx] = out.len() * elem;
-            live_total += lives[idx];
-            stats.peak_live_bytes = stats.peak_live_bytes.max(live_total);
-            slots[idx] = Some(out);
-            // Free dead buffers (including a possibly never-consumed own
-            // output) back into the arena.
-            for k in std::iter::once(idx).chain(ins.iter().map(|i| i.index())) {
-                if last_use[k] <= idx && k != out_idx {
-                    live_total -= lives[k];
-                    lives[k] = 0;
-                    if let Some(t) = slots[k].take() {
-                        arena.recycle(t);
-                    }
-                }
-            }
-        }
-        let out = slots[out_idx].take().expect("output computed");
-        // Return surviving buffers and bookkeeping to the arena for reuse.
-        for slot in slots.iter_mut() {
-            if let Some(t) = slot.take() {
-                arena.recycle(t);
-            }
-        }
-        arena.slots = slots;
-        arena.last_use = last_use;
-        arena.lives = lives;
-        Ok((out, stats))
-    }
-
-    /// Materializes every weight, bias and batch-norm tensor for the graph
-    /// once, returning an executor that reuses them across inferences.
-    ///
-    /// Parameters are keyed by node name exactly as the on-the-fly path
-    /// keys them, so outputs are bit-for-bit identical to [`Executor::run`]
-    /// at every precision and sparsity — only the per-inference PRNG and
-    /// pruning work disappears. GEMM weights (im2col convolutions, dense
-    /// layers off the direct loop) are generated straight into the panel
-    /// layout the micro-kernel reads ([`gemm::PackedPanels`]), so no run
-    /// repacks them and no natural-layout copy is kept.
+    /// Compiles the graph into its execution plan: one typed step per node
+    /// after the input, in graph order. Each step holds its kernel with
+    /// every operand that kernel reads, generated once — weights lowered
+    /// to the run precision, GEMM weights (im2col convolutions, dense
+    /// layers off the direct loop) generated straight into the panel
+    /// layout the micro-kernel reads ([`gemm::PackedPanels`]), with no
+    /// natural-layout copy kept. Each step also fixes where its output
+    /// buffer comes from (in place or fresh) and which buffers die after
+    /// it, so a run only executes the steps.
     ///
     /// Alongside the parameters, `prepare` records a baseline FNV-style
-    /// checksum of every node's cached `f32` bit patterns — the reference
-    /// the SDC defense layer ([`crate::integrity`]) verifies against.
+    /// checksum of every step's `f32` parameter bits — the reference the
+    /// SDC defense layer ([`crate::integrity`]) verifies against.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::InternalPlanMismatch`] if the graph contains a
-    /// malformed fused node (e.g. `FusedConvBnAct` wrapping a non-conv op),
-    /// and [`ExecError::OutOfMemory`] naming the node when its weights,
-    /// its arena buffer or its GEMM scratch cannot be allocated (a graph
-    /// rebatched beyond memory, say).
+    /// Returns [`ExecError::NoInput`] for a graph without an input node,
+    /// [`ExecError::UnsupportedGraph`] naming a node the executor cannot
+    /// run (a second input node, or a `FusedConvBnAct` wrapping a non-conv
+    /// op), and [`ExecError::OutOfMemory`] naming the node when its
+    /// weights, its arena buffer or its GEMM scratch cannot be allocated (a
+    /// graph rebatched beyond memory, say).
     pub fn prepare(self) -> Result<PreparedExecutor<'g>, ExecError> {
-        let params: Vec<NodeParams> = self
-            .graph
-            .nodes()
-            .iter()
-            .map(|n| self.materialize(n))
-            .collect::<Result<_, _>>()?;
-        let checksums = params.iter().map(NodeParams::checksum).collect();
-        // Pre-size the arena from the graph's static shapes: one buffer per
-        // node output (an upper bound on the live set) plus GEMM packing and
-        // im2col scratch for the largest convolution, so steady-state
-        // inference allocates nothing. Detecting the cache hierarchy here
-        // (it is cached process-wide) keeps the first run's latency clean
-        // and fixes the blocking every later reserve/call sees.
+        let graph = self.graph;
+        let &input = graph.input_ids().first().ok_or(ExecError::NoInput)?;
+        let input = graph.node(input);
+        // Each slot's last reader. The graph output has none: it is never
+        // freed or rewritten in place.
+        let mut last_use: Vec<usize> = (0..graph.len()).collect();
+        for node in graph.nodes() {
+            for &k in node.inputs() {
+                last_use[k.index()] = node.id().index();
+            }
+        }
+        last_use[graph.output().index()] = usize::MAX;
+        // Detecting the cache hierarchy here (it is cached process-wide)
+        // keeps the first run's latency clean and fixes the blocking every
+        // later reserve and call sees.
         crate::blocking::cache_info();
         let mut arena = self.new_arena();
-        let elem = std::mem::size_of::<f32>();
-        for node in self.graph.nodes() {
-            let oom = |elems: usize| ExecError::OutOfMemory {
-                node: node.name().to_string(),
-                bytes: elems.saturating_mul(elem),
-            };
-            let out_shape = node.output_shape();
-            // Capacity only: `Arena::take` sizes the buffer on first use,
-            // so untouched pages are never committed here.
+        let mut steps = Vec::with_capacity(graph.len());
+        for node in graph.nodes() {
+            // Pre-size the arena from the static shapes: one buffer per
+            // node output (an upper bound on the live set), capacity only —
+            // `Arena::take` sizes it on first use, so untouched pages are
+            // never committed here.
+            let elems = node.output_shape().num_elements();
             let mut buf = Vec::new();
-            buf.try_reserve_exact(out_shape.num_elements())
-                .map_err(|_| oom(out_shape.num_elements()))?;
+            buf.try_reserve_exact(elems)
+                .map_err(|_| oom(node, elems.saturating_mul(4)))?;
             arena.free.push(buf);
-            let conv = match node.op() {
-                c @ Op::Conv2d { .. } => Some(c),
-                Op::FusedConvBnAct { conv, .. } => Some(conv.as_ref()),
+            if node.id() == input.id() {
+                continue;
+            }
+            let kernel = self.compile(node)?;
+            let im2col_weights = match &kernel {
+                Kernel::ConvPacked { w, .. } => Some(w.logical_len()),
+                Kernel::ConvPruned { w, .. } => Some(w.len()),
                 _ => None,
             };
-            if let Some(Op::Conv2d { kernel, groups, .. }) = conv {
-                let fan_in = (self.static_in_channels(node) / groups) * kernel.0 * kernel.1;
-                if gemm::select_conv_algo(out_shape.num_elements(), fan_in, *groups)
-                    == ConvAlgo::Im2colGemm
-                {
-                    let m = out_shape.channels();
-                    let cols = out_shape.height() * out_shape.width();
-                    arena
-                        .gemm
-                        .reserve((m, fan_in, cols), fan_in * cols)
-                        .map_err(oom)?;
+            if let Some(weights) = im2col_weights {
+                let shape = node.output_shape();
+                let (m, cols) = (shape.channels(), shape.height() * shape.width());
+                let k = weights / m.max(1);
+                arena
+                    .gemm
+                    .reserve((m, k, cols), k * cols)
+                    .map_err(|elems| oom(node, elems.saturating_mul(4)))?;
+            }
+            let (idx, ins) = (node.id().index(), node.inputs());
+            let first = ins[0].index();
+            let output = if !kernel.rewrites_input() {
+                Output::Fresh
+            } else if last_use[first] == idx && ins[1..].iter().all(|k| k.index() != first) {
+                Output::Reuse
+            } else {
+                Output::Copy
+            };
+            let mut frees = Vec::new();
+            for k in std::iter::once(idx).chain(ins.iter().map(|k| k.index())) {
+                if last_use[k] == idx && !frees.contains(&k) {
+                    frees.push(k);
                 }
             }
+            // Saturating: an output too large to address fails its arena
+            // reservation in `prepare`, before any run reads this.
+            let freed_bytes = frees
+                .iter()
+                .map(|&k| self.graph.nodes()[k].output_shape().num_elements())
+                .fold(0, usize::saturating_add)
+                .saturating_mul(4);
+            steps.push(Step {
+                node,
+                checksum: kernel.checksum(),
+                kernel,
+                output,
+                frees,
+                freed_bytes,
+            });
         }
         Ok(PreparedExecutor {
             exec: self,
-            params,
-            checksums,
+            input,
+            steps,
             arena: Mutex::new(arena),
         })
     }
 }
 
-/// An [`Executor`] with all synthetic parameters materialized up front.
+/// An [`Executor`]'s graph compiled into its execution plan, with every
+/// synthetic parameter materialized: the "loaded checkpoint".
 ///
-/// The plain executor re-derives every weight tensor from the PRNG on every
-/// single inference — faithful to nothing real, and the dominant cost for
-/// small inputs. `PreparedExecutor` is the "loaded checkpoint" equivalent:
-/// build it once with [`Executor::prepare`], then call [`PreparedExecutor::run`]
-/// per inference.
+/// Build it once with [`Executor::prepare`], then call
+/// [`PreparedExecutor::run`] per inference. The plan is immutable; a run's
+/// state (activation slots and recycled buffers) lives in an arena the
+/// runs reuse.
 ///
 /// # Examples
 ///
@@ -1200,52 +1128,44 @@ impl<'g> Executor<'g> {
 ///
 /// let g = Model::CifarNet.build();
 /// let x = Tensor::random([1, 3, 32, 32], 7);
-/// let once = Executor::new(&g).with_seed(1).run(&x).unwrap();
 /// let prepared = Executor::new(&g).with_seed(1).prepare().unwrap();
-/// assert_eq!(prepared.run(&x).unwrap(), once);
+/// let (first, stats) = prepared.run_with_stats(&x).unwrap();
+/// assert_eq!(first.shape().dims(), &[1, 10]);
+/// assert_eq!(stats.ops_executed, g.len() - 1);
+/// // A second run reuses the first one's arena and repeats its bytes.
+/// assert_eq!(prepared.run(&x).unwrap(), first);
 /// ```
 #[derive(Debug)]
 pub struct PreparedExecutor<'g> {
     exec: Executor<'g>,
-    /// Materialized parameters, indexed by node id.
-    params: Vec<NodeParams>,
-    /// Prepare-time FNV-1a checksum of each node's parameters — the
-    /// pristine reference integrity scrubs verify against.
-    checksums: Vec<u64>,
+    /// The graph's input node: its slot holds the caller's tensor.
+    input: &'g Node,
+    /// The plan: one step per node after the input, in graph order.
+    steps: Vec<Step<'g>>,
     /// Reusable scratch memory. Guarded so `&self` runs stay possible from
     /// multiple threads: concurrent callers that miss the lock fall back to
-    /// a run-local arena (correct, just not zero-alloc).
+    /// a run-local arena (correct, just not allocation-free).
     arena: Mutex<Arena>,
 }
 
 impl PreparedExecutor<'_> {
-    /// Runs one inference against the cached parameters.
+    /// Runs one inference.
     ///
     /// # Errors
     ///
-    /// Same as [`Executor::run`].
+    /// Returns [`ExecError::InputShapeMismatch`] if `input` does not match
+    /// the graph's input shape.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ExecError> {
-        self.run_with_stats(input).map(|(t, _)| t)
+        self.execute(input, None).map(|(t, _)| t)
     }
 
     /// Runs one inference, also measuring peak live activation bytes.
     ///
     /// # Errors
     ///
-    /// Same as [`Executor::run`].
+    /// Same as [`PreparedExecutor::run`].
     pub fn run_with_stats(&self, input: &Tensor) -> Result<(Tensor, RunStats), ExecError> {
-        let mut local = self.exec.new_arena();
-        let mut guard = self.arena.try_lock();
-        let arena = match guard {
-            Ok(ref mut a) => &mut **a,
-            Err(_) => &mut local,
-        };
-        self.exec.run_loop(
-            input,
-            arena,
-            |node| Ok(Cow::Borrowed(&self.params[node.id().index()])),
-            None,
-        )
+        self.execute(input, None)
     }
 
     /// Runs one inference with a per-node observer: after each node's
@@ -1256,35 +1176,109 @@ impl PreparedExecutor<'_> {
     ///
     /// # Errors
     ///
-    /// Same as [`Executor::run`], plus whatever the observer returns.
+    /// Same as [`PreparedExecutor::run`], plus whatever the observer
+    /// returns.
     pub fn run_observed(
         &self,
         input: &Tensor,
         observer: &mut NodeObserver<'_>,
     ) -> Result<(Tensor, RunStats), ExecError> {
-        let mut local = self.exec.new_arena();
+        self.execute(input, Some(observer))
+    }
+
+    /// The interpreter: runs the steps in graph order, recycling each
+    /// buffer after its last reader.
+    ///
+    /// Peak-live accounting tracks *logical* liveness — a tensor's bytes
+    /// count from the step that produces it (the length it was written
+    /// with) until its last reader runs, even when a step rewrites the
+    /// buffer in place — so the measured peak exactly matches the IR's
+    /// analytical `peak_activation_bytes`.
+    /// `observer` (when present) sees each step's output after it is
+    /// lowered to the run precision and before any reader does; an
+    /// observer error aborts the run.
+    fn execute(
+        &self,
+        input: &Tensor,
+        mut observer: Option<&mut NodeObserver<'_>>,
+    ) -> Result<(Tensor, RunStats), ExecError> {
+        let expected = self.input.output_shape();
+        if expected != input.shape() {
+            return Err(ExecError::InputShapeMismatch {
+                expected: expected.to_string(),
+                actual: input.shape().to_string(),
+            });
+        }
         let mut guard = self.arena.try_lock();
+        let mut local = None;
         let arena = match guard {
             Ok(ref mut a) => &mut **a,
-            Err(_) => &mut local,
+            Err(_) => local.insert(self.exec.new_arena()),
         };
-        self.exec.run_loop(
-            input,
-            arena,
-            |node| Ok(Cow::Borrowed(&self.params[node.id().index()])),
-            Some(observer),
-        )
+        let n = self.exec.graph.len();
+        let mut slots = std::mem::take(&mut arena.slots);
+        slots.clear();
+        slots.resize_with(n, || None);
+
+        let elem = std::mem::size_of::<f32>();
+        let mut seeded = arena.take(input.shape());
+        seeded.data_mut().copy_from_slice(input.data());
+        self.exec.lower_slice(seeded.data_mut());
+        let in_idx = self.input.id().index();
+        let mut live = seeded.len() * elem;
+        let mut stats = RunStats {
+            peak_live_bytes: live,
+            ops_executed: 0,
+        };
+        slots[in_idx] = Some(seeded);
+
+        for step in &self.steps {
+            let idx = step.node.id().index();
+            let mut out = step.output(&mut slots, arena);
+            step.apply(&slots, &mut out, arena, self.exec.threads);
+            self.exec.lower_slice(out.data_mut());
+            if let Some(obs) = observer.as_deref_mut() {
+                obs(idx, &mut out)?;
+            }
+            stats.ops_executed += 1;
+            live += out.len() * elem;
+            stats.peak_live_bytes = stats.peak_live_bytes.max(live);
+            slots[idx] = Some(out);
+            live -= step.freed_bytes;
+            for &k in &step.frees {
+                if let Some(t) = slots[k].take() {
+                    arena.recycle(t);
+                }
+            }
+        }
+        let out = slots[self.exec.graph.output().index()]
+            .take()
+            .expect("the output is never freed");
+        // Return surviving buffers and bookkeeping to the arena for reuse.
+        for t in slots.iter_mut().filter_map(Option::take) {
+            arena.recycle(t);
+        }
+        arena.slots = slots;
+        Ok((out, stats))
     }
 
     /// Number of nodes in the underlying graph (the index space of
     /// [`PreparedExecutor::param_elems`] and friends).
     pub fn node_count(&self) -> usize {
-        self.params.len()
+        self.exec.graph.len()
     }
 
     /// Name of node `idx` in the underlying graph.
     pub(crate) fn node_name(&self, idx: usize) -> &str {
         self.exec.graph.nodes()[idx].name()
+    }
+
+    /// The position in the plan of node `idx`'s step (the input node has
+    /// none).
+    fn position(&self, idx: usize) -> Option<usize> {
+        self.steps
+            .binary_search_by_key(&idx, |s| s.node.id().index())
+            .ok()
     }
 
     /// Number of logical `f32` parameter words node `idx` holds, in the
@@ -1293,24 +1287,24 @@ impl PreparedExecutor<'_> {
     /// excluded, so the count (and every element index below it) does not
     /// depend on the layout. Zero for parameterless nodes.
     pub fn param_elems(&self, idx: usize) -> usize {
-        self.params.get(idx).map_or(0, NodeParams::logical_len)
+        self.position(idx)
+            .map_or(0, |i| self.steps[i].kernel.param_elems())
     }
 
-    /// Recomputes every node's parameter checksum and returns the indices
-    /// whose cached bits no longer match the prepare-time baseline —
-    /// i.e. the nodes silent corruption has touched since `prepare`.
+    /// Recomputes every step's parameter checksum and returns the node
+    /// indices whose parameter bits no longer match the prepare-time
+    /// baseline — i.e. the nodes silent corruption has touched since
+    /// `prepare`.
     pub fn verify_params(&self) -> Vec<usize> {
-        self.params
+        self.steps
             .iter()
-            .zip(&self.checksums)
-            .enumerate()
-            .filter(|(_, (p, &h))| p.checksum() != h)
-            .map(|(i, _)| i)
+            .filter(|s| s.kernel.checksum() != s.checksum)
+            .map(|s| s.node.id().index())
             .collect()
     }
 
-    /// Re-materializes node `idx`'s parameters from the pristine weight
-    /// store (weights are a pure function of seed and node name, so this
+    /// Recompiles node `idx`'s step kernel from the pristine weight store
+    /// (weights are a pure function of seed and node name, so this
     /// restores the exact prepare-time bits, including pruning, precision
     /// lowering and panel layout). Returns the number of logical parameter
     /// bytes rewritten (`4 · param_elems(idx)`, panel padding excluded).
@@ -1320,57 +1314,38 @@ impl PreparedExecutor<'_> {
     /// Same as [`Executor::prepare`] (cannot occur for a plan that
     /// prepared successfully, short of memory exhaustion).
     pub fn repair_node(&mut self, idx: usize) -> Result<usize, ExecError> {
-        let node = &self.exec.graph.nodes()[idx];
-        let fresh = self.exec.materialize(node)?;
-        debug_assert_eq!(fresh.checksum(), self.checksums[idx]);
-        let bytes = fresh.logical_len() * std::mem::size_of::<f32>();
-        self.params[idx] = fresh;
+        let Some(i) = self.position(idx) else {
+            return Ok(0);
+        };
+        let fresh = self.exec.compile(self.steps[i].node)?;
+        debug_assert_eq!(fresh.checksum(), self.steps[i].checksum);
+        let bytes = fresh.param_elems() * std::mem::size_of::<f32>();
+        self.steps[i].kernel = fresh;
         Ok(bytes)
     }
 
-    /// Flips bit `bit` of the `element`-th cached `f32` parameter word of
-    /// node `idx` (canonical order weights → bias → bn-gamma → bn-beta) —
-    /// the deterministic injection primitive SDC campaigns use. Returns
+    /// Flips bit `bit` of the `element`-th `f32` parameter word of node
+    /// `idx` (canonical order weights → bias → bn-gamma → bn-beta) — the
+    /// deterministic injection primitive SDC campaigns use. Returns
     /// `false` when the coordinates are out of range (nothing flipped).
     pub fn corrupt_param_bit(&mut self, idx: usize, element: usize, bit: u8) -> bool {
-        let Some(p) = self.params.get_mut(idx) else {
+        let Some(i) = self.position(idx) else {
             return false;
         };
         if bit >= 32 {
             return false;
         }
-        let flip = |v: &mut f32| *v = f32::from_bits(v.to_bits() ^ (1u32 << bit));
         let mut remaining = element;
-        if let Some(w) = p.weights_mut() {
-            if remaining < w.logical_len() {
-                let slot = w.physical(remaining);
-                flip(&mut w.data_mut()[slot]);
+        for part in self.steps[i].kernel.params_mut() {
+            if remaining < part.logical_len() {
+                let slot = part.slot(remaining);
+                let v = &mut part.buf_mut()[slot];
+                *v = f32::from_bits(v.to_bits() ^ (1u32 << bit));
                 return true;
             }
-            remaining -= w.logical_len();
-        }
-        for part in p.vectors_mut() {
-            if remaining < part.len() {
-                flip(&mut part[remaining]);
-                return true;
-            }
-            remaining -= part.len();
+            remaining -= part.logical_len();
         }
         false
-    }
-
-    /// Total bytes held by the materialized weight cache, panel padding
-    /// included.
-    #[cfg(test)]
-    fn cached_param_bytes(&self) -> usize {
-        self.params
-            .iter()
-            .map(|p| {
-                let w = p.weights().map_or(0, |w| w.data().len());
-                let v: usize = p.vectors().iter().map(|v| v.len()).sum();
-                (w + v) * std::mem::size_of::<f32>()
-            })
-            .sum()
     }
 }
 
@@ -1385,9 +1360,7 @@ mod tests {
         let c = b.conv2d(x, 4, (3, 3), (1, 1), (1, 1)).unwrap();
         let bn = b.batch_norm(c).unwrap();
         let r = b.activation(bn, ActivationKind::Relu).unwrap();
-        let p = b
-            .pool(r, edgebench_graph::PoolKind::Max, (2, 2), (2, 2))
-            .unwrap();
+        let p = b.pool(r, PoolKind::Max, (2, 2), (2, 2)).unwrap();
         let f = b.flatten(p).unwrap();
         let d = b.dense(f, 10).unwrap();
         let s = b.softmax(d).unwrap();
@@ -1534,18 +1507,14 @@ mod tests {
         let x = b.input([2, 3, 8, 8]);
         let c = b.conv2d(x, 4, (3, 3), (1, 1), (1, 1)).unwrap();
         let r = b.activation(c, ActivationKind::Relu).unwrap();
-        let p = b
-            .pool(r, edgebench_graph::PoolKind::Avg, (2, 2), (2, 2))
-            .unwrap();
+        let p = b.pool(r, PoolKind::Avg, (2, 2), (2, 2)).unwrap();
         let g2 = b.build(p).unwrap();
 
         let mut b = GraphBuilder::new("t");
         let x = b.input([1, 3, 8, 8]);
         let c = b.conv2d(x, 4, (3, 3), (1, 1), (1, 1)).unwrap();
         let r = b.activation(c, ActivationKind::Relu).unwrap();
-        let p = b
-            .pool(r, edgebench_graph::PoolKind::Avg, (2, 2), (2, 2))
-            .unwrap();
+        let p = b.pool(r, PoolKind::Avg, (2, 2), (2, 2)).unwrap();
         let g1 = b.build(p).unwrap();
 
         let a = Tensor::random([1, 3, 8, 8], 100);
@@ -1572,34 +1541,33 @@ mod tests {
     }
 
     #[test]
-    fn prepared_executor_is_bit_identical_across_precisions_and_sparsity() {
+    fn repeated_runs_on_one_arena_repeat_the_first_run() {
         let g = tiny_graph();
         let x = Tensor::random([1, 3, 8, 8], 3);
         for p in [Precision::F32, Precision::F16, Precision::Int8] {
             for sparsity in [0.0, 0.3, 0.9] {
-                let fresh = Executor::new(&g)
-                    .with_seed(5)
-                    .with_precision(p)
-                    .with_weight_sparsity(sparsity)
-                    .run(&x)
-                    .unwrap();
-                let cached = Executor::new(&g)
+                let prepared = Executor::new(&g)
                     .with_seed(5)
                     .with_precision(p)
                     .with_weight_sparsity(sparsity)
                     .prepare()
                     .unwrap();
-                // Repeated runs reuse the cache; each must equal the
-                // regenerate-every-time path bit for bit.
+                let first = prepared.run(&x).unwrap();
                 for _ in 0..2 {
                     assert_eq!(
-                        cached.run(&x).unwrap(),
-                        fresh,
+                        prepared.run(&x).unwrap(),
+                        first,
                         "precision {p:?} sparsity {sparsity}"
                     );
                 }
             }
         }
+    }
+
+    /// Total bytes held by the plan's parameters, panel padding included.
+    fn cached_param_bytes(p: &PreparedExecutor<'_>) -> usize {
+        let params = p.steps.iter().flat_map(|s| s.kernel.params());
+        params.map(|w| w.buf().len()).sum::<usize>() * std::mem::size_of::<f32>()
     }
 
     #[test]
@@ -1622,45 +1590,10 @@ mod tests {
         let want = kernels::dense(&flat, &w, Some(&bias));
         let prepared = exec.prepare().unwrap();
         assert_eq!(
-            prepared.cached_param_bytes(),
+            cached_param_bytes(&prepared),
             (1000usize.next_multiple_of(NR) * 1152 + 1000) * 4
         );
         assert_eq!(prepared.run(&input).unwrap(), want);
-    }
-
-    #[test]
-    fn prepared_executor_matches_on_fused_graphs() {
-        // Exercises the FusedConvBnAct cache path (conv + folded BN + act).
-        let mut b = GraphBuilder::new("fused");
-        let x = b.input([1, 3, 8, 8]);
-        let fused = b
-            .push(
-                "conv0",
-                Op::FusedConvBnAct {
-                    conv: Box::new(Op::Conv2d {
-                        out_channels: 4,
-                        kernel: (3, 3),
-                        stride: (1, 1),
-                        padding: (1, 1),
-                        groups: 1,
-                        bias: false,
-                    }),
-                    bn: true,
-                    act: ActivationKind::Relu,
-                },
-                vec![x],
-            )
-            .unwrap();
-        let g = b.build(fused).unwrap();
-        let x = Tensor::random([1, 3, 8, 8], 11);
-        let fresh = Executor::new(&g).with_seed(2).run(&x).unwrap();
-        let cached = Executor::new(&g)
-            .with_seed(2)
-            .prepare()
-            .unwrap()
-            .run(&x)
-            .unwrap();
-        assert_eq!(cached, fresh);
     }
 
     #[test]
@@ -1701,15 +1634,58 @@ mod tests {
     }
 
     #[test]
-    fn prepared_executor_reports_matching_stats_and_cache_size() {
+    fn prepared_executor_reports_stats_and_cache_size() {
         let g = tiny_graph();
         let x = Tensor::random([1, 3, 8, 8], 3);
-        let (out_a, stats_a) = Executor::new(&g).with_seed(1).run_with_stats(&x).unwrap();
         let prepared = Executor::new(&g).with_seed(1).prepare().unwrap();
+        let (out_a, stats_a) = prepared.run_with_stats(&x).unwrap();
         let (out_b, stats_b) = prepared.run_with_stats(&x).unwrap();
         assert_eq!(out_a, out_b);
         assert_eq!(stats_a, stats_b);
-        assert!(prepared.cached_param_bytes() > 0);
+        assert_eq!(
+            stats_a.peak_live_bytes,
+            g.stats().peak_activation_bytes as usize
+        );
+        assert_eq!(stats_a.ops_executed, g.len() - 1);
+        assert!(cached_param_bytes(&prepared) > 0);
+    }
+
+    #[test]
+    fn graphs_the_executor_cannot_run_are_rejected_at_prepare() {
+        // A second input node: a run feeds one tensor, so the plan would
+        // read a slot nothing fills.
+        let mut b = GraphBuilder::new("two-inputs");
+        let x = b.input([1, 4]);
+        let y = b.input([1, 4]);
+        let s = b.add(x, y).unwrap();
+        let g = b.build(s).unwrap();
+        let second = g.node(y).name();
+        let err = Executor::new(&g).prepare().unwrap_err();
+        assert!(
+            matches!(&err, ExecError::UnsupportedGraph { node, .. } if node == second),
+            "{err}"
+        );
+        assert_eq!(Executor::new(&g).run(&Tensor::zeros([1, 4])), Err(err));
+        // A fused node around an op that is no convolution.
+        let mut b = GraphBuilder::new("fused-pool");
+        let x = b.input([1, 2, 4, 4]);
+        let pool = Op::Pool {
+            kind: PoolKind::Max,
+            kernel: (2, 2),
+            stride: (2, 2),
+            padding: (0, 0),
+        };
+        let op = Op::FusedConvBnAct {
+            conv: Box::new(pool),
+            bn: true,
+            act: ActivationKind::Relu,
+        };
+        let f = b.push("fused", op, vec![x]).unwrap();
+        let err = Executor::new(&b.build(f).unwrap()).prepare().unwrap_err();
+        assert!(
+            matches!(&err, ExecError::UnsupportedGraph { node, .. } if node == "fused"),
+            "{err}"
+        );
     }
 
     #[test]

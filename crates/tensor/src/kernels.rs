@@ -191,14 +191,38 @@ pub fn conv3d(
     padding: (usize, usize, usize),
 ) -> Tensor {
     let d = x.shape().dims();
+    let wd = weight.shape().dims();
+    let (kd, kh, kw) = (wd[2], wd[3], wd[4]);
+    let od = TensorShape::conv_out_extent(d[2], kd, stride.0, padding.0).expect("kernel fits");
+    let oh = TensorShape::conv_out_extent(d[3], kh, stride.1, padding.1).expect("kernel fits");
+    let ow = TensorShape::conv_out_extent(d[4], kw, stride.2, padding.2).expect("kernel fits");
+    let mut out = Tensor::zeros([d[0], wd[0], od, oh, ow]);
+    conv3d_into(x, weight, bias, stride, padding, &mut out);
+    out
+}
+
+/// [`conv3d`] into a caller-provided output tensor (every element is
+/// overwritten).
+pub(crate) fn conv3d_into(
+    x: &Tensor,
+    weight: &Tensor,
+    bias: Option<&[f32]>,
+    stride: (usize, usize, usize),
+    padding: (usize, usize, usize),
+    out: &mut Tensor,
+) {
+    let d = x.shape().dims();
     let (n, in_c, id, ih, iw) = (d[0], d[1], d[2], d[3], d[4]);
     let wd = weight.shape().dims();
     let (out_c, kd, kh, kw) = (wd[0], wd[2], wd[3], wd[4]);
     let od_ = TensorShape::conv_out_extent(id, kd, stride.0, padding.0).expect("kernel fits");
     let oh = TensorShape::conv_out_extent(ih, kh, stride.1, padding.1).expect("kernel fits");
     let ow = TensorShape::conv_out_extent(iw, kw, stride.2, padding.2).expect("kernel fits");
-
-    let mut out = Tensor::zeros([n, out_c, od_, oh, ow]);
+    assert_eq!(
+        out.len(),
+        n * out_c * od_ * oh * ow,
+        "conv3d output size mismatch"
+    );
     let xd = x.data();
     let wv = weight.data();
     let ov = out.data_mut();
@@ -240,40 +264,19 @@ pub fn conv3d(
             }
         }
     }
-    out
 }
 
-/// Dense layer: `y = x · Wᵀ + b`, with `x: [n, f]`, `weight: [units, f]`.
+/// Dense layer: `y = x · Wᵀ + b`, with `x: [n, f]`, `weight: [units, f]`,
+/// on [`crate::gemm`]'s dense path (packed or direct by shape) with a
+/// transient scratch buffer — the same bits as the executor's dense steps.
 pub fn dense(x: &Tensor, weight: &Tensor, bias: Option<&[f32]>) -> Tensor {
     let n = x.shape().dim(0);
     let units = weight.shape().dim(0);
     let mut out = Tensor::zeros([n, units]);
-    dense_act_into(x, weight, bias, ActivationKind::Linear, 1, &mut out);
-    out
-}
-
-/// Fused dense + bias + activation into a caller-provided output tensor.
-///
-/// Thin wrapper over [`crate::gemm::dense_act_into`] with a transient
-/// scratch buffer; the executor calls the GEMM entry point directly with
-/// its arena-owned scratch so the steady state stays allocation-free.
-/// Every in-build dense path shares that one implementation, so fused and
-/// unfused layers agree bit-for-bit and any intra-op thread count yields
-/// the same bytes.
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent or `out` has the wrong size.
-pub(crate) fn dense_act_into(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    act: ActivationKind,
-    threads: usize,
-    out: &mut Tensor,
-) {
     let mut scratch = crate::gemm::GemmScratch::default();
-    crate::gemm::dense_act_into(x, weight, bias, act, threads, out, &mut scratch);
+    let act = ActivationKind::Linear;
+    crate::gemm::dense_act_into(x, weight, bias, act, 1, &mut out, &mut scratch);
+    out
 }
 
 /// 2-D pooling (max / average / global average).
@@ -400,19 +403,25 @@ pub(crate) fn pool2d_into(
     }
 }
 
-/// 3-D max/avg pooling (no padding).
-pub(crate) fn pool3d(
+/// 3-D max/avg pooling (no padding) into a caller-provided output tensor
+/// (every element is overwritten).
+pub(crate) fn pool3d_into(
     x: &Tensor,
     kind: PoolKind,
     kernel: (usize, usize, usize),
     stride: (usize, usize, usize),
-) -> Tensor {
+    out: &mut Tensor,
+) {
     let d = x.shape().dims();
     let (n, c, id, ih, iw) = (d[0], d[1], d[2], d[3], d[4]);
     let od_ = TensorShape::conv_out_extent(id, kernel.0, stride.0, 0).expect("window fits");
     let oh = TensorShape::conv_out_extent(ih, kernel.1, stride.1, 0).expect("window fits");
     let ow = TensorShape::conv_out_extent(iw, kernel.2, stride.2, 0).expect("window fits");
-    let mut out = Tensor::zeros([n, c, od_, oh, ow]);
+    assert_eq!(
+        out.len(),
+        n * c * od_ * oh * ow,
+        "pool3d output size mismatch"
+    );
     let xd = x.data();
     let ov = out.data_mut();
     for b in 0..n {
@@ -451,7 +460,6 @@ pub(crate) fn pool3d(
             }
         }
     }
-    out
 }
 
 /// Inference batch-norm: per-channel `y = gamma * x + beta` (statistics are
@@ -496,16 +504,6 @@ pub(crate) fn bn_act_inplace(x: &mut Tensor, bn: Option<(&[f32], &[f32])>, act: 
     if act != ActivationKind::Linear {
         activation_inplace(x, act);
     }
-}
-
-/// Local response normalization across channels (AlexNet formulation with
-/// k=2, alpha=1e-4, beta=0.75).
-#[cfg(test)]
-fn lrn(x: &Tensor, size: usize) -> Tensor {
-    let (n, c, ih, iw) = dims4(x.shape());
-    let mut out = Tensor::zeros([n, c, ih, iw]);
-    lrn_into(x, size, &mut out);
-    out
 }
 
 /// Local response normalization across channels (AlexNet formulation with
@@ -599,18 +597,6 @@ pub(crate) fn add_assign(a: &mut Tensor, b: &Tensor) {
     }
 }
 
-/// Element-wise (Hadamard) product of equal-shaped tensors.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-#[cfg(test)]
-fn mul(a: &Tensor, b: &Tensor) -> Tensor {
-    let mut out = a.clone();
-    mul_assign(&mut out, b);
-    out
-}
-
 /// `a *= b` (Hadamard) in place.
 ///
 /// # Panics
@@ -623,41 +609,28 @@ pub(crate) fn mul_assign(a: &mut Tensor, b: &Tensor) {
     }
 }
 
-/// Channel-axis concatenation.
-///
-/// # Panics
-///
-/// Panics if inputs disagree on batch or trailing dims.
-#[cfg(test)]
-fn concat(inputs: &[&Tensor]) -> Tensor {
-    assert!(!inputs.is_empty(), "concat of zero tensors");
-    let first = inputs[0].shape();
-    let total_c: usize = inputs.iter().map(|t| t.shape().channels()).sum();
-    let mut dims = first.dims().to_vec();
-    dims[1] = total_c;
-    let mut out = Tensor::zeros(dims);
-    concat_into(inputs, &mut out);
-    out
-}
-
 /// Channel-axis concatenation into a caller-provided output tensor (every
 /// element is overwritten — the inputs jointly cover the whole channel
 /// axis).
 ///
 /// # Panics
 ///
-/// Panics if inputs disagree on batch/trailing dims or `out` is missized.
-pub(crate) fn concat_into(inputs: &[&Tensor], out: &mut Tensor) {
-    assert!(!inputs.is_empty(), "concat of zero tensors");
-    let first = inputs[0].shape();
+/// Panics if there are no inputs, they disagree on batch/trailing dims,
+/// or `out` is missized.
+pub(crate) fn concat_into<'a>(inputs: impl Iterator<Item = &'a Tensor> + Clone, out: &mut Tensor) {
+    let first = inputs
+        .clone()
+        .next()
+        .expect("concat of zero tensors")
+        .shape();
     let n = first.batch();
     let trailing: usize = first.dims()[2..].iter().product();
-    let total_c: usize = inputs.iter().map(|t| t.shape().channels()).sum();
+    let total_c: usize = inputs.clone().map(|t| t.shape().channels()).sum();
     assert_eq!(out.len(), n * total_c * trailing, "concat output mismatch");
     let od = out.data_mut();
     for b in 0..n {
         let mut c_off = 0usize;
-        for t in inputs {
+        for t in inputs.clone() {
             let c = t.shape().channels();
             assert_eq!(t.shape().batch(), n, "concat batch mismatch");
             assert_eq!(
@@ -673,31 +646,32 @@ pub(crate) fn concat_into(inputs: &[&Tensor], out: &mut Tensor) {
     }
 }
 
-/// Feature-axis slice of a rank-2 `[N, features]` tensor.
+/// Feature-axis slice of a rank-2 `[N, features]` tensor into a
+/// caller-provided `[N, len]` output (every element is overwritten).
 ///
 /// # Panics
 ///
-/// Panics if the range is out of bounds.
-pub(crate) fn slice2(x: &Tensor, start: usize, len: usize) -> Tensor {
+/// Panics if the range is out of bounds or `out` has the wrong size.
+pub(crate) fn slice2_into(x: &Tensor, start: usize, len: usize, out: &mut Tensor) {
     let (n, f) = (x.shape().dim(0), x.shape().dim(1));
     assert!(
         start + len <= f,
         "slice [{start}, {}) out of {f}",
         start + len
     );
-    let mut out = Tensor::zeros([n, len]);
+    assert_eq!(out.len(), n * len, "slice output size mismatch");
     let od = out.data_mut();
     for b in 0..n {
         od[b * len..(b + 1) * len].copy_from_slice(&x.data()[b * f + start..b * f + start + len]);
     }
-    out
 }
 
-/// Nearest-neighbour upsampling by an integer factor.
-pub(crate) fn upsample(x: &Tensor, factor: usize) -> Tensor {
+/// Nearest-neighbour upsampling by an integer factor into a
+/// caller-provided output tensor (every element is overwritten).
+pub(crate) fn upsample_into(x: &Tensor, factor: usize, out: &mut Tensor) {
     let (n, c, ih, iw) = dims4(x.shape());
     let (oh, ow) = (ih * factor, iw * factor);
-    let mut out = Tensor::zeros([n, c, oh, ow]);
+    assert_eq!(out.len(), n * c * oh * ow, "upsample output size mismatch");
     let xd = x.data();
     let od = out.data_mut();
     for b in 0..n {
@@ -710,7 +684,6 @@ pub(crate) fn upsample(x: &Tensor, factor: usize) -> Tensor {
             }
         }
     }
-    out
 }
 
 /// Softmax over the last dimension.
@@ -844,7 +817,8 @@ mod tests {
     #[test]
     fn pool3d_max() {
         let x = Tensor::from_vec([1, 1, 2, 2, 2], (1..=8).map(|v| v as f32).collect());
-        let y = pool3d(&x, PoolKind::Max, (2, 2, 2), (2, 2, 2));
+        let mut y = Tensor::from_vec([1, 1, 1, 1, 1], vec![f32::NAN]);
+        pool3d_into(&x, PoolKind::Max, (2, 2, 2), (2, 2, 2), &mut y);
         assert_eq!(y.data(), &[8.0]);
     }
 
@@ -877,31 +851,33 @@ mod tests {
     fn mul_is_elementwise() {
         let a = Tensor::from_vec([1, 3], vec![2.0, -1.0, 0.5]);
         let b = Tensor::from_vec([1, 3], vec![3.0, 4.0, -2.0]);
-        assert_eq!(mul(&a, &b).data(), &[6.0, -4.0, -1.0]);
+        let mut y = a.clone();
+        mul_assign(&mut y, &b);
+        assert_eq!(y.data(), &[6.0, -4.0, -1.0]);
     }
 
     #[test]
     fn concat_stacks_channels() {
         let a = Tensor::from_vec([1, 1, 1, 2], vec![1., 2.]);
         let b = Tensor::from_vec([1, 2, 1, 2], vec![3., 4., 5., 6.]);
-        let y = concat(&[&a, &b]);
-        assert_eq!(y.shape().dims(), &[1, 3, 1, 2]);
+        let mut y = Tensor::from_vec([1, 3, 1, 2], vec![f32::NAN; 6]);
+        concat_into([&a, &b].into_iter(), &mut y);
         assert_eq!(y.data(), &[1., 2., 3., 4., 5., 6.]);
     }
 
     #[test]
     fn slice2_takes_feature_window() {
         let x = Tensor::from_vec([2, 4], vec![0., 1., 2., 3., 10., 11., 12., 13.]);
-        let y = slice2(&x, 1, 2);
-        assert_eq!(y.shape().dims(), &[2, 2]);
+        let mut y = Tensor::from_vec([2, 2], vec![f32::NAN; 4]);
+        slice2_into(&x, 1, 2, &mut y);
         assert_eq!(y.data(), &[1., 2., 11., 12.]);
     }
 
     #[test]
     fn upsample_repeats_pixels() {
         let x = Tensor::from_vec([1, 1, 1, 2], vec![7., 9.]);
-        let y = upsample(&x, 2);
-        assert_eq!(y.shape().dims(), &[1, 1, 2, 4]);
+        let mut y = Tensor::from_vec([1, 1, 2, 4], vec![f32::NAN; 8]);
+        upsample_into(&x, 2, &mut y);
         assert_eq!(y.data(), &[7., 7., 9., 9., 7., 7., 9., 9.]);
     }
 
@@ -919,7 +895,8 @@ mod tests {
     #[test]
     fn lrn_preserves_sign_and_reduces_magnitude() {
         let x = Tensor::from_vec([1, 3, 1, 1], vec![-1.0, 2.0, 3.0]);
-        let y = lrn(&x, 5);
+        let mut y = Tensor::from_vec([1, 3, 1, 1], vec![f32::NAN; 3]);
+        lrn_into(&x, 5, &mut y);
         for (a, b) in x.data().iter().zip(y.data()) {
             assert_eq!(a.signum(), b.signum());
             assert!(b.abs() <= a.abs());

@@ -14,6 +14,13 @@
 # A's interquartile range, the rule of the e2e README. Every run's detail
 # line goes to target/ab/<A>-<B>-s<seed>-<workloads>.log.
 #
+# Each run also records the vCPU time the hypervisor stole during it
+# (`steal_ticks`, USER_HZ ticks from /proc/stat). The summary prints both
+# sides' steal for every pair and marks a pair whose sides differ by more
+# than $steal_gap ticks (100 ticks is about 1 s of a 15 s run), since the
+# host rather than the code may have moved it. The verdict is given twice:
+# over all pairs, and over the unmarked pairs alone.
+#
 # To measure uncommitted work, stage it and pass `$(git stash create)` as B.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,6 +49,7 @@ while [ $# -gt 0 ]; do
 done
 [ ${#workloads[@]} -gt 0 ] || usage
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+steal_gap=100
 
 # Extracts REV into target/ab/<sha>/src and builds its e2e binary there,
 # once per commit; prints the tree.
@@ -85,11 +93,12 @@ for w in "${workloads[@]}"; do
     done
 done
 
-python3 - "$log" <<'PY'
+python3 - "$log" "$steal_gap" <<'PY'
 import json, statistics, sys
 
 bench = json.load(open("BENCHMARK.json"))
 better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+steal_gap = int(sys.argv[2])
 runs = {}  # (workload, pair, side) -> detail object
 for line in open(sys.argv[1]):
     w, pair, side, rest = line.rstrip("\n").split(" ", 3)
@@ -101,6 +110,17 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4)
     return q[0], q[2]
 
+def verdict(pv, lower):
+    """Medians, quartiles, B's wins and the claim rule over (A, B) pairs."""
+    a = [x for x, _ in pv]
+    b = [y for _, y in pv]
+    ma, mb = statistics.median(a), statistics.median(b)
+    (a1, a3), (b1, b3) = quartiles(a), quartiles(b)
+    wins = sum((y < x) if lower else (y > x) for x, y in pv)
+    gain = (ma - mb) if lower else (mb - ma)
+    claim = wins >= 0.9 * len(pv) and gain > a3 - a1
+    return ma, mb, (a1, a3), (b1, b3), wins, claim
+
 for w in dict.fromkeys(k[0] for k in runs):
     pairs = sorted({k[1] for k in runs if k[0] == w})
     got = {(p, s): runs.get((w, p, s)) for p in pairs for s in "AB"}
@@ -108,26 +128,32 @@ for w in dict.fromkeys(k[0] for k in runs):
     failed = {s: sum(d["failed"] for (p, t), d in got.items() if t == s and d) for s in "AB"}
     print(f"\n{w}: {len(pairs)} pairs, failed A {failed['A']} B {failed['B']}"
           + (f", runs without a result: {' '.join(broken)}" if broken else ""))
+    complete = [p for p in pairs if got[(p, "A")] and got[(p, "B")]]
+    steal = {(p, s): got[(p, s)]["steal_ticks"] for p in complete for s in "AB"}
+    marked = {p for p in complete if abs(steal[(p, "A")] - steal[(p, "B")]) > steal_gap}
+    print("  steal ticks A/B: " + "  ".join(
+        f"{p}: {steal[(p, 'A')]}/{steal[(p, 'B')]}{'*' if p in marked else ''}" for p in complete))
+    print(f"  * = sides differ by more than {steal_gap} steal ticks: {len(marked)} of {len(complete)} pairs marked")
     names = [n for n in next(d for d in got.values() if d)["metrics"]
              if n.split(".")[0] in better]
     print(f"  {'metric':<28} {'A median [q1, q3]':>28} {'B median [q1, q3]':>28} {'B/A':>7}"
-          f" {'B wins':>7} {'ratios':>13}  verdict")
+          f" {'B wins':>7} {'ratios':>13}  {'verdict':<9} unmarked pairs")
     for name in names:
         lower = better[name.split(".")[0]] == "lower"
-        pv = [(got[(p, "A")]["metrics"][name]["value"], got[(p, "B")]["metrics"][name]["value"])
-              for p in pairs if got[(p, "A")] and got[(p, "B")]]
+        value = lambda p, s: got[(p, s)]["metrics"][name]["value"]
+        pv = [(value(p, "A"), value(p, "B")) for p in complete]
         if not pv:
             continue
-        a = [x for x, _ in pv]
-        b = [y for _, y in pv]
-        (ma, mb), (a1, a3), (b1, b3) = (statistics.median(a), statistics.median(b)), quartiles(a), quartiles(b)
-        wins = sum((y < x) if lower else (y > x) for x, y in pv)
+        ma, mb, (a1, a3), (b1, b3), wins, claim = verdict(pv, lower)
         ratios = [y / x for x, y in pv if x]
-        gain = (ma - mb) if lower else (mb - ma)
-        claim = wins >= 0.9 * len(pv) and gain > a3 - a1
-        verdict = "claim" if claim else "no claim"
         fmt = lambda m, lo, hi: f"{m:.4g} [{lo:.4g}, {hi:.4g}]"
         span = f"{min(ratios):.2f}-{max(ratios):.2f}" if ratios else "-"
+        kept = [(x, y) for p, (x, y) in zip(complete, pv) if p not in marked]
+        if kept:
+            *_, kept_wins, kept_claim = verdict(kept, lower)
+            unmarked = f"{'claim' if kept_claim else 'no claim'} ({kept_wins}/{len(kept)} wins)"
+        else:
+            unmarked = "-"
         print(f"  {name:<28} {fmt(ma, a1, a3):>28} {fmt(mb, b1, b3):>28} {mb / ma if ma else float('nan'):>7.3f}"
-              f" {wins:>4}/{len(pv):<2} {span:>13}  {verdict}")
+              f" {wins:>4}/{len(pv):<2} {span:>13}  {'claim' if claim else 'no claim':<9} {unmarked}")
 PY
