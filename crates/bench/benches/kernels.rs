@@ -135,7 +135,7 @@ fn bench_gemm(c: &mut Criterion) {
     use edgebench_tensor::KernelKind;
     // The SIMD micro-kernel (runtime-dispatched) vs the forced-scalar
     // kernel vs the naive triple loop, at the shapes the executor's
-    // im2col lowering actually produces. `packed` is the production path;
+    // convolution lowering actually produces. `packed` is the production path;
     // `packed-scalar` isolates the vectorization win (same packing, same
     // blocking, scalar FMAs); `naive` is the unpacked baseline.
     let mut g = c.benchmark_group("gemm");
@@ -175,7 +175,7 @@ fn bench_gemm(c: &mut Criterion) {
         );
     }
     g.finish();
-    // Direct vs im2col+GEMM convolution at a representative layer.
+    // Direct vs packed-GEMM convolution at a representative layer.
     let x = Tensor::random([1, 32, 28, 28], 3);
     let w = Tensor::random([64, 32, 3, 3], 4);
     c.bench_function("conv_direct_32x28->64", |b| {
@@ -213,17 +213,7 @@ fn bench_fused_conv(c: &mut Criterion) {
         let mut out = Tensor::zeros([1, 64, 28, 28]);
         let mut scratch = GemmScratch::default();
         b.iter(|| {
-            gemm::conv2d_gemm_into(
-                &x,
-                &w,
-                (1, 1),
-                (1, 1),
-                &epi,
-                false,
-                1,
-                &mut out,
-                &mut scratch,
-            );
+            gemm::conv2d_gemm_into(&x, &w, (1, 1), (1, 1), &epi, 1, &mut out, &mut scratch);
             black_box(out.data()[0])
         })
     });
@@ -251,6 +241,43 @@ fn bench_prepacked(c: &mut Criterion) {
     };
     let mut g = c.benchmark_group("prepacked");
     g.sample_size(10);
+    // Four real convolution layers on the executor's path at batch 1, one
+    // thread: B panels packed from the image, weights prepacked, the
+    // epilogue empty. Throughput is multiply-accumulates, so the rate
+    // reads as GMAC/s (half the FLOP/s).
+    for (name, (in_c, hw), (out_c, k, s, p)) in [
+        (
+            "resnet18-stem",
+            (3usize, 224usize),
+            (64usize, 7usize, 2usize, 3usize),
+        ),
+        ("resnet18-layer1", (64, 56), (64, 3, 1, 1)),
+        ("mobilenetv2-conv2d_9", (16, 112), (96, 1, 1, 0)),
+        ("alexnet-conv2d_1", (3, 224), (64, 11, 4, 2)),
+    ] {
+        let w = synthetic(out_c, in_c * k * k, MR);
+        let x = Tensor::random([1, in_c, hw, hw], 5);
+        let o = (hw + 2 * p - k) / s + 1;
+        let mut out = Tensor::zeros([1, out_c, o, o]);
+        let mut scratch = GemmScratch::default();
+        g.throughput(Throughput::Elements((out_c * in_c * k * k * o * o) as u64));
+        g.bench_function(format!("conv/{name}"), |b| {
+            b.iter(|| {
+                gemm::conv2d_packed_into(
+                    &x,
+                    &w,
+                    (k, k),
+                    (s, s),
+                    (p, p),
+                    &Epilogue::default(),
+                    1,
+                    &mut out,
+                    &mut scratch,
+                );
+                black_box(out.data()[0])
+            })
+        });
+    }
     let (f, units) = (18432usize, 4096usize);
     let w = synthetic(units, f, NR);
     g.throughput(Throughput::Bytes((units * f * 4) as u64));

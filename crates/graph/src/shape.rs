@@ -17,9 +17,24 @@ use std::fmt;
 /// assert_eq!(s.rank(), 4);
 /// assert_eq!(s.dim(1), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct TensorShape {
     dims: Vec<usize>,
+}
+
+impl Clone for TensorShape {
+    fn clone(&self) -> Self {
+        TensorShape {
+            dims: self.dims.clone(),
+        }
+    }
+
+    /// Copies `source`'s dimensions into this shape's own storage, which
+    /// allocates only when `source` has more dimensions than it can hold
+    /// (a derived `clone_from` would allocate every time).
+    fn clone_from(&mut self, source: &Self) {
+        self.dims.clone_from(&source.dims);
+    }
 }
 
 impl TensorShape {
@@ -184,6 +199,17 @@ mod tests {
         assert_eq!(TensorShape::conv_out_extent(2, 5, 1, 0), None);
         // Zero stride is invalid.
         assert_eq!(TensorShape::conv_out_extent(8, 3, 0, 0), None);
+    }
+
+    #[test]
+    fn clone_from_reuses_the_dimension_storage() {
+        let mut s = TensorShape::new([4, 64, 56, 56]);
+        let before = s.dims.as_ptr();
+        s.clone_from(&TensorShape::new([4, 1000]));
+        assert_eq!(s, TensorShape::new([4, 1000]));
+        s.clone_from(&TensorShape::new([1, 3, 224, 224]));
+        assert_eq!(s, TensorShape::new([1, 3, 224, 224]));
+        assert_eq!(s.dims.as_ptr(), before);
     }
 
     #[test]

@@ -141,27 +141,27 @@ impl Blocking {
         Blocking::choose(dims, &cache_info())
     }
 
-    /// [`Blocking::choose`] for a GEMM whose A operand was packed at full
-    /// depth ahead of time (an im2col convolution's weights). Such an A
-    /// is streamed straight from its panels and needs no L2-resident
-    /// `MC×KC` copy, so when the whole packed B (`k×n`, the im2col
-    /// matrix) fits in half of L2, `KC` and `NC` span the whole problem:
-    /// each A micro-panel is then read once, front to back, and the
-    /// intra-op workers start once per call instead of once per `KC`
-    /// slice. Larger B blocks keep the [`Blocking::choose`] split.
+    /// [`Blocking::choose`] for a convolution's GEMM, whose A operand (the
+    /// weights) was packed at full depth ahead of time and is streamed
+    /// straight from its panels, with no L2-resident `MC×KC` copy. The
+    /// operand that stays cache-resident is instead the B block each
+    /// worker packs from the image: `NC` is sized so one `KC×NC` block
+    /// fits half of L2, which also bounds every worker's buffer. When the
+    /// whole B (`k×n`) fits there, `KC` spans the depth, so each A
+    /// micro-panel is read once, front to back. Otherwise `KC` keeps the
+    /// [`Blocking::choose`] split.
     pub(crate) fn choose_prepacked_a(dims: (usize, usize, usize), cache: &CacheInfo) -> Blocking {
         let (_, k, n) = dims;
         let blk = Blocking::choose(dims, cache);
-        let whole_b = k.max(1) * n.max(1).next_multiple_of(NR) * std::mem::size_of::<f32>();
-        if whole_b <= cache.l2 / 2 {
-            Blocking {
-                kc: k.max(1),
-                nc: n.max(1).next_multiple_of(NR),
-                ..blk
-            }
+        let elem = std::mem::size_of::<f32>();
+        let n_pad = n.max(1).next_multiple_of(NR);
+        let kc = if k.max(1) * n_pad * elem <= cache.l2 / 2 {
+            k.max(1)
         } else {
-            blk
-        }
+            blk.kc
+        };
+        let nc = round_down(cache.l2 / (2 * elem * kc), NR, 1 << 15).min(n_pad);
+        Blocking { kc, nc, ..blk }
     }
 }
 
@@ -221,16 +221,21 @@ mod tests {
             l2: 2 * 1024 * 1024,
             l3: 300 * 1024 * 1024,
         };
-        // VGG-S-32 conv2d_10: a 4608×4 im2col matrix, one 295 KB panel.
+        // VGG-S-32 conv2d_10: a 4608×4 B, one 295 KB panel.
         let small = Blocking::choose_prepacked_a((512, 4608, 4), &cache);
         assert_eq!((small.kc, small.nc), (4608, NR));
         assert_eq!(small.mc, Blocking::choose((512, 4608, 4), &cache).mc);
-        // A 576×3136 im2col matrix is 7 MB: the cache-derived split stays.
+        // A 576×3136 B is 7 MB: KC keeps the cache-derived split, and NC
+        // shrinks to the widest block of whole panels in half of L2.
         let big = (64, 576, 3136);
-        assert_eq!(
+        let (got, split) = (
             Blocking::choose_prepacked_a(big, &cache),
-            Blocking::choose(big, &cache)
+            Blocking::choose(big, &cache),
         );
+        assert_eq!((got.mc, got.kc), (split.mc, split.kc));
+        assert!(got.nc.is_multiple_of(NR) && got.nc < 3136, "{got:?}");
+        assert!(got.kc * got.nc * 4 <= cache.l2 / 2, "{got:?}");
+        assert!(got.kc * (got.nc + NR) * 4 > cache.l2 / 2, "{got:?}");
     }
 
     #[test]

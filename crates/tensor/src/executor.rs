@@ -202,7 +202,7 @@ pub struct RunStats {
 /// campaigns on this; an observer error aborts the run.
 type NodeObserver<'a> = dyn FnMut(usize, &mut Tensor) -> Result<(), ExecError> + 'a;
 
-/// Per-run scratch memory: retired activation buffers, GEMM packing
+/// Per-run scratch memory: retired activation tensors, GEMM packing
 /// buffers, and the run's slot bookkeeping, all reused across inferences
 /// so a steady-state run allocates no activation buffer.
 ///
@@ -210,9 +210,10 @@ type NodeObserver<'a> = dyn FnMut(usize, &mut Tensor) -> Result<(), ExecError> +
 /// elements, so recycled buffers never need zeroing.
 #[derive(Debug, Default)]
 struct Arena {
-    /// Retired activation buffers, available for reuse (best fit wins).
-    free: Vec<Vec<f32>>,
-    /// GEMM packing + im2col scratch.
+    /// Retired activation tensors, available for reuse (best fit wins);
+    /// each keeps its shape's storage as well as its buffer.
+    free: Vec<Tensor>,
+    /// GEMM packing scratch: per-worker B panels for convolutions.
     gemm: GemmScratch,
     /// The depthwise kernel's column-mask table, rebuilt per call.
     taps: Vec<simd::TapMask>,
@@ -227,25 +228,25 @@ impl Arena {
     fn take(&mut self, shape: &TensorShape) -> Tensor {
         let n = shape.num_elements();
         let mut best: Option<(usize, usize)> = None; // (capacity, index)
-        for (i, buf) in self.free.iter().enumerate() {
-            let cap = buf.capacity();
+        for (i, t) in self.free.iter().enumerate() {
+            let cap = t.capacity();
             if cap >= n && best.is_none_or(|(bc, _)| cap < bc) {
                 best = Some((cap, i));
             }
         }
         match best {
             Some((_, i)) => {
-                let mut v = self.free.swap_remove(i);
-                v.resize(n, 0.0);
-                Tensor::from_vec(shape.clone(), v)
+                let mut t = self.free.swap_remove(i);
+                t.set_shape(shape);
+                t
             }
-            None => Tensor::from_vec(shape.clone(), vec![0.0; n]),
+            None => Tensor::zeros(shape.clone()),
         }
     }
 
-    /// Returns a dead tensor's buffer to the free list.
+    /// Returns a dead tensor to the free list.
     fn recycle(&mut self, t: Tensor) {
-        self.free.push(t.into_vec());
+        self.free.push(t);
     }
 }
 
@@ -339,18 +340,11 @@ impl Tail {
 /// kernel reads.
 #[derive(Debug)]
 enum Kernel {
-    /// im2col convolution over weights packed into `MR`-row GEMM panels.
+    /// GEMM convolution over weights packed into `MR`-row panels, its B
+    /// panels packed from the input image.
     ConvPacked {
         w: PackedPanels,
         kernel: (usize, usize),
-        stride: (usize, usize),
-        padding: (usize, usize),
-        tail: Tail,
-    },
-    /// im2col convolution of a pruned store: the zero-skipping GEMM reads
-    /// the natural weight rows (byte-identical to the packed GEMM).
-    ConvPruned {
-        w: Tensor,
         stride: (usize, usize),
         padding: (usize, usize),
         tail: Tail,
@@ -440,8 +434,7 @@ impl Kernel {
     fn params(&self) -> Vec<&dyn Stored> {
         match self {
             Kernel::ConvPacked { w, tail, .. } | Kernel::DensePacked { w, tail } => tail.params(w),
-            Kernel::ConvPruned { w, tail, .. }
-            | Kernel::ConvDirect { w, tail, .. }
+            Kernel::ConvDirect { w, tail, .. }
             | Kernel::Depthwise { w, tail, .. }
             | Kernel::Conv3d { w, tail, .. }
             | Kernel::DenseDirect { w, tail } => tail.params(w),
@@ -455,8 +448,7 @@ impl Kernel {
             Kernel::ConvPacked { w, tail, .. } | Kernel::DensePacked { w, tail } => {
                 tail.params_mut(w)
             }
-            Kernel::ConvPruned { w, tail, .. }
-            | Kernel::ConvDirect { w, tail, .. }
+            Kernel::ConvDirect { w, tail, .. }
             | Kernel::Depthwise { w, tail, .. }
             | Kernel::Conv3d { w, tail, .. }
             | Kernel::DenseDirect { w, tail } => tail.params_mut(w),
@@ -556,22 +548,6 @@ impl Step<'_> {
                 out,
                 &mut arena.gemm,
             ),
-            Kernel::ConvPruned {
-                w,
-                stride,
-                padding,
-                tail,
-            } => gemm::conv2d_gemm_into(
-                x(0),
-                w,
-                *stride,
-                *padding,
-                &tail.epilogue(),
-                true,
-                threads,
-                out,
-                &mut arena.gemm,
-            ),
             Kernel::ConvDirect {
                 w,
                 stride,
@@ -627,11 +603,7 @@ impl Step<'_> {
             Kernel::Concat => kernels::concat_into((0..self.node.inputs().len()).map(x), out),
             Kernel::Slice { start, len } => kernels::slice2_into(x(0), *start, *len, out),
             Kernel::Upsample(factor) => kernels::upsample_into(x(0), *factor, out),
-            Kernel::Flatten => {
-                let n = out.shape().batch();
-                let f = out.len() / n;
-                out.reshape([n, f]);
-            }
+            Kernel::Flatten => out.set_shape(self.node.output_shape()),
             Kernel::Softmax => kernels::softmax_inplace(out),
             Kernel::Dropout => {}
         }
@@ -751,9 +723,9 @@ impl<'g> Executor<'g> {
     }
 
     /// The `[rows×k]` weight matrix of `node`, generated straight into the
-    /// `width`-row GEMM panels its kernel reads (`MR` for an im2col
+    /// `width`-row GEMM panels its kernel reads (`MR` for a GEMM
     /// convolution, `NR` for a dense layer) and lowered to the run
-    /// precision.
+    /// precision. A pruned store's weights take the same panels.
     fn packed(
         &self,
         node: &Node,
@@ -914,15 +886,7 @@ impl<'g> Executor<'g> {
                         groups,
                         tail,
                     },
-                    // A pruned store runs im2col convolutions on the
-                    // zero-skipping GEMM, which reads the natural rows.
-                    ConvAlgo::Im2colGemm if self.weights.sparsity > 0.0 => Kernel::ConvPruned {
-                        w: self.natural(node, shape, fan_in)?,
-                        stride,
-                        padding,
-                        tail,
-                    },
-                    ConvAlgo::Im2colGemm => Kernel::ConvPacked {
+                    ConvAlgo::Gemm => Kernel::ConvPacked {
                         w: self.packed(node, (out_channels, fan_in), fan_in, MR)?,
                         kernel,
                         stride,
@@ -1006,12 +970,15 @@ impl<'g> Executor<'g> {
     /// Compiles the graph into its execution plan: one typed step per node
     /// after the input, in graph order. Each step holds its kernel with
     /// every operand that kernel reads, generated once — weights lowered
-    /// to the run precision, GEMM weights (im2col convolutions, dense
-    /// layers off the direct loop) generated straight into the panel
-    /// layout the micro-kernel reads ([`gemm::PackedPanels`]), with no
-    /// natural-layout copy kept. Each step also fixes where its output
-    /// buffer comes from (in place or fresh) and which buffers die after
-    /// it, so a run only executes the steps.
+    /// to the run precision, GEMM weights (convolutions off the direct
+    /// loop, pruned or not, and dense layers off the direct loop)
+    /// generated straight into the panel layout the micro-kernel reads
+    /// ([`gemm::PackedPanels`]), with no natural-layout copy kept. Each
+    /// GEMM convolution also reserves, in the run arena, the buffer each
+    /// intra-op worker packs its B panels into, so a run allocates no
+    /// packing buffer. Each step also fixes where its output buffer comes
+    /// from (in place or fresh) and which buffers die after it, so a run
+    /// only executes the steps.
     ///
     /// Alongside the parameters, `prepare` records a baseline FNV-style
     /// checksum of every step's `f32` parameter bits — the reference the
@@ -1050,26 +1017,17 @@ impl<'g> Executor<'g> {
             // `Arena::take` sizes it on first use, so untouched pages are
             // never committed here.
             let elems = node.output_shape().num_elements();
-            let mut buf = Vec::new();
-            buf.try_reserve_exact(elems)
-                .map_err(|_| oom(node, elems.saturating_mul(4)))?;
+            let buf =
+                Tensor::try_with_capacity(elems).map_err(|_| oom(node, elems.saturating_mul(4)))?;
             arena.free.push(buf);
             if node.id() == input.id() {
                 continue;
             }
             let kernel = self.compile(node)?;
-            let im2col_weights = match &kernel {
-                Kernel::ConvPacked { w, .. } => Some(w.logical_len()),
-                Kernel::ConvPruned { w, .. } => Some(w.len()),
-                _ => None,
-            };
-            if let Some(weights) = im2col_weights {
-                let shape = node.output_shape();
-                let (m, cols) = (shape.channels(), shape.height() * shape.width());
-                let k = weights / m.max(1);
+            if let Kernel::ConvPacked { w, .. } = &kernel {
                 arena
                     .gemm
-                    .reserve((m, k, cols), k * cols)
+                    .reserve(w, node.output_shape(), self.threads)
                     .map_err(|elems| oom(node, elems.saturating_mul(4)))?;
             }
             let (idx, ins) = (node.id().index(), node.inputs());

@@ -1,7 +1,7 @@
-//! Panel-packed, cache-blocked GEMM and the im2col convolution lowering —
-//! the production-style CPU hot path every framework the paper studies
-//! builds on (Caffe popularized im2col + GEMM; TF/PyTorch CPU backends
-//! still ship packed-panel kernels of exactly this shape).
+//! Panel-packed, cache-blocked GEMM and the convolution lowering built on
+//! it — the production-style CPU hot path every framework the paper
+//! studies builds on (Caffe popularized im2col + GEMM; TF/PyTorch CPU
+//! backends still ship packed-panel kernels of exactly this shape).
 //!
 //! # Structure
 //!
@@ -10,9 +10,9 @@
 //! caches, once per process):
 //!
 //! ```text
-//! for jc in 0..n step NC          # B block stays L3-resident
+//! for jc in 0..n step NC          # B block stays cache-resident
 //!   for pc in 0..k step KC        # B[pc.., jc..] as NR panels
-//!     for ic in 0..m step MC      # parallel; A[ic.., pc..] as MR panels
+//!     for ic in 0..m step MC      # A[ic.., pc..] as MR panels
 //!       micro-kernel over every MR×NR tile   (see crate::simd)
 //! ```
 //!
@@ -21,23 +21,35 @@
 //! * **A** is read as micro-panels of `MR` interleaved rows, again
 //!   k-major. Ragged bottom edges are zero-padded.
 //!
-//! An activation operand (the im2col matrix, a dense layer's input) is
-//! packed into that layout per block on every call. A weight operand is
-//! packed once, when the executor is prepared, into a [`PackedPanels`]
-//! buffer of *full-depth* panels: conv weights `[out_c × in_c·kh·kw]` as
-//! `MR`-row A panels, dense weights `[units × features]` as `NR`-column B
-//! panels (their transpose, never materialized). Any `KC`, `MC` or `NC`
-//! slice of a full-depth panel set is a contiguous sub-range of it, so
-//! every blocking, kernel tier and thread count reads the same panels.
-//! Dense layers with at most `MR` rows (batch ≤ 8) skip the blocked loop:
-//! each B panel is streamed once over its whole depth against the input
-//! rows, with the panels split across the intra-op workers
-//! ([`crate::simd`]'s stream kernel).
+//! An activation operand (a dense layer's input) is packed into that
+//! layout per block on every call. A weight operand is packed once, when
+//! the executor is prepared, into a [`PackedPanels`] buffer of
+//! *full-depth* panels: conv weights `[out_c × in_c·kh·kw]` as `MR`-row A
+//! panels, dense weights `[units × features]` as `NR`-column B panels
+//! (their transpose, never materialized). Any `KC`, `MC` or `NC` slice of
+//! a full-depth panel set is a contiguous sub-range of it, so every
+//! blocking, kernel tier and thread count reads the same panels. Dense
+//! layers with at most `MR` rows (batch ≤ 8) skip the blocked loop: each
+//! B panel is streamed once over its whole depth against the input rows,
+//! with the panels split across the intra-op workers ([`crate::simd`]'s
+//! stream kernel).
+//!
+//! A convolution is, per image, the GEMM of its weights and the im2col
+//! matrix `[in_c·kh·kw × oh·ow]` of its input — a matrix that is never
+//! written out. `pack_b_from_image` packs each `KC×NC` block of it
+//! straight from the NCHW input into `NR`-column panels, and a 1×1,
+//! stride-1, unpadded convolution packs its input plane, which *is* that
+//! matrix. The work splits into (image, output-column block) tasks, or
+//! (image, row panel) tasks when the layer has fewer column panels than
+//! workers; each task packs its B blocks into its worker's own buffer,
+//! sweeps them against the prepacked weights and applies the fused
+//! epilogue to its block, so the workers pack in parallel and the pool
+//! starts once per convolution.
 //!
 //! The register micro-kernel ([`crate::simd`]: runtime-dispatched
-//! AVX2/FMA, portable 8-lane shim, or scalar) accumulates an `MR×NR` tile
-//! of `C`, walking the `KC` block in ascending `k`, and stores only the
-//! valid region.
+//! AVX-512 or AVX2/FMA, portable 8-lane shim, or scalar) accumulates an
+//! `MR×NR` tile of `C`, walking the `KC` block in ascending `k`, and
+//! stores only the valid region.
 //!
 //! # Determinism
 //!
@@ -49,10 +61,10 @@
 //! accumulator tile round-trips through `C` — an exact f32 store/reload —
 //! so the fused-multiply-add chain continues bit for bit; and SIMD lanes
 //! hold *independent output elements*, never partial sums of one
-//! reduction. Parallelism splits `C` into disjoint row panels (or, on the
-//! stream path, disjoint column panels), each computed independently, so
-//! results are byte-identical for 1..N threads and for every kernel
-//! (asserted by tests and by `scripts/verify.sh`).
+//! reduction. Parallelism splits `C` into disjoint blocks — row panels,
+//! column blocks, or on the stream path column panels — each computed
+//! independently, so results are byte-identical for 1..N threads and for
+//! every kernel (asserted by tests and by `scripts/verify.sh`).
 
 use crate::blocking::{cache_info, Blocking};
 use crate::pool;
@@ -60,28 +72,25 @@ use crate::simd::{self, KernelKind, Microkernel, MR, NR};
 use crate::Tensor;
 use edgebench_graph::{ActivationKind, TensorShape};
 use std::collections::TryReserveError;
-
-/// Row-panel height of the zero-skipping sparse path (a pure work-split
-/// constant — the sparse kernel does no packing, so cache blocking does
-/// not apply).
-const SPARSE_MC: usize = 64;
+use std::marker::PhantomData;
 
 /// How a convolution should be realized at a given shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ConvAlgo {
     /// Nested-loop direct convolution (tiny or grouped layers).
     Direct,
-    /// im2col + packed GEMM (everything else).
-    Im2colGemm,
+    /// Packed GEMM over B panels packed from the image (everything else).
+    Gemm,
 }
 
-/// Benchmarked crossover for [`select_conv_algo`]: layers at or below this
-/// many multiply-accumulates run the direct kernel; larger ones take
-/// im2col + GEMM. The `select/*` entries in `BENCH_kernels.json` bracket
-/// the boundary: at ~0.05 MMAC (8×8² → 8, k3) direct and GEMM are within
-/// ~2× of each other with direct ahead, while by 14.5 MMAC
-/// (32×28² → 64, k3) GEMM is ~30× faster — the packing and im2col setup
-/// cost stops amortizing around 64 KMAC.
+/// Crossover for [`select_conv_algo`]: layers at or below this many
+/// multiply-accumulates run the direct kernel; larger ones take the packed
+/// GEMM. No benchmark brackets the boundary itself. The one direct/GEMM
+/// pair in `BENCH_kernels.json` sits far above it, at 14.5 MMAC
+/// (`conv_direct_32x28->64` against `conv_gemm_32x28->64`, 32×28² → 64,
+/// k3), where the GEMM path is 30–45× faster across the snapshots. 64 KMAC
+/// keeps only layers of a few thousand outputs, where packing cannot
+/// amortize, on the direct loop.
 pub(crate) const DIRECT_CONV_MAX_MACS: usize = 1 << 16;
 
 /// Per-shape convolution algorithm selection, used by the executor.
@@ -89,12 +98,12 @@ pub(crate) const DIRECT_CONV_MAX_MACS: usize = 1 << 16;
 /// output element (`in_c/groups · kh · kw`).
 pub(crate) fn select_conv_algo(out_elems: usize, fan_in: usize, groups: usize) -> ConvAlgo {
     if groups != 1 {
-        // No grouped im2col lowering — grouped/depthwise layers are small
+        // No grouped GEMM lowering — grouped/depthwise layers are small
         // per-group GEMMs where packing overhead dominates anyway.
         return ConvAlgo::Direct;
     }
     if out_elems.saturating_mul(fan_in) > DIRECT_CONV_MAX_MACS {
-        ConvAlgo::Im2colGemm
+        ConvAlgo::Gemm
     } else {
         ConvAlgo::Direct
     }
@@ -275,8 +284,8 @@ fn advise_huge_pages(ptr: *const f32, capacity: usize) {
 )))]
 fn advise_huge_pages(_ptr: *const f32, _capacity: usize) {}
 
-/// Reusable packing / im2col buffers plus the resolved kernel and blocking
-/// for the GEMM path.
+/// Reusable packing buffers plus the resolved kernel and blocking for the
+/// GEMM path.
 ///
 /// Owned by the executor's arena (one per [`crate::PreparedExecutor`]) so
 /// steady-state inference re-uses the same allocations; standalone calls
@@ -285,12 +294,12 @@ fn advise_huge_pages(_ptr: *const f32, _capacity: usize) {}
 /// called — never per GEMM call.
 #[derive(Debug)]
 pub struct GemmScratch {
-    /// Packed B block: up to `⌈NC/NR⌉` panels of `KC·NR` floats.
+    /// The blocked GEMM's packed B block: up to `⌈NC/NR⌉` panels of
+    /// `KC·NR` floats.
     pack_b: Vec<f32>,
-    /// Per-worker packed-A buffers (one per intra-op worker).
-    pack_a: Vec<Vec<f32>>,
-    /// im2col matrix for the convolution lowering.
-    im2col: Vec<f32>,
+    /// One packing buffer per intra-op worker: the blocked GEMM packs A
+    /// micro-panels into it, a convolution its B blocks.
+    workers: Vec<Vec<f32>>,
     /// Weights the natural-layout entry points pack before calling the
     /// prepacked path.
     weights: PackedPanels,
@@ -305,8 +314,7 @@ impl Default for GemmScratch {
     fn default() -> Self {
         GemmScratch {
             pack_b: Vec::new(),
-            pack_a: Vec::new(),
-            im2col: Vec::new(),
+            workers: Vec::new(),
             weights: PackedPanels::default(),
             kernel: simd::resolve(KernelKind::Auto),
             blocking: None,
@@ -326,25 +334,27 @@ impl GemmScratch {
         self.kernel
     }
 
-    /// Grows the B-block and im2col buffers to what a convolution lowered
-    /// to an `[m×k]·[k×n]` GEMM over an im2col matrix of `im2col_len`
-    /// floats needs, so later runs allocate nothing. Called from
-    /// `Executor::prepare`. The conv's A operand is its prepacked (or, for
-    /// pruned stores, natural and unpacked) weights, so no A scratch is
+    /// Grows one B-block buffer per worker to what the convolution with
+    /// prepacked `weight` and output shape `out` needs at `threads`, so
+    /// later runs allocate nothing. Called from `Executor::prepare`. The
+    /// conv's A operand is its prepacked weights, so no A scratch is
     /// reserved. On allocation failure returns the element count of the
     /// buffer that could not be grown.
     pub(crate) fn reserve(
         &mut self,
-        dims: (usize, usize, usize),
-        im2col_len: usize,
+        weight: &PackedPanels,
+        out: &TensorShape,
+        threads: usize,
     ) -> Result<(), usize> {
-        let (_, k, n) = dims;
-        let blk = self
-            .blocking
-            .unwrap_or_else(|| Blocking::choose_prepacked_a(dims, &cache_info()));
-        let need_b = blk.nc.min(n).max(1).div_ceil(NR) * blk.kc.min(k).max(1) * NR;
-        grow(&mut self.pack_b, need_b)?;
-        grow(&mut self.im2col, im2col_len)
+        let dims = (weight.rows, weight.k, out.height() * out.width());
+        let split = ConvSplit::new(dims, out.batch(), threads, self.blocking);
+        if self.workers.len() < split.workers {
+            self.workers.resize(split.workers, Vec::new());
+        }
+        for buf in &mut self.workers[..split.workers] {
+            grow(buf, split.b_len())?;
+        }
+        Ok(())
     }
 }
 
@@ -357,13 +367,92 @@ fn grow(buf: &mut Vec<f32>, len: usize) -> Result<(), usize> {
     Ok(())
 }
 
-/// A GEMM operand as the driver sees it.
+/// A block of rows × columns of a row-major matrix (row stride `ld`) that
+/// one task writes while other tasks write other blocks of the same
+/// matrix. Blocks come only from [`Block::new`], which borrows the whole
+/// matrix exclusively, and from splitting a block in two, so no two live
+/// blocks share an element — the 2-D counterpart of `split_at_mut`.
+struct Block<'a> {
+    /// First element of row 0. Row `i < rows` is the `cols` floats from
+    /// `ptr + i·ld`, all inside the matrix `new` borrowed.
+    ptr: *mut f32,
+    ld: usize,
+    rows: usize,
+    cols: usize,
+    _matrix: PhantomData<&'a mut [f32]>,
+}
+
+// SAFETY: a block is an exclusive borrow of its elements — no other live
+// block or slice reaches them — exactly as the `&mut [f32]` it was split
+// from, which is `Send`; `ld`, `rows` and `cols` are plain integers.
+unsafe impl Send for Block<'_> {}
+
+impl<'a> Block<'a> {
+    /// The whole `[c.len()/ld × ld]` matrix `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `c` holds a whole number of rows of `ld > 0`.
+    fn new(c: &'a mut [f32], ld: usize) -> Block<'a> {
+        assert!(
+            ld > 0 && c.len().is_multiple_of(ld),
+            "{} floats are not rows of {ld}",
+            c.len()
+        );
+        Block {
+            ptr: c.as_mut_ptr(),
+            ld,
+            rows: c.len() / ld,
+            cols: ld,
+            _matrix: PhantomData,
+        }
+    }
+
+    /// Splits the block into its first `at` rows and the rest.
+    fn split_rows(self, at: usize) -> (Block<'a>, Block<'a>) {
+        assert!(at <= self.rows, "row split {at} past {} rows", self.rows);
+        let rest = Block {
+            // Never dereferenced when no rows remain, hence wrapping.
+            ptr: self.ptr.wrapping_add(at * self.ld),
+            rows: self.rows - at,
+            ..self
+        };
+        (Block { rows: at, ..self }, rest)
+    }
+
+    /// Splits the block into its first `at` columns and the rest.
+    fn split_cols(self, at: usize) -> (Block<'a>, Block<'a>) {
+        assert!(
+            at <= self.cols,
+            "column split {at} past {} columns",
+            self.cols
+        );
+        let rest = Block {
+            // Never dereferenced when no columns remain, hence wrapping.
+            ptr: self.ptr.wrapping_add(at),
+            cols: self.cols - at,
+            ..self
+        };
+        (Block { cols: at, ..self }, rest)
+    }
+
+    /// Row `i` of the block.
+    fn row(&mut self, i: usize) -> &mut [f32] {
+        assert!(i < self.rows, "row {i} of a {}-row block", self.rows);
+        // SAFETY: by the invariant on `ptr`, row `i < rows` is `cols`
+        // in-bounds floats of the borrowed matrix that no other live
+        // block reaches, and `&mut self` keeps this the only slice of the
+        // block alive.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(i * self.ld), self.cols) }
+    }
+}
+
+/// The blocked GEMM's B operand.
 #[derive(Debug, Clone, Copy)]
 enum Operand<'a> {
-    /// Row-major (`[m×k]` for A, `[k×n]` for B), packed per block on
-    /// every call.
+    /// Row-major `[k×n]`, packed per block on every call.
     RowMajor(&'a [f32]),
-    /// Full-depth panels packed once (`MR` wide for A, `NR` for B).
+    /// Full-depth `NR`-wide panels packed once.
     Packed(&'a PackedPanels),
 }
 
@@ -409,6 +498,165 @@ fn pack_b_block(
             let dst = &mut panel[kk * NR..kk * NR + NR];
             dst[..width].copy_from_slice(srow);
             dst[width..].fill(0.0);
+        }
+    }
+    need
+}
+
+/// One convolution's geometry: an image's input extent, the kernel,
+/// stride and padding, and the output extent. Per image, the layer is the
+/// GEMM of its `[out_c × k]` weights and the `[k × n]` im2col matrix of
+/// the input, `k = in_c·kh·kw` and `n = oh·ow`: row `(c·kh + ky)·kw + kx`,
+/// column `oy·ow + ox` holds the input at `(c, oy·sy + ky − py,
+/// ox·sx + kx − px)`, or `0.0` where that falls in the padding.
+#[derive(Debug, Clone, Copy)]
+struct ConvGeom {
+    in_c: usize,
+    ih: usize,
+    iw: usize,
+    kernel: (usize, usize),
+    stride: (usize, usize),
+    padding: (usize, usize),
+    oh: usize,
+    ow: usize,
+}
+
+impl ConvGeom {
+    /// The geometry of a `kernel` convolution over the NCHW `input`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel does not fit the padded input.
+    fn new(
+        input: &TensorShape,
+        kernel: (usize, usize),
+        stride: (usize, usize),
+        padding: (usize, usize),
+    ) -> ConvGeom {
+        let (in_c, ih, iw) = (input.channels(), input.height(), input.width());
+        let extent = |i, k, s, p| TensorShape::conv_out_extent(i, k, s, p).expect("kernel fits");
+        ConvGeom {
+            in_c,
+            ih,
+            iw,
+            kernel,
+            stride,
+            padding,
+            oh: extent(ih, kernel.0, stride.0, padding.0),
+            ow: extent(iw, kernel.1, stride.1, padding.1),
+        }
+    }
+
+    /// The GEMM depth, `in_c·kh·kw`.
+    fn k(&self) -> usize {
+        self.in_c * self.kernel.0 * self.kernel.1
+    }
+
+    /// The GEMM width, `oh·ow`.
+    fn n(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Floats of one input image.
+    fn image_len(&self) -> usize {
+        self.in_c * self.ih * self.iw
+    }
+}
+
+/// Packs the `[pc..pc+kcb, jc..jc+ncb]` block of one image's im2col matrix
+/// (see [`ConvGeom`]) into k-major `NR`-column panels, straight from the
+/// `[in_c × ih × iw]` `image`, and returns the packed length. The bytes
+/// are exactly those [`pack_b_block`] writes from the materialized matrix:
+/// values are copied with their bits, padding taps are `+0.0`, and lanes
+/// past the ragged edge are zero-filled.
+///
+/// A 1×1, stride-1, unpadded convolution's im2col matrix *is* its input
+/// plane, which [`pack_b_block`] packs directly. Otherwise each panel's
+/// lanes are cut into runs that share an output row; per depth a run
+/// reads one input row, so its in-bounds taps are one contiguous copy at
+/// stride 1 and a strided gather otherwise, with zeros either side.
+fn pack_b_from_image(
+    image: &[f32],
+    g: &ConvGeom,
+    (pc, kcb): (usize, usize),
+    (jc, ncb): (usize, usize),
+    out: &mut Vec<f32>,
+) -> usize {
+    assert_eq!(image.len(), g.image_len(), "image length mismatch");
+    if g.kernel == (1, 1) && g.stride == (1, 1) && g.padding == (0, 0) {
+        return pack_b_block(image, (g.k(), g.n()), (pc, kcb), (jc, ncb), out);
+    }
+    let ((kh, kw), (sy, sx), (py, px)) = (g.kernel, g.stride, g.padding);
+    let plane = g.ih * g.iw;
+    let panels = ncb.div_ceil(NR);
+    let need = panels * kcb * NR;
+    if out.len() < need {
+        out.resize(need, 0.0);
+    }
+    for (jp, panel) in out[..need].chunks_exact_mut(kcb * NR).enumerate() {
+        let j0 = jc + jp * NR;
+        let width = (ncb - jp * NR).min(NR);
+        // Runs of lanes in one output row: (first lane, lanes, padded
+        // input row and column of the run's first tap at ky = kx = 0).
+        let mut runs = [(0usize, 0usize, 0usize, 0usize); NR];
+        let mut nruns = 0;
+        let mut lane = 0;
+        while lane < width {
+            let (oy, ox) = ((j0 + lane) / g.ow, (j0 + lane) % g.ow);
+            let len = (g.ow - ox).min(width - lane);
+            runs[nruns] = (lane, len, oy * sy, ox * sx);
+            nruns += 1;
+            lane += len;
+        }
+        let (mut c, mut ky, mut kx) = (pc / (kh * kw), pc / kw % kh, pc % kw);
+        for dst in panel.chunks_exact_mut(NR) {
+            let chan = &image[c * plane..(c + 1) * plane];
+            for &(l0, len, top, left) in &runs[..nruns] {
+                let seg = &mut dst[l0..l0 + len];
+                let iy = top + ky;
+                if iy < py || iy - py >= g.ih {
+                    seg.fill(0.0);
+                    continue;
+                }
+                let row = &chan[(iy - py) * g.iw..(iy - py + 1) * g.iw];
+                // Lane t reads padded column x0 + t·sx: in bounds for
+                // t in lo..hi (no division for an interior run).
+                let x0 = left + kx;
+                let lo = if x0 >= px {
+                    0
+                } else {
+                    (px - x0).div_ceil(sx).min(len)
+                };
+                let hi = if x0 + (len - 1) * sx < px + g.iw {
+                    len
+                } else {
+                    (px + g.iw).saturating_sub(x0).div_ceil(sx).clamp(lo, len)
+                };
+                seg[..lo].fill(0.0);
+                if lo < hi {
+                    let from = x0 + lo * sx - px;
+                    let src = &row[from..=from + (hi - lo - 1) * sx];
+                    let inside = &mut seg[lo..hi];
+                    if sx == 1 {
+                        inside.copy_from_slice(src);
+                    } else {
+                        for (t, d) in inside.iter_mut().enumerate() {
+                            *d = src[t * sx];
+                        }
+                    }
+                }
+                seg[hi..].fill(0.0);
+            }
+            dst[width..].fill(0.0);
+            kx += 1;
+            if kx == kw {
+                kx = 0;
+                ky += 1;
+                if ky == kh {
+                    ky = 0;
+                    c += 1;
+                }
+            }
         }
     }
     need
@@ -479,52 +727,49 @@ fn pack_a_block(
     }
 }
 
-/// The micro-kernel sweep over one row-panel of A × one block of B
-/// panels: every `MR×NR` tile of `C` is loaded (after the first `KC`
-/// block), accumulated over `kcb` ascending-`k` steps, and stored back —
-/// only the valid region touches memory.
-#[allow(clippy::too_many_arguments)]
+/// The micro-kernel sweep over one row panel of A × one block of B
+/// panels, into the block `c` of `C` whose column 0 is the first B
+/// panel's first lane: every `MR×NR` tile of `c` is loaded (after the
+/// first `KC` block), accumulated over `kcb` ascending-`k` steps, and
+/// stored back — only the valid region touches memory. The blocked GEMM
+/// and the convolution both run their tiles through it.
 fn gemm_panel(
     kernel: Microkernel,
     pa: PanelView<'_>,
     pb: PanelView<'_>,
-    rows: usize,
     kcb: usize,
-    (col0, ncols): (usize, usize),
-    ldc: usize,
     first: bool,
-    cpanel: &mut [f32],
+    c: &mut Block<'_>,
 ) {
+    let (rows, ncols) = (c.rows, c.cols);
     for mb in 0..rows.div_ceil(MR) {
         let apan = pa.panel(mb, kcb * MR);
         let mr = (rows - mb * MR).min(MR);
         for jp in 0..ncols.div_ceil(NR) {
             let bpan = pb.panel(jp, kcb * NR);
-            let j0 = col0 + jp * NR;
-            let nr = (ncols - jp * NR).min(NR);
+            let j0 = jp * NR;
+            let nr = (ncols - j0).min(NR);
             let mut acc: simd::Acc = [[0.0; NR]; MR];
             if !first {
                 for (i, row) in acc.iter_mut().enumerate().take(mr) {
-                    let crow = (mb * MR + i) * ldc + j0;
-                    row[..nr].copy_from_slice(&cpanel[crow..crow + nr]);
+                    row[..nr].copy_from_slice(&c.row(mb * MR + i)[j0..j0 + nr]);
                 }
             }
             simd::run(kernel, apan, bpan, kcb, &mut acc);
             for (i, row) in acc.iter().enumerate().take(mr) {
-                let crow = (mb * MR + i) * ldc + j0;
-                cpanel[crow..crow + nr].copy_from_slice(&row[..nr]);
+                c.row(mb * MR + i)[j0..j0 + nr].copy_from_slice(&row[..nr]);
             }
         }
     }
 }
 
-/// The blocked GEMM driver: NC/KC loops outside, parallel MC row panels
-/// inside, packing each per-call operand block exactly once per reuse
-/// scope and slicing prepacked operands in place. A prepacked B with at
-/// most `MR` rows of A takes the stream path instead.
+/// The blocked GEMM driver over a row-major A: NC/KC loops outside,
+/// parallel MC row panels inside, packing each per-call operand block
+/// exactly once per reuse scope and slicing a prepacked B in place. A
+/// prepacked B with at most `MR` rows of A takes the stream path instead.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
-    a: Operand<'_>,
+    a: &[f32],
     b: Operand<'_>,
     (m, k, n): (usize, usize, usize),
     c: &mut [f32],
@@ -534,10 +779,7 @@ fn gemm_blocked(
     pb_buf: &mut Vec<f32>,
     pa_bufs: &mut Vec<Vec<f32>>,
 ) {
-    match a {
-        Operand::RowMajor(a) => assert_eq!(a.len(), m * k, "A length mismatch"),
-        Operand::Packed(p) => assert_eq!((p.rows, p.k, p.width), (m, k, MR), "A panel shape"),
-    }
+    assert_eq!(a.len(), m * k, "A length mismatch");
     match b {
         Operand::RowMajor(b) => assert_eq!(b.len(), k * n, "B length mismatch"),
         Operand::Packed(p) => assert_eq!((p.rows, p.k, p.width), (n, k, NR), "B panel shape"),
@@ -550,29 +792,20 @@ fn gemm_blocked(
         c.fill(0.0);
         return;
     }
-    if let (Operand::RowMajor(x), Operand::Packed(w)) = (a, b) {
+    if let Operand::Packed(w) = b {
         if m <= MR {
-            stream_packed_b(kernel, x, w, (m, k, n), c, threads);
+            stream_packed_b(kernel, a, w, (m, k, n), c, threads);
             return;
         }
     }
-    let blk = blocking.unwrap_or_else(|| match a {
-        Operand::Packed(_) => Blocking::choose_prepacked_a((m, k, n), &cache_info()),
-        Operand::RowMajor(_) => Blocking::auto((m, k, n)),
-    });
-    // Prepacked panels are sliced at panel boundaries, so NC and MC are
-    // whole numbers of panels (output bytes never depend on either).
+    let blk = blocking.unwrap_or_else(|| Blocking::auto((m, k, n)));
+    // Prepacked panels are sliced at panel boundaries, so NC is a whole
+    // number of panels (output bytes never depend on it).
     let (kc, nc) = (blk.kc.max(1), blk.nc.max(NR).next_multiple_of(NR));
     // The MC panel is also the parallel work unit: shrink it when the
     // worker pool would otherwise sit idle.
     let workers_avail = pool::effective_threads(threads);
-    let mc = if workers_avail > 1 {
-        blk.mc.min(m.div_ceil(workers_avail).next_multiple_of(MR))
-    } else {
-        blk.mc
-    }
-    .max(MR)
-    .next_multiple_of(MR);
+    let mc = row_panel(blk.mc, m, workers_avail);
     for jc in (0..n).step_by(nc) {
         let ncb = (n - jc).min(nc);
         for (pci, pc) in (0..k).step_by(kc).enumerate() {
@@ -597,20 +830,28 @@ fn gemm_blocked(
             pool::run_tasks(tasks, &mut pa_bufs[..workers], |pa, (pi, cpanel)| {
                 let row0 = pi * mc;
                 let rows = (m - row0).min(mc);
-                let pa = match a {
-                    Operand::RowMajor(a) => {
-                        pack_a_block(a, k, (row0, rows), (pc, kcb), pa);
-                        PanelView {
-                            data: pa,
-                            stride: kcb * MR,
-                        }
-                    }
-                    Operand::Packed(w) => w.view(row0 / MR, pc),
+                pack_a_block(a, k, (row0, rows), (pc, kcb), pa);
+                let pa = PanelView {
+                    data: pa,
+                    stride: kcb * MR,
                 };
-                gemm_panel(kernel, pa, pb, rows, kcb, (jc, ncb), n, first, cpanel);
+                let (_, right) = Block::new(cpanel, n).split_cols(jc);
+                let (mut cblock, _) = right.split_cols(ncb);
+                gemm_panel(kernel, pa, pb, kcb, first, &mut cblock);
             });
         }
     }
+}
+
+/// Rows per parallel row panel: the blocking's `mc`, shrunk so `workers`
+/// workers all get one, in whole `MR` micro-panels.
+fn row_panel(mc: usize, m: usize, workers: usize) -> usize {
+    let mc = if workers > 1 {
+        mc.min(m.div_ceil(workers).next_multiple_of(MR))
+    } else {
+        mc
+    };
+    mc.max(MR).next_multiple_of(MR)
 }
 
 /// The small-batch path: `m ≤ MR` rows of the row-major `x` against
@@ -672,7 +913,7 @@ pub fn matmul_into(
     scratch: &mut GemmScratch,
 ) {
     gemm_blocked(
-        Operand::RowMajor(a),
+        a,
         Operand::RowMajor(b),
         dims,
         c,
@@ -680,56 +921,8 @@ pub fn matmul_into(
         scratch.kernel,
         scratch.blocking,
         &mut scratch.pack_b,
-        &mut scratch.pack_a,
+        &mut scratch.workers,
     );
-}
-/// Sparsity-aware GEMM into a caller-provided buffer: identical contract to
-/// [`matmul_into`] but skips zero elements of `a` (the weight operand).
-///
-/// Selected by the executor when the `WeightStore` is pruned; skipping a
-/// `0.0 · x` term removes an exact `±0.0` addend, so for finite data the
-/// result is byte-identical to the dense path (see tests) — only the work
-/// drops with sparsity.
-pub(crate) fn matmul_sparse_into(
-    a: &[f32],
-    b: &[f32],
-    (m, k, n): (usize, usize, usize),
-    c: &mut [f32],
-    threads: usize,
-) {
-    assert_eq!(a.len(), m * k, "A length mismatch");
-    assert_eq!(b.len(), k * n, "B length mismatch");
-    assert_eq!(c.len(), m * n, "C length mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let row_panels = m.div_ceil(SPARSE_MC).max(1);
-    let workers = pool::effective_threads(threads).min(row_panels).max(1);
-    // Workers carry no packing state on the sparse path; `Vec<()>` never
-    // touches the heap.
-    let mut slots = vec![(); workers];
-    let tasks: Vec<(usize, &mut [f32])> = c.chunks_mut(SPARSE_MC * n).enumerate().collect();
-    pool::run_tasks(tasks, &mut slots, |(), (pi, cpanel)| {
-        let row0 = pi * SPARSE_MC;
-        let rows = (m - row0).min(SPARSE_MC);
-        for i in 0..rows {
-            let crow = &mut cpanel[i * n..(i + 1) * n];
-            crow.fill(0.0);
-            let arow = (row0 + i) * k;
-            // Ascending k over the non-zeros: the same per-element
-            // reduction order as the dense kernel, minus exact-zero terms.
-            for kk in 0..k {
-                let av = a[arow + kk];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * n..kk * n + n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv = av.mul_add(bv, *cv);
-                }
-            }
-        }
-    });
 }
 
 /// Packed matrix multiply: `C[m×n] = A[m×k] · B[k×n]`, single-threaded,
@@ -813,161 +1006,92 @@ impl Default for Epilogue<'_> {
 }
 
 impl Epilogue<'_> {
-    /// Applies the epilogue to one `[out_c, hw]` output slab in place.
-    pub(crate) fn apply(&self, slab: &mut [f32], out_c: usize, hw: usize) {
-        if self.bias.is_none() && self.bn.is_none() && self.act == ActivationKind::Linear {
-            return;
+    /// Applies the epilogue in place to `row`, a run of output channel
+    /// `oc`'s values.
+    fn apply_row(&self, oc: usize, row: &mut [f32]) {
+        if let Some(bv) = self.bias {
+            let b0 = bv[oc];
+            for v in row.iter_mut() {
+                *v += b0;
+            }
         }
-        for oc in 0..out_c {
-            let row = &mut slab[oc * hw..(oc + 1) * hw];
-            if let Some(bv) = self.bias {
-                let b0 = bv[oc];
-                for v in row.iter_mut() {
-                    *v += b0;
-                }
+        if let Some((gamma, beta)) = self.bn {
+            let (g, s) = (gamma[oc], beta[oc]);
+            for v in row.iter_mut() {
+                *v = g * *v + s;
             }
-            if let Some((gamma, beta)) = self.bn {
-                let (g, s) = (gamma[oc], beta[oc]);
-                for v in row.iter_mut() {
-                    *v = g * *v + s;
-                }
-            }
-            if self.act != ActivationKind::Linear {
-                for v in row.iter_mut() {
-                    *v = crate::kernels::apply_activation(*v, self.act);
-                }
+        }
+        if self.act != ActivationKind::Linear {
+            for v in row.iter_mut() {
+                *v = crate::kernels::apply_activation(*v, self.act);
             }
         }
     }
 }
 
-/// Unfolds an `NCHW` input into the im2col matrix `[in_c·kh·kw, oh·ow]`
-/// for batch element `b`, writing **every** element of `out` (padded
-/// positions get an explicit `0.0`, so recycled buffers are safe).
-#[allow(clippy::too_many_arguments)]
-fn im2col_into(
-    x: &Tensor,
-    b: usize,
-    kernel: (usize, usize),
-    stride: (usize, usize),
-    padding: (usize, usize),
-    oh: usize,
-    ow: usize,
-    out: &mut [f32],
-) {
-    let (in_c, ih, iw) = (x.shape().channels(), x.shape().height(), x.shape().width());
-    let (kh, kw) = kernel;
-    let cols = oh * ow;
-    let xd = x.data();
-    for c in 0..in_c {
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (c * kh + ky) * kw + kx;
-                for oy in 0..oh {
-                    let mrow = row * cols + oy * ow;
-                    let iy = oy * stride.0 + ky;
-                    if iy < padding.0 || iy - padding.0 >= ih {
-                        out[mrow..mrow + ow].fill(0.0);
-                        continue;
-                    }
-                    let xrow = ((b * in_c + c) * ih + (iy - padding.0)) * iw;
-                    for ox in 0..ow {
-                        let ix = ox * stride.1 + kx;
-                        out[mrow + ox] = if ix < padding.1 || ix - padding.1 >= iw {
-                            0.0
-                        } else {
-                            xd[xrow + (ix - padding.1)]
-                        };
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A convolution's weights as the im2col lowering consumes them.
+/// How a convolution's per-image `[m×k]·[k×n]` GEMMs split into tasks.
+/// By output columns when the layer has at least as many `NR` column
+/// panels as workers: each task owns every row of a block of columns,
+/// and an image has enough blocks that the batch's tasks divide evenly
+/// among the workers. Otherwise by row panels, each task owning every
+/// column of its rows. A task packs its B blocks, `kc × nc` at most, into
+/// its worker's buffer. The split moves work between workers, never a
+/// byte of output.
 #[derive(Debug, Clone, Copy)]
-enum ConvWeights<'a> {
-    /// Natural `[out_c × in_c·kh·kw]` weights of a pruned store, run on
-    /// the zero-skipping GEMM.
-    Sparse(&'a [f32]),
-    /// `MR`-row full-depth A panels.
-    Packed(&'a PackedPanels),
+struct ConvSplit {
+    kc: usize,
+    /// Columns per packed B block, a multiple of `NR`.
+    nc: usize,
+    /// Rows and columns of `C` per task.
+    task: (usize, usize),
+    workers: usize,
 }
 
-/// The im2col lowering shared by every conv entry point: per batch
-/// element, unfold the input, multiply by the weights, and apply the
-/// fused epilogue in one sweep over the output slab.
-#[allow(clippy::too_many_arguments)]
-fn conv_lowered(
-    x: &Tensor,
-    weights: ConvWeights<'_>,
-    (out_c, kdim): (usize, usize),
-    (kh, kw): (usize, usize),
-    stride: (usize, usize),
-    padding: (usize, usize),
-    epilogue: &Epilogue<'_>,
-    threads: usize,
-    out: &mut Tensor,
-    scratch: &mut GemmScratch,
-) {
-    let (n, ih, iw) = {
-        let d = x.shape().dims();
-        (d[0], d[2], d[3])
-    };
-    let oh = TensorShape::conv_out_extent(ih, kh, stride.0, padding.0).expect("kernel fits");
-    let ow = TensorShape::conv_out_extent(iw, kw, stride.1, padding.1).expect("kernel fits");
-    let cols = oh * ow;
-    assert_eq!(out.len(), n * out_c * cols, "output shape mismatch");
-    assert_eq!(
-        kdim,
-        x.shape().channels() * kh * kw,
-        "weight in-channel mismatch"
-    );
-
-    let GemmScratch {
-        pack_b,
-        pack_a,
-        im2col,
-        kernel,
-        blocking,
-        ..
-    } = scratch;
-    if im2col.len() < kdim * cols {
-        im2col.resize(kdim * cols, 0.0);
-    }
-    for b in 0..n {
-        let im = &mut im2col[..kdim * cols];
-        im2col_into(x, b, (kh, kw), stride, padding, oh, ow, im);
-        let base = b * out_c * cols;
-        let slab = &mut out.data_mut()[base..base + out_c * cols];
-        match weights {
-            ConvWeights::Sparse(w) => matmul_sparse_into(w, im, (out_c, kdim, cols), slab, threads),
-            ConvWeights::Packed(w) => gemm_blocked(
-                Operand::Packed(w),
-                Operand::RowMajor(im),
-                (out_c, kdim, cols),
-                slab,
-                threads,
-                *kernel,
-                *blocking,
-                pack_b,
-                pack_a,
-            ),
+impl ConvSplit {
+    fn new(
+        (m, k, n): (usize, usize, usize),
+        batch: usize,
+        threads: usize,
+        blocking: Option<Blocking>,
+    ) -> ConvSplit {
+        let blk =
+            blocking.unwrap_or_else(|| Blocking::choose_prepacked_a((m, k, n), &cache_info()));
+        let kc = blk.kc.clamp(1, k.max(1));
+        let panels = n.div_ceil(NR);
+        let nc = blk.nc.div_ceil(NR).clamp(1, panels.max(1)) * NR;
+        let workers = pool::effective_threads(threads);
+        let (nc, task) = if panels >= workers {
+            let mut blocks = panels.div_ceil(nc / NR);
+            while !(batch * blocks).is_multiple_of(workers) && blocks < panels {
+                blocks += 1;
+            }
+            let nc = panels.div_ceil(blocks) * NR;
+            (nc, (m.max(1), nc))
+        } else {
+            (nc, (row_panel(blk.mc, m, workers), n.max(1)))
+        };
+        let tasks = batch * m.div_ceil(task.0) * n.div_ceil(task.1);
+        ConvSplit {
+            kc,
+            nc,
+            task,
+            workers: workers.min(tasks).max(1),
         }
-        epilogue.apply(slab, out_c, cols);
+    }
+
+    /// Floats of one worker's packed B block.
+    fn b_len(&self) -> usize {
+        self.kc * self.nc
     }
 }
 
-/// im2col + packed GEMM convolution into a caller-provided output tensor,
-/// with the bias/batch-norm/activation epilogue fused into a single pass.
+/// Packed-GEMM convolution into a caller-provided output tensor, with the
+/// bias/batch-norm/activation epilogue fused into the same pass.
 ///
 /// `weight` is in its natural `[out_c, in_c, kh, kw]` layout: it is
-/// packed into `scratch` and handed to [`conv2d_packed_into`]. When
-/// `sparse` is set the natural weights run on the zero-skipping GEMM
-/// instead (byte-identical results, less work on pruned weights).
-/// `out` must already have the `[n, out_c, oh, ow]` shape; every element
-/// is overwritten.
+/// packed into `scratch` and handed to [`conv2d_packed_into`]. `out` must
+/// already have the `[n, out_c, oh, ow]` shape; every element is
+/// overwritten.
 ///
 /// # Panics
 ///
@@ -980,29 +1104,12 @@ pub fn conv2d_gemm_into(
     stride: (usize, usize),
     padding: (usize, usize),
     epilogue: &Epilogue<'_>,
-    sparse: bool,
     threads: usize,
     out: &mut Tensor,
     scratch: &mut GemmScratch,
 ) {
     let wd = weight.shape().dims();
     let (out_c, kdim, kernel) = (wd[0], wd[1] * wd[2] * wd[3], (wd[2], wd[3]));
-    if sparse {
-        let w = ConvWeights::Sparse(weight.data());
-        conv_lowered(
-            x,
-            w,
-            (out_c, kdim),
-            kernel,
-            stride,
-            padding,
-            epilogue,
-            threads,
-            out,
-            scratch,
-        );
-        return;
-    }
     let mut packed = std::mem::take(&mut scratch.weights);
     packed.repack(weight.data(), out_c, kdim, MR);
     conv2d_packed_into(
@@ -1015,6 +1122,13 @@ pub fn conv2d_gemm_into(
 /// panels of the `[out_c × in_c·kh·kw]` weight matrix — the executor's
 /// path, with the packing done once at prepare time. `kernel` is
 /// `(kh, kw)`.
+///
+/// The output splits into `ConvSplit` tasks, all run in one pass of the
+/// worker pool. A task sweeps its block of one image's `[out_c × oh·ow]`
+/// output `nc` columns at a time: per `KC` block it packs B from the
+/// image into its worker's buffer and runs the tile sweep against the
+/// weight panels, then applies the epilogue to the finished columns while
+/// they are still in cache.
 ///
 /// # Panics
 ///
@@ -1031,21 +1145,62 @@ pub fn conv2d_packed_into(
     out: &mut Tensor,
     scratch: &mut GemmScratch,
 ) {
-    conv_lowered(
-        x,
-        ConvWeights::Packed(weight),
-        (weight.rows, weight.k),
-        kernel,
-        stride,
-        padding,
-        epilogue,
-        threads,
-        out,
-        scratch,
+    let g = ConvGeom::new(x.shape(), kernel, stride, padding);
+    let (m, k, n, batch) = (weight.rows, g.k(), g.n(), x.shape().batch());
+    assert_eq!((weight.k, weight.width), (k, MR), "weight panel shape");
+    assert_eq!(out.len(), batch * m * n, "output shape mismatch");
+    if out.is_empty() {
+        return;
+    }
+    let split = ConvSplit::new((m, k, n), batch, threads, scratch.blocking);
+    let (task_rows, task_cols) = split.task;
+    let mut tasks = Vec::with_capacity(batch * m.div_ceil(task_rows) * n.div_ceil(task_cols));
+    for (b, slab) in out.data_mut().chunks_exact_mut(m * n).enumerate() {
+        let mut rows = Block::new(slab, n);
+        for row0 in (0..m).step_by(task_rows) {
+            let (mut cols, rest) = rows.split_rows(task_rows.min(m - row0));
+            rows = rest;
+            for col0 in (0..n).step_by(task_cols) {
+                let (block, rest) = cols.split_cols(task_cols.min(n - col0));
+                cols = rest;
+                tasks.push((b, (row0, col0), block));
+            }
+        }
+    }
+    let bufs = &mut scratch.workers;
+    if bufs.len() < split.workers {
+        bufs.resize(split.workers, Vec::new());
+    }
+    let (kernel, xd, image) = (scratch.kernel, x.data(), g.image_len());
+    pool::run_tasks(
+        tasks,
+        &mut bufs[..split.workers],
+        |buf, (b, (row0, col0), block)| {
+            let image = &xd[b * image..(b + 1) * image];
+            let mut cols = block;
+            for jc in (col0..col0 + cols.cols).step_by(split.nc) {
+                let width = split.nc.min(cols.cols);
+                let (mut c, rest) = cols.split_cols(width);
+                cols = rest;
+                let ncb = c.cols;
+                for pc in (0..k).step_by(split.kc) {
+                    let kcb = (k - pc).min(split.kc);
+                    let need = pack_b_from_image(image, &g, (pc, kcb), (jc, ncb), buf);
+                    let pb = PanelView {
+                        data: &buf[..need],
+                        stride: kcb * NR,
+                    };
+                    gemm_panel(kernel, weight.view(row0 / MR, pc), pb, kcb, pc == 0, &mut c);
+                }
+                for i in 0..c.rows {
+                    epilogue.apply_row(row0 + i, c.row(i));
+                }
+            }
+        },
     );
 }
 
-/// 2-D convolution lowered to im2col + packed GEMM (groups = 1).
+/// 2-D convolution on the packed GEMM (groups = 1).
 ///
 /// Produces results bit-comparable (within FP reassociation error) to
 /// [`crate::kernels::conv2d`].
@@ -1060,29 +1215,15 @@ pub fn conv2d_gemm(
     stride: (usize, usize),
     padding: (usize, usize),
 ) -> Tensor {
-    let d = x.shape().dims();
-    let (n, ih, iw) = (d[0], d[2], d[3]);
     let wd = weight.shape().dims();
-    let (out_c, kh, kw) = (wd[0], wd[2], wd[3]);
-    let oh = TensorShape::conv_out_extent(ih, kh, stride.0, padding.0).expect("kernel fits");
-    let ow = TensorShape::conv_out_extent(iw, kw, stride.1, padding.1).expect("kernel fits");
-    let mut out = Tensor::zeros([n, out_c, oh, ow]);
+    let g = ConvGeom::new(x.shape(), (wd[2], wd[3]), stride, padding);
+    let mut out = Tensor::zeros([x.shape().batch(), wd[0], g.oh, g.ow]);
     let epi = Epilogue {
         bias,
         ..Epilogue::default()
     };
     let mut scratch = GemmScratch::default();
-    conv2d_gemm_into(
-        x,
-        weight,
-        stride,
-        padding,
-        &epi,
-        false,
-        1,
-        &mut out,
-        &mut scratch,
-    );
+    conv2d_gemm_into(x, weight, stride, padding, &epi, 1, &mut out, &mut scratch);
     out
 }
 
@@ -1180,7 +1321,7 @@ pub fn dense_packed_into(
     let units = weight.rows;
     assert_eq!(out.len(), n * units, "dense output size mismatch");
     gemm_blocked(
-        Operand::RowMajor(x.data()),
+        x.data(),
         Operand::Packed(weight),
         (n, f, units),
         out.data_mut(),
@@ -1188,7 +1329,7 @@ pub fn dense_packed_into(
         scratch.kernel,
         scratch.blocking,
         &mut scratch.pack_b,
-        &mut scratch.pack_a,
+        &mut scratch.workers,
     );
     if bias.is_none() && act == ActivationKind::Linear {
         return;
@@ -1231,6 +1372,38 @@ mod tests {
         let mut p = PackedPanels::default();
         p.repack(src, rows, k, width);
         p
+    }
+
+    /// Unfolds image `b` of an `NCHW` input into its im2col matrix
+    /// `[in_c·kh·kw, oh·ow]` (see [`ConvGeom`]), writing every element of
+    /// `out` — the oracle [`pack_b_from_image`] is held to.
+    fn im2col_into(x: &Tensor, b: usize, g: &ConvGeom, out: &mut [f32]) {
+        let ((kh, kw), (sy, sx), (py, px)) = (g.kernel, g.stride, g.padding);
+        let (cols, xd) = (g.n(), x.data());
+        for c in 0..g.in_c {
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = (c * kh + ky) * kw + kx;
+                    for oy in 0..g.oh {
+                        let mrow = row * cols + oy * g.ow;
+                        let iy = oy * sy + ky;
+                        if iy < py || iy - py >= g.ih {
+                            out[mrow..mrow + g.ow].fill(0.0);
+                            continue;
+                        }
+                        let xrow = ((b * g.in_c + c) * g.ih + (iy - py)) * g.iw;
+                        for ox in 0..g.ow {
+                            let ix = ox * sx + kx;
+                            out[mrow + ox] = if ix < px || ix - px >= g.iw {
+                                0.0
+                            } else {
+                                xd[xrow + (ix - px)]
+                            };
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The natural row-major matrix back out of the panels.
@@ -1385,12 +1558,22 @@ mod tests {
         /// path and the blocked path), unit counts off the NR grid, depths
         /// off every KC, batches 1–4 — bit for bit the naive reference with
         /// the epilogue applied in the same order, on every host kernel
-        /// tier, every forced blocking and 1, 2 and 8 threads.
+        /// tier, every forced blocking and 1, 2 and 8 threads. Convolutions
+        /// take 1×1, 3×3, 5×5 and 7×7 kernels at strides 1–4 and paddings
+        /// 0–3, on images of 4–9 or 20–35 pixels a side, so output rows
+        /// reach past `NR` and 1×1 stride-1 unpadded layers pack their
+        /// input plane.
         #[test]
         fn prepacked_operands_are_bitwise_identical_to_reference(
-            case in (1usize..=MR + 1, 1usize..=60, 1usize..=40, 1usize..=4, 0usize..1000)
+            case in (
+                (1usize..=MR + 1, 1usize..=60),
+                1usize..=40,
+                1usize..=4,
+                0usize..1000,
+                (0usize..4, 1usize..=4, 0usize..=3, prop::bool::ANY),
+            )
         ) {
-            let (m, units, in_c, batch, seed) = case;
+            let ((m, units), in_c, batch, seed, (kind, stride, pad, big)) = case;
             let seed = seed as u64;
             let units = if units % NR == 0 { units + 1 } else { units };
             let acts = [
@@ -1420,21 +1603,26 @@ mod tests {
             }
             let wp = pack(w.data(), units, k, NR);
 
-            // Conv: m output channels, 3×3 over in_c channels (depth 9·in_c,
-            // past the autotuned KC for in_c > 28), batch 1–4.
-            let (hw, stride, pad) = (4 + seed as usize % 6, 1 + seed as usize % 2, seed as usize % 2);
+            // Conv: m output channels over in_c channels (a 3×3 layer's
+            // depth 9·in_c passes the autotuned KC for in_c > 28), batch
+            // 1–4; a large image, 5×5 or 7×7 layer keeps at most 8 channels
+            // and 2 images. A large 1×1 layer is stride 1 and unpadded.
+            let ks = [1, 3, 5, 7][kind];
+            let (stride, pad) = if big && ks == 1 { (1, 0) } else { (stride, pad) };
+            let hw = if big { 20 + seed as usize % 16 } else { 4 + seed as usize % 6 }.max(ks);
+            let (in_c, batch) = if big || ks > 3 { (in_c.min(8), batch.min(2)) } else { (in_c, batch) };
             let cx = Tensor::random([batch, in_c, hw, hw], seed ^ 3);
-            let cw = Tensor::random([m, in_c, 3, 3], seed ^ 4);
+            let cw = Tensor::random([m, in_c, ks, ks], seed ^ 4);
             let cb: Vec<f32> = Tensor::random([m], seed ^ 5).data().to_vec();
             let gamma: Vec<f32> = Tensor::random([m], seed ^ 6).data().to_vec();
             let beta: Vec<f32> = Tensor::random([m], seed ^ 7).data().to_vec();
-            let oh = TensorShape::conv_out_extent(hw, 3, stride, pad).unwrap();
-            let (kdim, cols) = (in_c * 9, oh * oh);
+            let g = ConvGeom::new(cx.shape(), (ks, ks), (stride, stride), (pad, pad));
+            let (oh, kdim, cols) = (g.oh, g.k(), g.n());
             let cw_mat = Tensor::from_vec([m, kdim], cw.data().to_vec());
             let mut cwant = Tensor::zeros([batch, m, oh, oh]);
             let mut im = vec![0.0; kdim * cols];
             for b in 0..batch {
-                im2col_into(&cx, b, (3, 3), (stride, stride), (pad, pad), oh, oh, &mut im);
+                im2col_into(&cx, b, &g, &mut im);
                 let prod = matmul_reference(&cw_mat, &Tensor::from_vec([kdim, cols], im.clone()));
                 for (oc, row) in prod.data().chunks_exact(cols).enumerate() {
                     for (j, &v) in row.iter().enumerate() {
@@ -1455,7 +1643,7 @@ mod tests {
                         prop_assert_eq!(got.data(), want.data(), "dense {kernel:?} {blocking:?} t{threads}");
                         let mut cgot = Tensor::zeros([batch, m, oh, oh]);
                         conv2d_packed_into(
-                            &cx, &cwp, (3, 3), (stride, stride), (pad, pad), &epi, threads,
+                            &cx, &cwp, (ks, ks), (stride, stride), (pad, pad), &epi, threads,
                             &mut cgot, &mut scratch,
                         );
                         prop_assert_eq!(cgot.data(), cwant.data(), "conv {kernel:?} {blocking:?} t{threads}");
@@ -1463,6 +1651,93 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `pack_b_from_image` against `pack_b_block` over the materialized
+    /// im2col matrix, as bits, on a grid of kernels (square, 11×11 and
+    /// one-sided), strides, paddings up to 3 (whole border runs of zeros)
+    /// and output widths below, at, above and off a multiple of `NR`, for
+    /// blocks that start mid-window and mid-row, over inputs that hold NaNs
+    /// with payloads, ±Inf and −0.0. Recycled garbage in the output buffer
+    /// must never leak into the packed prefix.
+    #[test]
+    fn image_packer_is_bitwise_identical_to_packing_the_im2col_matrix() {
+        let specials = [
+            f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffa0_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut blocks_checked = 0;
+        for (kh, kw) in [(1, 1), (3, 3), (5, 5), (7, 7), (11, 11), (1, 7), (3, 1)] {
+            for s in [1, 2, 4] {
+                for p in 0..=3 {
+                    for ow in [5, NR, 2 * NR, 2 * NR + 5] {
+                        let iw = ((ow - 1) * s + kw).saturating_sub(2 * p).max(1);
+                        let ih = (2 * s + kh).saturating_sub(2 * p).max(1);
+                        let seed = (kh * 1000 + kw * 100 + s * 10 + p) as u64;
+                        let mut x = Tensor::random([2, 3, ih, iw], seed);
+                        for (i, v) in x.data_mut().iter_mut().enumerate().step_by(5) {
+                            *v = specials[i / 5 % specials.len()];
+                        }
+                        let g = ConvGeom::new(x.shape(), (kh, kw), (s, s), (p, p));
+                        let (k, n) = (g.k(), g.n());
+                        let mut im = vec![f32::NAN; k * n];
+                        im2col_into(&x, 1, &g, &mut im);
+                        let image = &x.data()[g.image_len()..];
+                        let depths = [(0, k), (1, k - 1), (k / 2, k - k / 2), (k - 1, 1)];
+                        let columns = [(0, n), (NR.min(n - 1), n - NR.min(n - 1)), (3 % n, 1)];
+                        for &(pc, kcb) in &depths {
+                            for &(jc, ncb) in &columns {
+                                let mut want = Vec::new();
+                                let len =
+                                    pack_b_block(&im, (k, n), (pc, kcb), (jc, ncb), &mut want);
+                                let mut got = vec![f32::from_bits(0x7f80_0bad); len + NR];
+                                let got_len =
+                                    pack_b_from_image(image, &g, (pc, kcb), (jc, ncb), &mut got);
+                                assert_eq!(got_len, len);
+                                assert_eq!(
+                                    bits(&got[..len]),
+                                    bits(&want[..len]),
+                                    "{kh}x{kw} s{s} p{p} {ih}x{iw} depths {pc}+{kcb} cols {jc}+{ncb}"
+                                );
+                                blocks_checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(blocks_checked, 7 * 3 * 4 * 4 * 4 * 3);
+    }
+
+    #[test]
+    fn conv_split_is_by_columns_unless_workers_outnumber_column_panels() {
+        // One worker: the whole output height per task, blocks of B that
+        // fit half of L2.
+        let stem = (64, 147, 112 * 112);
+        let one = ConvSplit::new(stem, 1, 1, None);
+        assert_eq!((one.task.0, one.task.1, one.workers), (64, one.nc, 1));
+        assert!(one.nc.is_multiple_of(NR) && one.b_len() * 4 <= cache_info().l2 / 2);
+        // Two workers on one image: an even number of column blocks, none
+        // wider than the one-worker block.
+        let two = ConvSplit::new(stem, 1, 2, None);
+        assert_eq!(two.workers, 2);
+        assert!(two.nc <= one.nc);
+        assert!(
+            (112 * 112usize).div_ceil(two.task.1).is_multiple_of(2),
+            "{two:?}"
+        );
+        // VGG-S-32's conv2d_10 has 4 columns, one panel: two workers split
+        // its 512 rows instead.
+        let narrow = ConvSplit::new((512, 4608, 4), 1, 2, None);
+        assert_eq!((narrow.task, narrow.workers), ((256, 4), 2));
+        // A batch of four keeps whole-height column blocks at two workers.
+        let batched = ConvSplit::new((64, 576, 56 * 56), 4, 2, None);
+        assert_eq!(batched.task.0, 64);
     }
 
     #[test]
@@ -1558,27 +1833,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_matmul_matches_dense_bitwise() {
-        // Zero out a chunk of A exactly, as the pruned WeightStore does:
-        // skipping 0·x terms must not change a single bit.
-        let mut a = Tensor::random([67, 50], 8);
-        for (i, v) in a.data_mut().iter_mut().enumerate() {
-            if i % 3 == 0 {
-                *v = 0.0;
-            }
-        }
-        let b = Tensor::random([50, 40], 9);
-        let dense = matmul(&a, &b);
-        let mut sparse = Tensor::zeros([67, 40]);
-        matmul_sparse_into(a.data(), b.data(), (67, 50, 40), sparse.data_mut(), 1);
-        assert_eq!(dense.data(), sparse.data());
-        // And across thread counts.
-        let mut sparse4 = Tensor::zeros([67, 40]);
-        matmul_sparse_into(a.data(), b.data(), (67, 50, 40), sparse4.data_mut(), 4);
-        assert_eq!(dense.data(), sparse4.data());
-    }
-
-    #[test]
     fn matmul_into_overwrites_recycled_buffers() {
         // Simulate an arena-recycled output full of stale garbage.
         let a = Tensor::random([10, 12], 4);
@@ -1641,17 +1895,7 @@ mod tests {
                     act,
                 };
                 let mut scratch = GemmScratch::default();
-                conv2d_gemm_into(
-                    &x,
-                    &w,
-                    (s, s),
-                    (p, p),
-                    &epi,
-                    false,
-                    1,
-                    &mut got,
-                    &mut scratch,
-                );
+                conv2d_gemm_into(&x, &w, (s, s), (p, p), &epi, 1, &mut got, &mut scratch);
                 assert_eq!(expect.data(), got.data(), "s={s} p={p} act={act:?}");
             }
         }
@@ -1661,23 +1905,14 @@ mod tests {
     fn conv_algo_selection_table() {
         // Grouped layers never take the GEMM lowering.
         assert_eq!(select_conv_algo(1 << 20, 1 << 10, 2), ConvAlgo::Direct);
-        // Tiny layers stay direct; big ones lower to im2col + GEMM.
+        // Tiny layers stay direct; big ones take the packed GEMM.
         assert_eq!(select_conv_algo(64, 27, 1), ConvAlgo::Direct);
-        assert_eq!(
-            select_conv_algo(28 * 28 * 64, 32 * 9, 1),
-            ConvAlgo::Im2colGemm
-        );
+        assert_eq!(select_conv_algo(28 * 28 * 64, 32 * 9, 1), ConvAlgo::Gemm);
         // The boundary itself is inclusive for Direct.
         assert_eq!(select_conv_algo(1 << 8, 1 << 8, 1), ConvAlgo::Direct);
-        assert_eq!(
-            select_conv_algo((1 << 8) + 1, 1 << 8, 1),
-            ConvAlgo::Im2colGemm
-        );
+        assert_eq!(select_conv_algo((1 << 8) + 1, 1 << 8, 1), ConvAlgo::Gemm);
         // Overflow-safe on absurd shapes.
-        assert_eq!(
-            select_conv_algo(usize::MAX, usize::MAX, 1),
-            ConvAlgo::Im2colGemm
-        );
+        assert_eq!(select_conv_algo(usize::MAX, usize::MAX, 1), ConvAlgo::Gemm);
     }
 
     #[test]

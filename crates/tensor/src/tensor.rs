@@ -88,9 +88,32 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its buffer.
-    pub(crate) fn into_vec(self) -> Vec<f32> {
-        self.data
+    /// An empty tensor (shape `[0]`) whose buffer holds `elems` values
+    /// before it reallocates: a spare buffer for [`Tensor::set_shape`].
+    ///
+    /// # Errors
+    ///
+    /// The [`TryReserveError`] of the failed reservation.
+    pub(crate) fn try_with_capacity(elems: usize) -> Result<Tensor, TryReserveError> {
+        let mut data = Vec::new();
+        data.try_reserve_exact(elems)?;
+        Ok(Tensor {
+            shape: TensorShape::new([0]),
+            data,
+        })
+    }
+
+    /// How many values the buffer holds before it reallocates.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
+    /// Gives the tensor `shape` in place, reusing its buffer and its
+    /// shape's storage: the buffer is cut or zero-extended to the new
+    /// element count, so values it keeps are unchanged.
+    pub(crate) fn set_shape(&mut self, shape: &TensorShape) {
+        self.data.resize(shape.num_elements(), 0.0);
+        self.shape.clone_from(shape);
     }
 
     /// Number of elements.

@@ -36,6 +36,18 @@ cargo test -q --offline -p edgebench-tensor \
     prepacked_operands_are_bitwise_identical_to_reference
 cargo test -q --offline --test sdc \
     packed_weight_flips_address_logical_elements
+# A convolution packs its B panels straight from the image: the packer must
+# write exactly the bytes of packing the im2col matrix, as bits, over
+# kernels 1×1 to 11×11 and one-sided, strides 1–4, paddings 0–3, output
+# widths around NR and blocks starting mid-window and mid-row, on inputs
+# with NaN payloads, ±Inf and −0.0. And a warm prepared executor allocates
+# nothing of 4 KiB or more per run (the per-worker packing buffers are
+# reserved at prepare), checked with a counting allocator on four models
+# at 1 and 2 threads and on batch-4 int8 ResNet-18.
+cargo test -q --offline -p edgebench-tensor \
+    image_packer_is_bitwise_identical_to_packing_the_im2col_matrix
+cargo test -q --offline --test allocations \
+    steady_state_runs_make_no_large_allocation
 # The SDC defense contracts, named explicitly: every single-bit weight
 # flip must be caught by the prepare-time checksums, and guard verdicts
 # must be byte-identical across thread counts, kernel tiers, and

@@ -11,7 +11,8 @@
 //! bit of the executor, its kernels or its weight generator.
 //!
 //! Together the graphs reach every kernel the executor can dispatch:
-//! packed, pruned and direct 2-D convolution (grouped included),
+//! packed 2-D convolution (on a pruned store too) and direct 2-D
+//! convolution (grouped included),
 //! depthwise alone and fused, 3-D convolution and pooling, padded, 2×2
 //! and global pooling, batch norm, LRN, every activation kind, add, mul,
 //! concat, slice, upsample, flatten, packed and direct dense layers (one
@@ -113,8 +114,8 @@ fn fused() -> Graph {
     g
 }
 
-/// Every 4-D kernel not covered by the models above, at batch 2: an
-/// im2col-sized convolution, a grouped one, LRN, padded average pooling,
+/// Every 4-D kernel not covered by the models above, at batch 2: a
+/// GEMM-sized convolution, a grouped one, LRN, padded average pooling,
 /// upsampling, concat, the 2×2 max pool, depthwise with batch norm and a
 /// leaky activation, global pooling on a side branch, a GEMM-sized fused
 /// dense layer next to a small plain one, dropout and softmax.

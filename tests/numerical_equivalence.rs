@@ -292,7 +292,7 @@ fn kernel_dispatch_honours_runtime_detection_and_forced_scalar() {
 
 /// Strategy: a single conv layer with randomized geometry — channel counts,
 /// spatial size, kernel, stride, padding and batch — followed by a dense
-/// head so both the im2col/GEMM and the direct path get exercised.
+/// head so both the packed-GEMM and the direct path get exercised.
 fn arb_conv_case() -> impl Strategy<Value = (Graph, u64)> {
     let size = (1usize..=3, 1usize..=8, 1usize..=12); // batch, cin, cout
     let geom = (3usize..=5, 0usize..=2, 1usize..=2, 0usize..=2); // hw exp, k sel, stride, pad

@@ -163,7 +163,7 @@ fn refusals_are_typed_not_panics() {
 
 /// The SDC layer addresses weights logically — the natural row-major
 /// index, panel padding excluded — although GEMM weights are stored in
-/// packed panels. A packed im2col conv and a ragged dense layer (1000
+/// packed panels. A packed GEMM conv and a ragged dense layer (1000
 /// units, like AlexNet's fc8, so its last `NR` panel is half padding):
 /// flipping logical element `e` through `corrupt_param_bit` must give
 /// exactly the output of natural-layout weights with element `e`
@@ -209,17 +209,7 @@ fn packed_weight_flips_address_logical_elements() {
         };
         let cw = Tensor::from_vec([16, 8, 3, 3], cw.to_vec());
         let mut scratch = GemmScratch::default();
-        gemm::conv2d_gemm_into(
-            &input,
-            &cw,
-            (1, 1),
-            (1, 1),
-            &epi,
-            false,
-            1,
-            &mut h,
-            &mut scratch,
-        );
+        gemm::conv2d_gemm_into(&input, &cw, (1, 1), (1, 1), &epi, 1, &mut h, &mut scratch);
         h.reshape([1, 16 * 144]);
         let dw = Tensor::from_vec([1000, 2304], dw.to_vec());
         kernels::dense(&h, &dw, Some(db))
