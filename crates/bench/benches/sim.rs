@@ -1,12 +1,12 @@
 //! Event-engine benches: events per second through the serving
-//! simulator on the calendar queue vs the from-scratch binary-heap
-//! oracle, and raw queue churn on the two structures alone.
+//! simulator on the calendar queue vs the binary-heap reference, and raw
+//! queue churn on the two structures alone.
 //!
 //! The full-simulation pairs share the identical zero-allocation sim
 //! body, so their gap is purely the event queue (plus the calendar
-//! engine's lazy arrival merge, which never materializes the trace as
-//! queued events). The churn pairs strip the sim away entirely: push a
-//! synthetic event population, then drain it in timestamp order — the
+//! queue's lazy arrival merge, which never materializes the trace as
+//! queued events). The churn pairs strip the sim away entirely: build
+//! the queue from a trace, then drain it in timestamp order — the
 //! binary heap pays `O(log n)` cache-missing sift per operation at
 //! million-event populations while the calendar queue stays `O(1)`
 //! bucket arithmetic.
@@ -14,12 +14,10 @@
 //! Run with `cargo bench --offline -p edgebench-bench --bench sim`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use edgebench::serve::engine::{CalendarQueue, Event, EventKind};
-use edgebench::serve::{EngineKind, Fleet, ReplicaSpec, ServeConfig, Traffic};
+use edgebench::serve::engine::{CalendarQueue, EventKind, EventQueue, HeapQueue};
+use edgebench::serve::{Fleet, ReplicaSpec, ServeConfig, Traffic};
 use edgebench_devices::Device;
 use edgebench_models::Model;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hint::black_box;
 
 fn nano_fleet(n: usize) -> Fleet {
@@ -28,13 +26,15 @@ fn nano_fleet(n: usize) -> Fleet {
     Fleet::new(vec![spec; n]).unwrap()
 }
 
-/// Requests per second the whole simulator sustains, per engine, at
+/// Requests per second the whole simulator sustains, per queue, at
 /// 10k and 1M requests. Arrivals are pre-materialized so the trace
 /// generator stays out of the measurement.
 fn bench_sim_events(c: &mut Criterion) {
+    fn run_on<Q: EventQueue>(fleet: &Fleet, arrive_s: &[f64], cfg: &ServeConfig) {
+        black_box(fleet.serve_arrivals_on::<Q>(arrive_s, cfg).unwrap());
+    }
     let fleet = nano_fleet(4);
-    let cfg_cal = ServeConfig::new(100.0).with_engine(EngineKind::Calendar);
-    let cfg_heap = ServeConfig::new(100.0).with_engine(EngineKind::BinaryHeap);
+    let cfg = ServeConfig::new(100.0);
     let mut g = c.benchmark_group("sim_events");
     for &n in &[10_000usize, 1_000_000] {
         let arrive_s = Traffic::poisson(4000.0, 7)
@@ -42,15 +42,16 @@ fn bench_sim_events(c: &mut Criterion) {
             .expect("positive rate");
         g.throughput(Throughput::Elements(n as u64));
         g.sample_size(10);
-        for (engine, cfg) in [("calendar", &cfg_cal), ("heap", &cfg_heap)] {
-            g.bench_with_input(
-                BenchmarkId::new(engine, n),
-                &arrive_s,
-                |b, arrive_s: &Vec<f64>| {
-                    b.iter(|| black_box(fleet.serve_arrivals(arrive_s, cfg).unwrap()))
-                },
-            );
-        }
+        g.bench_with_input(
+            BenchmarkId::new("calendar", n),
+            &arrive_s,
+            |b, arrive_s: &Vec<f64>| b.iter(|| run_on::<CalendarQueue>(&fleet, arrive_s, &cfg)),
+        );
+        g.bench_with_input(
+            BenchmarkId::new("heap", n),
+            &arrive_s,
+            |b, arrive_s: &Vec<f64>| b.iter(|| run_on::<HeapQueue>(&fleet, arrive_s, &cfg)),
+        );
     }
     g.finish();
 }
@@ -61,95 +62,45 @@ fn arrivals(n: usize, span_ns: u64) -> Vec<u64> {
     (0..n).map(|i| i as u64 * (span_ns / n as u64)).collect()
 }
 
-/// The trace sweep the two engine designs actually disagree on: the
+/// Builds `Q` from the trace, then pops every event; each arrival
+/// spawns one completion `SVC_NS` out. Returns the events popped.
+fn sweep<Q: EventQueue>(arrive_ns: &[u64]) -> usize {
+    const SVC_NS: u64 = 5_000_000;
+    let mut q = Q::from_trace(arrive_ns);
+    let mut popped = 0usize;
+    while let Some(ev) = q.pop(arrive_ns) {
+        if let EventKind::Arrival(i) = ev.kind {
+            q.push(ev.time_ns + SVC_NS, EventKind::Flush(i));
+        }
+        popped += 1;
+        black_box(ev);
+    }
+    popped
+}
+
+/// The trace sweep the two queue designs actually disagree on: the
 /// heap materializes all `n` arrivals as queued events up front (the
 /// seed design), so every operation sifts a million-entry heap; the
-/// calendar engine merges the sorted arrival array lazily, so its
-/// queue only ever holds the in-flight completions. Each arrival
-/// spawns one completion 5 ms out, popped in order — 2n pops total,
-/// no sim body.
+/// calendar queue merges the sorted arrival array lazily, so it only
+/// ever holds the in-flight completions. Each arrival spawns one
+/// completion 5 ms out, popped in order — 2n pops total, no sim body.
 fn bench_trace_sweep(c: &mut Criterion) {
-    const SVC_NS: u64 = 5_000_000;
     let mut g = c.benchmark_group("trace_sweep");
     for &n in &[10_000usize, 1_000_000] {
-        let span_ns = n as u64 * 250_000;
-        let arrive_ns = arrivals(n, span_ns);
+        let arrive_ns = arrivals(n, n as u64 * 250_000);
         g.throughput(Throughput::Elements(2 * n as u64));
         g.sample_size(10);
         g.bench_with_input(
             BenchmarkId::new("calendar_lazy_merge", n),
             &arrive_ns,
             |b, arrive_ns: &Vec<u64>| {
-                b.iter(|| {
-                    let mut q = CalendarQueue::new(span_ns + SVC_NS, n);
-                    let mut seq = n as u64;
-                    let mut next = 0usize;
-                    let mut popped = 0usize;
-                    loop {
-                        let ev = if next < arrive_ns.len() {
-                            match q.pop_if_before(arrive_ns[next]) {
-                                Some(ev) => ev,
-                                None => {
-                                    let at = arrive_ns[next];
-                                    next += 1;
-                                    Event {
-                                        time_ns: at,
-                                        seq: next as u64,
-                                        kind: EventKind::Arrival(next - 1),
-                                    }
-                                }
-                            }
-                        } else {
-                            match q.pop() {
-                                Some(ev) => ev,
-                                None => break,
-                            }
-                        };
-                        if let EventKind::Arrival(_) = ev.kind {
-                            seq += 1;
-                            q.push(Event {
-                                time_ns: ev.time_ns + SVC_NS,
-                                seq,
-                                kind: EventKind::Flush(0),
-                            });
-                        }
-                        popped += 1;
-                        black_box(ev);
-                    }
-                    assert_eq!(popped, 2 * n);
-                })
+                b.iter(|| assert_eq!(sweep::<CalendarQueue>(arrive_ns), 2 * n))
             },
         );
         g.bench_with_input(
             BenchmarkId::new("heap_materialized", n),
             &arrive_ns,
-            |b, arrive_ns: &Vec<u64>| {
-                b.iter(|| {
-                    let mut q = BinaryHeap::with_capacity(n + 8);
-                    for (i, &at) in arrive_ns.iter().enumerate() {
-                        q.push(Reverse(Event {
-                            time_ns: at,
-                            seq: i as u64 + 1,
-                            kind: EventKind::Arrival(i),
-                        }));
-                    }
-                    let mut seq = n as u64;
-                    let mut popped = 0usize;
-                    while let Some(Reverse(ev)) = q.pop() {
-                        if let EventKind::Arrival(_) = ev.kind {
-                            seq += 1;
-                            q.push(Reverse(Event {
-                                time_ns: ev.time_ns + SVC_NS,
-                                seq,
-                                kind: EventKind::Flush(0),
-                            }));
-                        }
-                        popped += 1;
-                        black_box(ev);
-                    }
-                    assert_eq!(popped, 2 * n);
-                })
-            },
+            |b, arrive_ns: &Vec<u64>| b.iter(|| assert_eq!(sweep::<HeapQueue>(arrive_ns), 2 * n)),
         );
     }
     g.finish();

@@ -1,13 +1,19 @@
-//! The event core of the serving simulator: a calendar queue (bucketed
-//! time wheel with an overflow heap) and the `BinaryHeap` oracle it is
-//! proven against.
+//! The event core of the serving simulator: the [`EventQueue`] trait the
+//! simulator runs on, the calendar queue every production run uses (a
+//! bucketed time wheel with an overflow heap) and [`HeapQueue`], the
+//! `BinaryHeap` reference it is proven against.
 //!
 //! The simulator orders events by `(time_ns, seq)` where `seq` is a
 //! unique, monotonically increasing insertion counter — so the ordering
-//! is a *total* order and FIFO among same-timestamp events. A binary
-//! heap implements this directly but pays `O(log n)` pointer-chasing
-//! per operation with the entire event set resident; for million-request
-//! traces the heap itself becomes the hot path.
+//! is a *total* order and FIFO among same-timestamp events. Both queues
+//! number events the same way: arrival `i` of the trace carries seq
+//! `i + 1`, and the dynamic events the simulator pushes take `n + 1`,
+//! `n + 2`, … in push order. Arrivals therefore tie among themselves by
+//! trace order and win a same-instant tie with every dynamic event.
+//!
+//! A binary heap implements this order directly but pays `O(log n)`
+//! pointer-chasing per operation with the entire event set resident; for
+//! million-request traces the heap itself becomes the hot path.
 //!
 //! The calendar queue exploits the discrete-event structure instead:
 //! every event is pushed at a time at or after the event currently being
@@ -17,48 +23,24 @@
 //! bucket for its `(time, seq)` minimum and advance the cursor through
 //! empty buckets. Events beyond the wheel's one-rotation horizon wait in
 //! a small overflow heap and are refilled as the horizon advances. With
-//! a bucket width near the mean event spacing, pushes and pops are both
-//! `O(1)` amortized.
+//! a bucket width near the mean arrival spacing, pushes and pops are both
+//! `O(1)` amortized. The arrival trace never enters the wheel: a pop
+//! returns the trace's next arrival unless a dynamic event fires strictly
+//! before it, so the wheel only ever holds in-flight dynamic events.
 //!
 //! **Determinism argument.** Within a bucket the pop selects the
 //! strictly smallest `(time_ns, seq)` key — the same total order the
 //! heap uses — and bucket boundaries only partition that order by time
 //! ranges, so the pop sequence of [`CalendarQueue`] is *identical* to
-//! the heap's for any push history the simulator can generate (pushes
-//! never precede the last popped time). `swap_remove` reshuffles bucket
-//! *positions* but selection is by key, never by position. The oracle
-//! tests in `tests/engine_oracle.rs` assert byte-identical reports and
-//! event logs between the two engines over randomized traffic and fault
-//! mixes.
+//! [`HeapQueue`]'s for any push history the simulator can generate
+//! (pushes never precede the last popped time). `swap_remove` reshuffles
+//! bucket *positions* but selection is by key, never by position. The
+//! oracle tests in `tests/engine_oracle.rs` assert byte-identical reports
+//! and event logs between the two queues over randomized traffic and
+//! fault mixes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Which event-queue implementation a serving run uses.
-///
-/// Both engines produce byte-identical reports and event logs; the
-/// binary heap is retained as the from-scratch oracle the calendar
-/// queue is continuously verified against (and as the baseline for the
-/// events/sec benches). Only tests and benches pick the oracle, through
-/// [`super::ServeConfig::with_engine`]; the CLI always runs the calendar
-/// queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Bucketed time wheel with overflow heap — the default.
-    Calendar,
-    /// `BinaryHeap<Reverse<Event>>` oracle (the pre-calendar engine).
-    BinaryHeap,
-}
-
-impl EngineKind {
-    /// Stable name (`calendar` / `heap`) for test and bench messages.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Calendar => "calendar",
-            EngineKind::BinaryHeap => "heap",
-        }
-    }
-}
 
 /// What a scheduled simulator event does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -89,9 +71,41 @@ pub struct Event {
     /// Scheduled firing time, integer nanoseconds.
     pub time_ns: u64,
     /// Insertion sequence number (unique, monotone).
-    pub seq: u64,
+    seq: u64,
     /// What fires.
     pub kind: EventKind,
+}
+
+impl Event {
+    /// Arrival `i` of the trace: seq `i + 1`, below every dynamic event's.
+    fn arrival(i: usize, time_ns: u64) -> Event {
+        Event {
+            time_ns,
+            seq: i as u64 + 1,
+            kind: EventKind::Arrival(i),
+        }
+    }
+}
+
+/// An event queue the serving simulator runs on.
+///
+/// A queue is built from the run's arrival trace (nanoseconds,
+/// non-decreasing) and numbers every event itself: arrival `i` carries
+/// seq `i + 1`, and each push takes the next seq after the trace's. Pops
+/// return the events in `(time_ns, seq)` order. The caller keeps the
+/// trace and passes it to every pop, so no queue copies it. Pushes must
+/// not precede the time of the last popped event.
+pub trait EventQueue {
+    /// The queue for a run over `trace`, holding no dynamic event yet.
+    fn from_trace(trace: &[u64]) -> Self;
+
+    /// Schedules `kind` at `time_ns`, after every arrival and every event
+    /// already pushed at that instant.
+    fn push(&mut self, time_ns: u64, kind: EventKind);
+
+    /// Removes and returns the `(time_ns, seq)`-minimum event. `trace` is
+    /// the one the queue was built from.
+    fn pop(&mut self, trace: &[u64]) -> Option<Event>;
 }
 
 /// Number of buckets in the wheel (power of two).
@@ -102,12 +116,12 @@ const MIN_SHIFT: u32 = 8;
 const MAX_SHIFT: u32 = 36;
 
 /// A calendar queue: a power-of-two ring of time buckets plus an
-/// overflow heap for events beyond the wheel's one-rotation horizon.
+/// overflow heap for events beyond the wheel's one-rotation horizon,
+/// merged with the arrival trace at pop time.
 ///
-/// Requires the simulator's monotone-insert property: every push carries
-/// a `time_ns` at or after the time of the most recently popped event.
-/// Under that contract the pop sequence equals a binary heap's exactly
-/// (see the module docs for the argument).
+/// Under the monotone-insert contract of [`EventQueue`] its pop sequence
+/// equals [`HeapQueue`]'s exactly (see the module docs for the
+/// argument).
 #[derive(Debug)]
 pub struct CalendarQueue {
     buckets: Vec<Vec<Event>>,
@@ -125,14 +139,18 @@ pub struct CalendarQueue {
     wheel_len: usize,
     /// Events at or beyond `horizon_ns`, waiting to be wheeled in.
     overflow: BinaryHeap<Reverse<Event>>,
+    /// Index of the first arrival of the trace not yet popped.
+    next_arrival: usize,
+    /// Seq of the last event pushed (the trace holds seqs `1..=n`).
+    seq: u64,
 }
 
 impl CalendarQueue {
-    /// Builds a queue sized for roughly `n_events` spread over `span_ns`
+    /// An empty queue sized for roughly `n_events` spread over `span_ns`
     /// nanoseconds: the bucket width is the power of two nearest the
     /// mean event spacing (clamped to a sane range), so steady-state
     /// occupancy stays at a few events per bucket.
-    pub fn new(span_ns: u64, n_events: usize) -> CalendarQueue {
+    fn new(span_ns: u64, n_events: usize) -> CalendarQueue {
         let gap = (span_ns / n_events.max(1) as u64).max(1);
         // Smallest power of two >= gap, i.e. ceil(log2(gap)).
         let shift = (64 - (gap - 1).leading_zeros()).clamp(MIN_SHIFT, MAX_SHIFT);
@@ -146,19 +164,15 @@ impl CalendarQueue {
             horizon_ns: width.saturating_mul(N_BUCKETS as u64),
             wheel_len: 0,
             overflow: BinaryHeap::new(),
+            next_arrival: 0,
+            seq: 0,
         }
     }
 
-    /// Total events queued (wheel plus overflow).
+    /// Dynamic events queued (wheel plus overflow).
     #[cfg(test)]
     fn len(&self) -> usize {
         self.wheel_len + self.overflow.len()
-    }
-
-    /// Whether the queue holds no events.
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Width of one bucket, nanoseconds.
@@ -166,9 +180,9 @@ impl CalendarQueue {
         1u64 << self.shift
     }
 
-    /// Inserts an event. Events inside the wheel's horizon go straight
-    /// to their bucket; later events wait in the overflow heap.
-    pub fn push(&mut self, ev: Event) {
+    /// Files an event: events inside the wheel's horizon go straight to
+    /// their bucket; later events wait in the overflow heap.
+    fn insert(&mut self, ev: Event) {
         if ev.time_ns >= self.horizon_ns {
             self.overflow.push(Reverse(ev));
             return;
@@ -185,22 +199,10 @@ impl CalendarQueue {
         self.wheel_len += 1;
     }
 
-    /// Removes and returns the `(time_ns, seq)`-minimum event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.pop_impl(None)
-    }
-
-    /// Like [`CalendarQueue::pop`], but only if the minimum event fires
-    /// strictly before `limit_ns`; otherwise the queue is untouched and
-    /// `None` is returned. Used to merge the lazily-streamed arrival
-    /// trace with the dynamic event set (arrivals win ties by
-    /// construction: their sequence numbers precede every dynamic
-    /// event's).
-    pub fn pop_if_before(&mut self, limit_ns: u64) -> Option<Event> {
-        self.pop_impl(Some(limit_ns))
-    }
-
-    fn pop_impl(&mut self, limit_ns: Option<u64>) -> Option<Event> {
+    /// Removes and returns the `(time_ns, seq)`-minimum dynamic event —
+    /// with a `limit_ns`, only if it fires strictly before the limit;
+    /// otherwise the queue is untouched and `None` is returned.
+    fn pop_before(&mut self, limit_ns: Option<u64>) -> Option<Event> {
         if self.wheel_len == 0 {
             // Jump the wheel straight to the overflow's earliest
             // rotation instead of stepping through empty buckets.
@@ -256,54 +258,73 @@ impl CalendarQueue {
     }
 }
 
-/// The pluggable event queue: the calendar wheel or its binary-heap
-/// oracle, behind one push/pop interface.
-#[derive(Debug)]
-pub(crate) enum EventQueue {
-    /// Bucketed time-wheel engine.
-    Calendar(CalendarQueue),
-    /// From-scratch `BinaryHeap` oracle.
-    Heap(BinaryHeap<Reverse<Event>>),
+impl EventQueue for CalendarQueue {
+    fn from_trace(trace: &[u64]) -> CalendarQueue {
+        // A bucket per mean arrival gap: the wheel holds only the dynamic
+        // events (flushes, completions, resilience timers), which track
+        // the arrival rate.
+        let mut q = CalendarQueue::new(trace.last().copied().unwrap_or(0), trace.len());
+        q.seq = trace.len() as u64;
+        q
+    }
+
+    fn push(&mut self, time_ns: u64, kind: EventKind) {
+        self.seq += 1;
+        self.insert(Event {
+            time_ns,
+            seq: self.seq,
+            kind,
+        });
+    }
+
+    fn pop(&mut self, trace: &[u64]) -> Option<Event> {
+        // The next arrival fires unless a dynamic event fires strictly
+        // before it: at the same instant the arrival's seq is the lower.
+        let next = trace.get(self.next_arrival).copied();
+        if let Some(ev) = self.pop_before(next) {
+            return Some(ev);
+        }
+        let at = next?;
+        let i = self.next_arrival;
+        self.next_arrival += 1;
+        Some(Event::arrival(i, at))
+    }
 }
 
-impl EventQueue {
-    /// Builds the queue for `kind`, sized for `n_events` over `span_ns`.
-    pub(crate) fn new(kind: EngineKind, span_ns: u64, n_events: usize) -> EventQueue {
-        match kind {
-            EngineKind::Calendar => EventQueue::Calendar(CalendarQueue::new(span_ns, n_events)),
-            EngineKind::BinaryHeap => EventQueue::Heap(BinaryHeap::new()),
+/// The reference queue: a `BinaryHeap` that holds the whole arrival
+/// trace from the start, the design the calendar queue replaced. It is
+/// the oracle of the engine tests and the baseline of the event benches;
+/// no production path runs it.
+#[derive(Debug)]
+pub struct HeapQueue {
+    heap: BinaryHeap<Reverse<Event>>,
+    /// Seq of the last event pushed (the trace holds seqs `1..=n`).
+    seq: u64,
+}
+
+impl EventQueue for HeapQueue {
+    fn from_trace(trace: &[u64]) -> HeapQueue {
+        HeapQueue {
+            heap: trace
+                .iter()
+                .enumerate()
+                .map(|(i, &time_ns)| Reverse(Event::arrival(i, time_ns)))
+                .collect(),
+            seq: trace.len() as u64,
         }
     }
 
-    /// Inserts an event.
-    pub(crate) fn push(&mut self, ev: Event) {
-        match self {
-            EventQueue::Calendar(q) => q.push(ev),
-            EventQueue::Heap(h) => h.push(Reverse(ev)),
-        }
+    fn push(&mut self, time_ns: u64, kind: EventKind) {
+        self.seq += 1;
+        self.heap.push(Reverse(Event {
+            time_ns,
+            seq: self.seq,
+            kind,
+        }));
     }
 
-    /// Removes and returns the `(time_ns, seq)`-minimum event.
-    pub(crate) fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Calendar(q) => q.pop(),
-            EventQueue::Heap(h) => h.pop().map(|Reverse(ev)| ev),
-        }
-    }
-
-    /// Pops the minimum event only if it fires strictly before
-    /// `limit_ns` (see [`CalendarQueue::pop_if_before`]).
-    pub(crate) fn pop_if_before(&mut self, limit_ns: u64) -> Option<Event> {
-        match self {
-            EventQueue::Calendar(q) => q.pop_if_before(limit_ns),
-            EventQueue::Heap(h) => {
-                if h.peek().is_some_and(|Reverse(ev)| ev.time_ns < limit_ns) {
-                    h.pop().map(|Reverse(ev)| ev)
-                } else {
-                    None
-                }
-            }
-        }
+    fn pop(&mut self, _trace: &[u64]) -> Option<Event> {
+        self.heap.pop().map(|Reverse(ev)| ev)
     }
 }
 
@@ -311,24 +332,26 @@ impl EventQueue {
 mod tests {
     use super::*;
 
-    fn ev(time_ns: u64, seq: u64) -> Event {
-        Event {
-            time_ns,
-            seq,
-            kind: EventKind::Flush(0),
+    /// A deterministic xorshift stream for the interleaving tests.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
         }
     }
 
     #[test]
     fn same_timestamp_events_pop_in_fifo_order() {
         let mut q = CalendarQueue::new(1_000_000, 100);
-        for seq in 1..=64u64 {
-            q.push(ev(5_000, seq));
+        for r in 0..64 {
+            q.push(5_000, EventKind::Flush(r));
         }
-        for expect in 1..=64u64 {
-            assert_eq!(q.pop().unwrap().seq, expect);
+        for expect in 0..64 {
+            assert_eq!(q.pop(&[]).unwrap().kind, EventKind::Flush(expect));
         }
-        assert!(q.pop().is_none());
+        assert!(q.pop(&[]).is_none());
     }
 
     #[test]
@@ -337,35 +360,26 @@ mod tests {
         // the monotone-insert contract (pushes never precede the last
         // popped time).
         let mut cal = CalendarQueue::new(10_000_000, 64);
-        let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut heap = HeapQueue::from_trace(&[]);
+        let mut rnd = xorshift(0x9e37_79b9_7f4a_7c15);
         let mut now = 0u64;
-        let mut seq = 0u64;
         let mut popped = Vec::new();
         for round in 0..5_000 {
             // A few pushes at or after `now`, spanning bucket widths and
             // the overflow horizon.
             for _ in 0..(rnd() % 4) {
-                seq += 1;
                 let span = match rnd() % 4 {
                     0 => rnd() % 512,           // same bucket
                     1 => rnd() % 100_000,       // nearby buckets
                     2 => rnd() % 50_000_000,    // across the wheel
                     _ => rnd() % 5_000_000_000, // deep overflow
                 };
-                let e = ev(now + span, seq);
-                cal.push(e);
-                heap.push(Reverse(e));
+                cal.push(now + span, EventKind::Flush(0));
+                heap.push(now + span, EventKind::Flush(0));
             }
             if round % 3 != 0 {
-                let a = cal.pop();
-                let b = heap.pop().map(|Reverse(e)| e);
+                let a = cal.pop(&[]);
+                let b = heap.pop(&[]);
                 assert_eq!(a, b, "divergence at round {round}");
                 if let Some(e) = a {
                     assert!(e.time_ns >= now, "time went backwards");
@@ -376,9 +390,8 @@ mod tests {
         }
         // Drain both completely.
         loop {
-            let a = cal.pop();
-            let b = heap.pop().map(|Reverse(e)| e);
-            assert_eq!(a, b);
+            let a = cal.pop(&[]);
+            assert_eq!(a, heap.pop(&[]));
             match a {
                 Some(e) => popped.push(e),
                 None => break,
@@ -389,30 +402,86 @@ mod tests {
             .all(|w| (w[0].time_ns, w[0].seq) < (w[1].time_ns, w[1].seq)));
     }
 
+    /// The arrival merge, at the queue level: a trace with runs of up to
+    /// five same-instant arrivals, and dynamic events pushed at arrival
+    /// instants (ties an arrival must win), a few nanoseconds later, and
+    /// beyond the wheel's horizon. Driven through the trait, the calendar
+    /// queue and the heap reference pop identical sequences.
     #[test]
-    fn pop_if_before_leaves_later_events_queued() {
-        let mut q = CalendarQueue::new(1_000_000, 10);
-        q.push(ev(100, 1));
-        q.push(ev(200, 2));
-        assert_eq!(q.pop_if_before(100), None);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_if_before(101).unwrap().seq, 1);
-        assert_eq!(q.pop_if_before(200), None);
-        assert_eq!(q.pop().unwrap().seq, 2);
-        assert!(q.is_empty());
+    fn arrival_merge_matches_the_heap_queue() {
+        let mut rnd = xorshift(0x2545_f491_4f6c_dd1d);
+        let mut trace = Vec::new();
+        let mut t = 0u64;
+        while trace.len() < 4_000 {
+            t += [0, 1, 300, 20_000][(rnd() % 4) as usize];
+            for _ in 0..1 + rnd() % 5 {
+                trace.push(t);
+            }
+        }
+        let mut cal = CalendarQueue::from_trace(&trace);
+        let mut heap = HeapQueue::from_trace(&trace);
+        let mut popped = Vec::new();
+        loop {
+            let a = cal.pop(&trace);
+            assert_eq!(a, heap.pop(&trace), "divergence after {popped:?}");
+            let Some(ev) = a else { break };
+            if let EventKind::Arrival(i) = ev.kind {
+                for _ in 0..rnd() % 3 {
+                    let later = [0, 0, 1, 7, 300, 1 << 40][(rnd() % 6) as usize];
+                    cal.push(ev.time_ns + later, EventKind::Complete(i));
+                    heap.push(ev.time_ns + later, EventKind::Complete(i));
+                }
+            }
+            popped.push(ev);
+        }
+        let arrivals = popped
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Arrival(_)))
+            .count();
+        assert_eq!(arrivals, trace.len());
+        assert!(popped.len() > 3 * arrivals / 2, "too few dynamic events");
+        // Arrival seqs precede every dynamic one, so a strictly rising
+        // `(time, seq)` means no arrival follows a dynamic event of its
+        // instant.
+        assert!(popped
+            .windows(2)
+            .all(|w| (w[0].time_ns, w[0].seq) < (w[1].time_ns, w[1].seq)));
+    }
+
+    #[test]
+    fn dynamic_events_wait_for_earlier_arrivals() {
+        let trace = [150, 150];
+        let mut q = CalendarQueue::from_trace(&trace);
+        q.push(100, EventKind::Flush(0));
+        q.push(150, EventKind::Flush(1));
+        q.push(200, EventKind::Flush(2));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop(&trace))
+            .map(|e| (e.time_ns, e.seq, e.kind))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (100, 3, EventKind::Flush(0)),
+                (150, 1, EventKind::Arrival(0)),
+                (150, 2, EventKind::Arrival(1)),
+                (150, 4, EventKind::Flush(1)),
+                (200, 5, EventKind::Flush(2)),
+            ]
+        );
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn overflow_events_surface_in_order() {
         // Span tiny, so the horizon is short and far events overflow.
         let mut q = CalendarQueue::new(1_000, 1000);
-        q.push(ev(u64::MAX - 1, 1));
-        q.push(ev(1 << 40, 2));
-        q.push(ev(10, 3));
+        q.push(u64::MAX - 1, EventKind::Flush(1));
+        q.push(1 << 40, EventKind::Flush(2));
+        q.push(10, EventKind::Flush(3));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pop().unwrap().seq, 3);
-        assert_eq!(q.pop().unwrap().seq, 2);
-        assert_eq!(q.pop().unwrap().seq, 1);
-        assert!(q.pop().is_none());
+        assert_eq!(q.pop(&[]).unwrap().kind, EventKind::Flush(3));
+        assert_eq!(q.pop(&[]).unwrap().kind, EventKind::Flush(2));
+        assert_eq!(q.pop(&[]).unwrap().kind, EventKind::Flush(1));
+        assert!(q.pop(&[]).is_none());
     }
 }

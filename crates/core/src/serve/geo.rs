@@ -28,8 +28,8 @@
 //!   of landing at once; the carbon day is phase-shifted the same way.
 
 use super::{
-    s_to_ns, AutoscaleConfig, CarbonProfile, EngineKind, Fleet, ReplicaSpec, ServeConfig,
-    ServeError, ServeReport, Traffic,
+    s_to_ns, AutoscaleConfig, CarbonProfile, Fleet, ReplicaSpec, ServeConfig, ServeError,
+    ServeReport, Traffic,
 };
 use crate::parallel;
 use crate::report::Report;
@@ -79,8 +79,6 @@ pub struct GeoConfig {
     pub cloud_grid: CarbonProfile,
     /// Autoscaling policy per region (None = all replicas always on).
     pub autoscale: Option<AutoscaleConfig>,
-    /// Event-queue engine for every region's simulation.
-    pub engine: EngineKind,
     /// Largest batch a replica fires.
     pub batch_max: usize,
     /// Base seed; each region derives its own streams from it.
@@ -91,7 +89,7 @@ impl GeoConfig {
     /// A sensible default geo config under the given SLO: MobileNetV2,
     /// a 20→240 Hz diurnal swing over a 60 s compressed day, 80 ms WAN
     /// RTT, one spillover replica per region, a GTX Titan X cloud over
-    /// LTE on a mid-carbon grid, autoscaling on, calendar engine.
+    /// LTE on a mid-carbon grid, autoscaling on.
     pub fn new(slo_ms: f64) -> GeoConfig {
         GeoConfig {
             model: Model::MobileNetV2,
@@ -105,7 +103,6 @@ impl GeoConfig {
             cloud_link: Link::lte(),
             cloud_grid: CarbonProfile::flat(300.0),
             autoscale: Some(AutoscaleConfig::default()),
-            engine: EngineKind::Calendar,
             batch_max: 8,
             seed: 42,
         }
@@ -114,12 +111,6 @@ impl GeoConfig {
     /// Returns the config with a different base seed.
     pub fn with_seed(mut self, seed: u64) -> GeoConfig {
         self.seed = seed;
-        self
-    }
-
-    /// Returns the config with the given event-queue engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> GeoConfig {
-        self.engine = engine;
         self
     }
 }
@@ -435,7 +426,6 @@ pub fn run_geo(
         let serve_cfg = {
             let mut c = ServeConfig::new(cfg.slo_ms)
                 .with_batch_max(cfg.batch_max)
-                .with_engine(cfg.engine)
                 .with_seed(seed);
             c.autoscale = cfg.autoscale;
             c
@@ -544,27 +534,6 @@ mod tests {
                 "jobs={jobs}"
             );
         }
-    }
-
-    #[test]
-    fn engines_agree_on_the_geo_tier() {
-        let cfg = small_cfg();
-        let regions = default_regions(cfg.period_s);
-        let cal = run_geo(
-            &cfg.clone().with_engine(EngineKind::Calendar),
-            &regions,
-            1200,
-            4,
-        )
-        .unwrap();
-        let heap = run_geo(
-            &cfg.clone().with_engine(EngineKind::BinaryHeap),
-            &regions,
-            1200,
-            4,
-        )
-        .unwrap();
-        assert_eq!(cal, heap);
     }
 
     #[test]

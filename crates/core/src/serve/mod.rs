@@ -11,9 +11,9 @@
 //! * [`traffic`] — open-loop traffic: steady [`crate::workload::Arrivals`]
 //!   plus diurnal (phase-shiftable) and bursty non-homogeneous Poisson
 //!   traces.
-//! * [`engine`] — the pluggable event queue: the default calendar queue
+//! * [`engine`] — the event queue: the calendar queue every run uses
 //!   (bucketed time wheel + overflow heap, zero-allocation steady state)
-//!   and the `BinaryHeap` oracle it is proven byte-identical against.
+//!   and the `BinaryHeap` reference it is proven byte-identical against.
 //! * [`sim`] — the event loop: per-replica dynamic batching (max batch
 //!   size + max queue delay), SLO-aware routing (round-robin,
 //!   join-shortest-queue, least-expected-latency), admission control,
@@ -42,7 +42,6 @@ pub mod resilience;
 pub mod sim;
 pub mod traffic;
 
-pub use engine::EngineKind;
 pub use geo::GeoConfig;
 pub use report::ServeReport;
 pub(crate) use resilience::ResilienceConfig;
@@ -61,6 +60,7 @@ use edgebench_frameworks::deploy::{compile, CompiledModel, DeployError};
 use edgebench_frameworks::ladder::{cheaper_dtypes, fidelity_proxy};
 use edgebench_frameworks::Framework;
 use edgebench_models::Model;
+use engine::{CalendarQueue, EventQueue};
 use std::error::Error;
 use std::fmt;
 
@@ -302,10 +302,6 @@ pub struct ServeConfig {
     /// Predicted-sojourn autoscaling across the fleet's replicas.
     /// Default: off (every replica always active).
     pub autoscale: Option<AutoscaleConfig>,
-    /// Event-queue engine: the calendar queue (default) or the
-    /// `BinaryHeap` oracle it is proven byte-identical against, which
-    /// only tests and benches select.
-    pub engine: EngineKind,
     /// Base seed for traffic and fault streams.
     pub seed: u64,
 }
@@ -327,7 +323,6 @@ impl ServeConfig {
             kill_replica: None,
             resilience: ResilienceConfig::default(),
             autoscale: None,
-            engine: EngineKind::Calendar,
             seed: 42,
         }
     }
@@ -335,12 +330,6 @@ impl ServeConfig {
     /// Returns the config with predicted-sojourn autoscaling enabled.
     pub fn with_autoscale(mut self, auto: AutoscaleConfig) -> ServeConfig {
         self.autoscale = Some(auto);
-        self
-    }
-
-    /// Returns the config with the given event-queue engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> ServeConfig {
-        self.engine = engine;
         self
     }
 
@@ -792,10 +781,26 @@ impl Fleet {
         arrive_s: &[f64],
         cfg: &ServeConfig,
     ) -> Result<ServeReport, ServeError> {
+        self.serve_arrivals_on::<CalendarQueue>(arrive_s, cfg)
+    }
+
+    /// [`Fleet::serve_arrivals`] on the event queue `Q`. Every other
+    /// entry point runs the [`CalendarQueue`]; the engine tests and
+    /// benches pass [`engine::HeapQueue`], the reference it must match
+    /// byte for byte.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Workload`] when the trace is empty.
+    pub fn serve_arrivals_on<Q: EventQueue>(
+        &self,
+        arrive_s: &[f64],
+        cfg: &ServeConfig,
+    ) -> Result<ServeReport, ServeError> {
         if arrive_s.is_empty() {
             return Err(ServeError::Workload(WorkloadError::NoRequests));
         }
-        Ok(sim::run(self, arrive_s, cfg))
+        Ok(sim::run::<Q>(self, arrive_s, cfg))
     }
 
     /// Probes each rate in `rates` with a Poisson trace of `n` requests

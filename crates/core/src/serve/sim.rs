@@ -9,11 +9,11 @@
 //! is fully serial — so a run is a deterministic function of its inputs
 //! and replays byte-identically regardless of worker counts or host.
 //!
-//! The event queue itself is pluggable ([`EngineKind`]): the default
-//! calendar queue streams the sorted arrival trace lazily and keeps
-//! dynamic events in a bucketed time wheel, while the `BinaryHeap`
-//! engine pushes the whole trace upfront — the from-scratch oracle the
-//! calendar engine is proven byte-identical against. The hot path holds
+//! The loop runs on any [`EventQueue`]: every entry point of the crate
+//! runs the [`CalendarQueue`], and
+//! [`Fleet::serve_arrivals_on`](super::Fleet::serve_arrivals_on) lets
+//! the engine tests and benches run the same body on the
+//! [`HeapQueue`](super::engine::HeapQueue) reference. The hot path holds
 //! no per-event allocations: routing candidate scans, hedge site lists
 //! and batch assembly all run over reusable scratch buffers.
 //!
@@ -70,7 +70,7 @@ use edgebench_devices::faults::rng::FaultRng;
 use edgebench_devices::thermal::ThermalSim;
 use edgebench_measure::{Samples, ServeEvent, ServeEventKind};
 
-use super::engine::{EngineKind, Event, EventKind, EventQueue};
+use super::engine::{CalendarQueue, EventKind, EventQueue};
 use super::report::{ReplicaReport, ServeReport};
 use super::resilience::{BreakerState, BreakerTransition, CircuitBreaker, RetryBudget};
 use super::{ms_to_ns, s_to_ns, Fleet, ResilienceConfig, RoutePolicy, ServeConfig};
@@ -209,7 +209,7 @@ struct ReplState {
     idle_power_w: f64,
 }
 
-struct Sim<'a> {
+struct Sim<'a, Q> {
     fleet: &'a Fleet,
     cfg: &'a ServeConfig,
     res: ResilienceConfig,
@@ -217,13 +217,8 @@ struct Sim<'a> {
     slo_ns: u64,
     delay_ns: u64,
     hedge_slack_ns: Option<u64>,
-    events: EventQueue,
-    seq: u64,
-    /// Next un-consumed index of the lazily-streamed arrival trace
-    /// (calendar engine; the heap oracle pushes arrivals upfront and
-    /// leaves this at `arrive_ns.len()`).
-    next_arrival: usize,
-    /// Arrival events processed so far (identical in both engines).
+    events: Q,
+    /// Arrival events processed so far.
     arrivals_seen: usize,
     reps: Vec<ReplState>,
     req: Vec<ReqState>,
@@ -262,10 +257,15 @@ struct Sim<'a> {
     max_queue_len: usize,
 }
 
-/// Runs the serving simulation: `arrive_s` are the request arrival
-/// timestamps in seconds (non-decreasing). Pure function of its inputs.
-pub(crate) fn run(fleet: &Fleet, arrive_s: &[f64], cfg: &ServeConfig) -> ServeReport {
-    run_ns(fleet, arrive_s.iter().map(|&t| s_to_ns(t)).collect(), cfg)
+/// Runs the serving simulation on the event queue `Q`: `arrive_s` are
+/// the request arrival timestamps in seconds (non-decreasing). Pure
+/// function of its inputs.
+pub(crate) fn run<Q: EventQueue>(
+    fleet: &Fleet,
+    arrive_s: &[f64],
+    cfg: &ServeConfig,
+) -> ServeReport {
+    run_ns::<Q>(fleet, arrive_s.iter().map(|&t| s_to_ns(t)).collect(), cfg)
 }
 
 /// Like [`run`], but takes ownership of the arrival trace so the
@@ -273,10 +273,10 @@ pub(crate) fn run(fleet: &Fleet, arrive_s: &[f64], cfg: &ServeConfig) -> ServeRe
 /// alignment) instead of holding both copies alive — the streaming
 /// entry point `qps_scan` probes use.
 pub(crate) fn run_owned(fleet: &Fleet, arrive_s: Vec<f64>, cfg: &ServeConfig) -> ServeReport {
-    run_ns(fleet, arrive_s.into_iter().map(s_to_ns).collect(), cfg)
+    run_ns::<CalendarQueue>(fleet, arrive_s.into_iter().map(s_to_ns).collect(), cfg)
 }
 
-fn run_ns(fleet: &Fleet, arrive_ns: Vec<u64>, cfg: &ServeConfig) -> ServeReport {
+fn run_ns<Q: EventQueue>(fleet: &Fleet, arrive_ns: Vec<u64>, cfg: &ServeConfig) -> ServeReport {
     let res = cfg.resilience;
     let n = arrive_ns.len();
     let min_active = cfg.autoscale.map(|a| a.min_replicas.max(1));
@@ -319,7 +319,6 @@ fn run_ns(fleet: &Fleet, arrive_ns: Vec<u64>, cfg: &ServeConfig) -> ServeReport 
         .map(|r| r.rungs.len())
         .max()
         .unwrap_or(1);
-    let span_ns = arrive_ns.last().copied().unwrap_or(0);
     let mut sim = Sim {
         fleet,
         cfg,
@@ -327,11 +326,7 @@ fn run_ns(fleet: &Fleet, arrive_ns: Vec<u64>, cfg: &ServeConfig) -> ServeReport 
         slo_ns: ms_to_ns(cfg.slo_ms),
         delay_ns: ms_to_ns(cfg.batch_delay_ms),
         hedge_slack_ns: res.hedge_ms.map(ms_to_ns),
-        // Sized for the dynamic event population: flushes, completions
-        // and resilience timers track the arrival rate closely.
-        events: EventQueue::new(cfg.engine, span_ns, n.saturating_mul(2).max(1)),
-        seq: 0,
-        next_arrival: 0,
+        events: Q::from_trace(&arrive_ns),
         arrivals_seen: 0,
         reps,
         req: vec![ReqState::default(); n],
@@ -370,33 +365,10 @@ fn run_ns(fleet: &Fleet, arrive_ns: Vec<u64>, cfg: &ServeConfig) -> ServeReport 
         max_queue_len: 0,
         arrive_ns,
     };
-    match cfg.engine {
-        EngineKind::BinaryHeap => {
-            // The oracle pushes the whole trace upfront: arrivals take
-            // sequence numbers 1..=n in trace order. The lazy-arrival
-            // cursor is parked past the end so `next_event` never
-            // synthesizes a duplicate.
-            for i in 0..n {
-                sim.push_event(sim.arrive_ns[i], EventKind::Arrival(i));
-            }
-            sim.next_arrival = n;
-        }
-        EngineKind::Calendar => {
-            // Arrivals are streamed lazily from the (sorted) trace
-            // instead of queued. They would have occupied sequence
-            // numbers 1..=n, so starting the dynamic counter at `n` and
-            // synthesizing arrival events with their implicit sequence
-            // reproduces the heap engine's total order exactly: arrival
-            // i ties with arrival j by trace order, and an arrival ties
-            // with a dynamic event at the same instant by winning
-            // (its sequence is <= n, every dynamic one is > n).
-            sim.seq = n as u64;
-        }
-    }
     if let Some(auto) = cfg.autoscale {
-        sim.push_event(ms_to_ns(auto.eval_ms), EventKind::Scale);
+        sim.events.push(ms_to_ns(auto.eval_ms), EventKind::Scale);
     }
-    while let Some(ev) = sim.next_event() {
+    while let Some(ev) = sim.events.pop(&sim.arrive_ns) {
         sim.advance_area(ev.time_ns);
         sim.clock_ns = sim.clock_ns.max(ev.time_ns);
         match ev.kind {
@@ -415,37 +387,7 @@ fn run_ns(fleet: &Fleet, arrive_ns: Vec<u64>, cfg: &ServeConfig) -> ServeReport 
     sim.into_report()
 }
 
-impl Sim<'_> {
-    fn push_event(&mut self, time_ns: u64, kind: EventKind) {
-        self.seq += 1;
-        self.events.push(Event {
-            time_ns,
-            seq: self.seq,
-            kind,
-        });
-    }
-
-    /// The next event in `(time, seq)` order, merging the lazily
-    /// streamed arrival trace (when one remains) with the dynamic queue.
-    /// An arrival wins a same-instant tie because its implicit sequence
-    /// number precedes every dynamic event's.
-    fn next_event(&mut self) -> Option<Event> {
-        if self.next_arrival < self.arrive_ns.len() {
-            let at = self.arrive_ns[self.next_arrival];
-            if let Some(ev) = self.events.pop_if_before(at) {
-                return Some(ev);
-            }
-            let i = self.next_arrival;
-            self.next_arrival += 1;
-            return Some(Event {
-                time_ns: at,
-                seq: i as u64 + 1,
-                kind: EventKind::Arrival(i),
-            });
-        }
-        self.events.pop()
-    }
-
+impl<Q: EventQueue> Sim<'_, Q> {
     /// Little's-law area accounting: integrate requests-in-system over
     /// time at every state-changing event.
     fn advance_area(&mut self, now_ns: u64) {
@@ -636,10 +578,10 @@ impl Sim<'_> {
             hedge,
         });
         self.max_queue_len = self.max_queue_len.max(self.reps[r].queue.len());
-        self.push_event(now + self.delay_ns, EventKind::Flush(r));
+        self.events.push(now + self.delay_ns, EventKind::Flush(r));
         if !hedge && !self.req[i].hedged {
             if let Some(slack) = self.hedge_slack_ns {
-                self.push_event(now + pred + slack, EventKind::Hedge(i));
+                self.events.push(now + pred + slack, EventKind::Hedge(i));
             }
         }
         self.maybe_fire(r, now);
@@ -729,7 +671,8 @@ impl Sim<'_> {
                     request: r,
                     kind: ServeEventKind::ScaleUp { replica: r },
                 });
-                self.push_event(now + ms_to_ns(auto.warmup_ms), EventKind::Activate(r));
+                self.events
+                    .push(now + ms_to_ns(auto.warmup_ms), EventKind::Activate(r));
             }
         } else if worst < down_ns {
             // Slack: park the highest-indexed idle active replica, never
@@ -753,7 +696,8 @@ impl Sim<'_> {
             }
         }
         if self.arrivals_seen < self.arrive_ns.len() || self.n_in_system > 0 {
-            self.push_event(now + ms_to_ns(auto.eval_ms), EventKind::Scale);
+            self.events
+                .push(now + ms_to_ns(auto.eval_ms), EventKind::Scale);
         }
     }
 
@@ -900,7 +844,7 @@ impl Sim<'_> {
         rep.busy_ns += svc_ns;
         rep.batches_served += 1;
         rep.energy_mj += energy_mj;
-        self.push_event(now + svc_ns, EventKind::Complete(r));
+        self.events.push(now + svc_ns, EventKind::Complete(r));
     }
 
     /// Removes one copy of `req` hosted on `r` from the bookkeeping.
@@ -954,7 +898,7 @@ impl Sim<'_> {
             let mut rng =
                 FaultRng::for_stream(self.cfg.seed, &[TAG_RETRY, req as u64, attempts as u64]);
             let backoff = (nominal as f64 * rng.jitter(frac)).round().max(0.0) as u64;
-            self.push_event(now + backoff, EventKind::Redispatch(req));
+            self.events.push(now + backoff, EventKind::Redispatch(req));
         } else {
             self.req[req].done = true;
             self.leave_system(req);
@@ -1063,7 +1007,7 @@ impl Sim<'_> {
                             .expect("breakers built from config")
                             .cooldown_ms,
                     );
-                    self.push_event(now + cooldown_ns + 1, EventKind::Flush(r));
+                    self.events.push(now + cooldown_ns + 1, EventKind::Flush(r));
                 }
                 Some(BreakerTransition::Closed) => {
                     self.log_replica_event(now, r, ServeEventKind::BreakerClose { replica: r });
@@ -1304,9 +1248,8 @@ impl QpsScan {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{
-        AutoscaleConfig, CarbonProfile, EngineKind, Fleet, ReplicaSpec, ServeConfig, Traffic,
-    };
+    use super::super::engine::HeapQueue;
+    use super::super::{AutoscaleConfig, CarbonProfile, Fleet, ReplicaSpec, ServeConfig, Traffic};
     use edgebench_devices::Device;
     use edgebench_frameworks::Framework;
     use edgebench_models::Model;
@@ -1431,11 +1374,9 @@ mod tests {
             .with_sdc(0.02)
             .with_ladder(true);
         let t = Traffic::from_flag("diurnal", 120.0, 17).unwrap();
-        let cal = fleet
-            .serve(&t, 5000, &cfg.with_engine(EngineKind::Calendar))
-            .unwrap();
+        let cal = fleet.serve(&t, 5000, &cfg).unwrap();
         let heap = fleet
-            .serve(&t, 5000, &cfg.with_engine(EngineKind::BinaryHeap))
+            .serve_arrivals_on::<HeapQueue>(&t.timestamps(5000).unwrap(), &cfg)
             .unwrap();
         assert_eq!(cal, heap);
         assert_eq!(cal.to_csv(), heap.to_csv());
@@ -1482,11 +1423,9 @@ mod tests {
             phase_s: 0.0,
             seed: 7,
         };
-        let cal = fleet
-            .serve(&t, 3000, &cfg.with_engine(EngineKind::Calendar))
-            .unwrap();
+        let cal = fleet.serve(&t, 3000, &cfg).unwrap();
         let heap = fleet
-            .serve(&t, 3000, &cfg.with_engine(EngineKind::BinaryHeap))
+            .serve_arrivals_on::<HeapQueue>(&t.timestamps(3000).unwrap(), &cfg)
             .unwrap();
         assert_eq!(cal, heap);
         assert_eq!(cal.events_csv(), heap.events_csv());

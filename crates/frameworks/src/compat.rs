@@ -102,21 +102,15 @@ pub(crate) fn framework_targets_device(fw: Framework, device: Device) -> bool {
     }
 }
 
-/// Ops the EdgeTPU compiler can lower (quantized TFLite operator subset).
+/// Ops the EdgeTPU compiler can lower (quantized TFLite operator subset):
+/// the one operator-level coverage rule. [`check`] applies it to the
+/// unfused graph of `model.build()`, so no fused op reaches it.
 pub(crate) fn edgetpu_op_check(op: &Op) -> Result<(), String> {
     match op {
         Op::Conv3d { .. } | Op::Pool3d { .. } => Err(format!("{op} has no EdgeTPU lowering")),
         Op::Lrn { .. } => Err("lrn is not supported by the edgetpu compiler".to_string()),
         Op::Activation { kind } if matches!(kind, ActivationKind::Leaky | ActivationKind::Tanh) => {
             Err(format!("activation {kind} cannot be quantized for edgetpu"))
-        }
-        Op::FusedConvBnAct { act, .. } if *act == ActivationKind::Leaky => {
-            Err("leaky activation cannot be quantized for edgetpu".to_string())
-        }
-        Op::FusedDenseAct { act, .. }
-            if matches!(act, ActivationKind::Leaky | ActivationKind::Tanh) =>
-        {
-            Err(format!("activation {act} cannot be quantized for edgetpu"))
         }
         _ => Ok(()),
     }

@@ -33,7 +33,6 @@
 
 pub mod compat;
 pub mod deploy;
-pub mod exchange;
 mod info;
 pub mod ladder;
 pub mod passes;

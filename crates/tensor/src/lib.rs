@@ -10,7 +10,8 @@
 //! This crate provides the *functional* half of the reproduction: framework
 //! passes in `edgebench-frameworks` are validated by executing graphs before
 //! and after a transformation and comparing outputs, and quantization error
-//! studies run real INT8 arithmetic rather than assuming its effect.
+//! studies round every value through a real 8-bit grid rather than assuming
+//! its effect.
 //!
 //! ## Example
 //!
@@ -41,7 +42,6 @@ mod error;
 mod executor;
 pub mod f16;
 pub mod gemm;
-pub mod int8;
 pub mod integrity;
 pub mod kernels;
 pub mod pool;

@@ -63,11 +63,6 @@ impl QuantParams {
         self.scale
     }
 
-    /// The integer value representing real zero.
-    pub(crate) fn zero_point(&self) -> i32 {
-        self.zero_point
-    }
-
     /// Quantizes a real value to `i8` (saturating).
     pub fn quantize(&self, x: f32) -> i8 {
         let q = (x / self.scale).round() as i32 + self.zero_point;

@@ -7,13 +7,23 @@
 #   scripts/bench_snapshot.sh [output.json]   # run benches, append snapshot
 #   scripts/bench_snapshot.sh --check FILE    # validate structure only (no benches)
 #
-# File schema (bench-trajectory-v1):
+# File schema (bench-trajectory-v2):
 #   {
-#     "schema": "bench-trajectory-v1",
-#     "current": {"commit": "<short-sha>[+]", "benchmarks": {"name": ns, ...}},
-#     "history": [ {"commit": ..., "benchmarks": {...}}, ... ]   # oldest first
+#     "schema": "bench-trajectory-v2",
+#     "current": {
+#       "commit": "<short-sha>[+]",
+#       "host": {"nproc": N, "cache_bytes": {"l2": B, "l3": B}, "kernel_tier": "avx512f"},
+#       "benchmarks": {"name": {"lo": ns, "median": ns, "hi": ns}, ...}
+#     },
+#     "history": [ {"commit": ..., "host": ..., "benchmarks": ...}, ... ]   # oldest first
 #   }
-# A legacy flat {"name": ns} file is absorbed as the first history entry.
+# Each benchmark keeps the fastest, median and slowest sample the criterion
+# shim prints as `[lo .. median .. hi]`; the host header says what machine
+# took them (cache sizes from sysfs, null when sysfs does not say; the
+# kernel tier `edgebench-cli infer` resolves). Entries written before v2
+# (bench-trajectory-v1) have no host and keep one median per benchmark,
+# {"name": ns}; they stay in the history as they were. A legacy flat
+# {"name": ns} file is absorbed as the first history entry.
 #
 # Runs offline (every dependency is vendored) and is deterministic in
 # structure — only the timings vary run to run.
@@ -31,30 +41,61 @@ path = sys.argv[1]
 with open(path) as fh:
     doc = json.load(fh)
 
-def check_benchmarks(b, where):
+def positive(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+
+def check_host(host, where):
+    if not isinstance(host, dict):
+        sys.exit(f"{path}: {where}.host must be an object")
+    if not isinstance(host.get("nproc"), int) or host["nproc"] < 1:
+        sys.exit(f"{path}: {where}.host.nproc must be a positive integer")
+    cache = host.get("cache_bytes")
+    if not isinstance(cache, dict) or set(cache) != {"l2", "l3"}:
+        sys.exit(f"{path}: {where}.host.cache_bytes must hold exactly l2 and l3")
+    for level, size in cache.items():
+        if size is not None and not (isinstance(size, int) and size > 0):
+            sys.exit(f"{path}: {where}.host.cache_bytes.{level} must be positive bytes or null")
+    if not isinstance(host.get("kernel_tier"), str) or not host["kernel_tier"]:
+        sys.exit(f"{path}: {where}.host.kernel_tier must be a non-empty string")
+
+def check_benchmarks(b, where, spread):
     if not isinstance(b, dict) or not b:
         sys.exit(f"{path}: {where}.benchmarks must be a non-empty object")
-    for name, ns in b.items():
-        if not isinstance(ns, (int, float)) or ns <= 0:
-            sys.exit(f"{path}: {where}.benchmarks[{name!r}] must be positive ns, got {ns!r}")
+    for name, v in b.items():
+        if not spread:
+            if not positive(v):
+                sys.exit(f"{path}: {where}.benchmarks[{name!r}] must be positive ns, got {v!r}")
+        elif not (isinstance(v, dict) and set(v) == {"lo", "median", "hi"}
+                  and all(positive(x) for x in v.values())
+                  and v["lo"] <= v["median"] <= v["hi"]):
+            sys.exit(f"{path}: {where}.benchmarks[{name!r}] must be positive ns "
+                     f"with lo <= median <= hi, got {v!r}")
 
-if isinstance(doc, dict) and doc.get("schema") == "bench-trajectory-v1":
+def check_entry(entry, where, v2):
+    if not isinstance(entry, dict) or not isinstance(entry.get("commit"), str):
+        sys.exit(f"{path}: {where}.commit must be a string")
+    if v2:
+        check_host(entry.get("host"), where)
+    check_benchmarks(entry.get("benchmarks"), where, v2)
+
+schema = doc.get("schema") if isinstance(doc, dict) else None
+if schema in ("bench-trajectory-v1", "bench-trajectory-v2"):
     cur = doc.get("current")
-    if not isinstance(cur, dict) or not isinstance(cur.get("commit"), str):
-        sys.exit(f"{path}: current.commit must be a string")
-    check_benchmarks(cur.get("benchmarks"), "current")
+    check_entry(cur, "current", schema == "bench-trajectory-v2")
     hist = doc.get("history")
     if not isinstance(hist, list):
         sys.exit(f"{path}: history must be a list")
     for i, entry in enumerate(hist):
-        if not isinstance(entry, dict) or not isinstance(entry.get("commit"), str):
-            sys.exit(f"{path}: history[{i}].commit must be a string")
-        check_benchmarks(entry.get("benchmarks"), f"history[{i}]")
+        # A v2 file keeps the v1 entries it grew from: those have no host.
+        v2 = isinstance(entry, dict) and "host" in entry
+        if v2 and schema != "bench-trajectory-v2":
+            sys.exit(f"{path}: history[{i}] has a host header in a v1 file")
+        check_entry(entry, f"history[{i}]", v2)
     n = len(cur["benchmarks"])
-    print(f"{path}: ok (trajectory, {n} benchmarks at {cur['commit']}, {len(hist)} historical)")
+    print(f"{path}: ok ({schema}, {n} benchmarks at {cur['commit']}, {len(hist)} historical)")
 else:
     # Legacy flat {"name": ns} snapshot.
-    check_benchmarks(doc, "top-level")
+    check_benchmarks(doc, "top-level", False)
     print(f"{path}: ok (legacy flat, {len(doc)} benchmarks)")
 PY
     exit 0
@@ -73,23 +114,25 @@ cargo bench --offline -p edgebench-bench --bench ipc 2>/dev/null | tee -a "$raw"
 cargo bench --offline -p edgebench-bench --bench supervise 2>/dev/null | tee -a "$raw"
 cargo bench --offline -p edgebench-bench --bench sim 2>/dev/null | tee -a "$raw"
 
+# One "name": {"lo": ns, "median": ns, "hi": ns} member per bench line
+# "name  time: [lo .. median .. hi]".
 awk '
+function ns(t,    f) {
+    split(t, f, / /)
+    if (f[2] == "s")       return f[1] * 1e9
+    if (f[2] == "ms")      return f[1] * 1e6
+    if (f[2] ~ /^(µs|us)$/) return f[1] * 1e3
+    return f[1]
+}
 BEGIN { print "{"; n = 0 }
 / time: \[/ {
     name = $1
-    # Median is the middle of "[lo .. median .. hi]".
     line = $0
     sub(/^[^[]*\[/, "", line)
     sub(/\].*$/, "", line)
     split(line, parts, / \.\. /)
-    split(parts[2], mv, / /)
-    value = mv[1]; unit = mv[2]
-    ns = value
-    if (unit == "s")       ns = value * 1e9
-    else if (unit == "ms") ns = value * 1e6
-    else if (unit ~ /^(µs|us)$/) ns = value * 1e3
     if (n++) printf ",\n"
-    printf "  \"%s\": %.1f", name, ns
+    printf "  \"%s\": {\"lo\": %.1f, \"median\": %.1f, \"hi\": %.1f}", name, ns(parts[1]), ns(parts[2]), ns(parts[3])
 }
 END { if (n) printf "\n"; print "}" }
 ' "$raw" > "$flat"
@@ -102,6 +145,11 @@ count="$(grep -c '":' "$flat")" || {
     echo "       (criterion output format changed, or the bench produced no results)" >&2
     exit 1
 }
+
+# The kernel tier the benches ran on, as `infer` prints it ("... | kernel T").
+tier="$(cargo run -q --release --offline -p edgebench --bin edgebench-cli -- \
+    infer --model cifarnet --iters 1 | sed -n '1s/.*| kernel //p')"
+[ -n "$tier" ] || { echo "error: infer printed no kernel tier" >&2; exit 1; }
 
 # Label the entry with the commit that lands the numbers. A snapshot is
 # normally taken on a tree whose changes are not committed yet (it is
@@ -116,24 +164,47 @@ fi
 # Merge the fresh flat snapshot into the trajectory file: the previous
 # "current" entry (or a legacy flat file) rolls into history, and deltas
 # against it are printed so the PR log carries the before/after numbers.
-python3 - "$flat" "$out" "$commit" <<'PY'
-import json, os, sys
+python3 - "$flat" "$out" "$commit" "$tier" "$(nproc)" <<'PY'
+import glob, json, os, sys
 
-flat_path, out_path, commit = sys.argv[1], sys.argv[2], sys.argv[3]
+flat_path, out_path, commit, tier, nproc = sys.argv[1:6]
 with open(flat_path) as fh:
     fresh = json.load(fh)
 if not fresh:
     sys.exit("error: parsed benchmark map is empty")
-for name, ns in fresh.items():
-    if not isinstance(ns, (int, float)) or ns <= 0:
-        sys.exit(f"error: benchmark {name!r} has non-positive time {ns!r}")
+for name, v in fresh.items():
+    if not 0 < v["lo"] <= v["median"] <= v["hi"]:
+        sys.exit(f"error: benchmark {name!r} has times out of order or non-positive: {v!r}")
+
+def cache_bytes(level):
+    """Size of cpu0's unified or data cache at `level`, from sysfs."""
+    for d in sorted(glob.glob("/sys/devices/system/cpu/cpu0/cache/index*")):
+        try:
+            with open(f"{d}/level") as fh:
+                lv = int(fh.read())
+            with open(f"{d}/type") as fh:
+                kind = fh.read().strip()
+            with open(f"{d}/size") as fh:
+                size = fh.read().strip()
+        except (OSError, ValueError):
+            continue
+        if lv == level and kind in ("Unified", "Data"):
+            scale = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}.get(size[-1:], 1)
+            return int(size.rstrip("KMG")) * scale
+    return None
+
+host = {
+    "nproc": int(nproc),
+    "cache_bytes": {"l2": cache_bytes(2), "l3": cache_bytes(3)},
+    "kernel_tier": tier,
+}
 
 history = []
 prev = None
 if os.path.exists(out_path):
     with open(out_path) as fh:
         old = json.load(fh)
-    if isinstance(old, dict) and old.get("schema") == "bench-trajectory-v1":
+    if isinstance(old, dict) and old.get("schema") in ("bench-trajectory-v1", "bench-trajectory-v2"):
         history = old.get("history", [])
         prev = old.get("current")
         # Re-running at the same commit refreshes "current" in place;
@@ -148,22 +219,28 @@ if os.path.exists(out_path):
         history = [prev]
 
 doc = {
-    "schema": "bench-trajectory-v1",
-    "current": {"commit": commit, "benchmarks": fresh},
+    "schema": "bench-trajectory-v2",
+    "current": {"commit": commit, "host": host, "benchmarks": fresh},
     "history": history,
 }
 with open(out_path, "w") as fh:
     json.dump(doc, fh, indent=2)
     fh.write("\n")
 
-print(f"wrote {out_path} ({len(fresh)} benchmarks, median ns/iter, commit {commit})")
+print(f"wrote {out_path} ({len(fresh)} benchmarks, lo/median/hi ns/iter, commit {commit}, "
+      f"{tier}, {host['nproc']} cpus)")
+
+def median(v):
+    """A v2 {lo, median, hi} entry's median, or a v1 entry's one number."""
+    return v["median"] if isinstance(v, dict) else v
+
 if prev:
     base = prev["benchmarks"]
     common = [n for n in fresh if n in base]
     if common:
-        print(f"delta vs {prev['commit']} ({len(common)} shared benchmarks):")
+        print(f"delta vs {prev['commit']} ({len(common)} shared benchmarks, medians):")
         for name in common:
-            before, after = base[name], fresh[name]
+            before, after = median(base[name]), median(fresh[name])
             ratio = before / after if after else float("inf")
             sign = "faster" if ratio >= 1 else "slower"
             factor = ratio if ratio >= 1 else 1 / ratio

@@ -107,15 +107,20 @@ cargo test -q --offline -p edgebench --test chaos \
 cargo test -q --offline -p edgebench \
     registry_covers_every_paper_artifact
 # The event-engine contracts, named explicitly: the calendar queue and
-# the from-scratch binary-heap oracle must be byte-identical under the
+# the binary-heap reference (`HeapQueue`) must be byte-identical under the
 # full resilience stack, simultaneous arrivals must tie-break FIFO
-# deterministically, and the geo tier must be invariant to --jobs.
+# deterministically, and the geo tier must be invariant to --jobs. At the
+# queue level, the calendar queue's lazy arrival merge must pop what the
+# heap pops over runs of same-instant arrivals with dynamic events pushed
+# at arrival instants (an arrival wins the tie).
 cargo test -q --offline -p edgebench --test engine_oracle \
     oracle_identity_holds_under_the_full_resilience_stack
 cargo test -q --offline -p edgebench --test engine_oracle \
     simultaneous_arrivals_tie_break_fifo_deterministically
 cargo test -q --offline -p edgebench --test engine_oracle \
-    geo_tier_is_jobs_invariant_on_both_engines
+    geo_tier_is_jobs_invariant
+cargo test -q --offline -p edgebench --lib \
+    arrival_merge_matches_the_heap_queue
 # The CLI contracts, named explicitly: seeded argv mutations of every
 # subcommand must parse to Ok or a typed CliError (never a panic), and
 # the NaN / infinite / zero values the per-command parsers once accepted
@@ -172,8 +177,11 @@ cargo bench --no-run --offline --workspace
 CARGO_TARGET_DIR=.bench_build cargo test -q --offline \
     --manifest-path crates/bench/src/bin/e2e/Cargo.toml
 # The tracked benchmark trajectory must stay parseable (running the full
-# bench suite is too slow for tier-1; structure is checked instead).
+# bench suite is too slow for tier-1; structure is checked instead), and
+# the snapshot writer must turn a captured bench log into a v2 entry with
+# its spread and host header, keeping the older v1 entries as they were.
 scripts/bench_snapshot.sh --check BENCH_kernels.json
+scripts/bench_snapshot_test.sh
 # The A/B pair runner builds and runs the benchmark for minutes: syntax only.
 bash -n scripts/ab.sh
 # Docs are part of the contract: broken intra-doc links fail the build.

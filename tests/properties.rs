@@ -91,27 +91,6 @@ proptest! {
     }
 
     #[test]
-    fn exchange_roundtrip_preserves_structure(g in arb_cnn()) {
-        use edgebench_frameworks::exchange::{export_graph, import_graph};
-        let text = export_graph(&g);
-        let back = import_graph(&text).expect("roundtrip parses");
-        prop_assert_eq!(back.len(), g.len());
-        prop_assert_eq!(back.output_shape(), g.output_shape());
-        prop_assert_eq!(back.stats().flops, g.stats().flops);
-        prop_assert_eq!(back.stats().params, g.stats().params);
-        // Re-export is a fixed point.
-        prop_assert_eq!(export_graph(&back), text);
-    }
-
-    #[test]
-    fn fused_graphs_also_roundtrip(g in arb_cnn()) {
-        use edgebench_frameworks::exchange::{export_graph, import_graph};
-        let f = passes::fuse_conv_bn_act(&g).unwrap();
-        let back = import_graph(&export_graph(&f)).expect("fused roundtrip");
-        prop_assert_eq!(back.stats().flops, f.stats().flops);
-    }
-
-    #[test]
     fn packed_gemm_is_bit_identical_to_naive(
         dims in (1usize..48, 1usize..64, 1usize..48, 0usize..1000)
     ) {
