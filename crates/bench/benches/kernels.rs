@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use edgebench_graph::{ActivationKind, PoolKind};
 use edgebench_tensor::kernels;
-use edgebench_tensor::{f16, quant, Tensor};
+use edgebench_tensor::Tensor;
 use std::hint::black_box;
 
 fn bench_conv2d(c: &mut Criterion) {
@@ -109,25 +109,36 @@ fn bench_elementwise(c: &mut Criterion) {
 }
 
 fn bench_precision(c: &mut Criterion) {
-    let mut x = Tensor::random([1, 64, 32, 32], 4);
-    c.bench_function("f16_round_trip_64k", |b| {
-        b.iter(|| {
-            let mut y = x.clone();
-            f16::round_slice_f16(y.data_mut());
-            black_box(y)
-        })
-    });
-    c.bench_function("int8_fake_quant_64k", |b| {
-        b.iter(|| {
-            let mut y = x.clone();
-            black_box(quant::fake_quantize_tensor(&mut y))
-        })
-    });
-    c.bench_function("quant_observe_64k", |b| {
-        b.iter(|| black_box(quant::QuantParams::observe(&x)))
-    });
-    // Keep `x` mutable usage meaningful.
-    x.data_mut()[0] = 0.0;
+    use edgebench_tensor::{simd, KernelKind};
+    // The executor's lowering passes over one 64k-element tensor, on the
+    // forced-scalar reference and on the SIMD tier, side by side: f16
+    // rounding, int8 fake quantization (range pass plus rounding pass) and
+    // the range pass alone. The two passes that write start each iteration
+    // by copying the input back (256 KiB, on both tiers).
+    let x = Tensor::random([1, 64, 32, 32], 4);
+    let mut y = x.clone();
+    let mut g = c.benchmark_group("lowering");
+    g.throughput(Throughput::Elements(x.len() as u64));
+    for (label, kind) in [("scalar", KernelKind::Scalar), ("simd", KernelKind::Simd)] {
+        let tier = simd::resolve(kind);
+        g.bench_function(format!("{label}/f16_round_64k"), |b| {
+            b.iter(|| {
+                y.data_mut().copy_from_slice(x.data());
+                simd::round_f16(tier, y.data_mut());
+                black_box(y.data()[0])
+            })
+        });
+        g.bench_function(format!("{label}/int8_fake_quant_64k"), |b| {
+            b.iter(|| {
+                y.data_mut().copy_from_slice(x.data());
+                black_box(simd::fake_quantize(tier, y.data_mut()))
+            })
+        });
+        g.bench_function(format!("{label}/quant_range_64k"), |b| {
+            b.iter(|| black_box(simd::quant_params(tier, x.data())))
+        });
+    }
+    g.finish();
 }
 
 fn bench_gemm(c: &mut Criterion) {

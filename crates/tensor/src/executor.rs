@@ -4,7 +4,6 @@
 
 use crate::gemm::{self, ConvAlgo, Epilogue, GemmScratch, PackedPanels};
 use crate::kernels;
-use crate::quant::fake_quantize_slice;
 use crate::simd::{self, KernelKind, MR, NR};
 use crate::{ExecError, Tensor};
 use edgebench_graph::{ActivationKind, Graph, Node, Op, PoolKind, TensorShape};
@@ -674,11 +673,12 @@ impl<'g> Executor<'g> {
         self
     }
 
-    /// Selects the kernel tier of the GEMM micro-kernel and of depthwise
-    /// convolution (the CLI's `--kernel` A/B switch). The request is
-    /// resolved against the host once, when an arena is created — and,
-    /// like threads and blocking, it is a pure performance knob: every
-    /// tier produces byte-identical output.
+    /// Selects the kernel tier of the GEMM micro-kernel, of depthwise
+    /// convolution and of the lowering to the run precision (the CLI's
+    /// `--kernel` A/B switch). The request is resolved against the host
+    /// when an arena is created and where a tensor is lowered — and, like
+    /// threads and blocking, it is a pure performance knob: every tier
+    /// produces byte-identical output.
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
         self
@@ -696,16 +696,18 @@ impl<'g> Executor<'g> {
         &self.weights
     }
 
-    /// Rounds values through the run precision in place. Zero maps to
-    /// zero at every precision and the int8 grid always spans zero, so
-    /// lowering a packed panel buffer, padding and all, gives exactly the
-    /// panels of the lowered natural tensor.
+    /// Rounds values through the run precision in place, on the kernel
+    /// tier (every tier gives the same bits). Zero maps to zero at every
+    /// precision and the int8 grid always spans zero, so lowering a packed
+    /// panel buffer, padding and all, gives exactly the panels of the
+    /// lowered natural tensor.
     fn lower_slice(&self, xs: &mut [f32]) {
+        let tier = simd::resolve(self.kernel);
         match self.precision {
             Precision::F32 => {}
-            Precision::F16 => crate::f16::round_slice_f16(xs),
+            Precision::F16 => simd::round_f16(tier, xs),
             Precision::Int8 => {
-                fake_quantize_slice(xs);
+                simd::fake_quantize(tier, xs);
             }
         }
     }

@@ -5,6 +5,12 @@
 //! This module provides bit-exact `f32 → f16 → f32` round-tripping so the
 //! executor can *emulate* half-precision numerics (round-to-nearest-even),
 //! which is how FP16 inference error is studied without FP16 hardware.
+//!
+//! These software conversions are the reference. The executor rounds on
+//! its kernel tier ([`crate::simd::round_f16`]): the AVX-512F tier and the
+//! AVX2 tier on an F16C host convert with the hardware instructions and
+//! canonicalise NaNs as `f32_to_f16` does, so every tier gives the same
+//! bits on all 2³² `f32` patterns.
 
 /// Converts an `f32` to its nearest binary16 bit pattern
 /// (round-to-nearest-even), then back to `f32`.
@@ -96,7 +102,7 @@ pub(crate) fn f16_to_f32(h: u16) -> f32 {
 }
 
 /// Rounds every element of a slice through binary16 in place.
-pub fn round_slice_f16(xs: &mut [f32]) {
+pub(crate) fn round_slice_f16(xs: &mut [f32]) {
     for x in xs {
         *x = round_f16(*x);
     }

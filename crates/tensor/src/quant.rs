@@ -6,8 +6,11 @@
 //! ("fake quantization", the same numerics quantization-aware tooling
 //! emulates), and the quantization-error experiments measure the resulting
 //! output degradation.
-
-use crate::Tensor;
+//!
+//! The loops here are the reference. The executor lowers on its kernel
+//! tier ([`crate::simd::fake_quantize`]): the AVX-512F and AVX2 tiers find
+//! the range and round through the grid with vector instructions and give
+//! the reference's bits on every input.
 
 /// Affine quantization parameters for one tensor.
 ///
@@ -39,11 +42,6 @@ impl QuantParams {
         QuantParams { scale, zero_point }
     }
 
-    /// Derives parameters from the observed range of a tensor.
-    pub fn observe(t: &Tensor) -> Self {
-        QuantParams::observe_slice(t.data())
-    }
-
     /// Derives parameters from the observed range of a slice.
     pub(crate) fn observe_slice(xs: &[f32]) -> Self {
         let mut min = f32::INFINITY;
@@ -52,6 +50,14 @@ impl QuantParams {
             min = min.min(v);
             max = max.max(v);
         }
+        QuantParams::from_observed(min, max)
+    }
+
+    /// The parameters of an observed range: the smallest and largest
+    /// non-NaN value of a tensor, `(+Inf, -Inf)` when it has none. A range
+    /// that is not finite (an infinity, or no value at all) falls back to
+    /// `[0, 1]`.
+    pub(crate) fn from_observed(min: f32, max: f32) -> Self {
         if !min.is_finite() || !max.is_finite() {
             return QuantParams::from_range(0.0, 1.0);
         }
@@ -63,9 +69,17 @@ impl QuantParams {
         self.scale
     }
 
-    /// Quantizes a real value to `i8` (saturating).
+    /// The integer that represents `0.0`.
+    pub(crate) fn zero_point(&self) -> i32 {
+        self.zero_point
+    }
+
+    /// Quantizes a real value to `i8` (saturating). NaN maps to the zero
+    /// point.
     pub fn quantize(&self, x: f32) -> i8 {
-        let q = (x / self.scale).round() as i32 + self.zero_point;
+        // The cast saturates ±Inf and huge values to `i32::MIN`/`MAX`; the
+        // add saturates too, so they clamp to the end of their sign.
+        let q = ((x / self.scale).round() as i32).saturating_add(self.zero_point);
         q.clamp(-128, 127) as i8
     }
 
@@ -80,16 +94,11 @@ impl QuantParams {
     }
 }
 
-/// Rounds every element of a tensor through its own 8-bit grid in place and
-/// returns the parameters used.
-pub fn fake_quantize_tensor(t: &mut Tensor) -> QuantParams {
-    fake_quantize_slice(t.data_mut())
-}
-
-/// [`fake_quantize_tensor`] over a raw slice. The grid always contains
-/// zero ([`QuantParams::from_range`]) and `0.0` maps to itself, so zero
-/// padding around the values — a packed weight panel's — changes neither
-/// the parameters nor the padding.
+/// Rounds every element of a slice through its own 8-bit grid in place
+/// and returns the parameters used. The grid always contains zero
+/// ([`QuantParams::from_range`]) and `0.0` maps to itself, so zero padding
+/// around the values — a packed weight panel's — changes neither the
+/// parameters nor the padding.
 pub(crate) fn fake_quantize_slice(xs: &mut [f32]) -> QuantParams {
     let p = QuantParams::observe_slice(xs);
     for v in xs {
@@ -128,12 +137,30 @@ mod tests {
     }
 
     #[test]
-    fn observe_covers_tensor_range() {
-        let t = Tensor::from_vec([4], vec![-3.0, 0.0, 1.0, 2.5]);
-        let p = QuantParams::observe(&t);
-        for &v in t.data() {
+    fn observe_covers_slice_range() {
+        let xs = [-3.0, 0.0, 1.0, 2.5];
+        let p = QuantParams::observe_slice(&xs);
+        for v in xs {
             assert!((v - p.fake_quant(v)).abs() <= p.scale());
         }
+    }
+
+    #[test]
+    fn infinities_saturate_on_the_fallback_grid() {
+        // A tensor holding ±Inf falls back to the [0, 1] grid, whose zero
+        // point is -128. `-Inf` and values below about -8.4e6 cast to
+        // `i32::MIN`, where an unsaturated add of the zero point overflows:
+        // a panic in debug builds, a wrap to +127 (the range's top, 1.0)
+        // in release.
+        let mut xs = [f32::NEG_INFINITY, f32::INFINITY, f32::NAN, -1.0e7, 0.5];
+        let p = fake_quantize_slice(&mut xs);
+        assert_eq!(p, QuantParams::from_range(0.0, 1.0));
+        assert_eq!(p.zero_point(), -128);
+        let bits = xs.map(f32::to_bits);
+        let want = [0.0f32, 1.0, 0.0, 0.0, p.fake_quant(0.5)].map(f32::to_bits);
+        assert_eq!(bits, want, "{xs:?}");
+        assert_eq!(p.quantize(f32::NEG_INFINITY), -128);
+        assert_eq!(p.quantize(f32::INFINITY), 127);
     }
 
     #[test]

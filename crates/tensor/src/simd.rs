@@ -1,5 +1,6 @@
 //! Runtime-dispatched SIMD kernels: the packed GEMM's register
-//! micro-kernel, its small-batch stream kernel and depthwise convolution.
+//! micro-kernel, its small-batch stream kernel, depthwise convolution and
+//! the precision lowering (f16 rounding and int8 fake quantization).
 //!
 //! One [`Microkernel`] tier is resolved per executor (never per call site)
 //! behind [`resolve`], and every kernel here runs on it:
@@ -7,10 +8,13 @@
 //! * **`Avx512`** — AVX-512F intrinsics, reached only after
 //!   `is_x86_feature_detected!` confirms the host supports them. The GEMM
 //!   tile row is one 16-lane `zmm` accumulator; the stream kernel holds
-//!   its rows in registers; depthwise holds 16 output columns per `zmm`.
+//!   its rows in registers; depthwise holds 16 output columns per `zmm`;
+//!   the lowering passes take 16 elements per `zmm`, with a masked tail.
 //! * **`Avx2`** — AVX2/FMA intrinsics for the GEMM micro-kernel: two
 //!   8-lane `ymm` accumulators per row, rows in bands of four so the
-//!   working set stays inside the 16 architectural `ymm` registers.
+//!   working set stays inside the 16 architectural `ymm` registers. The
+//!   int8 lowering takes 8 elements per `ymm`, and so does the f16
+//!   rounding where F16C is detected too.
 //! * **`Wide`** — a portable-SIMD-style shim (`F32x8`): fixed 8-lane
 //!   `[f32; 8]` arithmetic the autovectorizer lowers to whatever the
 //!   target ISA offers. Compiles on every architecture.
@@ -18,7 +22,8 @@
 //!   truth and the `--kernel scalar` A/B baseline.
 //!
 //! Below AVX-512, the stream kernel and depthwise each share one portable
-//! loop across `Avx2`, `Wide` and non-x86 builds.
+//! loop across `Avx2`, `Wide` and non-x86 builds; the lowering passes run
+//! the scalar reference on `Wide` and non-x86 builds.
 //!
 //! # Bitwise equivalence
 //!
@@ -30,11 +35,16 @@
 //! repeats `kernels::depthwise_conv2d_into`'s unfused `acc += x * w` per
 //! in-range tap in ascending `(ky, kx)`, and the AVX-512 tier skips an
 //! out-of-range tap with masked loads and a masked add instead of adding a
-//! zero-padded term. The tiers are therefore bit-identical on every input,
-//! which the unit tests here and the workspace `numerical_equivalence`
-//! suite assert on raw kernels and whole models respectively.
+//! zero-padded term. The lowering passes work element by element, so
+//! there is no order to keep: each lane repeats the reference's rounding
+//! exactly, with NaNs, infinities and subnormals included (see
+//! [`round_f16`] and [`fake_quantize`]). The tiers are therefore
+//! bit-identical on every input, which the unit tests here and the
+//! workspace `numerical_equivalence` suite assert on raw kernels and whole
+//! models respectively.
 
-use crate::{kernels, Tensor};
+use crate::quant::{self, QuantParams};
+use crate::{f16, kernels, Tensor};
 use edgebench_graph::TensorShape;
 
 /// Micro-kernel tile rows (register-blocked rows of `C`).
@@ -745,6 +755,272 @@ unsafe fn depthwise_avx512<const S: usize>(
     }
 }
 
+/// Rounds every element of `xs` through binary16 in place on `kernel`'s
+/// tier: the executor's f16 lowering of weights and node outputs. The
+/// software conversion of [`f16::round_f16`] is the `Scalar` tier; `Wide`,
+/// non-x86 builds and a tier the host lacks (`Avx2` without F16C, say) run
+/// it too.
+///
+/// The vector tiers convert with `vcvtps2ph` at round-to-nearest-even and
+/// back with `vcvtph2ps`, which is exact. The hardware keeps the top bits
+/// of a NaN's payload and the reference does not, so a NaN lane becomes
+/// `sign | 0x7fc0_0000`, the quiet NaN [`f16::round_f16`] returns. Every
+/// other input, subnormals and overflow to ±Inf included, converts to the
+/// reference's bits.
+pub fn round_f16(kernel: Microkernel, xs: &mut [f32]) {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX-512F is detected here (this function is public, so
+        // the variant alone proves nothing); the kernel reads and writes
+        // only `xs`.
+        Microkernel::Avx512 if avx512_available() => unsafe { round_f16_avx512(xs) },
+        #[cfg(target_arch = "x86_64")]
+        Microkernel::Avx2 if simd_available() && std::arch::is_x86_feature_detected!("f16c") => {
+            // SAFETY: AVX2 and F16C are detected here; the kernel reads
+            // and writes only `xs`.
+            unsafe { round_f16_f16c(xs) }
+        }
+        _ => f16::round_slice_f16(xs),
+    }
+}
+
+/// The int8 grid of `xs`'s observed range, found on `kernel`'s tier; the
+/// first pass of [`fake_quantize`]. `Scalar`, `Wide`, non-x86 builds and a
+/// tier the host lacks run the reference loop.
+///
+/// The vector tiers keep a lane-wise minimum and maximum. `vminps` and
+/// `vmaxps` return their second operand when either is NaN, so with the
+/// accumulator second a NaN element leaves it as it was, as `f32::min` and
+/// `f32::max` skip NaN. A lane may keep `-0.0` where the reference keeps
+/// `0.0`, or the reverse; [`QuantParams::from_range`] widens every range
+/// to contain zero, so the grid is the same.
+pub fn quant_params(kernel: Microkernel, xs: &[f32]) -> QuantParams {
+    let (min, max) = match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX-512F is detected here (as in `round_f16`); the
+        // kernel reads only `xs`.
+        Microkernel::Avx512 if avx512_available() => unsafe { range_avx512(xs) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 is detected here; the kernel reads only `xs`.
+        Microkernel::Avx2 if simd_available() => unsafe { range_avx2(xs) },
+        _ => return QuantParams::observe_slice(xs),
+    };
+    QuantParams::from_observed(min, max)
+}
+
+/// Rounds every element of `xs` through its own int8 grid in place on
+/// `kernel`'s tier and returns the grid: the executor's int8 lowering of
+/// weights and node outputs. The loop of [`QuantParams::quantize`] and
+/// [`QuantParams::dequantize`] is the `Scalar` tier; `Wide`, non-x86
+/// builds and a tier the host lacks run it too.
+///
+/// The vector tiers find the grid with [`quant_params`], then repeat
+/// [`QuantParams::quantize`] and [`QuantParams::dequantize`] per lane: the
+/// same divide by the scale; `f32::round`'s half-away-from-zero as a
+/// truncation plus one step away from zero where the dropped fraction
+/// (exact) is at least 0.5; the zero-point add and the clamp to
+/// `[-128, 127]` in float, which equal the reference's saturating integer
+/// ones; NaN to the zero point, as the saturating cast sends it to 0; and
+/// the same `(q − zero_point) · scale`.
+pub fn fake_quantize(kernel: Microkernel, xs: &mut [f32]) -> QuantParams {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Microkernel::Avx512 if avx512_available() => {
+            let p = quant_params(kernel, xs);
+            // SAFETY: AVX-512F is detected here (as in `round_f16`); the
+            // kernel reads and writes only `xs`.
+            unsafe { fake_quant_avx512(xs, p) };
+            p
+        }
+        #[cfg(target_arch = "x86_64")]
+        Microkernel::Avx2 if simd_available() => {
+            let p = quant_params(kernel, xs);
+            // SAFETY: AVX2 is detected here; the kernel reads and writes
+            // only `xs`.
+            unsafe { fake_quant_avx2(xs, p) };
+            p
+        }
+        _ => quant::fake_quantize_slice(xs),
+    }
+}
+
+/// The AVX-512 mask of the first `live` lanes, all 16 from 16 on.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn lane_mask(live: usize) -> u16 {
+    if live >= 16 {
+        u16::MAX
+    } else {
+        (1u16 << live) - 1
+    }
+}
+
+/// [`round_f16`] on AVX-512F, 16 lanes per step and a masked tail.
+///
+/// # Safety
+///
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn round_f16_avx512(xs: &mut [f32]) {
+    use core::arch::x86_64::*;
+    let (sign, quiet) = (_mm512_set1_epi32(i32::MIN), _mm512_set1_epi32(0x7fc0_0000));
+    let (p, n) = (xs.as_mut_ptr(), xs.len());
+    for i in (0..n).step_by(16) {
+        let m = lane_mask(n - i);
+        let x = _mm512_maskz_loadu_ps(m, p.add(i));
+        let h = _mm512_cvtps_ph::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(x);
+        let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x);
+        let canon = _mm512_or_si512(_mm512_and_si512(_mm512_castps_si512(x), sign), quiet);
+        let r = _mm512_mask_blend_ps(nan, _mm512_cvtph_ps(h), _mm512_castsi512_ps(canon));
+        _mm512_mask_storeu_ps(p.add(i), m, r);
+    }
+}
+
+/// [`round_f16`] on AVX2 with F16C, 8 lanes per step; the tail of fewer
+/// than 8 runs the reference.
+///
+/// # Safety
+///
+/// The host must support AVX2 and F16C.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "f16c")]
+unsafe fn round_f16_f16c(xs: &mut [f32]) {
+    use core::arch::x86_64::*;
+    let sign = _mm256_set1_ps(-0.0);
+    let quiet = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fc0_0000));
+    let mut chunks = xs.chunks_exact_mut(8);
+    for c in &mut chunks {
+        let x = _mm256_loadu_ps(c.as_ptr());
+        let r = _mm256_cvtph_ps(_mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(x));
+        let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
+        let canon = _mm256_or_ps(_mm256_and_ps(x, sign), quiet);
+        _mm256_storeu_ps(c.as_mut_ptr(), _mm256_blendv_ps(r, canon, nan));
+    }
+    f16::round_slice_f16(chunks.into_remainder());
+}
+
+/// [`quant_params`]'s range pass on AVX-512F: the smallest and largest
+/// non-NaN element, `(+Inf, -Inf)` when there is none.
+///
+/// # Safety
+///
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn range_avx512(xs: &[f32]) -> (f32, f32) {
+    use core::arch::x86_64::*;
+    let mut lo = _mm512_set1_ps(f32::INFINITY);
+    let mut hi = _mm512_set1_ps(f32::NEG_INFINITY);
+    let (p, n) = (xs.as_ptr(), xs.len());
+    for i in (0..n).step_by(16) {
+        let m = lane_mask(n - i);
+        let x = _mm512_maskz_loadu_ps(m, p.add(i));
+        lo = _mm512_mask_min_ps(lo, m, x, lo);
+        hi = _mm512_mask_max_ps(hi, m, x, hi);
+    }
+    (_mm512_reduce_min_ps(lo), _mm512_reduce_max_ps(hi))
+}
+
+/// [`quant_params`]'s range pass on AVX2; the lanes and the tail of
+/// fewer than 8 fold in with `f32::min` and `f32::max`.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn range_avx2(xs: &[f32]) -> (f32, f32) {
+    use core::arch::x86_64::*;
+    let mut lo = _mm256_set1_ps(f32::INFINITY);
+    let mut hi = _mm256_set1_ps(f32::NEG_INFINITY);
+    let chunks = xs.chunks_exact(8);
+    let tail = chunks.remainder();
+    for c in chunks {
+        let x = _mm256_loadu_ps(c.as_ptr());
+        lo = _mm256_min_ps(x, lo);
+        hi = _mm256_max_ps(x, hi);
+    }
+    let (mut los, mut his) = ([0.0f32; 8], [0.0f32; 8]);
+    _mm256_storeu_ps(los.as_mut_ptr(), lo);
+    _mm256_storeu_ps(his.as_mut_ptr(), hi);
+    let min = los.iter().chain(tail).fold(f32::INFINITY, |m, &v| m.min(v));
+    let max = his
+        .iter()
+        .chain(tail)
+        .fold(-f32::INFINITY, |m, &v| m.max(v));
+    (min, max)
+}
+
+/// [`fake_quantize`]'s rounding pass on AVX-512F, 16 lanes per step and a
+/// masked tail.
+///
+/// # Safety
+///
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn fake_quant_avx512(xs: &mut [f32], q: QuantParams) {
+    use core::arch::x86_64::*;
+    let scale = _mm512_set1_ps(q.scale());
+    let zp = _mm512_set1_ps(q.zero_point() as f32);
+    let (lo, hi) = (_mm512_set1_ps(-128.0), _mm512_set1_ps(127.0));
+    let half = _mm512_set1_ps(0.5);
+    let (sign, one) = (_mm512_set1_epi32(i32::MIN), _mm512_set1_epi32(0x3f80_0000));
+    let (p, n) = (xs.as_mut_ptr(), xs.len());
+    for i in (0..n).step_by(16) {
+        let m = lane_mask(n - i);
+        let x = _mm512_maskz_loadu_ps(m, p.add(i));
+        let y = _mm512_div_ps(x, scale);
+        // `f32::round`: truncate, then step ±1 away from zero where the
+        // dropped fraction, which `y − t` holds exactly, is at least 0.5.
+        let t = _mm512_roundscale_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(y);
+        let away = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(_mm512_abs_ps(_mm512_sub_ps(y, t)), half);
+        let step = _mm512_or_si512(_mm512_and_si512(_mm512_castps_si512(y), sign), one);
+        let r = _mm512_mask_add_ps(t, away, t, _mm512_castsi512_ps(step));
+        // Saturate in float, and send NaN where the reference's cast
+        // sends it: to the zero point.
+        let code = _mm512_min_ps(_mm512_max_ps(_mm512_add_ps(r, zp), lo), hi);
+        let code = _mm512_mask_mov_ps(code, _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x), zp);
+        _mm512_mask_storeu_ps(p.add(i), m, _mm512_mul_ps(_mm512_sub_ps(code, zp), scale));
+    }
+}
+
+/// [`fake_quantize`]'s rounding pass on AVX2, 8 lanes per step; the tail
+/// of fewer than 8 runs the reference.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fake_quant_avx2(xs: &mut [f32], q: QuantParams) {
+    use core::arch::x86_64::*;
+    let scale = _mm256_set1_ps(q.scale());
+    let zp = _mm256_set1_ps(q.zero_point() as f32);
+    let (lo, hi) = (_mm256_set1_ps(-128.0), _mm256_set1_ps(127.0));
+    let half = _mm256_set1_ps(0.5);
+    let (sign, one) = (_mm256_set1_ps(-0.0), _mm256_set1_ps(1.0));
+    let mut chunks = xs.chunks_exact_mut(8);
+    for c in &mut chunks {
+        let x = _mm256_loadu_ps(c.as_ptr());
+        let y = _mm256_div_ps(x, scale);
+        // As on AVX-512. Where no step is due `t` gains `+0.0`, which can
+        // only turn `-0.0` into `0.0`: the zero-point add does that too.
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(y);
+        let away = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_andnot_ps(sign, _mm256_sub_ps(y, t)), half);
+        let step = _mm256_and_ps(away, _mm256_or_ps(_mm256_and_ps(y, sign), one));
+        let r = _mm256_add_ps(t, step);
+        let code = _mm256_min_ps(_mm256_max_ps(_mm256_add_ps(r, zp), lo), hi);
+        let code = _mm256_blendv_ps(code, zp, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x));
+        let out = _mm256_mul_ps(_mm256_sub_ps(code, zp), scale);
+        _mm256_storeu_ps(c.as_mut_ptr(), out);
+    }
+    for v in chunks.into_remainder() {
+        *v = q.fake_quant(*v);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -889,6 +1165,170 @@ mod tests {
             }
         }
         assert!(case > 2800, "grid ran only {case} cases");
+    }
+
+    /// Every lowering tier the host can run. `Wide` runs the reference
+    /// loops, so it is there on every host.
+    fn lowering_tiers() -> Vec<Microkernel> {
+        let mut tiers = vec![Microkernel::Wide];
+        if simd_available() {
+            tiers.push(Microkernel::Avx2);
+        }
+        if avx512_available() {
+            tiers.push(Microkernel::Avx512);
+        }
+        tiers
+    }
+
+    #[test]
+    fn lowering_tiers_are_bitwise_identical_to_the_reference() {
+        // Lengths 0–70 give every tail length of the 8- and 16-lane tiers
+        // behind zero to four full vectors. Each length runs six slices:
+        // random bit patterns mixed with the values below; those values
+        // alone; finite values on a grid with exact half-step ties; finite
+        // values plus one NaN; a huge negative value next to ±Inf (the
+        // [0, 1] fallback grid, where an unsaturated zero-point add
+        // overflows); and NaNs alone.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let p2 = |e: i32| 2f32.powi(e);
+        let nans = [
+            0x7fc0_0000u32,
+            0x7f80_0001,
+            0xffc1_2345,
+            0x7fbf_ffff,
+            0xffff_ffff,
+        ]
+        .map(f32::from_bits);
+        let mut specials = nans.to_vec();
+        specials.extend([f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0]);
+        // f32 subnormals: the smallest, the largest, and one between.
+        specials.extend([0x1u32, 0x8000_0001, 0x007f_ffff, 0x8040_0000].map(f32::from_bits));
+        // binary16's subnormal range: its smallest normal, its smallest
+        // subnormal, the tie half-way to zero, just above that tie, and
+        // ties between adjacent subnormals (even and odd).
+        specials.extend([p2(-14), -p2(-24), p2(-25), -1.5 * p2(-25), 2.5 * p2(-24)]);
+        specials.extend([3.5 * p2(-24), -1.0e-6, 3.3e-7]);
+        // binary16's largest finite value, the last value that rounds to it,
+        // the tie that rounds to infinity, and far beyond.
+        specials.extend([
+            65504.0,
+            -65519.996,
+            65520.0,
+            1.0e5,
+            -3.0e9,
+            f32::MAX,
+            f32::MIN,
+        ]);
+        // Ordinary values, and binary16 ties at 1.0 (to even, down and up).
+        specials.extend([1.0, -0.1, 1.0 + p2(-11), 1.0 + 3.0 * p2(-11), 1.0e-3]);
+
+        // Both grids span 255/8, so their scale is exactly 1/8 (zero points
+        // 0 and -96): (k + 0.5)/8 divides by it to an exact half.
+        let grids = [(-16.0f32, 15.875f32), (-4.0, 27.875)];
+        for (lo, hi) in grids {
+            assert_eq!(QuantParams::from_range(lo, hi).scale(), 0.125);
+        }
+
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut cases = 0usize;
+        for len in 0..=70usize {
+            let mut slices: Vec<(&str, Vec<f32>)> = Vec::new();
+            let pick = |rng: &mut StdRng, pool: &[f32]| pool[rng.gen_range(0..pool.len())];
+            slices.push((
+                "random bits and specials",
+                (0..len)
+                    .map(|_| match rng.gen_range(0..3usize) {
+                        0 => f32::from_bits(rng.gen::<u64>() as u32),
+                        1 => pick(&mut rng, &specials),
+                        _ => rng.gen_range(-4.0f32..4.0),
+                    })
+                    .collect(),
+            ));
+            slices.push((
+                "specials",
+                (0..len).map(|_| pick(&mut rng, &specials)).collect(),
+            ));
+            let (lo, hi) = grids[len % 2];
+            let ties = (0..len).map(|i| match i {
+                0 => lo,
+                1 => hi,
+                _ => lo + (rng.gen_range(0..((hi - lo) * 8.0) as usize) as f32 + 0.5) / 8.0,
+            });
+            slices.push(("int8 ties", ties.collect()));
+            let mut finite: Vec<f32> = (0..len).map(|_| rng.gen_range(-3.0f32..5.0)).collect();
+            if len > 0 {
+                finite[rng.gen_range(0..len)] = pick(&mut rng, &nans);
+            }
+            slices.push(("finite and one NaN", finite));
+            let huge = [
+                f32::NEG_INFINITY,
+                -1.0e7,
+                f32::INFINITY,
+                -3.0e9,
+                0.25,
+                f32::NAN,
+            ];
+            slices.push((
+                "huge and infinite",
+                (0..len).map(|i| huge[i % huge.len()]).collect(),
+            ));
+            slices.push(("all NaN", (0..len).map(|_| pick(&mut rng, &nans)).collect()));
+
+            for (family, xs) in &slices {
+                let mut want16 = xs.clone();
+                f16::round_slice_f16(&mut want16);
+                let mut want8 = xs.clone();
+                let want_q = quant::fake_quantize_slice(&mut want8);
+                for tier in lowering_tiers() {
+                    cases += 1;
+                    let what = format!("{tier:?} {family} len={len}");
+                    let mut got = xs.clone();
+                    round_f16(tier, &mut got);
+                    assert_eq!(bits(&got), bits(&want16), "f16 {what}: {xs:?}");
+                    assert_eq!(quant_params(tier, xs), want_q, "int8 range {what}: {xs:?}");
+                    let mut got = xs.clone();
+                    assert_eq!(fake_quantize(tier, &mut got), want_q, "int8 grid {what}");
+                    assert_eq!(bits(&got), bits(&want8), "int8 {what}: {xs:?}");
+                }
+            }
+        }
+        assert!(cases >= 71 * 6, "ran only {cases} cases");
+    }
+
+    #[test]
+    #[ignore = "every f32 bit pattern; scripts/verify.sh runs it in release"]
+    fn f16_tiers_match_the_reference_on_every_f32_pattern() {
+        let tiers = lowering_tiers();
+        std::thread::scope(|s| {
+            for half in 0..2u32 {
+                let tiers = &tiers;
+                s.spawn(move || {
+                    let mut x = vec![0.0f32; 1 << 16];
+                    let mut got = x.clone();
+                    for block in (half << 15)..((half + 1) << 15) {
+                        for (i, v) in x.iter_mut().enumerate() {
+                            *v = f32::from_bits(block << 16 | i as u32);
+                        }
+                        let mut want = x.clone();
+                        f16::round_slice_f16(&mut want);
+                        for &tier in tiers {
+                            got.copy_from_slice(&x);
+                            round_f16(tier, &mut got);
+                            let bad = want.iter().zip(&got).position(|(a, b)| a.to_bits() != b.to_bits());
+                            if let Some(i) = bad {
+                                panic!(
+                                    "{tier:?}: {:#010x} rounds to {:#010x}, the reference to {:#010x}",
+                                    x[i].to_bits(),
+                                    got[i].to_bits(),
+                                    want[i].to_bits()
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

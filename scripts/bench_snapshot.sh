@@ -155,9 +155,19 @@ tier="$(cargo run -q --release --offline -p edgebench --bin edgebench-cli -- \
 # normally taken on a tree whose changes are not committed yet (it is
 # committed together with the code it measures), so a tree with changes to
 # tracked files other than the snapshot file is labelled "<HEAD>+": the
-# change on top of HEAD, not HEAD itself.
-commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-if [ -n "$(git status --porcelain --untracked-files=no -- . ":(exclude)$out" 2>/dev/null)" ]; then
+# change on top of HEAD, not HEAD itself. The snapshot file is excluded
+# only when it lies inside the repository: git refuses a pathspec outside
+# it, and a failed status must not read as a clean tree.
+commit="$(git rev-parse --short HEAD)"
+pathspec=(.)
+case "$(realpath -m "$out")" in
+    "$(git rev-parse --show-toplevel)"/*) pathspec+=(":(exclude)$out") ;;
+esac
+if ! dirty="$(git status --porcelain --untracked-files=no -- "${pathspec[@]}")"; then
+    echo "error: git status failed, so the snapshot cannot be labelled" >&2
+    exit 1
+fi
+if [ -n "$dirty" ]; then
     commit="${commit}+"
 fi
 

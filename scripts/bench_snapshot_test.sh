@@ -8,7 +8,9 @@
 #
 # It appends a bench-trajectory-v2 entry to a copy of BENCH_kernels.json
 # (v1 entries stay in the history as they were), appends a second one on
-# top of that, and feeds `--check` two malformed v2 files.
+# top of that, and feeds `--check` two malformed v2 files. Both entries
+# must carry the label of the tree the test runs in: HEAD, plus "+" when
+# a tracked file is modified.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
@@ -43,19 +45,28 @@ esac
 STUB
 chmod +x "$tmp/bin/cargo"
 
+# The label the writer must give this tree: HEAD, with a "+" when a tracked
+# file differs from it (the snapshot lies outside the repository here, so
+# nothing is excluded from that check).
+label="$(git rev-parse --short HEAD)"
+if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
+    label="${label}+"
+fi
+
 out="$tmp/trajectory.json"
 cp BENCH_kernels.json "$out"
 PATH="$tmp/bin:$PATH" scripts/bench_snapshot.sh "$out" > "$tmp/first.txt"
 scripts/bench_snapshot.sh --check "$out"
 
-python3 - BENCH_kernels.json "$out" "$(nproc)" <<'PY'
+python3 - BENCH_kernels.json "$out" "$(nproc)" "$label" <<'PY'
 import json, sys
 
-before_path, out_path, nproc = sys.argv[1], sys.argv[2], int(sys.argv[3])
+before_path, out_path, nproc, label = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
 before = json.load(open(before_path))
 doc = json.load(open(out_path))
 assert doc["schema"] == "bench-trajectory-v2", doc["schema"]
 cur = doc["current"]
+assert cur["commit"] == label, f"labelled {cur['commit']!r}, the tree is {label!r}"
 host = cur["host"]
 assert host["nproc"] == nproc and host["kernel_tier"] == "stubtier", host
 assert set(host["cache_bytes"]) == {"l2", "l3"}, host
@@ -85,9 +96,10 @@ PATH="$tmp/bin:$PATH" scripts/bench_snapshot.sh "$out" > "$tmp/second.txt"
 scripts/bench_snapshot.sh --check "$out"
 grep -q "delta vs stub-before (11 shared benchmarks, medians)" "$tmp/second.txt"
 grep -q "ipc/ring_roundtrip_3072f32: 381 -> 381 ns  (1.00x faster)" "$tmp/second.txt"
-python3 - "$out" <<'PY'
+python3 - "$out" "$label" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
+assert doc["current"]["commit"] == sys.argv[2], doc["current"]["commit"]
 assert doc["history"][-1]["commit"] == "stub-before"
 assert "host" in doc["history"][-1] and "host" not in doc["history"][0]
 PY

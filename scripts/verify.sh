@@ -8,9 +8,9 @@ cargo fmt --all --check
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 # The determinism contracts, named explicitly: neither intra-op threads
-# nor the SIMD kernel choice may change a single output byte (the rest of
-# the suite runs these too, but a regression here should fail loudly
-# under its own name).
+# nor the SIMD kernel choice may change a single output byte, at f32, f16
+# and int8 (the rest of the suite runs these too, but a regression here
+# should fail loudly under its own name).
 cargo test -q --offline --test numerical_equivalence \
     execution_is_byte_identical_across_intra_op_threads
 cargo test -q --offline --test numerical_equivalence \
@@ -28,6 +28,16 @@ cargo test -q --offline -p edgebench-tensor \
     depthwise_tiers_are_bitwise_identical_to_the_reference
 cargo test -q --offline --test numerical_equivalence \
     simd_matches_scalar_bitwise_on_random_depthwise_geometry
+# The lowering to the run precision runs on the same tier: f16 rounding and
+# int8 fake quantization on every tier the host has must equal the scalar
+# reference bit for bit on slices of length 0–70 holding NaN payloads, ±Inf,
+# ±0.0, f32 subnormals, binary16's subnormal range, values past 65504, exact
+# int8 half-step ties and NaN alone; and the f16 rounding must on every one
+# of the 2^32 f32 bit patterns (release, about 10 s).
+cargo test -q --offline -p edgebench-tensor \
+    lowering_tiers_are_bitwise_identical_to_the_reference
+cargo test -q --release --offline -p edgebench-tensor --lib \
+    f16_tiers_match_the_reference_on_every_f32_pattern -- --ignored
 # Weights packed once at prepare time: prepacked conv and dense operands on
 # ragged shapes must equal the naive reference bit for bit on every kernel
 # tier, forced blocking (kc = 1 included) and 1, 2 and 8 threads, and the

@@ -212,51 +212,43 @@ fn execution_is_byte_identical_across_intra_op_threads() {
 fn simd_and_scalar_kernels_are_bitwise_identical() {
     // The SIMD micro-kernels hold one output element per lane and reduce k
     // in the same strictly-ascending order as the scalar kernel, with FMAs
-    // that round once like `f32::mul_add`. The kernel choice is therefore a
-    // pure performance knob: whole-model outputs must match the forced-
-    // scalar baseline byte for byte, at any thread count, on the plain and
-    // the prepared executor alike.
+    // that round once like `f32::mul_add`, and the tier's f16 and int8
+    // lowering repeats the reference's rounding per element. The kernel
+    // choice is therefore a pure performance knob: whole-model outputs
+    // must match the forced-scalar baseline bit for bit (`-0.0` and NaN
+    // payloads included), at every precision and any thread count, on the
+    // plain and the prepared executor alike.
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for g in [rich_graph(), Model::CifarNet.build().with_batch(8).unwrap()] {
         let shape = g.node(g.input_ids()[0]).output_shape().dims().to_vec();
         let x = Tensor::random(shape, 41);
-        let base = Executor::new(&g)
-            .with_seed(7)
-            .with_kernel(KernelKind::Scalar)
-            .with_intra_op_threads(1)
-            .run(&x)
-            .unwrap();
-        for kernel in [KernelKind::Scalar, KernelKind::Simd, KernelKind::Auto] {
-            for threads in [1usize, 2, 8] {
-                let out = Executor::new(&g)
+        for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+            let exec = |kernel, threads| {
+                Executor::new(&g)
                     .with_seed(7)
+                    .with_precision(precision)
                     .with_kernel(kernel)
                     .with_intra_op_threads(threads)
-                    .run(&x)
-                    .unwrap();
-                assert_eq!(
-                    base.data(),
-                    out.data(),
-                    "{} diverged with kernel {:?} at {} threads",
-                    g.name(),
-                    kernel,
-                    threads
-                );
-                let prepared = Executor::new(&g)
-                    .with_seed(7)
-                    .with_kernel(kernel)
-                    .with_intra_op_threads(threads)
-                    .prepare()
-                    .unwrap()
-                    .run(&x)
-                    .unwrap();
-                assert_eq!(
-                    base.data(),
-                    prepared.data(),
-                    "{} prepared diverged with kernel {:?} at {} threads",
-                    g.name(),
-                    kernel,
-                    threads
-                );
+            };
+            let base = bits(&exec(KernelKind::Scalar, 1).run(&x).unwrap());
+            for kernel in [KernelKind::Scalar, KernelKind::Simd, KernelKind::Auto] {
+                for threads in [1usize, 2, 8] {
+                    let out = exec(kernel, threads).run(&x).unwrap();
+                    assert_eq!(
+                        base,
+                        bits(&out),
+                        "{} diverged at {precision:?} with kernel {kernel:?} at {threads} threads",
+                        g.name(),
+                    );
+                    let prepared = exec(kernel, threads).prepare().unwrap().run(&x).unwrap();
+                    assert_eq!(
+                        base,
+                        bits(&prepared),
+                        "{} prepared diverged at {precision:?} with kernel {kernel:?} at \
+                         {threads} threads",
+                        g.name(),
+                    );
+                }
             }
         }
     }
