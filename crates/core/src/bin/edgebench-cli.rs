@@ -609,9 +609,10 @@ fn run_infer(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let mut y = out.clone();
     let t0 = std::time::Instant::now();
     for _ in 0..run.iters {
-        if let Err(e) = exec.run(&x) {
+        if let Err(e) = exec.run_into(x.shape().dims(), x.data(), &mut y, &mut |_, _| Ok(())) {
             eprintln!("inference failed: {e}");
             return ExitCode::FAILURE;
         }
@@ -629,10 +630,11 @@ fn run_infer(args: &[String]) -> ExitCode {
         edgebench_tensor::simd::resolve(run.kernel).name(),
     );
     println!(
-        "latency {:.3} ms/batch | throughput {:.1} img/s | peak live {:.1} KiB | {} ops",
+        "latency {:.3} ms/batch | throughput {:.1} img/s | peak live {:.1} KiB | buffers {:.1} KiB | {} ops",
         per_iter * 1e3,
         run.batch as f64 / per_iter,
         stats.peak_live_bytes as f64 / 1024.0,
+        stats.buffer_bytes as f64 / 1024.0,
         stats.ops_executed,
     );
     println!("output checksum {checksum:016x}");

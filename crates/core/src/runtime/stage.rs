@@ -740,6 +740,7 @@ fn precision_of(dtype: &str) -> Precision {
 
 struct RungExec<'g> {
     prepared: PreparedExecutor<'g>,
+    out: Tensor,
 }
 
 impl<'g> RungExec<'g> {
@@ -756,20 +757,19 @@ impl<'g> RungExec<'g> {
                 stage: "inference".to_string(),
                 reason: format!("executor build ({dtype}): {e}"),
             })?;
-        Ok(RungExec { prepared })
+        let out = Tensor::zeros([0]);
+        Ok(RungExec { prepared, out })
     }
 
-    /// Run the prepared executor on one frame, beating the inference
-    /// heartbeat once per executed node: a frame that takes longer than
-    /// the stall window is still live, not hung. A rejected frame is a
-    /// typed stage error — it feeds the degraded-stage report, never a
-    /// panic.
-    fn run(&self, ctl: &Ctl, dims: [u32; 4], payload: &[f32]) -> Result<u64, RuntimeError> {
-        let shape: Vec<usize> = dims.iter().map(|&d| (d as usize).max(1)).collect();
-        let input = Tensor::from_vec(shape, payload.to_vec());
-        let (out, _) = self
-            .prepared
-            .run_observed(&input, &mut |_, _| {
+    /// Run the prepared executor on one frame, read in its slot, into the
+    /// rung's `out`, beating the inference heartbeat once per executed
+    /// node: a frame that takes longer than the stall window is still live,
+    /// not hung. A rejected frame is a typed stage error — it feeds the
+    /// degraded-stage report, never a panic.
+    fn run(&mut self, ctl: &Ctl, dims: [u32; 4], payload: &[f32]) -> Result<u64, RuntimeError> {
+        let dims = dims.map(|d| (d as usize).max(1));
+        self.prepared
+            .run_into(&dims, payload, &mut self.out, &mut |_, _| {
                 ctl.heartbeat[2].fetch_add(1, Relaxed);
                 Ok(())
             })
@@ -777,7 +777,7 @@ impl<'g> RungExec<'g> {
                 stage: "inference".to_string(),
                 reason: format!("executor rejected frame: {e}"),
             })?;
-        Ok(checksum_f32(out.data()))
+        Ok(checksum_f32(self.out.data()))
     }
 }
 
@@ -872,7 +872,7 @@ pub(crate) fn run_inference(
                 .expect("sentry requires a standby rung");
             svc += sb.svc_ns;
             ctl.add_energy_mj(sb.energy_mj);
-            if let Some(e) = &standby_exec {
+            if let Some(e) = &mut standby_exec {
                 let digest = match e.run(ctl, buf.meta.dims, buf.payload()) {
                     Ok(d) => d,
                     Err(err) => return StageExit::Failed(err.to_string()),
@@ -883,7 +883,7 @@ pub(crate) fn run_inference(
         if run_full {
             svc += costs.full.svc_ns;
             ctl.add_energy_mj(costs.full.energy_mj);
-            if let Some(e) = &full_exec {
+            if let Some(e) = &mut full_exec {
                 let digest = match e.run(ctl, buf.meta.dims, buf.payload()) {
                     Ok(d) => d,
                     Err(err) => return StageExit::Failed(err.to_string()),
@@ -1255,6 +1255,33 @@ mod tests {
         ctl.magic.store(CTL_MAGIC, Release);
         assert!(Ctl::attach(&path).is_ok(), "the repaired header attaches");
         ctl.map().unlink();
+    }
+
+    /// A frame whose payload does not fill its dims (the slot read cuts
+    /// the length to what the ring holds, and in the process layout
+    /// another process writes the slot) is a typed stage error, as
+    /// permuted dims are — never a panic.
+    #[test]
+    fn a_frame_shorter_than_its_dims_is_a_typed_stage_error() {
+        let graph = edgebench_models::Model::VggS32.build();
+        let mut rung = RungExec::build(&graph, "f32", 1).unwrap();
+        let ctl = Ctl::create(&temp_path("short-frame"), 4, 2, 2).unwrap();
+        ctl.map().unlink();
+        let frame = vec![0.25; 3 * 32 * 32];
+        for (dims, len) in [([1, 3, 32, 32], 100), ([1, 32, 32, 3], frame.len())] {
+            match rung.run(&ctl, dims, &frame[..len]) {
+                Err(RuntimeError::Stage { stage, reason }) => {
+                    assert_eq!(stage, "inference");
+                    assert!(
+                        reason.starts_with("executor rejected frame: input shape mismatch"),
+                        "{reason}"
+                    );
+                }
+                other => panic!("dims {dims:?}, {len} values: {other:?}"),
+            }
+        }
+        let good = rung.run(&ctl, [1, 3, 32, 32], &frame).unwrap();
+        assert_eq!(rung.run(&ctl, [1, 3, 32, 32], &frame).unwrap(), good);
     }
 
     #[test]

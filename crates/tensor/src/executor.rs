@@ -185,13 +185,16 @@ impl WeightStore {
     }
 }
 
-/// Execution statistics collected by [`Executor::run_with_stats`].
+/// Execution statistics reported by [`Executor::run_with_stats`]. The
+/// static shapes fix every one of them at prepare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
     /// Peak bytes of simultaneously live activation tensors.
     pub peak_live_bytes: usize,
     /// Number of operator invocations executed.
     pub ops_executed: usize,
+    /// Bytes of the activation buffers the plan holds them in.
+    pub buffer_bytes: usize,
 }
 
 /// Per-node activation hook: invoked with `(node_index, output)` after
@@ -201,52 +204,54 @@ pub struct RunStats {
 /// campaigns on this; an observer error aborts the run.
 type NodeObserver<'a> = dyn FnMut(usize, &mut Tensor) -> Result<(), ExecError> + 'a;
 
-/// Per-run scratch memory: retired activation tensors, GEMM packing
-/// buffers, and the run's slot bookkeeping, all reused across inferences
-/// so a steady-state run allocates no activation buffer.
+/// A run's memory, reused run after run: the plan's activation buffers,
+/// the GEMM packing buffers and the depthwise mask table.
 ///
-/// Every kernel that writes into an arena tensor overwrites *all* of its
-/// elements, so recycled buffers never need zeroing.
+/// Every kernel that writes into a buffer overwrites *all* of its
+/// elements, so buffers never need zeroing between steps or runs.
 #[derive(Debug, Default)]
 struct Arena {
-    /// Retired activation tensors, available for reuse (best fit wins);
-    /// each keeps its shape's storage as well as its buffer.
-    free: Vec<Tensor>,
+    /// The activation buffers, by the number the plan gives each; the
+    /// input's is the first.
+    bufs: Vec<Tensor>,
     /// GEMM packing scratch: per-worker B panels for convolutions.
     gemm: GemmScratch,
     /// The depthwise kernel's column-mask table, rebuilt per call.
     taps: Vec<simd::TapMask>,
-    /// Per-node activation slots, recycled between runs.
-    slots: Vec<Option<Tensor>>,
 }
 
-impl Arena {
-    /// Hands out a tensor of `shape`, reusing the smallest retired buffer
-    /// whose capacity suffices. Contents are unspecified — the caller must
-    /// overwrite every element.
-    fn take(&mut self, shape: &TensorShape) -> Tensor {
-        let n = shape.num_elements();
-        let mut best: Option<(usize, usize)> = None; // (capacity, index)
-        for (i, t) in self.free.iter().enumerate() {
-            let cap = t.capacity();
-            if cap >= n && best.is_none_or(|(bc, _)| cap < bc) {
-                best = Some((cap, i));
-            }
+/// Buffer `at` of `bufs`, writable, beside a reader of every other buffer
+/// by its number. A step never reads the buffer it writes.
+fn split<'a>(
+    bufs: &'a mut [Tensor],
+    at: usize,
+) -> (&'a mut Tensor, impl Fn(usize) -> &'a Tensor + Copy) {
+    let (below, rest) = bufs.split_at_mut(at);
+    let (out, above) = rest.split_first_mut().expect("the plan's buffer");
+    let (below, above) = (&*below, &*above);
+    (out, move |b| {
+        if b < at {
+            &below[b]
+        } else {
+            &above[b - at - 1]
         }
-        match best {
-            Some((_, i)) => {
-                let mut t = self.free.swap_remove(i);
-                t.set_shape(shape);
-                t
-            }
-            None => Tensor::zeros(shape.clone()),
-        }
-    }
+    })
+}
 
-    /// Returns a dead tensor to the free list.
-    fn recycle(&mut self, t: Tensor) {
-        self.free.push(t);
-    }
+/// The buffer a fresh output of `elems` values takes in the plan's walk:
+/// the free buffer that fits best; if none fits, the largest free buffer,
+/// grown; if none is free, a new one. `sizes` holds each buffer's values.
+fn pick(free: &mut Vec<usize>, sizes: &mut Vec<usize>, elems: usize) -> usize {
+    // Buffers that fit first, the tightest first; then the rest, the
+    // largest first.
+    let key = |b: usize| (sizes[b] < elems, sizes[b].abs_diff(elems));
+    let Some(i) = (0..free.len()).min_by_key(|&i| key(free[i])) else {
+        sizes.push(elems);
+        return sizes.len() - 1;
+    };
+    let b = free.swap_remove(i);
+    sizes[b] = sizes[b].max(elems);
+    b
 }
 
 /// A parameter buffer as the SDC layer addresses it: by logical (natural
@@ -469,66 +474,41 @@ impl Kernel {
     }
 }
 
-/// Where a step's output buffer comes from, decided at prepare.
-#[derive(Debug, Clone, Copy)]
-enum Output {
-    /// A fresh arena buffer.
-    Fresh,
-    /// The first input's buffer, rewritten in place: this step is its last
-    /// reader and reads it through no other input.
-    Reuse,
-    /// An arena copy of the first input, rewritten in place: the input has
-    /// readers after this step.
-    Copy,
-}
-
-/// One node of the compiled plan: its kernel, and the slot bookkeeping
-/// fixed at prepare.
+/// One node of the compiled plan: its kernel, and the buffers it reads
+/// and writes, fixed at prepare.
 #[derive(Debug)]
 struct Step<'g> {
-    /// The graph node. Its index names the slot the step writes and is
-    /// what observers and the SDC layer address; its inputs name the slots
-    /// the kernel reads.
+    /// The graph node. Its index is what observers and the SDC layer
+    /// address.
     node: &'g Node,
     kernel: Kernel,
-    output: Output,
-    /// Slots whose last reader this step is, freed once it has run (its
-    /// own, when nothing reads it).
-    frees: Vec<usize>,
-    /// Activation bytes those slots hold, from the static shapes.
-    freed_bytes: usize,
+    /// The buffer the step writes: its first input's, when the kernel
+    /// rewrites that input in place as its last reader.
+    buf: usize,
+    /// Whether the kernel rewrites a copy of its first input instead: the
+    /// input is read after this step, or by this step through another
+    /// input too.
+    copy: bool,
+    /// The buffers holding its inputs, in input order.
+    ins: Vec<usize>,
     /// Prepare-time checksum of the kernel's parameters — the pristine
     /// reference integrity scrubs verify against.
     checksum: u64,
 }
 
 impl Step<'_> {
-    /// The tensor of the step's `k`-th input.
-    fn input<'s>(&self, slots: &'s [Option<Tensor>], k: usize) -> &'s Tensor {
-        slots[self.node.inputs()[k].index()]
-            .as_ref()
-            .expect("steps run in graph order")
-    }
-
-    /// The step's output buffer, as its [`Output`] decision says.
-    fn output(&self, slots: &mut [Option<Tensor>], arena: &mut Arena) -> Tensor {
-        match self.output {
-            Output::Fresh => arena.take(self.node.output_shape()),
-            Output::Reuse => slots[self.node.inputs()[0].index()]
-                .take()
-                .expect("steps run in graph order"),
-            Output::Copy => {
-                let x = self.input(slots, 0);
-                let mut t = arena.take(x.shape());
-                t.data_mut().copy_from_slice(x.data());
-                t
-            }
-        }
-    }
-
-    /// Runs the kernel into `out`, the buffer [`Step::output`] gave.
-    fn apply(&self, slots: &[Option<Tensor>], out: &mut Tensor, arena: &mut Arena, threads: usize) {
-        let x = |k| self.input(slots, k);
+    /// Runs the kernel into `out`, its output buffer, already of the
+    /// output's shape (an in-place kernel keeps its input's element count),
+    /// reading its inputs through `read`.
+    fn apply<'a>(
+        &self,
+        read: impl Fn(usize) -> &'a Tensor + Copy,
+        out: &mut Tensor,
+        scratch: &mut GemmScratch,
+        taps: &mut Vec<simd::TapMask>,
+        threads: usize,
+    ) {
+        let x = |k: usize| read(self.ins[k]);
         match &self.kernel {
             Kernel::ConvPacked {
                 w,
@@ -545,7 +525,7 @@ impl Step<'_> {
                 &tail.epilogue(),
                 threads,
                 out,
-                &mut arena.gemm,
+                scratch,
             ),
             Kernel::ConvDirect {
                 w,
@@ -565,9 +545,9 @@ impl Step<'_> {
                 multiplier,
                 tail,
             } => {
-                let (tier, e) = (arena.gemm.kernel(), tail.epilogue());
+                let (tier, e) = (scratch.kernel(), tail.epilogue());
                 let (s, p, m) = (*stride, *padding, *multiplier);
-                simd::depthwise(tier, x(0), w, e.bias, s, p, m, out, &mut arena.taps);
+                simd::depthwise(tier, x(0), w, e.bias, s, p, m, out, taps);
                 kernels::bn_act_inplace(out, e.bn, e.act);
             }
             Kernel::Conv3d {
@@ -578,7 +558,7 @@ impl Step<'_> {
             } => kernels::conv3d_into(x(0), w, tail.b.as_deref(), *stride, *padding, out),
             Kernel::DensePacked { w, tail } => {
                 let (b, act) = (tail.b.as_deref(), tail.act);
-                gemm::dense_packed_into(x(0), w, b, act, threads, out, &mut arena.gemm)
+                gemm::dense_packed_into(x(0), w, b, act, threads, out, scratch)
             }
             Kernel::DenseDirect { w, tail } => {
                 gemm::dense_direct_into(x(0), w, tail.b.as_deref(), tail.act, out)
@@ -602,9 +582,8 @@ impl Step<'_> {
             Kernel::Concat => kernels::concat_into((0..self.node.inputs().len()).map(x), out),
             Kernel::Slice { start, len } => kernels::slice2_into(x(0), *start, *len, out),
             Kernel::Upsample(factor) => kernels::upsample_into(x(0), *factor, out),
-            Kernel::Flatten => out.set_shape(self.node.output_shape()),
             Kernel::Softmax => kernels::softmax_inplace(out),
-            Kernel::Dropout => {}
+            Kernel::Flatten | Kernel::Dropout => {}
         }
     }
 }
@@ -682,13 +661,6 @@ impl<'g> Executor<'g> {
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
         self
-    }
-
-    /// A fresh scratch arena with this executor's kernel choice resolved.
-    fn new_arena(&self) -> Arena {
-        let mut arena = Arena::default();
-        arena.gemm.set_kernel(self.kernel);
-        arena
     }
 
     /// The weight store in use (exposed for cross-checking transformations).
@@ -956,10 +928,11 @@ impl<'g> Executor<'g> {
         self.run_with_stats(input).map(|(t, _)| t)
     }
 
-    /// Runs one inference, also measuring real memory behaviour: the peak
-    /// bytes of simultaneously live activations under free-after-last-use.
+    /// Runs one inference, also reporting the plan's memory: the peak
+    /// bytes of simultaneously live activations under free-after-last-use,
+    /// and the bytes of the buffers that hold them.
     ///
-    /// This is the functional cross-check of the IR's analytical
+    /// The peak is the functional cross-check of the IR's analytical
     /// `peak_activation_bytes` (see the workspace integration tests).
     ///
     /// # Errors
@@ -975,12 +948,15 @@ impl<'g> Executor<'g> {
     /// to the run precision, GEMM weights (convolutions off the direct
     /// loop, pruned or not, and dense layers off the direct loop)
     /// generated straight into the panel layout the micro-kernel reads
-    /// ([`gemm::PackedPanels`]), with no natural-layout copy kept. Each
-    /// GEMM convolution also reserves, in the run arena, the buffer each
-    /// intra-op worker packs its B panels into, so a run allocates no
-    /// packing buffer. Each step also fixes where its output buffer comes
-    /// from (in place or fresh) and which buffers die after it, so a run
-    /// only executes the steps.
+    /// ([`gemm::PackedPanels`]), with no natural-layout copy kept.
+    ///
+    /// Each step also gets the activation buffer it writes, numbered once
+    /// for every run: a step that rewrites its first input in place keeps
+    /// that input's buffer, and any other takes a buffer no live tensor
+    /// holds (the best fit, else the largest one, grown, else a new one).
+    /// The run arena reserves those buffers, capacity only, and each GEMM
+    /// convolution's per-worker B-panel buffers, so a run allocates no
+    /// activation or packing buffer.
     ///
     /// Alongside the parameters, `prepare` records a baseline FNV-style
     /// checksum of every step's `f32` parameter bits — the reference the
@@ -992,8 +968,8 @@ impl<'g> Executor<'g> {
     /// [`ExecError::UnsupportedGraph`] naming a node the executor cannot
     /// run (a second input node, or a `FusedConvBnAct` wrapping a non-conv
     /// op), and [`ExecError::OutOfMemory`] naming the node when its
-    /// weights, its arena buffer or its GEMM scratch cannot be allocated (a
-    /// graph rebatched beyond memory, say).
+    /// weights, its activation buffer or its GEMM scratch cannot be
+    /// allocated (a graph rebatched beyond memory, say).
     pub fn prepare(self) -> Result<PreparedExecutor<'g>, ExecError> {
         let graph = self.graph;
         let &input = graph.input_ids().first().ok_or(ExecError::NoInput)?;
@@ -1011,64 +987,72 @@ impl<'g> Executor<'g> {
         // keeps the first run's latency clean and fixes the blocking every
         // later reserve and call sees.
         crate::blocking::cache_info();
-        let mut arena = self.new_arena();
+        // The walk: each slot's buffer, each buffer's size in values, the
+        // buffers no live slot holds, and the live values (saturating: an
+        // output too large to address fails its buffer reservation below).
+        let elems = |k: usize| graph.nodes()[k].output_shape().num_elements();
+        let mut buf_of = vec![0; graph.len()];
+        let mut sizes = vec![elems(input.id().index())];
+        let mut free = Vec::new();
+        let (mut live, mut peak) = (sizes[0], sizes[0]);
         let mut steps = Vec::with_capacity(graph.len());
         for node in graph.nodes() {
-            // Pre-size the arena from the static shapes: one buffer per
-            // node output (an upper bound on the live set), capacity only —
-            // `Arena::take` sizes it on first use, so untouched pages are
-            // never committed here.
-            let elems = node.output_shape().num_elements();
-            let buf =
-                Tensor::try_with_capacity(elems).map_err(|_| oom(node, elems.saturating_mul(4)))?;
-            arena.free.push(buf);
             if node.id() == input.id() {
                 continue;
             }
             let kernel = self.compile(node)?;
-            if let Kernel::ConvPacked { w, .. } = &kernel {
-                arena
-                    .gemm
-                    .reserve(w, node.output_shape(), self.threads)
-                    .map_err(|elems| oom(node, elems.saturating_mul(4)))?;
-            }
             let (idx, ins) = (node.id().index(), node.inputs());
             let first = ins[0].index();
-            let output = if !kernel.rewrites_input() {
-                Output::Fresh
-            } else if last_use[first] == idx && ins[1..].iter().all(|k| k.index() != first) {
-                Output::Reuse
+            // In place when this step is the input's last reader and reads
+            // it through no other input.
+            let rewrites = kernel.rewrites_input();
+            let sole = last_use[first] == idx && ins[1..].iter().all(|k| k.index() != first);
+            let buf = if rewrites && sole {
+                buf_of[first]
             } else {
-                Output::Copy
+                pick(&mut free, &mut sizes, elems(idx))
             };
-            let mut frees = Vec::new();
+            buf_of[idx] = buf;
+            live = live.saturating_add(elems(idx));
+            peak = peak.max(live);
+            // The slots this step last reads die (its own, when nothing
+            // reads it), and with them their buffers — but the input an
+            // in-place step rewrote lives on as its output.
+            let mut dead = Vec::new();
             for k in std::iter::once(idx).chain(ins.iter().map(|k| k.index())) {
-                if last_use[k] == idx && !frees.contains(&k) {
-                    frees.push(k);
+                if last_use[k] == idx && !dead.contains(&k) {
+                    dead.push(k);
+                    live = live.saturating_sub(elems(k));
+                    if k == idx || buf_of[k] != buf {
+                        free.push(buf_of[k]);
+                    }
                 }
             }
-            // Saturating: an output too large to address fails its arena
-            // reservation in `prepare`, before any run reads this.
-            let freed_bytes = frees
-                .iter()
-                .map(|&k| self.graph.nodes()[k].output_shape().num_elements())
-                .fold(0, usize::saturating_add)
-                .saturating_mul(4);
             steps.push(Step {
                 node,
                 checksum: kernel.checksum(),
                 kernel,
-                output,
-                frees,
-                freed_bytes,
+                buf,
+                copy: rewrites && !sole,
+                ins: ins.iter().map(|k| buf_of[k.index()]).collect(),
             });
         }
-        Ok(PreparedExecutor {
+        let buffered = sizes.iter().copied().fold(0, usize::saturating_add);
+        let stats = RunStats {
+            peak_live_bytes: peak.saturating_mul(4),
+            ops_executed: steps.len(),
+            buffer_bytes: buffered.saturating_mul(4),
+        };
+        let mut prepared = PreparedExecutor {
+            output_buf: buf_of[graph.output().index()],
             exec: self,
             input,
             steps,
-            arena: Mutex::new(arena),
-        })
+            stats,
+            arena: Mutex::default(),
+        };
+        prepared.arena = Mutex::new(prepared.new_arena()?);
+        Ok(prepared)
     }
 }
 
@@ -1076,9 +1060,10 @@ impl<'g> Executor<'g> {
 /// synthetic parameter materialized: the "loaded checkpoint".
 ///
 /// Build it once with [`Executor::prepare`], then call
-/// [`PreparedExecutor::run`] per inference. The plan is immutable; a run's
-/// state (activation slots and recycled buffers) lives in an arena the
-/// runs reuse.
+/// [`PreparedExecutor::run_into`] (or [`PreparedExecutor::run`], which
+/// returns a new tensor) per inference. The plan is immutable, and fixes
+/// the buffer every activation is written to; a run's memory is an arena
+/// of those buffers that the runs reuse.
 ///
 /// # Examples
 ///
@@ -1092,19 +1077,26 @@ impl<'g> Executor<'g> {
 /// let (first, stats) = prepared.run_with_stats(&x).unwrap();
 /// assert_eq!(first.shape().dims(), &[1, 10]);
 /// assert_eq!(stats.ops_executed, g.len() - 1);
-/// // A second run reuses the first one's arena and repeats its bytes.
-/// assert_eq!(prepared.run(&x).unwrap(), first);
+/// // A second run reuses the first one's arena and repeats its bytes, here
+/// // into a tensor the caller keeps.
+/// let mut out = Tensor::zeros([0]);
+/// prepared.run_into(&[1, 3, 32, 32], x.data(), &mut out, &mut |_, _| Ok(())).unwrap();
+/// assert_eq!(out, first);
 /// ```
 #[derive(Debug)]
 pub struct PreparedExecutor<'g> {
     exec: Executor<'g>,
-    /// The graph's input node: its slot holds the caller's tensor.
+    /// The graph's input node; its buffer is the first.
     input: &'g Node,
     /// The plan: one step per node after the input, in graph order.
     steps: Vec<Step<'g>>,
-    /// Reusable scratch memory. Guarded so `&self` runs stay possible from
-    /// multiple threads: concurrent callers that miss the lock fall back to
-    /// a run-local arena (correct, just not allocation-free).
+    /// The buffer holding the graph output once the steps have run.
+    output_buf: usize,
+    /// What every run reports.
+    stats: RunStats,
+    /// The run memory. Guarded so `&self` runs stay possible from multiple
+    /// threads: a caller that misses the lock runs on an arena of its own
+    /// (correct, just not allocation-free).
     arena: Mutex<Arena>,
 }
 
@@ -1116,110 +1108,113 @@ impl PreparedExecutor<'_> {
     /// Returns [`ExecError::InputShapeMismatch`] if `input` does not match
     /// the graph's input shape.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ExecError> {
-        self.execute(input, None).map(|(t, _)| t)
+        self.run_observed(input, &mut |_, _| Ok(())).map(|(t, _)| t)
     }
 
-    /// Runs one inference, also measuring peak live activation bytes.
+    /// Runs one inference, also reporting the plan's memory.
     ///
     /// # Errors
     ///
     /// Same as [`PreparedExecutor::run`].
     pub fn run_with_stats(&self, input: &Tensor) -> Result<(Tensor, RunStats), ExecError> {
-        self.execute(input, None)
+        self.run_observed(input, &mut |_, _| Ok(()))
     }
 
-    /// Runs one inference with a per-node observer: after each node's
-    /// output is lowered to the run precision, `observer(node_index, out)`
-    /// may inspect or mutate it before downstream consumers see it. This
-    /// is the hook the SDC defense layer ([`crate::integrity`]) builds its
-    /// activation guards and injection campaigns on.
+    /// Runs one inference with a per-node observer, as
+    /// [`PreparedExecutor::run_into`] does, into a new tensor.
     ///
     /// # Errors
     ///
-    /// Same as [`PreparedExecutor::run`], plus whatever the observer
-    /// returns.
+    /// Same as [`PreparedExecutor::run_into`].
     pub fn run_observed(
         &self,
         input: &Tensor,
         observer: &mut NodeObserver<'_>,
     ) -> Result<(Tensor, RunStats), ExecError> {
-        self.execute(input, Some(observer))
+        let output = self.exec.graph.node(self.exec.graph.output());
+        let mut out = Tensor::zeros(output.output_shape().clone());
+        let stats = self.run_into(input.shape().dims(), input.data(), &mut out, observer)?;
+        Ok((out, stats))
     }
 
-    /// The interpreter: runs the steps in graph order, recycling each
-    /// buffer after its last reader.
+    /// The interpreter: runs one inference on `input`, of shape `dims`,
+    /// each step into the buffer the plan gave it, and copies the graph
+    /// output into `out`, reusing its buffer. After each step's output is
+    /// lowered to the run precision, `observer(node_index, output)` may
+    /// inspect or mutate it before any reader sees it: the hook the SDC
+    /// defense layer ([`crate::integrity`]) builds its activation guards
+    /// and injection campaigns on.
     ///
-    /// Peak-live accounting tracks *logical* liveness — a tensor's bytes
-    /// count from the step that produces it (the length it was written
-    /// with) until its last reader runs, even when a step rewrites the
-    /// buffer in place — so the measured peak exactly matches the IR's
-    /// analytical `peak_activation_bytes`.
-    /// `observer` (when present) sees each step's output after it is
-    /// lowered to the run precision and before any reader does; an
-    /// observer error aborts the run.
-    fn execute(
+    /// # Errors
+    ///
+    /// [`ExecError::InputShapeMismatch`] if `dims` is not the graph's input
+    /// shape or `input` does not hold its values, an observer error (which
+    /// aborts the run), and [`ExecError::OutOfMemory`] when a run that finds
+    /// the shared arena in use cannot reserve its own.
+    pub fn run_into(
         &self,
-        input: &Tensor,
-        mut observer: Option<&mut NodeObserver<'_>>,
-    ) -> Result<(Tensor, RunStats), ExecError> {
+        dims: &[usize],
+        input: &[f32],
+        out: &mut Tensor,
+        observer: &mut NodeObserver<'_>,
+    ) -> Result<RunStats, ExecError> {
         let expected = self.input.output_shape();
-        if expected != input.shape() {
-            return Err(ExecError::InputShapeMismatch {
-                expected: expected.to_string(),
-                actual: input.shape().to_string(),
-            });
+        if expected.dims() != dims || expected.num_elements() != input.len() {
+            let actual = if expected.dims() == dims {
+                format!("{} values", input.len())
+            } else {
+                TensorShape::new(dims).to_string()
+            };
+            let expected = expected.to_string();
+            return Err(ExecError::InputShapeMismatch { expected, actual });
         }
         let mut guard = self.arena.try_lock();
         let mut local = None;
-        let arena = match guard {
+        let Arena { bufs, gemm, taps } = match guard {
             Ok(ref mut a) => &mut **a,
-            Err(_) => local.insert(self.exec.new_arena()),
+            Err(_) => local.insert(self.new_arena()?),
         };
-        let n = self.exec.graph.len();
-        let mut slots = std::mem::take(&mut arena.slots);
-        slots.clear();
-        slots.resize_with(n, || None);
-
-        let elem = std::mem::size_of::<f32>();
-        let mut seeded = arena.take(input.shape());
-        seeded.data_mut().copy_from_slice(input.data());
-        self.exec.lower_slice(seeded.data_mut());
-        let in_idx = self.input.id().index();
-        let mut live = seeded.len() * elem;
-        let mut stats = RunStats {
-            peak_live_bytes: live,
-            ops_executed: 0,
-        };
-        slots[in_idx] = Some(seeded);
-
+        let x = &mut bufs[0];
+        x.set_shape(expected);
+        x.data_mut().copy_from_slice(input);
+        self.exec.lower_slice(x.data_mut());
         for step in &self.steps {
-            let idx = step.node.id().index();
-            let mut out = step.output(&mut slots, arena);
-            step.apply(&slots, &mut out, arena, self.exec.threads);
-            self.exec.lower_slice(out.data_mut());
-            if let Some(obs) = observer.as_deref_mut() {
-                obs(idx, &mut out)?;
+            let (y, read) = split(bufs, step.buf);
+            y.set_shape(step.node.output_shape());
+            if step.copy {
+                y.data_mut().copy_from_slice(read(step.ins[0]).data());
             }
-            stats.ops_executed += 1;
-            live += out.len() * elem;
-            stats.peak_live_bytes = stats.peak_live_bytes.max(live);
-            slots[idx] = Some(out);
-            live -= step.freed_bytes;
-            for &k in &step.frees {
-                if let Some(t) = slots[k].take() {
-                    arena.recycle(t);
-                }
+            step.apply(read, y, gemm, taps, self.exec.threads);
+            self.exec.lower_slice(y.data_mut());
+            observer(step.node.id().index(), y)?;
+        }
+        let y = &bufs[self.output_buf];
+        out.set_shape(y.shape());
+        out.data_mut().copy_from_slice(y.data());
+        Ok(self.stats)
+    }
+
+    /// A run arena: the plan's activation buffers, each reserved (capacity
+    /// only) where the plan's walk first needs its size, and each GEMM
+    /// convolution's per-worker B-panel buffers. `prepare` builds the
+    /// arena runs share, and a run that finds it in use builds its own.
+    fn new_arena(&self) -> Result<Arena, ExecError> {
+        let mut arena = Arena::default();
+        arena.gemm.set_kernel(self.exec.kernel);
+        let steps = self.steps.iter().map(|s| (s.node, s.buf, Some(&s.kernel)));
+        for (node, b, kernel) in std::iter::once((self.input, 0, None)).chain(steps) {
+            if b == arena.bufs.len() {
+                arena.bufs.push(Tensor::zeros([0]));
+            }
+            let elems = node.output_shape().num_elements();
+            (arena.bufs[b].try_reserve(elems)).map_err(|_| oom(node, elems.saturating_mul(4)))?;
+            if let Some(Kernel::ConvPacked { w, .. }) = kernel {
+                let threads = self.exec.threads;
+                (arena.gemm.reserve(w, node.output_shape(), threads))
+                    .map_err(|elems| oom(node, elems.saturating_mul(4)))?;
             }
         }
-        let out = slots[self.exec.graph.output().index()]
-            .take()
-            .expect("the output is never freed");
-        // Return surviving buffers and bookkeeping to the arena for reuse.
-        for t in slots.iter_mut().filter_map(Option::take) {
-            arena.recycle(t);
-        }
-        arena.slots = slots;
-        Ok((out, stats))
+        Ok(arena)
     }
 
     /// Number of nodes in the underlying graph (the index space of
@@ -1521,6 +1516,78 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn run_into_writes_the_callers_tensor_in_place() {
+        let g = tiny_graph();
+        let x = Tensor::random([1, 3, 8, 8], 3);
+        let prepared = Executor::new(&g).with_seed(5).prepare().unwrap();
+        let want = prepared.run(&x).unwrap();
+        let mut out = Tensor::zeros([0]);
+        let no_observer = &mut |_: usize, _: &mut Tensor| Ok(());
+        prepared
+            .run_into(&[1, 3, 8, 8], x.data(), &mut out, no_observer)
+            .unwrap();
+        assert_eq!(out, want);
+        let buf = out.data().as_ptr();
+        prepared
+            .run_into(&[1, 3, 8, 8], x.data(), &mut out, no_observer)
+            .unwrap();
+        assert_eq!((out.data().as_ptr(), &out), (buf, &want));
+        // Dims that are not the input's, or values that do not fill them.
+        let mut err = |dims: &[usize], len| {
+            let mut out = Tensor::zeros([0]);
+            let res = prepared.run_into(dims, &x.data()[..len], &mut out, no_observer);
+            res.unwrap_err().to_string()
+        };
+        assert_eq!(
+            err(&[1, 3, 4, 16], 192),
+            "input shape mismatch: expected 1x3x8x8, got 1x3x4x16"
+        );
+        assert_eq!(
+            err(&[1, 3, 8, 8], 100),
+            "input shape mismatch: expected 1x3x8x8, got 100 values"
+        );
+    }
+
+    /// A run that finds the arena in use, whether issued from inside an
+    /// observer or from a second thread, runs on an arena of its own and
+    /// gives a serial run's bytes.
+    #[test]
+    fn runs_that_miss_the_shared_arena_repeat_a_serial_run() {
+        let g = edgebench_models::Model::CifarNet.build();
+        let x = Tensor::random([1, 3, 32, 32], 4);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for p in [Precision::F32, Precision::Int8] {
+            let prepared = Executor::new(&g)
+                .with_seed(9)
+                .with_precision(p)
+                .prepare()
+                .unwrap();
+            let want = bits(&prepared.run(&x).unwrap());
+            // Every observer call runs the executor again, while the outer
+            // run holds the arena.
+            let mut nested = Vec::new();
+            let (outer, _) = prepared
+                .run_observed(&x, &mut |_, _| {
+                    nested.push(bits(&prepared.run(&x)?));
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(bits(&outer), want, "{p:?}");
+            assert_eq!(nested.len(), g.len() - 1);
+            assert!(nested.iter().all(|y| *y == want), "{p:?}");
+            // Two threads share the executor, 20 runs each.
+            std::thread::scope(|s| {
+                let run20 = || (0..20).map(|_| bits(&prepared.run(&x).unwrap())).collect();
+                let workers = [s.spawn(run20), s.spawn(run20)];
+                for w in workers {
+                    let ys: Vec<Vec<u32>> = w.join().unwrap();
+                    assert!(ys.iter().all(|y| *y == want), "{p:?}");
+                }
+            });
         }
     }
 

@@ -88,24 +88,20 @@ impl Tensor {
         &mut self.data
     }
 
-    /// An empty tensor (shape `[0]`) whose buffer holds `elems` values
-    /// before it reallocates: a spare buffer for [`Tensor::set_shape`].
+    /// Makes the buffer hold at least `elems` values before it reallocates:
+    /// room for a later [`Tensor::set_shape`]. A buffer too small is
+    /// replaced, its values dropped, and the new one is capacity only, so
+    /// none of its pages is touched.
     ///
     /// # Errors
     ///
     /// The [`TryReserveError`] of the failed reservation.
-    pub(crate) fn try_with_capacity(elems: usize) -> Result<Tensor, TryReserveError> {
-        let mut data = Vec::new();
-        data.try_reserve_exact(elems)?;
-        Ok(Tensor {
-            shape: TensorShape::new([0]),
-            data,
-        })
-    }
-
-    /// How many values the buffer holds before it reallocates.
-    pub(crate) fn capacity(&self) -> usize {
-        self.data.capacity()
+    pub(crate) fn try_reserve(&mut self, elems: usize) -> Result<(), TryReserveError> {
+        if self.data.capacity() < elems {
+            self.data = Vec::new();
+            self.data.try_reserve_exact(elems)?;
+        }
+        Ok(())
     }
 
     /// Gives the tensor `shape` in place, reusing its buffer and its

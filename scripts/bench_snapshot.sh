@@ -174,6 +174,9 @@ fi
 # Merge the fresh flat snapshot into the trajectory file: the previous
 # "current" entry (or a legacy flat file) rolls into history, and deltas
 # against it are printed so the PR log carries the before/after numbers.
+# A benchmark reads faster or slower only when its old and new [lo, hi]
+# ranges do not overlap; when the two entries' hosts differ, or either has
+# none, no benchmark is judged.
 python3 - "$flat" "$out" "$commit" "$tier" "$(nproc)" <<'PY'
 import glob, json, os, sys
 
@@ -244,17 +247,32 @@ def median(v):
     """A v2 {lo, median, hi} entry's median, or a v1 entry's one number."""
     return v["median"] if isinstance(v, dict) else v
 
+def verdict(before, after):
+    """Faster or slower only when the two [lo, hi] ranges do not overlap."""
+    if after["hi"] < before["lo"]:
+        return f"{before['median'] / after['median']:.2f}x faster"
+    if after["lo"] > before["hi"]:
+        return f"{after['median'] / before['median']:.2f}x slower"
+    return "within spread"
+
 if prev:
     base = prev["benchmarks"]
     common = [n for n in fresh if n in base]
     if common:
-        print(f"delta vs {prev['commit']} ({len(common)} shared benchmarks, medians):")
+        # Timings from another machine, or from an entry that does not say
+        # which machine took it (every v1 entry), judge nothing.
+        if "host" not in prev:
+            judged = "no host"
+        elif prev["host"] != host:
+            judged = "host change"
+        else:
+            judged = None
+        basis = judged or "medians, judged by [lo, hi] spread"
+        print(f"delta vs {prev['commit']} ({len(common)} shared benchmarks, {basis}):")
         for name in common:
             before, after = median(base[name]), median(fresh[name])
-            ratio = before / after if after else float("inf")
-            sign = "faster" if ratio >= 1 else "slower"
-            factor = ratio if ratio >= 1 else 1 / ratio
-            print(f"  {name}: {before:.0f} -> {after:.0f} ns  ({factor:.2f}x {sign})")
+            note = judged or verdict(base[name], fresh[name])
+            print(f"  {name}: {before:.0f} -> {after:.0f} ns  ({note})")
     new = [n for n in fresh if n not in base]
     if new:
         print(f"new benchmarks: {', '.join(sorted(new))}")

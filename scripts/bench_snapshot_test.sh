@@ -7,10 +7,13 @@
 #   scripts/bench_snapshot_test.sh
 #
 # It appends a bench-trajectory-v2 entry to a copy of BENCH_kernels.json
-# (v1 entries stay in the history as they were), appends a second one on
-# top of that, and feeds `--check` two malformed v2 files. Both entries
-# must carry the label of the tree the test runs in: HEAD, plus "+" when
-# a tracked file is modified.
+# (v1 entries stay in the history as they were), appends three more on top
+# of that, and feeds `--check` two malformed v2 files. Every entry must
+# carry the label of the tree the test runs in: HEAD, plus "+" when a
+# tracked file is modified. The delta against the previous entry judges a
+# benchmark only when the two [lo, hi] ranges do not overlap: identical
+# timings on the same host judge none faster or slower, and timings from
+# another host, or from an entry without a host header, are not judged.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
@@ -81,21 +84,41 @@ if before.get("current", {}).get("commit") == cur["commit"]:
     old = before["history"]
 assert doc["history"] == old, "history was rewritten"
 PY
-grep -q "shared benchmarks, medians):" "$tmp/first.txt"
+# The tracked entries come from a real host, not the stub's tier (or, when
+# the tree is the tracked entry's commit, from a v1 entry): nothing judged.
+if grep -qE "x (faster|slower)\)" "$tmp/first.txt"; then
+    echo "bench_snapshot_test: the first delta judged another host" >&2
+    exit 1
+fi
 
-# A second snapshot on top of a v2 entry (relabelled so it rolls into the
-# history): the history then holds v1 and v2 entries, and the delta
-# compares medians.
-python3 - "$out" <<'PY'
+# Snapshots the stub log again on top of the current entry, after `edit`
+# (Python over `doc`) relabels it so it rolls into the history, and checks
+# that the delta against it says `basis` and gives every one of the 11
+# benchmarks the note `note`.
+again() {
+    local edit="$1" basis="$2" note="$3"
+    python3 - "$out" "$edit" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-doc["current"]["commit"] = "stub-before"
+exec(sys.argv[2])
 json.dump(doc, open(sys.argv[1], "w"), indent=2)
 PY
-PATH="$tmp/bin:$PATH" scripts/bench_snapshot.sh "$out" > "$tmp/second.txt"
+    PATH="$tmp/bin:$PATH" scripts/bench_snapshot.sh "$out" > "$tmp/delta.txt"
+    grep -q "shared benchmarks, $basis):" "$tmp/delta.txt"
+    if [ "$(grep -cF "ns  ($note)" "$tmp/delta.txt")" != 11 ]; then
+        echo "bench_snapshot_test: not every benchmark reads '$note':" >&2
+        cat "$tmp/delta.txt" >&2
+        exit 1
+    fi
+}
+
+# The same timings on the same host: all 11 within their spread, none
+# judged faster or slower. The history then holds v1 and v2 entries.
+again 'doc["current"]["commit"] = "stub-before"' \
+    "medians, judged by \[lo, hi\] spread" "within spread"
 scripts/bench_snapshot.sh --check "$out"
-grep -q "delta vs stub-before (11 shared benchmarks, medians)" "$tmp/second.txt"
-grep -q "ipc/ring_roundtrip_3072f32: 381 -> 381 ns  (1.00x faster)" "$tmp/second.txt"
+grep -q "delta vs stub-before (11 shared benchmarks" "$tmp/delta.txt"
+grep -qF "ipc/ring_roundtrip_3072f32: 381 -> 381 ns  (within spread)" "$tmp/delta.txt"
 python3 - "$out" "$label" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -103,6 +126,15 @@ assert doc["current"]["commit"] == sys.argv[2], doc["current"]["commit"]
 assert doc["history"][-1]["commit"] == "stub-before"
 assert "host" in doc["history"][-1] and "host" not in doc["history"][0]
 PY
+
+# Another L3 size: a host change, so nothing is judged.
+again 'doc["current"]["commit"] = "stub-l3"; doc["current"]["host"]["cache_bytes"]["l3"] = 1 << 20' \
+    "host change" "host change"
+# A v1 entry, one median per benchmark and no host header: nothing judged.
+again 'cur = doc["current"]; cur["commit"] = "stub-v1"; del cur["host"]
+cur["benchmarks"] = {n: v["median"] for n, v in cur["benchmarks"].items()}' \
+    "no host" "no host"
+scripts/bench_snapshot.sh --check "$out"
 
 # `--check` refuses a v2 entry whose times are out of order, and one
 # without its host header.

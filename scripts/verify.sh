@@ -50,14 +50,24 @@ cargo test -q --offline --test sdc \
 # write exactly the bytes of packing the im2col matrix, as bits, over
 # kernels 1×1 to 11×11 and one-sided, strides 1–4, paddings 0–3, output
 # widths around NR and blocks starting mid-window and mid-row, on inputs
-# with NaN payloads, ±Inf and −0.0. And a warm prepared executor allocates
-# nothing of 4 KiB or more per run (the per-worker packing buffers are
-# reserved at prepare), checked with a counting allocator on four models
-# at 1 and 2 threads and on batch-4 int8 ResNet-18.
+# with NaN payloads, ±Inf and −0.0.
 cargo test -q --offline -p edgebench-tensor \
     image_packer_is_bitwise_identical_to_packing_the_im2col_matrix
+# Buffers fixed at prepare: a warm prepared executor allocates nothing of
+# 4 KiB or more per run through `run_into`, run after run (every activation
+# buffer and per-worker packing buffer is reserved at prepare), and at one
+# thread every run makes the same allocations; `run` adds only the tensor
+# it returns. Counted with a counting allocator after 3 warm-up runs: on
+# CifarNet at 1 and 2 threads over 40 runs (about 2 s in debug), then in
+# release on four models at 1 and 2 threads and on batch-4 int8 ResNet-18,
+# each over twice its step count plus 10 runs (about 75 s). A run that
+# finds the arena in use (from an observer, or a second thread) runs on an
+# arena of its own and repeats a serial run's bytes.
 cargo test -q --offline --test allocations \
     steady_state_runs_make_no_large_allocation
+cargo test -q --release --offline --test allocations_long -- --ignored
+cargo test -q --offline -p edgebench-tensor --lib \
+    runs_that_miss_the_shared_arena_repeat_a_serial_run
 # The SDC defense contracts, named explicitly: every single-bit weight
 # flip must be caught by the prepare-time checksums, and guard verdicts
 # must be byte-identical across thread counts, kernel tiers, and
@@ -155,9 +165,13 @@ cargo test -q --offline -p edgebench --lib \
     huge_request_and_replica_counts_are_typed_errors
 # A graph the executor cannot run (a second input node, a FusedConvBnAct
 # around a pool) is a typed UnsupportedGraph error from prepare, never a
-# panic mid-run.
+# panic mid-run. A runtime frame whose payload does not fill its dims (the
+# slot read cuts it to what the ring holds) is a typed stage error, as
+# permuted dims are.
 cargo test -q --offline -p edgebench-tensor --lib \
     graphs_the_executor_cannot_run_are_rejected_at_prepare
+cargo test -q --offline -p edgebench --lib \
+    a_frame_shorter_than_its_dims_is_a_typed_stage_error
 # A shared-memory header attach cannot map is a typed Shm error, never a
 # panic or an out-of-bounds view: for the control block a short file, a bad
 # magic or version, regions cut short, and each region cap whose size
