@@ -1,13 +1,49 @@
 //! Micro-benchmarks of the numeric tensor kernels (the compute substrate
-//! behind the functional executor).
+//! behind the functional executor). Conv and dense layers are timed on the
+//! path the executor runs them on: weights packed once, before timing, and
+//! the packing buffers and output reused call after call.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use edgebench_graph::{ActivationKind, PoolKind};
-use edgebench_tensor::kernels;
-use edgebench_tensor::Tensor;
+use criterion::{
+    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
+use edgebench_graph::{ActivationKind, Graph, GraphBuilder, PoolKind};
+use edgebench_tensor::gemm::{self, Epilogue, GemmScratch, PackedPanels};
+use edgebench_tensor::simd::{MR, NR};
+use edgebench_tensor::{kernels, Executor, KernelKind, Tensor};
 use std::hint::black_box;
 
+/// A `[rows×k]` weight matrix generated straight into `width`-row panels,
+/// as `Executor::prepare` generates a GEMM layer's weights.
+fn synthetic(rows: usize, k: usize, width: usize) -> PackedPanels {
+    let mut i = 0u32;
+    PackedPanels::try_generate(rows, k, width, |panel_rows| {
+        for v in panel_rows {
+            i = i.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            *v = (i >> 8) as f32 / (1u32 << 24) as f32 - 0.5;
+        }
+    })
+    .expect("bench weights fit in memory")
+}
+
+/// Times `graph` on a prepared executor at one intra-op thread, through
+/// `run_into`: the plan the executor runs, with no allocation per call.
+fn bench_prepared(g: &mut BenchmarkGroup<'_>, name: String, graph: &Graph) {
+    let exec = Executor::new(graph).prepare().expect("prepare");
+    let dims = graph.node(graph.input_ids()[0]).output_shape().dims();
+    let x = Tensor::random(dims.to_vec(), 1);
+    let mut out = Tensor::zeros([0]);
+    g.bench_function(name, |b| {
+        b.iter(|| {
+            exec.run_into(dims, x.data(), &mut out, &mut |_, _| Ok(()))
+                .expect("run");
+            black_box(out.data()[0])
+        })
+    });
+}
+
 fn bench_conv2d(c: &mut Criterion) {
+    // Four small layers, each a one-node graph. At these sizes
+    // (0.44–2.4 M multiply-adds) the executor takes the packed GEMM.
     let mut g = c.benchmark_group("conv2d");
     for &(cin, cout, hw, k) in &[
         (3usize, 16usize, 32usize, 3usize),
@@ -15,17 +51,15 @@ fn bench_conv2d(c: &mut Criterion) {
         (64, 64, 8, 3),
         (64, 128, 8, 1),
     ] {
-        let x = Tensor::random([1, cin, hw, hw], 1);
-        let w = Tensor::random([cout, cin, k, k], 2);
-        let macs = (cout * cin * k * k * hw * hw) as u64;
-        g.throughput(Throughput::Elements(macs));
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("{cin}x{hw}x{hw}->{cout}k{k}")),
-            &(x, w, k),
-            |b, (x, w, k)| {
-                b.iter(|| black_box(kernels::conv2d(x, w, None, (1, 1), (*k / 2, *k / 2), 1)))
-            },
-        );
+        let mut b = GraphBuilder::new("conv2d");
+        let input = b.input([1, cin, hw, hw]);
+        let conv = b
+            .conv2d_nobias(input, cout, (k, k), (1, 1), (k / 2, k / 2))
+            .unwrap();
+        let graph = b.build(conv).unwrap();
+        g.throughput(Throughput::Elements((cout * cin * k * k * hw * hw) as u64));
+        let name = format!("prepared/{cin}x{hw}x{hw}->{cout}k{k}");
+        bench_prepared(&mut g, name, &graph);
     }
     g.finish();
 }
@@ -40,8 +74,6 @@ fn bench_depthwise(c: &mut Criterion) {
     // the SIMD tier, at two MobileNet-v2 layers (3×3, padding 1): a
     // stride-1 block layer and the stride-2 layer that halves 112×112.
     // Each runs as a one-node graph on a prepared executor, one thread.
-    use edgebench_graph::GraphBuilder;
-    use edgebench_tensor::{Executor, KernelKind};
     let mut g = c.benchmark_group("depthwise");
     for (ch, hw, stride) in [(144usize, 56usize, 1usize), (96, 112, 2)] {
         let mut b = GraphBuilder::new("depthwise");
@@ -53,7 +85,7 @@ fn bench_depthwise(c: &mut Criterion) {
         let x = Tensor::random([1, ch, hw, hw], 1);
         let out_hw = hw / stride;
         g.throughput(Throughput::Elements((ch * out_hw * out_hw * 9) as u64));
-        for (label, kind) in [("scalar", KernelKind::Scalar), ("simd", KernelKind::Simd)] {
+        for (label, kind) in [("scalar", KernelKind::Scalar), ("simd", KernelKind::Auto)] {
             let exec = Executor::new(&graph)
                 .with_kernel(kind)
                 .prepare()
@@ -75,15 +107,24 @@ fn bench_conv3d(c: &mut Criterion) {
 }
 
 fn bench_dense(c: &mut Criterion) {
+    // Batch-1 dense layers over prepacked weights, one thread: the stream
+    // kernel every dense layer of at most MR rows runs.
     let mut g = c.benchmark_group("dense");
     for &(fin, fout) in &[(256usize, 256usize), (1024, 1024), (4096, 1000)] {
         let x = Tensor::random([1, fin], 1);
-        let w = Tensor::random([fout, fin], 2);
+        let w = synthetic(fout, fin, NR);
+        let mut out = Tensor::zeros([1, fout]);
+        let mut scratch = GemmScratch::default();
         g.throughput(Throughput::Elements((fin * fout) as u64));
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("{fin}->{fout}")),
-            &(x, w),
-            |b, (x, w)| b.iter(|| black_box(kernels::dense(x, w, None))),
+        g.bench_function(
+            BenchmarkId::new("prepacked", format!("{fin}->{fout}")),
+            |b| {
+                b.iter(|| {
+                    let act = ActivationKind::Linear;
+                    gemm::dense_packed_into(&x, &w, None, act, 1, &mut out, &mut scratch);
+                    black_box(out.data()[0])
+                })
+            },
         );
     }
     g.finish();
@@ -109,7 +150,7 @@ fn bench_elementwise(c: &mut Criterion) {
 }
 
 fn bench_precision(c: &mut Criterion) {
-    use edgebench_tensor::{simd, KernelKind};
+    use edgebench_tensor::simd;
     // The executor's lowering passes over one 64k-element tensor, on the
     // forced-scalar reference and on the SIMD tier, side by side: f16
     // rounding, int8 fake quantization (range pass plus rounding pass) and
@@ -119,7 +160,7 @@ fn bench_precision(c: &mut Criterion) {
     let mut y = x.clone();
     let mut g = c.benchmark_group("lowering");
     g.throughput(Throughput::Elements(x.len() as u64));
-    for (label, kind) in [("scalar", KernelKind::Scalar), ("simd", KernelKind::Simd)] {
+    for (label, kind) in [("scalar", KernelKind::Scalar), ("simd", KernelKind::Auto)] {
         let tier = simd::resolve(kind);
         g.bench_function(format!("{label}/f16_round_64k"), |b| {
             b.iter(|| {
@@ -142,43 +183,33 @@ fn bench_precision(c: &mut Criterion) {
 }
 
 fn bench_gemm(c: &mut Criterion) {
-    use edgebench_tensor::gemm::{self, GemmScratch};
-    use edgebench_tensor::KernelKind;
     // The SIMD micro-kernel (runtime-dispatched) vs the forced-scalar
-    // kernel vs the naive triple loop, at the shapes the executor's
-    // convolution lowering actually produces. `packed` is the production path;
-    // `packed-scalar` isolates the vectorization win (same packing, same
-    // blocking, scalar FMAs); `naive` is the unpacked baseline.
+    // kernel vs the naive triple loop. `prepacked` is the executor's path
+    // for a dense layer of more than MR rows: the activations packed per
+    // call, the weights (B) packed once. `prepacked-scalar` isolates the
+    // vectorization win (same packing, same blocking, scalar FMAs);
+    // `naive` is the unpacked baseline.
     let mut g = c.benchmark_group("gemm");
     for &(m, k, n) in &[(32usize, 128usize, 128usize), (64, 576, 256)] {
         let a = Tensor::random([m, k], 1);
-        let b_ = Tensor::random([k, n], 2);
+        let w = synthetic(n, k, NR);
         g.throughput(Throughput::Elements((m * k * n) as u64));
         for (label, kind) in [
-            ("packed", KernelKind::Auto),
-            ("packed-scalar", KernelKind::Scalar),
+            ("prepacked", KernelKind::Auto),
+            ("prepacked-scalar", KernelKind::Scalar),
         ] {
             let mut scratch = GemmScratch::default();
             scratch.set_kernel(kind);
             let mut out = Tensor::zeros([m, n]);
-            g.bench_with_input(
-                BenchmarkId::new(label, format!("{m}x{k}x{n}")),
-                &(&a, &b_),
-                |bch, (a, b_)| {
-                    bch.iter(|| {
-                        gemm::matmul_into(
-                            a.data(),
-                            b_.data(),
-                            (m, k, n),
-                            out.data_mut(),
-                            1,
-                            &mut scratch,
-                        );
-                        black_box(out.data()[0])
-                    })
-                },
-            );
+            g.bench_function(BenchmarkId::new(label, format!("{m}x{k}x{n}")), |bch| {
+                bch.iter(|| {
+                    let act = ActivationKind::Linear;
+                    gemm::dense_packed_into(&a, &w, None, act, 1, &mut out, &mut scratch);
+                    black_box(out.data()[0])
+                })
+            });
         }
+        let b_ = Tensor::random([k, n], 2);
         g.bench_with_input(
             BenchmarkId::new("naive", format!("{m}x{k}x{n}")),
             &(&a, &b_),
@@ -186,70 +217,62 @@ fn bench_gemm(c: &mut Criterion) {
         );
     }
     g.finish();
-    // Direct vs packed-GEMM convolution at a representative layer.
+    // Direct vs packed-GEMM convolution at a representative layer, far
+    // above the executor's crossover (`gemm::select_conv_algo`).
     let x = Tensor::random([1, 32, 28, 28], 3);
     let w = Tensor::random([64, 32, 3, 3], 4);
     c.bench_function("conv_direct_32x28->64", |b| {
         b.iter(|| black_box(kernels::conv2d(&x, &w, None, (1, 1), (1, 1), 1)))
     });
-    c.bench_function("conv_gemm_32x28->64", |b| {
-        b.iter(|| black_box(gemm::conv2d_gemm(&x, &w, None, (1, 1), (1, 1))))
+    let w = synthetic(64, 32 * 9, MR);
+    let mut out = Tensor::zeros([1, 64, 28, 28]);
+    let mut scratch = GemmScratch::default();
+    c.bench_function("conv_prepacked_32x28->64", |b| {
+        b.iter(|| {
+            let epi = Epilogue::default();
+            gemm::conv2d_packed_into(
+                &x,
+                &w,
+                (3, 3),
+                (1, 1),
+                (1, 1),
+                &epi,
+                1,
+                &mut out,
+                &mut scratch,
+            );
+            black_box(out.data()[0])
+        })
     });
 }
 
 fn bench_fused_conv(c: &mut Criterion) {
-    use edgebench_tensor::gemm::{self, Epilogue, GemmScratch};
-    // conv+bias+BN+ReLU as one fused kernel pass vs the four-kernel chain
-    // the unfused graph executes. Same arithmetic, same order, one memory
-    // sweep instead of four.
-    let x = Tensor::random([1, 32, 28, 28], 3);
-    let w = Tensor::random([64, 32, 3, 3], 4);
-    let bias = vec![0.05f32; 64];
-    let gamma = vec![1.1f32; 64];
-    let beta = vec![-0.02f32; 64];
+    // conv+bias → batch-norm → ReLU as the executor runs it unfused (the
+    // packed conv with its bias, then batch-norm and ReLU in place) and
+    // after the fusion pass (one packed conv whose epilogue applies all
+    // three). Same arithmetic, same order; the fused step saves two sweeps
+    // over the output.
+    use edgebench_frameworks::passes;
+    let mut b = GraphBuilder::new("conv-bn-relu");
+    let input = b.input([1, 32, 28, 28]);
+    let conv = b.conv2d(input, 64, (3, 3), (1, 1), (1, 1)).unwrap();
+    let bn = b.batch_norm(conv).unwrap();
+    let relu = b.activation(bn, ActivationKind::Relu).unwrap();
+    let unfused = b.build(relu).unwrap();
+    let fused = passes::fuse_conv_bn_act(&unfused).unwrap();
     let mut g = c.benchmark_group("fused_conv");
-    g.bench_function("unfused_32x28->64", |b| {
-        b.iter(|| {
-            let y = kernels::conv2d(&x, &w, Some(&bias), (1, 1), (1, 1), 1);
-            let y = kernels::batch_norm(&y, &gamma, &beta);
-            black_box(kernels::activation(&y, ActivationKind::Relu))
-        })
-    });
-    g.bench_function("fused_32x28->64", |b| {
-        let epi = Epilogue {
-            bias: Some(&bias),
-            bn: Some((&gamma, &beta)),
-            act: ActivationKind::Relu,
-        };
-        let mut out = Tensor::zeros([1, 64, 28, 28]);
-        let mut scratch = GemmScratch::default();
-        b.iter(|| {
-            gemm::conv2d_gemm_into(&x, &w, (1, 1), (1, 1), &epi, 1, &mut out, &mut scratch);
-            black_box(out.data()[0])
-        })
-    });
+    bench_prepared(&mut g, "prepared-unfused_32x28->64".into(), &unfused);
+    bench_prepared(&mut g, "prepared-fused_32x28->64".into(), &fused);
     g.finish();
 }
 
 fn bench_prepacked(c: &mut Criterion) {
-    use edgebench_tensor::gemm::{self, Epilogue, GemmScratch, PackedPanels};
-    use edgebench_tensor::simd::{MR, NR};
     // The weight-bound shapes that motivate packing weights at prepare
     // time, on the executor's prepacked path: AlexNet fc6 (18432 → 4096,
     // 302 MB of weights) at batch 1 (the full-depth stream kernel) and
     // batch 4, and VGG-S-32's conv2d_10 (a 512 × 4608 weight matrix over
     // 2×2 = 4 output pixels). Throughput is weight bytes, so the rate
     // reads as the bandwidth the weights stream at; one intra-op thread.
-    let synthetic = |rows: usize, k: usize, width: usize| {
-        let mut i = 0u32;
-        PackedPanels::try_generate(rows, k, width, |panel_rows| {
-            for v in panel_rows {
-                i = i.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                *v = (i >> 8) as f32 / (1u32 << 24) as f32 - 0.5;
-            }
-        })
-        .expect("bench weights fit in memory")
-    };
     let mut g = c.benchmark_group("prepacked");
     g.sample_size(10);
     // Four real convolution layers on the executor's path at batch 1, one
@@ -338,7 +361,7 @@ fn bench_prepacked(c: &mut Criterion) {
 
 fn bench_guards(c: &mut Criterion) {
     use edgebench_models::Model;
-    use edgebench_tensor::{Executor, GuardConfig, GuardedExecutor};
+    use edgebench_tensor::{GuardConfig, GuardedExecutor};
     // The integrity-guard overhead budget: batch-8 CifarNet through the
     // plain prepared executor vs the same executor wrapped in
     // GuardedExecutor at cadence 1 (weight scrub every inference plus

@@ -528,8 +528,8 @@ impl Command for InferRun {
             pos_int(v, "a positive iteration count")?),
         flag!("--seed", "S", |r, v| r.seed = seed(v)?),
         flag!("--sparsity", "P", |r, v| r.sparsity = prob(v)? as f32),
-        flag!("--kernel", "auto|scalar|simd", |r, v| r.kernel =
-            KernelKind::from_name(v).ok_or("one of auto, scalar, simd")?),
+        flag!("--kernel", "auto|scalar", |r, v| r.kernel =
+            KernelKind::from_name(v).ok_or("one of auto, scalar")?),
         flag!("--flip-rate", "P", |r, v| r.flip_rate = prob(v)?),
         flag!("--flip-seed", "S", |r, v| r.flip_seed = seed(v)?),
         flag!("--guards", "", |r, _| r.guards = true),
@@ -602,7 +602,7 @@ fn run_infer(args: &[String]) -> ExitCode {
     if run.flip_rate > 0.0 || run.guards {
         return run_infer_sdc(&run, exec, &x);
     }
-    let (out, stats) = match exec.run_with_stats(&x) {
+    let (out, stats) = match exec.run_observed(&x, &mut |_, _| Ok(())) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("inference failed: {e}");
@@ -1545,8 +1545,10 @@ mod tests {
         assert_eq!(run.seed, 7);
         assert_eq!(run.sparsity, 0.5);
         assert_eq!(run.kernel, KernelKind::Scalar);
-        let run = parse_infer(&argv("--kernel simd")).unwrap();
-        assert_eq!(run.kernel, KernelKind::Simd);
+        assert!(matches!(
+            parse_infer(&argv("--kernel simd")).unwrap_err(),
+            CliError::Invalid { .. }
+        ));
     }
 
     #[test]

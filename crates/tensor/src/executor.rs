@@ -185,11 +185,14 @@ impl WeightStore {
     }
 }
 
-/// Execution statistics reported by [`Executor::run_with_stats`]. The
-/// static shapes fix every one of them at prepare.
+/// Execution statistics reported by [`PreparedExecutor::run_into`] and
+/// [`PreparedExecutor::run_observed`]. The static shapes fix every one of
+/// them at prepare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
-    /// Peak bytes of simultaneously live activation tensors.
+    /// Peak bytes of simultaneously live activation tensors under
+    /// free-after-last-use: the functional cross-check of the IR's
+    /// analytical `peak_activation_bytes`.
     pub peak_live_bytes: usize,
     /// Number of operator invocations executed.
     pub ops_executed: usize,
@@ -925,21 +928,7 @@ impl<'g> Executor<'g> {
     /// Those of [`Executor::prepare`], then [`ExecError::InputShapeMismatch`]
     /// if `input` does not match the graph's input shape.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ExecError> {
-        self.run_with_stats(input).map(|(t, _)| t)
-    }
-
-    /// Runs one inference, also reporting the plan's memory: the peak
-    /// bytes of simultaneously live activations under free-after-last-use,
-    /// and the bytes of the buffers that hold them.
-    ///
-    /// The peak is the functional cross-check of the IR's analytical
-    /// `peak_activation_bytes` (see the workspace integration tests).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Executor::run`].
-    pub fn run_with_stats(&self, input: &Tensor) -> Result<(Tensor, RunStats), ExecError> {
-        self.clone().prepare()?.run_with_stats(input)
+        self.clone().prepare()?.run(input)
     }
 
     /// Compiles the graph into its execution plan: one typed step per node
@@ -1074,7 +1063,7 @@ impl<'g> Executor<'g> {
 /// let g = Model::CifarNet.build();
 /// let x = Tensor::random([1, 3, 32, 32], 7);
 /// let prepared = Executor::new(&g).with_seed(1).prepare().unwrap();
-/// let (first, stats) = prepared.run_with_stats(&x).unwrap();
+/// let (first, stats) = prepared.run_observed(&x, &mut |_, _| Ok(())).unwrap();
 /// assert_eq!(first.shape().dims(), &[1, 10]);
 /// assert_eq!(stats.ops_executed, g.len() - 1);
 /// // A second run reuses the first one's arena and repeats its bytes, here
@@ -1109,15 +1098,6 @@ impl PreparedExecutor<'_> {
     /// the graph's input shape.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ExecError> {
         self.run_observed(input, &mut |_, _| Ok(())).map(|(t, _)| t)
-    }
-
-    /// Runs one inference, also reporting the plan's memory.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PreparedExecutor::run`].
-    pub fn run_with_stats(&self, input: &Tensor) -> Result<(Tensor, RunStats), ExecError> {
-        self.run_observed(input, &mut |_, _| Ok(()))
     }
 
     /// Runs one inference with a per-node observer, as
@@ -1614,7 +1594,8 @@ mod tests {
         let input = Tensor::random([1, 8, 12, 12], 6);
         let mut flat = input.clone();
         flat.reshape([1, 1152]);
-        let want = kernels::dense(&flat, &w, Some(&bias));
+        let mut want = Tensor::zeros([1, 1000]);
+        gemm::dense_direct_into(&flat, &w, Some(&bias), ActivationKind::Linear, &mut want);
         let prepared = exec.prepare().unwrap();
         assert_eq!(
             cached_param_bytes(&prepared),
@@ -1665,8 +1646,8 @@ mod tests {
         let g = tiny_graph();
         let x = Tensor::random([1, 3, 8, 8], 3);
         let prepared = Executor::new(&g).with_seed(1).prepare().unwrap();
-        let (out_a, stats_a) = prepared.run_with_stats(&x).unwrap();
-        let (out_b, stats_b) = prepared.run_with_stats(&x).unwrap();
+        let (out_a, stats_a) = prepared.run_observed(&x, &mut |_, _| Ok(())).unwrap();
+        let (out_b, stats_b) = prepared.run_observed(&x, &mut |_, _| Ok(())).unwrap();
         assert_eq!(out_a, out_b);
         assert_eq!(stats_a, stats_b);
         assert_eq!(

@@ -22,17 +22,18 @@
 //!   k-major. Ragged bottom edges are zero-padded.
 //!
 //! An activation operand (a dense layer's input) is packed into that
-//! layout per block on every call. A weight operand is packed once, when
-//! the executor is prepared, into a [`PackedPanels`] buffer of
-//! *full-depth* panels: conv weights `[out_c × in_c·kh·kw]` as `MR`-row A
-//! panels, dense weights `[units × features]` as `NR`-column B panels
-//! (their transpose, never materialized). Any `KC`, `MC` or `NC` slice of
-//! a full-depth panel set is a contiguous sub-range of it, so every
-//! blocking, kernel tier and thread count reads the same panels. Dense
-//! layers with at most `MR` rows (batch ≤ 8) skip the blocked loop: each
-//! B panel is streamed once over its whole depth against the input rows,
-//! with the panels split across the intra-op workers ([`crate::simd`]'s
-//! stream kernel).
+//! layout per block on every call. A weight operand reaches the GEMM only
+//! packed: [`crate::Executor::prepare`] generates it, once, into a
+//! [`PackedPanels`] buffer of *full-depth* panels — conv weights
+//! `[out_c × in_c·kh·kw]` as `MR`-row A panels, dense weights
+//! `[units × features]` as `NR`-column B panels (their transpose, never
+//! materialized) — or keeps it natural for a direct loop. Any `KC`, `MC`
+//! or `NC` slice of a full-depth panel set is a contiguous sub-range of
+//! it, so every blocking, kernel tier and thread count reads the same
+//! panels. Dense layers with at most `MR` rows (batch ≤ 8) skip the
+//! blocked loop: each B panel is streamed once over its whole depth
+//! against the input rows, with the panels split across the intra-op
+//! workers ([`crate::simd`]'s stream kernel).
 //!
 //! A convolution is, per image, the GEMM of its weights and the im2col
 //! matrix `[in_c·kh·kw × oh·ow]` of its input — a matrix that is never
@@ -54,14 +55,13 @@
 //! # Determinism
 //!
 //! For every output element the reduction order is **strictly ascending
-//! `k`**, regardless of tiling, kernel choice, thread count or whether an
-//! operand was packed per call or at prepare time: packing permutes memory
-//! layout, never the accumulation sequence; zero-padded rows and columns
-//! only feed tile lanes that are never stored; between `KC` blocks the
-//! accumulator tile round-trips through `C` — an exact f32 store/reload —
-//! so the fused-multiply-add chain continues bit for bit; and SIMD lanes
-//! hold *independent output elements*, never partial sums of one
-//! reduction. Parallelism splits `C` into disjoint blocks — row panels,
+//! `k`**, regardless of tiling, kernel choice or thread count: packing
+//! permutes memory layout, never the accumulation sequence; zero-padded
+//! rows and columns only feed tile lanes that are never stored; between
+//! `KC` blocks the accumulator tile round-trips through `C` — an exact f32
+//! store/reload — so the fused-multiply-add chain continues bit for bit;
+//! and SIMD lanes hold *independent output elements*, never partial sums
+//! of one reduction. Parallelism splits `C` into disjoint blocks — row panels,
 //! column blocks, or on the stream path column panels — each computed
 //! independently, so results are byte-identical for 1..N threads and for
 //! every kernel (asserted by tests and by `scripts/verify.sh`).
@@ -87,10 +87,10 @@ pub(crate) enum ConvAlgo {
 /// multiply-accumulates run the direct kernel; larger ones take the packed
 /// GEMM. No benchmark brackets the boundary itself. The one direct/GEMM
 /// pair in `BENCH_kernels.json` sits far above it, at 14.5 MMAC
-/// (`conv_direct_32x28->64` against `conv_gemm_32x28->64`, 32×28² → 64,
-/// k3), where the GEMM path is 30–45× faster across the snapshots. 64 KMAC
-/// keeps only layers of a few thousand outputs, where packing cannot
-/// amortize, on the direct loop.
+/// (`conv_direct_32x28->64` against `conv_prepacked_32x28->64`, 32×28² →
+/// 64, k3), where the GEMM path is 86× faster in the `a2f49d8+` snapshot.
+/// 64 KMAC keeps only layers of a few thousand outputs, where packing
+/// cannot amortize, on the direct loop.
 pub(crate) const DIRECT_CONV_MAX_MACS: usize = 1 << 16;
 
 /// Per-shape convolution algorithm selection, used by the executor.
@@ -136,7 +136,7 @@ pub(crate) fn dense_uses_gemm(n: usize, features: usize, units: usize) -> bool {
 /// The SDC layer addresses weights *logically* — the natural row-major
 /// index `r·k + kk`, padding excluded — and maps each index to its
 /// buffer slot; checksums cover the whole buffer.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug)]
 pub struct PackedPanels {
     data: Vec<f32>,
     rows: usize,
@@ -145,25 +145,6 @@ pub struct PackedPanels {
 }
 
 impl PackedPanels {
-    /// Packs a row-major `[rows×k]` matrix into `width`-row panels in this
-    /// buffer, reusing its allocation (the natural-layout entry points'
-    /// per-call packing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != rows·k` or `width` is neither `MR` nor `NR`.
-    fn repack(&mut self, src: &[f32], rows: usize, k: usize, width: usize) {
-        assert_eq!(src.len(), rows * k, "packed source length mismatch");
-        assert!(width == MR || width == NR, "panel width {width}");
-        self.data.clear();
-        self.data.reserve_exact(rows.div_ceil(width) * width * k);
-        for r0 in (0..rows).step_by(width) {
-            let h = (rows - r0).min(width);
-            push_panel(src, k, (r0, h), (0, k), width, &mut self.data);
-        }
-        (self.rows, self.k, self.width) = (rows, k, width);
-    }
-
     /// Generates a `[rows×k]` matrix straight into panel order. `fill` is
     /// called once per panel, in row order, with a scratch slice of that
     /// panel's rows (at most `width · k` values) to overwrite in natural
@@ -287,22 +268,17 @@ fn advise_huge_pages(_ptr: *const f32, _capacity: usize) {}
 /// Reusable packing buffers plus the resolved kernel and blocking for the
 /// GEMM path.
 ///
-/// Owned by the executor's arena (one per [`crate::PreparedExecutor`]) so
-/// steady-state inference re-uses the same allocations; standalone calls
-/// create a transient one. The kernel is resolved from [`KernelKind`]
-/// once, when the scratch is created or [`GemmScratch::set_kernel`] is
-/// called — never per GEMM call.
+/// The executor's arena owns one per [`crate::PreparedExecutor`], so
+/// steady-state inference reuses the same allocations; any other caller of
+/// [`conv2d_packed_into`] or [`dense_packed_into`] keeps its own across
+/// calls. The kernel is resolved from [`KernelKind`] once, when the
+/// scratch is created or [`GemmScratch::set_kernel`] is called — never per
+/// GEMM call.
 #[derive(Debug)]
 pub struct GemmScratch {
-    /// The blocked GEMM's packed B block: up to `⌈NC/NR⌉` panels of
-    /// `KC·NR` floats.
-    pack_b: Vec<f32>,
     /// One packing buffer per intra-op worker: the blocked GEMM packs A
     /// micro-panels into it, a convolution its B blocks.
     workers: Vec<Vec<f32>>,
-    /// Weights the natural-layout entry points pack before calling the
-    /// prepacked path.
-    weights: PackedPanels,
     /// The resolved micro-kernel implementation.
     kernel: Microkernel,
     /// Fixed blocking override; `None` autotunes per shape from the
@@ -313,9 +289,7 @@ pub struct GemmScratch {
 impl Default for GemmScratch {
     fn default() -> Self {
         GemmScratch {
-            pack_b: Vec::new(),
             workers: Vec::new(),
-            weights: PackedPanels::default(),
             kernel: simd::resolve(KernelKind::Auto),
             blocking: None,
         }
@@ -445,15 +419,6 @@ impl<'a> Block<'a> {
         // block alive.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(i * self.ld), self.cols) }
     }
-}
-
-/// The blocked GEMM's B operand.
-#[derive(Debug, Clone, Copy)]
-enum Operand<'a> {
-    /// Row-major `[k×n]`, packed per block on every call.
-    RowMajor(&'a [f32]),
-    /// Full-depth `NR`-wide panels packed once.
-    Packed(&'a PackedPanels),
 }
 
 /// A run of `kcb`-deep micro-panels, panel `i` starting `i · stride`
@@ -763,27 +728,20 @@ fn gemm_panel(
     }
 }
 
-/// The blocked GEMM driver over a row-major A: NC/KC loops outside,
-/// parallel MC row panels inside, packing each per-call operand block
-/// exactly once per reuse scope and slicing a prepacked B in place. A
-/// prepacked B with at most `MR` rows of A takes the stream path instead.
-#[allow(clippy::too_many_arguments)]
+/// The blocked GEMM driver of a row-major A against prepacked B panels:
+/// NC/KC loops outside, parallel MC row panels inside, each A block packed
+/// once per reuse scope and B's panels sliced in place. At most `MR` rows
+/// of A take the stream path instead.
 fn gemm_blocked(
     a: &[f32],
-    b: Operand<'_>,
+    b: &PackedPanels,
     (m, k, n): (usize, usize, usize),
     c: &mut [f32],
     threads: usize,
-    kernel: Microkernel,
-    blocking: Option<Blocking>,
-    pb_buf: &mut Vec<f32>,
-    pa_bufs: &mut Vec<Vec<f32>>,
+    scratch: &mut GemmScratch,
 ) {
     assert_eq!(a.len(), m * k, "A length mismatch");
-    match b {
-        Operand::RowMajor(b) => assert_eq!(b.len(), k * n, "B length mismatch"),
-        Operand::Packed(p) => assert_eq!((p.rows, p.k, p.width), (n, k, NR), "B panel shape"),
-    }
+    assert_eq!((b.rows, b.k, b.width), (n, k, NR), "B panel shape");
     assert_eq!(c.len(), m * n, "C length mismatch");
     if m == 0 || n == 0 {
         return;
@@ -792,13 +750,14 @@ fn gemm_blocked(
         c.fill(0.0);
         return;
     }
-    if let Operand::Packed(w) = b {
-        if m <= MR {
-            stream_packed_b(kernel, a, w, (m, k, n), c, threads);
-            return;
-        }
+    let kernel = scratch.kernel;
+    if m <= MR {
+        stream_packed_b(kernel, a, b, (m, k, n), c, threads);
+        return;
     }
-    let blk = blocking.unwrap_or_else(|| Blocking::auto((m, k, n)));
+    let blk = scratch
+        .blocking
+        .unwrap_or_else(|| Blocking::auto((m, k, n)));
     // Prepacked panels are sliced at panel boundaries, so NC is a whole
     // number of panels (output bytes never depend on it).
     let (kc, nc) = (blk.kc.max(1), blk.nc.max(NR).next_multiple_of(NR));
@@ -810,19 +769,11 @@ fn gemm_blocked(
         let ncb = (n - jc).min(nc);
         for (pci, pc) in (0..k).step_by(kc).enumerate() {
             let kcb = (k - pc).min(kc);
-            let pb = match b {
-                Operand::RowMajor(b) => {
-                    let need = pack_b_block(b, (k, n), (pc, kcb), (jc, ncb), pb_buf);
-                    PanelView {
-                        data: &pb_buf[..need],
-                        stride: kcb * NR,
-                    }
-                }
-                Operand::Packed(w) => w.view(jc / NR, pc),
-            };
+            let pb = b.view(jc / NR, pc);
             let first = pci == 0;
             let row_panels = m.div_ceil(mc);
             let workers = workers_avail.min(row_panels).max(1);
+            let pa_bufs = &mut scratch.workers;
             if pa_bufs.len() < workers {
                 pa_bufs.resize(workers, Vec::new());
             }
@@ -892,70 +843,6 @@ fn stream_packed_b(
             }
         }
     });
-}
-
-/// Packed GEMM into a caller-provided buffer: `c[m×n] = a[m×k] · b[k×n]`.
-///
-/// Every element of `c` is overwritten. `threads` is the intra-op worker
-/// count (`0` = machine parallelism); work splits over independent
-/// row panels of `c`, so output is byte-identical at any count, for any
-/// kernel and any blocking.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with `m`/`k`/`n`.
-pub fn matmul_into(
-    a: &[f32],
-    b: &[f32],
-    dims: (usize, usize, usize),
-    c: &mut [f32],
-    threads: usize,
-    scratch: &mut GemmScratch,
-) {
-    gemm_blocked(
-        a,
-        Operand::RowMajor(b),
-        dims,
-        c,
-        threads,
-        scratch.kernel,
-        scratch.blocking,
-        &mut scratch.pack_b,
-        &mut scratch.workers,
-    );
-}
-
-/// Packed matrix multiply: `C[m×n] = A[m×k] · B[k×n]`, single-threaded,
-/// auto-dispatched kernel.
-///
-/// # Panics
-///
-/// Panics if the shapes are incompatible.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_threaded(a, b, 1)
-}
-
-/// [`matmul`] with an explicit intra-op worker count (`0` = machine
-/// parallelism). Byte-identical to the single-threaded result.
-///
-/// # Panics
-///
-/// Panics if the shapes are incompatible.
-pub fn matmul_threaded(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    let (kb, n) = (b.shape().dim(0), b.shape().dim(1));
-    assert_eq!(k, kb, "matmul inner dims differ: {k} vs {kb}");
-    let mut c = Tensor::zeros([m, n]);
-    let mut scratch = GemmScratch::default();
-    matmul_into(
-        a.data(),
-        b.data(),
-        (m, k, n),
-        c.data_mut(),
-        threads,
-        &mut scratch,
-    );
-    c
 }
 
 /// Unpacked triple-loop reference GEMM (ascending `k`), kept as the ground
@@ -1086,42 +973,12 @@ impl ConvSplit {
 }
 
 /// Packed-GEMM convolution into a caller-provided output tensor, with the
-/// bias/batch-norm/activation epilogue fused into the same pass.
-///
-/// `weight` is in its natural `[out_c, in_c, kh, kw]` layout: it is
-/// packed into `scratch` and handed to [`conv2d_packed_into`]. `out` must
-/// already have the `[n, out_c, oh, ow]` shape; every element is
-/// overwritten.
-///
-/// # Panics
-///
-/// Panics if `out` does not have `n · out_c · oh · ow` elements or the
-/// kernel does not fit the padded input.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_gemm_into(
-    x: &Tensor,
-    weight: &Tensor,
-    stride: (usize, usize),
-    padding: (usize, usize),
-    epilogue: &Epilogue<'_>,
-    threads: usize,
-    out: &mut Tensor,
-    scratch: &mut GemmScratch,
-) {
-    let wd = weight.shape().dims();
-    let (out_c, kdim, kernel) = (wd[0], wd[1] * wd[2] * wd[3], (wd[2], wd[3]));
-    let mut packed = std::mem::take(&mut scratch.weights);
-    packed.repack(weight.data(), out_c, kdim, MR);
-    conv2d_packed_into(
-        x, &packed, kernel, stride, padding, epilogue, threads, out, scratch,
-    );
-    scratch.weights = packed;
-}
-
-/// [`conv2d_gemm_into`] over weights already packed into `MR`-row A
-/// panels of the `[out_c × in_c·kh·kw]` weight matrix — the executor's
-/// path, with the packing done once at prepare time. `kernel` is
-/// `(kh, kw)`.
+/// bias/batch-norm/activation epilogue fused into the same pass — the
+/// executor's path for every convolution `select_conv_algo` sends to the
+/// GEMM. `weight` holds the `[out_c × in_c·kh·kw]` weight matrix packed
+/// into `MR`-row A panels, once, at prepare time; `kernel` is `(kh, kw)`.
+/// `out` must already have the `[n, out_c, oh, ow]` shape; every element
+/// is overwritten.
 ///
 /// The output splits into `ConvSplit` tasks, all run in one pass of the
 /// worker pool. A task sweeps its block of one image's `[out_c × oh·ow]`
@@ -1132,7 +989,8 @@ pub fn conv2d_gemm_into(
 ///
 /// # Panics
 ///
-/// Panics on inconsistent shapes, or if `weight` is not `MR` wide.
+/// Panics on inconsistent shapes, if `weight` is not `MR` wide, or if the
+/// kernel does not fit the padded input.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_packed_into(
     x: &Tensor,
@@ -1200,75 +1058,10 @@ pub fn conv2d_packed_into(
     );
 }
 
-/// 2-D convolution on the packed GEMM (groups = 1).
-///
-/// Produces results bit-comparable (within FP reassociation error) to
-/// [`crate::kernels::conv2d`].
-///
-/// # Panics
-///
-/// Panics if the shapes are inconsistent.
-pub fn conv2d_gemm(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    stride: (usize, usize),
-    padding: (usize, usize),
-) -> Tensor {
-    let wd = weight.shape().dims();
-    let g = ConvGeom::new(x.shape(), (wd[2], wd[3]), stride, padding);
-    let mut out = Tensor::zeros([x.shape().batch(), wd[0], g.oh, g.ow]);
-    let epi = Epilogue {
-        bias,
-        ..Epilogue::default()
-    };
-    let mut scratch = GemmScratch::default();
-    conv2d_gemm_into(x, weight, stride, padding, &epi, 1, &mut out, &mut scratch);
-    out
-}
-
-/// Fused dense + bias + activation on the packed GEMM:
-/// `out[n×units] = act(x[n×f] · Wᵀ + bias)`, with `weight` in its natural
-/// `[units×f]` layout.
-///
-/// Small layers (below [`DIRECT_DENSE_MAX_MACS`]) run a direct dot
-/// product; larger ones pack `weight` into `scratch` and call
-/// [`dense_packed_into`]. Per output element the reduction runs in
-/// strictly ascending feature order with the bias added after the sum and
-/// the activation applied at store time, identically at every thread
-/// count and on both paths (which are selected by shape, not by thread
-/// count or kernel).
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent or `out` has the wrong size.
-pub(crate) fn dense_act_into(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    act: ActivationKind,
-    threads: usize,
-    out: &mut Tensor,
-    scratch: &mut GemmScratch,
-) {
-    let (n, f) = (x.shape().dim(0), x.shape().dim(1));
-    let units = weight.shape().dim(0);
-    assert_eq!(weight.shape().dim(1), f, "dense weight mismatch");
-    assert_eq!(out.len(), n * units, "dense output size mismatch");
-    if dense_uses_gemm(n, f, units) {
-        let mut packed = std::mem::take(&mut scratch.weights);
-        packed.repack(weight.data(), units, f, NR);
-        dense_packed_into(x, &packed, bias, act, threads, out, scratch);
-        scratch.weights = packed;
-    } else {
-        dense_direct_into(x, weight, bias, act, out);
-    }
-}
-
-/// The direct path of `dense_act_into`: one ascending-feature dot
-/// product per output over the natural `[units×f]` weights — the same
-/// fused multiply-add chain as the GEMM's, so either path gives the same
-/// bits. The executor runs it for the dense layers it keeps natural.
+/// [`dense_packed_into`] as a direct loop over the natural `[units×f]`
+/// weights: one ascending-feature dot product per output — the same fused
+/// multiply-add chain as the GEMM's, so either path gives the same bits.
+/// The executor runs it for the dense layers it keeps natural.
 pub fn dense_direct_into(
     x: &Tensor,
     weight: &Tensor,
@@ -1298,10 +1091,15 @@ pub fn dense_direct_into(
     }
 }
 
-/// `dense_act_into` over weights already packed into `NR`-row panels of
-/// the natural `[units×f]` matrix (the B operand `Wᵀ`) — the executor's
-/// path, with the packing done once at prepare time. Batches of at most
-/// `MR` rows stream each panel once over its full depth.
+/// Dense + bias + activation on the packed GEMM: `out[n×units] =
+/// act(x[n×f] · Wᵀ + bias)` over weights packed into `NR`-row panels of
+/// the natural `[units×f]` matrix (the B operand `Wᵀ`), once, at prepare
+/// time — the executor's path for dense layers of at least
+/// `DIRECT_DENSE_MAX_MACS`. Batches of at most `MR` rows stream each
+/// panel once over its full depth. Per output element the reduction runs
+/// in strictly ascending feature order, the bias is added after the sum
+/// and the activation applied last, identically at every thread count,
+/// kernel tier and blocking.
 ///
 /// # Panics
 ///
@@ -1322,14 +1120,11 @@ pub fn dense_packed_into(
     assert_eq!(out.len(), n * units, "dense output size mismatch");
     gemm_blocked(
         x.data(),
-        Operand::Packed(weight),
+        weight,
         (n, f, units),
         out.data_mut(),
         threads,
-        scratch.kernel,
-        scratch.blocking,
-        &mut scratch.pack_b,
-        &mut scratch.workers,
+        scratch,
     );
     if bias.is_none() && act == ActivationKind::Linear {
         return;
@@ -1367,11 +1162,44 @@ mod tests {
         v
     }
 
-    /// A row-major `[rows×k]` matrix packed into `width`-row panels.
+    /// A row-major `[rows×k]` matrix generated into `width`-row panels, as
+    /// the executor generates its weights.
     fn pack(src: &[f32], rows: usize, k: usize, width: usize) -> PackedPanels {
-        let mut p = PackedPanels::default();
-        p.repack(src, rows, k, width);
-        p
+        let mut rest = src;
+        PackedPanels::try_generate(rows, k, width, |panel_rows| {
+            let (head, tail) = rest.split_at(panel_rows.len());
+            panel_rows.copy_from_slice(head);
+            rest = tail;
+        })
+        .unwrap()
+    }
+
+    /// `x[m×k] · Wᵀ` for the natural `[n×k]` weights `w`, on the naive
+    /// reference.
+    fn dense_reference(x: &Tensor, w: &Tensor) -> Tensor {
+        let (n, k) = (w.shape().dim(0), w.shape().dim(1));
+        let mut wt = Tensor::zeros([k, n]);
+        for (u, row) in w.data().chunks_exact(k).enumerate() {
+            for (kk, &v) in row.iter().enumerate() {
+                wt.data_mut()[kk * n + u] = v;
+            }
+        }
+        matmul_reference(x, &wt)
+    }
+
+    /// `dense_packed_into` without bias or activation, into a fresh output.
+    fn dense(x: &Tensor, w: &PackedPanels, threads: usize, scratch: &mut GemmScratch) -> Tensor {
+        let mut out = Tensor::zeros([x.shape().dim(0), w.rows]);
+        dense_packed_into(
+            x,
+            w,
+            None,
+            ActivationKind::Linear,
+            threads,
+            &mut out,
+            scratch,
+        );
+        out
     }
 
     /// Unfolds image `b` of an `NCHW` input into its im2col matrix
@@ -1414,47 +1242,20 @@ mod tests {
     }
 
     #[test]
-    fn matmul_hand_computed() {
+    fn matmul_reference_hand_computed() {
         let a = Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]);
         let b = Tensor::from_vec([3, 2], vec![7., 8., 9., 10., 11., 12.]);
-        let c = matmul(&a, &b);
+        let c = matmul_reference(&a, &b);
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
 
     #[test]
-    fn matmul_identity() {
-        let a = Tensor::random([5, 5], 1);
-        let mut i = Tensor::zeros([5, 5]);
-        for k in 0..5 {
-            let idx = k * 5 + k;
-            i.data_mut()[idx] = 1.0;
-        }
-        let c = matmul(&a, &i);
-        assert!(a.mean_abs_diff(&c) < 1e-7);
-    }
-
-    #[test]
-    fn packed_matches_reference_bitwise_across_shapes() {
-        // Ragged edges in every direction: m, k, n not multiples of the
-        // tile sizes. Strictly-ascending-k accumulation makes the packed
-        // kernel *bit*-identical to the naive reference, not just close.
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (3, 150, 130),
-            (4, 8, 8),
-            (5, 7, 9),
-            (64, 64, 64),
-            (65, 129, 33),
-            (130, 31, 200),
-        ] {
-            let a = Tensor::random([m, k], 2);
-            let b = Tensor::random([k, n], 3);
-            assert_eq!(
-                matmul(&a, &b).data(),
-                matmul_reference(&a, &b).data(),
-                "shape ({m},{k},{n})"
-            );
-        }
+    fn dense_direct_hand_computed() {
+        let x = Tensor::from_vec([1, 3], vec![1., 2., 3.]);
+        let w = Tensor::from_vec([2, 3], vec![1., 0., 0., 0., 1., 1.]);
+        let mut y = Tensor::zeros([1, 2]);
+        dense_direct_into(&x, &w, Some(&[0.5, -0.5]), ActivationKind::Linear, &mut y);
+        assert_eq!(y.data(), &[1.5, 4.5]);
     }
 
     /// The autotuned blocking plus deliberately odd ones, down to `kc = 1`
@@ -1481,25 +1282,40 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_and_blocking_is_bitwise_identical_to_reference() {
-        // The tentpole claim: kernel implementation (scalar / wide shim /
-        // AVX2) and blocking (including deliberately odd KC splits that
-        // round-trip the accumulator tile through C) are pure performance
-        // knobs — never a single bit of difference.
-        for &(m, k, n) in &[(5usize, 7usize, 9usize), (65, 129, 33), (64, 576, 96)] {
-            let a = Tensor::random([m, k], 21);
-            let b = Tensor::random([k, n], 22);
-            let want = matmul_reference(&a, &b);
+    fn blocked_dense_is_bitwise_identical_to_reference_on_every_tier_blocking_and_thread_count() {
+        // The blocked path of prepacked dense layers, m > MR row panels:
+        // ragged m, k and n off every tile size, on every host kernel tier,
+        // every forced blocking (kc = 1 round-trips the accumulator tile
+        // through C at every depth) and 1, 2 and 8 threads. Strictly
+        // ascending-k accumulation makes it *bit*-identical to the naive
+        // reference, not just close.
+        for &(m, k, n) in &[
+            (MR + 1, 7usize, 9usize),
+            (17, 150, 130),
+            (64, 64, 64),
+            (65, 129, 33),
+            (130, 31, 200),
+            (64, 576, 96),
+        ] {
+            let x = Tensor::random([m, k], 21);
+            let w = Tensor::random([n, k], 22);
+            let want = dense_reference(&x, &w);
+            let wp = pack(w.data(), n, k, NR);
             for kernel in host_kernels() {
-                for blk in forced_blockings() {
-                    let mut scratch = GemmScratch {
-                        kernel,
-                        blocking: blk,
-                        ..GemmScratch::default()
-                    };
-                    let mut c = Tensor::zeros([m, n]);
-                    matmul_into(a.data(), b.data(), (m, k, n), c.data_mut(), 1, &mut scratch);
-                    assert_eq!(want.data(), c.data(), "({m},{k},{n}) {kernel:?} {blk:?}");
+                for blocking in forced_blockings() {
+                    for threads in [1, 2, 8] {
+                        let mut scratch = GemmScratch {
+                            kernel,
+                            blocking,
+                            ..GemmScratch::default()
+                        };
+                        let got = dense(&x, &wp, threads, &mut scratch);
+                        assert_eq!(
+                            want.data(),
+                            got.data(),
+                            "({m},{k},{n}) {kernel:?} {blocking:?} t{threads}"
+                        );
+                    }
                 }
             }
         }
@@ -1537,17 +1353,6 @@ mod tests {
                 assert_eq!(p.data()[slot], 0.0);
             }
             assert_eq!(unpack(&p), src, "({rows},{k},{width}) unpack");
-            // Generating the same natural-order stream panel by panel yields
-            // the same buffer as packing it.
-            let mut next = 0.0f32;
-            let generated = PackedPanels::try_generate(rows, k, width, |panel_rows| {
-                for v in panel_rows {
-                    next += 1.0;
-                    *v = next;
-                }
-            })
-            .unwrap();
-            assert_eq!(generated, p, "({rows},{k},{width}) generate");
         }
     }
 
@@ -1589,13 +1394,7 @@ mod tests {
             let x = Tensor::random([m, k], seed);
             let w = Tensor::random([units, k], seed ^ 1);
             let bias: Vec<f32> = Tensor::random([units], seed ^ 2).data().to_vec();
-            let mut wt = Tensor::zeros([k, units]);
-            for u in 0..units {
-                for kk in 0..k {
-                    wt.data_mut()[kk * units + u] = w.data()[u * k + kk];
-                }
-            }
-            let mut want = matmul_reference(&x, &wt);
+            let mut want = dense_reference(&x, &w);
             for row in want.data_mut().chunks_exact_mut(units) {
                 for (v, &b0) in row.iter_mut().zip(&bias) {
                     *v = kernels::apply_activation(*v + b0, act);
@@ -1741,27 +1540,15 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matmul_is_byte_identical() {
-        let a = Tensor::random([150, 70], 5);
-        let b = Tensor::random([70, 90], 6);
-        let serial = matmul_threaded(&a, &b, 1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                matmul_threaded(&a, &b, threads).data(),
-                serial.data(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn scratch_reuse_larger_then_smaller_matches_fresh() {
         // Regression for the pack-buffer reuse hazard: buffers only grow,
         // so a large shape followed by a smaller one leaves stale packed
         // panels in the tail. The kernels must only ever read the
         // freshly-packed prefix — byte-compared here against fresh
-        // buffers, across every kernel, for row-major and prepacked B.
-        let shapes = [
+        // buffers, across every kernel, with one scratch reused by the
+        // prepacked dense path (blocked and streamed) and the prepacked
+        // convolution in turn.
+        let dense_shapes = [
             (130usize, 200usize, 150usize),
             (5, 7, 9),
             (64, 64, 64),
@@ -1769,86 +1556,63 @@ mod tests {
             (1, 1, 1),
             (65, 129, 33),
         ];
+        // (batch, in_c, hw, out_c, kernel, stride, padding)
+        let conv_shapes = [
+            (2usize, 16usize, 20usize, 24usize, 3usize, 1usize, 1usize),
+            (1, 3, 7, 5, 3, 2, 0),
+            (1, 32, 12, 40, 1, 1, 0),
+            (2, 8, 15, 17, 5, 1, 2),
+            (1, 1, 4, 1, 1, 1, 0),
+            (1, 4, 9, 9, 3, 1, 1),
+        ];
         for kernel in host_kernels() {
-            let mut reused = GemmScratch {
+            let fresh = || GemmScratch {
                 kernel,
                 ..GemmScratch::default()
             };
-            for (i, &(m, k, n)) in shapes.iter().enumerate() {
-                let a = Tensor::random([m, k], 40 + i as u64);
-                let b = Tensor::random([k, n], 80 + i as u64);
-                let mut fresh_scratch = GemmScratch {
-                    kernel,
-                    ..GemmScratch::default()
+            let mut reused = fresh();
+            for (i, (&(m, k, n), &conv)) in dense_shapes.iter().zip(&conv_shapes).enumerate() {
+                let x = Tensor::random([m, k], 40 + i as u64);
+                let w = pack(Tensor::random([n, k], 80 + i as u64).data(), n, k, NR);
+                let want = dense(&x, &w, 1, &mut fresh());
+                let got = dense(&x, &w, 2, &mut reused);
+                assert_eq!(
+                    want.data(),
+                    got.data(),
+                    "dense step {i} ({m},{k},{n}) {kernel:?}"
+                );
+
+                let (batch, in_c, hw, out_c, ks, s, p) = conv;
+                let x = Tensor::random([batch, in_c, hw, hw], 140 + i as u64);
+                let w = Tensor::random([out_c, in_c * ks * ks], 180 + i as u64);
+                let w = pack(w.data(), out_c, in_c * ks * ks, MR);
+                let g = ConvGeom::new(x.shape(), (ks, ks), (s, s), (p, p));
+                let run = |threads, scratch: &mut GemmScratch| {
+                    let mut out = Tensor::zeros([batch, out_c, g.oh, g.ow]);
+                    let (k2, s2, p2, epi) = ((ks, ks), (s, s), (p, p), Epilogue::default());
+                    conv2d_packed_into(&x, &w, k2, s2, p2, &epi, threads, &mut out, scratch);
+                    out
                 };
-                let mut want = Tensor::zeros([m, n]);
-                matmul_into(
-                    a.data(),
-                    b.data(),
-                    (m, k, n),
-                    want.data_mut(),
-                    1,
-                    &mut fresh_scratch,
-                );
-                let mut got = Tensor::zeros([m, n]);
-                matmul_into(
-                    a.data(),
-                    b.data(),
-                    (m, k, n),
-                    got.data_mut(),
-                    2,
-                    &mut reused,
-                );
-                assert_eq!(want.data(), got.data(), "step {i} ({m},{k},{n}) {kernel:?}");
-                // Dense path (weights packed into the scratch) through the
-                // same buffers.
-                let x = Tensor::random([m, k], 140 + i as u64);
-                let w = Tensor::random([n, k], 180 + i as u64);
-                let mut want_d = Tensor::zeros([m, n]);
-                dense_act_into(
-                    &x,
-                    &w,
-                    None,
-                    ActivationKind::Linear,
-                    1,
-                    &mut want_d,
-                    &mut GemmScratch {
-                        kernel,
-                        ..GemmScratch::default()
-                    },
-                );
-                let mut got_d = Tensor::zeros([m, n]);
-                dense_act_into(
-                    &x,
-                    &w,
-                    None,
-                    ActivationKind::Linear,
-                    1,
-                    &mut got_d,
-                    &mut reused,
-                );
-                assert_eq!(want_d.data(), got_d.data(), "dense step {i} {kernel:?}");
+                let want = run(1, &mut fresh());
+                let got = run(2, &mut reused);
+                assert_eq!(want.data(), got.data(), "conv step {i} {conv:?} {kernel:?}");
             }
         }
     }
 
     #[test]
-    fn matmul_into_overwrites_recycled_buffers() {
-        // Simulate an arena-recycled output full of stale garbage.
-        let a = Tensor::random([10, 12], 4);
-        let b = Tensor::random([12, 11], 5);
-        let clean = matmul(&a, &b);
-        let mut dirty = vec![f32::NAN; 110];
-        let mut scratch = GemmScratch::default();
-        matmul_into(
-            a.data(),
-            b.data(),
-            (10, 12, 11),
-            &mut dirty,
-            1,
-            &mut scratch,
-        );
-        assert_eq!(clean.data(), &dirty[..]);
+    fn dense_overwrites_recycled_buffers() {
+        // An output full of stale NaNs, as a recycled arena buffer may be,
+        // on the stream path (m = MR) and the blocked path (m > MR).
+        for m in [MR, MR + 2] {
+            let x = Tensor::random([m, 12], 4);
+            let w = Tensor::random([11, 12], 5);
+            let mut dirty = Tensor::from_vec([m, 11], vec![f32::NAN; m * 11]);
+            let (act, mut scratch) = (ActivationKind::Linear, GemmScratch::default());
+            let wp = pack(w.data(), 11, 12, NR);
+            dense_packed_into(&x, &wp, None, act, 1, &mut dirty, &mut scratch);
+            assert_eq!(dense_reference(&x, &w).data(), dirty.data(), "m = {m}");
+        }
     }
 
     #[test]
@@ -1863,8 +1627,24 @@ mod tests {
             let w = Tensor::random([cout, cin, k, k], 11);
             let bias: Vec<f32> = (0..cout).map(|i| i as f32 * 0.1).collect();
             let direct = kernels::conv2d(&x, &w, Some(&bias), (s, s), (p, p), 1);
-            let gemm = conv2d_gemm(&x, &w, Some(&bias), (s, s), (p, p));
-            assert_eq!(direct.shape(), gemm.shape());
+            let mut gemm = Tensor::zeros(direct.shape().dims().to_vec());
+            let epi = Epilogue {
+                bias: Some(&bias),
+                ..Epilogue::default()
+            };
+            let wp = pack(w.data(), cout, cin * k * k, MR);
+            let mut scratch = GemmScratch::default();
+            conv2d_packed_into(
+                &x,
+                &wp,
+                (k, k),
+                (s, s),
+                (p, p),
+                &epi,
+                1,
+                &mut gemm,
+                &mut scratch,
+            );
             assert!(
                 direct.mean_abs_diff(&gemm) < 1e-4,
                 "cin={cin} cout={cout} k={k}: diff {}",
@@ -1877,25 +1657,34 @@ mod tests {
     fn fused_epilogue_matches_separate_kernels() {
         use edgebench_graph::ActivationKind as A;
         let x = Tensor::random([2, 3, 12, 12], 20);
-        let w = Tensor::random([16, 3, 3, 3], 21);
+        let w = pack(Tensor::random([16, 27], 21).data(), 16, 27, MR);
         let bias: Vec<f32> = (0..16).map(|i| i as f32 * 0.05 - 0.3).collect();
         let gamma: Vec<f32> = (0..16).map(|i| 1.0 + 0.1 * i as f32).collect();
         let beta: Vec<f32> = (0..16).map(|i| 0.2 - 0.02 * i as f32).collect();
+        let mut scratch = GemmScratch::default();
         for &(s, p) in &[(1usize, 1usize), (2, 1), (1, 0)] {
+            let g = ConvGeom::new(x.shape(), (3, 3), (s, s), (p, p));
+            let mut conv = |epi: &Epilogue<'_>| {
+                let mut out = Tensor::zeros([2, 16, g.oh, g.ow]);
+                let (k, s, p) = ((3, 3), (s, s), (p, p));
+                conv2d_packed_into(&x, &w, k, s, p, epi, 1, &mut out, &mut scratch);
+                out
+            };
+            // Unfused: conv (+bias), then the batch-norm and activation
+            // kernels the unfused graph runs after it.
+            let biased = conv(&Epilogue {
+                bias: Some(&bias),
+                ..Epilogue::default()
+            });
+            let bn = kernels::batch_norm(&biased, &gamma, &beta);
             for act in [A::Relu, A::Relu6, A::Leaky, A::Sigmoid, A::Tanh, A::Linear] {
-                // Unfused: conv (+bias) → batch-norm → activation.
-                let conv = conv2d_gemm(&x, &w, Some(&bias), (s, s), (p, p));
-                let bn = kernels::batch_norm(&conv, &gamma, &beta);
                 let expect = kernels::activation(&bn, act);
                 // Fused: one pass.
-                let mut got = Tensor::zeros(conv.shape().dims().to_vec());
-                let epi = Epilogue {
+                let got = conv(&Epilogue {
                     bias: Some(&bias),
                     bn: Some((&gamma, &beta)),
                     act,
-                };
-                let mut scratch = GemmScratch::default();
-                conv2d_gemm_into(&x, &w, (s, s), (p, p), &epi, 1, &mut got, &mut scratch);
+                });
                 assert_eq!(expect.data(), got.data(), "s={s} p={p} act={act:?}");
             }
         }
@@ -1913,11 +1702,5 @@ mod tests {
         assert_eq!(select_conv_algo((1 << 8) + 1, 1 << 8, 1), ConvAlgo::Gemm);
         // Overflow-safe on absurd shapes.
         assert_eq!(select_conv_algo(usize::MAX, usize::MAX, 1), ConvAlgo::Gemm);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dims differ")]
-    fn matmul_rejects_mismatched_dims() {
-        let _ = matmul(&Tensor::zeros([2, 3]), &Tensor::zeros([4, 2]));
     }
 }

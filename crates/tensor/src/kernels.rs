@@ -266,19 +266,6 @@ pub(crate) fn conv3d_into(
     }
 }
 
-/// Dense layer: `y = x · Wᵀ + b`, with `x: [n, f]`, `weight: [units, f]`,
-/// on [`crate::gemm`]'s dense path (packed or direct by shape) with a
-/// transient scratch buffer — the same bits as the executor's dense steps.
-pub fn dense(x: &Tensor, weight: &Tensor, bias: Option<&[f32]>) -> Tensor {
-    let n = x.shape().dim(0);
-    let units = weight.shape().dim(0);
-    let mut out = Tensor::zeros([n, units]);
-    let mut scratch = crate::gemm::GemmScratch::default();
-    let act = ActivationKind::Linear;
-    crate::gemm::dense_act_into(x, weight, bias, act, 1, &mut out, &mut scratch);
-    out
-}
-
 /// 2-D pooling (max / average / global average).
 pub fn pool2d(
     x: &Tensor,
@@ -766,14 +753,6 @@ mod tests {
         let dw = depthwise_conv2d(&x, &w, None, (1, 1), (1, 1), 1);
         let gc = conv2d(&x, &w, None, (1, 1), (1, 1), 4);
         assert!(dw.mean_abs_diff(&gc) < 1e-6);
-    }
-
-    #[test]
-    fn dense_hand_computed() {
-        let x = Tensor::from_vec([1, 3], vec![1., 2., 3.]);
-        let w = Tensor::from_vec([2, 3], vec![1., 0., 0., 0., 1., 1.]);
-        let y = dense(&x, &w, Some(&[0.5, -0.5]));
-        assert_eq!(y.data(), &[1.5, 4.5]);
     }
 
     #[test]

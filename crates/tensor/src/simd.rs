@@ -55,15 +55,12 @@ pub const NR: usize = 16;
 /// User-facing kernel request, e.g. the CLI's `--kernel` flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
-    /// Pick the fastest kernel the host supports (AVX2 where detected,
-    /// the portable wide shim otherwise).
+    /// Pick the widest vector kernel the host supports: AVX-512F, then
+    /// AVX2/FMA, then the portable wide shim.
     #[default]
     Auto,
     /// Force the scalar reference kernel.
     Scalar,
-    /// Force a SIMD kernel: AVX2 when the host has it, else the portable
-    /// wide shim (still lane-parallel after autovectorization).
-    Simd,
 }
 
 impl KernelKind {
@@ -72,7 +69,6 @@ impl KernelKind {
         match s {
             "auto" => Some(KernelKind::Auto),
             "scalar" => Some(KernelKind::Scalar),
-            "simd" => Some(KernelKind::Simd),
             _ => None,
         }
     }
@@ -133,13 +129,13 @@ pub fn avx512_available() -> bool {
 }
 
 /// Resolves a [`KernelKind`] request against the host, once per executor.
-/// `Auto` and `Simd` both pick the widest detected vector path (AVX-512F,
-/// then AVX2/FMA, then the portable wide shim) — the scalar kernel runs
-/// only when explicitly forced (or via [`Microkernel::Scalar`] directly).
+/// `Auto` picks the widest detected vector path (AVX-512F, then AVX2/FMA,
+/// then the portable wide shim) — the scalar kernel runs only when
+/// explicitly forced (or via [`Microkernel::Scalar`] directly).
 pub fn resolve(kind: KernelKind) -> Microkernel {
     match kind {
         KernelKind::Scalar => Microkernel::Scalar,
-        KernelKind::Auto | KernelKind::Simd => {
+        KernelKind::Auto => {
             if avx512_available() {
                 Microkernel::Avx512
             } else if simd_available() {
@@ -1336,7 +1332,6 @@ mod tests {
         assert_eq!(resolve(KernelKind::Scalar), Microkernel::Scalar);
         let auto = resolve(KernelKind::Auto);
         assert_ne!(auto, Microkernel::Scalar, "Auto must pick a SIMD path");
-        assert_eq!(auto, resolve(KernelKind::Simd));
         if avx512_available() {
             assert_eq!(auto, Microkernel::Avx512);
         } else if simd_available() {
@@ -1350,7 +1345,7 @@ mod tests {
     fn kernel_kind_parses_cli_names() {
         assert_eq!(KernelKind::from_name("auto"), Some(KernelKind::Auto));
         assert_eq!(KernelKind::from_name("scalar"), Some(KernelKind::Scalar));
-        assert_eq!(KernelKind::from_name("simd"), Some(KernelKind::Simd));
+        assert_eq!(KernelKind::from_name("simd"), None);
         assert_eq!(KernelKind::from_name("gpu"), None);
     }
 

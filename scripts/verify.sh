@@ -42,8 +42,13 @@ cargo test -q --release --offline -p edgebench-tensor --lib \
 # ragged shapes must equal the naive reference bit for bit on every kernel
 # tier, forced blocking (kc = 1 included) and 1, 2 and 8 threads, and the
 # SDC layer must address packed weights by their natural (logical) index.
+# The property test draws at most MR + 1 dense rows; the blocked-dense
+# grid holds layers of MR + 1 to 130 rows, up to 17 MR-row panels, to the
+# same reference on the same tiers, blockings and threads.
 cargo test -q --offline -p edgebench-tensor \
     prepacked_operands_are_bitwise_identical_to_reference
+cargo test -q --offline -p edgebench-tensor \
+    blocked_dense_is_bitwise_identical_to_reference_on_every_tier_blocking_and_thread_count
 cargo test -q --offline --test sdc \
     packed_weight_flips_address_logical_elements
 # A convolution packs its B panels straight from the image: the packer must

@@ -29,7 +29,7 @@ fn run_into_allocates_no_buffer_on_any_config() {
     ];
     for (model, batch, precision, threads) in configs {
         with_model(model, batch, precision, threads, |exec, x| {
-            let (y, stats) = exec.run_with_stats(x).expect("run");
+            let (y, stats) = exec.run_observed(x, &mut |_, _| Ok(())).expect("run");
             let label = format!("{model:?} batch {batch} {precision:?} {threads} thread(s)");
             let counts = counted_runs(exec, x, 2 * stats.ops_executed + 10);
             check_steady(&label, threads, &counts);

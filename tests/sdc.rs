@@ -115,7 +115,7 @@ fn guard_verdicts_are_identical_across_threads_and_kernels() {
         baseline.stats
     );
     for threads in [2usize, 8] {
-        for kernel in [KernelKind::Scalar, KernelKind::Simd] {
+        for kernel in [KernelKind::Scalar, KernelKind::Auto] {
             let trace = campaign(threads, kernel);
             assert_eq!(
                 trace, baseline,
@@ -171,9 +171,9 @@ fn refusals_are_typed_not_panics() {
 /// clean output and report logical bytes.
 #[test]
 fn packed_weight_flips_address_logical_elements() {
-    use edgebench_graph::GraphBuilder;
-    use edgebench_tensor::gemm::{self, Epilogue, GemmScratch};
-    use edgebench_tensor::kernels;
+    use edgebench_graph::{ActivationKind, GraphBuilder};
+    use edgebench_tensor::gemm::{self, Epilogue, GemmScratch, PackedPanels};
+    use edgebench_tensor::simd::{MR, NR};
 
     let mut b = GraphBuilder::new("ragged");
     let x = b.input([1, 8, 12, 12]);
@@ -199,6 +199,16 @@ fn packed_weight_flips_address_logical_elements() {
         ]
         .concat(),
     ];
+    // The same weights generated into panels, as `prepare` generates them.
+    let panels = |natural: &[f32], rows: usize, k: usize, width: usize| {
+        let mut rest = natural;
+        PackedPanels::try_generate(rows, k, width, |panel_rows| {
+            let (head, tail) = rest.split_at(panel_rows.len());
+            panel_rows.copy_from_slice(head);
+            rest = tail;
+        })
+        .unwrap()
+    };
     let reference = |params: &[Vec<f32>; 2]| {
         let (cw, cb) = params[0].split_at(16 * 72);
         let (dw, db) = params[1].split_at(1000 * 2304);
@@ -207,12 +217,16 @@ fn packed_weight_flips_address_logical_elements() {
             bias: Some(cb),
             ..Epilogue::default()
         };
-        let cw = Tensor::from_vec([16, 8, 3, 3], cw.to_vec());
+        let cw = panels(cw, 16, 72, MR);
         let mut scratch = GemmScratch::default();
-        gemm::conv2d_gemm_into(&input, &cw, (1, 1), (1, 1), &epi, 1, &mut h, &mut scratch);
+        let (k, s, p) = ((3, 3), (1, 1), (1, 1));
+        gemm::conv2d_packed_into(&input, &cw, k, s, p, &epi, 1, &mut h, &mut scratch);
         h.reshape([1, 16 * 144]);
-        let dw = Tensor::from_vec([1000, 2304], dw.to_vec());
-        kernels::dense(&h, &dw, Some(db))
+        let dw = panels(dw, 1000, 2304, NR);
+        let mut y = Tensor::zeros([1, 1000]);
+        let act = ActivationKind::Linear;
+        gemm::dense_packed_into(&h, &dw, Some(db), act, 1, &mut y, &mut scratch);
+        y
     };
 
     let mut exec = store.prepare().unwrap();
