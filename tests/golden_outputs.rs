@@ -10,6 +10,13 @@
 //! these constants were recorded once and catch a change to any output
 //! bit of the executor, its kernels or its weight generator.
 //!
+//! A change inside the graph need not reach the output: a max pool, a
+//! ReLU or an int8 grid can swallow it. So every configuration also pins a
+//! chain digest, `checksum_f32` of every node's output (after lowering to
+//! the run precision, as observed through `run_observed`) folded in step
+//! order. On a mismatch the test prints each node's digest, to diff
+//! against a run of the parent commit.
+//!
 //! Together the graphs reach every kernel the executor can dispatch:
 //! packed 2-D convolution (on a pruned store too) and direct 2-D
 //! convolution (grouped included),
@@ -22,7 +29,7 @@ use edgebench_frameworks::passes;
 use edgebench_graph::{ActivationKind, Graph, GraphBuilder, Op, PoolKind};
 use edgebench_models::{rnn, Model};
 use edgebench_tensor::integrity::checksum_f32;
-use edgebench_tensor::{Executor, KernelKind, Precision, Tensor};
+use edgebench_tensor::{Executor, KernelKind, Precision, PreparedExecutor, Tensor};
 
 /// The configurations, in the order of each graph's pinned digests.
 const CONFIGS: [(Precision, f32); 6] = [
@@ -34,14 +41,46 @@ const CONFIGS: [(Precision, f32); 6] = [
     (Precision::Int8, 0.5),
 ];
 
+/// One run: the output's digest and every node's (node index, output
+/// digest), in step order.
+type Digests = (u64, Vec<(usize, u64)>);
+
+fn digests(exec: &PreparedExecutor<'_>, x: &Tensor) -> Digests {
+    let mut nodes = Vec::new();
+    let (y, _) = exec
+        .run_observed(x, &mut |i, y| {
+            nodes.push((i, checksum_f32(y.data())));
+            Ok(())
+        })
+        .unwrap();
+    (checksum_f32(y.data()), nodes)
+}
+
+/// Folds per-node digests, in step order, into one chain digest.
+fn chain(nodes: &[(usize, u64)]) -> u64 {
+    nodes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &(_, d)| {
+        (h ^ d).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// One line per node: index, name and output digest.
+fn node_lines(g: &Graph, nodes: &[(usize, u64)]) -> String {
+    let name = |i: usize| g.nodes()[i].name().to_string();
+    let lines = nodes
+        .iter()
+        .map(|&(i, d)| format!("  {i:>3} {:<24} {d:#018x}", name(i)));
+    lines.collect::<Vec<_>>().join("\n")
+}
+
 /// Runs `g` under every configuration and execution setting and checks
-/// each output digest against `pinned`.
-fn check(g: &Graph, pinned: [u64; 6]) {
+/// each output digest against `pinned` and each chain digest against
+/// `chains`.
+fn check(g: &Graph, pinned: [u64; 6], chains: [u64; 6]) {
     let shape = g.node(g.input_ids()[0]).output_shape().dims().to_vec();
     let x = Tensor::random(shape, 17);
     let mut got = Vec::new();
     for (precision, sparsity) in CONFIGS {
-        let mut digests = Vec::new();
+        let mut runs: Vec<Digests> = Vec::new();
         for (kernel, threads) in [
             (KernelKind::Auto, 1),
             (KernelKind::Auto, 2),
@@ -56,22 +95,42 @@ fn check(g: &Graph, pinned: [u64; 6]) {
                 .prepare()
                 .unwrap();
             for _ in 0..2 {
-                digests.push(checksum_f32(exec.run(&x).unwrap().data()));
+                runs.push(digests(&exec, &x));
             }
         }
-        assert!(
-            digests.iter().all(|&d| d == digests[0]),
-            "{}: {precision:?} sparsity {sparsity} differs across kernels, threads or reruns: {digests:#018x?}",
-            g.name()
-        );
-        got.push(digests[0]);
+        if let Some(r) = runs.iter().find(|r| **r != runs[0]) {
+            panic!(
+                "{}: {precision:?} sparsity {sparsity} differs across kernels, threads or reruns; \
+                 output {:#018x} against {:#018x}, nodes\n{}\nagainst\n{}",
+                g.name(),
+                runs[0].0,
+                r.0,
+                node_lines(g, &runs[0].1),
+                node_lines(g, &r.1)
+            );
+        }
+        got.push(runs.swap_remove(0));
     }
+    let outputs: Vec<u64> = got.iter().map(|r| r.0).collect();
+    let chained: Vec<u64> = got.iter().map(|r| chain(&r.1)).collect();
     assert_eq!(
-        got,
+        outputs,
         pinned,
-        "{}: output digests changed; got {got:#018x?}",
+        "{}: output digests changed; got {outputs:#018x?}",
         g.name()
     );
+    if chained != chains {
+        let report: Vec<String> = CONFIGS
+            .iter()
+            .zip(&got)
+            .map(|((p, s), r)| format!("{p:?} sparsity {s}:\n{}", node_lines(g, &r.1)))
+            .collect();
+        panic!(
+            "{}: chain digests changed; got {chained:#018x?}; per-node digests:\n{}",
+            g.name(),
+            report.join("\n")
+        );
+    }
 }
 
 /// Conv + batch norm + activation chains, a residual add, a depthwise
@@ -196,6 +255,14 @@ fn cifarnet_output_matches_pinned_digests() {
             0x640f_1099_d50f_a72a,
             0xbfde_a063_c21f_4cef,
         ],
+        [
+            0x5695_9521_475c_7e1f,
+            0x78d5_c87b_9150_f337,
+            0x5171_05bb_100c_8468,
+            0x2a9c_aa12_2919_6468,
+            0xaf19_4c53_0ecf_a969,
+            0x8548_684d_5fee_5550,
+        ],
     );
 }
 
@@ -210,6 +277,14 @@ fn char_lstm_output_matches_pinned_digests() {
             0x716f_ff6f_147c_037f,
             0x4854_936e_4dea_4dc8,
             0x524d_dcee_2a09_4fb7,
+        ],
+        [
+            0x0267_a193_3271_2ca5,
+            0x1bf8_ad9d_ef32_ecd4,
+            0x3879_b577_277c_fb46,
+            0x74c9_75b1_acd1_5b46,
+            0x98da_71be_b10f_0f33,
+            0x32ee_e31c_c681_b540,
         ],
     );
 }
@@ -226,6 +301,14 @@ fn gru_classifier_output_matches_pinned_digests() {
             0x8827_c090_15df_3f52,
             0x74dc_53de_015f_9046,
         ],
+        [
+            0x0f93_3a9c_b0a0_bb02,
+            0x03a2_1ad0_2514_2240,
+            0xd9a8_7997_1e06_df77,
+            0x5f36_5afa_7114_ff77,
+            0x350c_c702_d2e2_1b1f,
+            0x6f08_1a17_8e71_c091,
+        ],
     );
 }
 
@@ -240,6 +323,14 @@ fn fused_rich_graph_output_matches_pinned_digests() {
             0xd9c2_d607_f0de_0d6d,
             0xb8dd_7e55_1bfc_f07a,
             0xe9b3_97d6_4cd8_d34a,
+        ],
+        [
+            0xc651_861c_1788_7301,
+            0xb1eb_b5ea_ae3d_ab3c,
+            0x3e27_5990_2fab_b65d,
+            0xbb54_fba1_cfa3_f65d,
+            0x9d7c_6642_bc87_64e4,
+            0x3070_a103_1111_aa6f,
         ],
     );
 }
@@ -256,6 +347,14 @@ fn coverage_2d_output_matches_pinned_digests() {
             0x9078_7239_09ce_6828,
             0x234b_e03b_d8b9_6757,
         ],
+        [
+            0x9c61_52d8_5315_ee35,
+            0xa231_3645_941c_063a,
+            0xae32_4b30_33ef_4c30,
+            0xe51a_2594_6503_ec30,
+            0xbdf5_5889_67e4_0d11,
+            0x72c8_2a5b_bb17_f53a,
+        ],
     );
 }
 
@@ -270,6 +369,14 @@ fn coverage_3d_output_matches_pinned_digests() {
             0x644d_5a28_5928_a03f,
             0xf826_ee92_d5eb_e2ab,
             0x56b0_0376_30e8_656a,
+        ],
+        [
+            0xc1dc_5e5c_3a82_2969,
+            0x3644_dd57_cc41_feb5,
+            0x7ec9_55ef_3d98_4831,
+            0x90e5_9e78_5ea4_0831,
+            0xaac4_8e0c_420b_9b49,
+            0x369e_0057_410c_4713,
         ],
     );
 }
