@@ -124,7 +124,8 @@ pub enum Op {
         /// Whether a bias vector is added.
         bias: bool,
     },
-    /// Spatial pooling (2-D; also accepts `NCDHW` for 3-D max pooling).
+    /// 2-D spatial pooling over `NCHW` input ([`Op::Pool3d`] pools
+    /// `NCDHW`).
     Pool {
         /// Pooling kind.
         kind: PoolKind,
@@ -135,9 +136,10 @@ pub enum Op {
         /// Zero padding `(ph, pw)`.
         padding: (usize, usize),
     },
-    /// 3-D pooling over `NCDHW` input (used by C3D).
+    /// 3-D pooling over `NCDHW` input (used by C3D), unpadded.
     Pool3d {
-        /// Pooling kind (max or avg; global not supported for 3-D).
+        /// Pooling kind: max or avg. Shape inference rejects
+        /// [`PoolKind::GlobalAvg`] and a window with a zero extent.
         kind: PoolKind,
         /// Window extent `(kd, kh, kw)`.
         kernel: (usize, usize, usize),
@@ -374,10 +376,20 @@ impl Op {
                     .ok_or_else(|| err(format!("window {kernel:?} does not fit input {x}")))?;
                 Ok(TensorShape::new([x.batch(), x.channels(), oh, ow]))
             }
-            Op::Pool3d { kernel, stride, .. } => {
+            Op::Pool3d {
+                kind,
+                kernel,
+                stride,
+            } => {
                 let x = one("pool3d")?;
                 if x.rank() != 5 {
                     return Err(err(format!("expected rank-5 NCDHW input, got {x}")));
+                }
+                if *kind == PoolKind::GlobalAvg {
+                    return Err(err("global pooling is 2-D only".into()));
+                }
+                if [kernel.0, kernel.1, kernel.2].contains(&0) {
+                    return Err(err(format!("window {kernel:?} has a zero extent")));
                 }
                 let od = TensorShape::conv_out_extent(x.depth(), kernel.0, stride.0, 0)
                     .ok_or_else(|| err(format!("window {kernel:?} does not fit input {x}")))?;
@@ -559,6 +571,29 @@ mod tests {
         };
         let out = op.infer_shape(&[s(&[1, 2048, 7, 7])]).unwrap();
         assert_eq!(out, s(&[1, 2048, 1, 1]));
+    }
+
+    #[test]
+    fn pool3d_rejects_global_and_empty_windows() {
+        let pool3d = |kind, kernel| Op::Pool3d {
+            kind,
+            kernel,
+            stride: (1, 1, 1),
+        };
+        let x = [s(&[1, 4, 2, 6, 6])];
+        let ok = pool3d(PoolKind::Avg, (2, 2, 2)).infer_shape(&x);
+        assert_eq!(ok.unwrap(), s(&[1, 4, 1, 5, 5]));
+        for op in [
+            pool3d(PoolKind::GlobalAvg, (2, 2, 2)),
+            pool3d(PoolKind::Max, (1, 0, 2)),
+            pool3d(PoolKind::Avg, (0, 1, 1)),
+        ] {
+            let e = op.infer_shape(&x).unwrap_err();
+            assert!(
+                matches!(e, GraphError::ShapeMismatch { op: "pool3d", .. }),
+                "{op:?}: {e}"
+            );
+        }
     }
 
     #[test]

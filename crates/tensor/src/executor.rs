@@ -356,26 +356,14 @@ enum Kernel {
         padding: (usize, usize),
         tail: Tail,
     },
-    /// Direct convolution, for small or grouped layers.
+    /// Direct convolution on the arena's kernel tier, for small, grouped,
+    /// depthwise and 3-D layers: windows are `[depth, height, width]`, a
+    /// 2-D layer's depth stride 1 and depth padding 0.
     ConvDirect {
         w: Tensor,
-        stride: (usize, usize),
-        padding: (usize, usize),
+        stride: [usize; 3],
+        padding: [usize; 3],
         groups: usize,
-        tail: Tail,
-    },
-    /// Depthwise convolution on the arena's kernel tier.
-    Depthwise {
-        w: Tensor,
-        stride: (usize, usize),
-        padding: (usize, usize),
-        multiplier: usize,
-        tail: Tail,
-    },
-    Conv3d {
-        w: Tensor,
-        stride: (usize, usize, usize),
-        padding: (usize, usize, usize),
         tail: Tail,
     },
     /// Dense layer over weights packed into `NR`-row GEMM panels.
@@ -388,16 +376,12 @@ enum Kernel {
         w: Tensor,
         tail: Tail,
     },
+    /// 2-D or 3-D pooling, windows as in `ConvDirect`.
     Pool {
         kind: PoolKind,
-        kernel: (usize, usize),
-        stride: (usize, usize),
-        padding: (usize, usize),
-    },
-    Pool3d {
-        kind: PoolKind,
-        kernel: (usize, usize, usize),
-        stride: (usize, usize, usize),
+        kernel: [usize; 3],
+        stride: [usize; 3],
+        padding: [usize; 3],
     },
     BatchNorm {
         gamma: Vec<f32>,
@@ -441,10 +425,7 @@ impl Kernel {
     fn params(&self) -> Vec<&dyn Stored> {
         match self {
             Kernel::ConvPacked { w, tail, .. } | Kernel::DensePacked { w, tail } => tail.params(w),
-            Kernel::ConvDirect { w, tail, .. }
-            | Kernel::Depthwise { w, tail, .. }
-            | Kernel::Conv3d { w, tail, .. }
-            | Kernel::DenseDirect { w, tail } => tail.params(w),
+            Kernel::ConvDirect { w, tail, .. } | Kernel::DenseDirect { w, tail } => tail.params(w),
             Kernel::BatchNorm { gamma, beta } => vec![gamma, beta],
             _ => Vec::new(),
         }
@@ -455,10 +436,9 @@ impl Kernel {
             Kernel::ConvPacked { w, tail, .. } | Kernel::DensePacked { w, tail } => {
                 tail.params_mut(w)
             }
-            Kernel::ConvDirect { w, tail, .. }
-            | Kernel::Depthwise { w, tail, .. }
-            | Kernel::Conv3d { w, tail, .. }
-            | Kernel::DenseDirect { w, tail } => tail.params_mut(w),
+            Kernel::ConvDirect { w, tail, .. } | Kernel::DenseDirect { w, tail } => {
+                tail.params_mut(w)
+            }
             Kernel::BatchNorm { gamma, beta } => vec![gamma, beta],
             _ => Vec::new(),
         }
@@ -537,28 +517,11 @@ impl Step<'_> {
                 groups,
                 tail,
             } => {
-                let e = tail.epilogue();
-                kernels::conv2d_into(x(0), w, e.bias, *stride, *padding, *groups, out);
-                kernels::bn_act_inplace(out, e.bn, e.act);
-            }
-            Kernel::Depthwise {
-                w,
-                stride,
-                padding,
-                multiplier,
-                tail,
-            } => {
                 let (tier, e) = (scratch.kernel(), tail.epilogue());
-                let (s, p, m) = (*stride, *padding, *multiplier);
-                simd::depthwise(tier, x(0), w, e.bias, s, p, m, out, taps);
+                let (s, p, g) = (*stride, *padding, *groups);
+                simd::conv(tier, x(0), w, e.bias, s, p, g, out, taps);
                 kernels::bn_act_inplace(out, e.bn, e.act);
             }
-            Kernel::Conv3d {
-                w,
-                stride,
-                padding,
-                tail,
-            } => kernels::conv3d_into(x(0), w, tail.b.as_deref(), *stride, *padding, out),
             Kernel::DensePacked { w, tail } => {
                 let (b, act) = (tail.b.as_deref(), tail.act);
                 gemm::dense_packed_into(x(0), w, b, act, threads, out, scratch)
@@ -571,12 +534,7 @@ impl Step<'_> {
                 kernel,
                 stride,
                 padding,
-            } => kernels::pool2d_into(x(0), *kind, *kernel, *stride, *padding, out),
-            Kernel::Pool3d {
-                kind,
-                kernel,
-                stride,
-            } => kernels::pool3d_into(x(0), *kind, *kernel, *stride, out),
+            } => kernels::pool_into(x(0), *kind, *kernel, *stride, *padding, out),
             Kernel::BatchNorm { gamma, beta } => kernels::batch_norm_inplace(out, gamma, beta),
             Kernel::Lrn { size } => kernels::lrn_into(x(0), *size, out),
             Kernel::Activation(kind) => kernels::activation_inplace(out, *kind),
@@ -782,10 +740,11 @@ impl<'g> Executor<'g> {
                     bn: None,
                     act: ActivationKind::Linear,
                 };
-                Kernel::Conv3d {
+                Kernel::ConvDirect {
                     w,
-                    stride,
-                    padding,
+                    stride: stride.into(),
+                    padding: padding.into(),
+                    groups: 1,
                     tail,
                 }
             }
@@ -798,18 +757,19 @@ impl<'g> Executor<'g> {
                 padding,
             } => Kernel::Pool {
                 kind,
-                kernel,
-                stride,
-                padding,
+                kernel: [1, kernel.0, kernel.1],
+                stride: [1, stride.0, stride.1],
+                padding: [0, padding.0, padding.1],
             },
             Op::Pool3d {
                 kind,
                 kernel,
                 stride,
-            } => Kernel::Pool3d {
+            } => Kernel::Pool {
                 kind,
-                kernel,
-                stride,
+                kernel: kernel.into(),
+                stride: stride.into(),
+                padding: [0; 3],
             },
             Op::BatchNorm => {
                 let c = self.static_in_channels(node);
@@ -858,8 +818,8 @@ impl<'g> Executor<'g> {
                 Ok(match gemm::select_conv_algo(out_elems, fan_in, groups) {
                     ConvAlgo::Direct => Kernel::ConvDirect {
                         w: self.natural(node, shape, fan_in)?,
-                        stride,
-                        padding,
+                        stride: [1, stride.0, stride.1],
+                        padding: [0, padding.0, padding.1],
                         groups,
                         tail,
                     },
@@ -882,11 +842,11 @@ impl<'g> Executor<'g> {
                 let out_c = in_c * multiplier;
                 let b = bias.then(|| self.weights.bias(name, out_c));
                 let fan_in = kernel.0 * kernel.1;
-                Ok(Kernel::Depthwise {
+                Ok(Kernel::ConvDirect {
                     w: self.natural(node, vec![out_c, 1, kernel.0, kernel.1], fan_in)?,
-                    stride,
-                    padding,
-                    multiplier,
+                    stride: [1, stride.0, stride.1],
+                    padding: [0, padding.0, padding.1],
+                    groups: in_c,
                     tail: Tail { b, bn, act },
                 })
             }

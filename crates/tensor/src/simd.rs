@@ -1,6 +1,7 @@
 //! Runtime-dispatched SIMD kernels: the packed GEMM's register
-//! micro-kernel, its small-batch stream kernel, depthwise convolution and
-//! the precision lowering (f16 rounding and int8 fake quantization).
+//! micro-kernel, its small-batch stream kernel, direct convolution (a
+//! vector kernel for depthwise layers) and the precision lowering (f16
+//! rounding and int8 fake quantization).
 //!
 //! One [`Microkernel`] tier is resolved per executor (never per call site)
 //! behind [`resolve`], and every kernel here runs on it:
@@ -32,10 +33,12 @@
 //! elements* across lanes and never reassociates a reduction. The GEMM
 //! kernels issue fused multiply-adds in strictly ascending `k` —
 //! `_mm256/_mm512_fmadd_ps` and `f32::mul_add` round once alike. Depthwise
-//! repeats `kernels::depthwise_conv2d_into`'s unfused `acc += x * w` per
-//! in-range tap in ascending `(ky, kx)`, and the AVX-512 tier skips an
-//! out-of-range tap with masked loads and a masked add instead of adding a
-//! zero-padded term. The lowering passes work element by element, so
+//! repeats the unfused `acc += x * w` of `kernels::conv_into`, the one
+//! direct convolution loop, per in-range tap in ascending `(ky, kx)`, and
+//! the AVX-512 tier skips an out-of-range tap with masked loads and a
+//! masked add instead of adding a zero-padded term. Every other direct
+//! convolution runs that loop itself. The lowering passes work element by
+//! element, so
 //! there is no order to keep: each lane repeats the reference's rounding
 //! exactly, with NaNs, infinities and subnormals included (see
 //! [`round_f16`] and [`fake_quantize`]). The tiers are therefore
@@ -469,35 +472,42 @@ unsafe fn microkernel_avx512(apan: &[f32], bpan: &[f32], kc: usize, acc: &mut Ac
     }
 }
 
-/// Depthwise 2-D convolution on `kernel`'s tier: the executor's path for
-/// `Op::DepthwiseConv2d`, alone and inside `FusedConvBnAct`. Arguments and
-/// panics are those of [`kernels::depthwise_conv2d_into`], which is the
-/// `Scalar` tier; `masks` is a reusable buffer for the AVX-512 tier's
-/// column masks.
+/// Direct convolution on `kernel`'s tier: the executor's path for every
+/// convolution off the packed GEMM (grouped and depthwise `Conv2d`,
+/// `DepthwiseConv2d` and `Conv3d`, alone and inside `FusedConvBnAct`).
+/// Arguments and panics are those of `kernels::conv_into`, the merged
+/// direct loop. A 2-D layer with one input channel per group (`groups`
+/// equal to the input channels: depthwise) runs the tier's depthwise
+/// kernel; every other layer, and every layer on the `Scalar` tier, runs
+/// `kernels::conv_into`, which is the reference. `masks` is a reusable
+/// buffer for the AVX-512 tier's column masks.
 ///
-/// Every tier repeats the reference's arithmetic per output element: start
-/// from the bias (`+0.0` without one), then add each in-range tap in
-/// ascending `(ky, kx)` as a rounded `x * w` followed by a rounded add —
-/// no FMA, since the reference's `acc += x * w` is not contracted.
-/// Out-of-range taps are skipped, never zero-padded: a weight flipped to
-/// ±Inf or NaN would turn a padded `0 · w` into NaN where the reference
-/// stays finite.
+/// Every depthwise tier repeats the reference's arithmetic per output
+/// element: start from the bias (`+0.0` without one), then add each
+/// in-range tap in ascending `(ky, kx)` as a rounded `x * w` followed by a
+/// rounded add — no FMA, since the reference's `acc += x * w` is not
+/// contracted. Out-of-range taps are skipped, never zero-padded: a weight
+/// flipped to ±Inf or NaN would turn a padded `0 · w` into NaN where the
+/// reference stays finite.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn depthwise(
+pub(crate) fn conv(
     kernel: Microkernel,
     x: &Tensor,
     weight: &Tensor,
     bias: Option<&[f32]>,
-    stride: (usize, usize),
-    padding: (usize, usize),
-    multiplier: usize,
+    stride: [usize; 3],
+    padding: [usize; 3],
+    groups: usize,
     out: &mut Tensor,
     masks: &mut Vec<TapMask>,
 ) {
-    if kernel == Microkernel::Scalar {
-        kernels::depthwise_conv2d_into(x, weight, bias, stride, padding, multiplier, out);
+    let depthwise = x.shape().rank() == 4 && groups == x.shape().channels();
+    if kernel == Microkernel::Scalar || !depthwise {
+        kernels::conv_into(x, weight, bias, stride, padding, groups, out);
         return;
     }
+    let (stride, padding) = ((stride[1], stride[2]), (padding[1], padding[2]));
+    let multiplier = weight.shape().dim(0) / groups;
     let g = DwGeom::new(x, weight, stride, padding, multiplier);
     let planes = g.n * g.in_c * multiplier;
     assert_eq!(out.len(), planes * g.oh * g.ow, "depthwise output mismatch");
@@ -1135,18 +1145,14 @@ mod tests {
                                 }
                                 let b = Tensor::random([out_c], 7 * case as u64);
                                 let bias = with_bias.then(|| b.data());
-                                let (st, pd) = ((stride, stride), (pad, pad));
+                                let (st, pd) = ([1, stride, stride], [0, pad, pad]);
                                 let oh = (ih + 2 * pad - k) / stride + 1;
                                 let ow = (iw + 2 * pad - k) / stride + 1;
                                 let mut want = Tensor::zeros([2, out_c, oh, ow]);
-                                kernels::depthwise_conv2d_into(
-                                    &x, &w, bias, st, pd, mult, &mut want,
-                                );
+                                kernels::conv_into(&x, &w, bias, st, pd, 2, &mut want);
                                 for &tier in &tiers {
                                     let mut got = Tensor::random([2, out_c, oh, ow], 3);
-                                    depthwise(
-                                        tier, &x, &w, bias, st, pd, mult, &mut got, &mut masks,
-                                    );
+                                    conv(tier, &x, &w, bias, st, pd, 2, &mut got, &mut masks);
                                     assert_eq!(
                                         bits(&got),
                                         bits(&want),

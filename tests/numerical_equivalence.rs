@@ -338,24 +338,28 @@ proptest! {
         // The depthwise tiers repeat the reference's mul-then-add per tap
         // and skip out-of-range taps, so the SIMD kernel must match the
         // scalar loop bit for bit — strides above 2 take the portable loop.
-        let (g, seed) = case;
-        let shape = g.node(g.input_ids()[0]).output_shape().dims().to_vec();
-        let x = Tensor::random(shape, seed);
-        let scalar = Executor::new(&g)
-            .with_seed(9)
-            .with_kernel(KernelKind::Scalar)
-            .with_intra_op_threads(1)
-            .run(&x)
-            .unwrap();
-        for threads in [1usize, 2, 8] {
-            let exec = Executor::new(&g)
+        // The same layer as a grouped `Conv2d` with one input channel per
+        // group reaches the same kernels.
+        let (graphs, seed) = case;
+        for g in &graphs {
+            let shape = g.node(g.input_ids()[0]).output_shape().dims().to_vec();
+            let x = Tensor::random(shape, seed);
+            let scalar = Executor::new(g)
                 .with_seed(9)
-                .with_kernel(KernelKind::Auto)
-                .with_intra_op_threads(threads);
-            let plain = exec.run(&x).unwrap();
-            prop_assert_eq!(scalar.data(), plain.data(), "diverged at {} threads", threads);
-            let prepared = exec.prepare().unwrap().run(&x).unwrap();
-            prop_assert_eq!(scalar.data(), prepared.data(), "prepared diverged at {} threads", threads);
+                .with_kernel(KernelKind::Scalar)
+                .with_intra_op_threads(1)
+                .run(&x)
+                .unwrap();
+            for threads in [1usize, 2, 8] {
+                let exec = Executor::new(g)
+                    .with_seed(9)
+                    .with_kernel(KernelKind::Auto)
+                    .with_intra_op_threads(threads);
+                let plain = exec.run(&x).unwrap();
+                prop_assert_eq!(scalar.data(), plain.data(), "{} diverged at {} threads", g.name(), threads);
+                let prepared = exec.prepare().unwrap().run(&x).unwrap();
+                prop_assert_eq!(scalar.data(), prepared.data(), "{} prepared diverged at {} threads", g.name(), threads);
+            }
         }
     }
 }
@@ -363,25 +367,38 @@ proptest! {
 /// Strategy: one depthwise layer with randomized geometry — batch,
 /// channels, multiplier 1 or 2, bias, ragged height and width, kernel,
 /// stride 1–3 and padding — as the whole graph, so every output element is
-/// compared.
-fn arb_depthwise_case() -> impl Strategy<Value = (Graph, u64)> {
+/// compared; once as `DepthwiseConv2d` and once as the grouped `Conv2d`
+/// with `groups` equal to the input channels.
+fn arb_depthwise_case() -> impl Strategy<Value = ([Graph; 2], u64)> {
     let size = (1usize..=3, 1usize..=8, 1usize..=2, prop::bool::ANY); // batch, cin, multiplier, bias
     let geom = (5usize..=40, 5usize..=40, 0usize..=2, 1usize..=3, 0usize..=2); // h, w, k sel, stride, pad
     (size, geom, 0usize..1_000_000).prop_map(
         |((batch, cin, multiplier, bias), (h, w, ksel, stride, pad), seed)| {
             let k = [1usize, 3, 5][ksel];
             let pad = pad.min(k / 2);
-            let mut b = GraphBuilder::new("depthwise-case");
-            let x = b.input([batch, cin, h, w]);
-            let op = Op::DepthwiseConv2d {
+            let depthwise = Op::DepthwiseConv2d {
                 multiplier,
                 kernel: (k, k),
                 stride: (stride, stride),
                 padding: (pad, pad),
                 bias,
             };
-            let d = b.push_auto(op, vec![x]).unwrap();
-            (b.build(d).unwrap(), seed as u64)
+            let grouped = Op::Conv2d {
+                out_channels: cin * multiplier,
+                kernel: (k, k),
+                stride: (stride, stride),
+                padding: (pad, pad),
+                groups: cin,
+                bias,
+            };
+            let graphs =
+                [("depthwise-case", depthwise), ("grouped-case", grouped)].map(|(name, op)| {
+                    let mut b = GraphBuilder::new(name);
+                    let x = b.input([batch, cin, h, w]);
+                    let d = b.push_auto(op, vec![x]).unwrap();
+                    b.build(d).unwrap()
+                });
+            (graphs, seed as u64)
         },
     )
 }
