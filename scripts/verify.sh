@@ -17,13 +17,16 @@ cargo test -q --offline --test numerical_equivalence \
     simd_and_scalar_kernels_are_bitwise_identical
 # Output bytes pinned across commits: CifarNet, an LSTM, a GRU, a fused
 # graph and two op-coverage graphs, at f32, f16 and int8 and at sparsity 0
-# and 0.5, must keep their recorded output digests on the auto tier at 1
-# and 2 threads and on the scalar tier.
+# and 0.5, must keep their recorded output digests, and the chain digests
+# of every node's output, on the auto tier at 1 and 2 threads and on the
+# scalar tier.
 cargo test -q --offline --test golden_outputs
-# Depthwise convolution runs on the same tier: the AVX-512 kernel and the
-# portable loop must equal the scalar reference bit for bit on a grid of
-# widths, kernels, strides, paddings, multipliers and biases, with ±Inf and
-# NaN weights at border taps, and on random layers through the executor.
+# Direct convolution runs on the same tier: for depthwise layers the
+# AVX-512 kernel and the portable loop must equal the scalar reference, the
+# one direct convolution loop, bit for bit on a grid of widths, kernels,
+# strides, paddings, multipliers and biases, with ±Inf and NaN weights at
+# border taps, and on random layers through the executor, each run as a
+# DepthwiseConv2d and as the grouped Conv2d with one input channel per group.
 cargo test -q --offline -p edgebench-tensor \
     depthwise_tiers_are_bitwise_identical_to_the_reference
 cargo test -q --offline --test numerical_equivalence \
@@ -213,6 +216,8 @@ scripts/bench_snapshot.sh --check BENCH_kernels.json
 scripts/bench_snapshot_test.sh
 # The A/B pair runner builds and runs the benchmark for minutes: syntax only.
 bash -n scripts/ab.sh
+# Non-test library lines per crate, on one rule (printed, not gated).
+scripts/loc.sh
 # Docs are part of the contract: broken intra-doc links fail the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
