@@ -8,7 +8,7 @@ use criterion::{
 };
 use edgebench_graph::{ActivationKind, Graph, GraphBuilder, PoolKind};
 use edgebench_tensor::gemm::{self, Epilogue, GemmScratch, PackedPanels};
-use edgebench_tensor::simd::{MR, NR};
+use edgebench_tensor::simd::{self, MR, NR};
 use edgebench_tensor::{kernels, Executor, KernelKind, Tensor};
 use std::hint::black_box;
 
@@ -25,10 +25,14 @@ fn synthetic(rows: usize, k: usize, width: usize) -> PackedPanels {
     .expect("bench weights fit in memory")
 }
 
-/// Times `graph` on a prepared executor at one intra-op thread, through
-/// `run_into`: the plan the executor runs, with no allocation per call.
-fn bench_prepared(g: &mut BenchmarkGroup<'_>, name: String, graph: &Graph) {
-    let exec = Executor::new(graph).prepare().expect("prepare");
+/// Times `graph` on a prepared executor at one intra-op thread on `kind`'s
+/// tier, through `run_into`: the plan the executor runs, with no allocation
+/// per call.
+fn bench_prepared(g: &mut BenchmarkGroup<'_>, name: String, graph: &Graph, kind: KernelKind) {
+    let exec = Executor::new(graph)
+        .with_kernel(kind)
+        .prepare()
+        .expect("prepare");
     let dims = graph.node(graph.input_ids()[0]).output_shape().dims();
     let x = Tensor::random(dims.to_vec(), 1);
     let mut out = Tensor::zeros([0]);
@@ -59,7 +63,7 @@ fn bench_conv2d(c: &mut Criterion) {
         let graph = b.build(conv).unwrap();
         g.throughput(Throughput::Elements((cout * cin * k * k * hw * hw) as u64));
         let name = format!("prepared/{cin}x{hw}x{hw}->{cout}k{k}");
-        bench_prepared(&mut g, name, &graph);
+        bench_prepared(&mut g, name, &graph, KernelKind::Auto);
     }
     g.finish();
 }
@@ -73,7 +77,8 @@ fn bench_depthwise(c: &mut Criterion) {
     // The executor's depthwise path on the forced-scalar reference and on
     // the SIMD tier, at two MobileNet-v2 layers (3×3, padding 1): a
     // stride-1 block layer and the stride-2 layer that halves 112×112.
-    // Each runs as a one-node graph on a prepared executor, one thread.
+    // Each runs as a one-node graph on a prepared executor through
+    // `run_into`, one thread.
     let mut g = c.benchmark_group("depthwise");
     for (ch, hw, stride) in [(144usize, 56usize, 1usize), (96, 112, 2)] {
         let mut b = GraphBuilder::new("depthwise");
@@ -82,17 +87,11 @@ fn bench_depthwise(c: &mut Criterion) {
             .depthwise(input, (3, 3), (stride, stride), (1, 1))
             .unwrap();
         let graph = b.build(dw).unwrap();
-        let x = Tensor::random([1, ch, hw, hw], 1);
         let out_hw = hw / stride;
         g.throughput(Throughput::Elements((ch * out_hw * out_hw * 9) as u64));
         for (label, kind) in [("scalar", KernelKind::Scalar), ("simd", KernelKind::Auto)] {
-            let exec = Executor::new(&graph)
-                .with_kernel(kind)
-                .prepare()
-                .expect("prepare");
-            g.bench_function(format!("{label}/{ch}x{hw}x{hw}s{stride}"), |bch| {
-                bch.iter(|| black_box(exec.run(&x).unwrap()))
-            });
+            let name = format!("{label}/{ch}x{hw}x{hw}s{stride}");
+            bench_prepared(&mut g, name, &graph, kind);
         }
     }
     g.finish();
@@ -113,7 +112,8 @@ fn bench_pool(c: &mut Criterion) {
         .unwrap();
     let graph = b.build(p).unwrap();
     g.throughput(Throughput::Elements((64 * 56 * 56 * 9) as u64));
-    bench_prepared(&mut g, "prepared/max3x3s2p1_64x112x112".into(), &graph);
+    let name = "prepared/max3x3s2p1_64x112x112".into();
+    bench_prepared(&mut g, name, &graph, KernelKind::Auto);
     let mut b = GraphBuilder::new("pool3d");
     let input = b.input([1, 128, 12, 56, 56]);
     let op = Op::Pool3d {
@@ -124,7 +124,8 @@ fn bench_pool(c: &mut Criterion) {
     let p = b.push_auto(op, vec![input]).unwrap();
     let graph = b.build(p).unwrap();
     g.throughput(Throughput::Elements((128 * 6 * 28 * 28 * 8) as u64));
-    bench_prepared(&mut g, "prepared/max2x2x2_128x12x56x56".into(), &graph);
+    let name = "prepared/max2x2x2_128x12x56x56".into();
+    bench_prepared(&mut g, name, &graph, KernelKind::Auto);
     g.finish();
 }
 
@@ -188,7 +189,6 @@ fn bench_elementwise(c: &mut Criterion) {
 }
 
 fn bench_precision(c: &mut Criterion) {
-    use edgebench_tensor::simd;
     // The executor's lowering passes over one 64k-element tensor, on the
     // forced-scalar reference and on the SIMD tier, side by side: f16
     // rounding, int8 fake quantization (range pass plus rounding pass) and
@@ -228,6 +228,26 @@ fn bench_gemm(c: &mut Criterion) {
     // vectorization win (same packing, same blocking, scalar FMAs);
     // `naive` is the unpacked baseline.
     let mut g = c.benchmark_group("gemm");
+    // The tile's ceiling: the resolved tier's micro-kernel over one packed
+    // A micro-panel and one B panel, both resident in L1 at KC 256, beside
+    // 16 independent FMA chains on the host's widest vector. Throughput is
+    // multiply-adds, so both rates read in GMAC/s.
+    let tier = simd::resolve(KernelKind::Auto);
+    const KC: usize = 256;
+    let (apan, bpan) = (Tensor::random([KC * MR], 1), Tensor::random([KC * NR], 2));
+    let mut acc = [[0.0f32; NR]; MR];
+    g.throughput(Throughput::Elements((KC * MR * NR) as u64));
+    g.bench_function("microkernel/kc256", |bch| {
+        bch.iter(|| {
+            simd::microkernel(tier, apan.data(), bpan.data(), KC, &mut acc);
+            black_box(acc[0][0])
+        })
+    });
+    const STEPS: usize = 1024;
+    g.throughput(Throughput::Elements(simd::fma_peak(tier, STEPS).0 as u64));
+    g.bench_function("fma_peak", |bch| {
+        bch.iter(|| black_box(simd::fma_peak(tier, black_box(STEPS))))
+    });
     for &(m, k, n) in &[(32usize, 128usize, 128usize), (64, 576, 256)] {
         let a = Tensor::random([m, k], 1);
         let w = synthetic(n, k, NR);
@@ -299,8 +319,9 @@ fn bench_fused_conv(c: &mut Criterion) {
     let unfused = b.build(relu).unwrap();
     let fused = passes::fuse_conv_bn_act(&unfused).unwrap();
     let mut g = c.benchmark_group("fused_conv");
-    bench_prepared(&mut g, "prepared-unfused_32x28->64".into(), &unfused);
-    bench_prepared(&mut g, "prepared-fused_32x28->64".into(), &fused);
+    let auto = KernelKind::Auto;
+    bench_prepared(&mut g, "prepared-unfused_32x28->64".into(), &unfused, auto);
+    bench_prepared(&mut g, "prepared-fused_32x28->64".into(), &fused, auto);
     g.finish();
 }
 

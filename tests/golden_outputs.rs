@@ -25,11 +25,13 @@
 //! concat, slice, upsample, flatten, packed and direct dense layers (one
 //! fused with its activation), dropout and softmax.
 
+mod support;
+
 use edgebench_frameworks::passes;
 use edgebench_graph::{ActivationKind, Graph, GraphBuilder, Op, PoolKind};
 use edgebench_models::{rnn, Model};
-use edgebench_tensor::integrity::checksum_f32;
-use edgebench_tensor::{Executor, KernelKind, Precision, PreparedExecutor, Tensor};
+use edgebench_tensor::{Executor, KernelKind, Precision, Tensor};
+use support::{chain, digests, node_lines, Digests};
 
 /// The configurations, in the order of each graph's pinned digests.
 const CONFIGS: [(Precision, f32); 6] = [
@@ -40,37 +42,6 @@ const CONFIGS: [(Precision, f32); 6] = [
     (Precision::Int8, 0.0),
     (Precision::Int8, 0.5),
 ];
-
-/// One run: the output's digest and every node's (node index, output
-/// digest), in step order.
-type Digests = (u64, Vec<(usize, u64)>);
-
-fn digests(exec: &PreparedExecutor<'_>, x: &Tensor) -> Digests {
-    let mut nodes = Vec::new();
-    let (y, _) = exec
-        .run_observed(x, &mut |i, y| {
-            nodes.push((i, checksum_f32(y.data())));
-            Ok(())
-        })
-        .unwrap();
-    (checksum_f32(y.data()), nodes)
-}
-
-/// Folds per-node digests, in step order, into one chain digest.
-fn chain(nodes: &[(usize, u64)]) -> u64 {
-    nodes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &(_, d)| {
-        (h ^ d).wrapping_mul(0x1000_0000_01b3)
-    })
-}
-
-/// One line per node: index, name and output digest.
-fn node_lines(g: &Graph, nodes: &[(usize, u64)]) -> String {
-    let name = |i: usize| g.nodes()[i].name().to_string();
-    let lines = nodes
-        .iter()
-        .map(|&(i, d)| format!("  {i:>3} {:<24} {d:#018x}", name(i)));
-    lines.collect::<Vec<_>>().join("\n")
-}
 
 /// Runs `g` under every configuration and execution setting and checks
 /// each output digest against `pinned` and each chain digest against
