@@ -123,9 +123,11 @@ impl Blocking {
     /// reserve huge buffers.
     pub(crate) fn choose((m, k, n): (usize, usize, usize), cache: &CacheInfo) -> Blocking {
         let elem = std::mem::size_of::<f32>();
-        // KC: one KC×NR B panel plus one MR×KC A micro-panel at half L1d
-        // (the other half holds the C tile and incoming streams).
-        let kc_budget = cache.l1d / (2 * elem * (MR + NR));
+        // KC: one KC×NR B panel plus one MR×KC A micro-panel in five sixths
+        // of L1d (the rest holds the C tile and the next panel's first
+        // rows): 256 on a 48 KiB L1d. A deeper block reloads the C tile
+        // less often; see DESIGN.md for the depths measured.
+        let kc_budget = 5 * cache.l1d / (6 * elem * (MR + NR));
         let kc = round_down(kc_budget, 8, 1024).min(k.max(1));
         // MC: the packed MC×KC A panel at half L2.
         let mc_budget = cache.l2 / (2 * elem * kc);
