@@ -21,6 +21,14 @@ cargo test -q --offline --test numerical_equivalence \
 # of every node's output, on the auto tier at 1 and 2 threads and on the
 # scalar tier.
 cargo test -q --offline --test golden_outputs
+# The same per-node identity on the end-to-end benchmark's own models
+# (CifarNet, MobileNet-v2, ResNet-18, AlexNet, VGG-S-32 at batch 1 and 4,
+# f32/f16/int8, sparsity 0 and 0.5): every node's output digest must agree
+# across the auto tier at 1 and 2 threads and the scalar tier, and a
+# mismatch names the first node that differs. It prints one output and
+# chain digest per configuration, to diff against a parent commit's run
+# (release, about 75-110 s).
+cargo test -q --release --offline --test model_chains -- --ignored
 # Direct convolution runs on the same tier: for depthwise layers the
 # AVX-512 kernel and the portable loop must equal the scalar reference, the
 # one direct convolution loop, bit for bit on a grid of widths, kernels,
@@ -45,20 +53,27 @@ cargo test -q --release --offline -p edgebench-tensor --lib \
 # ragged shapes must equal the naive reference bit for bit on every kernel
 # tier, forced blocking (kc = 1 included) and 1, 2 and 8 threads, and the
 # SDC layer must address packed weights by their natural (logical) index.
-# The property test draws at most MR + 1 dense rows; the blocked-dense
-# grid holds layers of MR + 1 to 130 rows, up to 17 MR-row panels, to the
-# same reference on the same tiers, blockings and threads.
+# The property test draws at most MR + 1 dense rows and up to three NR
+# panels of units; the blocked-dense grid holds layers of MR + 1 to 130
+# rows, up to 17 MR-row panels, to the same reference on the same tiers,
+# blockings and threads.
 cargo test -q --offline -p edgebench-tensor \
     prepacked_operands_are_bitwise_identical_to_reference
 cargo test -q --offline -p edgebench-tensor \
     blocked_dense_is_bitwise_identical_to_reference_on_every_tier_blocking_and_thread_count
 cargo test -q --offline --test sdc \
     packed_weight_flips_address_logical_elements
+# A tile whose valid columns fit in its first 16 lanes computes only those:
+# that half must equal the full 8x32 tile and the plain reference loop bit
+# for bit on every host tier, at every valid width 1..=NR, from a zero tile
+# and from a reloaded C tile.
+cargo test -q --offline -p edgebench-tensor \
+    half_tile_is_bitwise_identical_to_the_full_tile_and_the_reference
 # A convolution packs its B panels straight from the image: the packer must
 # write exactly the bytes of packing the im2col matrix, as bits, over
 # kernels 1×1 to 11×11 and one-sided, strides 1–4, paddings 0–3, output
-# widths around NR and blocks starting mid-window and mid-row, on inputs
-# with NaN payloads, ±Inf and −0.0.
+# widths around NR and its 16-lane half, and blocks starting mid-window and
+# mid-row, on inputs with NaN payloads, ±Inf and −0.0.
 cargo test -q --offline -p edgebench-tensor \
     image_packer_is_bitwise_identical_to_packing_the_im2col_matrix
 # Buffers fixed at prepare: a warm prepared executor allocates nothing of
