@@ -47,6 +47,7 @@ use edgebench::experiments;
 use edgebench::runtime::{
     self, DropPolicy, ExecMode, RuntimeConfig, SentryConfig, SuperviseConfig,
 };
+use edgebench::sdc;
 use edgebench::serve::{
     geo, BreakerConfig, Fleet, ReplicaSpec, RetryBudgetConfig, RoutePolicy, ServeConfig, TraceFile,
     Traffic,
@@ -60,8 +61,7 @@ use edgebench_graph::viz;
 use edgebench_measure::EventLog;
 use edgebench_models::Model;
 use edgebench_tensor::{
-    ExecError, Executor, GuardConfig, GuardedExecutor, KernelKind, Precision, PreparedExecutor,
-    Tensor,
+    ExecError, Executor, GuardConfig, KernelKind, Precision, PreparedExecutor, Tensor,
 };
 use std::env;
 use std::fmt;
@@ -641,25 +641,6 @@ fn run_infer(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Flips seeded activation bits in `t` for `(iteration, attempt, node)`.
-/// Activation regions live at `(1 << 32) + node` so their draws are
-/// disjoint from the weight regions (bare node index).
-fn flip_activation_bits(
-    model: &MemoryFaultModel,
-    iteration: u64,
-    attempt: u32,
-    node: usize,
-    t: &mut Tensor,
-    count: &mut u64,
-) {
-    let exposure = iteration * 2 + attempt as u64;
-    for flip in model.flips((1 << 32) + node as u64, exposure, t.data().len()) {
-        let word = t.data()[flip.element].to_bits() ^ (1u32 << flip.bit);
-        t.data_mut()[flip.element] = f32::from_bits(word);
-        *count += 1;
-    }
-}
-
 /// Runs the seeded bit-flip campaign behind `infer --flip-rate`: weight
 /// flips persist across iterations (repaired only when `--guards` arms
 /// the scrubbing), activation flips are transient. Every printed count is
@@ -668,8 +649,6 @@ fn flip_activation_bits(
 fn run_infer_sdc(run: &InferRun, exec: PreparedExecutor<'_>, x: &Tensor) -> ExitCode {
     let wf = MemoryFaultModel::new(run.flip_seed, run.flip_rate);
     let af = MemoryFaultModel::new(run.flip_seed ^ 0xa5a5, run.flip_rate);
-    let mut weight_flips = 0u64;
-    let mut act_flips = 0u64;
     println!(
         "{} | batch {} | {:?} | flip rate {:e}/byte/inference | seed {} | guards {}",
         run.model,
@@ -679,48 +658,48 @@ fn run_infer_sdc(run: &InferRun, exec: PreparedExecutor<'_>, x: &Tensor) -> Exit
         run.flip_seed,
         if run.guards { "on" } else { "off" },
     );
-    if run.guards {
-        let mut guard = GuardedExecutor::new(exec, GuardConfig::default());
-        let cal: Vec<Tensor> = (0..2)
-            .map(|i| Tensor::random(x.shape().clone(), run.seed ^ (0x100 + i)))
-            .collect();
-        let cal_refs: Vec<&Tensor> = cal.iter().collect();
-        if let Err(e) = guard.calibrate(&cal_refs) {
-            eprintln!("calibration failed: {e}");
+    // Two clean inputs calibrate the guards' activation envelopes.
+    let cal: Vec<Tensor> = (0..2)
+        .map(|i| Tensor::random(x.shape().clone(), run.seed ^ (0x100 + i)))
+        .collect();
+    let guards = run.guards.then_some((GuardConfig::default(), &cal[..]));
+    let (mut served, mut refused, mut checksum) = (0u64, 0u64, 0u64);
+    // The clock starts at the first inference, after any calibration.
+    let mut t0 = None;
+    let campaign = sdc::run_campaign(
+        &wf,
+        &af,
+        exec,
+        guards,
+        run.iters,
+        |_| {
+            t0.get_or_insert_with(std::time::Instant::now);
+            x
+        },
+        |_, out| match out {
+            Ok(y) => {
+                served += 1;
+                checksum = edgebench_tensor::integrity::checksum_f32(y.data());
+            }
+            Err(_) => refused += 1,
+        },
+    );
+    let c = match campaign {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("inference failed: {e}");
             return ExitCode::FAILURE;
         }
-        let t0 = std::time::Instant::now();
-        let (mut served, mut refused) = (0u64, 0u64);
-        for i in 0..run.iters {
-            for node in 0..guard.inner().node_count() {
-                for flip in wf.flips(node as u64, i as u64, guard.inner().param_elems(node)) {
-                    if guard
-                        .inner_mut()
-                        .corrupt_param_bit(node, flip.element, flip.bit)
-                    {
-                        weight_flips += 1;
-                    }
-                }
-            }
-            let counter = &mut act_flips;
-            let res = guard.run_injected(x, &mut |attempt, node, t| {
-                flip_activation_bits(&af, i as u64, attempt, node, t, counter)
-            });
-            match res {
-                Ok(_) => served += 1,
-                Err(ExecError::Corrupted { .. }) => refused += 1,
-                Err(e) => {
-                    eprintln!("inference failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        let per_iter = t0.elapsed().as_secs_f64() / run.iters as f64;
-        let s = guard.stats();
-        println!(
-            "latency {:.3} ms/batch | flips injected: {weight_flips} weight, {act_flips} activation",
-            per_iter * 1e3,
-        );
+    };
+    let elapsed = t0.map_or(0.0, |t0| t0.elapsed().as_secs_f64());
+    println!(
+        "latency {:.3} ms/batch | flips injected: {} weight, {} activation",
+        elapsed / run.iters as f64 * 1e3,
+        c.weight_flips,
+        c.act_flips,
+    );
+    if run.guards {
+        let s = c.guard;
         println!(
             "served {served} | refused {refused} | scrubs {} | checksum mismatches {} | \
              repairs {} ({} bytes rewritten) | guard trips {} | retries {} | recovered {}",
@@ -733,35 +712,6 @@ fn run_infer_sdc(run: &InferRun, exec: PreparedExecutor<'_>, x: &Tensor) -> Exit
             s.recovered,
         );
     } else {
-        let mut exec = exec;
-        let t0 = std::time::Instant::now();
-        let mut checksum = 0u64;
-        for i in 0..run.iters {
-            for node in 0..exec.node_count() {
-                for flip in wf.flips(node as u64, i as u64, exec.param_elems(node)) {
-                    if exec.corrupt_param_bit(node, flip.element, flip.bit) {
-                        weight_flips += 1;
-                    }
-                }
-            }
-            let counter = &mut act_flips;
-            let res = exec.run_observed(x, &mut |node, t| {
-                flip_activation_bits(&af, i as u64, 0, node, t, counter);
-                Ok(())
-            });
-            match res {
-                Ok((out, _)) => checksum = edgebench_tensor::integrity::checksum_f32(out.data()),
-                Err(e) => {
-                    eprintln!("inference failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        let per_iter = t0.elapsed().as_secs_f64() / run.iters as f64;
-        println!(
-            "latency {:.3} ms/batch | flips injected: {weight_flips} weight, {act_flips} activation",
-            per_iter * 1e3,
-        );
         println!(
             "final output checksum {checksum:016x} (corruption accumulates unrepaired; \
              compare against --flip-rate 0)"

@@ -7,7 +7,8 @@
 //! against CifarNet — the seeded [`MemoryFaultModel`] flips weight bits
 //! cumulatively and activation bits transiently — and sweeps
 //! flip rate × scrub cadence × precision with the
-//! [`GuardedExecutor`] defense armed versus a defenseless baseline.
+//! `GuardedExecutor` defense armed versus a defenseless baseline, all
+//! through the one campaign runner, [`sdc::run_campaign`].
 //!
 //! Outputs are classified against a pristine same-seed reference run at
 //! two severities: `mismatched` counts any bitwise deviation (a one-ulp
@@ -25,10 +26,11 @@
 
 use super::Experiment;
 use crate::report::Report;
+use crate::sdc::{self, CampaignStats};
 use edgebench_devices::faults::MemoryFaultModel;
 use edgebench_graph::Graph;
 use edgebench_models::Model;
-use edgebench_tensor::{ExecError, Executor, GuardConfig, GuardedExecutor, Precision, Tensor};
+use edgebench_tensor::{Executor, GuardConfig, Precision, Tensor};
 
 /// `ext-sdc` — bit-flip injection vs the integrity-guard defense.
 pub(crate) struct ExtSdc;
@@ -44,10 +46,6 @@ const INFERENCES: usize = 12;
 
 /// Clean inputs used to calibrate the activation envelopes.
 const CALIBRATION: usize = 3;
-
-/// Region-id namespace offset separating activation regions from weight
-/// regions (which use the bare node index).
-const ACT_REGION: u64 = 1 << 32;
 
 /// The flip rates swept, flips per byte per inference. `1e-7` is the
 /// acceptance-criterion rate; `5e-6` is a heavy-corruption regime where
@@ -85,28 +83,28 @@ fn arms() -> Vec<Arm> {
 /// Outcome counters for one arm, all deterministic counts.
 #[derive(Default)]
 struct ArmResult {
-    weight_flips: u64,
-    act_flips: u64,
+    campaign: CampaignStats,
     served: u64,
     /// Served outputs differing bitwise from the reference at all.
     mismatched: u64,
     /// Served outputs with decision-level corruption (top-1 changed or
     /// non-finite).
     corrupted_served: u64,
-    /// Inferences refused with a typed [`ExecError::Corrupted`].
+    /// Inferences refused with a typed `ExecError::Corrupted`.
     refused: u64,
-    /// Corruption signals caught: checksum mismatches + guard trips.
-    detected: u64,
-    repairs: u64,
-    repaired_bytes: u64,
 }
 
 impl ArmResult {
+    /// Corruption signals caught: checksum mismatches + guard trips.
+    fn detected(&self) -> u64 {
+        self.campaign.guard.checksum_mismatches + self.campaign.guard.guard_trips
+    }
+
     /// Fraction of corruption signals caught before (or instead of)
     /// serving a decision-corrupted answer: caught / (caught + escaped).
     /// 1.0 when the campaign produced nothing to catch.
     fn coverage(&self) -> f64 {
-        let caught = self.detected as f64;
+        let caught = self.detected() as f64;
         let escaped = self.corrupted_served as f64;
         if caught + escaped == 0.0 {
             1.0
@@ -126,25 +124,10 @@ fn argmax(data: &[f32]) -> usize {
     best
 }
 
-/// Flips activation bits in `t` for `(inference, attempt, node)` — keyed
-/// on the attempt so the post-scrub retry sees an independent (usually
-/// clean) transient draw, as a real soft error would.
-fn inject_activations(
-    model: &MemoryFaultModel,
-    inference: usize,
-    attempt: u32,
-    node: usize,
-    t: &mut Tensor,
-    count: &mut u64,
-) {
-    let exposure = (inference as u64) * 2 + attempt as u64;
-    for flip in model.flips(ACT_REGION + node as u64, exposure, t.data().len()) {
-        let word = t.data()[flip.element].to_bits() ^ (1u32 << flip.bit);
-        t.data_mut()[flip.element] = f32::from_bits(word);
-        *count += 1;
-    }
-}
-
+/// Runs one arm's campaign: weight flips persist until repaired,
+/// activation flips are transient; the guarded arms scrub on the arm's
+/// cadence, and the defenseless baseline lets corruption accumulate for
+/// the whole campaign.
 fn run_arm(
     graph: &Graph,
     precision: Precision,
@@ -153,80 +136,41 @@ fn run_arm(
     cal: &[Tensor],
     arm: &Arm,
 ) -> ArmResult {
-    let mk = || {
-        Executor::new(graph)
-            .with_seed(SEED)
-            .with_precision(precision)
-            .prepare()
-            .expect("cifarnet plan is well-formed")
-    };
+    let exec = Executor::new(graph)
+        .with_seed(SEED)
+        .with_precision(precision)
+        .prepare()
+        .expect("cifarnet plan is well-formed");
     let wf = MemoryFaultModel::new(FAULT_SEED, arm.rate);
     let af = MemoryFaultModel::new(FAULT_SEED ^ 0xa5a5, arm.rate);
+    let guards = arm
+        .guards
+        .then(|| (GuardConfig::default().with_cadence(arm.cadence), cal));
     let mut res = ArmResult::default();
-    let classify = |res: &mut ArmResult, out: &Tensor, reference: &Tensor| {
-        res.served += 1;
-        if out.data() != reference.data() {
-            res.mismatched += 1;
-        }
-        if out.data().iter().any(|v| !v.is_finite())
-            || argmax(out.data()) != argmax(reference.data())
-        {
-            res.corrupted_served += 1;
-        }
-    };
-
-    if arm.guards {
-        let mut guard =
-            GuardedExecutor::new(mk(), GuardConfig::default().with_cadence(arm.cadence));
-        let cal_refs: Vec<&Tensor> = cal.iter().collect();
-        guard.calibrate(&cal_refs).expect("calibration runs clean");
-        for (i, input) in inputs.iter().enumerate() {
-            for node in 0..guard.inner().node_count() {
-                for flip in wf.flips(node as u64, i as u64, guard.inner().param_elems(node)) {
-                    if guard
-                        .inner_mut()
-                        .corrupt_param_bit(node, flip.element, flip.bit)
-                    {
-                        res.weight_flips += 1;
-                    }
+    let campaign = sdc::run_campaign(
+        &wf,
+        &af,
+        exec,
+        guards,
+        inputs.len(),
+        |i| &inputs[i],
+        |i, out| match out {
+            Ok(out) => {
+                let reference = refs[i].data();
+                res.served += 1;
+                if out.data() != reference {
+                    res.mismatched += 1;
+                }
+                if out.data().iter().any(|v| !v.is_finite())
+                    || argmax(out.data()) != argmax(reference)
+                {
+                    res.corrupted_served += 1;
                 }
             }
-            let act_count = &mut res.act_flips;
-            let out = guard.run_injected(input, &mut |attempt, node, t| {
-                inject_activations(&af, i, attempt, node, t, act_count)
-            });
-            match out {
-                Ok(out) => classify(&mut res, &out, &refs[i]),
-                Err(ExecError::Corrupted { .. }) => res.refused += 1,
-                Err(e) => panic!("unexpected executor error: {e}"),
-            }
-        }
-        let stats = guard.stats();
-        res.detected = stats.checksum_mismatches + stats.guard_trips;
-        res.repairs = stats.repairs;
-        res.repaired_bytes = stats.repaired_bytes;
-    } else {
-        // Defenseless baseline: same flip streams, nothing watching.
-        // Weight corruption accumulates for the whole campaign.
-        let mut exec = mk();
-        for (i, input) in inputs.iter().enumerate() {
-            for node in 0..exec.node_count() {
-                for flip in wf.flips(node as u64, i as u64, exec.param_elems(node)) {
-                    if exec.corrupt_param_bit(node, flip.element, flip.bit) {
-                        res.weight_flips += 1;
-                    }
-                }
-            }
-            let act_count = &mut res.act_flips;
-            let (out, _) = exec
-                .run_observed(input, &mut |node, t| {
-                    inject_activations(&af, i, 0, node, t, act_count);
-                    Ok(())
-                })
-                .expect("nothing checks, nothing fails");
-            classify(&mut res, &out, &refs[i]);
-        }
-    }
+            Err(_) => res.refused += 1,
+        },
+    );
+    res.campaign = campaign.expect("only the guards refuse a run");
     res
 }
 
@@ -293,15 +237,15 @@ impl Experiment for ExtSdc {
                         "-".to_string()
                     },
                     if arm.guards { "on" } else { "off" }.to_string(),
-                    res.weight_flips.to_string(),
-                    res.act_flips.to_string(),
+                    res.campaign.weight_flips.to_string(),
+                    res.campaign.act_flips.to_string(),
                     res.served.to_string(),
                     res.mismatched.to_string(),
                     res.corrupted_served.to_string(),
                     res.refused.to_string(),
-                    res.detected.to_string(),
-                    res.repairs.to_string(),
-                    res.repaired_bytes.to_string(),
+                    res.detected().to_string(),
+                    res.campaign.guard.repairs.to_string(),
+                    res.campaign.guard.repaired_bytes.to_string(),
                     format!("{:.4}", res.coverage()),
                 ]);
             }

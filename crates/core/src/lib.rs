@@ -30,6 +30,7 @@ pub mod experiments;
 pub mod parallel;
 pub mod report;
 pub mod runtime;
+pub mod sdc;
 pub mod serve;
 pub mod sweep;
 pub mod workload;

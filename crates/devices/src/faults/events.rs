@@ -48,16 +48,6 @@ pub enum FaultKind {
         /// Index of the lost device.
         device: usize,
     },
-    /// A single bit flipped in a resident memory region (weights, packed
-    /// panels, activations) — the silent-data-corruption primitive.
-    MemoryBitFlip {
-        /// Caller-chosen region id (e.g. the node index in the plan).
-        region: u64,
-        /// Index of the affected `f32` word within the region.
-        element: usize,
-        /// Bit position within the word, `0..32`.
-        bit: u8,
-    },
 }
 
 impl fmt::Display for FaultKind {
@@ -70,11 +60,6 @@ impl fmt::Display for FaultKind {
             FaultKind::TransientCompute { stage } => write!(f, "transient-compute stage={stage}"),
             FaultKind::ThermalThrottle { device } => write!(f, "thermal-throttle dev={device}"),
             FaultKind::ThermalShutdown { device } => write!(f, "thermal-shutdown dev={device}"),
-            FaultKind::MemoryBitFlip {
-                region,
-                element,
-                bit,
-            } => write!(f, "bit-flip region={region} elem={element} bit={bit}"),
         }
     }
 }

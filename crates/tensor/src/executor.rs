@@ -4,7 +4,7 @@
 
 use crate::gemm::{self, ConvAlgo, Epilogue, GemmScratch, PackedPanels};
 use crate::kernels;
-use crate::simd::{self, KernelKind, MR, NR};
+use crate::simd::{self, KernelKind, Microkernel, MR, NR};
 use crate::{ExecError, Tensor};
 use edgebench_graph::{ActivationKind, Graph, Node, Op, PoolKind, TensorShape};
 use rand::rngs::StdRng;
@@ -328,17 +328,15 @@ impl Tail {
     }
 
     /// The weights `w`, then bias, gamma and beta: a layer's parameters in
-    /// the SDC layer's canonical order.
-    fn params<'a>(&'a self, w: &'a dyn Stored) -> Vec<&'a dyn Stored> {
-        let bn = self.bn.iter().flat_map(|(g, s)| [g, s]);
-        let vectors = self.b.iter().chain(bn).map(|v| v as &dyn Stored);
-        std::iter::once(w).chain(vectors).collect()
+    /// the SDC layer's canonical order, those it lacks `None`.
+    fn params<'a>(&'a self, w: &'a dyn Stored) -> [Option<&'a dyn Stored>; 4] {
+        let (g, s) = self.bn.as_ref().map(|(g, s)| (g as _, s as _)).unzip();
+        [Some(w), self.b.as_ref().map(|b| b as _), g, s]
     }
 
-    fn params_mut<'a>(&'a mut self, w: &'a mut dyn Stored) -> Vec<&'a mut dyn Stored> {
-        let bn = self.bn.iter_mut().flat_map(|(g, s)| [g, s]);
-        let vectors = self.b.iter_mut().chain(bn).map(|v| v as &mut dyn Stored);
-        std::iter::once(w).chain(vectors).collect()
+    fn params_mut<'a>(&'a mut self, w: &'a mut dyn Stored) -> [Option<&'a mut dyn Stored>; 4] {
+        let (g, s) = self.bn.as_mut().map(|(g, s)| (g as _, s as _)).unzip();
+        [Some(w), self.b.as_mut().map(|b| b as _), g, s]
     }
 }
 
@@ -421,39 +419,41 @@ impl Kernel {
     }
 
     /// The learned parameters in the SDC layer's canonical order: the
-    /// weights, then bias, batch-norm gamma and beta.
-    fn params(&self) -> Vec<&dyn Stored> {
-        match self {
+    /// weights, then bias, batch-norm gamma and beta. Listing them
+    /// allocates nothing, so a scrub doesn't either.
+    fn params(&self) -> impl Iterator<Item = &dyn Stored> {
+        let parts = match self {
             Kernel::ConvPacked { w, tail, .. } | Kernel::DensePacked { w, tail } => tail.params(w),
             Kernel::ConvDirect { w, tail, .. } | Kernel::DenseDirect { w, tail } => tail.params(w),
-            Kernel::BatchNorm { gamma, beta } => vec![gamma, beta],
-            _ => Vec::new(),
-        }
+            Kernel::BatchNorm { gamma, beta } => [Some(gamma as _), Some(beta as _), None, None],
+            _ => [None; 4],
+        };
+        parts.into_iter().flatten()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut dyn Stored> {
-        match self {
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut dyn Stored> {
+        let parts = match self {
             Kernel::ConvPacked { w, tail, .. } | Kernel::DensePacked { w, tail } => {
                 tail.params_mut(w)
             }
             Kernel::ConvDirect { w, tail, .. } | Kernel::DenseDirect { w, tail } => {
                 tail.params_mut(w)
             }
-            Kernel::BatchNorm { gamma, beta } => vec![gamma, beta],
-            _ => Vec::new(),
-        }
+            Kernel::BatchNorm { gamma, beta } => [Some(gamma as _), Some(beta as _), None, None],
+            _ => Default::default(),
+        };
+        parts.into_iter().flatten()
     }
 
     /// Logical parameter words, panel padding excluded.
     fn param_elems(&self) -> usize {
-        self.params().iter().map(|p| p.logical_len()).sum()
+        self.params().map(|p| p.logical_len()).sum()
     }
 
     /// FNV-1a checksum over every stored parameter word, weights first
     /// (padding included, so any flip in the buffer shows).
     fn checksum(&self) -> u64 {
-        let parts: Vec<&[f32]> = self.params().iter().map(|p| p.buf()).collect();
-        crate::integrity::checksum_parts(&parts)
+        crate::integrity::checksum_parts(self.params().map(|p| p.buf()))
     }
 }
 
@@ -556,7 +556,8 @@ pub struct Executor<'g> {
     weights: WeightStore,
     precision: Precision,
     threads: usize,
-    kernel: KernelKind,
+    /// The kernel tier, resolved against the host once per executor.
+    tier: Microkernel,
 }
 
 /// [`ExecError::OutOfMemory`] for a buffer of `bytes` that `node` needs.
@@ -576,7 +577,7 @@ impl<'g> Executor<'g> {
             weights: WeightStore::new(0),
             precision: Precision::F32,
             threads: 1,
-            kernel: KernelKind::Auto,
+            tier: simd::resolve(KernelKind::Auto),
         }
     }
 
@@ -616,11 +617,11 @@ impl<'g> Executor<'g> {
     /// Selects the kernel tier of the GEMM micro-kernel, of depthwise
     /// convolution and of the lowering to the run precision (the CLI's
     /// `--kernel` A/B switch). The request is resolved against the host
-    /// when an arena is created and where a tensor is lowered — and, like
+    /// here, once: prepare, every run and every repair use that tier. Like
     /// threads and blocking, it is a pure performance knob: every tier
     /// produces byte-identical output.
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
+        self.tier = simd::resolve(kernel);
         self
     }
 
@@ -635,12 +636,11 @@ impl<'g> Executor<'g> {
     /// panel buffer, padding and all, gives exactly the panels of the
     /// lowered natural tensor.
     fn lower_slice(&self, xs: &mut [f32]) {
-        let tier = simd::resolve(self.kernel);
         match self.precision {
             Precision::F32 => {}
-            Precision::F16 => simd::round_f16(tier, xs),
+            Precision::F16 => simd::round_f16(self.tier, xs),
             Precision::Int8 => {
-                simd::fake_quantize(tier, xs);
+                simd::fake_quantize(self.tier, xs);
             }
         }
     }
@@ -1140,7 +1140,7 @@ impl PreparedExecutor<'_> {
     /// arena runs share, and a run that finds it in use builds its own.
     fn new_arena(&self) -> Result<Arena, ExecError> {
         let mut arena = Arena::default();
-        arena.gemm.set_kernel(self.exec.kernel);
+        arena.gemm.set_kernel(self.exec.tier);
         let steps = self.steps.iter().map(|s| (s.node, s.buf, Some(&s.kernel)));
         for (node, b, kernel) in std::iter::once((self.input, 0, None)).chain(steps) {
             if b == arena.bufs.len() {

@@ -272,9 +272,9 @@ fn advise_huge_pages(_ptr: *const f32, _capacity: usize) {}
 /// The executor's arena owns one per [`crate::PreparedExecutor`], so
 /// steady-state inference reuses the same allocations; any other caller of
 /// [`conv2d_packed_into`] or [`dense_packed_into`] keeps its own across
-/// calls. The kernel is resolved from [`KernelKind`] once, when the
-/// scratch is created or [`GemmScratch::set_kernel`] is called — never per
-/// GEMM call.
+/// calls. A new scratch runs the tier [`simd::resolve`] picks for
+/// [`KernelKind::Auto`], and [`GemmScratch::set_kernel`] sets another — no
+/// GEMM call resolves one.
 #[derive(Debug)]
 pub struct GemmScratch {
     /// One packing buffer per intra-op worker: the blocked GEMM packs A
@@ -298,9 +298,9 @@ impl Default for GemmScratch {
 }
 
 impl GemmScratch {
-    /// Re-resolves the micro-kernel from a [`KernelKind`] request.
-    pub fn set_kernel(&mut self, kind: KernelKind) {
-        self.kernel = simd::resolve(kind);
+    /// Sets the micro-kernel tier.
+    pub fn set_kernel(&mut self, tier: Microkernel) {
+        self.kernel = tier;
     }
 
     /// The resolved micro-kernel tier, which the executor's depthwise

@@ -53,8 +53,8 @@ pub fn checksum_f32(words: &[f32]) -> u64 {
 
 /// Chains [`checksum_f32`] across several slices (a node's weights, bias
 /// and batch-norm parts) into one digest.
-pub(crate) fn checksum_parts(parts: &[&[f32]]) -> u64 {
-    parts.iter().fold(FNV_OFFSET, |h, p| fold_f32(h, p))
+pub(crate) fn checksum_parts<'a>(parts: impl IntoIterator<Item = &'a [f32]>) -> u64 {
+    parts.into_iter().fold(FNV_OFFSET, fold_f32)
 }
 
 const HASH_LANES: usize = 8;
@@ -129,9 +129,6 @@ pub struct GuardConfig {
     /// Verify weight checksums (and repair mismatches) every `cadence`
     /// inferences; `1` scrubs before every run, `0` never scrubs.
     pub cadence: u64,
-    /// Retry a tripped inference once (after a forced scrub) before
-    /// reporting it corrupted.
-    pub retry: bool,
 }
 
 impl Default for GuardConfig {
@@ -143,7 +140,6 @@ impl Default for GuardConfig {
             // for roughly one extra percent. The envelope guards run
             // every inference regardless and are effectively free.
             cadence: 4,
-            retry: true,
         }
     }
 }
@@ -152,13 +148,6 @@ impl GuardConfig {
     /// Returns the config with the given scrub cadence.
     pub fn with_cadence(mut self, cadence: u64) -> GuardConfig {
         self.cadence = cadence;
-        self
-    }
-
-    /// Returns the config with retry-on-trip switched on or off.
-    #[cfg(test)]
-    fn with_retry(mut self, retry: bool) -> GuardConfig {
-        self.retry = retry;
         self
     }
 }
@@ -261,7 +250,8 @@ impl fmt::Display for IntegrityEvent {
 ///
 /// Build one from a prepared executor, [`calibrate`](Self::calibrate) it
 /// on a few clean inputs (optional — NaN/Inf guards work uncalibrated),
-/// then call [`run`](Self::run) per inference.
+/// then call [`run`](Self::run) per inference, into an output tensor the
+/// caller keeps.
 #[derive(Debug)]
 pub struct GuardedExecutor<'g> {
     inner: PreparedExecutor<'g>,
@@ -291,12 +281,14 @@ impl<'g> GuardedExecutor<'g> {
     /// # Errors
     ///
     /// Same as [`PreparedExecutor::run`].
-    pub fn calibrate(&mut self, inputs: &[&Tensor]) -> Result<(), ExecError> {
+    pub fn calibrate<'t>(
+        &mut self,
+        inputs: impl IntoIterator<Item = &'t Tensor>,
+    ) -> Result<(), ExecError> {
         let mut envelopes: Vec<Option<Envelope>> = vec![None; self.inner.node_count()];
         for input in inputs {
-            let inner = &self.inner;
-            inner.run_observed(input, &mut |idx, t| {
-                let (lo, hi) = min_max(t.data());
+            self.inner.run_observed(input, &mut |idx, t| {
+                let (lo, hi, _) = scan(t.data());
                 match &mut envelopes[idx] {
                     Some(env) => env.absorb(lo, hi),
                     slot => *slot = Some(Envelope { lo, hi }),
@@ -308,78 +300,65 @@ impl<'g> GuardedExecutor<'g> {
         Ok(())
     }
 
-    /// Runs one guarded inference: scrub on cadence, execute with
-    /// activation guards, retry once after a forced scrub if a guard
-    /// trips.
+    /// Runs one guarded inference on `input` into `out`, reusing `out`'s
+    /// buffer as [`PreparedExecutor::run_into`] does: scrub on cadence,
+    /// execute with activation guards, and if a guard trips, scrub and
+    /// retry once.
+    ///
+    /// `inject(attempt, node, output)` sees every node output before the
+    /// guards do: the hook fault campaigns flip activation bits through (a
+    /// caller that injects nothing passes `&mut |_, _, _| {}`). `attempt`
+    /// is `0` for the first pass and `1` for the retry, so a transient
+    /// injector can key its draws on it; a persistent fault that ignores
+    /// `attempt` re-corrupts the retry and surfaces as
+    /// [`ExecError::Corrupted`].
     ///
     /// # Errors
     ///
-    /// Same as [`PreparedExecutor::run`], plus [`ExecError::Corrupted`]
-    /// when the guards tripped and recovery did not produce a clean run.
-    pub fn run(&mut self, input: &Tensor) -> Result<Tensor, ExecError> {
-        self.run_injected(input, &mut |_, _, _| {})
-    }
-
-    /// Like [`run`](Self::run), but invoking `inject(attempt, node, out)`
-    /// on every node output before the guards inspect it — the hook fault
-    /// campaigns use to flip activation bits. `attempt` is `0` for the
-    /// first pass and `1` for the post-scrub retry, so transient
-    /// injectors can key their draws on it (a persistent fault that
-    /// ignores `attempt` re-corrupts the retry and surfaces as
-    /// [`ExecError::Corrupted`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GuardedExecutor::run`].
-    pub fn run_injected(
+    /// Same as [`PreparedExecutor::run_into`], plus [`ExecError::Corrupted`]
+    /// when the retry tripped a guard too; `out` then holds no answer.
+    pub fn run(
         &mut self,
         input: &Tensor,
+        out: &mut Tensor,
         inject: &mut dyn FnMut(u32, usize, &mut Tensor),
-    ) -> Result<Tensor, ExecError> {
+    ) -> Result<(), ExecError> {
         if self.cfg.cadence > 0 && self.stats.inferences.is_multiple_of(self.cfg.cadence) {
             self.scrub()?;
         }
         self.stats.inferences += 1;
-        match self.attempt(input, 0, inject) {
-            Err(ExecError::Corrupted { .. }) if self.cfg.retry => {
-                // Weight corruption may be what pushed the activations out
-                // of range: repair before the one retry.
-                self.scrub()?;
-                self.stats.retries += 1;
-                self.push_event(0, IntegrityEventKind::Retried);
-                match self.attempt(input, 1, inject) {
-                    Ok(out) => {
-                        self.stats.recovered += 1;
-                        self.push_event(0, IntegrityEventKind::Recovered);
-                        Ok(out)
-                    }
-                    Err(e2 @ ExecError::Corrupted { .. }) => {
-                        self.stats.corrupted_outputs += 1;
-                        self.push_event(0, IntegrityEventKind::CorruptedOutput);
-                        Err(e2)
-                    }
-                    Err(e2) => Err(e2),
-                }
+        match self.attempt(input, out, 0, inject) {
+            Err(ExecError::Corrupted { .. }) => {}
+            clean_or_failed => return clean_or_failed,
+        }
+        // Weight corruption may be what pushed the activations out of
+        // range: repair before the one retry.
+        self.scrub()?;
+        self.stats.retries += 1;
+        self.push_event(0, IntegrityEventKind::Retried);
+        let retried = self.attempt(input, out, 1, inject);
+        match retried {
+            Ok(()) => {
+                self.stats.recovered += 1;
+                self.push_event(0, IntegrityEventKind::Recovered);
             }
-            Err(e @ ExecError::Corrupted { .. }) => {
+            Err(ExecError::Corrupted { .. }) => {
                 self.stats.corrupted_outputs += 1;
                 self.push_event(0, IntegrityEventKind::CorruptedOutput);
-                Err(e)
             }
-            other => other,
+            Err(_) => {}
         }
+        retried
     }
 
-    /// Forces a checksum sweep now, repairing every mismatched node in
-    /// place. Returns the number of nodes repaired.
+    /// A checksum sweep, repairing every mismatched node in place.
     ///
     /// # Errors
     ///
     /// Same as [`PreparedExecutor::repair_node`].
-    pub(crate) fn scrub(&mut self) -> Result<usize, ExecError> {
+    fn scrub(&mut self) -> Result<(), ExecError> {
         self.stats.scrubs += 1;
-        let corrupted = self.inner.verify_params();
-        for &idx in &corrupted {
+        for idx in self.inner.verify_params() {
             self.stats.checksum_mismatches += 1;
             self.push_event(idx, IntegrityEventKind::ChecksumMismatch);
             let bytes = self.inner.repair_node(idx)?;
@@ -387,19 +366,20 @@ impl<'g> GuardedExecutor<'g> {
             self.stats.repaired_bytes += bytes as u64;
             self.push_event(idx, IntegrityEventKind::Repaired { bytes });
         }
-        Ok(corrupted.len())
+        Ok(())
     }
 
     fn attempt(
         &mut self,
         input: &Tensor,
+        out: &mut Tensor,
         attempt: u32,
         inject: &mut dyn FnMut(u32, usize, &mut Tensor),
-    ) -> Result<Tensor, ExecError> {
+    ) -> Result<(), ExecError> {
         let inner = &self.inner;
         let envelopes = &self.envelopes;
         let mut tripped: Option<(usize, GuardTrip)> = None;
-        let res = inner.run_observed(input, &mut |idx, t| {
+        let res = inner.run_into(input.shape().dims(), input.data(), out, &mut |idx, t| {
             inject(attempt, idx, t);
             if let Some(trip) = check_node(envelopes, idx, t) {
                 tripped = Some((idx, trip));
@@ -414,7 +394,7 @@ impl<'g> GuardedExecutor<'g> {
             self.stats.guard_trips += 1;
             self.push_event(idx, IntegrityEventKind::GuardTrip { trip });
         }
-        res.map(|(t, _)| t)
+        res.map(|_| ())
     }
 
     fn push_event(&mut self, node: usize, kind: IntegrityEventKind) {
@@ -439,11 +419,6 @@ impl<'g> GuardedExecutor<'g> {
     /// through [`PreparedExecutor::corrupt_param_bit`]).
     pub fn inner_mut(&mut self) -> &mut PreparedExecutor<'g> {
         &mut self.inner
-    }
-
-    /// Shared view of the wrapped prepared executor.
-    pub fn inner(&self) -> &PreparedExecutor<'g> {
-        &self.inner
     }
 }
 
@@ -536,11 +511,6 @@ unsafe fn scan_avx2(data: &[f32]) -> (f32, f32, bool) {
     (lo, hi, nonfinite)
 }
 
-fn min_max(data: &[f32]) -> (f32, f32) {
-    let (lo, hi, _) = scan(data);
-    (lo, hi)
-}
-
 fn check_node(envelopes: &[Option<Envelope>], idx: usize, t: &Tensor) -> Option<GuardTrip> {
     let (lo, hi, nonfinite) = scan(t.data());
     if nonfinite {
@@ -591,7 +561,10 @@ mod tests {
         let b = [3.0f32];
         let c = [1.0f32];
         let d = [2.0f32, 3.0];
-        assert_ne!(checksum_parts(&[&a, &b]), checksum_parts(&[&c, &d]));
+        assert_ne!(
+            checksum_parts([&a[..], &b[..]]),
+            checksum_parts([&c[..], &d[..]])
+        );
     }
 
     #[test]
@@ -615,6 +588,13 @@ mod tests {
         assert_eq!(prepared.run(&x).unwrap(), clean);
     }
 
+    /// A guarded run that injects nothing.
+    fn run(guarded: &mut GuardedExecutor<'_>, x: &Tensor) -> Result<Tensor, ExecError> {
+        let mut out = Tensor::zeros([0]);
+        guarded.run(x, &mut out, &mut |_, _, _| {})?;
+        Ok(out)
+    }
+
     #[test]
     fn guarded_run_matches_unguarded_when_clean() {
         let g = tiny_graph();
@@ -622,9 +602,9 @@ mod tests {
         let clean = Executor::new(&g).with_seed(5).run(&x).unwrap();
         let prepared = Executor::new(&g).with_seed(5).prepare().unwrap();
         let mut guarded = GuardedExecutor::new(prepared, GuardConfig::default().with_cadence(1));
-        guarded.calibrate(&[&x]).unwrap();
+        guarded.calibrate([&x]).unwrap();
         for _ in 0..3 {
-            assert_eq!(guarded.run(&x).unwrap(), clean);
+            assert_eq!(run(&mut guarded, &x).unwrap(), clean);
         }
         let s = guarded.stats();
         assert_eq!(s.inferences, 3);
@@ -639,15 +619,16 @@ mod tests {
         let x = Tensor::random([1, 3, 8, 8], 3);
         let prepared = Executor::new(&g).with_seed(5).prepare().unwrap();
         let mut guarded = GuardedExecutor::new(prepared, GuardConfig::default().with_cadence(1));
-        guarded.calibrate(&[&x]).unwrap();
-        let clean = guarded.run(&x).unwrap();
+        guarded.calibrate([&x]).unwrap();
+        let clean = run(&mut guarded, &x).unwrap();
 
-        let node = (0..guarded.inner().node_count())
-            .find(|&i| guarded.inner().param_elems(i) > 0)
+        let inner = guarded.inner_mut();
+        let node = (0..inner.node_count())
+            .find(|&i| inner.param_elems(i) > 0)
             .unwrap();
-        assert!(guarded.inner_mut().corrupt_param_bit(node, 1, 27));
+        assert!(inner.corrupt_param_bit(node, 1, 27));
         // Cadence-1 scrub repairs the flip before the next run executes.
-        assert_eq!(guarded.run(&x).unwrap(), clean);
+        assert_eq!(run(&mut guarded, &x).unwrap(), clean);
         let s = guarded.stats();
         assert_eq!(s.checksum_mismatches, 1);
         assert_eq!(s.repairs, 1);
@@ -661,12 +642,13 @@ mod tests {
         let x = Tensor::random([1, 3, 8, 8], 3);
         let prepared = Executor::new(&g).with_seed(5).prepare().unwrap();
         let mut guarded = GuardedExecutor::new(prepared, GuardConfig::default());
-        guarded.calibrate(&[&x]).unwrap();
-        let clean = guarded.run(&x).unwrap();
+        guarded.calibrate([&x]).unwrap();
+        let clean = run(&mut guarded, &x).unwrap();
 
         // Transient: corrupt only attempt 0; the retry runs clean.
-        let out = guarded
-            .run_injected(&x, &mut |attempt, idx, t| {
+        let mut out = Tensor::zeros([0]);
+        guarded
+            .run(&x, &mut out, &mut |attempt, idx, t| {
                 if attempt == 0 && idx == 2 {
                     t.data_mut()[0] = f32::NAN;
                 }
@@ -686,11 +668,11 @@ mod tests {
         let x = Tensor::random([1, 3, 8, 8], 3);
         let prepared = Executor::new(&g).with_seed(5).prepare().unwrap();
         let mut guarded = GuardedExecutor::new(prepared, GuardConfig::default());
-        guarded.calibrate(&[&x]).unwrap();
+        guarded.calibrate([&x]).unwrap();
 
         // Persistent (stuck-at) fault: corrupts every attempt.
         let err = guarded
-            .run_injected(&x, &mut |_, idx, t| {
+            .run(&x, &mut Tensor::zeros([0]), &mut |_, idx, t| {
                 if idx == 2 {
                     t.data_mut()[0] = f32::INFINITY;
                 }
@@ -709,20 +691,24 @@ mod tests {
         let g = tiny_graph();
         let x = Tensor::random([1, 3, 8, 8], 3);
         let prepared = Executor::new(&g).with_seed(5).prepare().unwrap();
-        let mut guarded = GuardedExecutor::new(prepared, GuardConfig::default().with_retry(false));
-        guarded.calibrate(&[&x]).unwrap();
+        let mut guarded = GuardedExecutor::new(prepared, GuardConfig::default());
+        guarded.calibrate([&x]).unwrap();
 
+        // The value is injected on both attempts, so the retry trips too.
         let err = guarded
-            .run_injected(&x, &mut |_, idx, t| {
+            .run(&x, &mut Tensor::zeros([0]), &mut |_, idx, t| {
                 if idx == 1 {
                     // Far outside any conv output's clean range, but finite.
                     t.data_mut()[0] = 1e20;
                 }
             })
             .unwrap_err();
-        assert!(matches!(err, ExecError::Corrupted { .. }));
-        assert_eq!(guarded.stats().guard_trips, 1);
-        assert_eq!(guarded.stats().retries, 0);
+        assert!(matches!(
+            err,
+            ExecError::Corrupted { ref reason, .. } if reason == "out-of-envelope"
+        ));
+        assert_eq!(guarded.stats().guard_trips, 2);
+        assert_eq!(guarded.stats().retries, 1);
     }
 
     #[test]

@@ -17,6 +17,10 @@
 #     },
 #     "history": [ {"commit": ..., "host": ..., "benchmarks": ...}, ... ]   # oldest first
 #   }
+# An entry may also hold a "note" string, added by hand, saying why its
+# numbers do not compare with the entries before it (a bench that now times
+# another entry point, say); the writer keeps it when the entry moves into
+# the history.
 # Each benchmark keeps the fastest, median and slowest sample the criterion
 # shim prints as `[lo .. median .. hi]`; the host header says what machine
 # took them (cache sizes from sysfs, null when sysfs does not say; the
@@ -74,6 +78,8 @@ def check_benchmarks(b, where, spread):
 def check_entry(entry, where, v2):
     if not isinstance(entry, dict) or not isinstance(entry.get("commit"), str):
         sys.exit(f"{path}: {where}.commit must be a string")
+    if not isinstance(entry.get("note", ""), str):
+        sys.exit(f"{path}: {where}.note must be a string")
     if v2:
         check_host(entry.get("host"), where)
     check_benchmarks(entry.get("benchmarks"), where, v2)

@@ -9,8 +9,10 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 # The determinism contracts, named explicitly: neither intra-op threads
 # nor the SIMD kernel choice may change a single output byte, at f32, f16
-# and int8 (the rest of the suite runs these too, but a regression here
-# should fail loudly under its own name).
+# and int8, nor the chain digest of every node's output on the prepared
+# executor; a chain mismatch names the first node that differs (the rest
+# of the suite runs these too, but a regression here should fail loudly
+# under its own name).
 cargo test -q --offline --test numerical_equivalence \
     execution_is_byte_identical_across_intra_op_threads
 cargo test -q --offline --test numerical_equivalence \
@@ -80,7 +82,11 @@ cargo test -q --offline -p edgebench-tensor \
 # 4 KiB or more per run through `run_into`, run after run (every activation
 # buffer and per-worker packing buffer is reserved at prepare), and at one
 # thread every run makes the same allocations; `run` adds only the tensor
-# it returns. Counted with a counting allocator after 3 warm-up runs: on
+# it returns. The guarded allocation check rides in the same counted test
+# (the counter is process-wide): at one thread, 40 warm GuardedExecutor
+# runs (a weight scrub every 4th run, envelope checks on every node) into
+# a kept output tensor must make exactly the allocations of a plain
+# `run_into`. Counted with a counting allocator after 3 warm-up runs: on
 # CifarNet at 1 and 2 threads over 40 runs (about 2 s in debug), then in
 # release on four models at 1 and 2 threads and on batch-4 int8 ResNet-18,
 # each over twice its step count plus 10 runs (about 75 s). A run that
@@ -94,7 +100,8 @@ cargo test -q --offline -p edgebench-tensor --lib \
 # The SDC defense contracts, named explicitly: every single-bit weight
 # flip must be caught by the prepare-time checksums, and guard verdicts
 # must be byte-identical across thread counts, kernel tiers, and
-# repeated seeded campaigns.
+# repeated seeded campaigns (run through `edgebench::sdc::run_campaign`,
+# the campaign `infer --flip-rate` and `ext-sdc` run too).
 cargo test -q --offline --test sdc \
     any_single_weight_bit_flip_is_caught
 cargo test -q --offline --test sdc \

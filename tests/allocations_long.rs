@@ -29,6 +29,7 @@ fn run_into_allocates_no_buffer_on_any_config() {
     ];
     for (model, batch, precision, threads) in configs {
         with_model(model, batch, precision, threads, |exec, x| {
+            let exec = &exec;
             let (y, stats) = exec.run_observed(x, &mut |_, _| Ok(())).expect("run");
             let label = format!("{model:?} batch {batch} {precision:?} {threads} thread(s)");
             let counts = counted_runs(exec, x, 2 * stats.ops_executed + 10);

@@ -105,7 +105,7 @@ pub fn with_model<R>(
     batch: usize,
     precision: Precision,
     threads: usize,
-    f: impl FnOnce(&PreparedExecutor<'_>, &Tensor) -> R,
+    f: impl FnOnce(PreparedExecutor<'_>, &Tensor) -> R,
 ) -> R {
     let graph = model.build().with_batch(batch).expect("rebatch");
     let dims = graph.node(graph.input_ids()[0]).output_shape().dims();
@@ -116,18 +116,12 @@ pub fn with_model<R>(
         .with_intra_op_threads(threads)
         .prepare()
         .expect("prepare");
-    f(&exec, &x)
+    f(exec, &x)
 }
 
-/// Runs `exec` on `x` through `run_into`, into one output tensor: [`WARM`]
-/// times, then `runs` times more, counting each of those on its own.
-pub fn counted_runs(exec: &PreparedExecutor<'_>, x: &Tensor, runs: usize) -> Vec<Count> {
-    let mut out = Tensor::zeros([0]);
-    let mut run = || {
-        let dims = x.shape().dims();
-        let res = exec.run_into(dims, x.data(), &mut out, &mut |_, _| Ok(()));
-        res.expect("run");
-    };
+/// Calls `run` [`WARM`] times, then `runs` times more, counting each of
+/// those on its own.
+pub fn counted(runs: usize, mut run: impl FnMut()) -> Vec<Count> {
     for _ in 0..WARM {
         run();
     }
@@ -136,6 +130,17 @@ pub fn counted_runs(exec: &PreparedExecutor<'_>, x: &Tensor, runs: usize) -> Vec
         counts.push(count(&mut run));
     }
     counts
+}
+
+/// Runs `exec` on `x` through `run_into`, into one output tensor, as
+/// [`counted`] does.
+pub fn counted_runs(exec: &PreparedExecutor<'_>, x: &Tensor, runs: usize) -> Vec<Count> {
+    let mut out = Tensor::zeros([0]);
+    counted(runs, || {
+        let dims = x.shape().dims();
+        let res = exec.run_into(dims, x.data(), &mut out, &mut |_, _| Ok(()));
+        res.expect("run");
+    })
 }
 
 /// Asserts that no run of `counts` allocated [`LARGE`] bytes or more and,

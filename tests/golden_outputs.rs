@@ -30,8 +30,9 @@ mod support;
 use edgebench_frameworks::passes;
 use edgebench_graph::{ActivationKind, Graph, GraphBuilder, Op, PoolKind};
 use edgebench_models::{rnn, Model};
+use edgebench_tensor::integrity::checksum_f32;
 use edgebench_tensor::{Executor, KernelKind, Precision, Tensor};
-use support::{chain, digests, node_lines, Digests};
+use support::{assert_same_chain, chain, node_lines, observe};
 
 /// The configurations, in the order of each graph's pinned digests.
 const CONFIGS: [(Precision, f32); 6] = [
@@ -51,7 +52,7 @@ fn check(g: &Graph, pinned: [u64; 6], chains: [u64; 6]) {
     let x = Tensor::random(shape, 17);
     let mut got = Vec::new();
     for (precision, sparsity) in CONFIGS {
-        let mut runs: Vec<Digests> = Vec::new();
+        let mut runs = Vec::new();
         for (kernel, threads) in [
             (KernelKind::Auto, 1),
             (KernelKind::Auto, 2),
@@ -66,19 +67,17 @@ fn check(g: &Graph, pinned: [u64; 6], chains: [u64; 6]) {
                 .prepare()
                 .unwrap();
             for _ in 0..2 {
-                runs.push(digests(&exec, &x));
+                let (y, nodes) = observe(&exec, &x);
+                runs.push((checksum_f32(y.data()), nodes));
             }
         }
-        if let Some(r) = runs.iter().find(|r| **r != runs[0]) {
-            panic!(
-                "{}: {precision:?} sparsity {sparsity} differs across kernels, threads or reruns; \
-                 output {:#018x} against {:#018x}, nodes\n{}\nagainst\n{}",
-                g.name(),
-                runs[0].0,
-                r.0,
-                node_lines(g, &runs[0].1),
-                node_lines(g, &r.1)
-            );
+        let label = format!(
+            "{}: {precision:?} sparsity {sparsity} across kernels, threads or reruns",
+            g.name()
+        );
+        for r in &runs[1..] {
+            assert_same_chain(g, &label, &runs[0].1, &r.1);
+            assert_eq!(r.0, runs[0].0, "{label}: output digest");
         }
         got.push(runs.swap_remove(0));
     }

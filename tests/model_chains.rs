@@ -17,8 +17,9 @@
 mod support;
 
 use edgebench_models::Model;
+use edgebench_tensor::integrity::checksum_f32;
 use edgebench_tensor::{Executor, KernelKind, Precision, Tensor};
-use support::{chain, digests, node_lines, Digests};
+use support::{assert_same_chain, chain, observe};
 
 #[test]
 #[ignore = "release only: 180 runs of five models"]
@@ -43,7 +44,7 @@ fn benchmark_models_agree_node_by_node_on_every_tier_and_thread_count() {
             for precision in [Precision::F32, Precision::F16, Precision::Int8] {
                 for sparsity in [0.0, 0.5] {
                     let label = format!("{model} batch {batch} {precision:?} sparsity {sparsity}");
-                    let runs: Vec<Digests> = settings
+                    let runs: Vec<_> = settings
                         .iter()
                         .map(|&(kernel, threads)| {
                             let exec = Executor::new(&g)
@@ -54,22 +55,15 @@ fn benchmark_models_agree_node_by_node_on_every_tier_and_thread_count() {
                                 .with_intra_op_threads(threads)
                                 .prepare()
                                 .unwrap();
-                            digests(&exec, &x)
+                            let (y, nodes) = observe(&exec, &x);
+                            (checksum_f32(y.data()), nodes)
                         })
                         .collect();
                     let want = &runs[0];
                     for (&(kernel, threads), got) in settings.iter().zip(&runs).skip(1) {
-                        let first = want.1.iter().zip(&got.1).position(|(a, b)| a != b);
-                        if let Some(at) = first {
-                            let i = want.1[at].0;
-                            panic!(
-                                "{label}: {kernel:?} at {threads} thread(s) first differs from \
-                                 Auto at 1 thread at node {i} ({}); nodes\n{}\nagainst\n{}",
-                                g.nodes()[i].name(),
-                                node_lines(&g, &want.1),
-                                node_lines(&g, &got.1)
-                            );
-                        }
+                        let against =
+                            format!("{label}: {kernel:?} at {threads} thread(s) against Auto at 1");
+                        assert_same_chain(&g, &against, &want.1, &got.1);
                         assert_eq!(got.0, want.0, "{label}: {kernel:?} t{threads} output");
                     }
                     println!(

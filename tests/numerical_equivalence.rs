@@ -2,11 +2,14 @@
 //! change what a graph computes, verified by actually executing graphs
 //! through the tensor substrate before and after each pass.
 
+mod support;
+
 use edgebench_frameworks::passes;
 use edgebench_graph::{ActivationKind, Graph, GraphBuilder, Op, PoolKind};
 use edgebench_models::Model;
 use edgebench_tensor::{Executor, KernelKind, Microkernel, Precision, Tensor};
 use proptest::prelude::*;
+use support::{assert_same_chain, observe};
 
 /// A small but structurally rich network: conv-bn-relu chains, a residual
 /// branch, depthwise separable block, dropout, pooling and a dense head.
@@ -169,21 +172,20 @@ fn execution_is_byte_identical_across_intra_op_threads() {
     // The tentpole determinism contract: the intra-op thread count is a
     // pure performance knob. Per output element the GEMM reduction order
     // is fixed (strictly ascending k), so 1, 2 and 8 workers must produce
-    // the same bytes — on the plain and the prepared executor alike.
+    // the same bytes — on the plain and the prepared executor alike, and
+    // at every node of the prepared one (its chain digest), so a change a
+    // later layer swallows still fails and names its node.
     for g in [rich_graph(), Model::CifarNet.build().with_batch(8).unwrap()] {
         let shape = g.node(g.input_ids()[0]).output_shape().dims().to_vec();
         let x = Tensor::random(shape, 23);
-        let base = Executor::new(&g)
-            .with_seed(4)
-            .with_intra_op_threads(1)
-            .run(&x)
-            .unwrap();
-        for threads in [2usize, 8] {
-            let out = Executor::new(&g)
+        let exec = |threads| {
+            Executor::new(&g)
                 .with_seed(4)
                 .with_intra_op_threads(threads)
-                .run(&x)
-                .unwrap();
+        };
+        let (base, nodes) = observe(&exec(1).prepare().unwrap(), &x);
+        for threads in [2usize, 8] {
+            let out = exec(threads).run(&x).unwrap();
             assert_eq!(
                 base.data(),
                 out.data(),
@@ -191,13 +193,9 @@ fn execution_is_byte_identical_across_intra_op_threads() {
                 g.name(),
                 threads
             );
-            let prepared = Executor::new(&g)
-                .with_seed(4)
-                .with_intra_op_threads(threads)
-                .prepare()
-                .unwrap()
-                .run(&x)
-                .unwrap();
+            let (prepared, got) = observe(&exec(threads).prepare().unwrap(), &x);
+            let label = format!("{} prepared at {threads} intra-op threads", g.name());
+            assert_same_chain(&g, &label, &nodes, &got);
             assert_eq!(
                 base.data(),
                 prepared.data(),
@@ -218,7 +216,8 @@ fn simd_and_scalar_kernels_are_bitwise_identical() {
     // choice is therefore a pure performance knob: whole-model outputs
     // must match the forced-scalar baseline bit for bit (`-0.0` and NaN
     // payloads included), at every precision and any thread count, on the
-    // plain and the prepared executor alike.
+    // plain and the prepared executor alike, and so must every node's
+    // output bits on the prepared one (its chain digest).
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for g in [rich_graph(), Model::CifarNet.build().with_batch(8).unwrap()] {
         let shape = g.node(g.input_ids()[0]).output_shape().dims().to_vec();
@@ -231,7 +230,8 @@ fn simd_and_scalar_kernels_are_bitwise_identical() {
                     .with_kernel(kernel)
                     .with_intra_op_threads(threads)
             };
-            let base = bits(&exec(KernelKind::Scalar, 1).run(&x).unwrap());
+            let (base, nodes) = observe(&exec(KernelKind::Scalar, 1).prepare().unwrap(), &x);
+            let base = bits(&base);
             for kernel in [KernelKind::Scalar, KernelKind::Auto] {
                 for threads in [1usize, 2, 8] {
                     let out = exec(kernel, threads).run(&x).unwrap();
@@ -241,7 +241,12 @@ fn simd_and_scalar_kernels_are_bitwise_identical() {
                         "{} diverged at {precision:?} with kernel {kernel:?} at {threads} threads",
                         g.name(),
                     );
-                    let prepared = exec(kernel, threads).prepare().unwrap().run(&x).unwrap();
+                    let (prepared, got) = observe(&exec(kernel, threads).prepare().unwrap(), &x);
+                    let label = format!(
+                        "{} prepared at {precision:?} with kernel {kernel:?} at {threads} threads",
+                        g.name()
+                    );
+                    assert_same_chain(&g, &label, &nodes, &got);
                     assert_eq!(
                         base,
                         bits(&prepared),

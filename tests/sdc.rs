@@ -4,6 +4,7 @@
 //! seeded runs — the determinism the serve layer and the `ext-sdc`
 //! experiment build their accounting on.
 
+use edgebench::sdc::run_campaign;
 use edgebench_devices::faults::MemoryFaultModel;
 use edgebench_models::Model;
 use edgebench_tensor::{
@@ -57,7 +58,6 @@ struct CampaignTrace {
 /// campaign is a pure function of the seeds, so the trace must not
 /// depend on `threads` or `kernel`.
 fn campaign(threads: usize, kernel: KernelKind) -> CampaignTrace {
-    const ACT_REGION: u64 = 1 << 32;
     let g = Model::CifarNet.build();
     let exec = Executor::new(&g)
         .with_seed(7)
@@ -65,42 +65,36 @@ fn campaign(threads: usize, kernel: KernelKind) -> CampaignTrace {
         .with_kernel(kernel)
         .prepare()
         .unwrap();
-    let mut guard = GuardedExecutor::new(exec, GuardConfig::default().with_cadence(1));
     let cal: Vec<Tensor> = (0..2)
         .map(|i| Tensor::random([1, 3, 32, 32], 900 + i as u64))
         .collect();
-    let cal_refs: Vec<&Tensor> = cal.iter().collect();
-    guard.calibrate(&cal_refs).unwrap();
+    let inputs: Vec<Tensor> = (0..6u64)
+        .map(|i| Tensor::random([1, 3, 32, 32], 100 + i))
+        .collect();
 
     let wf = MemoryFaultModel::new(0x5dc1, 2e-6);
     let af = MemoryFaultModel::new(0x5dc2, 2e-6);
+    let guards = Some((GuardConfig::default().with_cadence(1), &cal[..]));
     let mut outcomes = Vec::new();
-    for i in 0..6u64 {
-        let input = Tensor::random([1, 3, 32, 32], 100 + i);
-        for node in 0..guard.inner().node_count() {
-            let elems = guard.inner().param_elems(node);
-            for flip in wf.flips(node as u64, i, elems) {
-                guard
-                    .inner_mut()
-                    .corrupt_param_bit(node, flip.element, flip.bit);
-            }
-        }
-        let out = guard.run_injected(&input, &mut |attempt, node, t| {
-            let exposure = i * 2 + u64::from(attempt);
-            for flip in af.flips(ACT_REGION + node as u64, exposure, t.data().len()) {
-                let word = t.data()[flip.element].to_bits() ^ (1u32 << flip.bit);
-                t.data_mut()[flip.element] = f32::from_bits(word);
-            }
-        });
-        outcomes.push(match out {
-            Ok(t) => Ok(integrity::checksum_f32(t.data())),
-            Err(e) => Err(e.to_string()),
-        });
-    }
+    let campaign = run_campaign(
+        &wf,
+        &af,
+        exec,
+        guards,
+        inputs.len(),
+        |i| &inputs[i],
+        |_, out| {
+            outcomes.push(match out {
+                Ok(t) => Ok(integrity::checksum_f32(t.data())),
+                Err(e) => Err(e.to_string()),
+            })
+        },
+    )
+    .unwrap();
     CampaignTrace {
         outcomes,
-        stats: guard.stats(),
-        events: guard.events().iter().map(|e| e.to_string()).collect(),
+        stats: campaign.guard,
+        events: campaign.events.iter().map(|e| e.to_string()).collect(),
     }
 }
 
@@ -141,9 +135,9 @@ fn refusals_are_typed_not_panics() {
     let exec = Executor::new(&g).with_seed(7).prepare().unwrap();
     let mut guard = GuardedExecutor::new(exec, GuardConfig::default());
     let x = Tensor::random([1, 3, 32, 32], 5);
-    guard.calibrate(&[&x]).unwrap();
+    guard.calibrate([&x]).unwrap();
     let err = guard
-        .run_injected(&x, &mut |_, node, t| {
+        .run(&x, &mut Tensor::zeros([0]), &mut |_, node, t| {
             if node == 2 {
                 t.data_mut()[0] = f32::NAN;
             }
